@@ -4,7 +4,7 @@
 //! per invariant) versus a fresh solver stack per representative.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vmn::{Verifier, VerifyOptions};
+use vmn::{Sessions, Verifier, VerifyOptions};
 use vmn_bench::invariant_sweep_workload;
 
 fn bench(c: &mut Criterion) {
@@ -12,12 +12,11 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for &scenarios in &[2usize, 4] {
         let (net, hint, invs) = invariant_sweep_workload(scenarios);
-        for (label, reuse_sessions) in [("sessions", true), ("fresh_stacks", false)] {
-            let opts = VerifyOptions {
-                policy_hint: Some(hint.clone()),
-                reuse_sessions,
-                ..Default::default()
-            };
+        for (label, sessions) in
+            [("sessions", Sessions::Pooled), ("fresh_stacks", Sessions::PerInvariant)]
+        {
+            let opts =
+                VerifyOptions { policy_hint: Some(hint.clone()), sessions, ..Default::default() };
             group.bench_with_input(BenchmarkId::new(label, scenarios), &scenarios, |b, _| {
                 b.iter(|| {
                     // A fresh verifier per iteration: the pool is re-warmed

@@ -5,7 +5,7 @@
 //! scenario).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vmn::{Verifier, VerifyOptions};
+use vmn::{Sessions, Verifier, VerifyOptions};
 use vmn_bench::scenario_sweep_workload;
 
 fn bench(c: &mut Criterion) {
@@ -13,12 +13,11 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for &scenarios in &[3usize, 6] {
         let (net, hint, inv) = scenario_sweep_workload(scenarios);
-        for (label, incremental) in [("incremental", true), ("from_scratch", false)] {
-            let opts = VerifyOptions {
-                policy_hint: Some(hint.clone()),
-                incremental,
-                ..Default::default()
-            };
+        for (label, sessions) in
+            [("incremental", Sessions::Pooled), ("from_scratch", Sessions::PerScenario)]
+        {
+            let opts =
+                VerifyOptions { policy_hint: Some(hint.clone()), sessions, ..Default::default() };
             let verifier = Verifier::new(&net, opts).expect("valid network");
             group.bench_with_input(BenchmarkId::new(label, scenarios), &scenarios, |b, _| {
                 b.iter(|| {

@@ -24,7 +24,7 @@
 //! the repository root, the trajectory record for this optimisation.
 
 use std::time::Instant;
-use vmn::{Invariant, Network, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Sessions, Verifier, VerifyOptions};
 use vmn_bench::{
     divergent_slice_workload, invariant_sweep_mixed, invariant_sweep_workload,
     scenario_sweep_workload,
@@ -70,13 +70,13 @@ fn measure_verify_all(
     net: &Network,
     hint: &[Vec<NodeId>],
     invs: &[Invariant],
-    reuse_sessions: bool,
+    sessions: Sessions,
     threshold: f64,
     samples: usize,
 ) -> Vec<f64> {
     let opts = VerifyOptions {
         policy_hint: Some(hint.to_vec()),
-        reuse_sessions,
+        sessions,
         cluster_threshold: threshold,
         ..Default::default()
     };
@@ -172,8 +172,15 @@ fn main() {
         let mut clustered = Vec::new();
         let mut union = Vec::new();
         for _ in 0..samples {
-            clustered.extend(measure_verify_all(&net, &hint, &invs, true, default_threshold, 1));
-            union.extend(measure_verify_all(&net, &hint, &invs, true, 0.0, 1));
+            clustered.extend(measure_verify_all(
+                &net,
+                &hint,
+                &invs,
+                Sessions::Pooled,
+                default_threshold,
+                1,
+            ));
+            union.extend(measure_verify_all(&net, &hint, &invs, Sessions::Pooled, 0.0, 1));
         }
         let (cm, um) = (median_ms(clustered), median_ms(union));
         eprintln!(
@@ -198,8 +205,22 @@ fn main() {
         let mut sessions = Vec::new();
         let mut fresh = Vec::new();
         for _ in 0..samples {
-            sessions.extend(measure_verify_all(&net, &hint, &invs, true, default_threshold, 1));
-            fresh.extend(measure_verify_all(&net, &hint, &invs, false, default_threshold, 1));
+            sessions.extend(measure_verify_all(
+                &net,
+                &hint,
+                &invs,
+                Sessions::Pooled,
+                default_threshold,
+                1,
+            ));
+            fresh.extend(measure_verify_all(
+                &net,
+                &hint,
+                &invs,
+                Sessions::PerInvariant,
+                default_threshold,
+                1,
+            ));
         }
         let (sm, fm) = (median_ms(sessions), median_ms(fresh));
         eprintln!(
@@ -222,12 +243,9 @@ fn main() {
         // already-registered invariants — while PR 3's blind cutoff
         // retired exactly those sessions at every checkin, re-paying
         // the full proofs each round.
-        let steady = |reuse_sessions: bool| -> Vec<f64> {
-            let opts = VerifyOptions {
-                policy_hint: Some(hint.to_vec()),
-                reuse_sessions,
-                ..Default::default()
-            };
+        let steady = |sessions: Sessions| -> Vec<f64> {
+            let opts =
+                VerifyOptions { policy_hint: Some(hint.to_vec()), sessions, ..Default::default() };
             let verifier = Verifier::new(&net, opts).expect("valid network");
             let warmup = verifier.verify_all(&invs, 1).expect("verifies");
             assert_eq!(warmup.len(), invs.len());
@@ -240,7 +258,8 @@ fn main() {
                 })
                 .collect()
         };
-        let (sm, fm) = (median_ms(steady(true)), median_ms(steady(false)));
+        let (sm, fm) =
+            (median_ms(steady(Sessions::Pooled)), median_ms(steady(Sessions::PerInvariant)));
         eprintln!(
             "dc-mixed/2 steady  sessions {sm:>8.2} ms  fresh {fm:>8.2} ms  speedup {:>5.2}x",
             fm / sm
@@ -272,7 +291,7 @@ fn main() {
          -steady)\",\n  \
          \"series\": \"clustered = VerifyOptions default (threshold {:.2}); one_union = \
          cluster_threshold 0.0 (the PR-2 single-union sweep); per_scenario = cluster_threshold \
-         1.0; fresh_stacks = reuse_sessions off\",\n  \
+         1.0; fresh_stacks = Sessions::PerInvariant\",\n  \
          \"pr3_reference\": \"the PR-3 engine rerun on this machine adjacent in time measured \
          dc-mixed/2 at 0.98-1.06x (its committed 1.088 is not reproducible under current \
          machine load); the cost-model engine's deterministic work ratio vs fresh stacks is \

@@ -12,7 +12,7 @@
 //! the repository root, the trajectory record for this optimisation.
 
 use std::time::Instant;
-use vmn::{Invariant, Network, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Sessions, Verifier, VerifyOptions};
 use vmn_bench::{invariant_sweep_enterprise, invariant_sweep_mixed, invariant_sweep_workload};
 use vmn_net::NodeId;
 
@@ -36,10 +36,9 @@ fn sample(
     net: &Network,
     hint: &[Vec<NodeId>],
     invs: &[Invariant],
-    reuse_sessions: bool,
+    sessions: Sessions,
 ) -> (f64, u64) {
-    let opts =
-        VerifyOptions { policy_hint: Some(hint.to_vec()), reuse_sessions, ..Default::default() };
+    let opts = VerifyOptions { policy_hint: Some(hint.to_vec()), sessions, ..Default::default() };
     // A fresh verifier per sample: the session pool must be re-warmed
     // within the measured run, exactly like a cold `verify_all`.
     let verifier = Verifier::new(net, opts).expect("valid network");
@@ -67,14 +66,14 @@ fn run_row(
     let mut conflicts_reuse = 0;
     let mut conflicts_fresh = 0;
     for s in 0..samples {
-        let (ms, c) = sample(net, hint, invs, true);
+        let (ms, c) = sample(net, hint, invs, Sessions::Pooled);
         reuse_ms.push(ms);
         // Single-threaded verify_all is deterministic, so every sample
         // must report identical solver work; the committed JSON relies
         // on that to publish one conflict count per series.
         assert!(s == 0 || c == conflicts_reuse, "non-deterministic session-reuse sample");
         conflicts_reuse = c;
-        let (ms, c) = sample(net, hint, invs, false);
+        let (ms, c) = sample(net, hint, invs, Sessions::PerInvariant);
         fresh_ms.push(ms);
         assert!(s == 0 || c == conflicts_fresh, "non-deterministic fresh-stacks sample");
         conflicts_fresh = c;
@@ -161,8 +160,8 @@ fn main() {
          reuse-neutral regime); enterprise = \\u00a75.2 enterprise (3 subnets) with per-kind \
          invariant families\",\n  \
          \"unit\": \"wall-clock milliseconds per verify_all (1 thread)\",\n  \
-         \"series\": \"session_reuse = cross-invariant solver sessions (VerifyOptions \
-         reuse_sessions, the default); fresh_stacks = a fresh solver stack per \
+         \"series\": \"session_reuse = cross-invariant solver sessions (Sessions::Pooled, \
+         the default); fresh_stacks = a fresh solver stack per \
          representative invariant\",\n  \
          \"samples_per_point\": {samples},\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")

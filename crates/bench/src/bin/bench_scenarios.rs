@@ -12,7 +12,7 @@
 //! record for this optimisation.
 
 use std::time::Instant;
-use vmn::{Verifier, VerifyOptions};
+use vmn::{Sessions, Verifier, VerifyOptions};
 use vmn_bench::scenario_sweep_workload;
 
 fn median_ms(mut samples: Vec<f64>) -> f64 {
@@ -20,9 +20,9 @@ fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn measure(incremental: bool, scenarios: usize, samples: usize) -> (f64, f64) {
+fn measure(sessions: Sessions, scenarios: usize, samples: usize) -> (f64, f64) {
     let (net, hint, inv) = scenario_sweep_workload(scenarios);
-    let opts = VerifyOptions { policy_hint: Some(hint), incremental, ..Default::default() };
+    let opts = VerifyOptions { policy_hint: Some(hint), sessions, ..Default::default() };
     let verifier = Verifier::new(&net, opts).expect("valid network");
     let mut ms = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -60,8 +60,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for n in 1..=max_scenarios {
-        let (inc_med, inc_min) = measure(true, n, samples);
-        let (scr_med, scr_min) = measure(false, n, samples);
+        let (inc_med, inc_min) = measure(Sessions::Pooled, n, samples);
+        let (scr_med, scr_min) = measure(Sessions::PerScenario, n, samples);
         let speedup = scr_med / inc_med;
         eprintln!(
             "scenarios={n:>2}  incremental {inc_med:>9.2} ms  from-scratch {scr_med:>9.2} ms  \

@@ -3,12 +3,11 @@
 //!
 //! Two entry points share the workload definitions in this crate:
 //!
-//! * `cargo bench -p vmn-bench` — Criterion micro-benchmarks, one per
+//! * `cargo bench -p vmn_bench` — Criterion micro-benchmarks, one per
 //!   figure, measuring the core verification calls on slice-sized
 //!   configurations (plus the smallest whole-network points);
-//! * `cargo run -p vmn-bench --release --bin figures` — the full sweeps:
-//!   regenerates each figure's series as a text table, recorded in
-//!   `EXPERIMENTS.md`.
+//! * `cargo run -p vmn_bench --release --bin figures` — the full sweeps:
+//!   regenerates each figure's series as a text table.
 //!
 //! ## Scale mapping
 //!
@@ -18,8 +17,7 @@
 //! hours, whole-network sweeps use proportionally smaller maxima (the
 //! `*_AXIS` constants below). The *shapes* the paper reports — flat
 //! slice-time vs growing whole-network time, linear growth in policy
-//! classes, faster violation checks than proofs — are all preserved and
-//! asserted in `EXPERIMENTS.md`.
+//! classes, faster violation checks than proofs — are all preserved.
 
 #![forbid(unsafe_code)]
 

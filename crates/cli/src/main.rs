@@ -21,8 +21,7 @@
 
 use std::process::ExitCode;
 use vmn::{Backend, PartitionMode, Verdict, Verifier, VerifyOptions};
-
-mod config;
+use vmn_serve::NetSpec;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -117,8 +116,8 @@ fn lint_main(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match config::parse(&text) {
-                Ok(cfg) => nets.push((f, cfg.net)),
+            match NetSpec::parse(&text).and_then(|s| s.materialize()) {
+                Ok(m) => nets.push((f, m.net)),
                 Err(e) => {
                     eprintln!("vmn: {f}: {e}");
                     return ExitCode::from(2);
@@ -376,7 +375,7 @@ fn main() -> ExitCode {
     if text.lines().next().map(str::trim) == Some(vmn::check::CERT_HEADER) {
         return check_certificates(&file, &text);
     }
-    let cfg = match config::parse(&text) {
+    let cfg = match NetSpec::parse(&text).and_then(|s| s.materialize()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("vmn: {file}: {e}");

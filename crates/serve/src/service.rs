@@ -16,7 +16,8 @@
 //! 3. surviving pairs recompute their fingerprint: an unchanged
 //!    fingerprint is a *cache hit* (the verdict is a deterministic
 //!    function of the fingerprinted inputs), a changed one triggers a
-//!    re-verification of just that pair ([`Verifier::verify_under`]).
+//!    re-verification of just that pair, on the plan just fingerprinted
+//!    ([`Verifier::verify_planned`]).
 //!
 //! Pipeline invariants are static-datapath checks, orders of magnitude
 //! cheaper than the SMT path, and are simply re-checked on every delta.
@@ -178,7 +179,7 @@ impl NetSession {
         }
         let m = spec.materialize().map_err(|e| e.to_string())?;
         let net = Arc::new(m.net);
-        self.verifier.swap_network(net.clone(), &touched).map_err(|e| format!("{e:?}"))?;
+        self.verifier.swap_network(net.clone(), &touched).map_err(|e| e.to_string())?;
         self.spec = spec;
         self.names = m.names;
         self.invariants = m.invariants;
@@ -273,11 +274,12 @@ impl NetSession {
                         continue;
                     }
                 }
-                let (nodes, k) =
-                    self.verifier.plan_for(inv, scenario).map_err(|e| format!("{e:?}"))?;
-                let fp = verdict_fingerprint(&net, &self.classes, inv, scenario, &nodes, k)
-                    .map_err(|e| format!("{e:?}"))?;
-                let slice = slice_names(&net, &nodes);
+                // The plan fingerprinted here is the plan a re-check runs.
+                let plan = self.verifier.plan(inv, scenario).map_err(|e| e.to_string())?;
+                let (nodes, k) = (plan.nodes(), plan.bound());
+                let fp = verdict_fingerprint(&net, &self.classes, inv, scenario, nodes, k)
+                    .map_err(|e| e.to_string())?;
+                let slice = slice_names(&net, nodes);
                 if let Some(entry) = self.cache.get_mut(&key) {
                     if entry.fingerprint == fp {
                         entry.slice = slice;
@@ -288,8 +290,8 @@ impl NetSession {
                 let was = self.cache.get(&key).map(|e| e.verdict.holds());
                 let r = self
                     .verifier
-                    .verify_under(inv, vec![scenario.clone()])
-                    .map_err(|e| format!("{e:?}"))?;
+                    .verify_planned(inv, vec![(scenario.clone(), plan)])
+                    .map_err(|e| e.to_string())?;
                 report.rechecked += 1;
                 let holds = r.verdict.holds();
                 if was != Some(holds) {
@@ -308,7 +310,7 @@ impl NetSession {
         self.pipeline_holds.clear();
         for (spec, p, s, d) in &self.pipelines {
             let holds =
-                self.verifier.check_pipeline(p, *s, *d).map_err(|e| format!("{e:?}"))?.is_none();
+                self.verifier.check_pipeline(p, *s, *d).map_err(|e| e.to_string())?.is_none();
             self.pipeline_holds.push((spec.clone(), holds));
         }
         Ok(())
@@ -447,6 +449,16 @@ verify   node-isolation outside -> inside
         let v = s.verdicts();
         assert!(v.iter().find(|iv| iv.spec.starts_with("flow")).unwrap().holds);
         assert!(!v.iter().find(|iv| iv.spec.starts_with("node")).unwrap().holds);
+    }
+
+    #[test]
+    fn engine_errors_reach_the_client_as_display_text() {
+        // The learning firewall makes every slice stateful, so a forced
+        // BDD backend fails the first re-check with a routing error.
+        let opts = VerifyOptions { backend: vmn::Backend::Bdd, ..Default::default() };
+        let err = NetSession::load(CONFIG, opts).map(|_| ()).unwrap_err();
+        assert!(err.starts_with("bdd backend:"), "{err}");
+        assert!(!err.contains("Bdd(\""), "Debug formatting leaked into: {err}");
     }
 
     #[test]

@@ -1,27 +1,37 @@
 //! The symbolic `.vmn` network description.
 //!
-//! The CLI used to parse `.vmn` text straight into a [`Network`]; a
-//! *serving* verifier needs the description to stay symbolic so deltas
+//! A *serving* verifier needs the description to stay symbolic so deltas
 //! can edit it and re-materialise: nodes are stored by name in insertion
 //! order (so purely additive deltas keep existing node ids stable),
 //! routes and models keep their textual arguments, and
 //! [`NetSpec::materialize`] rebuilds the concrete [`Network`] — plus the
-//! name→id map and resolved invariants — for the current epoch.
+//! name→id map and resolved invariants — for the current epoch. The
+//! one-shot CLI parses and materialises exactly once.
 //!
-//! The grammar is unchanged (see the crate-level docs of
-//! `vmn-cli`'s `config` module, which now delegates here):
+//! The grammar:
 //!
 //! ```text
+//! # comments start with '#'
 //! host     outside 8.8.8.8
+//! host     inside  10.0.0.5
 //! switch   sw
 //! firewall fw allow 10.0.0.0/8 -> 0.0.0.0/0
+//! nat      n1 internal 10.0.0.0/8 external 1.2.3.4
+//! lb       l1 vip 10.0.0.100 backends 10.0.0.1,10.0.0.2
+//! cache    c1 servers 10.1.0.0/16 deny 10.3.0.0/16 -> 10.1.0.1/32
+//! idps     ips1
 //! link     outside sw
-//! route    sw 10.0.0.5/32 inside
-//! steer    sw from outside 0.0.0.0/0 fw prio 10
-//! autoroute
-//! partition auto
-//! fail     fw
+//! link     inside  sw
+//! link     fw      sw
+//! route    sw 10.0.0.5/32 inside                 # dst-prefix next-hop
+//! steer    sw from outside 0.0.0.0/0 fw prio 10  # ingress-qualified
+//! autoroute                                       # shortest-path host routes
+//! partition auto                                  # modular mode (daemon)
+//! fail     fw                                     # a failure scenario
+//! verify   flow-isolation outside -> inside
 //! verify   node-isolation outside -> inside
+//! verify   data-isolation inside -> outside
+//! verify   traversal outside -> inside via fw
 //! verify   pipeline outside -> inside via firewall
 //! ```
 
@@ -574,6 +584,44 @@ verify   pipeline outside -> inside via firewall
         // Ids are insertion-ordered, so re-materialising is stable.
         let m2 = spec.materialize().unwrap();
         assert_eq!(m.names, m2.names);
+    }
+
+    #[test]
+    fn every_node_and_invariant_shape_materializes() {
+        let text = r"
+host a 1.1.1.1
+host b 2.2.2.2
+host h 10.0.0.1
+switch sw
+nat n1 internal 10.0.0.0/8 external 1.2.3.4
+lb  l1 vip 10.0.0.100 backends 10.0.0.1,10.0.0.2
+cache c1 servers 10.1.0.0/16,10.2.0.0/16 deny 10.3.0.0/16 -> 10.1.0.1/32
+idps i1
+link a sw
+link b sw
+link h sw
+link n1 sw
+link l1 sw
+link c1 sw
+link i1 sw
+autoroute
+steer sw from a 2.2.2.2/32 i1 prio 10
+verify traversal a -> b via i1
+verify pipeline a -> b via idps
+";
+        let m = NetSpec::parse(text).unwrap().materialize().unwrap();
+        assert_eq!(m.net.topo.middleboxes().count(), 4);
+        // NAT and LB own their external address / VIP.
+        for owner in ["n1", "l1"] {
+            assert_eq!(m.net.topo.node(m.names[owner]).addresses.len(), 1, "{owner}");
+        }
+        // Two server prefixes, one deny pair.
+        assert_eq!(m.net.model(m.names["c1"]).acls[0].1.len(), 1);
+        assert!(matches!(m.invariants[0].1, Invariant::Traversal { .. }));
+        assert_eq!(m.pipelines.len(), 1);
+        let v = vmn::Verifier::new(&m.net, vmn::VerifyOptions::default()).unwrap();
+        let (_, spec, s, d) = &m.pipelines[0];
+        assert!(v.check_pipeline(spec, *s, *d).unwrap().is_none());
     }
 
     #[test]

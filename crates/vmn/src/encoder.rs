@@ -175,9 +175,10 @@ impl std::error::Error for EncodeError {}
 
 /// Builds the violation formula for `inv` over `nodes` (a slice or the
 /// whole terminal set) with a `k`-step trace, pinned to one failure
-/// scenario. The classic non-incremental entry point: `enc.ctx.check()`
-/// decides the scenario and [`crate::trace::Trace::extract`] reads back a
-/// witness.
+/// scenario: the skeleton with the violation and the scenario's facts
+/// asserted directly, no activation literals left to assume.
+/// `enc.ctx.check()` decides the scenario and
+/// [`crate::trace::Trace::extract`] reads back a witness.
 pub fn encode(
     net: &Network,
     scenario: &FailureScenario,
@@ -185,27 +186,11 @@ pub fn encode(
     inv: &Invariant,
     k: usize,
 ) -> Result<Encoded, EncodeError> {
-    let mut enc = encode_incremental(net, nodes, inv, k)?;
-    let live = enc.scenario_literal(net, scenario)?;
-    enc.ctx.assert(live);
-    Ok(enc)
-}
-
-/// Builds the scenario-independent violation formula for `inv` over
-/// `nodes`: step semantics, middlebox models and the negated invariant,
-/// but no liveness or delivery facts. Scenarios are attached afterwards
-/// with [`Encoded::scenario_literal`] / checked with
-/// [`Encoded::check_scenario`].
-pub fn encode_incremental(
-    net: &Network,
-    nodes: &[NodeId],
-    inv: &Invariant,
-    k: usize,
-) -> Result<Encoded, EncodeError> {
     let mut enc = encode_skeleton(net, nodes, k)?;
     let violated = enc.invariant_violation(net, inv)?;
     enc.ctx.assert(violated);
-    enc.violation_asserted = true;
+    let live = enc.scenario_literal(net, scenario)?;
+    enc.ctx.assert(live);
     Ok(enc)
 }
 
@@ -255,10 +240,6 @@ pub struct Encoded {
     /// Activation literal per registered invariant (cross-invariant
     /// session reuse: one skeleton serves many invariants).
     invariants: Vec<(Invariant, TermId)>,
-    /// Whether an invariant's violation formula was asserted *directly*
-    /// (the [`encode_incremental`] / [`encode`] path) — required by the
-    /// invariant-less [`Encoded::check_scenario`] entry point.
-    violation_asserted: bool,
     // ---- build-time state ----------------------------------------------
     insert_sites: Vec<InsertSite>,
     /// pending(m, i, t): delivered-to-m(i) ∧ not processed before t.
@@ -336,7 +317,6 @@ impl Encoded {
             mboxes,
             scenarios: Vec::new(),
             invariants: Vec::new(),
-            violation_asserted: false,
             insert_sites: Vec::new(),
             pending_memo: HashMap::new(),
             processed_memo: HashMap::new(),
@@ -378,30 +358,6 @@ impl Encoded {
             out.push(self.ctx.not(l));
         }
         Ok(out)
-    }
-
-    /// Decides whether the encoded invariant is violated under `scenario`,
-    /// as one assumption-based call on the persistent solver. On `Sat` the
-    /// model is available for [`crate::trace::Trace::extract`].
-    ///
-    /// Only meaningful on encoders built by [`encode`] /
-    /// [`encode_incremental`], where the invariant's violation is
-    /// asserted directly. On a bare [`encode_skeleton`] (or a pooled
-    /// session with literal-guarded invariants) a bare scenario check
-    /// would be trivially satisfiable — use
-    /// [`Encoded::check_invariant_scenario`] there instead.
-    pub fn check_scenario(
-        &mut self,
-        net: &Network,
-        scenario: &FailureScenario,
-    ) -> Result<SatResult, EncodeError> {
-        debug_assert!(
-            self.violation_asserted,
-            "check_scenario on a skeleton without an asserted invariant; \
-             use check_invariant_scenario"
-        );
-        let assumptions = self.assumptions_for(net, scenario)?;
-        Ok(self.ctx.check_assuming(&assumptions))
     }
 
     /// Activation literal of `inv`, registering (and encoding) the
@@ -1282,7 +1238,7 @@ impl Encoded {
     }
 
     /// Builds the violation formula for `inv` and returns it as a term
-    /// (asserted directly by [`encode_incremental`], or guarded behind an
+    /// (asserted directly by [`encode`], or guarded behind an
     /// activation literal by [`Encoded::invariant_literal`]). Definitional
     /// side constraints over invariant-private fresh variables (e.g. the
     /// traversal provenance bits) are asserted unconditionally — they
@@ -1556,31 +1512,6 @@ mod encoder_tests {
     }
 
     #[test]
-    fn one_encoder_many_scenarios() {
-        // The incremental API answers several scenarios from one encoder,
-        // with verdicts identical to scenario-pinned fresh encoders.
-        let (net, a, b) = two_hosts();
-        let inv = Invariant::NodeIsolation { src: a, dst: b };
-        let scenarios = [
-            FailureScenario::none(),
-            FailureScenario::nodes([a]),
-            FailureScenario::nodes([b]),
-            FailureScenario::none(), // revisit: cached literal, same answer
-        ];
-        let mut enc = encode_incremental(&net, &[a, b], &inv, 4).unwrap();
-        for s in &scenarios {
-            let want = {
-                let mut fresh = encode(&net, s, &[a, b], &inv, 4).unwrap();
-                fresh.ctx.check()
-            };
-            let got = enc.check_scenario(&net, s).unwrap();
-            assert_eq!(got, want, "scenario {s:?}");
-        }
-        // Only three distinct scenarios were registered.
-        assert_eq!(enc.scenarios.len(), 3);
-    }
-
-    #[test]
     fn one_skeleton_many_invariants_and_scenarios() {
         // The session API answers every (invariant, scenario) pair from
         // ONE skeleton, with verdicts identical to invariant-pinned fresh
@@ -1616,5 +1547,7 @@ mod encoder_tests {
             assert_eq!(enc.check_invariant_scenario(&net, inv, &none).unwrap(), want);
         }
         assert_eq!(enc.num_registered_invariants(), 3);
+        // Only three distinct scenarios were registered, revisits included.
+        assert_eq!(enc.scenarios.len(), 3);
     }
 }

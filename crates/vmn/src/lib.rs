@@ -67,7 +67,9 @@ pub mod policy;
 pub mod slice;
 pub mod trace;
 
-pub use engine::{Backend, PartitionMode, Report, Verdict, Verifier, VerifyError, VerifyOptions};
+pub use engine::{
+    Backend, PartitionMode, Plan, Report, Sessions, Verdict, Verifier, VerifyError, VerifyOptions,
+};
 pub use invariant::Invariant;
 pub use network::Network;
 pub use policy::PolicyClasses;

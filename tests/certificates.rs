@@ -5,7 +5,7 @@
 //! any part of a stored bundle must be detected.
 
 use vmn::check::{check_bundle, parse_bundles, write_bundles, Outcome, ProofStep};
-use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
 use vmn_mbox::models;
 use vmn_net::{FailureScenario, Prefix, RoutingConfig, Rule, Topology};
 
@@ -64,17 +64,12 @@ fn certificates_cover_all_engine_configs() {
         Invariant::FlowIsolation { src: outside, dst: inside }, // holds
         Invariant::NodeIsolation { src: outside, dst: inside }, // violated
     ];
-    for (incremental, reuse) in [(false, false), (true, false), (true, true)] {
-        let opts = VerifyOptions {
-            emit_proofs: true,
-            incremental,
-            reuse_sessions: reuse,
-            ..VerifyOptions::default()
-        };
+    for sessions in [Sessions::PerScenario, Sessions::PerInvariant, Sessions::Pooled] {
+        let opts = VerifyOptions { emit_proofs: true, sessions, ..VerifyOptions::default() };
         let v = Verifier::new(&net, opts).unwrap();
         for inv in &invariants {
             let report = v.verify(inv).unwrap();
-            validate_report(&report, &format!("inc={incremental} reuse={reuse} {inv}"));
+            validate_report(&report, &format!("{sessions:?} {inv}"));
         }
     }
 }

@@ -4,8 +4,8 @@
 //! groups and random failure scenarios — verified by four engines that
 //! must agree on every observable:
 //!
-//! * the from-scratch oracle (`incremental: false`: fresh slice, encoder
-//!   and solver per scenario);
+//! * the from-scratch oracle (`Sessions::PerScenario`: fresh slice,
+//!   encoder and solver per scenario);
 //! * the single-union incremental sweep (`cluster_threshold: 0.0` — the
 //!   PR-2 engine);
 //! * the clustered incremental sweep (the default threshold);
@@ -41,7 +41,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
-use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, PartitionMode, Sessions, Verdict, Verifier, VerifyOptions};
 use vmn_mbox::exec::KeyVal;
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, Header, NodeId, Prefix, RoutingConfig, Rule, Topology};
@@ -222,10 +222,10 @@ fn generate(rng: &mut TestRng) -> Case {
     Case { net, hint, inv, label }
 }
 
-fn opts(case: &Case, incremental: bool, cluster_threshold: f64) -> VerifyOptions {
+fn opts(case: &Case, sessions: Sessions, cluster_threshold: f64) -> VerifyOptions {
     VerifyOptions {
         policy_hint: case.hint.clone(),
-        incremental,
+        sessions,
         cluster_threshold,
         emit_proofs: true,
         ..Default::default()
@@ -338,7 +338,8 @@ fn run_case(seed: u64) {
     let label = &case.label;
     assert_analysis_consistent(&case.net, label);
 
-    let oracle = Verifier::new(&case.net, opts(&case, false, 0.0)).expect("valid network");
+    let oracle =
+        Verifier::new(&case.net, opts(&case, Sessions::PerScenario, 0.0)).expect("valid network");
     let want = oracle.verify(&case.inv).expect("oracle verifies");
     assert_witness_replays(&case.net, &want.verdict, label, "oracle");
     assert_certificate_checks(&want, label, "oracle");
@@ -349,7 +350,8 @@ fn run_case(seed: u64) {
         ("per-scenario", 1.0),
     ];
     for (engine, threshold) in engines {
-        let v = Verifier::new(&case.net, opts(&case, true, threshold)).expect("valid network");
+        let v = Verifier::new(&case.net, opts(&case, Sessions::Pooled, threshold))
+            .expect("valid network");
         let got = v.verify(&case.inv).expect("incremental verify succeeds");
         assert_eq!(
             got.verdict.holds(),
@@ -396,14 +398,14 @@ fn run_case(seed: u64) {
     // reproduce the monolithic engine exactly when nothing cross-module
     // is discharged — while the multi-site battery in
     // `modular_vs_monolithic.rs` covers the contract fast path.
-    for (engine, incremental, partition) in [
-        ("auto-routed", true, PartitionMode::Off),
-        ("auto-routed-baseline", false, PartitionMode::Off),
-        ("modular", true, PartitionMode::Auto),
+    for (engine, sessions, partition) in [
+        ("auto-routed", Sessions::Pooled, PartitionMode::Off),
+        ("auto-routed-baseline", Sessions::PerScenario, PartitionMode::Off),
+        ("modular", Sessions::Pooled, PartitionMode::Auto),
     ] {
         let options = VerifyOptions {
             policy_hint: case.hint.clone(),
-            incremental,
+            sessions,
             partition,
             ..Default::default()
         };

@@ -1,28 +1,28 @@
 //! Differential tests for cross-invariant solver sessions:
-//! `Verifier::verify_all` with the session pool (`reuse_sessions`, the
+//! `Verifier::verify_all` with the session pool (`Sessions::Pooled`, the
 //! default) must return verdicts *identical* to per-invariant fresh
-//! solver stacks (`reuse_sessions: false`) — same holds/violated answer
+//! solver stacks (`Sessions::PerInvariant`) — same holds/violated answer
 //! per invariant, same first violating scenario, same scenario counts,
 //! same symmetry inheritance — and every violation witness must replay
 //! into a real forbidden reception on the concrete simulator.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
 use vmn_net::NodeId;
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
 use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
 
-fn opts(hint: Vec<Vec<NodeId>>, reuse_sessions: bool) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), reuse_sessions, ..Default::default() }
+fn opts(hint: Vec<Vec<NodeId>>, sessions: Sessions) -> VerifyOptions {
+    VerifyOptions { policy_hint: Some(hint), sessions, ..Default::default() }
 }
 
 /// Runs `verify_all` with and without session reuse and asserts the
 /// reports agree on everything observable; violated invariants must
 /// replay on the simulator under both engines.
 fn assert_fleet_matches(net: &Network, hint: Vec<Vec<NodeId>>, invs: &[Invariant], label: &str) {
-    let pooled = Verifier::new(net, opts(hint.clone(), true)).expect("valid network");
-    let fresh = Verifier::new(net, opts(hint, false)).expect("valid network");
+    let pooled = Verifier::new(net, opts(hint.clone(), Sessions::Pooled)).expect("valid network");
+    let fresh = Verifier::new(net, opts(hint, Sessions::PerInvariant)).expect("valid network");
     let got = pooled.verify_all(invs, 1).expect("session verify_all succeeds");
     let want = fresh.verify_all(invs, 1).expect("fresh verify_all succeeds");
     assert!(pooled.pooled_sessions() > 0, "{label}: the pool must have been exercised");
@@ -118,7 +118,7 @@ fn threaded_session_pool_matches_single_thread() {
     // fresh-stack oracle, by transitivity with the tests above).
     let dc = dc();
     let invs = dc_fleet(&dc);
-    let pooled = Verifier::new(&dc.net, opts(dc.policy_hint(), true)).unwrap();
+    let pooled = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Pooled)).unwrap();
     let single = pooled.verify_all(&invs, 1).unwrap();
     let threaded = pooled.verify_all(&invs, 4).unwrap();
     assert_eq!(single.len(), threaded.len());
