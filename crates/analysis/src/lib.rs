@@ -27,6 +27,11 @@
 //!   engine; this crate stays solver-free so the BDD backend can depend
 //!   on it without a cycle).
 //!
+//! * **Mentioned addresses** — every prefix, address and address set a
+//!   model's ACLs, guards and rewrites name ([`mentioned_addresses`]):
+//!   what the policy equivalence classes split hosts by before any
+//!   path is walked.
+//!
 //! [`bdd_support`] is the single source of truth for the BDD backend's
 //! eligibility classification (`vmn_bdd::dataplane::statefulness` is a
 //! thin delegate), and [`annotation_error`] is the soundness gate the
@@ -44,6 +49,7 @@ pub use partition::{auto_partition, Module, Partition, PartitionError};
 use std::collections::BTreeSet;
 use std::fmt;
 use vmn_mbox::{Action, Guard, KeyExpr, MboxModel, Parallelism};
+use vmn_net::{Address, Prefix};
 
 /// Witness reconstruction in the BDD backend enumerates oracle
 /// valuations exhaustively, so transfer compilation refuses models
@@ -381,6 +387,76 @@ fn guard_footprint(g: &Guard, out: &mut BTreeSet<Field>) {
         }
         Guard::StateContains { key, .. } => out.extend(key_fields(*key)),
     }
+}
+
+/// A set of addresses a model's configuration singles out.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum AddressSet<'a> {
+    /// Every address in a prefix; a single address is its /32.
+    Prefix(Prefix),
+    /// Several interchangeable addresses (a load balancer's backends).
+    OneOf(&'a [Address]),
+}
+
+impl AddressSet<'_> {
+    pub fn contains(self, a: Address) -> bool {
+        match self {
+            AddressSet::Prefix(p) => p.contains(a),
+            AddressSet::OneOf(addrs) => addrs.contains(&a),
+        }
+    }
+}
+
+fn guard_addresses(g: &Guard, out: &mut Vec<AddressSet<'_>>) {
+    match g {
+        Guard::True
+        | Guard::SrcPortIs(_)
+        | Guard::DstPortIs(_)
+        | Guard::ProtoIs(_)
+        | Guard::AclMatch(_)
+        | Guard::StateContains { .. }
+        | Guard::Oracle(_) => {}
+        Guard::Not(inner) => guard_addresses(inner, out),
+        Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| guard_addresses(g, out)),
+        Guard::SrcIn(p) | Guard::DstIn(p) | Guard::OriginIn(p) => out.push(AddressSet::Prefix(*p)),
+        Guard::SrcIs(a) | Guard::DstIs(a) | Guard::OriginIs(a) => {
+            out.push(AddressSet::Prefix(Prefix::host(*a)))
+        }
+    }
+}
+
+/// Every address set a model's configuration mentions: ACL entries
+/// (whether or not a guard reads the ACL), prefix and address guards,
+/// rewrite targets. Two addresses inside exactly the same of these are
+/// indistinguishable to the model, which is what the policy equivalence
+/// classes start from. The matches are exhaustive, so a new `Guard` or
+/// `Action` variant has to say what it mentions.
+pub fn mentioned_addresses(model: &MboxModel) -> Vec<AddressSet<'_>> {
+    let mut out: Vec<AddressSet<'_>> = model
+        .acls
+        .iter()
+        .flat_map(|(_, pairs)| pairs)
+        .flat_map(|&(s, d)| [AddressSet::Prefix(s), AddressSet::Prefix(d)])
+        .collect();
+    for arm in &model.rules {
+        guard_addresses(&arm.guard, &mut out);
+        for action in &arm.actions {
+            match action {
+                Action::Forward
+                | Action::Drop
+                | Action::Insert(_)
+                | Action::RewriteSrcPortFresh
+                | Action::RestoreDstFromState(_)
+                | Action::RespondFromState(_)
+                | Action::HavocTag => {}
+                Action::RewriteSrc(a) | Action::RewriteDst(a) => {
+                    out.push(AddressSet::Prefix(Prefix::host(*a)))
+                }
+                Action::RewriteDstOneOf(addrs) => out.push(AddressSet::OneOf(addrs)),
+            }
+        }
+    }
+    out
 }
 
 /// Header fields a key expression reads.
@@ -860,6 +936,29 @@ mod tests {
                 assert!(matches!(a.bdd_blocker, Some(UnsupportedByBdd::Stateful(_))));
             }
         }
+    }
+
+    #[test]
+    fn mentioned_addresses_cover_acls_guards_and_rewrites() {
+        let host = |a: &str| AddressSet::Prefix(Prefix::host(addr(a)));
+        let nat = models::nat("nat", px("10.0.1.0/24"), addr("1.2.3.4"));
+        let mut got = mentioned_addresses(&nat);
+        got.sort();
+        got.dedup();
+        assert_eq!(got, vec![host("1.2.3.4"), AddressSet::Prefix(px("10.0.1.0/24"))]);
+
+        // A load balancer's backends are one interchangeable set, not one
+        // address each.
+        let backends = [addr("10.0.0.1"), addr("10.0.0.2")];
+        let lb = models::load_balancer("lb", addr("9.9.9.9"), backends.to_vec());
+        assert_eq!(mentioned_addresses(&lb), vec![host("9.9.9.9"), AddressSet::OneOf(&backends)]);
+        assert!(AddressSet::OneOf(&backends).contains(addr("10.0.0.2")));
+
+        let acl = models::acl_firewall("aclfw", vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
+        assert_eq!(
+            mentioned_addresses(&acl),
+            vec![AddressSet::Prefix(px("10.0.0.0/8")), AddressSet::Prefix(px("0.0.0.0/0"))]
+        );
     }
 
     #[test]

@@ -313,9 +313,9 @@ impl Dataplane {
     }
 
     /// Where the static datapath delivers terminal `f`'s emissions under
-    /// `scenario`, as (target, destination-predicate) pairs. The interval
-    /// sweep over header classes is identical to the encoder's
-    /// `add_scenario`, so both backends agree on every delivery.
+    /// `scenario`, as (target, destination-predicate) pairs: the transfer
+    /// function's delivery intervals — the list the SMT encoder compiles —
+    /// as range predicates.
     fn delivery_predicates(
         &mut self,
         topo: &Topology,
@@ -327,24 +327,8 @@ impl Dataplane {
         if let Some(cached) = self.delivery.get(&key) {
             return Ok(cached.clone());
         }
-        let tf = TransferFunction::new(topo, tables, scenario);
-        let mut intervals: Vec<(u32, u32, Option<NodeId>)> = Vec::new();
-        for ci in 0..self.classes.num_classes() {
-            let rep = self.classes.representative(ci);
-            let result = tf.deliver(f, rep)?;
-            let start = rep.0;
-            let end = if ci + 1 < self.classes.num_classes() {
-                self.classes.representative(ci + 1).0 - 1
-            } else {
-                u32::MAX
-            };
-            match intervals.last_mut() {
-                Some(last) if last.2 == result && last.1.wrapping_add(1) == start => {
-                    last.1 = end;
-                }
-                _ => intervals.push((start, end, result)),
-            }
-        }
+        let intervals =
+            TransferFunction::new(topo, tables, scenario).delivery_intervals(f, &self.classes)?;
         let dst_vars = field_vars(DST_BASE, 32);
         let mut per_target: Vec<(NodeId, Ref)> = Vec::new();
         for (start, end, target) in intervals {

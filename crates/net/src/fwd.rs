@@ -12,6 +12,7 @@
 use crate::addr::{Address, Prefix};
 use crate::topology::{FailureScenario, Link, NodeId, Topology};
 use std::collections::{HashMap, VecDeque};
+use std::sync::OnceLock;
 
 /// A forwarding rule on a switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,10 +52,57 @@ impl Rule {
     }
 }
 
+/// One switch's rules in table order, plus the lookup index derived from
+/// them on first use.
+#[derive(Clone, Default, Debug)]
+struct Table {
+    rules: Vec<Rule>,
+    index: OnceLock<LpmIndex>,
+}
+
+/// A switch's rules arranged so that a lookup visits only the rules that
+/// can match its destination, best first.
+#[derive(Clone, Debug)]
+struct LpmIndex {
+    /// The rules best-first: a stable sort by descending [`Rule::rank`],
+    /// so equal-rank rules keep table order.
+    ordered: Vec<Rule>,
+    /// Host routes (/32 — the bulk of every generated table) as (address,
+    /// position in `ordered`), sorted: the host routes for one destination
+    /// are one contiguous run, best first.
+    hosts: Vec<(u32, u32)>,
+    /// Positions in `ordered` of the shorter prefixes, best first.
+    shorter: Vec<u32>,
+}
+
+impl LpmIndex {
+    fn build(rules: &[Rule]) -> LpmIndex {
+        let mut ordered = rules.to_vec();
+        ordered.sort_by_key(|r| std::cmp::Reverse(r.rank()));
+        let mut hosts = Vec::new();
+        let mut shorter = Vec::new();
+        for (at, rule) in ordered.iter().enumerate() {
+            if rule.prefix.len() == 32 {
+                hosts.push((rule.prefix.addr().0, at as u32));
+            } else {
+                shorter.push(at as u32);
+            }
+        }
+        hosts.sort_unstable();
+        LpmIndex { ordered, hosts, shorter }
+    }
+}
+
 /// Per-switch forwarding state for one routing configuration.
+///
+/// Each switch's table carries a lookup index that is built lazily by the
+/// first [`lookup`](ForwardingTables::lookup) and dropped by every
+/// mutation of that table, so it can never be stale: the tables are only
+/// reachable through `add_rule` / `remove_rules`.
 #[derive(Clone, Default, Debug)]
 pub struct ForwardingTables {
-    tables: HashMap<NodeId, Vec<Rule>>,
+    /// Indexed by `NodeId`; nodes without rules have an empty table.
+    tables: Vec<Table>,
 }
 
 impl ForwardingTables {
@@ -63,15 +111,20 @@ impl ForwardingTables {
     }
 
     pub fn add_rule(&mut self, switch: NodeId, rule: Rule) {
-        self.tables.entry(switch).or_default().push(rule);
+        if switch.index() >= self.tables.len() {
+            self.tables.resize_with(switch.index() + 1, Table::default);
+        }
+        let table = &mut self.tables[switch.index()];
+        table.rules.push(rule);
+        table.index.take();
     }
 
     pub fn rules(&self, switch: NodeId) -> &[Rule] {
-        self.tables.get(&switch).map(Vec::as_slice).unwrap_or(&[])
+        self.tables.get(switch.index()).map_or(&[], |t| t.rules.as_slice())
     }
 
     pub fn num_rules(&self) -> usize {
-        self.tables.values().map(Vec::len).sum()
+        self.tables.iter().map(|t| t.rules.len()).sum()
     }
 
     /// Removes rules matching a predicate; returns how many were removed.
@@ -80,17 +133,19 @@ impl ForwardingTables {
     where
         F: FnMut(&Rule) -> bool,
     {
-        let Some(rules) = self.tables.get_mut(&switch) else {
+        let Some(table) = self.tables.get_mut(switch.index()) else {
             return 0;
         };
-        let before = rules.len();
-        rules.retain(|r| !pred(r));
-        before - rules.len()
+        let before = table.rules.len();
+        table.rules.retain(|r| !pred(r));
+        table.index.take();
+        before - table.rules.len()
     }
 
     /// All prefixes referenced anywhere (for header-class computation).
     pub fn prefixes(&self) -> Vec<Prefix> {
-        let mut out: Vec<Prefix> = self.tables.values().flatten().map(|r| r.prefix).collect();
+        let mut out: Vec<Prefix> =
+            self.tables.iter().flat_map(|t| &t.rules).map(|r| r.prefix).collect();
         out.sort();
         out.dedup();
         out
@@ -98,6 +153,10 @@ impl ForwardingTables {
 
     /// Best live next hop at `switch` for a packet to `dst` arriving from
     /// `from`, skipping rules whose next hop is dead under `scenario`.
+    ///
+    /// Walks the host routes for `dst` and the shorter prefixes merged in
+    /// rank order and stops at the first live, adjacent match; nothing is
+    /// allocated.
     pub fn lookup(
         &self,
         topo: &Topology,
@@ -106,24 +165,39 @@ impl ForwardingTables {
         dst: Address,
         from: NodeId,
     ) -> Option<NodeId> {
-        let mut candidates: Vec<&Rule> =
-            self.rules(switch).iter().filter(|r| r.matches(dst, from)).collect();
-        candidates.sort_by_key(|r| std::cmp::Reverse(r.rank()));
-        for rule in candidates {
-            let next = rule.next;
-            if scenario.is_failed(next) {
-                continue;
+        let table = self.tables.get(switch.index())?;
+        let index = table.index.get_or_init(|| LpmIndex::build(&table.rules));
+        // The host routes for `dst` start here and end where the address
+        // changes.
+        let hosts = &index.hosts[index.hosts.partition_point(|&(a, _)| a < dst.0)..];
+        let (mut h, mut s) = (0, 0);
+        loop {
+            let host = hosts.get(h).filter(|&&(a, _)| a == dst.0);
+            let at = match (host, index.shorter.get(s)) {
+                (Some(&(_, host)), Some(&short)) if host < short => {
+                    h += 1;
+                    host
+                }
+                (Some(&(_, host)), None) => {
+                    h += 1;
+                    host
+                }
+                (_, Some(&short)) => {
+                    s += 1;
+                    short
+                }
+                (None, None) => return None,
+            };
+            let rule = &index.ordered[at as usize];
+            // A dead next hop fails its link too; the next hop must also
+            // actually be adjacent.
+            if rule.matches(dst, from)
+                && !scenario.is_link_failed(Link::new(switch, rule.next))
+                && topo.is_adjacent(switch, rule.next)
+            {
+                return Some(rule.next);
             }
-            if scenario.is_link_failed(Link::new(switch, next)) {
-                continue;
-            }
-            // The next hop must actually be adjacent.
-            if !topo.neighbors(switch).contains(&next) {
-                continue;
-            }
-            return Some(next);
         }
-        None
     }
 }
 

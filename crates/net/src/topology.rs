@@ -129,7 +129,11 @@ impl FailureScenario {
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
+    /// Neighbours in link-insertion order (the order `neighbors` and the
+    /// transfer function's uplink choice observe).
     adjacency: Vec<Vec<NodeId>>,
+    /// The same neighbours sorted by id, for `is_adjacent`.
+    sorted_adjacency: Vec<Vec<NodeId>>,
 }
 
 impl Topology {
@@ -162,6 +166,7 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.adjacency.push(Vec::new());
+        self.sorted_adjacency.push(Vec::new());
         id
     }
 
@@ -169,10 +174,13 @@ impl Topology {
         assert!(a.index() < self.nodes.len() && b.index() < self.nodes.len());
         assert_ne!(a, b, "self-links are not allowed");
         let l = Link::new(a, b);
-        if !self.links.contains(&l) {
+        if let Err(at) = self.sorted_adjacency[a.index()].binary_search(&b) {
             self.links.push(l);
             self.adjacency[a.index()].push(b);
             self.adjacency[b.index()].push(a);
+            self.sorted_adjacency[a.index()].insert(at, b);
+            let at = self.sorted_adjacency[b.index()].binary_search(&a).unwrap_or_else(|at| at);
+            self.sorted_adjacency[b.index()].insert(at, a);
         }
         l
     }
@@ -199,6 +207,12 @@ impl Topology {
 
     pub fn neighbors(&self, n: NodeId) -> &[NodeId] {
         &self.adjacency[n.index()]
+    }
+
+    /// Whether a link joins `a` and `b` (a binary search over `a`'s
+    /// neighbours, not a scan: switches can have hundreds).
+    pub fn is_adjacent(&self, a: NodeId, b: NodeId) -> bool {
+        self.sorted_adjacency[a.index()].binary_search(&b).is_ok()
     }
 
     /// Neighbours reachable under `scenario` (no failed node/link).

@@ -18,13 +18,16 @@
 use crate::addr::{Address, Prefix};
 use crate::error::NetError;
 use crate::fwd::ForwardingTables;
-use crate::topology::{FailureScenario, Link, NodeId, NodeKind, Topology};
+use crate::topology::{FailureScenario, NodeId, NodeKind, Topology};
 use std::collections::HashSet;
 
 /// The transfer function of a network under one failure scenario.
 ///
-/// Borrows the topology and tables; construction is free, so build one per
-/// scenario as needed.
+/// Borrows the topology, tables and scenario and holds nothing else, so
+/// build one wherever a scenario is at hand. What is cached lives in the
+/// tables (each switch's LPM index, built by the first lookup and dropped
+/// by any rule change); delivery results and interval lists are not
+/// cached here — every call walks the tables.
 #[derive(Clone, Copy)]
 pub struct TransferFunction<'a> {
     pub topo: &'a Topology,
@@ -64,41 +67,92 @@ impl<'a> TransferFunction<'a> {
         }
         // Otherwise enter the switching fabric. A terminal with several
         // live switch uplinks uses the first that can forward the packet.
-        let mut entry = None;
-        for nb in self.topo.live_neighbors(from, self.scenario) {
-            if matches!(self.topo.node(nb).kind, NodeKind::Switch) {
-                entry = Some(nb);
-                if self.tables.lookup(self.topo, self.scenario, nb, dst, from).is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(entry) = entry else {
+        let first_hop = self
+            .topo
+            .live_neighbors(from, self.scenario)
+            .filter(|&nb| matches!(self.topo.node(nb).kind, NodeKind::Switch))
+            .find_map(|sw| Some((sw, self.lookup(sw, dst, from)?)));
+        let Some((entry, mut next)) = first_hop else {
             return Ok(None);
         };
 
-        let mut prev = from;
+        // The walk is a deterministic function of (switch, ingress), and
+        // every such pair is a link end, so a walk longer than twice the
+        // link count has repeated one and will never leave the fabric.
+        let mut hops_left = 2 * self.topo.links().len();
         let mut cur = entry;
-        let mut visited: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut path = vec![from, entry];
         loop {
-            if !visited.insert((cur, prev)) {
-                return Err(NetError::ForwardingLoop { nodes: path });
+            // `lookup` only returns live, adjacent next hops.
+            if self.topo.node(next).kind.is_terminal() {
+                return Ok(Some(next));
             }
-            let Some(next) = self.tables.lookup(self.topo, self.scenario, cur, dst, prev) else {
-                return Ok(None);
-            };
-            if self.scenario.is_link_failed(Link::new(cur, next)) {
-                return Ok(None);
+            if hops_left == 0 {
+                return Err(NetError::ForwardingLoop { nodes: self.loop_nodes(from, entry, dst) });
             }
-            path.push(next);
-            let n = self.topo.node(next);
-            if n.kind.is_terminal() {
-                return Ok(if self.scenario.is_failed(next) { None } else { Some(next) });
+            hops_left -= 1;
+            let prev = std::mem::replace(&mut cur, next);
+            match self.lookup(cur, dst, prev) {
+                Some(n) => next = n,
+                None => return Ok(None),
             }
-            prev = cur;
-            cur = next;
         }
+    }
+
+    fn lookup(&self, switch: NodeId, dst: Address, from: NodeId) -> Option<NodeId> {
+        self.tables.lookup(self.topo, self.scenario, switch, dst, from)
+    }
+
+    /// The nodes of a looping walk up to the first repeated (switch,
+    /// ingress) pair — the payload of [`NetError::ForwardingLoop`]. Only
+    /// called once `deliver` knows the walk loops, so recording visited
+    /// pairs costs the loop-free path nothing.
+    fn loop_nodes(&self, from: NodeId, entry: NodeId, dst: Address) -> Vec<NodeId> {
+        let mut visited: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut nodes = vec![from, entry];
+        let (mut prev, mut cur) = (from, entry);
+        while visited.insert((cur, prev)) {
+            let Some(next) = self.lookup(cur, dst, prev) else {
+                break;
+            };
+            nodes.push(next);
+            (prev, cur) = (cur, next);
+        }
+        nodes
+    }
+
+    /// Where this emitter's packets land, header class by header class,
+    /// with adjacent classes of equal outcome merged: `(first, last,
+    /// target)` over destination addresses, covering the whole address
+    /// space in order, `None` for a drop.
+    ///
+    /// This is the one interval view of the static datapath: the SMT
+    /// encoder, the BDD dataplane and the verdict fingerprint each
+    /// project it (to node indices, range predicates, in-slice names), so
+    /// they agree on every delivery by construction. Merging happens on
+    /// the raw targets; a consumer that maps several targets to one
+    /// outcome and then discards that outcome (the encoder's and the
+    /// fingerprint's out-of-slice "drop") keeps exactly the intervals it
+    /// would have kept by merging after projecting.
+    pub fn delivery_intervals(
+        &self,
+        emitter: NodeId,
+        classes: &HeaderClasses,
+    ) -> Result<Vec<(u32, u32, Option<NodeId>)>, NetError> {
+        let mut intervals: Vec<(u32, u32, Option<NodeId>)> = Vec::new();
+        for ci in 0..classes.num_classes() {
+            let rep = classes.representative(ci);
+            let target = self.deliver(emitter, rep)?;
+            let last = if ci + 1 < classes.num_classes() {
+                classes.representative(ci + 1).0 - 1
+            } else {
+                u32::MAX
+            };
+            match intervals.last_mut() {
+                Some(prev) if prev.2 == target => prev.1 = last,
+                _ => intervals.push((rep.0, last, target)),
+            }
+        }
+        Ok(intervals)
     }
 
     /// Follows the full middlebox pipeline from `src` toward `dst`,
@@ -115,16 +169,15 @@ impl<'a> TransferFunction<'a> {
     ) -> Result<(Vec<NodeId>, Option<NodeId>), NetError> {
         let mut mboxes = Vec::new();
         let mut cur = src;
-        // A packet visiting the same middlebox twice on a static path is a
-        // pipeline-level loop.
-        let mut seen: HashSet<NodeId> = HashSet::new();
         loop {
             match self.deliver(cur, dst)? {
                 None => return Ok((mboxes, None)),
                 Some(t) => {
                     let node = self.topo.node(t);
                     if node.kind.is_middlebox() {
-                        if !seen.insert(t) {
+                        // A packet visiting the same middlebox twice on a
+                        // static path is a pipeline-level loop.
+                        if mboxes.contains(&t) {
                             let mut nodes = mboxes.clone();
                             nodes.push(t);
                             return Err(NetError::ForwardingLoop { nodes });

@@ -1,9 +1,11 @@
 //! Property-based tests for the network substrate.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::collections::HashSet;
 use vmn_net::{
-    Address, FailureScenario, ForwardingTables, HeaderClasses, Prefix, RoutingConfig, Rule,
-    Topology, TransferFunction,
+    Address, FailureScenario, ForwardingTables, HeaderClasses, Link, NetError, NodeId, NodeKind,
+    Prefix, RoutingConfig, Rule, Topology, TransferFunction,
 };
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -149,4 +151,344 @@ proptest! {
         let best_len = nexts.iter().find(|(_, h)| *h == best).map(|(l, _)| *l);
         prop_assert_eq!(got_len, best_len);
     }
+}
+
+// ---- The indexed tables against the reference walker ---------------------
+//
+// `ForwardingTables::lookup` answers from a per-switch index and
+// `TransferFunction::deliver` bounds its walk with a hop counter. The
+// functions below are the straightforward versions they replaced — filter
+// the whole rule list, sort it, scan the neighbour list; record every
+// visited (switch, ingress) pair — kept here as the reference the index must
+// agree with on every result and every error payload.
+
+fn ref_lookup(
+    topo: &Topology,
+    tables: &ForwardingTables,
+    scenario: &FailureScenario,
+    switch: NodeId,
+    dst: Address,
+    from: NodeId,
+) -> Option<NodeId> {
+    let mut candidates: Vec<&Rule> = tables
+        .rules(switch)
+        .iter()
+        .filter(|r| r.prefix.contains(dst) && r.from.is_none_or(|f| f == from))
+        .collect();
+    candidates.sort_by_key(|r| std::cmp::Reverse((r.priority, r.prefix.len(), r.from.is_some())));
+    for rule in candidates {
+        let next = rule.next;
+        if scenario.is_failed(next) {
+            continue;
+        }
+        if scenario.is_link_failed(Link::new(switch, next)) {
+            continue;
+        }
+        if !topo.neighbors(switch).contains(&next) {
+            continue;
+        }
+        return Some(next);
+    }
+    None
+}
+
+fn ref_deliver(
+    topo: &Topology,
+    tables: &ForwardingTables,
+    scenario: &FailureScenario,
+    from: NodeId,
+    dst: Address,
+) -> Result<Option<NodeId>, NetError> {
+    let node = topo.node(from);
+    if !node.kind.is_terminal() {
+        return Err(NetError::WrongNodeKind { node: from, expected: "terminal" });
+    }
+    if scenario.is_failed(from) {
+        return Ok(None);
+    }
+    for nb in topo.live_neighbors(from, scenario) {
+        let n = topo.node(nb);
+        if n.kind.is_terminal() && n.addresses.contains(&dst) {
+            return Ok(Some(nb));
+        }
+    }
+    let mut entry = None;
+    for nb in topo.live_neighbors(from, scenario) {
+        if matches!(topo.node(nb).kind, NodeKind::Switch) {
+            entry = Some(nb);
+            if ref_lookup(topo, tables, scenario, nb, dst, from).is_some() {
+                break;
+            }
+        }
+    }
+    let Some(entry) = entry else {
+        return Ok(None);
+    };
+    let mut prev = from;
+    let mut cur = entry;
+    let mut visited: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mut path = vec![from, entry];
+    loop {
+        if !visited.insert((cur, prev)) {
+            return Err(NetError::ForwardingLoop { nodes: path });
+        }
+        let Some(next) = ref_lookup(topo, tables, scenario, cur, dst, prev) else {
+            return Ok(None);
+        };
+        if scenario.is_link_failed(Link::new(cur, next)) {
+            return Ok(None);
+        }
+        path.push(next);
+        if topo.node(next).kind.is_terminal() {
+            return Ok(if scenario.is_failed(next) { None } else { Some(next) });
+        }
+        prev = cur;
+        cur = next;
+    }
+}
+
+fn ref_terminal_path(
+    topo: &Topology,
+    tables: &ForwardingTables,
+    scenario: &FailureScenario,
+    src: NodeId,
+    dst: Address,
+) -> Result<(Vec<NodeId>, Option<NodeId>), NetError> {
+    let mut mboxes = Vec::new();
+    let mut cur = src;
+    let mut seen: HashSet<NodeId> = HashSet::new();
+    loop {
+        match ref_deliver(topo, tables, scenario, cur, dst)? {
+            None => return Ok((mboxes, None)),
+            Some(t) if topo.node(t).kind.is_middlebox() => {
+                if !seen.insert(t) {
+                    let mut nodes = mboxes.clone();
+                    nodes.push(t);
+                    return Err(NetError::ForwardingLoop { nodes });
+                }
+                mboxes.push(t);
+                cur = t;
+            }
+            Some(t) => return Ok((mboxes, Some(t))),
+        }
+    }
+}
+
+/// The class-by-class sweep `delivery_intervals` replaces, over the
+/// reference walker.
+fn ref_intervals(
+    topo: &Topology,
+    tables: &ForwardingTables,
+    scenario: &FailureScenario,
+    classes: &HeaderClasses,
+    emitter: NodeId,
+) -> Result<Vec<(u32, u32, Option<NodeId>)>, NetError> {
+    let mut intervals: Vec<(u32, u32, Option<NodeId>)> = Vec::new();
+    for ci in 0..classes.num_classes() {
+        let rep = classes.representative(ci);
+        let result = ref_deliver(topo, tables, scenario, emitter, rep)?;
+        let start = rep.0;
+        let end = if ci + 1 < classes.num_classes() {
+            classes.representative(ci + 1).0 - 1
+        } else {
+            u32::MAX
+        };
+        match intervals.last_mut() {
+            Some(last) if last.2 == result && last.1.wrapping_add(1) == start => last.1 = end,
+            _ => intervals.push((start, end, result)),
+        }
+    }
+    Ok(intervals)
+}
+
+fn pick<T: Copy>(rng: &mut TestRng, xs: &[T]) -> T {
+    xs[rng.below(xs.len() as u64) as usize]
+}
+
+/// A random fabric: 2–5 switches, 2–4 hosts and up to two middleboxes with
+/// one or two uplinks each (and the odd terminal-to-terminal link), random
+/// switch-to-switch links.
+fn random_topology(rng: &mut TestRng) -> Topology {
+    let mut topo = Topology::new();
+    let switches: Vec<NodeId> =
+        (0..2 + rng.below(4)).map(|i| topo.add_switch(format!("s{i}"))).collect();
+    for (i, &a) in switches.iter().enumerate() {
+        for &b in &switches[i + 1..] {
+            if rng.below(2) == 0 {
+                topo.add_link(a, b);
+            }
+        }
+    }
+    let mut terminals = Vec::new();
+    for i in 0..2 + rng.below(3) {
+        terminals.push(topo.add_host(format!("h{i}"), Address(0x0A00_0000 + rng.below(12) as u32)));
+    }
+    for i in 0..rng.below(3) {
+        let addrs = vec![Address(0x0A00_0100 + i as u32)];
+        terminals.push(topo.add_middlebox(format!("m{i}"), "fw", addrs));
+    }
+    for &t in &terminals {
+        for _ in 0..1 + rng.below(2) {
+            topo.add_link(t, pick(rng, &switches));
+        }
+    }
+    if rng.below(4) == 0 {
+        let (a, b) = (pick(rng, &terminals), pick(rng, &terminals));
+        if a != b {
+            topo.add_link(a, b);
+        }
+    }
+    topo
+}
+
+/// A rule whose prefix overlaps the host addresses at a random length, with
+/// a priority drawn from a small pool (equal-rank ties are common), an
+/// optional ingress qualifier, and a next hop that is usually a neighbour
+/// and sometimes not adjacent at all.
+fn random_rule(rng: &mut TestRng, topo: &Topology, switch: NodeId) -> Rule {
+    let nodes: Vec<NodeId> = topo.node_ids().collect();
+    let neighbors = topo.neighbors(switch);
+    let near = |rng: &mut TestRng| {
+        if neighbors.is_empty() || rng.below(5) == 0 {
+            pick(rng, &nodes)
+        } else {
+            pick(rng, neighbors)
+        }
+    };
+    let base = Address(0x0A00_0000 + rng.below(12) as u32 + 0x100 * rng.below(2) as u32);
+    let len = if rng.below(3) == 0 { 32 } else { rng.below(33) as u32 };
+    let next = near(rng);
+    let rule = match rng.below(3) {
+        0 => Rule::from_neighbor(Prefix::new(base, len), near(rng), next),
+        _ => Rule::new(Prefix::new(base, len), next),
+    };
+    rule.with_priority(pick(rng, &[-1, 0, 0, 0, 1, 10]))
+}
+
+/// Every question the index answers, asked of it and of the reference.
+fn assert_index_matches_reference(
+    topo: &Topology,
+    tables: &ForwardingTables,
+    scenario: &FailureScenario,
+) {
+    let classes = HeaderClasses::from_network(topo, tables);
+    let tf = TransferFunction::new(topo, tables, scenario);
+    for sw in topo.switches() {
+        for dst in classes.representatives() {
+            for from in topo.node_ids() {
+                assert_eq!(
+                    tables.lookup(topo, scenario, sw, dst, from),
+                    ref_lookup(topo, tables, scenario, sw, dst, from),
+                    "lookup at {sw:?} for {dst:?} from {from:?} under {scenario:?}"
+                );
+            }
+        }
+    }
+    for t in topo.terminals() {
+        for dst in classes.representatives() {
+            assert_eq!(
+                tf.deliver(t, dst),
+                ref_deliver(topo, tables, scenario, t, dst),
+                "deliver {t:?} -> {dst:?} under {scenario:?}"
+            );
+            assert_eq!(
+                tf.terminal_path(t, dst),
+                ref_terminal_path(topo, tables, scenario, t, dst),
+                "terminal_path {t:?} -> {dst:?} under {scenario:?}"
+            );
+        }
+        assert_eq!(
+            tf.delivery_intervals(t, &classes),
+            ref_intervals(topo, tables, scenario, &classes, t),
+            "delivery_intervals of {t:?} under {scenario:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Indexed `lookup` / `deliver` / `terminal_path` / `delivery_intervals`
+    /// agree with the reference walker — results and `ForwardingLoop`
+    /// payloads — on random fabrics with ties, ingress-qualified rules,
+    /// overlapping prefixes, dead and non-adjacent next hops, failed nodes
+    /// and links and deliberate loops; and a lookup made before a table
+    /// mutation never shadows the mutation (the stale-index case).
+    #[test]
+    fn index_matches_reference_walker(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let topo = random_topology(&mut rng);
+        let switches: Vec<NodeId> = topo.switches().collect();
+        let mut tables = if rng.below(2) == 0 {
+            let mut rc = RoutingConfig::new();
+            rc.host_routes(&topo);
+            rc.build(&topo, &FailureScenario::none())
+        } else {
+            ForwardingTables::new()
+        };
+        for &sw in &switches {
+            for _ in 0..rng.below(9) {
+                tables.add_rule(sw, random_rule(&mut rng, &topo, sw));
+            }
+        }
+        // A deliberate two-switch loop on a linked pair, above everything.
+        if rng.below(3) == 0 {
+            let a = pick(&mut rng, &switches);
+            if let Some(&b) = topo.neighbors(a).iter().find(|&&n| switches.contains(&n)) {
+                tables.add_rule(a, Rule::new(Prefix::default_route(), b).with_priority(20));
+                tables.add_rule(b, Rule::new(Prefix::default_route(), a).with_priority(20));
+            }
+        }
+
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let mut link_down = FailureScenario::none();
+        link_down.failed_links.insert(pick(&mut rng, topo.links()));
+        let scenarios = [
+            FailureScenario::none(),
+            FailureScenario::nodes([pick(&mut rng, &nodes)]),
+            link_down,
+        ];
+        for scenario in &scenarios {
+            assert_index_matches_reference(&topo, &tables, scenario);
+        }
+
+        // Mutate tables whose index the sweep above has built.
+        let sw = pick(&mut rng, &switches);
+        let rule = random_rule(&mut rng, &topo, sw).with_priority(30);
+        tables.add_rule(sw, rule);
+        for scenario in &scenarios {
+            assert_index_matches_reference(&topo, &tables, scenario);
+        }
+        let sw = pick(&mut rng, &switches);
+        let doomed = tables.rules(sw).first().copied();
+        let removed = tables.remove_rules(sw, |r| Some(*r) == doomed);
+        prop_assert_eq!(removed > 0, doomed.is_some());
+        for scenario in &scenarios {
+            assert_index_matches_reference(&topo, &tables, scenario);
+        }
+    }
+}
+
+/// The stale-index case by hand: a lookup builds the index, a mutation of
+/// the same table must be visible to the next lookup.
+#[test]
+fn lookup_sees_rules_added_and_removed_after_it() {
+    let mut topo = Topology::new();
+    let src = topo.add_host("src", Address(1));
+    let a = topo.add_host("a", Address(2));
+    let b = topo.add_host("b", Address(3));
+    let sw = topo.add_switch("sw");
+    for n in [src, a, b] {
+        topo.add_link(n, sw);
+    }
+    let none = FailureScenario::none();
+    let dst = Address(9);
+    let mut tables = ForwardingTables::new();
+    assert_eq!(tables.lookup(&topo, &none, sw, dst, src), None);
+    tables.add_rule(sw, Rule::new(Prefix::default_route(), a));
+    assert_eq!(tables.lookup(&topo, &none, sw, dst, src), Some(a));
+    tables.add_rule(sw, Rule::new(Prefix::host(dst), b));
+    assert_eq!(tables.lookup(&topo, &none, sw, dst, src), Some(b), "host route added later wins");
+    assert_eq!(tables.remove_rules(sw, |r| r.next == b), 1);
+    assert_eq!(tables.lookup(&topo, &none, sw, dst, src), Some(a), "and is gone once removed");
 }

@@ -99,21 +99,33 @@ pub struct NetSession {
     /// Pipeline results, re-checked on every delta (static, cheap).
     pipeline_holds: Vec<(String, bool)>,
     classes: HeaderClasses,
-    /// The policy partition as a name-based set-of-sets, for stability
-    /// comparison across epochs.
-    partition: BTreeSet<BTreeSet<String>>,
+    /// The policy partition by name, in canonical order (classes sorted,
+    /// then the list of classes), for stability comparison across epochs.
+    partition: Vec<Vec<String>>,
     /// (invariant spec, scenario key) → cached verdict.
     cache: HashMap<(String, String), CacheEntry>,
 }
 
-fn partition_names(verifier: &Verifier) -> BTreeSet<BTreeSet<String>> {
-    let net = verifier.network();
-    verifier
+/// The verifier's policy partition by name, in canonical order, borrowing
+/// the names: comparing epochs allocates no `String`.
+fn partition_names(verifier: &Verifier) -> Vec<Vec<&str>> {
+    let topo = &verifier.network().topo;
+    let mut classes: Vec<Vec<&str>> = verifier
         .policy()
         .classes
         .iter()
-        .map(|class| class.iter().map(|&n| net.topo.node(n).name.clone()).collect())
-        .collect()
+        .map(|class| {
+            let mut names: Vec<&str> = class.iter().map(|&n| topo.node(n).name.as_str()).collect();
+            names.sort_unstable();
+            names
+        })
+        .collect();
+    classes.sort_unstable();
+    classes
+}
+
+fn owned_partition(partition: &[Vec<&str>]) -> Vec<Vec<String>> {
+    partition.iter().map(|class| class.iter().map(|n| n.to_string()).collect()).collect()
 }
 
 /// Scenario key for the implicit no-failure scenario.
@@ -134,7 +146,7 @@ impl NetSession {
         }
         let verifier = Verifier::from_arc(net.clone(), options).map_err(|e| e.to_string())?;
         let classes = HeaderClasses::from_network(&net.topo, &net.tables);
-        let partition = partition_names(&verifier);
+        let partition = owned_partition(&partition_names(&verifier));
         let mut session = NetSession {
             spec,
             verifier,
@@ -194,8 +206,10 @@ impl NetSession {
         if !touched.is_nothing() {
             self.classes = HeaderClasses::from_network(&net.topo, &net.tables);
             let partition = partition_names(&self.verifier);
-            escalated = partition != self.partition && !matches!(touched, TouchSet::Everything);
-            self.partition = partition;
+            if partition != self.partition {
+                escalated = !matches!(touched, TouchSet::Everything);
+                self.partition = owned_partition(&partition);
+            }
         }
         let effective = if escalated { TouchSet::Everything } else { touched.clone() };
 

@@ -475,36 +475,22 @@ impl Encoded {
             }
         }
 
-        // Per-emitter delivery intervals compiled from this scenario's
-        // transfer function, merging adjacent header classes with equal
-        // outcomes. Identical interval lists across scenarios hash-cons to
-        // identical terms, so overlapping scenarios share most of their CNF.
+        // Per-emitter delivery intervals of this scenario's transfer
+        // function, projected to in-scope node indices (out-of-scope
+        // targets and drops both take the default branch of the delivery
+        // expression). Identical interval lists across scenarios hash-cons
+        // to identical terms, so overlapping scenarios share most of their
+        // CNF.
         let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
         for f in self.terminals.clone() {
             if scenario.is_failed(f) {
                 continue;
             }
-            let mut intervals: Vec<(u32, u32, u64)> = Vec::new();
-            for ci in 0..self.classes.num_classes() {
-                let rep = self.classes.representative(ci);
-                let result = match tf.deliver(f, rep)? {
-                    Some(t) => self.index.get(&t).copied().unwrap_or(self.drop_id),
-                    None => self.drop_id,
-                };
-                let start = rep.0;
-                let end = if ci + 1 < self.classes.num_classes() {
-                    self.classes.representative(ci + 1).0 - 1
-                } else {
-                    u32::MAX
-                };
-                match intervals.last_mut() {
-                    Some(last) if last.2 == result && last.1.wrapping_add(1) == start => {
-                        last.1 = end;
-                    }
-                    _ => intervals.push((start, end, result)),
-                }
-            }
-            intervals.retain(|iv| iv.2 != self.drop_id);
+            let intervals: Vec<(u32, u32, u64)> = tf
+                .delivery_intervals(f, &self.classes)?
+                .into_iter()
+                .filter_map(|(first, last, target)| Some((first, last, *self.index.get(&target?)?)))
+                .collect();
             for t in 0..self.k {
                 let present = self.steps[t].present;
                 let af = self.actor_is(t, f);

@@ -4,7 +4,8 @@
 //! packets they send and receive traverse the same middlebox types and
 //! are treated according to the same policy. Classes are computed by
 //! partition refinement: start with hosts grouped by their static policy
-//! fingerprint (which ACL entries mention them) and repeatedly split
+//! fingerprint (which of the prefixes and addresses the middlebox models
+//! mention contain them) and repeatedly split
 //! classes whose members see different middlebox-type pipelines towards
 //! the current classes' representatives, until a fixpoint.
 //!
@@ -16,7 +17,8 @@
 use crate::invariant::Invariant;
 use crate::network::Network;
 use std::collections::HashMap;
-use vmn_net::{FailureScenario, NodeId, TransferFunction};
+use vmn_analysis::AddressSet;
+use vmn_net::{Address, FailureScenario, NodeId, TransferFunction};
 
 /// A partition of the network's hosts into policy equivalence classes.
 #[derive(Clone, Debug)]
@@ -38,103 +40,71 @@ impl PolicyClasses {
 
     /// Computes classes by partition refinement over the no-failure
     /// transfer function and the middlebox configurations.
+    ///
+    /// Bookkeeping is linear in hosts × classes per round: pipelines and
+    /// per-host signatures are interned to small integers, the next
+    /// partition is numbered in one pass, and — refinement only ever
+    /// splits — a round that does not raise the class count is the
+    /// fixpoint.
     pub fn compute(net: &Network) -> PolicyClasses {
         let scenario = FailureScenario::none();
         let tf = TransferFunction::new(&net.topo, &net.tables, &scenario);
         let hosts: Vec<NodeId> = net.topo.hosts().collect();
+        let addrs: Vec<Address> = hosts.iter().map(|&h| net.host_address(h)).collect();
 
-        // Static fingerprint: which ACL prefix entries (across all
-        // middlebox models) match the host's address, plus the middlebox
-        // types adjacent on its own traffic.
-        let mut fingerprint: HashMap<NodeId, Vec<bool>> = HashMap::new();
-        for &h in &hosts {
-            let addr = net.host_address(h);
-            let mut bits = Vec::new();
-            let mut mbox_ids: Vec<NodeId> = net.topo.middleboxes().collect();
-            mbox_ids.sort();
-            for m in mbox_ids {
-                let model = net.model(m);
-                for (_, pairs) in &model.acls {
-                    for (sp, dp) in pairs {
-                        bits.push(sp.contains(addr));
-                        bits.push(dp.contains(addr));
-                    }
-                }
-                for rule in &model.rules {
-                    for action in &rule.actions {
-                        if let vmn_mbox::Action::RewriteDstOneOf(addrs) = action {
-                            bits.push(addrs.contains(&addr));
-                        }
-                    }
-                }
-            }
-            fingerprint.insert(h, bits);
-        }
+        // Initial partition by static fingerprint: which of the address
+        // sets the middlebox models mention contain the host's address
+        // (one bit each, packed).
+        let mut mentioned: Vec<AddressSet<'_>> = net
+            .topo
+            .middleboxes()
+            .flat_map(|m| vmn_analysis::mentioned_addresses(net.model(m)))
+            .collect();
+        mentioned.sort();
+        mentioned.dedup();
+        let (mut class_of, mut num_classes) = number_by_key(hosts.len(), |h, key| {
+            key.extend(mentioned.chunks(32).map(|word| {
+                word.iter()
+                    .enumerate()
+                    .fold(0, |w, (bit, p)| w | (p.contains(addrs[h]) as u32) << bit)
+            }));
+        });
 
-        // Initial partition by fingerprint.
-        let mut class_of: HashMap<NodeId, usize> = HashMap::new();
-        {
-            let mut seen: HashMap<Vec<bool>, usize> = HashMap::new();
-            for &h in &hosts {
-                let f = fingerprint[&h].clone();
-                let next = seen.len();
-                let c = *seen.entry(f).or_insert(next);
-                class_of.insert(h, c);
-            }
-        }
+        let mut pipelines = Pipelines::new(net);
 
         // Refinement: split by pipeline signatures against class
         // representatives. When probing a host's own class, use another
         // member as the representative (a host compared against itself
         // would see a meaningless path and split spuriously).
         loop {
-            let mut members: HashMap<usize, Vec<NodeId>> = HashMap::new();
-            for &h in &hosts {
-                members.entry(class_of[&h]).or_default().push(h);
+            let mut members: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
+            for (h, &c) in class_of.iter().enumerate() {
+                members[c as usize].push(h);
             }
-            let mut class_list: Vec<usize> = members.keys().copied().collect();
-            class_list.sort();
-
-            let mut sigs: HashMap<NodeId, Vec<(usize, Vec<String>, Vec<String>)>> = HashMap::new();
-            for &h in &hosts {
-                let mut sig = Vec::new();
-                for &c in &class_list {
-                    let rep = members[&c].iter().copied().find(|&r| r != h);
-                    let Some(rep) = rep else {
+            let (next_of, next_num) = number_by_key(hosts.len(), |h, sig| {
+                sig.push(class_of[h]);
+                for (c, class) in members.iter().enumerate() {
+                    let Some(&rep) = class.iter().find(|&&r| r != h) else {
                         continue; // h is the sole member: nothing to probe
                     };
-                    let fwd = pipeline_types(net, &tf, h, rep);
-                    let back = pipeline_types(net, &tf, rep, h);
-                    sig.push((c, fwd, back));
+                    sig.push(c as u32);
+                    sig.push(pipelines.between(&tf, hosts[h], addrs[rep]));
+                    sig.push(pipelines.between(&tf, hosts[rep], addrs[h]));
                 }
-                sigs.insert(h, sig);
-            }
-
-            let mut new_class: HashMap<(usize, Vec<(usize, Vec<String>, Vec<String>)>), usize> =
-                HashMap::new();
-            let mut next_of: HashMap<NodeId, usize> = HashMap::new();
-            for &h in &hosts {
-                let key = (class_of[&h], sigs[&h].clone());
-                let n = new_class.len();
-                let c = *new_class.entry(key).or_insert(n);
-                next_of.insert(h, c);
-            }
-            let stable = hosts.iter().all(|h| {
-                hosts.iter().all(|g| (class_of[h] == class_of[g]) == (next_of[h] == next_of[g]))
             });
             class_of = next_of;
-            if stable {
+            if next_num == num_classes {
                 break;
             }
+            num_classes = next_num;
         }
 
-        let num = class_of.values().copied().max().map_or(0, |m| m + 1);
-        let mut classes = vec![Vec::new(); num];
-        for &h in &hosts {
-            classes[class_of[&h]].push(h);
+        // Hosts are visited in id order, so every class comes out sorted.
+        let mut classes = vec![Vec::new(); num_classes];
+        for (&h, &c) in hosts.iter().zip(&class_of) {
+            classes[c as usize].push(h);
         }
-        classes.iter_mut().for_each(|c| c.sort());
-        PolicyClasses { classes, class_of }
+        PolicyClasses::from_groups(classes)
     }
 
     pub fn num_classes(&self) -> usize {
@@ -158,26 +128,74 @@ impl PolicyClasses {
     }
 }
 
-/// The middlebox-type pipeline between two hosts (marker entry on static
-/// datapath errors so broken paths never merge with working ones).
-fn pipeline_types(
-    net: &Network,
-    tf: &TransferFunction<'_>,
-    from: NodeId,
-    to: NodeId,
-) -> Vec<String> {
-    let addr = net.host_address(to);
-    match tf.terminal_path(from, addr) {
-        Ok((mboxes, end)) => {
-            let mut types: Vec<String> =
-                mboxes.iter().filter_map(|&m| net.topo.mbox_type(m).map(str::to_string)).collect();
-            types.push(match end {
-                Some(_) => "delivered".to_string(),
-                None => "dropped".to_string(),
-            });
-            types
+/// The id of `key` in `ids`; new keys are numbered in order of first
+/// occurrence.
+fn intern(ids: &mut HashMap<Vec<u32>, u32>, key: &[u32]) -> u32 {
+    if let Some(&id) = ids.get(key) {
+        return id;
+    }
+    let id = ids.len() as u32;
+    ids.insert(key.to_vec(), id);
+    id
+}
+
+/// Partitions items `0..n` by key: `key(i, buf)` writes item `i`'s key
+/// into the empty `buf`. Returns each item's class, numbered in order of
+/// first occurrence, and the number of classes.
+fn number_by_key(n: usize, mut key: impl FnMut(usize, &mut Vec<u32>)) -> (Vec<u32>, usize) {
+    let mut ids = HashMap::new();
+    let mut buf = Vec::new();
+    let class_of = (0..n)
+        .map(|i| {
+            buf.clear();
+            key(i, &mut buf);
+            intern(&mut ids, &buf)
+        })
+        .collect();
+    (class_of, ids.len())
+}
+
+/// Middlebox-type pipelines between hosts, interned: two probes get the
+/// same id iff they traverse the same sequence of middlebox types and
+/// end the same way.
+struct Pipelines {
+    /// Type id of every middlebox, by node index (type names interned
+    /// once here, so probing allocates no strings).
+    type_of: Vec<u32>,
+    ids: HashMap<Vec<u32>, u32>,
+    buf: Vec<u32>,
+}
+
+impl Pipelines {
+    // How a pipeline ends; middlebox type ids start above these. A
+    // static datapath error is its own pipeline, so broken paths never
+    // merge with working ones.
+    const DELIVERED: u32 = 0;
+    const DROPPED: u32 = 1;
+    const ERROR: u32 = 2;
+
+    fn new(net: &Network) -> Pipelines {
+        let mut types: HashMap<&str, u32> = HashMap::new();
+        let mut type_of = vec![u32::MAX; net.topo.num_nodes()];
+        for m in net.topo.middleboxes() {
+            let fresh = Self::ERROR + 1 + types.len() as u32;
+            let ty = net.topo.mbox_type(m).expect("middleboxes() yields middleboxes");
+            type_of[m.index()] = *types.entry(ty).or_insert(fresh);
         }
-        Err(_) => vec!["error".to_string()],
+        Pipelines { type_of, ids: HashMap::new(), buf: Vec::new() }
+    }
+
+    /// The pipeline a packet from host `from` toward `to` traverses.
+    fn between(&mut self, tf: &TransferFunction<'_>, from: NodeId, to: Address) -> u32 {
+        self.buf.clear();
+        match tf.terminal_path(from, to) {
+            Ok((mboxes, end)) => {
+                self.buf.extend(mboxes.iter().map(|m| self.type_of[m.index()]));
+                self.buf.push(if end.is_some() { Self::DELIVERED } else { Self::DROPPED });
+            }
+            Err(_) => self.buf.push(Self::ERROR),
+        }
+        intern(&mut self.ids, &self.buf)
     }
 }
 
@@ -232,7 +250,7 @@ pub fn group_by_symmetry(
 mod tests {
     use super::*;
     use vmn_mbox::models;
-    use vmn_net::{Address, Prefix, RoutingConfig, Rule, Topology};
+    use vmn_net::{Prefix, RoutingConfig, Rule, Topology};
 
     fn addr(s: &str) -> Address {
         s.parse().unwrap()

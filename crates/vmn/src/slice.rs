@@ -266,13 +266,14 @@ pub fn slice_names(net: &Network, slice: &[NodeId]) -> BTreeSet<String> {
 /// * the trace bound,
 /// * each slice member's name, kind, owned addresses and — for
 ///   middleboxes — its full model configuration,
-/// * the delivery behaviour of every live slice terminal, compiled the
-///   same way the encoder compiles its per-emitter delivery intervals:
-///   for each header equivalence class, where does a packet emitted by
-///   this terminal toward that class land (an in-slice terminal, or
-///   "outside/drop" — the encoder maps both to its drop sentinel), with
-///   adjacent classes of equal outcome merged so that irrelevant class
-///   splits elsewhere in the network do not perturb the fingerprint.
+/// * the delivery behaviour of every live slice terminal, read from the
+///   one list the encoder compiles
+///   ([`TransferFunction::delivery_intervals`]): for each header
+///   equivalence class, where does a packet emitted by this terminal
+///   toward that class land, keeping the in-slice targets ("outside" and
+///   "drop" are one outcome to the encoder), with adjacent classes of
+///   equal outcome merged so that irrelevant class splits elsewhere in
+///   the network do not perturb the fingerprint.
 ///
 /// Equal fingerprints across two network epochs therefore imply the
 /// same verdict (modulo the 2⁻⁶⁴ hash-collision risk every cache key
@@ -363,36 +364,19 @@ pub fn verdict_fingerprint(
         }
     }
 
-    // Delivery behaviour, mirroring the encoder's per-emitter interval
-    // compilation (`Encoded::add_scenario`): out-of-slice targets and
-    // drops are identical outcomes there (both map to the drop
-    // sentinel), and adjacent equal-outcome classes merge.
+    // Delivery behaviour: the transfer function's delivery intervals —
+    // the list the encoder compiles — restricted to in-slice targets
+    // (out-of-slice targets and drops are one outcome to the encoder).
     let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
     for &f in &members {
         if scenario.is_failed(f) {
             continue;
         }
         name(net, f).hash(&mut h);
-        let mut intervals: Vec<(u32, u32, Option<NodeId>)> = Vec::new();
-        for ci in 0..classes.num_classes() {
-            let rep = classes.representative(ci);
-            let result = tf.deliver(f, rep)?.filter(|t| in_slice.contains(t));
-            let start = rep.0;
-            let end = if ci + 1 < classes.num_classes() {
-                classes.representative(ci + 1).0 - 1
-            } else {
-                u32::MAX
-            };
-            match intervals.last_mut() {
-                Some(last) if last.2 == result && last.1.wrapping_add(1) == start => {
-                    last.1 = end;
-                }
-                _ => intervals.push((start, end, result)),
+        for (first, last, target) in tf.delivery_intervals(f, classes)? {
+            if let Some(t) = target.filter(|t| in_slice.contains(t)) {
+                (first, last, name(net, t)).hash(&mut h);
             }
-        }
-        for (start, end, result) in intervals {
-            let Some(t) = result else { continue };
-            (start, end, name(net, t)).hash(&mut h);
         }
     }
 

@@ -33,10 +33,15 @@
 //! runs a mixed-backend `verify_all` sweep with a duplicated invariant:
 //! the inherited report must zero all cost fields (elapsed, solver
 //! deltas, BDD deltas, certificate) while keeping the representative's
-//! provenance counts. Cases are generated
+//! provenance counts. Every case's policy partition
+//! (`PolicyClasses::compute`) is also compared with the reference
+//! refinement in `support/policy_reference.rs`. Cases are generated
 //! from the proptest harness's deterministic per-test seed, so failures
 //! reproduce exactly; set `VMN_FUZZ_CASES` to bound the case count (CI
 //! pins a small subset, the default is 200).
+
+#[path = "support/policy_reference.rs"]
+mod policy_reference;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -337,6 +342,7 @@ fn run_case(seed: u64) {
     let case = generate(&mut rng);
     let label = &case.label;
     assert_analysis_consistent(&case.net, label);
+    policy_reference::assert_matches_reference(&case.net, label);
 
     let oracle =
         Verifier::new(&case.net, opts(&case, Sessions::PerScenario, 0.0)).expect("valid network");
