@@ -1,7 +1,7 @@
 //! Regenerates every figure of the paper's evaluation as text tables.
 //!
 //! Usage:
-//!   figures [--fig 2|3|4|5|7|8|9b|9c|all] [--samples N]
+//!   figures [--fig 2|3|4|5|7|8|9b|9c|ablation|all] [--samples N]
 //!
 //! Default: all figures, 3 samples per point. The output of a full run is
 //! recorded in EXPERIMENTS.md (paper-vs-measured).

@@ -321,8 +321,8 @@ pub fn ablation(samples: usize) -> Vec<Series> {
     // Slices, no symmetry: every invariant verified directly.
     let mut s = Series::new("slices, no symmetry");
     let mut p = Point::new(classes.to_string());
-    let verifier = Verifier::new(&dc.net, sliced(dc.policy_hint())).expect("valid");
     for _ in 0..samples {
+        let verifier = Verifier::new(&dc.net, sliced(dc.policy_hint())).expect("valid");
         let t0 = std::time::Instant::now();
         for inv in &invs {
             verifier.verify(inv).expect("verifies");

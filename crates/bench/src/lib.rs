@@ -1,13 +1,20 @@
-//! Benchmark harness for reproducing every figure of the paper's
-//! evaluation (§5).
+//! The paper's §5 figures, and criterion benches for the regimes the
+//! regression benchmark (`benchmark/`, declared in `BENCHMARK.json`) does
+//! not cover. The two harnesses have disjoint jobs: `benchmark/` gates
+//! end-to-end time and exact per-layer counters on every PR; this crate
+//! reproduces the source paper's evaluation.
 //!
-//! Two entry points share the workload definitions in this crate:
-//!
-//! * `cargo bench -p vmn_bench` — Criterion micro-benchmarks, one per
-//!   figure, measuring the core verification calls on slice-sized
-//!   configurations (plus the smallest whole-network points);
 //! * `cargo run -p vmn_bench --release --bin figures` — the full sweeps:
-//!   regenerates each figure's series as a text table.
+//!   every §5 figure's series (and the §4 ablation) as a text table, on
+//!   the axes below. `EXPERIMENTS.md` holds one committed run next to the
+//!   shapes the paper reports; `--fig N --samples K` runs one figure.
+//! * `cargo bench -p vmn_bench` — `solver` (the SAT/SMT core on pigeonhole,
+//!   bit-vector and EUF instances) and four engine sweeps, each the
+//!   default engine against the baseline it replaced: `scenario_sweep`
+//!   (pooled vs from-scratch sessions), `invariant_sweep` (cross-invariant
+//!   pool vs fresh stacks), `cluster_sweep` (slice clustering vs one union
+//!   vs per-scenario) and `fastpath_sweep` (BDD routing vs forced SMT).
+//!   Their workloads are defined below.
 //!
 //! ## Scale mapping
 //!
@@ -15,9 +22,11 @@
 //! hosts / 250 subnets / 30 peering points. This reproduction runs its
 //! own solver; to keep every sweep finishing in minutes rather than
 //! hours, whole-network sweeps use proportionally smaller maxima (the
-//! `*_AXIS` constants below). The *shapes* the paper reports — flat
-//! slice-time vs growing whole-network time, linear growth in policy
-//! classes, faster violation checks than proofs — are all preserved.
+//! `FIG*` constants below). What is compared with the paper is the
+//! *shape* of each curve — flat slice-time vs growing whole-network
+//! time, linear growth in policy classes, faster violation checks than
+//! proofs — and `EXPERIMENTS.md` records, figure by figure, which of
+//! them a full run shows on these axes.
 
 #![forbid(unsafe_code)]
 
@@ -111,18 +120,21 @@ pub fn print_series(title: &str, series: &[Series]) {
     }
 }
 
-/// Times `samples` runs of verifying `inv` and returns the durations plus
-/// the last report.
+/// Times `samples` cold runs of verifying `inv` and returns the durations
+/// plus the last report. Every sample gets a verifier of its own, built
+/// outside the timed call: a second `verify` on the same verifier
+/// re-enters the pooled session the first one warmed and would time a
+/// re-check, not a check.
 pub fn time_verify(
     net: &Network,
     options: &VerifyOptions,
     inv: &Invariant,
     samples: usize,
 ) -> (Vec<Duration>, Report) {
-    let verifier = Verifier::new(net, options.clone()).expect("valid network");
     let mut durations = Vec::with_capacity(samples);
     let mut last = None;
     for _ in 0..samples {
+        let verifier = Verifier::new(net, options.clone()).expect("valid network");
         let t0 = Instant::now();
         let report = verifier.verify(inv).expect("verification succeeds");
         durations.push(t0.elapsed());
@@ -132,16 +144,17 @@ pub fn time_verify(
 }
 
 /// Times verifying a whole invariant set with symmetry (single-threaded,
-/// matching the paper's single-core measurements).
+/// matching the paper's single-core measurements), cold per sample like
+/// [`time_verify`].
 pub fn time_verify_all(
     net: &Network,
     options: &VerifyOptions,
     invariants: &[Invariant],
     samples: usize,
 ) -> Vec<Duration> {
-    let verifier = Verifier::new(net, options.clone()).expect("valid network");
     let mut durations = Vec::with_capacity(samples);
     for _ in 0..samples {
+        let verifier = Verifier::new(net, options.clone()).expect("valid network");
         let t0 = Instant::now();
         let reports = verifier.verify_all(invariants, 1).expect("verification succeeds");
         assert_eq!(reports.len(), invariants.len());
@@ -160,11 +173,11 @@ pub fn whole(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
     VerifyOptions { policy_hint: Some(hint), ..VerifyOptions::whole_network() }
 }
 
-/// Workload shared by the `scenario_sweep` bench and the
-/// `bench_scenarios` emitter: the §5.1 datacenter with `n` middlebox
-/// failure scenarios attached, plus a cross-group isolation invariant
-/// that *holds* in every scenario — so a verification sweep visits all
-/// `n + 1` scenarios (no-failure first) instead of stopping early.
+/// Workload of the `scenario_sweep` bench: the §5.1 datacenter with `n`
+/// middlebox failure scenarios attached, plus a cross-group isolation
+/// invariant that *holds* in every scenario — so a verification sweep
+/// visits all `n + 1` scenarios (no-failure first) instead of stopping
+/// early.
 pub fn scenario_sweep_workload(n: usize) -> (Network, Vec<Vec<NodeId>>, Invariant) {
     let (dc, net) = sweep_datacenter(n, 2);
     (net, dc.policy_hint(), dc.pair_isolation(0, 1))
@@ -204,11 +217,11 @@ fn sweep_datacenter(
     (dc, net)
 }
 
-/// Primary workload of the `invariant_sweep` bench and the
-/// `bench_invariants` emitter: the sweep datacenter with *three* policy
-/// groups, `n` failure scenarios, and the paper's §5.1 fleet shape — one
-/// node-isolation and one flow-isolation invariant per *direction* of
-/// every cross-group pair, plus per-group IDPS traversal (15 invariants).
+/// Workload of the `invariant_sweep` bench: the sweep datacenter with
+/// *three* policy groups, `n` failure scenarios, and the paper's §5.1
+/// fleet shape — one node-isolation and one flow-isolation invariant per
+/// *direction* of every cross-group pair, plus per-group IDPS traversal
+/// (15 invariants).
 /// The two directions of a pair share their slice union and trace bound,
 /// so a `verify_all` with session reuse re-enters one warmed-up solver
 /// per (node-set, bound) key instead of building a fresh stack per
@@ -232,34 +245,11 @@ pub fn invariant_sweep_workload(n: usize) -> (Network, Vec<Vec<NodeId>>, Vec<Inv
     (net, hint, invs)
 }
 
-/// Adversarial variant: the two-group sweep datacenter with a mixed fleet
-/// that *includes* data-isolation (trace bound 11, the heaviest query
-/// class). A data-isolation check wears its session past the retirement
-/// threshold, so its direction partner gets a fresh stack and session
-/// reuse degenerates to parity there — this workload keeps the bench
-/// honest about that regime.
-pub fn invariant_sweep_mixed(n: usize) -> (Network, Vec<Vec<NodeId>>, Vec<Invariant>) {
-    let (dc, net) = sweep_datacenter(n, 2);
-    let hint = dc.policy_hint();
-    let (a, b) = (hint[0][0], hint[1][0]);
-    let mut invs = vec![
-        Invariant::NodeIsolation { src: a, dst: b },
-        Invariant::NodeIsolation { src: b, dst: a },
-        Invariant::FlowIsolation { src: a, dst: b },
-        Invariant::FlowIsolation { src: b, dst: a },
-        Invariant::DataIsolation { origin: a, dst: b },
-        Invariant::DataIsolation { origin: b, dst: a },
-    ];
-    invs.extend(dc.traversal_invariants());
-    (net, hint, invs)
-}
-
-/// Workload of the `cluster_sweep` bench and the `bench_clusters`
-/// emitter: one invariant whose per-scenario slices *diverge wildly* —
-/// the regime the ROADMAP flagged where the single union-of-all-slices
-/// sweep encodes far more than any one scenario needs, and where
-/// slice-similarity clustering must beat both the one-union and the
-/// per-scenario extremes.
+/// Workload of the `cluster_sweep` bench: one invariant whose
+/// per-scenario slices *diverge wildly* — the regime where the single
+/// union-of-all-slices sweep encodes far more than any one scenario
+/// needs, and where slice-similarity clustering must beat both the
+/// one-union and the per-scenario extremes.
 ///
 /// Shape: hosts `a → b` behind a primary firewall→IDPS chain, `groups`
 /// shallow backup chains (a firewall fronting three alternative
@@ -386,11 +376,11 @@ pub fn divergent_slice_workload(groups: usize) -> (Network, Vec<Vec<NodeId>>, In
     (net, vec![vec![a], vec![b]], inv)
 }
 
-/// Workload of the `fastpath_sweep` bench and the `bench_fastpath`
-/// emitter: a *stateless-heavy* estate — `pods` leaf pods whose traffic
-/// is policed purely by forwarding, ACL firewalls and classification
-/// chains (no mutable middlebox state anywhere in their slices), plus a
-/// small stateful core pair behind a learning firewall.
+/// Workload of the `fastpath_sweep` bench: a *stateless-heavy* estate —
+/// `pods` leaf pods whose traffic is policed purely by forwarding, ACL
+/// firewalls and classification chains (no mutable middlebox state
+/// anywhere in their slices), plus a small stateful core pair behind a
+/// learning firewall.
 ///
 /// Shape: pod `p` has hosts `a_p`/`b_p`; `a_p`'s traffic is steered
 /// through a deny-all ACL firewall (with a deny-all backup for the
@@ -479,28 +469,6 @@ pub fn fastpath_workload(pods: usize) -> (Network, Vec<Vec<NodeId>>, Vec<Invaria
     (net, hint, invs)
 }
 
-/// Enterprise variant of the invariant sweep: the paper's per-subnet-kind
-/// invariant plus its natural direction partners for each kind — egress
-/// node isolation (subnet must not reach the internet), egress flow
-/// isolation (no subnet-initiated flows outbound) and data-leak isolation
-/// (internal data must not surface at the internet host) — so every
-/// subnet contributes a key-sharing family of invariants.
-pub fn invariant_sweep_enterprise() -> (Network, Vec<Vec<NodeId>>, Vec<Invariant>) {
-    use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
-    let e = Enterprise::build(EnterpriseParams { subnets: 3, hosts_per_subnet: 2 });
-    let mut invs = Vec::new();
-    for (kind, inv) in e.invariants() {
-        let host = e.subnet_of_kind(kind).expect("subnet exists")[0];
-        invs.push(inv);
-        invs.push(Invariant::NodeIsolation { src: host, dst: e.internet });
-        if kind == SubnetKind::Private {
-            invs.push(Invariant::FlowIsolation { src: host, dst: e.internet });
-            invs.push(Invariant::DataIsolation { origin: host, dst: e.internet });
-        }
-    }
-    (e.net.clone(), e.policy_hint(), invs)
-}
-
 pub mod figures;
 
 #[cfg(test)]
@@ -511,8 +479,8 @@ mod workload_tests {
     /// The fastpath workload's routing contract: under `Auto` every pod
     /// invariant is answered entirely by the BDD dataplane, the stateful
     /// core stays on SMT, everything holds, and the verdicts match a
-    /// forced-SMT run — the assumptions the committed BENCH_fastpath.json
-    /// numbers rest on.
+    /// forced-SMT run — the assumptions the `fastpath_sweep` bench's
+    /// auto-vs-forced-SMT comparison rests on.
     #[test]
     fn fastpath_workload_routes_pods_to_bdd_and_core_to_smt() {
         let (net, hint, invs) = fastpath_workload(2);

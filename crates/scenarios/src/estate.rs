@@ -69,9 +69,9 @@ pub struct EstateParams {
 }
 
 impl EstateParams {
-    /// The campus estate used by `bench_modular`: 13 buildings of
-    /// 16 floors x 16 hosts — 3563 nodes, over 100x the `dc-fleet`
-    /// topology (32 nodes).
+    /// The campus estate of the benchmark's `campus-static` workload:
+    /// 13 buildings of 16 floors x 16 hosts — 3563 nodes, over 100x the
+    /// `dc-fleet` topology (32 nodes).
     pub fn campus() -> EstateParams {
         EstateParams {
             style: EstateStyle::Campus,

@@ -95,7 +95,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -105,9 +105,21 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
+/// Deepest array/object nesting `parse` follows. The parser recurses per
+/// level, so an unbounded `[[[[…` line would overflow the stack and abort
+/// the daemon; the protocol nests 4 deep.
+const MAX_DEPTH: usize = 128;
+
+/// The bytes a JSON string cannot hold raw: the serialiser escapes them
+/// and the parser's runs of ordinary bytes stop at them.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,8 +157,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -154,6 +166,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -226,6 +251,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of ordinary bytes in one piece. What ends it
+            // is ASCII, so the run is whole scalars of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| needs_escape(b)).unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).expect("input was a &str"));
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -252,6 +283,9 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("bad surrogate pair"));
+                                    }
                                     let code = 0x10000
                                         + ((hi as u32 - 0xD800) << 10)
                                         + (lo as u32 - 0xDC00);
@@ -271,18 +305,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input was a &str");
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -355,17 +378,25 @@ impl fmt::Display for Value {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Runs between escapes go out in one piece; every escaped byte is
+    // ASCII, so the run boundaries are scalar boundaries.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
         }
+        f.write_str(&s[run_start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run_start = i + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -414,9 +445,57 @@ mod tests {
             "nul",
             "01x",
             "\"\\q\"",
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    /// Every kind of scalar and every escape, a mebibyte of them: with a
+    /// string scan that is quadratic in the input this runs for minutes.
+    #[test]
+    fn long_mixed_string_roundtrips() {
+        let unit = "plain ascii, é (2 bytes), € (3 bytes), 😀 (4 bytes), \
+                    \" \\ / \u{8} \u{c} \n \r \t \u{1} \u{1f} \u{7f}; ";
+        let original = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let rendered = Value::str(original.clone()).to_string();
+        assert_eq!(parse(&rendered).unwrap(), Value::Str(original.clone()));
+        // The escapes the serialiser never writes parse to the same text.
+        let spelled = rendered
+            .replace('/', "\\/")
+            .replace("\\u0008", "\\b")
+            .replace("\\u000c", "\\f")
+            .replace('é', "\\u00e9")
+            .replace('😀', "\\ud83d\\ude00");
+        assert_ne!(spelled, rendered);
+        assert_eq!(parse(&spelled).unwrap(), Value::Str(original));
+    }
+
+    #[test]
+    fn raw_control_character_is_reported_at_its_offset() {
+        let half = "é€😀 run ".repeat(2400);
+        assert!(2 * half.len() >= 64 << 10);
+        let text = format!("\"{half}\u{1}{half}\"");
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.at, 1 + half.len(), "{e}");
+        assert!(e.message.contains("control character"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        // Unclosed and alternating with objects, far past any stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\":[".repeat(200_000)).is_err());
+        // The bound is on depth, not on how many containers a document has.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

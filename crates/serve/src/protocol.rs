@@ -276,6 +276,22 @@ mod tests {
         assert!(r.shutdown);
     }
 
+    /// A line nested past the parser's bound is an in-band error, not a
+    /// stack overflow that takes every loaded network with it.
+    #[test]
+    fn deeply_nested_line_is_an_error_and_the_service_lives_on() {
+        let mut svc = Service::new(VerifyOptions::default());
+        let deep = format!(r#"{{"op":"status","x":{}"#, "[".repeat(200_000));
+        let r = handle_line(&mut svc, &deep);
+        assert!(!r.shutdown);
+        let v = json::parse(&r.text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{}", r.text);
+
+        let r = handle_line(&mut svc, r#"{"op":"status"}"#);
+        let v = json::parse(&r.text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{}", r.text);
+    }
+
     #[test]
     fn serve_lines_runs_to_shutdown() {
         let mut svc = Service::new(VerifyOptions::default());

@@ -15,7 +15,7 @@
 //!   state only grows via processed packets, and — for flow-parallel
 //!   boxes — only the witness flows' state is ever consulted).
 //!
-//! Hence `K = W · (D + 1) + slack` steps suffice; `slack` (default 2)
+//! Hence `K = W · (D + 1) + slack` steps suffice; `slack` ([`DEFAULT_SLACK`])
 //! absorbs model-specific extras such as a load-balancer hop inserted by
 //! rewriting. The bound is per (invariant, scenario, node set) and is
 //! recomputed for whole-network runs, where paths can be longer.
@@ -24,7 +24,7 @@ use crate::invariant::Invariant;
 use crate::network::Network;
 use vmn_net::{FailureScenario, NodeId, TransferFunction};
 
-/// Default slack steps added to every bound.
+/// The slack steps the engine adds to every bound.
 pub const DEFAULT_SLACK: usize = 2;
 
 /// Longest middlebox pipeline between any pair of the given hosts under

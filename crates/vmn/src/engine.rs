@@ -134,8 +134,6 @@ pub enum Sessions {
 pub struct VerifyOptions {
     /// Verify on slices (§4) instead of the whole network.
     pub use_slices: bool,
-    /// Extra steps added to the computed trace bound.
-    pub slack: usize,
     /// Overrides the computed trace bound entirely.
     pub steps_override: Option<usize>,
     /// Policy classes, if the operator knows them; otherwise they are
@@ -201,7 +199,6 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             use_slices: true,
-            slack: bounds::DEFAULT_SLACK,
             steps_override: None,
             policy_hint: None,
             sessions: Sessions::Pooled,
@@ -856,7 +853,7 @@ impl Verifier {
         nodes.sort();
         nodes.dedup();
         let bound = self.options.steps_override.unwrap_or_else(|| {
-            bounds::trace_bound(&self.net, scenario, inv, &nodes, self.options.slack)
+            bounds::trace_bound(&self.net, scenario, inv, &nodes, bounds::DEFAULT_SLACK)
         });
         Ok(Plan { nodes, bound })
     }
