@@ -32,8 +32,8 @@ use std::collections::HashMap;
 use std::fmt;
 use vmn_mbox::{Action, Guard, MboxModel};
 use vmn_net::{
-    Address, FailureScenario, ForwardingTables, Header, HeaderClasses, Link, NetError, NodeId,
-    Topology, TransferFunction,
+    Address, FailureScenario, ForwardingTables, Header, HeaderClasses, NetError, NodeId, Topology,
+    TransferFunction,
 };
 
 /// BDD variable layout, most significant bit first per field. Source and
@@ -48,14 +48,6 @@ const ORACLE_BASE: u32 = 96;
 /// Mirrors the encoder's `EPHEMERAL_BASE`: host sends use source ports
 /// below the range reserved for fresh NAT rewrites.
 const EPHEMERAL_BASE: u16 = 32768;
-
-/// Scenario identity for the delivery cache (`FailureScenario` itself is
-/// not hashable).
-type ScenarioKey = (Vec<NodeId>, Vec<Link>);
-
-fn scenario_key(s: &FailureScenario) -> ScenarioKey {
-    (s.failed_nodes.iter().copied().collect(), s.failed_links.iter().copied().collect())
-}
 
 /// Why `model` cannot be handled by the BDD backend, or `None` if it is
 /// a pure forwarding/ACL/classification box.
@@ -170,10 +162,10 @@ pub struct Dataplane {
     /// stateless models behave identically under every scenario in which
     /// they are alive).
     transfer: HashMap<NodeId, Ref>,
-    /// Delivery predicates per (emitter, scenario): where each
+    /// Delivery predicates per scenario, per emitter: where each
     /// destination-address interval lands. Built over *all* terminals;
     /// queries filter to their slice, so the cache is slice-independent.
-    delivery: HashMap<(NodeId, ScenarioKey), Vec<(NodeId, Ref)>>,
+    delivery: HashMap<FailureScenario, HashMap<NodeId, Vec<(NodeId, Ref)>>>,
 }
 
 fn field_vars(base: u32, width: u32) -> Vec<u32> {
@@ -323,8 +315,8 @@ impl Dataplane {
         scenario: &FailureScenario,
         f: NodeId,
     ) -> Result<Vec<(NodeId, Ref)>, DataplaneError> {
-        let key = (f, scenario_key(scenario));
-        if let Some(cached) = self.delivery.get(&key) {
+        if let Some(cached) = self.delivery.get(scenario).and_then(|by_emitter| by_emitter.get(&f))
+        {
             return Ok(cached.clone());
         }
         let intervals =
@@ -339,7 +331,7 @@ impl Dataplane {
                 None => per_target.push((target, pred)),
             }
         }
-        self.delivery.insert(key, per_target.clone());
+        self.delivery.entry(scenario.clone()).or_default().insert(f, per_target.clone());
         Ok(per_target)
     }
 

@@ -1,6 +1,6 @@
-//! Criterion bench for the SMT substrate itself: SAT search, EUF
-//! congruence reasoning and bit-vector lowering — the components whose
-//! cost every verification figure ultimately decomposes into.
+//! Criterion bench for the solver substrate itself: SAT search and
+//! bit-vector lowering — the components whose cost every verification
+//! figure ultimately decomposes into.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vmn_smt::{Context, SatResult, Sort, TermId};
@@ -28,28 +28,6 @@ fn pigeonhole(n: usize) -> Context {
     ctx
 }
 
-/// An equality chain with function congruence: f^k(a) = f^k(b) follows
-/// from a = b; assert the negation.
-fn euf_chain(k: usize) -> Context {
-    let mut ctx = Context::new();
-    let u = ctx.sorts_mut().declare("U");
-    let f = ctx.declare_fun("f", &[u], u);
-    let a = ctx.fresh_const("a", u);
-    let b = ctx.fresh_const("b", u);
-    let mut fa = a;
-    let mut fb = b;
-    for _ in 0..k {
-        fa = ctx.apply(f, &[fa]);
-        fb = ctx.apply(f, &[fb]);
-    }
-    let ab = ctx.eq(a, b);
-    ctx.assert(ab);
-    let end = ctx.eq(fa, fb);
-    let neg = ctx.not(end);
-    ctx.assert(neg);
-    ctx
-}
-
 /// Bit-vector ordering chain: x0 < x1 < … < x_{k-1} over w bits, with
 /// x0 forced above the midpoint — satisfiable only while k fits.
 fn bv_chain(k: usize, w: u32) -> Context {
@@ -73,14 +51,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pigeonhole_unsat", n), &n, |b, &n| {
             b.iter(|| {
                 let mut ctx = pigeonhole(n);
-                assert_eq!(ctx.check(), SatResult::Unsat);
-            })
-        });
-    }
-    for k in [32usize, 128] {
-        group.bench_with_input(BenchmarkId::new("euf_chain_unsat", k), &k, |b, &k| {
-            b.iter(|| {
-                let mut ctx = euf_chain(k);
                 assert_eq!(ctx.check(), SatResult::Unsat);
             })
         });

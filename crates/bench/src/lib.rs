@@ -8,8 +8,8 @@
 //!   every §5 figure's series (and the §4 ablation) as a text table, on
 //!   the axes below. `EXPERIMENTS.md` holds one committed run next to the
 //!   shapes the paper reports; `--fig N --samples K` runs one figure.
-//! * `cargo bench -p vmn_bench` — `solver` (the SAT/SMT core on pigeonhole,
-//!   bit-vector and EUF instances) and four engine sweeps, each the
+//! * `cargo bench -p vmn_bench` — `solver` (the SAT + bit-vector core on
+//!   pigeonhole and bit-vector instances) and four engine sweeps, each the
 //!   default engine against the baseline it replaced: `scenario_sweep`
 //!   (pooled vs from-scratch sessions), `invariant_sweep` (cross-invariant
 //!   pool vs fresh stacks), `cluster_sweep` (slice clustering vs one union

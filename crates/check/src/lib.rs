@@ -1,6 +1,6 @@
 //! The trusted certificate checker for VMN verdicts.
 //!
-//! The verification engine (SAT core, bit-blaster, EUF, session pool,
+//! The verification engine (SAT core, bit-blaster, session pool,
 //! clustered sweeps) is a large, aggressively optimised codebase — exactly
 //! the kind of code where a silently wrong UNSAT answer is plausible. This
 //! crate is the other half of the certificate discipline: the *untrusted*
@@ -23,12 +23,12 @@
 //! appears.
 //!
 //! Soundness argument, in brief:
-//! * *Inputs* and *axioms* are the problem statement: input clauses come
-//!   from the engine's CNF encoding, axiom clauses are theory lemmas
-//!   (EUF/bit-blast facts) the engine asserts as valid. The checker trusts
-//!   both as the formula under test — it checks the *reasoning*, not the
-//!   encoding (the encoding is cross-validated separately by replaying SAT
-//!   witnesses on the concrete simulator).
+//! * *Inputs* are the problem statement and the only trusted clauses: the
+//!   engine's CNF encoding (Tseitin and bit-blast clauses), as handed to
+//!   the SAT core. The checker takes them as the formula under test — it
+//!   checks the *reasoning*, not the encoding (the encoding is
+//!   cross-validated separately by replaying SAT witnesses on the concrete
+//!   simulator). Every other clause in a certificate is checked.
 //! * *Derived* clauses must pass reverse unit propagation (RUP) against the
 //!   live clause database: assuming every literal of the clause false must
 //!   yield a conflict by unit propagation alone. RUP-derivable clauses are
@@ -52,8 +52,8 @@ use std::fmt;
 pub type PLit = i32;
 
 /// Identifier of a clause in the proof log. Ids are assigned by the engine,
-/// start at 1 and increase by 1 per added clause (inputs, axioms and
-/// derived clauses share one counter).
+/// start at 1 and increase by 1 per added clause (inputs and derived
+/// clauses share one counter).
 pub type ClauseId = u32;
 
 /// One line of the DRAT-style proof log.
@@ -62,10 +62,6 @@ pub enum ProofStep {
     /// An original clause of the engine's CNF encoding, as handed to the
     /// SAT core (pre-normalisation). Part of the trusted problem statement.
     Input { id: ClauseId, lits: Vec<PLit> },
-    /// A theory lemma (EUF conflict explanation or similar) asserted by
-    /// the engine as theory-valid. Trusted like an input clause; logging
-    /// it makes the checker's clause set self-contained.
-    Axiom { id: ClauseId, lits: Vec<PLit> },
     /// A learnt clause. Must be RUP against the live database; `hints`
     /// lists antecedent clause ids (the conflict clause and the reasons
     /// resolved during analysis) so checking is near-linear in practice.
@@ -78,9 +74,7 @@ impl ProofStep {
     /// The id this step adds, if it adds a clause.
     pub fn added_id(&self) -> Option<ClauseId> {
         match self {
-            ProofStep::Input { id, .. }
-            | ProofStep::Axiom { id, .. }
-            | ProofStep::Derived { id, .. } => Some(*id),
+            ProofStep::Input { id, .. } | ProofStep::Derived { id, .. } => Some(*id),
             ProofStep::Delete { .. } => None,
         }
     }
@@ -437,9 +431,7 @@ impl Checker {
 
     fn apply_step(&mut self, step: &ProofStep) -> Result<(), CheckError> {
         match step {
-            ProofStep::Input { id, lits } | ProofStep::Axiom { id, lits } => {
-                self.add_clause(*id, lits)
-            }
+            ProofStep::Input { id, lits } => self.add_clause(*id, lits),
             ProofStep::Derived { id, lits, hints } => {
                 for &l in lits {
                     self.check_lit(l)?;
@@ -577,7 +569,6 @@ pub const CERT_HEADER: &str = "vmn-cert v1";
 /// bundle <label>
 /// session <num_vars>
 /// i <lit>* 0            input clause       (ids implicit, 1, 2, ...)
-/// a <lit>* 0            axiom clause
 /// l <lit>* 0 <hint>*    derived clause with antecedent hints
 /// d <id>                deletion
 /// u <lit>* 0            UNSAT check under the given assumptions
@@ -626,10 +617,9 @@ pub fn write_bundles(bundles: &[CertificateBundle]) -> String {
             for (i, step) in s.steps.iter().enumerate() {
                 emit_checks_upto(i, &mut out, &mut next_check);
                 match step {
-                    ProofStep::Input { id, lits } | ProofStep::Axiom { id, lits } => {
+                    ProofStep::Input { id, lits } => {
                         emitted.push(*id);
-                        let tag = if matches!(step, ProofStep::Input { .. }) { 'i' } else { 'a' };
-                        let _ = write!(out, "{tag}");
+                        let _ = write!(out, "i");
                         for &l in lits {
                             let _ = write!(out, " {l}");
                         }
@@ -726,7 +716,7 @@ pub fn parse_bundles(text: &str) -> Result<Vec<CertificateBundle>, CheckError> {
                 b.sessions.push(SessionProof { num_vars: nv, ..Default::default() });
                 next_add_id = 1;
             }
-            "i" | "a" | "l" | "d" | "u" | "m" => {
+            "i" | "l" | "d" | "u" | "m" => {
                 let s = open_bundle
                     .as_mut()
                     .and_then(|b| b.sessions.last_mut())
@@ -735,11 +725,6 @@ pub fn parse_bundles(text: &str) -> Result<Vec<CertificateBundle>, CheckError> {
                     "i" => {
                         let lits = parse_lits(&mut toks, ln)?;
                         s.steps.push(ProofStep::Input { id: next_add_id, lits });
-                        next_add_id += 1;
-                    }
-                    "a" => {
-                        let lits = parse_lits(&mut toks, ln)?;
-                        s.steps.push(ProofStep::Axiom { id: next_add_id, lits });
                         next_add_id += 1;
                     }
                     "l" => {
@@ -970,7 +955,7 @@ mod tests {
                 3,
                 vec![
                     input(1, &[1, 2]),
-                    ProofStep::Axiom { id: 2, lits: vec![-2, 3] },
+                    input(2, &[-2, 3]),
                     derived(3, &[1, 3], &[1, 2]),
                     ProofStep::Delete { id: 3 },
                 ],
@@ -999,6 +984,19 @@ mod tests {
         assert!(parse_bundles("vmn-cert v1\nbundle x\nsession 1\ni 1").is_err());
         assert!(parse_bundles("vmn-cert v1\nbundle x\nsession 1\nq 1 0\nend").is_err());
         assert!(parse_bundles("vmn-cert v1\nbundle x").is_err());
+    }
+
+    #[test]
+    fn unchecked_axiom_lines_are_refused() {
+        // An `a` (axiom) line would add a clause the checker never checks;
+        // the format has no such step, and a file carrying one is refused.
+        let text = "vmn-cert v1\nbundle x\nsession 2\ni 1 2 0\na 1 -2 0\nu -1 0\nend\n";
+        match parse_bundles(text) {
+            Err(CheckError::Malformed(m)) => {
+                assert!(m.contains("line 5") && m.contains("'a'"), "{m}")
+            }
+            other => panic!("expected a malformed-certificate error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Link {
 
 /// A set of failed nodes and links — one "failure scenario" (§2.1: an
 /// invariant may be required to hold "for all single failures").
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct FailureScenario {
     pub failed_nodes: BTreeSet<NodeId>,
     pub failed_links: BTreeSet<Link>,

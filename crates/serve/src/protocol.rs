@@ -292,6 +292,41 @@ mod tests {
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{}", r.text);
     }
 
+    /// A service chain whose trace bound (W·(D+1)+2 = 65 for data isolation
+    /// across twenty boxes) exceeds what the encoder builds is an in-band
+    /// error; the network loaded before it keeps answering.
+    #[test]
+    fn deep_chain_load_is_an_error_and_the_service_lives_on() {
+        use std::fmt::Write;
+        let mut svc = Service::new(VerifyOptions::default());
+        let load = format!(r#"{{"op":"load","net":"n","config":{}}}"#, Value::str(CONFIG));
+        let v = json::parse(&handle_line(&mut svc, &load).text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
+
+        let mut chain =
+            String::from("host a 1.1.1.1\nhost b 2.2.2.2\nswitch sw\nlink a sw\nlink b sw\n");
+        for i in 1..=20 {
+            let _ = writeln!(chain, "firewall fw{i} allow 0.0.0.0/0 -> 0.0.0.0/0\nlink fw{i} sw");
+        }
+        chain.push_str("autoroute\nsteer sw from a 0.0.0.0/0 fw1 prio 10\n");
+        for i in 1..20 {
+            let _ = writeln!(chain, "steer sw from fw{i} 0.0.0.0/0 fw{} prio 10", i + 1);
+        }
+        chain.push_str("verify data-isolation a -> b\n");
+        let load = format!(r#"{{"op":"load","net":"deep","config":{}}}"#, Value::str(&chain));
+        let r = handle_line(&mut svc, &load);
+        assert!(!r.shutdown);
+        let v = json::parse(&r.text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{}", r.text);
+        assert!(r.text.contains("trace bound 65"), "{}", r.text);
+
+        let r = handle_line(&mut svc, r#"{"op":"status"}"#);
+        let v = json::parse(&r.text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{}", r.text);
+        let nets = v.get("nets").and_then(Value::as_arr).unwrap();
+        assert_eq!(nets.len(), 1, "the earlier network is still loaded: {}", r.text);
+    }
+
     #[test]
     fn serve_lines_runs_to_shutdown() {
         let mut svc = Service::new(VerifyOptions::default());

@@ -1,55 +1,37 @@
 //! Lowering of terms to CNF: Tseitin transformation for the boolean
-//! skeleton, bit-blasting for bit-vector operations, and registration of
-//! equality/predicate atoms with the EUF theory.
+//! skeleton and bit-blasting for bit-vector operations.
 //!
 //! Bit-vectors are represented LSB-first as vectors of SAT literals. All
 //! encodings are cached per term, so the structural sharing created by the
-//! hash-consed [`TermPool`](crate::term::TermPool) carries over to the CNF.
+//! hash-consed [`TermPool`] carries over to the CNF.
 
-use crate::euf::Euf;
 use crate::sat::{Lit, Solver};
-use crate::sorts::Sort;
 use crate::term::{Term, TermId, TermPool};
 use std::collections::HashMap;
 
-/// Translates terms into clauses inside a [`Solver`], wiring theory atoms
-/// into a [`Euf`] instance.
+/// Translates terms into clauses inside a [`Solver`].
 pub struct Blaster<'a> {
     pool: &'a TermPool,
     solver: &'a mut Solver,
-    euf: &'a mut Euf,
     bool_cache: HashMap<TermId, Lit>,
     bv_cache: HashMap<TermId, Vec<Lit>>,
     true_lit: Lit,
 }
 
 impl<'a> Blaster<'a> {
-    pub fn new(pool: &'a TermPool, solver: &'a mut Solver, euf: &'a mut Euf) -> Blaster<'a> {
+    pub fn new(pool: &'a TermPool, solver: &'a mut Solver) -> Blaster<'a> {
         let true_lit = Lit::pos(solver.new_var());
         solver.add_clause(&[true_lit]);
-        Blaster {
-            pool,
-            solver,
-            euf,
-            bool_cache: HashMap::new(),
-            bv_cache: HashMap::new(),
-            true_lit,
-        }
+        Blaster { pool, solver, bool_cache: HashMap::new(), bv_cache: HashMap::new(), true_lit }
     }
 
     /// Reopens a blasting session over caches produced by an earlier
     /// session (see [`Blaster::into_caches`]). Terms already lowered keep
     /// their literals, so incremental solving re-encodes nothing.
-    pub fn resume(
-        pool: &'a TermPool,
-        solver: &'a mut Solver,
-        euf: &'a mut Euf,
-        caches: BlastCaches,
-    ) -> Blaster<'a> {
+    pub fn resume(pool: &'a TermPool, solver: &'a mut Solver, caches: BlastCaches) -> Blaster<'a> {
         Blaster {
             pool,
             solver,
-            euf,
             bool_cache: caches.bool_cache,
             bv_cache: caches.bv_cache,
             true_lit: caches.true_lit,
@@ -197,23 +179,14 @@ impl<'a> Blaster<'a> {
                 let lb = self.lit_of(b);
                 self.or_lits(&[!la, lb])
             }
-            Term::Eq(a, b) => match self.pool.sort(a) {
-                Sort::Bool => unreachable!("pool lowers boolean Eq to Iff"),
-                Sort::BitVec(_) => {
-                    let ba = self.bits_of(a);
-                    let bb = self.bits_of(b);
-                    let eqs: Vec<Lit> =
-                        ba.iter().zip(bb.iter()).map(|(&x, &y)| self.iff_lit(x, y)).collect();
-                    self.and_lits(&eqs)
-                }
-                Sort::Atom(_) => {
-                    let na = self.euf.node(self.pool, a);
-                    let nb = self.euf.node(self.pool, b);
-                    let v = self.solver.new_var();
-                    self.euf.add_eq_atom(v, na, nb);
-                    Lit::pos(v)
-                }
-            },
+            // Bit-vector operands only: the pool lowers boolean Eq to Iff.
+            Term::Eq(a, b) => {
+                let ba = self.bits_of(a);
+                let bb = self.bits_of(b);
+                let eqs: Vec<Lit> =
+                    ba.iter().zip(bb.iter()).map(|(&x, &y)| self.iff_lit(x, y)).collect();
+                self.and_lits(&eqs)
+            }
             Term::Ite { cond, then, els } => {
                 // The pool encodes boolean ITE with implications, but keep a
                 // direct mux in case callers construct one explicitly.
@@ -236,12 +209,6 @@ impl<'a> Blaster<'a> {
                 le
             }
             Term::BvExtract { .. } => unreachable!("extract has bit-vector sort"),
-            Term::Apply { .. } => {
-                let n = self.euf.node(self.pool, t);
-                let v = self.solver.new_var();
-                self.euf.add_pred_atom(v, n);
-                Lit::pos(v)
-            }
             Term::BvConst { .. } => unreachable!("constant has bit-vector sort"),
         };
         self.bool_cache.insert(t, lit);
@@ -366,21 +333,22 @@ impl BlastCaches {
 mod tests {
     use super::*;
     use crate::sat::SatResult;
+    use crate::sorts::Sort;
 
-    fn setup() -> (TermPool, Solver, Euf) {
-        (TermPool::new(), Solver::new(), Euf::new())
+    fn setup() -> (TermPool, Solver) {
+        (TermPool::new(), Solver::new())
     }
 
     #[test]
     fn bv_equality_sat_assigns_equal_values() {
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(8));
         let y = pool.var("y", Sort::bitvec(8));
         let eq = pool.eq(x, y);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(eq);
         let (bx, by) = (b.bits_of(x), b.bits_of(y));
-        assert_eq!(solver.solve(&mut euf), SatResult::Sat);
+        assert_eq!(solver.solve(), SatResult::Sat);
         let val = |bits: &[Lit], s: &Solver| {
             bits.iter().enumerate().fold(0u64, |acc, (i, &l)| {
                 let v = s.model_value(l.var()) ^ l.is_neg();
@@ -392,15 +360,15 @@ mod tests {
 
     #[test]
     fn bv_disequality_with_constant() {
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(4));
         let c = pool.bv_const(9, 4);
         let eq = pool.eq(x, c);
         let ne = pool.not(eq);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(ne);
         let bx = b.bits_of(x);
-        assert_eq!(solver.solve(&mut euf), SatResult::Sat);
+        assert_eq!(solver.solve(), SatResult::Sat);
         let got = bx.iter().enumerate().fold(0u64, |acc, (i, &l)| {
             acc | (((solver.model_value(l.var()) ^ l.is_neg()) as u64) << i)
         });
@@ -410,31 +378,31 @@ mod tests {
     #[test]
     fn ule_total_order_conflict() {
         // x <= 3 and x >= 12 on 4 bits: UNSAT.
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(4));
         let three = pool.bv_const(3, 4);
         let twelve = pool.bv_const(12, 4);
         let a = pool.bv_ule(x, three);
         let b2 = pool.bv_ule(twelve, x);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(a);
         b.assert_true(b2);
-        assert_eq!(solver.solve(&mut euf), SatResult::Unsat);
+        assert_eq!(solver.solve(), SatResult::Unsat);
     }
 
     #[test]
     fn ule_range_sat() {
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(6));
         let lo = pool.bv_const(10, 6);
         let hi = pool.bv_const(12, 6);
         let a = pool.bv_ule(lo, x);
         let b2 = pool.bv_ule(x, hi);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(a);
         b.assert_true(b2);
         let bx = b.bits_of(x);
-        assert_eq!(solver.solve(&mut euf), SatResult::Sat);
+        assert_eq!(solver.solve(), SatResult::Sat);
         let got = bx.iter().enumerate().fold(0u64, |acc, (i, &l)| {
             acc | (((solver.model_value(l.var()) ^ l.is_neg()) as u64) << i)
         });
@@ -444,47 +412,47 @@ mod tests {
     #[test]
     fn extract_links_fields() {
         // Top nibble of x must equal 0xA while x = 0xA5 is consistent.
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(8));
         let hi = pool.bv_extract(x, 7, 4);
         let a_const = pool.bv_const(0xA, 4);
         let full = pool.bv_const(0xA5, 8);
         let c1 = pool.eq(hi, a_const);
         let c2 = pool.eq(x, full);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(c1);
         b.assert_true(c2);
-        assert_eq!(solver.solve(&mut euf), SatResult::Sat);
+        assert_eq!(solver.solve(), SatResult::Sat);
     }
 
     #[test]
     fn extract_conflicts_with_mismatched_constant() {
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let x = pool.var("x", Sort::bitvec(8));
         let hi = pool.bv_extract(x, 7, 4);
         let b_const = pool.bv_const(0xB, 4);
         let full = pool.bv_const(0xA5, 8);
         let c1 = pool.eq(hi, b_const);
         let c2 = pool.eq(x, full);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(c1);
         b.assert_true(c2);
-        assert_eq!(solver.solve(&mut euf), SatResult::Unsat);
+        assert_eq!(solver.solve(), SatResult::Unsat);
     }
 
     #[test]
     fn bv_ite_selects_branch() {
-        let (mut pool, mut solver, mut euf) = setup();
+        let (mut pool, mut solver) = setup();
         let c = pool.var("c", Sort::Bool);
         let a = pool.bv_const(1, 4);
         let b2 = pool.bv_const(2, 4);
         let ite = pool.ite(c, a, b2);
         let two = pool.bv_const(2, 4);
         let eq = pool.eq(ite, two);
-        let mut b = Blaster::new(&pool, &mut solver, &mut euf);
+        let mut b = Blaster::new(&pool, &mut solver);
         b.assert_true(eq);
         let cl = b.lit_of(c);
-        assert_eq!(solver.solve(&mut euf), SatResult::Sat);
+        assert_eq!(solver.solve(), SatResult::Sat);
         let cval = solver.model_value(cl.var()) ^ cl.is_neg();
         assert!(!cval, "condition must be false to select 2");
     }

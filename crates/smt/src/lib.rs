@@ -1,53 +1,51 @@
-//! A self-contained SMT solver used as the decision procedure for VMN,
-//! the mutable-datapath network verifier.
+//! A self-contained SAT + bit-vector solver used as the decision procedure
+//! for VMN, the mutable-datapath network verifier.
 //!
 //! The paper this repository reproduces ("Verifying Reachability in
 //! Networks with Mutable Datapaths", NSDI 2017) discharges its verification
-//! conditions with Z3. This crate is the from-scratch substitute: a
-//! [CDCL](sat) SAT core extended DPLL(T)-style with an
-//! [equality-and-uninterpreted-functions](euf) theory solver, plus a
-//! [bit-vector front end](blast) that lowers fixed-width terms to
-//! propositional logic.
+//! conditions with Z3, as quantified formulas over uninterpreted functions.
+//! The VMN encoder grounds those formulas over a bounded trace before it
+//! solves them (see `vmn-logic`), and what is left is quantifier-free
+//! booleans and fixed-width bit-vectors — so that is the whole solver: a
+//! [CDCL](sat) SAT core, a [Tseitin / bit-blasting front end](blast) that
+//! lowers terms to clauses, and an incremental [`Context`] over both.
 //!
-//! The solver handles the quantifier-free fragment the VMN encoder emits
-//! after bounded-trace grounding (see `vmn-logic`):
-//!
-//! * booleans with the usual connectives,
-//! * fixed-width bit-vectors with equality, extraction and unsigned
-//!   comparison (network addresses, ports, header fields),
-//! * uninterpreted sorts, constants and function/predicate applications
-//!   (packet identities and classification oracles).
+//! * booleans with the usual connectives (classification oracles are free
+//!   booleans per trace step),
+//! * fixed-width bit-vectors with equality, extraction, unsigned
+//!   comparison and if-then-else (network addresses, ports, node indices,
+//!   header fields).
 //!
 //! # Example
 //!
 //! ```
-//! use vmn_smt::{Context, SatResult};
+//! use vmn_smt::{Context, SatResult, Sort};
 //!
 //! let mut ctx = Context::new();
-//! let pkt = ctx.sorts_mut().declare("Packet");
-//! let p = ctx.fresh_const("p", pkt);
-//! let q = ctx.fresh_const("q", pkt);
-//! let malicious = ctx.declare_fun("malicious?", &[pkt], vmn_smt::Sort::BOOL);
+//! let dst = ctx.fresh_const("dst", Sort::bitvec(32));
 //!
-//! let mp = ctx.apply(malicious, &[p]);
-//! let mq = ctx.apply(malicious, &[q]);
-//! let same = ctx.eq(p, q);
-//! let not_mq = ctx.not(mq);
+//! // dst is in 10.0.0.0/8 ...
+//! let in_subnet = ctx.bv_prefix_match(dst, 0x0A00_0000, 8);
+//! ctx.assert(in_subnet);
+//! assert_eq!(ctx.check(), SatResult::Sat);
+//! assert_eq!(ctx.eval_bv(dst) >> 24, 10);
 //!
-//! // p = q, malicious?(p), !malicious?(q) is unsatisfiable by congruence.
-//! ctx.assert(same);
-//! ctx.assert(mp);
-//! ctx.assert(not_mq);
-//! assert_eq!(ctx.check(), SatResult::Unsat);
+//! // ... and in the range 11.0.0.0 ..= 11.0.0.255: no such address.
+//! let lo = ctx.bv_const(0x0B00_0000, 32);
+//! let hi = ctx.bv_const(0x0B00_00FF, 32);
+//! let above = ctx.bv_ule(lo, dst);
+//! let below = ctx.bv_ule(dst, hi);
+//! let in_range = ctx.and(&[above, below]);
+//! assert_eq!(ctx.check_assuming(&[in_range]), SatResult::Unsat);
+//! // The assumption was not committed: the context is still satisfiable.
+//! assert_eq!(ctx.check(), SatResult::Sat);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod blast;
-pub mod euf;
 pub mod model;
 pub mod sat;
-pub mod simplify;
 pub mod solver;
 pub mod sorts;
 pub mod term;
@@ -55,5 +53,5 @@ pub mod term;
 pub use model::{Model, Value};
 pub use sat::{Lit, ProofLog, SatResult as CoreSatResult, SolverStats, Var};
 pub use solver::{Context, SatResult};
-pub use sorts::{Sort, SortId, SortStore};
-pub use term::{FuncDecl, FuncId, Term, TermId, TermPool};
+pub use sorts::Sort;
+pub use term::{Term, TermId, TermPool};

@@ -9,9 +9,6 @@ pub enum Value {
     Bool(bool),
     /// Bit-vector value (LSB-aligned).
     Bv(u64),
-    /// Equivalence-class identifier for an atom-sorted term. Two terms
-    /// evaluate to the same class id iff the model makes them equal.
-    Class(u32),
 }
 
 impl Value {
@@ -33,19 +30,15 @@ impl Value {
 /// A satisfying assignment, recorded for every term the encoder touched.
 ///
 /// Composite terms not seen during solving are evaluated recursively;
-/// unconstrained variables default to `false` / `0` / a fresh class.
+/// unconstrained variables default to `false` / `0`.
 #[derive(Clone, Debug, Default)]
 pub struct Model {
     values: HashMap<TermId, Value>,
-    /// Next class id to hand an unconstrained atom-sorted term. Must be
-    /// seeded past the largest harvested class id, or a fresh class would
-    /// spuriously alias a real congruence class.
-    next_fresh_class: u32,
 }
 
 impl Model {
-    pub(crate) fn new(values: HashMap<TermId, Value>, next_fresh_class: u32) -> Model {
-        Model { values, next_fresh_class }
+    pub(crate) fn new(values: HashMap<TermId, Value>) -> Model {
+        Model { values }
     }
 
     /// Number of terms with recorded values.
@@ -65,9 +58,7 @@ impl Model {
     /// Evaluates an arbitrary term under this model.
     ///
     /// Terms that were part of the solved formula are looked up directly;
-    /// other terms are computed structurally. Atom-sorted terms that never
-    /// appeared in the formula each receive a fresh class (making them
-    /// distinct from everything else, which is always sound for free sorts).
+    /// other terms are computed structurally.
     pub fn eval(&mut self, pool: &TermPool, t: TermId) -> Value {
         if let Some(v) = self.values.get(&t) {
             return *v;
@@ -78,11 +69,6 @@ impl Model {
             Term::Var { sort, .. } => match sort {
                 crate::sorts::Sort::Bool => Value::Bool(false),
                 crate::sorts::Sort::BitVec(_) => Value::Bv(0),
-                crate::sorts::Sort::Atom(_) => {
-                    let c = self.next_fresh_class;
-                    self.next_fresh_class += 1;
-                    Value::Class(c)
-                }
             },
             Term::Not(a) => Value::Bool(!self.eval_bool(pool, a)),
             Term::And(xs) => Value::Bool(xs.iter().all(|&x| self.eval_bool(pool, x))),
@@ -107,17 +93,6 @@ impl Model {
                 let width = hi - lo + 1;
                 let shifted = v >> lo;
                 Value::Bv(if width == 64 { shifted } else { shifted & ((1 << width) - 1) })
-            }
-            Term::Apply { .. } => {
-                // An application the solver never saw: unconstrained, so a
-                // fresh class (or false for predicates) is a sound choice.
-                if pool.sort(t).is_bool() {
-                    Value::Bool(false)
-                } else {
-                    let c = self.next_fresh_class;
-                    self.next_fresh_class += 1;
-                    Value::Class(c)
-                }
             }
         };
         self.values.insert(t, v);
@@ -144,7 +119,7 @@ mod tests {
     fn recursive_eval_of_unseen_terms() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Sort::bitvec(8));
-        let mut m = Model::new([(x, Value::Bv(0xAB))].into_iter().collect(), 0);
+        let mut m = Model::new([(x, Value::Bv(0xAB))].into_iter().collect());
         let hi = pool.bv_extract(x, 7, 4);
         assert_eq!(m.eval(&pool, hi), Value::Bv(0xA));
         let c = pool.bv_const(0xAB, 8);
@@ -160,20 +135,5 @@ mod tests {
         let mut m = Model::default();
         assert_eq!(m.eval(&pool, b), Value::Bool(false));
         assert_eq!(m.eval(&pool, v), Value::Bv(0));
-    }
-
-    #[test]
-    fn fresh_classes_are_distinct() {
-        let mut pool = TermPool::new();
-        let mut sorts = crate::sorts::SortStore::new();
-        let u = sorts.declare("U");
-        let a = pool.var("a", u);
-        let b = pool.var("b", u);
-        let mut m = Model::default();
-        let va = m.eval(&pool, a);
-        let vb = m.eval(&pool, b);
-        assert_ne!(va, vb);
-        // Stable on re-query.
-        assert_eq!(m.eval(&pool, a), va);
     }
 }

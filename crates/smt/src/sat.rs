@@ -15,14 +15,10 @@
 //! decisions. An UNSAT answer then means "unsatisfiable under these
 //! assumptions" — the solver itself stays usable, and everything learned
 //! (clauses, variable activities, saved phases) persists into the next
-//! call. Between calls the trail is rewound to decision level zero, which
-//! also rewinds any attached theory via [`Theory::on_backtrack`].
+//! call. Between calls the trail is rewound to decision level zero.
 //!
-//! The solver exposes a small DPLL(T) hook ([`Theory`]): every literal
-//! assignment (decision or propagation) is reported to the theory, which
-//! may veto it with a conflict explanation; backtracking is mirrored into
-//! the theory. The EUF solver in [`crate::euf`] plugs in through this
-//! trait.
+//! Bit-vector terms are lowered to clauses by [`crate::blast`] before the
+//! search starts, so the core decides plain propositional CNF.
 
 use std::fmt;
 use vmn_check::{CheckRecord, ClauseId, Outcome, ProofStep, SessionProof};
@@ -122,40 +118,6 @@ impl LBool {
 pub enum SatResult {
     Sat,
     Unsat,
-}
-
-/// Conflict raised by a theory solver: a set of literals that are all
-/// currently assigned true but jointly inconsistent with the theory.
-#[derive(Clone, Debug)]
-pub struct TheoryConflict {
-    pub lits: Vec<Lit>,
-}
-
-/// DPLL(T) hook. Implementations are notified of every assignment in trail
-/// order and of backtracking; they may reject an assignment by returning a
-/// [`TheoryConflict`] whose literals must all be true under the current
-/// assignment (including the literal just asserted).
-pub trait Theory {
-    /// Called for every literal as it becomes true (decision or propagation).
-    fn on_assert(&mut self, lit: Lit) -> Result<(), TheoryConflict>;
-    /// Called when the trail is truncated to `new_len` entries.
-    fn on_backtrack(&mut self, new_len: usize);
-    /// Called once a full assignment is reached, before the solver reports
-    /// SAT. Check-only theories that validate eagerly can return `Ok(())`.
-    fn final_check(&mut self) -> Result<(), TheoryConflict>;
-}
-
-/// A theory that accepts everything; used for pure SAT solving.
-pub struct NoTheory;
-
-impl Theory for NoTheory {
-    fn on_assert(&mut self, _lit: Lit) -> Result<(), TheoryConflict> {
-        Ok(())
-    }
-    fn on_backtrack(&mut self, _new_len: usize) {}
-    fn final_check(&mut self) -> Result<(), TheoryConflict> {
-        Ok(())
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -356,11 +318,10 @@ const RESCALE_LIMIT: f64 = 1e100;
 ///
 /// The log is **append-only** and records only base-level (decision level
 /// zero) facts: original clauses as they are handed to [`Solver::add_clause`]
-/// (inputs), theory conflict explanations asserted as axioms, learnt clauses
-/// with their antecedent hints, and clause deletions from learnt-database
-/// reduction or cone forgetting. Nothing trail- or search-state-dependent is
-/// ever logged, so rewinding the solver to the base level
-/// ([`Solver::backtrack_to_base`], theory unsealing, search-state scrubs)
+/// (inputs), learnt clauses with their antecedent hints, and clause
+/// deletions from learnt-database reduction or cone forgetting. Nothing
+/// trail- or search-state-dependent is ever logged, so rewinding the solver
+/// to the base level ([`Solver::backtrack_to_base`], search-state scrubs)
 /// needs no log truncation — the log is already a base-level object, and a
 /// pooled session's shared log stays valid for every check ever taken
 /// against a prefix of it.
@@ -399,13 +360,6 @@ impl ProofLog {
         let id = self.next_id;
         self.next_id += 1;
         self.steps.push(ProofStep::Input { id, lits: Self::plits(lits) });
-        id
-    }
-
-    fn log_axiom(&mut self, lits: &[Lit]) -> ClauseId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.steps.push(ProofStep::Axiom { id, lits: Self::plits(lits) });
         id
     }
 
@@ -464,10 +418,10 @@ impl ProofLog {
 /// The CDCL solver.
 ///
 /// Clauses are added with [`Solver::add_clause`]; variables are created
-/// with [`Solver::new_var`]. [`Solver::solve`] runs the search with an
-/// optional theory plugged in; [`Solver::solve_with_assumptions`] solves
-/// under a set of assumption literals while keeping all learned state for
-/// subsequent calls.
+/// with [`Solver::new_var`]. [`Solver::solve_with_assumptions`] runs the
+/// search under a set of assumption literals while keeping all learned
+/// state for subsequent calls; [`Solver::solve`] is the assumption-free
+/// call.
 pub struct Solver {
     /// Flat clause storage: all literals of all clauses, contiguously.
     arena: Vec<Lit>,
@@ -481,9 +435,6 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    /// Trail prefix already announced to the theory; persists across
-    /// solve calls so permanent (level-zero) literals are announced once.
-    theory_head: usize,
     activity: Vec<f64>,
     var_inc: f64,
     clause_inc: f64,
@@ -535,7 +486,6 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            theory_head: 0,
             activity: Vec::new(),
             var_inc: 1.0,
             clause_inc: 1.0,
@@ -707,9 +657,8 @@ impl Solver {
             }
             1 => {
                 self.unchecked_enqueue(cl[0], None);
-                // Theory literals are re-announced during solve(); unit
-                // propagation here keeps level-0 implications tight.
-                if self.propagate_no_theory().is_some() {
+                // Unit propagation here keeps level-0 implications tight.
+                if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
@@ -758,8 +707,9 @@ impl Solver {
         self.trail.push(lit);
     }
 
-    /// Unit propagation without theory notification (used while loading).
-    fn propagate_no_theory(&mut self) -> Option<ClauseRef> {
+    /// Unit propagation to fixpoint. Returns a conflicting clause if one
+    /// is found.
+    fn propagate(&mut self) -> Option<ClauseRef> {
         let mut confl = None;
         while self.qhead < self.trail.len() {
             let lit = self.trail[self.qhead];
@@ -860,20 +810,20 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. `conflict` is the set of literals of the
-    /// conflicting clause (all false under the current assignment). Returns
-    /// the learnt clause (asserting literal first) and the backjump level.
+    /// First-UIP conflict analysis. `confl` is the conflicting clause (all
+    /// its literals false under the current assignment). Returns the
+    /// learnt clause (asserting literal first) and the backjump level.
     ///
     /// Assumptions need no special handling here: they are decisions, so
     /// resolution stops at them and they appear (negated) in the learnt
     /// clause, which is therefore implied by the clause database alone and
     /// safe to keep across incremental calls.
-    fn analyze(&mut self, conflict: &[Lit]) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder slot 0
         let mut counter = 0usize;
         let p: Option<Lit>;
         let mut trail_idx = self.trail.len();
-        let mut reason_lits: Vec<Lit> = conflict.to_vec();
+        let mut reason_lits: Vec<Lit> = self.clause_lits(confl).to_vec();
 
         loop {
             for &q in &reason_lits {
@@ -971,7 +921,7 @@ impl Solver {
         }
     }
 
-    fn cancel_until(&mut self, level: u32, theory: &mut dyn Theory) {
+    fn cancel_until(&mut self, level: u32) {
         if self.decision_level() <= level {
             return;
         }
@@ -987,18 +937,15 @@ impl Solver {
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
         self.qhead = target;
-        self.theory_head = self.theory_head.min(target);
-        theory.on_backtrack(target);
     }
 
-    /// Rewinds the solver (and the theory) to decision level zero,
-    /// discarding any assignment left over from a previous solve call.
-    /// Level-zero facts, learnt clauses, activities and saved phases all
-    /// survive. Called automatically at the start of every solve; exposed
-    /// so callers can rewind eagerly before adding clauses or registering
-    /// new theory state.
-    pub fn backtrack_to_base(&mut self, theory: &mut dyn Theory) {
-        self.cancel_until(0, theory);
+    /// Rewinds the solver to decision level zero, discarding any
+    /// assignment left over from a previous solve call. Level-zero facts,
+    /// learnt clauses, activities and saved phases all survive. Called
+    /// automatically at the start of every solve; exposed so callers can
+    /// rewind eagerly before adding clauses.
+    pub fn backtrack_to_base(&mut self) {
+        self.cancel_until(0);
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -1145,7 +1092,7 @@ impl Solver {
     /// MiniSat-style clause garbage collection: copies every live clause
     /// into a fresh arena, drops deleted ones, and remaps watch lists,
     /// reason references and the learnt-clause index to the new
-    /// [`ClauseRef`] numbering.
+    /// `ClauseRef` numbering.
     ///
     /// Safe at any point of the search: clause literal windows are copied
     /// verbatim (watched literals stay at positions 0 and 1), so the
@@ -1200,27 +1147,9 @@ impl Solver {
         self.stats.arena_compactions += 1;
     }
 
-    /// Announces to the theory every trail literal from `theory_head`
-    /// onwards. Returns a conflict if the theory rejects one of them.
-    fn theory_sync(&mut self, theory: &mut dyn Theory) -> Option<TheoryConflict> {
-        while self.theory_head < self.trail.len() {
-            let lit = self.trail[self.theory_head];
-            self.theory_head += 1;
-            if let Err(c) = theory.on_assert(lit) {
-                debug_assert!(
-                    c.lits.iter().all(|&l| self.value(l) == LBool::True),
-                    "theory conflict literals must be true: {:?}",
-                    c.lits
-                );
-                return Some(c);
-            }
-        }
-        None
-    }
-
     /// Runs the CDCL search (with restarts) until the instance is decided.
-    pub fn solve(&mut self, theory: &mut dyn Theory) -> SatResult {
-        self.solve_with_assumptions(&[], theory)
+    pub fn solve(&mut self) -> SatResult {
+        self.solve_with_assumptions(&[])
     }
 
     /// Solves under the given assumption literals.
@@ -1232,14 +1161,9 @@ impl Solver {
     /// means *unsatisfiable under these assumptions*: the solver stays
     /// usable and keeps its learnt clauses, activities and phases for the
     /// next call. On [`SatResult::Sat`] the full assignment is left in
-    /// place (so an attached theory can be queried for model values); it is
-    /// discarded by the backtrack-to-zero at the start of the next call or
-    /// by an explicit [`Solver::backtrack_to_base`].
-    pub fn solve_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        theory: &mut dyn Theory,
-    ) -> SatResult {
+    /// place; it is discarded by the backtrack-to-zero at the start of the
+    /// next call or by an explicit [`Solver::backtrack_to_base`].
+    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         if !self.ok {
             // The log already derives a root contradiction; the record is
             // checkable without any further derivation.
@@ -1250,225 +1174,125 @@ impl Solver {
         }
         debug_assert!(assumptions.iter().all(|l| l.var().index() < self.num_vars()));
         // Start from a clean base level; everything learnt persists.
-        self.backtrack_to_base(theory);
+        self.backtrack_to_base();
         let mut restarts: u64 = 0;
         let mut conflicts_until_restart = 100 * luby(restarts);
 
         loop {
-            // Propagate, keeping the theory in sync with the trail.
-            let conflict: Option<Vec<Lit>> = 'prop: loop {
-                if let Some(cref) = self.propagate_no_theory() {
-                    let lits = self.clause_lits(cref).to_vec();
-                    self.bump_clause(cref);
-                    // Seed the learnt clause's cone with the conflicting
-                    // clause's; `analyze` unions in every resolved reason.
-                    self.analyze_cone = self.clauses[cref.0 as usize].cone;
-                    if self.proof.is_some() {
-                        let pid = self.clauses[cref.0 as usize].pid;
-                        self.analyze_hints.clear();
-                        self.analyze_hints.push(pid);
+            if let Some(confl) = self.propagate() {
+                self.stats.conflicts += 1;
+                if self.decision_level() == 0 {
+                    self.ok = false;
+                    // The checker reproduces this conflict by root unit
+                    // propagation of the logged clauses alone.
+                    if let Some(p) = &mut self.proof {
+                        p.record_unsat(assumptions);
                     }
-                    break 'prop Some(lits);
+                    return SatResult::Unsat;
                 }
-                match self.theory_sync(theory) {
-                    Some(c) => {
-                        // Theory conflicts carry no clause provenance; the
-                        // resolved reasons still contribute their cones.
-                        self.analyze_cone = 0;
-                        let cl: Vec<Lit> = c.lits.iter().map(|&l| !l).collect();
-                        // The explanation clause is theory-valid but not in
-                        // the clause database: log it as an asserted axiom
-                        // so the checker's CNF stays self-contained, and
-                        // seed the hints with it — it is the conflict
-                        // clause the next `analyze` starts from.
-                        if let Some(p) = &mut self.proof {
-                            let id = p.log_axiom(&cl);
-                            self.analyze_hints.clear();
-                            self.analyze_hints.push(id);
-                        }
-                        break 'prop Some(cl);
-                    }
-                    None => {
-                        if self.qhead == self.trail.len() {
-                            break 'prop None;
-                        }
-                    }
-                }
-            };
-
-            match conflict {
-                Some(cl) => {
-                    self.stats.conflicts += 1;
-                    // A theory conflict replayed from the backlog may live
-                    // entirely below the current decision level; analysis
-                    // needs the conflict to involve the current level, so
-                    // drop to the highest level among its literals first.
-                    let conflict_level =
-                        cl.iter().map(|l| self.level[l.var().index()]).max().unwrap_or(0);
-                    if conflict_level < self.decision_level() {
-                        self.cancel_until(conflict_level, theory);
-                    }
-                    if self.decision_level() == 0 {
-                        self.ok = false;
-                        // The checker reproduces this conflict by root unit
-                        // propagation of the logged clauses alone.
+                self.learn_from(confl);
+                conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
+                continue;
+            }
+            if conflicts_until_restart == 0 && self.decision_level() > 0 {
+                restarts += 1;
+                self.stats.restarts += 1;
+                conflicts_until_restart = 100 * luby(restarts);
+                self.cancel_until(0);
+                continue;
+            }
+            if self.learnt_refs.len() as f64 > self.max_learnts {
+                self.reduce_db();
+            }
+            // Take the next assumption as a pseudo-decision; real
+            // branching starts only above the assumption levels.
+            let mut next = None;
+            while (self.decision_level() as usize) < assumptions.len() {
+                let p = assumptions[self.decision_level() as usize];
+                match self.value(p) {
+                    // Already implied: open an empty level so the
+                    // level/assumption indices stay aligned.
+                    LBool::True => self.trail_lim.push(self.trail.len()),
+                    // Contradicted by the formula (plus earlier
+                    // assumptions): UNSAT under assumptions, but the
+                    // solver itself remains consistent. The checker
+                    // reproduces this by propagating the full
+                    // assumption set — unit propagation is monotone
+                    // in the assignment, so the conflict the solver
+                    // saw under a prefix is still reached.
+                    LBool::False => {
                         if let Some(p) = &mut self.proof {
                             p.record_unsat(assumptions);
                         }
+                        self.backtrack_to_base();
                         return SatResult::Unsat;
                     }
-                    let (learnt, bt_level) = self.analyze(&cl);
-                    self.cancel_until(bt_level, theory);
-                    let pid = match &mut self.proof {
-                        Some(p) => {
-                            let hints = std::mem::take(&mut self.analyze_hints);
-                            p.log_derived(&learnt, hints)
-                        }
-                        None => 0,
-                    };
-                    if learnt.len() == 1 {
-                        // Unit learnt clauses never join the clause DB (the
-                        // enqueue is reason-less), but they are logged like
-                        // any other derivation: the checker root-propagates
-                        // them, which is exactly what this enqueue does.
-                        self.unchecked_enqueue(learnt[0], None);
-                    } else {
-                        let cref = self.attach_clause(&learnt, true);
-                        self.clauses[cref.0 as usize].pid = pid;
-                        self.bump_clause(cref);
-                        self.unchecked_enqueue(learnt[0], Some(cref));
-                    }
-                    self.var_inc /= VAR_DECAY;
-                    self.clause_inc /= CLAUSE_DECAY;
-                    if self.stats.conflicts.is_multiple_of(1000) {
-                        self.max_learnts *= 1.1;
-                    }
-                    conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
-                }
-                None => {
-                    if conflicts_until_restart == 0 && self.decision_level() > 0 {
-                        restarts += 1;
-                        self.stats.restarts += 1;
-                        conflicts_until_restart = 100 * luby(restarts);
-                        self.cancel_until(0, theory);
-                        continue;
-                    }
-                    if self.learnt_refs.len() as f64 > self.max_learnts {
-                        self.reduce_db();
-                    }
-                    // Take the next assumption as a pseudo-decision; real
-                    // branching starts only above the assumption levels.
-                    let mut next_assumption = None;
-                    while (self.decision_level() as usize) < assumptions.len() {
-                        let p = assumptions[self.decision_level() as usize];
-                        match self.value(p) {
-                            // Already implied: open an empty level so the
-                            // level/assumption indices stay aligned.
-                            LBool::True => self.trail_lim.push(self.trail.len()),
-                            // Contradicted by the formula (plus earlier
-                            // assumptions): UNSAT under assumptions, but the
-                            // solver itself remains consistent. The checker
-                            // reproduces this by propagating the full
-                            // assumption set — unit propagation is monotone
-                            // in the assignment, so the conflict the solver
-                            // saw under a prefix is still reached.
-                            LBool::False => {
-                                if let Some(p) = &mut self.proof {
-                                    p.record_unsat(assumptions);
-                                }
-                                self.backtrack_to_base(theory);
-                                return SatResult::Unsat;
-                            }
-                            LBool::Undef => {
-                                next_assumption = Some(p);
-                                break;
-                            }
-                        }
-                    }
-                    match next_assumption {
-                        Some(p) => {
-                            self.stats.decisions += 1;
-                            self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(p, None);
-                        }
-                        None => match self.pick_branch() {
-                            None => {
-                                // Full assignment; give the theory a last word.
-                                match theory.final_check() {
-                                    Ok(()) => {
-                                        self.model.clear();
-                                        self.model
-                                            .extend(self.assigns.iter().map(|&a| a == LBool::True));
-                                        if let Some(p) = &mut self.proof {
-                                            p.record_sat(assumptions, &self.model);
-                                        }
-                                        return SatResult::Sat;
-                                    }
-                                    Err(c) => {
-                                        self.stats.conflicts += 1;
-                                        self.analyze_cone = 0;
-                                        let cl: Vec<Lit> = c.lits.iter().map(|&l| !l).collect();
-                                        // Theory-valid explanation: asserted
-                                        // as an axiom, like in the main loop.
-                                        if let Some(p) = &mut self.proof {
-                                            let id = p.log_axiom(&cl);
-                                            self.analyze_hints.clear();
-                                            self.analyze_hints.push(id);
-                                        }
-                                        let conflict_level = cl
-                                            .iter()
-                                            .map(|l| self.level[l.var().index()])
-                                            .max()
-                                            .unwrap_or(0);
-                                        if conflict_level < self.decision_level() {
-                                            self.cancel_until(conflict_level, theory);
-                                        }
-                                        if self.decision_level() == 0 {
-                                            self.ok = false;
-                                            if let Some(p) = &mut self.proof {
-                                                p.record_unsat(assumptions);
-                                            }
-                                            return SatResult::Unsat;
-                                        }
-                                        let (learnt, bt_level) = self.analyze(&cl);
-                                        self.cancel_until(bt_level, theory);
-                                        let pid = match &mut self.proof {
-                                            Some(p) => {
-                                                let hints = std::mem::take(&mut self.analyze_hints);
-                                                p.log_derived(&learnt, hints)
-                                            }
-                                            None => 0,
-                                        };
-                                        if learnt.len() == 1 {
-                                            self.unchecked_enqueue(learnt[0], None);
-                                        } else {
-                                            let cref = self.attach_clause(&learnt, true);
-                                            self.clauses[cref.0 as usize].pid = pid;
-                                            self.unchecked_enqueue(learnt[0], Some(cref));
-                                        }
-                                    }
-                                }
-                            }
-                            Some(lit) => {
-                                self.stats.decisions += 1;
-                                self.trail_lim.push(self.trail.len());
-                                self.unchecked_enqueue(lit, None);
-                            }
-                        },
+                    LBool::Undef => {
+                        next = Some(p);
+                        break;
                     }
                 }
             }
+            let Some(lit) = next.or_else(|| self.pick_branch()) else {
+                // Full assignment and no conflict: a model.
+                self.model.clear();
+                self.model.extend(self.assigns.iter().map(|&a| a == LBool::True));
+                if let Some(p) = &mut self.proof {
+                    p.record_sat(assumptions, &self.model);
+                }
+                return SatResult::Sat;
+            };
+            self.stats.decisions += 1;
+            self.trail_lim.push(self.trail.len());
+            self.unchecked_enqueue(lit, None);
         }
     }
 
-    /// Convenience: solve without a theory.
-    pub fn solve_pure(&mut self) -> SatResult {
-        self.solve(&mut NoTheory)
-    }
-
-    /// Convenience: solve under assumptions without a theory.
-    pub fn solve_pure_assuming(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_with_assumptions(assumptions, &mut NoTheory)
+    /// Learns from the conflicting clause `confl` (found above decision
+    /// level zero): analyses it, backjumps, logs and attaches the learnt
+    /// clause and asserts its first literal.
+    fn learn_from(&mut self, confl: ClauseRef) {
+        debug_assert!(
+            self.clause_lits(confl)
+                .iter()
+                .any(|l| self.level[l.var().index()] == self.decision_level()),
+            "a propagation conflict involves the current decision level"
+        );
+        self.bump_clause(confl);
+        // Seed the learnt clause's cone with the conflicting clause's;
+        // `analyze` unions in every resolved reason.
+        self.analyze_cone = self.clauses[confl.0 as usize].cone;
+        if self.proof.is_some() {
+            let pid = self.clauses[confl.0 as usize].pid;
+            self.analyze_hints.clear();
+            self.analyze_hints.push(pid);
+        }
+        let (learnt, bt_level) = self.analyze(confl);
+        self.cancel_until(bt_level);
+        let pid = match &mut self.proof {
+            Some(p) => {
+                let hints = std::mem::take(&mut self.analyze_hints);
+                p.log_derived(&learnt, hints)
+            }
+            None => 0,
+        };
+        if learnt.len() == 1 {
+            // Unit learnt clauses never join the clause DB (the enqueue is
+            // reason-less), but they are logged like any other derivation:
+            // the checker root-propagates them, which is exactly what this
+            // enqueue does.
+            self.unchecked_enqueue(learnt[0], None);
+        } else {
+            let cref = self.attach_clause(&learnt, true);
+            self.clauses[cref.0 as usize].pid = pid;
+            self.bump_clause(cref);
+            self.unchecked_enqueue(learnt[0], Some(cref));
+        }
+        self.var_inc /= VAR_DECAY;
+        self.clause_inc /= CLAUSE_DECAY;
+        if self.stats.conflicts.is_multiple_of(1000) {
+            self.max_learnts *= 1.1;
+        }
     }
 }
 
@@ -1494,7 +1318,7 @@ mod tests {
         let mut s = Solver::new();
         let vs = n_vars(&mut s, 2);
         s.add_clause(&lits(&vs, &[1, 2]));
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.model_value(vs[0]) || s.model_value(vs[1]));
     }
 
@@ -1504,14 +1328,14 @@ mod tests {
         let vs = n_vars(&mut s, 1);
         s.add_clause(&lits(&vs, &[1]));
         s.add_clause(&lits(&vs, &[-1]));
-        assert_eq!(s.solve_pure(), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
     fn empty_clause_unsat() {
         let mut s = Solver::new();
         assert!(!s.add_clause(&[]));
-        assert_eq!(s.solve_pure(), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -1522,7 +1346,7 @@ mod tests {
         s.add_clause(&lits(&vs, &[-1, 2]));
         s.add_clause(&lits(&vs, &[-2, 3]));
         s.add_clause(&lits(&vs, &[-3, 4]));
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         for v in vs {
             assert!(s.model_value(v));
         }
@@ -1533,7 +1357,7 @@ mod tests {
         let mut s = Solver::new();
         let vs = n_vars(&mut s, 1);
         assert!(s.add_clause(&lits(&vs, &[1, -1])));
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     /// Pigeonhole principle: n+1 pigeons into n holes is UNSAT and requires
@@ -1561,7 +1385,7 @@ mod tests {
     fn pigeonhole_unsat() {
         for n in 2..=6 {
             let mut s = pigeonhole(n);
-            assert_eq!(s.solve_pure(), SatResult::Unsat, "php({n})");
+            assert_eq!(s.solve(), SatResult::Unsat, "php({n})");
         }
     }
 
@@ -1587,7 +1411,7 @@ mod tests {
                 s.add_clause(&[Lit::neg(v[i][c]), Lit::neg(v[j][c])]);
             }
         }
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         // Verify: each node exactly one colour, endpoints differ.
         let colour = |i: usize, s: &Solver| (0..k).find(|&c| s.model_value(v[i][c])).unwrap();
         for i in 0..n {
@@ -1606,7 +1430,7 @@ mod tests {
             s.add_clause(&[Lit::pos(v[i]), Lit::pos(v[j])]);
             s.add_clause(&[Lit::neg(v[i]), Lit::neg(v[j])]);
         }
-        assert_eq!(s.solve_pure(), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -1661,7 +1485,7 @@ mod tests {
             for cl in &clauses {
                 s.add_clause(&lits(&vs, cl));
             }
-            let got = s.solve_pure() == SatResult::Sat;
+            let got = s.solve() == SatResult::Sat;
             assert_eq!(got, brute, "round {round}: clauses {clauses:?}");
             if got {
                 // Check the model actually satisfies all clauses.
@@ -1687,12 +1511,12 @@ mod tests {
         let vs = n_vars(&mut s, 2);
         s.add_clause(&lits(&vs, &[1, 2])); // x ∨ y
         let a = lits(&vs, &[-1, -2]); // assume ¬x, ¬y
-        assert_eq!(s.solve_pure_assuming(&a), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&a), SatResult::Unsat);
         // Dropping one assumption restores satisfiability.
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[-1])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[-1])), SatResult::Sat);
         assert!(s.model_value(vs[1]), "y must carry the clause");
         // And the solver is still globally consistent.
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1702,12 +1526,12 @@ mod tests {
         let vs = n_vars(&mut s, 3); // g1, g2, x
         s.add_clause(&lits(&vs, &[-1, 3])); // g1 → x
         s.add_clause(&lits(&vs, &[-2, -3])); // g2 → ¬x
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[1, -2])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, -2])), SatResult::Sat);
         assert!(s.model_value(vs[2]));
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[2, -1])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[2, -1])), SatResult::Sat);
         assert!(!s.model_value(vs[2]));
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[1, 2])), SatResult::Unsat);
-        assert_eq!(s.solve_pure(), SatResult::Sat, "solver survives scenario UNSAT");
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, 2])), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Sat, "solver survives scenario UNSAT");
     }
 
     #[test]
@@ -1732,14 +1556,14 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
         let learnt_after_first = s.stats().learnt_clauses;
         let conflicts_after_first = s.stats().conflicts;
         assert!(learnt_after_first > 0, "pigeonhole forces real learning");
 
         // Second identical call: the learnt clauses are still there, so the
         // proof is found again with far less work.
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
         assert!(s.stats().learnt_clauses >= learnt_after_first, "no learnt state was reset");
         let second_call_conflicts = s.stats().conflicts - conflicts_after_first;
         assert!(
@@ -1752,9 +1576,9 @@ mod tests {
         // respect everything learnt (g must come out false only if forced —
         // here ¬g is implied by the formula being unsat under g only when g
         // was *assumed*, so both phases remain possible; just check SAT).
-        assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
         assert!(!s.model_value(g));
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1763,11 +1587,11 @@ mod tests {
         let vs = n_vars(&mut s, 2);
         s.add_clause(&lits(&vs, &[1, 2]));
         // Duplicate assumption is harmless.
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[1, 1])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, 1])), SatResult::Sat);
         // Directly contradictory assumptions are UNSAT without poisoning
         // the solver.
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[1, -1])), SatResult::Unsat);
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, -1])), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1776,8 +1600,8 @@ mod tests {
         let vs = n_vars(&mut s, 2);
         s.add_clause(&lits(&vs, &[1]));
         s.add_clause(&lits(&vs, &[-1]));
-        assert_eq!(s.solve_pure(), SatResult::Unsat);
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[2])), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[2])), SatResult::Unsat);
     }
 
     // ---- clause-arena garbage collection --------------------------------
@@ -1812,7 +1636,7 @@ mod tests {
         // every later verdict is unchanged.
         let mut s = Solver::new();
         let g = guarded_pigeonhole(&mut s, 5);
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
         assert!(s.stats().learnt_clauses > 0, "pigeonhole forces learning");
 
         let refs: Vec<ClauseRef> = s.learnt_refs.clone();
@@ -1838,9 +1662,9 @@ mod tests {
         assert_eq!(s.dead_lits, 0);
 
         // Search still behaves identically after the renumbering.
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
-        assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
-        assert_eq!(s.solve_pure(), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1853,7 +1677,7 @@ mod tests {
         // polarity that would still prune — must delete nothing.
         let mut s = Solver::new();
         let g = guarded_pigeonhole(&mut s, 5);
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
         let learnt_before = s.learnt_refs.len();
         assert!(learnt_before > 0, "pigeonhole forces learning");
         let tagged =
@@ -1876,8 +1700,8 @@ mod tests {
             }
         }
         // Verdicts unchanged: learnt clauses are redundant by construction.
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
-        assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
     }
 
     #[test]
@@ -1892,7 +1716,7 @@ mod tests {
         for (i, &g) in guards.iter().enumerate() {
             let mut assumptions = vec![Lit::pos(g)];
             assumptions.extend(guards.iter().take(i).map(|&h| Lit::neg(h)));
-            assert_eq!(s.solve_pure_assuming(&assumptions), SatResult::Unsat, "php {i}");
+            assert_eq!(s.solve_with_assumptions(&assumptions), SatResult::Unsat, "php {i}");
         }
         assert!(s.stats().deleted_clauses > 0, "low budget must force deletions");
         assert!(s.stats().arena_compactions >= 1, "the GC trigger must have fired");
@@ -1907,10 +1731,10 @@ mod tests {
         // Verdicts are stable on re-query, and the solver is still
         // globally consistent.
         for &g in &guards {
-            assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+            assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
         }
         let all_off: Vec<Lit> = guards.iter().map(|&g| Lit::neg(g)).collect();
-        assert_eq!(s.solve_pure_assuming(&all_off), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&all_off), SatResult::Sat);
     }
 
     #[test]
@@ -1931,7 +1755,7 @@ mod tests {
             let nc = 20 + (next() % 25) as usize;
             // A previous SAT call leaves its assignment in place; rewind
             // so the new clauses are added at decision level zero.
-            s.backtrack_to_base(&mut NoTheory);
+            s.backtrack_to_base();
             let g = s.new_var();
             let vs = n_vars(&mut s, nv);
             let clauses: Vec<Vec<i32>> = (0..nc)
@@ -1967,7 +1791,7 @@ mod tests {
             });
             let mut assumptions = vec![Lit::pos(g)];
             assumptions.extend(guards.iter().map(|&h| Lit::neg(h)));
-            let got = s.solve_pure_assuming(&assumptions) == SatResult::Sat;
+            let got = s.solve_with_assumptions(&assumptions) == SatResult::Sat;
             assert_eq!(got, brute, "round {round} diverged from brute force");
             // Compact while the satisfying assignment (and its reason
             // references) is still on the trail — the automatic trigger
@@ -2019,8 +1843,8 @@ mod tests {
         s.set_open_cone(Solver::cone_bit(2));
         let g2 = guarded_pigeonhole(&mut s, 4);
         s.set_open_cone(0);
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
-        assert_eq!(s.solve_pure_assuming(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
         (s, g1, g2)
     }
 
@@ -2055,12 +1879,12 @@ mod tests {
         assert_eq!(g1, g1b, "identical construction");
 
         let lit_deleted_before = by_lit.stats().deleted_clauses;
-        by_lit.backtrack_to_base(&mut NoTheory);
+        by_lit.backtrack_to_base();
         by_lit.forget_learnts_with(&[Lit::neg(g1)]);
         let lit_deleted = by_lit.stats().deleted_clauses - lit_deleted_before;
 
         let cone_deleted_before = by_cone.stats().deleted_clauses;
-        by_cone.backtrack_to_base(&mut NoTheory);
+        by_cone.backtrack_to_base();
         by_cone.forget_learnts_in_cones(Solver::cone_bit(1), &[Lit::neg(g1)]);
         let cone_deleted = by_cone.stats().deleted_clauses - cone_deleted_before;
 
@@ -2070,8 +1894,8 @@ mod tests {
              (cone {cone_deleted} vs literal {lit_deleted})"
         );
         // Verdicts survive the sharper forget.
-        assert_eq!(by_cone.solve_pure_assuming(&[Lit::pos(g1)]), SatResult::Unsat);
-        assert_eq!(by_cone.solve_pure_assuming(&[Lit::neg(g1)]), SatResult::Sat);
+        assert_eq!(by_cone.solve_with_assumptions(&[Lit::pos(g1)]), SatResult::Unsat);
+        assert_eq!(by_cone.solve_with_assumptions(&[Lit::neg(g1)]), SatResult::Sat);
     }
 
     #[test]
@@ -2091,7 +1915,7 @@ mod tests {
         for round in 0..24u32 {
             let nv = 5 + (next() % 5) as usize; // 5..=9 vars
             let nc = 15 + (next() % 20) as usize;
-            s.backtrack_to_base(&mut NoTheory);
+            s.backtrack_to_base();
             if let Some((prev_g, ..)) = rounds.last() {
                 // The previous round is deselected for good: forget its
                 // cone and its satisfied guard literal.
@@ -2134,7 +1958,7 @@ mod tests {
             });
             let mut assumptions = vec![Lit::pos(g)];
             assumptions.extend(rounds.iter().map(|(h, ..)| Lit::neg(*h)));
-            let got = s.solve_pure_assuming(&assumptions) == SatResult::Sat;
+            let got = s.solve_with_assumptions(&assumptions) == SatResult::Sat;
             assert_eq!(got, brute, "round {round} diverged from brute force after cone forget");
             rounds.push((g, brute, clauses, vs));
         }
@@ -2148,7 +1972,7 @@ mod tests {
             assumptions.extend(
                 guards.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, h)| Lit::neg(*h)),
             );
-            let got = s.solve_pure_assuming(&assumptions) == SatResult::Sat;
+            let got = s.solve_with_assumptions(&assumptions) == SatResult::Sat;
             assert_eq!(got, *brute, "revisited round {i} diverged after its cone was forgotten");
         }
     }
@@ -2158,13 +1982,13 @@ mod tests {
         let mut s = Solver::new();
         let vs = n_vars(&mut s, 3);
         s.add_clause(&lits(&vs, &[1, 2]));
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[-1])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[-1])), SatResult::Sat);
         // New clause after a SAT call (solver auto-rewinds to level 0 on
         // the next call; rewind eagerly here to add at level 0).
-        s.backtrack_to_base(&mut NoTheory);
+        s.backtrack_to_base();
         s.add_clause(&lits(&vs, &[-2, 3]));
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[-1, -3])), SatResult::Unsat);
-        assert_eq!(s.solve_pure_assuming(&lits(&vs, &[-1])), SatResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[-1, -3])), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[-1])), SatResult::Sat);
         assert!(s.model_value(vs[1]) && s.model_value(vs[2]));
     }
 }

@@ -1,11 +1,11 @@
 //! The user-facing solver context.
 //!
 //! [`Context`] owns a [`TermPool`] and a list of assertions; [`Context::check`]
-//! lowers everything to CNF (+ theory atoms), runs the CDCL(T) search and, on
-//! SAT, stores a [`Model`] that can be queried for any term.
+//! lowers everything to CNF, runs the CDCL search and, on SAT, stores a
+//! [`Model`] that can be queried for any term.
 //!
-//! The context is **incremental**: the CDCL solver, the EUF engine and the
-//! Tseitin/bit-blast caches live as long as the context. Each check lowers
+//! The context is **incremental**: the CDCL solver and the Tseitin/bit-blast
+//! caches live as long as the context. Each check lowers
 //! only the assertions added since the previous one, and
 //! [`Context::check_assuming`] decides satisfiability under a set of
 //! assumption literals without committing them — the idiom behind the VMN
@@ -13,12 +13,10 @@
 //! closely-related queries share one learnt-clause database.
 
 use crate::blast::{BlastCaches, Blaster};
-use crate::euf::Euf;
 use crate::model::{Model, Value};
 use crate::sat::{Lit, SatResult as CoreResult, Solver, SolverStats};
-use crate::simplify::lower_atom_ites;
-use crate::sorts::{Sort, SortStore};
-use crate::term::{FuncId, TermId, TermPool};
+use crate::sorts::Sort;
+use crate::term::{TermId, TermPool};
 use std::collections::HashMap;
 
 /// Outcome of a [`Context::check`] call.
@@ -33,7 +31,6 @@ pub enum SatResult {
 /// An SMT solving context: terms, assertions and check/model state.
 pub struct Context {
     pool: TermPool,
-    sorts: SortStore,
     assertions: Vec<TermId>,
     /// Cone bitmask per assertion (parallel to `assertions`): the cones
     /// open (via [`Context::begin_cone`]) when the assertion was added.
@@ -51,17 +48,11 @@ pub struct Context {
     /// Persistent CDCL core; learnt clauses, activities and phases carry
     /// over between checks.
     sat: Solver,
-    /// Persistent congruence-closure theory; rewound to its base state
-    /// between checks, reopened for registration as needed.
-    euf: Euf,
     /// Tseitin/bit-blast caches from previous checks (`None` before the
     /// first check).
     caches: Option<BlastCaches>,
     /// Number of assertions already lowered into the solver.
     lowered_upto: usize,
-    /// Memoised atom-ITE lowering of assumption terms (their definitional
-    /// side constraints are asserted exactly once).
-    assumption_cache: HashMap<TermId, TermId>,
     /// Cumulative conflict count at the last
     /// [`Context::reset_search_state`] (0 if never reset) — the watermark
     /// behind [`Context::conflicts_since_search_reset`].
@@ -78,7 +69,6 @@ impl Context {
     pub fn new() -> Context {
         Context {
             pool: TermPool::new(),
-            sorts: SortStore::new(),
             assertions: Vec::new(),
             assertion_cones: Vec::new(),
             open_cone: 0,
@@ -86,10 +76,8 @@ impl Context {
             stats: SolverStats::default(),
             last_check: SolverStats::default(),
             sat: Solver::new(),
-            euf: Euf::new(),
             caches: None,
             lowered_upto: 0,
-            assumption_cache: HashMap::new(),
             search_reset_conflicts: 0,
         }
     }
@@ -100,14 +88,6 @@ impl Context {
 
     pub fn pool_mut(&mut self) -> &mut TermPool {
         &mut self.pool
-    }
-
-    pub fn sorts(&self) -> &SortStore {
-        &self.sorts
-    }
-
-    pub fn sorts_mut(&mut self) -> &mut SortStore {
-        &mut self.sorts
     }
 
     /// Solver statistics, cumulative over every check this context ran
@@ -176,14 +156,6 @@ impl Context {
         self.pool.var(name, sort)
     }
 
-    pub fn declare_fun(&mut self, name: impl Into<String>, args: &[Sort], ret: Sort) -> FuncId {
-        self.pool.declare_fun(name, args, ret)
-    }
-
-    pub fn apply(&mut self, f: FuncId, args: &[TermId]) -> TermId {
-        self.pool.apply(f, args)
-    }
-
     pub fn not(&mut self, a: TermId) -> TermId {
         self.pool.not(a)
     }
@@ -206,17 +178,6 @@ impl Context {
 
     pub fn eq(&mut self, a: TermId, b: TermId) -> TermId {
         self.pool.eq(a, b)
-    }
-
-    pub fn distinct(&mut self, xs: &[TermId]) -> TermId {
-        let mut clauses = Vec::new();
-        for i in 0..xs.len() {
-            for j in (i + 1)..xs.len() {
-                let e = self.pool.eq(xs[i], xs[j]);
-                clauses.push(self.pool.not(e));
-            }
-        }
-        self.pool.and(&clauses)
     }
 
     pub fn ite(&mut self, c: TermId, t: TermId, e: TermId) -> TermId {
@@ -292,60 +253,31 @@ impl Context {
         self.model = None;
         let stats_before = self.sat.stats();
         // Rewind to the base level: drops the previous call's assignment
-        // (theory included) so that clause and term additions are legal.
-        self.sat.backtrack_to_base(&mut self.euf);
-        self.euf.unseal();
-
-        // Lower atom-sorted ITEs (needs &mut pool, so done before
-        // blasting) — for the new assertions and the assumption terms.
-        let pending: Vec<(TermId, u64)> = self.assertions[self.lowered_upto..]
-            .iter()
-            .copied()
-            .zip(self.assertion_cones[self.lowered_upto..].iter().copied())
-            .collect();
-        self.lowered_upto = self.assertions.len();
-        let mut lowered = Vec::with_capacity(pending.len());
-        for (t, cone) in pending {
-            let (t2, side) = lower_atom_ites(&mut self.pool, t);
-            lowered.push((t2, cone));
-            // Definitional side constraints share their assertion's cone.
-            lowered.extend(side.into_iter().map(|s| (s, cone)));
-        }
-        let mut assumption_terms = Vec::with_capacity(assumptions.len());
-        for &t in assumptions {
-            assert!(self.pool.sort(t).is_bool(), "assumptions must be boolean");
-            let t2 = match self.assumption_cache.get(&t) {
-                Some(&t2) => t2,
-                None => {
-                    let (t2, side) = lower_atom_ites(&mut self.pool, t);
-                    // Side constraints are definitional (fresh-variable
-                    // bindings), so asserting them permanently is sound;
-                    // the memo keeps repeated checks on the same
-                    // assumption from minting fresh variables each time.
-                    // They carry no cone: activation plumbing outlives any
-                    // one sub-query.
-                    lowered.extend(side.into_iter().map(|s| (s, 0)));
-                    self.assumption_cache.insert(t, t2);
-                    t2
-                }
-            };
-            assumption_terms.push(t2);
-        }
+        // so that clause additions are legal.
+        self.sat.backtrack_to_base();
 
         let mut blaster = match self.caches.take() {
-            Some(c) => Blaster::resume(&self.pool, &mut self.sat, &mut self.euf, c),
-            None => Blaster::new(&self.pool, &mut self.sat, &mut self.euf),
+            Some(c) => Blaster::resume(&self.pool, &mut self.sat, c),
+            None => Blaster::new(&self.pool, &mut self.sat),
         };
-        for &(t, cone) in &lowered {
-            blaster.set_open_cone(cone);
-            blaster.assert_true(t);
+        // Lower the assertions added since the previous check, each under
+        // its own cone.
+        for i in self.lowered_upto..self.assertions.len() {
+            blaster.set_open_cone(self.assertion_cones[i]);
+            blaster.assert_true(self.assertions[i]);
         }
+        self.lowered_upto = self.assertions.len();
         blaster.set_open_cone(0);
-        let assumption_lits: Vec<Lit> =
-            assumption_terms.iter().map(|&t| blaster.lit_of(t)).collect();
+        let assumption_lits: Vec<Lit> = assumptions
+            .iter()
+            .map(|&t| {
+                assert!(self.pool.sort(t).is_bool(), "assumptions must be boolean");
+                blaster.lit_of(t)
+            })
+            .collect();
         let caches = blaster.into_caches();
 
-        let result = self.sat.solve_with_assumptions(&assumption_lits, &mut self.euf);
+        let result = self.sat.solve_with_assumptions(&assumption_lits);
         self.stats = self.sat.stats();
         self.last_check = self.stats.delta_since(&stats_before);
         let out = match result {
@@ -364,31 +296,8 @@ impl Context {
                         values.insert(t, Value::Bv(v));
                     }
                 }
-                // Atom-sorted terms take their EUF congruence class (read
-                // before the rewind below erases the classes).
-                for idx in 0..self.pool.len() {
-                    let t = TermId(idx as u32);
-                    if self.pool.sort(t).is_atom() {
-                        if let Some(c) = self.euf.class_of(t) {
-                            values.insert(t, Value::Class(c));
-                        }
-                    }
-                }
-                // Seed the model's fresh-class counter past every
-                // harvested EUF class id: an *unconstrained* atom-sorted
-                // term evaluated later must receive a class distinct from
-                // every constrained one, not a spurious alias of a real
-                // congruence class.
-                let next_fresh_class = values
-                    .values()
-                    .filter_map(|v| match v {
-                        Value::Class(c) => Some(c + 1),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
-                self.model = Some(Model::new(values, next_fresh_class));
-                self.sat.backtrack_to_base(&mut self.euf);
+                self.model = Some(Model::new(values));
+                self.sat.backtrack_to_base();
                 SatResult::Sat
             }
         };
@@ -425,7 +334,7 @@ impl Context {
         if dead.is_empty() && mask == 0 {
             return;
         }
-        self.sat.backtrack_to_base(&mut self.euf);
+        self.sat.backtrack_to_base();
         self.sat.forget_learnts_in_cones(mask, &dead);
     }
 
@@ -435,7 +344,7 @@ impl Context {
     /// to scrub the foreign search profile off a heavily-worn session
     /// before the next sub-query re-enters it.
     pub fn reset_search_state(&mut self) {
-        self.sat.backtrack_to_base(&mut self.euf);
+        self.sat.backtrack_to_base();
         self.sat.reset_search_state();
         self.search_reset_conflicts = self.sat.stats().conflicts;
     }
@@ -480,23 +389,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn doc_example_euf() {
-        let mut ctx = Context::new();
-        let pkt = ctx.sorts_mut().declare("Packet");
-        let p = ctx.fresh_const("p", pkt);
-        let q = ctx.fresh_const("q", pkt);
-        let malicious = ctx.declare_fun("malicious?", &[pkt], Sort::BOOL);
-        let mp = ctx.apply(malicious, &[p]);
-        let mq = ctx.apply(malicious, &[q]);
-        let same = ctx.eq(p, q);
-        let not_mq = ctx.not(mq);
-        ctx.assert(same);
-        ctx.assert(mp);
-        ctx.assert(not_mq);
-        assert_eq!(ctx.check(), SatResult::Unsat);
-    }
-
-    #[test]
     fn model_roundtrip_bv() {
         let mut ctx = Context::new();
         let x = ctx.fresh_const("x", Sort::bitvec(16));
@@ -508,33 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_constraint() {
-        let mut ctx = Context::new();
-        let u = ctx.sorts_mut().declare("U");
-        let xs: Vec<TermId> = (0..3).map(|i| ctx.fresh_const(format!("x{i}"), u)).collect();
-        let d = ctx.distinct(&xs);
-        ctx.assert(d);
-        assert_eq!(ctx.check(), SatResult::Sat);
-        let v: Vec<Value> = xs.iter().map(|&x| ctx.eval(x)).collect();
-        assert_ne!(v[0], v[1]);
-        assert_ne!(v[1], v[2]);
-        assert_ne!(v[0], v[2]);
-    }
-
-    #[test]
-    fn distinct_with_forced_equality_unsat() {
-        let mut ctx = Context::new();
-        let u = ctx.sorts_mut().declare("U");
-        let a = ctx.fresh_const("a", u);
-        let b = ctx.fresh_const("b", u);
-        let d = ctx.distinct(&[a, b]);
-        let e = ctx.eq(a, b);
-        ctx.assert(d);
-        ctx.assert(e);
-        assert_eq!(ctx.check(), SatResult::Unsat);
-    }
-
-    #[test]
     fn reuse_context_for_multiple_checks() {
         let mut ctx = Context::new();
         let x = ctx.fresh_const("x", Sort::Bool);
@@ -542,24 +407,6 @@ mod tests {
         assert_eq!(ctx.check(), SatResult::Sat);
         let nx = ctx.not(x);
         ctx.assert(nx);
-        assert_eq!(ctx.check(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn atom_ite_end_to_end() {
-        let mut ctx = Context::new();
-        let u = ctx.sorts_mut().declare("U");
-        let c = ctx.fresh_const("c", Sort::Bool);
-        let a = ctx.fresh_const("a", u);
-        let b = ctx.fresh_const("b", u);
-        let ite = ctx.ite(c, a, b);
-        // ite != a and ite != b forces contradiction.
-        let e1 = ctx.eq(ite, a);
-        let n1 = ctx.not(e1);
-        let e2 = ctx.eq(ite, b);
-        let n2 = ctx.not(e2);
-        ctx.assert(n1);
-        ctx.assert(n2);
         assert_eq!(ctx.check(), SatResult::Unsat);
     }
 
@@ -591,26 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn check_assuming_with_euf_atoms() {
-        let mut ctx = Context::new();
-        let u = ctx.sorts_mut().declare("U");
-        let a = ctx.fresh_const("a", u);
-        let b = ctx.fresh_const("b", u);
-        let f = ctx.declare_fun("f", &[u], u);
-        let fa = ctx.apply(f, &[a]);
-        let fb = ctx.apply(f, &[b]);
-        let ab = ctx.eq(a, b);
-        let fafb = ctx.eq(fa, fb);
-        let nfafb = ctx.not(fafb);
-        ctx.assert(ab);
-        for _ in 0..3 {
-            assert_eq!(ctx.check_assuming(&[nfafb]), SatResult::Unsat, "congruence under a=b");
-            assert_eq!(ctx.check_assuming(&[fafb]), SatResult::Sat);
-            assert_eq!(ctx.check(), SatResult::Sat);
-        }
-    }
-
-    #[test]
     fn assertions_between_assumption_checks() {
         let mut ctx = Context::new();
         let x = ctx.fresh_const("x", Sort::bitvec(4));
@@ -630,39 +457,6 @@ mod tests {
         assert_eq!(ctx.check_assuming(&[ng]), SatResult::Sat);
         assert!(ctx.eval_bv(x) >= 12);
         assert_eq!(ctx.check(), SatResult::Sat);
-    }
-
-    #[test]
-    fn unconstrained_atoms_never_alias_harvested_classes() {
-        // Regression: the model's fresh-class counter must be seeded past
-        // every class id harvested from the EUF engine, otherwise an
-        // unconstrained atom-sorted term evaluated later can be handed a
-        // class spuriously equal to a real congruence class.
-        let mut ctx = Context::new();
-        let u = ctx.sorts_mut().declare("U");
-        let a = ctx.fresh_const("a", u);
-        let b = ctx.fresh_const("b", u);
-        let c = ctx.fresh_const("c", u);
-        let d = ctx.fresh_const("d", u);
-        let nd = {
-            let e = ctx.eq(c, d);
-            ctx.not(e)
-        };
-        let ab = ctx.eq(a, b);
-        ctx.assert(ab);
-        ctx.assert(nd);
-        // Terms never mentioned in any assertion: no harvested value.
-        let frees: Vec<TermId> = (0..6).map(|i| ctx.fresh_const(format!("f{i}"), u)).collect();
-        assert_eq!(ctx.check(), SatResult::Sat);
-        let va = ctx.eval(a);
-        assert_eq!(va, ctx.eval(b), "constrained equality must harvest one class");
-        let constrained = [va, ctx.eval(c), ctx.eval(d)];
-        let mut seen: Vec<Value> = constrained.to_vec();
-        for &f in &frees {
-            let vf = ctx.eval(f);
-            assert!(!seen.contains(&vf), "unconstrained atom got class {vf:?}, aliasing {seen:?}");
-            seen.push(vf);
-        }
     }
 
     #[test]

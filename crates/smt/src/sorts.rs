@@ -1,14 +1,9 @@
 //! Sorts (types) of SMT terms.
 //!
-//! VMN needs three families of sorts: booleans, fixed-width bit-vectors
-//! (addresses, ports, header fields) and uninterpreted *atom* sorts
-//! (packet identities, node identities fed to classification oracles).
+//! The VMN encoder needs two: booleans and fixed-width bit-vectors
+//! (addresses, ports, node indices, header fields).
 
 use std::fmt;
-
-/// Identifier of a declared uninterpreted sort.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct SortId(pub u32);
 
 /// The sort of a term.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -17,13 +12,9 @@ pub enum Sort {
     Bool,
     /// Bit-vectors of the given positive width (≤ 64).
     BitVec(u32),
-    /// A declared uninterpreted sort.
-    Atom(SortId),
 }
 
 impl Sort {
-    pub const BOOL: Sort = Sort::Bool;
-
     /// Bit-vector sort of width `w`. Panics if `w` is zero or above 64;
     /// VMN header fields all fit in 64 bits.
     pub fn bitvec(w: u32) -> Sort {
@@ -41,10 +32,6 @@ impl Sort {
             _ => None,
         }
     }
-
-    pub fn is_atom(self) -> bool {
-        matches!(self, Sort::Atom(_))
-    }
 }
 
 impl fmt::Display for Sort {
@@ -52,60 +39,13 @@ impl fmt::Display for Sort {
         match self {
             Sort::Bool => write!(f, "Bool"),
             Sort::BitVec(w) => write!(f, "(BitVec {w})"),
-            Sort::Atom(id) => write!(f, "Atom#{}", id.0),
         }
-    }
-}
-
-/// Registry of declared uninterpreted sorts.
-#[derive(Default, Clone, Debug)]
-pub struct SortStore {
-    names: Vec<String>,
-}
-
-impl SortStore {
-    pub fn new() -> SortStore {
-        SortStore::default()
-    }
-
-    /// Declares a fresh uninterpreted sort and returns its [`Sort`].
-    pub fn declare(&mut self, name: impl Into<String>) -> Sort {
-        let id = SortId(self.names.len() as u32);
-        self.names.push(name.into());
-        Sort::Atom(id)
-    }
-
-    pub fn name(&self, id: SortId) -> &str {
-        &self.names[id.0 as usize]
-    }
-
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn declare_and_name() {
-        let mut s = SortStore::new();
-        let pkt = s.declare("Packet");
-        let node = s.declare("Node");
-        assert_ne!(pkt, node);
-        match (pkt, node) {
-            (Sort::Atom(a), Sort::Atom(b)) => {
-                assert_eq!(s.name(a), "Packet");
-                assert_eq!(s.name(b), "Node");
-            }
-            _ => panic!("expected atom sorts"),
-        }
-    }
 
     #[test]
     fn bitvec_widths() {

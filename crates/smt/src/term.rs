@@ -25,18 +25,6 @@ impl fmt::Debug for TermId {
     }
 }
 
-/// Identifier of a declared uninterpreted function or predicate.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct FuncId(pub u32);
-
-/// Signature of a declared uninterpreted function.
-#[derive(Clone, Debug)]
-pub struct FuncDecl {
-    pub name: String,
-    pub args: Vec<Sort>,
-    pub ret: Sort,
-}
-
 /// Term node. Boolean connectives are n-ary where natural; bit-vector
 /// operations cover what the VMN encoder needs (equality, extraction,
 /// unsigned comparison, if-then-else).
@@ -61,7 +49,7 @@ pub enum Term {
     /// Boolean equivalence (binary XNOR).
     Iff(TermId, TermId),
     Implies(TermId, TermId),
-    /// Equality; operands share any non-Bool sort.
+    /// Equality of two bit-vectors of equal width.
     Eq(TermId, TermId),
     /// If-then-else over booleans or bit-vectors.
     Ite {
@@ -77,13 +65,6 @@ pub enum Term {
         hi: u32,
         lo: u32,
     },
-    /// Uninterpreted function application. Result sort must be `Bool` or an
-    /// atom sort (bit-vector-valued functions are not supported; the VMN
-    /// encoder uses per-instance variables for header fields instead).
-    Apply {
-        func: FuncId,
-        args: Vec<TermId>,
-    },
 }
 
 /// Interner and sort-checker for terms.
@@ -94,7 +75,6 @@ pub struct TermPool {
     terms: Vec<Term>,
     sorts: Vec<Sort>,
     intern: HashMap<Term, TermId>,
-    funcs: Vec<FuncDecl>,
     next_var: u32,
     true_id: TermId,
     false_id: TermId,
@@ -106,7 +86,6 @@ impl TermPool {
             terms: Vec::new(),
             sorts: Vec::new(),
             intern: HashMap::new(),
-            funcs: Vec::new(),
             next_var: 0,
             true_id: TermId(0),
             false_id: TermId(0),
@@ -143,10 +122,6 @@ impl TermPool {
         false // the pool always holds `true` and `false`
     }
 
-    pub fn func(&self, f: FuncId) -> &FuncDecl {
-        &self.funcs[f.0 as usize]
-    }
-
     // ---- constructors -------------------------------------------------
 
     pub fn tru(&self) -> TermId {
@@ -178,39 +153,6 @@ impl TermPool {
         let id = self.next_var;
         self.next_var += 1;
         self.intern(Term::Var { name: name.into(), sort, id }, sort)
-    }
-
-    pub fn declare_fun(&mut self, name: impl Into<String>, args: &[Sort], ret: Sort) -> FuncId {
-        assert!(
-            ret.is_bool() || ret.is_atom(),
-            "uninterpreted functions must return Bool or an atom sort"
-        );
-        assert!(
-            args.iter().all(|s| s.is_atom()),
-            "uninterpreted function arguments must have atom sorts; \
-             bit-vector arguments would require theory combination"
-        );
-        let f = FuncId(self.funcs.len() as u32);
-        self.funcs.push(FuncDecl { name: name.into(), args: args.to_vec(), ret });
-        f
-    }
-
-    pub fn apply(&mut self, func: FuncId, args: &[TermId]) -> TermId {
-        // Borrow the declaration rather than cloning it (the name is a
-        // String; cloning it on every application was measurable on the
-        // encoder hot path).
-        let decl = &self.funcs[func.0 as usize];
-        assert_eq!(decl.args.len(), args.len(), "arity mismatch applying {}", decl.name);
-        let ret = decl.ret;
-        for (i, (&a, &expect)) in args.iter().zip(decl.args.iter()).enumerate() {
-            assert_eq!(
-                self.sorts[a.index()],
-                expect,
-                "argument {i} of {} has wrong sort",
-                decl.name
-            );
-        }
-        self.intern(Term::Apply { func, args: args.to_vec() }, ret)
     }
 
     pub fn not(&mut self, a: TermId) -> TermId {
@@ -439,11 +381,6 @@ impl TermPool {
             Term::BvExtract { arg, hi, lo } => {
                 format!("((extract {hi} {lo}) {})", self.display(*arg))
             }
-            Term::Apply { func, args } => {
-                let name = &self.funcs[func.0 as usize].name;
-                let inner: Vec<_> = args.iter().map(|&x| self.display(x)).collect();
-                format!("({name} {})", inner.join(" "))
-            }
         }
     }
 }
@@ -545,19 +482,6 @@ mod tests {
         let a = p.bv_const(1, 8);
         let b = p.bv_const(1, 16);
         p.eq(a, b);
-    }
-
-    #[test]
-    fn apply_checks_arity_and_sorts() {
-        let mut p = TermPool::new();
-        let mut sorts = crate::sorts::SortStore::new();
-        let pkt = sorts.declare("Packet");
-        let f = p.declare_fun("malicious?", &[pkt], Sort::Bool);
-        let x = p.var("p", pkt);
-        let app1 = p.apply(f, &[x]);
-        let app2 = p.apply(f, &[x]);
-        assert_eq!(app1, app2);
-        assert!(p.sort(app1).is_bool());
     }
 
     #[test]

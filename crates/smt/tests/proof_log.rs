@@ -7,7 +7,7 @@
 //! live clause set.
 
 use vmn_check::{check_bundle, BundleSummary, CertificateBundle, Outcome};
-use vmn_smt::sat::{NoTheory, SatResult, Solver};
+use vmn_smt::sat::{SatResult, Solver};
 use vmn_smt::{Lit, Var};
 
 /// A pigeonhole instance (`holes + 1` pigeons into `holes` holes,
@@ -55,14 +55,14 @@ fn proof_survives_reduce_db_and_compaction() {
     for (i, &g) in guards.iter().enumerate() {
         let mut assumptions = vec![Lit::pos(g)];
         assumptions.extend(guards.iter().take(i).map(|&h| Lit::neg(h)));
-        assert_eq!(s.solve_pure_assuming(&assumptions), SatResult::Unsat, "php {i}");
+        assert_eq!(s.solve_with_assumptions(&assumptions), SatResult::Unsat, "php {i}");
     }
     assert!(s.stats().deleted_clauses > 0, "low budget must force deletions");
     assert!(s.stats().arena_compactions >= 1, "the GC trigger must have fired");
 
     // The subsequent verdict after all that churn must still certify.
     let g0 = guards[0];
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g0)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g0)]), SatResult::Unsat);
     let summary = validate(&s, "reduce-db");
     assert_eq!(summary.unsat_checks, 7, "six sweep checks plus the post-GC one");
     assert_eq!(summary.sat_checks, 0);
@@ -75,11 +75,11 @@ fn proof_survives_explicit_compaction() {
     s.enable_proof();
     s.set_max_learnts(20.0);
     let g = guarded_php(&mut s, 5);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
-    s.backtrack_to_base(&mut NoTheory);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+    s.backtrack_to_base();
     s.forget_learnts_with(&[Lit::pos(g)]); // wrong polarity: deletes nothing
     s.compact_arena();
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
     let summary = validate(&s, "explicit-compaction");
     assert_eq!(summary.unsat_checks, 2);
 }
@@ -97,16 +97,16 @@ fn proof_survives_cone_forgetting() {
     let g2 = guarded_php(&mut s, 4);
     s.set_open_cone(0);
 
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
     let deleted_before = s.stats().deleted_clauses;
-    s.backtrack_to_base(&mut NoTheory);
+    s.backtrack_to_base();
     s.forget_learnts_in_cones(Solver::cone_bit(1), &[Lit::neg(g1)]);
     assert!(s.stats().deleted_clauses > deleted_before, "cone forget must delete lemmas");
 
     // Subsequent UNSAT verdicts — both for the surviving cone and for the
     // forgotten one (forcing re-derivation) — must certify.
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
     let summary = validate(&s, "cone-forget");
     assert_eq!(summary.unsat_checks, 3);
 }
@@ -118,12 +118,12 @@ fn proof_survives_search_reset() {
     let mut s = Solver::new();
     s.enable_proof();
     let g = guarded_php(&mut s, 5);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
     let steps_before = s.proof().unwrap().num_steps();
-    s.backtrack_to_base(&mut NoTheory);
+    s.backtrack_to_base();
     s.reset_search_state();
     assert_eq!(s.proof().unwrap().num_steps(), steps_before, "reset must not touch the log");
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
     let summary = validate(&s, "search-reset");
     assert_eq!(summary.unsat_checks, 2);
 }
@@ -133,9 +133,9 @@ fn sat_verdicts_carry_replayable_models() {
     let mut s = Solver::new();
     s.enable_proof();
     let g = guarded_php(&mut s, 4);
-    assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
-    assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
     let summary = validate(&s, "sat-models");
     assert_eq!(summary.sat_checks, 2);
     assert_eq!(summary.unsat_checks, 1);
@@ -150,10 +150,10 @@ fn per_check_slices_validate_independently() {
     s.enable_proof();
     let g1 = guarded_php(&mut s, 4);
     let g2 = guarded_php(&mut s, 4);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g1), Lit::neg(g2)]), SatResult::Unsat);
     let watermark = s.proof().unwrap().num_checks();
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
-    assert_eq!(s.solve_pure_assuming(&[Lit::neg(g1), Lit::neg(g2)]), SatResult::Sat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g2), Lit::neg(g1)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::neg(g1), Lit::neg(g2)]), SatResult::Sat);
 
     let tail = s.proof_session(watermark).expect("proof logging enabled");
     assert_eq!(tail.checks.len(), 2, "only the post-watermark checks");
@@ -172,7 +172,7 @@ fn mutated_certificate_is_rejected() {
     let mut s = Solver::new();
     s.enable_proof();
     let g = guarded_php(&mut s, 4);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
     let mut session = s.proof_session(0).unwrap();
     validate(&s, "pre-mutation");
     for check in &mut session.checks {
@@ -187,45 +187,13 @@ fn mutated_certificate_is_rejected() {
 }
 
 #[test]
-fn euf_theory_conflicts_certify_as_axioms() {
-    // A congruence-closure refutation: the theory conflict is not
-    // derivable from the CNF alone, so the engine logs it as an axiom
-    // and the checker treats it as part of the input. The surrounding
-    // propositional derivation must still be replayable.
-    use vmn_smt::{Context, SatResult as CtxResult, Sort};
-    let mut ctx = Context::new();
-    ctx.enable_proofs();
-    let pkt = ctx.sorts_mut().declare("Packet");
-    let p = ctx.fresh_const("p", pkt);
-    let q = ctx.fresh_const("q", pkt);
-    let malicious = ctx.declare_fun("malicious?", &[pkt], Sort::BOOL);
-    let mp = ctx.apply(malicious, &[p]);
-    let mq = ctx.apply(malicious, &[q]);
-    let same = ctx.eq(p, q);
-    let not_mq = ctx.not(mq);
-    ctx.assert(same);
-    ctx.assert(mp);
-    ctx.assert(not_mq);
-    assert_eq!(ctx.check(), CtxResult::Unsat);
-
-    let session = ctx.proof_session(0).expect("proofs enabled on the context");
-    assert!(
-        session.steps.iter().any(|st| matches!(st, vmn_check::ProofStep::Axiom { .. })),
-        "the congruence conflict must appear as a logged axiom"
-    );
-    let bundle = CertificateBundle { label: "euf".to_string(), sessions: vec![session] };
-    let summary = check_bundle(&bundle).expect("EUF certificate must check");
-    assert_eq!(summary.unsat_checks, 1);
-}
-
-#[test]
 fn certificates_roundtrip_through_text_format() {
     let mut s = Solver::new();
     s.enable_proof();
     s.set_max_learnts(20.0);
     let g = guarded_php(&mut s, 5);
-    assert_eq!(s.solve_pure_assuming(&[Lit::pos(g)]), SatResult::Unsat);
-    assert_eq!(s.solve_pure_assuming(&[Lit::neg(g)]), SatResult::Sat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+    assert_eq!(s.solve_with_assumptions(&[Lit::neg(g)]), SatResult::Sat);
     let bundle = CertificateBundle {
         label: "roundtrip".to_string(),
         sessions: vec![s.proof_session(0).unwrap()],

@@ -152,7 +152,12 @@ pub enum EncodeError {
     Net(NetError),
     /// The invariant references a node outside the encoded node set.
     NodeOutOfScope(NodeId),
+    /// The trace bound the slice asks for is outside `1..=MAX_TRACE_BOUND`.
+    TraceBound(usize),
 }
+
+/// Longest bounded trace the encoder builds.
+const MAX_TRACE_BOUND: usize = 62;
 
 impl From<NetError> for EncodeError {
     fn from(e: NetError) -> Self {
@@ -166,6 +171,9 @@ impl std::fmt::Display for EncodeError {
             EncodeError::Net(e) => write!(f, "network error: {e}"),
             EncodeError::NodeOutOfScope(n) => {
                 write!(f, "invariant references node {n:?} outside the slice")
+            }
+            EncodeError::TraceBound(k) => {
+                write!(f, "trace bound {k} is outside the supported range 1..={MAX_TRACE_BOUND}")
             }
         }
     }
@@ -250,7 +258,9 @@ pub struct Encoded {
 
 impl Encoded {
     fn new(net: &Network, nodes: &[NodeId], k: usize) -> Result<Encoded, EncodeError> {
-        assert!((1..=62).contains(&k), "trace bound {k} out of supported range");
+        if !(1..=MAX_TRACE_BOUND).contains(&k) {
+            return Err(EncodeError::TraceBound(k));
+        }
         let mut terminals: Vec<NodeId> =
             nodes.iter().copied().filter(|&n| net.topo.node(n).kind.is_terminal()).collect();
         terminals.sort();
@@ -1450,6 +1460,21 @@ mod encoder_tests {
             Err(e) => e,
         };
         assert!(matches!(err, EncodeError::NodeOutOfScope(n) if n == b));
+    }
+
+    #[test]
+    fn trace_bounds_beyond_the_maximum_are_an_error() {
+        let (net, a, b) = two_hosts();
+        assert!(encode_skeleton(&net, &[a, b], 62).is_ok());
+        for k in [0, 63] {
+            match encode_skeleton(&net, &[a, b], k) {
+                Err(EncodeError::TraceBound(got)) => assert_eq!(got, k),
+                Err(e) => panic!("bound {k}: unexpected error {e}"),
+                Ok(_) => panic!("bound {k} must be refused"),
+            }
+        }
+        let msg = EncodeError::TraceBound(65).to_string();
+        assert!(msg.contains("65") && msg.contains("62"), "{msg}");
     }
 
     #[test]

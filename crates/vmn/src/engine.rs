@@ -435,8 +435,8 @@ impl SessionPool {
 /// The verifier *owns* its network (behind an [`Arc`]), so long-lived
 /// holders — the `vmn serve` daemon — can apply configuration deltas by
 /// swapping a mutated network in with [`Verifier::swap_network`] while
-/// keeping every warmed solver session the delta's
-/// [`TouchSet`](vmn_analysis::TouchSet) proves untouched.
+/// keeping every warmed solver session the delta's [`TouchSet`] proves
+/// untouched.
 pub struct Verifier {
     net: Arc<Network>,
     options: VerifyOptions,

@@ -405,7 +405,7 @@ pub struct ModularContext {
     /// Declared contracts, already validated against the no-failure
     /// synthesis. Empty in auto mode.
     pub contracts: Vec<ModuleContract>,
-    cache: Mutex<HashMap<String, Arc<CrossMap>>>,
+    cache: Mutex<HashMap<FailureScenario, Arc<CrossMap>>>,
 }
 
 impl ModularContext {
@@ -560,20 +560,16 @@ impl ModularContext {
 
     /// The memoized per-scenario synthesis.
     pub fn cross_for(&self, net: &Network, scenario: &FailureScenario) -> Arc<CrossMap> {
-        let key = format!("{scenario:?}");
         let mut cache = match self.cache.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        cache.entry(key).or_insert_with(|| Arc::new(synthesize(net, scenario))).clone()
-    }
-
-    /// Drops all memoized syntheses (after a network swap).
-    pub fn clear_cache(&self) {
-        match self.cache.lock() {
-            Ok(mut g) => g.clear(),
-            Err(p) => p.into_inner().clear(),
+        if let Some(hit) = cache.get(scenario) {
+            return hit.clone();
         }
+        let cross = Arc::new(synthesize(net, scenario));
+        cache.insert(scenario.clone(), cross.clone());
+        cross
     }
 
     /// The contract fast path: `Some(())`-style `true` means the

@@ -333,7 +333,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Sizes accepted by [`vec`] (mirrors proptest's `SizeRange` inputs).
+    /// Sizes accepted by [`vec()`] (mirrors proptest's `SizeRange` inputs).
     pub trait IntoSizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }
