@@ -458,7 +458,12 @@ fn main() -> ExitCode {
     let holds = reports.iter().filter(|r| r.verdict.holds()).count();
     let inherited = reports.iter().filter(|r| r.inherited).count();
     let total: std::time::Duration = reports.iter().map(|r| r.elapsed).sum();
-    let conflicts: u64 = reports.iter().map(|r| r.solver.conflicts).sum();
+    // Search work and the size of the CNF it ran on (inherited reports
+    // carry zeroed solver statistics).
+    let sum = |field: fn(&vmn::Report) -> u64| -> u64 { reports.iter().map(field).sum() };
+    let conflicts = sum(|r| r.solver.conflicts);
+    let (vars, clauses, clause_lits) =
+        (sum(|r| r.solver.vars), sum(|r| r.solver.clauses), sum(|r| r.solver.clause_lits));
     // Per-backend query counts over the runs that actually executed
     // (inherited reports repeat their representative's counts).
     let direct = || reports.iter().filter(|r| !r.inherited);
@@ -473,7 +478,8 @@ fn main() -> ExitCode {
         };
         println!(
             "{} invariants: {} hold, {} violated, {} inherited by symmetry; \
-             solve time {total:?}, {conflicts} conflicts; \
+             solve time {total:?}, {conflicts} conflicts on \
+             {vars} vars / {clauses} clauses / {clause_lits} literals; \
              {smt_queries} smt / {bdd_queries} bdd{contracts} scenario queries",
             reports.len(),
             holds,

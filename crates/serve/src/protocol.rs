@@ -327,6 +327,53 @@ mod tests {
         assert_eq!(nets.len(), 1, "the earlier network is still loaded: {}", r.text);
     }
 
+    /// A client steered through a load balancer over `n` backends, and an
+    /// invariant whose slice contains the balancer.
+    fn lb_config(n: usize) -> String {
+        let backends: Vec<String> = (1..=n).map(|i| format!("10.0.0.{i}")).collect();
+        format!(
+            "host c 1.1.1.1\nhost s 10.0.0.1\nswitch sw\nlb l1 vip 10.0.0.100 backends {}\n\
+             link c sw\nlink s sw\nlink l1 sw\nautoroute\n\
+             steer sw from c 0.0.0.0/0 l1 prio 10\nverify node-isolation c -> s\n",
+            backends.join(",")
+        )
+    }
+
+    /// `StepVars::choice` indexes at most 16 backends: a 17th is an in-band
+    /// error naming the box, as is an empty list (a parse error with its
+    /// line); the network loaded before either keeps answering, and 16
+    /// backends verify.
+    #[test]
+    fn oversized_and_empty_lb_loads_are_errors_and_the_service_lives_on() {
+        let mut svc = Service::new(VerifyOptions::default());
+        let load = |svc: &mut Service, net: &str, config: &str| {
+            let line = format!(r#"{{"op":"load","net":"{net}","config":{}}}"#, Value::str(config));
+            let r = handle_line(svc, &line);
+            assert!(!r.shutdown);
+            let ok = json::parse(&r.text).unwrap().get("ok") == Some(&Value::Bool(true));
+            (ok, r.text)
+        };
+        assert!(load(&mut svc, "n", CONFIG).0);
+
+        let (ok, text) = load(&mut svc, "lb17", &lb_config(17));
+        assert!(!ok, "{text}");
+        assert!(text.contains("l1") && text.contains("17") && text.contains("16"), "{text}");
+
+        let empty = lb_config(1).replace("backends 10.0.0.1", "backends ,");
+        let (ok, text) = load(&mut svc, "lb0", &empty);
+        assert!(!ok, "{text}");
+        assert!(text.contains("line 4") && text.contains("backend"), "{text}");
+
+        let r = handle_line(&mut svc, r#"{"op":"status"}"#);
+        let v = json::parse(&r.text).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{}", r.text);
+        let nets = v.get("nets").and_then(Value::as_arr).unwrap();
+        assert_eq!(nets.len(), 1, "the earlier network is still loaded: {}", r.text);
+
+        let (ok, text) = load(&mut svc, "lb16", &lb_config(16));
+        assert!(ok, "{text}");
+    }
+
     #[test]
     fn serve_lines_runs_to_shutdown() {
         let mut svc = Service::new(VerifyOptions::default());

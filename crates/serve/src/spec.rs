@@ -506,6 +506,9 @@ pub fn build_model(
                 }
                 backends.push(t.parse().map_err(|e| err(line, format!("bad address {t:?}: {e}")))?);
             }
+            if backends.is_empty() {
+                return Err(err(line, "lb needs at least one backend address"));
+            }
             Ok(models::load_balancer(
                 kind,
                 vip.parse().map_err(|e| err(line, format!("bad vip: {e}")))?,
@@ -651,5 +654,9 @@ verify pipeline a -> b via idps
         let e = NetSpec::parse("nat n1 internal 10.0.0.0/8\n").expect_err("missing external");
         assert_eq!(e.line, 1);
         assert!(e.message.contains("external"));
+        let e = NetSpec::parse("host a 1.1.1.1\nlb l1 vip 10.0.0.100 backends ,\n")
+            .expect_err("empty backend list");
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("backend"), "{e}");
     }
 }

@@ -36,11 +36,15 @@ pub struct Model {
     values: HashMap<TermId, Value>,
 }
 
-impl Model {
-    pub(crate) fn new(values: HashMap<TermId, Value>) -> Model {
-        Model { values }
+/// A model that records exactly the given values; every other term is
+/// evaluated from them structurally.
+impl FromIterator<(TermId, Value)> for Model {
+    fn from_iter<I: IntoIterator<Item = (TermId, Value)>>(values: I) -> Model {
+        Model { values: values.into_iter().collect() }
     }
+}
 
+impl Model {
     /// Number of terms with recorded values.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -119,7 +123,7 @@ mod tests {
     fn recursive_eval_of_unseen_terms() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Sort::bitvec(8));
-        let mut m = Model::new([(x, Value::Bv(0xAB))].into_iter().collect());
+        let mut m: Model = [(x, Value::Bv(0xAB))].into_iter().collect();
         let hi = pool.bv_extract(x, 7, 4);
         assert_eq!(m.eval(&pool, hi), Value::Bv(0xA));
         let c = pool.bv_const(0xAB, 8);

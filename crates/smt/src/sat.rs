@@ -5,10 +5,52 @@
 //! variable activities with an indexed binary heap, phase saving, Luby
 //! restarts and activity-driven deletion of learnt clauses.
 //!
-//! Clause storage is a flat literal arena: every clause is a `(start, len)`
-//! window into one contiguous `Vec<Lit>` (a `u32` each), so the propagation
-//! hot path walks cache-friendly memory and adding a clause performs no
-//! per-clause allocation.
+//! # Clause storage
+//!
+//! Every clause lives in one flat `Vec<u32>` arena, and a clause reference
+//! is the offset of its record:
+//!
+//! ```text
+//! [len << 2 | learnt << 1 | deleted] [lit 0] .. [lit len-1] [cone lo] [cone hi]
+//!     (+ [proof id]                    when proof logging is on)
+//!     (+ [activity lo] [activity hi]   for a learnt clause)
+//! ```
+//!
+//! The header and the literals — all unit propagation reads — are
+//! adjacent, so visiting a clause is one cache line, and an original
+//! clause costs three words beyond its literals. There is no per-clause
+//! side table. A watch is `(offset, blocker)`; for a binary clause the
+//! blocker *is* the other literal and a flag in the offset word says so,
+//! so the watch loop decides binary clauses without touching the arena.
+//! Assignments are stored per *literal*: `value(lit)` is one load.
+//!
+//! # What the search trace depends on
+//!
+//! The decision sequence is a function of watch-list order, of the
+//! literal order inside each clause, of which watch `swap_remove` moves
+//! where, and of *when* the arena is compacted (compaction drops dead
+//! watches eagerly, the watch loop drops them lazily and in a different
+//! order). A change of representation must keep all four:
+//!
+//! * watches are appended in attach order and a watch that moves to
+//!   another literal is `swap_remove`d from its list;
+//! * `add_clause` stores its literals sorted, so the two smallest
+//!   undecided ones are the watches;
+//! * a deleted clause's watch is removed the first time the loop
+//!   reaches it with a blocker that is not true. A binary clause's
+//!   watches are tombstoned when the clause is deleted — the loop never
+//!   reads its header — and removed at that same moment;
+//! * the compaction trigger compares dead and total *literal* slots
+//!   (headers and tails are not counted), and compaction copies records
+//!   in arena order, which is creation order.
+//!
+//! The *order* of a binary clause's two arena slots matters to conflict
+//! analysis alone; the watch loop writes them as (other, falsified) when
+//! it reports the clause as a conflict, the order a longer clause has at
+//! that point. `tests::search_trace_is_pinned` holds all of this to
+//! exact counters.
+//!
+//! # Incremental solving
 //!
 //! The solver is **incremental**: [`Solver::solve_with_assumptions`] takes a
 //! set of literals that are enqueued as pseudo-decisions below all real
@@ -96,21 +138,11 @@ impl fmt::Debug for Lit {
 
 /// Three-valued assignment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
 pub enum LBool {
     True,
     False,
     Undef,
-}
-
-impl LBool {
-    #[inline]
-    fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
 }
 
 /// Result of a satisfiability call on the core.
@@ -120,38 +152,57 @@ pub enum SatResult {
     Unsat,
 }
 
+/// Offset of a clause record's header word in the arena (see the module
+/// docs for the record layout). [`Solver::compact_arena`] renumbers these.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-/// Per-clause metadata; the literals live in the shared arena at
-/// `arena[start .. start + len]`.
-struct ClauseMeta {
-    start: u32,
-    len: u32,
-    learnt: bool,
-    deleted: bool,
-    /// Activity for learnt-clause garbage collection.
-    activity: f64,
-    /// Cone membership bitmask (see [`Solver::set_open_cone`]): for an
-    /// original clause, the cones open when it was added; for a learnt
-    /// clause, the union over every clause resolved in its derivation —
-    /// so a learnt clause is tagged with every sub-query whose encoding
-    /// it (transitively) depends on. Tags ≥ 63 share the top bit, which
-    /// only ever causes sound over-forgetting of redundant clauses.
-    cone: u64,
-    /// Proof-log clause id (0 when proof logging is off). Unlike
-    /// [`ClauseRef`], which [`Solver::compact_arena`] renumbers, the proof
-    /// id is stable for the lifetime of the session — deletions and hints
-    /// in the log refer to it.
-    pid: ClauseId,
+impl ClauseRef {
+    #[inline]
+    fn at(self) -> usize {
+        self.0 as usize
+    }
 }
+
+/// Header flag: the clause is deleted; its record is dead weight until
+/// the next compaction.
+const DELETED: u32 = 1;
+/// Header flag: the clause is learnt (its record carries an activity).
+const LEARNT: u32 = 2;
+/// The length sits above the two header flags.
+const LEN_SHIFT: u32 = 2;
+/// Words of a record's tail that every clause has: the cone mask.
+const CONE_WORDS: usize = 2;
 
 #[derive(Clone, Copy)]
 struct Watch {
-    cref: ClauseRef,
+    /// Arena offset of the watched clause, with [`Watch::BINARY`] and
+    /// [`Watch::DEAD`] in the top bits.
+    tagged: u32,
     /// A literal of the clause other than the watched one; if it is already
-    /// true the clause is satisfied and we can skip inspecting it.
+    /// true the clause is satisfied and we can skip inspecting it. For a
+    /// binary clause it is the whole rest of the clause.
     blocker: Lit,
+}
+
+impl Watch {
+    /// The clause has two literals: `blocker` is the other one.
+    const BINARY: u32 = 1 << 31;
+    /// Tombstone of a deleted binary clause (longer clauses carry the
+    /// flag in their header, which the watch loop reads anyway).
+    const DEAD: u32 = 1 << 30;
+    /// Arena offsets must stay below the flag bits.
+    const MAX_OFFSET: usize = Self::DEAD as usize;
+
+    #[inline]
+    fn new(cref: ClauseRef, binary: bool, blocker: Lit) -> Watch {
+        Watch { tagged: cref.0 | if binary { Self::BINARY } else { 0 }, blocker }
+    }
+
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !(Self::BINARY | Self::DEAD))
+    }
 }
 
 /// Indexed max-heap over variable activities (the VSIDS order).
@@ -274,6 +325,16 @@ pub struct SolverStats {
     pub arena_compactions: u64,
     /// Literal slots reclaimed by arena compactions, cumulative.
     pub reclaimed_lits: u64,
+    /// Variables allocated — with `clauses` and `clause_lits`, the size
+    /// of the CNF the bit-blaster produced: the exact work counter of the
+    /// lowering phase.
+    pub vars: u64,
+    /// Original clauses stored (two or more literals after level-zero
+    /// simplification; units become assignments, satisfied clauses and
+    /// tautologies are dropped).
+    pub clauses: u64,
+    /// Literals of those clauses.
+    pub clause_lits: u64,
 }
 
 impl SolverStats {
@@ -289,6 +350,9 @@ impl SolverStats {
             deleted_clauses: self.deleted_clauses.saturating_sub(earlier.deleted_clauses),
             arena_compactions: self.arena_compactions.saturating_sub(earlier.arena_compactions),
             reclaimed_lits: self.reclaimed_lits.saturating_sub(earlier.reclaimed_lits),
+            vars: self.vars.saturating_sub(earlier.vars),
+            clauses: self.clauses.saturating_sub(earlier.clauses),
+            clause_lits: self.clause_lits.saturating_sub(earlier.clause_lits),
         }
     }
 }
@@ -305,6 +369,9 @@ impl std::ops::Add for SolverStats {
             deleted_clauses: self.deleted_clauses + o.deleted_clauses,
             arena_compactions: self.arena_compactions + o.arena_compactions,
             reclaimed_lits: self.reclaimed_lits + o.reclaimed_lits,
+            vars: self.vars + o.vars,
+            clauses: self.clauses + o.clauses,
+            clause_lits: self.clause_lits + o.clause_lits,
         }
     }
 }
@@ -423,11 +490,12 @@ impl ProofLog {
 /// state for subsequent calls; [`Solver::solve`] is the assumption-free
 /// call.
 pub struct Solver {
-    /// Flat clause storage: all literals of all clauses, contiguously.
-    arena: Vec<Lit>,
-    clauses: Vec<ClauseMeta>,
+    /// Flat clause storage: one record per clause (module docs).
+    arena: Vec<u32>,
     watches: Vec<Vec<Watch>>,
-    assigns: Vec<LBool>,
+    /// Value of every *literal* (`2 * var + sign`), so the watch loop
+    /// reads a literal's value with one load.
+    vals: Vec<LBool>,
     /// Saved phase per variable.
     polarity: Vec<bool>,
     level: Vec<u32>,
@@ -441,6 +509,8 @@ pub struct Solver {
     order: VarOrder,
     /// Scratch: seen markers for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch: the clause `add_clause` is normalising.
+    add_tmp: Vec<Lit>,
     /// False once an unconditional contradiction has been derived.
     ok: bool,
     stats: SolverStats,
@@ -452,6 +522,11 @@ pub struct Solver {
     /// Cone mask of the conflict clause currently under analysis; the
     /// learnt clause unions this with every resolved reason's mask.
     analyze_cone: u64,
+    /// Literal slots of all clause records, live and deleted. Headers and
+    /// tails are not counted: this and `dead_lits` are what the compaction
+    /// trigger compares, and the trigger's timing is part of the search
+    /// trace.
+    lit_slots: usize,
     /// Literal slots occupied by deleted clauses; once a large enough
     /// fraction of the arena is dead, `reduce_db` compacts it.
     dead_lits: usize,
@@ -477,9 +552,8 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             arena: Vec::new(),
-            clauses: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -491,12 +565,14 @@ impl Solver {
             clause_inc: 1.0,
             order: VarOrder::new(),
             seen: Vec::new(),
+            add_tmp: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
             learnt_refs: Vec::new(),
             max_learnts: 4000.0,
             open_cone: 0,
             analyze_cone: 0,
+            lit_slots: 0,
             dead_lits: 0,
             model: Vec::new(),
             proof: None,
@@ -507,13 +583,14 @@ impl Solver {
     /// Turns on proof logging for this solver's lifetime. Must be called
     /// before any clause is added, so the log is a self-contained account
     /// of the whole session; idempotent. Off by default — the only cost
-    /// when disabled is a branch per logging site.
+    /// when disabled is a branch per logging site. When on, every clause
+    /// record carries its proof id (one more word).
     pub fn enable_proof(&mut self) {
         if self.proof.is_some() {
             return;
         }
         assert!(
-            self.clauses.is_empty() && self.trail.is_empty(),
+            self.arena.is_empty() && self.trail.is_empty(),
             "proof logging must be enabled on a pristine solver"
         );
         self.proof = Some(ProofLog::new());
@@ -566,8 +643,9 @@ impl Solver {
 
     /// Allocates and returns a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.polarity.len() as u32);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.polarity.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -576,11 +654,12 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.insert(v, &self.activity);
+        self.stats.vars += 1;
         v
     }
 
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.polarity.len()
     }
 
     pub fn stats(&self) -> SolverStats {
@@ -589,11 +668,7 @@ impl Solver {
 
     #[inline]
     pub fn value(&self, lit: Lit) -> LBool {
-        match self.assigns[lit.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(!lit.is_neg()),
-            LBool::False => LBool::from_bool(lit.is_neg()),
-        }
+        self.vals[lit.index()]
     }
 
     /// Value of a variable in the most recent model. Meaningful only after
@@ -607,16 +682,127 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    /// Literals of a clause, as a slice of the arena.
+    // ---- clause records ----------------------------------------------------
+
     #[inline]
-    fn clause_lits(&self, cref: ClauseRef) -> &[Lit] {
-        let m = &self.clauses[cref.0 as usize];
-        &self.arena[m.start as usize..(m.start + m.len) as usize]
+    fn clause_len(&self, cref: ClauseRef) -> usize {
+        (self.arena[cref.at()] >> LEN_SHIFT) as usize
     }
 
     #[inline]
-    fn lit_at(&self, cref: ClauseRef, i: usize) -> Lit {
-        self.arena[self.clauses[cref.0 as usize].start as usize + i]
+    fn is_deleted(&self, cref: ClauseRef) -> bool {
+        self.arena[cref.at()] & DELETED != 0
+    }
+
+    /// Literals of a clause.
+    #[inline]
+    fn clause_lits(&self, cref: ClauseRef) -> impl Iterator<Item = Lit> + '_ {
+        let first = cref.at() + 1;
+        self.arena[first..first + self.clause_len(cref)].iter().map(|&w| Lit(w))
+    }
+
+    /// Words every record of this solver carries after its literals: the
+    /// cone mask, and the proof id when logging is on.
+    #[inline]
+    fn tail_words(&self) -> usize {
+        CONE_WORDS + self.proof.is_some() as usize
+    }
+
+    /// Total words of the record whose header is `header`.
+    #[inline]
+    fn record_words(&self, header: u32) -> usize {
+        let activity = if header & LEARNT != 0 { 2 } else { 0 };
+        1 + (header >> LEN_SHIFT) as usize + self.tail_words() + activity
+    }
+
+    /// Arena index of word `word` of the record's tail (what follows the
+    /// literals).
+    #[inline]
+    fn tail_at(&self, cref: ClauseRef, word: usize) -> usize {
+        cref.at() + 1 + self.clause_len(cref) + word
+    }
+
+    #[inline]
+    fn tail_u64(&self, cref: ClauseRef, word: usize) -> u64 {
+        let at = self.tail_at(cref, word);
+        self.arena[at] as u64 | (self.arena[at + 1] as u64) << 32
+    }
+
+    #[inline]
+    fn set_tail_u64(&mut self, cref: ClauseRef, word: usize, x: u64) {
+        let at = self.tail_at(cref, word);
+        self.arena[at] = x as u32;
+        self.arena[at + 1] = (x >> 32) as u32;
+    }
+
+    /// Cone membership bitmask (see [`Solver::set_open_cone`]): for an
+    /// original clause, the cones open when it was added; for a learnt
+    /// clause, the union over every clause resolved in its derivation —
+    /// so a learnt clause is tagged with every sub-query whose encoding
+    /// it (transitively) depends on.
+    #[inline]
+    fn cone(&self, cref: ClauseRef) -> u64 {
+        self.tail_u64(cref, 0)
+    }
+
+    /// Proof-log clause id (0 when proof logging is off). Unlike
+    /// [`ClauseRef`], which [`Solver::compact_arena`] renumbers, the proof
+    /// id is stable for the lifetime of the session — deletions and hints
+    /// in the log refer to it.
+    #[inline]
+    fn pid(&self, cref: ClauseRef) -> ClauseId {
+        if self.proof.is_some() {
+            self.arena[self.tail_at(cref, CONE_WORDS)]
+        } else {
+            0
+        }
+    }
+
+    /// Activity of a learnt clause, for learnt-clause garbage collection.
+    #[inline]
+    fn clause_activity(&self, cref: ClauseRef) -> f64 {
+        debug_assert!(self.arena[cref.at()] & LEARNT != 0);
+        f64::from_bits(self.tail_u64(cref, self.tail_words()))
+    }
+
+    #[inline]
+    fn set_clause_activity(&mut self, cref: ClauseRef, a: f64) {
+        self.set_tail_u64(cref, self.tail_words(), a.to_bits());
+    }
+
+    /// Whether the clause is the reason of one of its literals. A clause
+    /// of three or more literals can only be the reason of its first (the
+    /// watch loop moves the implied literal there); a binary clause's
+    /// slots are not reordered, so both are checked.
+    fn is_locked(&self, cref: ClauseRef) -> bool {
+        let checked = if self.clause_len(cref) == 2 { 2 } else { 1 };
+        self.clause_lits(cref)
+            .take(checked)
+            .any(|l| self.value(l) == LBool::True && self.reason[l.var().index()] == Some(cref))
+    }
+
+    /// Marks a clause deleted; its record stays behind until the next
+    /// compaction. The caller drops it from `learnt_refs`.
+    fn delete_clause(&mut self, cref: ClauseRef) {
+        let len = self.clause_len(cref);
+        self.arena[cref.at()] |= DELETED;
+        self.dead_lits += len;
+        self.stats.deleted_clauses += 1;
+        if len == 2 {
+            // The watch loop never reads a binary clause's header.
+            for k in 1..=2 {
+                let l = Lit(self.arena[cref.at() + k]);
+                for w in &mut self.watches[(!l).index()] {
+                    if w.cref() == cref {
+                        w.tagged |= Watch::DEAD;
+                    }
+                }
+            }
+        }
+        let pid = self.pid(cref);
+        if let Some(p) = &mut self.proof {
+            p.log_delete(pid);
+        }
     }
 
     /// Adds a clause. Returns `false` if the clause made the instance
@@ -634,65 +820,73 @@ impl Solver {
             Some(p) => p.log_input(lits),
             None => 0,
         };
-        // Normalise: drop duplicate and false literals, detect tautologies.
-        let mut cl: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
-            debug_assert!(l.var().index() < self.num_vars(), "literal references unknown var");
-            if sorted.binary_search(&!l).is_ok() {
-                return true; // tautology: contains l and !l
-            }
-            match self.value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => cl.push(l),
-            }
-        }
-        match cl.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(cl[0], None);
-                // Unit propagation here keeps level-0 implications tight.
-                if self.propagate().is_some() {
+        // Normalise in scratch: sort (the stored order, hence the choice of
+        // watches, is part of the search trace), drop duplicate and false
+        // literals, detect tautologies and satisfied clauses.
+        let mut cl = std::mem::take(&mut self.add_tmp);
+        cl.clear();
+        cl.extend_from_slice(lits);
+        cl.sort_unstable();
+        cl.dedup();
+        debug_assert!(cl.iter().all(|l| l.var().index() < self.num_vars()), "unknown var");
+        // Sorted, `l` and `!l` are neighbours.
+        let tautology = cl.windows(2).any(|w| w[0] == !w[1]);
+        let satisfied = cl.iter().any(|&l| self.value(l) == LBool::True);
+        let ok = if tautology || satisfied {
+            true
+        } else {
+            cl.retain(|&l| self.value(l) == LBool::Undef);
+            match cl.len() {
+                0 => {
                     self.ok = false;
+                    false
                 }
-                self.ok
+                1 => {
+                    self.unchecked_enqueue(cl[0], None);
+                    // Unit propagation here keeps level-0 implications tight.
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                    self.ok
+                }
+                _ => {
+                    self.attach_clause(&cl, false, pid);
+                    true
+                }
             }
-            _ => {
-                let cref = self.attach_clause(&cl, false);
-                self.clauses[cref.0 as usize].pid = pid;
-                true
-            }
-        }
+        };
+        self.add_tmp = cl;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, pid: ClauseId) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = ClauseRef(self.clauses.len() as u32);
-        let start = self.arena.len() as u32;
-        self.arena.extend_from_slice(lits);
-        self.clauses.push(ClauseMeta {
-            start,
-            len: lits.len() as u32,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            // Learnt clauses inherit the union of their derivation's cones
-            // (accumulated by `analyze`); originals take the open cone.
-            cone: if learnt { self.analyze_cone } else { self.open_cone },
-            // Callers patch in the proof id after attaching.
-            pid: 0,
-        });
-        self.watches[(!lits[0]).index()].push(Watch { cref, blocker: lits[1] });
-        self.watches[(!lits[1]).index()].push(Watch { cref, blocker: lits[0] });
+        // The watch flags live above the offset.
+        assert!(self.arena.len() < Watch::MAX_OFFSET, "clause arena full");
+        let cref = ClauseRef(self.arena.len() as u32);
+        let header = (lits.len() as u32) << LEN_SHIFT | if learnt { LEARNT } else { 0 };
+        // Learnt clauses inherit the union of their derivation's cones
+        // (accumulated by `analyze`); originals take the open cone.
+        let cone = if learnt { self.analyze_cone } else { self.open_cone };
+        self.arena.push(header);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.arena.extend([cone as u32, (cone >> 32) as u32]);
+        if self.proof.is_some() {
+            self.arena.push(pid);
+        }
+        if learnt {
+            self.arena.extend([0, 0]); // activity 0.0
+        }
+        self.lit_slots += lits.len();
+        let binary = lits.len() == 2;
+        self.watches[(!lits[0]).index()].push(Watch::new(cref, binary, lits[1]));
+        self.watches[(!lits[1]).index()].push(Watch::new(cref, binary, lits[0]));
         if learnt {
             self.learnt_refs.push(cref);
             self.stats.learnt_clauses += 1;
+        } else {
+            self.stats.clauses += 1;
+            self.stats.clause_lits += lits.len() as u64;
         }
         cref
     }
@@ -701,7 +895,8 @@ impl Solver {
     fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value(lit), LBool::Undef);
         let v = lit.var();
-        self.assigns[v.index()] = LBool::from_bool(!lit.is_neg());
+        self.vals[lit.index()] = LBool::True;
+        self.vals[(!lit).index()] = LBool::False;
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = reason;
         self.trail.push(lit);
@@ -727,48 +922,69 @@ impl Solver {
     fn propagate_lit(&mut self, lit: Lit) -> Option<ClauseRef> {
         self.stats.propagations += 1;
         let mut watches = std::mem::take(&mut self.watches[lit.index()]);
+        let false_lit = !lit;
         let mut i = 0;
         let mut conflict = None;
         'watches: while i < watches.len() {
             let w = watches[i];
-            if self.value(w.blocker) == LBool::True {
+            let blocker_value = self.vals[w.blocker.index()];
+            if blocker_value == LBool::True {
                 i += 1;
                 continue;
             }
-            let cref = w.cref;
-            let meta = &self.clauses[cref.0 as usize];
-            if meta.deleted {
+            if w.tagged & Watch::BINARY != 0 {
+                // The blocker is the rest of the clause: decided without
+                // touching the arena.
+                if w.tagged & Watch::DEAD != 0 {
+                    watches.swap_remove(i);
+                    continue;
+                }
+                i += 1;
+                let cref = w.cref();
+                if blocker_value == LBool::False {
+                    // Conflict analysis reads the literals from the arena.
+                    self.arena[cref.at() + 1] = w.blocker.0;
+                    self.arena[cref.at() + 2] = false_lit.0;
+                    conflict = Some(cref);
+                    break;
+                }
+                self.unchecked_enqueue(w.blocker, Some(cref));
+                continue;
+            }
+            let cref = w.cref();
+            let header = self.arena[cref.at()];
+            if header & DELETED != 0 {
                 watches.swap_remove(i);
                 continue;
             }
-            let start = meta.start as usize;
-            let len = meta.len as usize;
+            let first_at = cref.at() + 1;
+            let lits = &mut self.arena[first_at..first_at + (header >> LEN_SHIFT) as usize];
             // Make sure the false literal is at position 1.
-            let false_lit = !lit;
-            if self.arena[start] == false_lit {
-                self.arena.swap(start, start + 1);
+            if lits[0] == false_lit.0 {
+                lits.swap(0, 1);
             }
-            debug_assert_eq!(self.arena[start + 1], false_lit);
-            let first = self.arena[start];
-            if first != w.blocker && self.value(first) == LBool::True {
-                watches[i] = Watch { cref, blocker: first };
+            debug_assert_eq!(lits[1], false_lit.0);
+            let first = Lit(lits[0]);
+            let first_value = self.vals[first.index()];
+            if first != w.blocker && first_value == LBool::True {
+                watches[i].blocker = first;
                 i += 1;
                 continue;
             }
             // Look for a new literal to watch.
-            for k in 2..len {
-                let lk = self.arena[start + k];
-                if self.value(lk) != LBool::False {
-                    self.arena.swap(start + 1, start + k);
-                    self.watches[(!lk).index()].push(Watch { cref, blocker: first });
+            for k in 2..lits.len() {
+                let lk = Lit(lits[k]);
+                if self.vals[lk.index()] != LBool::False {
+                    lits.swap(1, k);
+                    self.watches[(!lk).index()].push(Watch::new(cref, false, first));
                     watches.swap_remove(i);
                     continue 'watches;
                 }
             }
             // Clause is unit or conflicting.
-            watches[i] = Watch { cref, blocker: first };
+            watches[i].blocker = first;
             i += 1;
-            if self.value(first) == LBool::False {
+            if first_value == LBool::False {
                 conflict = Some(cref);
                 break;
             }
@@ -797,14 +1013,15 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let cl = &mut self.clauses[cref.0 as usize];
-        if !cl.learnt {
+        if self.arena[cref.at()] & LEARNT == 0 {
             return;
         }
-        cl.activity += self.clause_inc;
-        if cl.activity > RESCALE_LIMIT {
-            for &r in &self.learnt_refs {
-                self.clauses[r.0 as usize].activity *= 1e-100;
+        let activity = self.clause_activity(cref) + self.clause_inc;
+        self.set_clause_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            for i in 0..self.learnt_refs.len() {
+                let r = self.learnt_refs[i];
+                self.set_clause_activity(r, self.clause_activity(r) * 1e-100);
             }
             self.clause_inc *= 1e-100;
         }
@@ -823,7 +1040,7 @@ impl Solver {
         let mut counter = 0usize;
         let p: Option<Lit>;
         let mut trail_idx = self.trail.len();
-        let mut reason_lits: Vec<Lit> = self.clause_lits(confl).to_vec();
+        let mut reason_lits: Vec<Lit> = self.clause_lits(confl).collect();
 
         loop {
             for &q in &reason_lits {
@@ -855,15 +1072,13 @@ impl Solver {
             }
             let cref = self.reason[v.index()].expect("non-decision must have a reason");
             self.bump_clause(cref);
-            self.analyze_cone |= self.clauses[cref.0 as usize].cone;
+            self.analyze_cone |= self.cone(cref);
             if self.proof.is_some() {
-                self.analyze_hints.push(self.clauses[cref.0 as usize].pid);
+                self.analyze_hints.push(self.pid(cref));
             }
-            // Skip the asserting literal itself (position 0 by invariant).
+            // Skip the asserting literal itself.
             reason_lits.clear();
-            let m = &self.clauses[cref.0 as usize];
-            let (s, l) = (m.start as usize, m.len as usize);
-            reason_lits.extend(self.arena[s..s + l].iter().copied().filter(|&q| q.var() != v));
+            reason_lits.extend(self.clause_lits(cref).filter(|&q| q.var() != v));
         }
         learnt[0] = !p.expect("found UIP");
 
@@ -877,9 +1092,9 @@ impl Solver {
             let redundant = i != 0 && self.redundant(l);
             if redundant {
                 let cref = self.reason[l.var().index()].expect("redundant literals have a reason");
-                self.analyze_cone |= self.clauses[cref.0 as usize].cone;
+                self.analyze_cone |= self.cone(cref);
                 if self.proof.is_some() {
-                    self.analyze_hints.push(self.clauses[cref.0 as usize].pid);
+                    self.analyze_hints.push(self.pid(cref));
                 }
             }
             keep.push(!redundant);
@@ -915,7 +1130,7 @@ impl Solver {
         let v = l.var();
         match self.reason[v.index()] {
             None => false,
-            Some(cref) => self.clause_lits(cref).iter().all(|&q| {
+            Some(cref) => self.clause_lits(cref).all(|q| {
                 q.var() == v || self.seen[q.var().index()] || self.level[q.var().index()] == 0
             }),
         }
@@ -929,7 +1144,8 @@ impl Solver {
         for i in (target..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[lit.index()] = LBool::Undef;
+            self.vals[(!lit).index()] = LBool::Undef;
             self.polarity[v.index()] = !lit.is_neg();
             self.reason[v.index()] = None;
             self.order.insert(v, &self.activity);
@@ -950,50 +1166,37 @@ impl Solver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.value(Lit::pos(v)) == LBool::Undef {
                 return Some(Lit::new(v, !self.polarity[v.index()]));
             }
         }
         None
     }
 
-    fn reduce_db(&mut self) {
-        let mut refs = std::mem::take(&mut self.learnt_refs);
-        refs.retain(|r| !self.clauses[r.0 as usize].deleted);
-        refs.sort_by(|a, b| {
-            let ca = self.clauses[a.0 as usize].activity;
-            let cb = self.clauses[b.0 as usize].activity;
-            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let locked: Vec<bool> = refs
-            .iter()
-            .map(|r| {
-                // Clause is a reason for its first literal.
-                let first = self.lit_at(*r, 0);
-                self.value(first) == LBool::True && self.reason[first.var().index()] == Some(*r)
-            })
-            .collect();
-        let limit = refs.len() / 2;
-        for (i, r) in refs.iter().enumerate() {
-            let short = self.clauses[r.0 as usize].len <= 2;
-            if i < limit && !locked[i] && !short {
-                self.clauses[r.0 as usize].deleted = true;
-                self.dead_lits += self.clauses[r.0 as usize].len as usize;
-                self.stats.deleted_clauses += 1;
-                let pid = self.clauses[r.0 as usize].pid;
-                if let Some(p) = &mut self.proof {
-                    p.log_delete(pid);
-                }
-            }
-        }
-        refs.retain(|r| !self.clauses[r.0 as usize].deleted);
-        self.learnt_refs = refs;
-        // Deleted clauses leave their literals behind in the arena; once a
-        // third of it is dead, copy the survivors into a fresh arena so
-        // very long incremental sessions stay memory-bounded.
-        if self.dead_lits * 3 >= self.arena.len() && self.arena.len() >= 1024 {
+    /// Compacts once a third of a non-trivial arena's literal slots is
+    /// dead, so very long incremental sessions stay memory-bounded.
+    fn compact_if_sparse(&mut self) {
+        if self.dead_lits * 3 >= self.lit_slots && self.lit_slots >= 1024 {
             self.compact_arena();
         }
+    }
+
+    fn reduce_db(&mut self) {
+        let mut refs = std::mem::take(&mut self.learnt_refs);
+        refs.sort_by(|&a, &b| {
+            let (ca, cb) = (self.clause_activity(a), self.clause_activity(b));
+            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let limit = refs.len() / 2;
+        for &r in &refs[..limit] {
+            // Binary clauses are kept: they cost nothing to propagate.
+            if self.clause_len(r) > 2 && !self.is_locked(r) {
+                self.delete_clause(r);
+            }
+        }
+        refs.retain(|&r| !self.is_deleted(r));
+        self.learnt_refs = refs;
+        self.compact_if_sparse();
     }
 
     /// Deletes every learnt clause containing one of the given literals
@@ -1027,30 +1230,17 @@ impl Solver {
             mark[l.index()] = true;
         }
         let mut refs = std::mem::take(&mut self.learnt_refs);
-        refs.retain(|r| {
-            let meta = &self.clauses[r.0 as usize];
-            let (s, l) = (meta.start as usize, meta.len as usize);
-            if meta.cone & cones == 0 && !self.arena[s..s + l].iter().any(|&q| mark[q.index()]) {
-                return true;
-            }
+        refs.retain(|&r| {
+            let stale = self.cone(r) & cones != 0 || self.clause_lits(r).any(|q| mark[q.index()]);
             // Locked clauses (reasons of assigned literals) must survive.
-            let first = self.arena[s];
-            if self.value(first) == LBool::True && self.reason[first.var().index()] == Some(*r) {
+            if !stale || self.is_locked(r) {
                 return true;
             }
-            self.clauses[r.0 as usize].deleted = true;
-            self.dead_lits += l;
-            self.stats.deleted_clauses += 1;
-            let pid = self.clauses[r.0 as usize].pid;
-            if let Some(p) = &mut self.proof {
-                p.log_delete(pid);
-            }
+            self.delete_clause(r);
             false
         });
         self.learnt_refs = refs;
-        if self.dead_lits * 3 >= self.arena.len() && self.arena.len() >= 1024 {
-            self.compact_arena();
-        }
+        self.compact_if_sparse();
     }
 
     /// Resets the search heuristics — EVSIDS activities, the branching
@@ -1076,73 +1266,65 @@ impl Solver {
         // next search starts from a cold, uniform order.
         for i in 0..self.num_vars() {
             let v = Var(i as u32);
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.value(Lit::pos(v)) == LBool::Undef {
                 self.order.insert(v, &self.activity);
             }
         }
     }
 
-    /// Current length of the clause arena in literal slots (live + dead).
-    /// Exposed so callers (and the GC tests) can observe that compaction
-    /// keeps long incremental sessions bounded.
+    /// Literal slots of the clause arena (live + dead; record headers and
+    /// tails not counted). Exposed so callers (and the GC tests) can
+    /// observe that compaction keeps long incremental sessions bounded.
     pub fn arena_len(&self) -> usize {
-        self.arena.len()
+        self.lit_slots
     }
 
     /// MiniSat-style clause garbage collection: copies every live clause
-    /// into a fresh arena, drops deleted ones, and remaps watch lists,
-    /// reason references and the learnt-clause index to the new
-    /// `ClauseRef` numbering.
+    /// record into a fresh arena, drops deleted ones, and remaps watch
+    /// lists, reason references and the learnt-clause index to the new
+    /// offsets.
     ///
-    /// Safe at any point of the search: clause literal windows are copied
-    /// verbatim (watched literals stay at positions 0 and 1), so the
-    /// two-watched-literal invariant and the trail's reason clauses carry
-    /// over unchanged. `reduce_db` never deletes a clause that is the
-    /// reason of an assigned literal, so every reason survives.
+    /// Safe at any point of the search: records are copied verbatim and in
+    /// arena order (watched literals stay at positions 0 and 1, watch
+    /// lists keep their order), so the two-watched-literal invariant and
+    /// the trail's reason clauses carry over unchanged. A clause that is
+    /// the reason of an assigned literal is never deleted, so every
+    /// reason survives.
     pub fn compact_arena(&mut self) {
-        let mut remap: Vec<u32> = vec![u32::MAX; self.clauses.len()];
-        let mut arena: Vec<Lit> =
-            Vec::with_capacity(self.arena.len().saturating_sub(self.dead_lits));
-        let mut clauses: Vec<ClauseMeta> = Vec::with_capacity(self.clauses.len());
-        for (i, m) in self.clauses.iter().enumerate() {
-            if m.deleted {
-                continue;
+        let mut old = std::mem::take(&mut self.arena);
+        let mut arena: Vec<u32> = Vec::with_capacity(old.len().saturating_sub(self.dead_lits));
+        let mut at = 0;
+        while at < old.len() {
+            let words = self.record_words(old[at]);
+            if old[at] & DELETED == 0 {
+                let moved_to = arena.len() as u32;
+                arena.extend_from_slice(&old[at..at + words]);
+                // Forwarding address, in the old record's first literal slot.
+                old[at + 1] = moved_to;
             }
-            remap[i] = clauses.len() as u32;
-            let start = arena.len() as u32;
-            arena.extend_from_slice(&self.arena[m.start as usize..(m.start + m.len) as usize]);
-            clauses.push(ClauseMeta {
-                start,
-                len: m.len,
-                learnt: m.learnt,
-                deleted: false,
-                activity: m.activity,
-                cone: m.cone,
-                // Proof ids are stable across compaction: the log (and its
-                // hints and deletions) never see the renumbered ClauseRefs.
-                pid: m.pid,
-            });
+            at += words;
         }
-        self.stats.reclaimed_lits += (self.arena.len() - arena.len()) as u64;
-        self.arena = arena;
-        self.clauses = clauses;
+        let forward = |cref: ClauseRef| -> Option<ClauseRef> {
+            (old[cref.at()] & DELETED == 0).then(|| ClauseRef(old[cref.at() + 1]))
+        };
         for list in &mut self.watches {
-            list.retain_mut(|w| {
-                let n = remap[w.cref.0 as usize];
-                w.cref = ClauseRef(n);
-                n != u32::MAX
+            list.retain_mut(|w| match forward(w.cref()) {
+                Some(moved) => {
+                    w.tagged = moved.0 | (w.tagged & Watch::BINARY);
+                    true
+                }
+                None => false,
             });
         }
         for cref in self.reason.iter_mut().flatten() {
-            let n = remap[cref.0 as usize];
-            debug_assert_ne!(n, u32::MAX, "a reason clause is locked and never deleted");
-            *cref = ClauseRef(n);
+            *cref = forward(*cref).expect("a reason clause is locked and never deleted");
         }
         for r in &mut self.learnt_refs {
-            let n = remap[r.0 as usize];
-            debug_assert_ne!(n, u32::MAX, "reduce_db drops deleted refs before compaction");
-            *r = ClauseRef(n);
+            *r = forward(*r).expect("deleted clauses leave the learnt index before compaction");
         }
+        self.arena = arena;
+        self.stats.reclaimed_lits += self.dead_lits as u64;
+        self.lit_slots -= self.dead_lits;
         self.dead_lits = 0;
         self.stats.arena_compactions += 1;
     }
@@ -1236,7 +1418,7 @@ impl Solver {
             let Some(lit) = next.or_else(|| self.pick_branch()) else {
                 // Full assignment and no conflict: a model.
                 self.model.clear();
-                self.model.extend(self.assigns.iter().map(|&a| a == LBool::True));
+                self.model.extend(self.vals.iter().step_by(2).map(|&a| a == LBool::True));
                 if let Some(p) = &mut self.proof {
                     p.record_sat(assumptions, &self.model);
                 }
@@ -1253,19 +1435,16 @@ impl Solver {
     /// clause and asserts its first literal.
     fn learn_from(&mut self, confl: ClauseRef) {
         debug_assert!(
-            self.clause_lits(confl)
-                .iter()
-                .any(|l| self.level[l.var().index()] == self.decision_level()),
+            self.clause_lits(confl).any(|l| self.level[l.var().index()] == self.decision_level()),
             "a propagation conflict involves the current decision level"
         );
         self.bump_clause(confl);
         // Seed the learnt clause's cone with the conflicting clause's;
         // `analyze` unions in every resolved reason.
-        self.analyze_cone = self.clauses[confl.0 as usize].cone;
+        self.analyze_cone = self.cone(confl);
         if self.proof.is_some() {
-            let pid = self.clauses[confl.0 as usize].pid;
             self.analyze_hints.clear();
-            self.analyze_hints.push(pid);
+            self.analyze_hints.push(self.pid(confl));
         }
         let (learnt, bt_level) = self.analyze(confl);
         self.cancel_until(bt_level);
@@ -1283,8 +1462,7 @@ impl Solver {
             // enqueue does.
             self.unchecked_enqueue(learnt[0], None);
         } else {
-            let cref = self.attach_clause(&learnt, true);
-            self.clauses[cref.0 as usize].pid = pid;
+            let cref = self.attach_clause(&learnt, true, pid);
             self.bump_clause(cref);
             self.unchecked_enqueue(learnt[0], Some(cref));
         }
@@ -1641,16 +1819,14 @@ mod tests {
 
         let refs: Vec<ClauseRef> = s.learnt_refs.clone();
         for r in refs.iter().step_by(2) {
-            let first = s.lit_at(*r, 0);
-            let locked = s.value(first) == LBool::True && s.reason[first.var().index()] == Some(*r);
-            if locked || s.clauses[r.0 as usize].len <= 2 {
+            if s.is_locked(*r) || s.clause_len(*r) <= 2 {
                 continue;
             }
-            s.clauses[r.0 as usize].deleted = true;
-            s.dead_lits += s.clauses[r.0 as usize].len as usize;
+            s.arena[r.at()] |= DELETED;
+            s.dead_lits += s.clause_len(*r);
         }
         let mut live = std::mem::take(&mut s.learnt_refs);
-        live.retain(|r| !s.clauses[r.0 as usize].deleted);
+        live.retain(|r| !s.is_deleted(*r));
         s.learnt_refs = live;
         assert!(s.dead_lits > 0, "some learnt clause must be deletable");
 
@@ -1681,7 +1857,7 @@ mod tests {
         let learnt_before = s.learnt_refs.len();
         assert!(learnt_before > 0, "pigeonhole forces learning");
         let tagged =
-            s.learnt_refs.iter().filter(|r| s.clause_lits(**r).contains(&Lit::neg(g))).count();
+            s.learnt_refs.iter().filter(|r| s.clause_lits(**r).any(|l| l == Lit::neg(g))).count();
         assert!(tagged > 0, "guard tagging must occur");
 
         s.forget_learnts_with(&[Lit::pos(g)]);
@@ -1691,12 +1867,8 @@ mod tests {
         // Every surviving ¬g-tagged clause must be locked (the reason of
         // a currently-assigned literal) — nothing else may linger.
         for r in &s.learnt_refs {
-            if s.clause_lits(*r).contains(&Lit::neg(g)) {
-                let first = s.lit_at(*r, 0);
-                assert!(
-                    s.value(first) == LBool::True && s.reason[first.var().index()] == Some(*r),
-                    "unlocked ¬g-tagged clause survived the forget"
-                );
+            if s.clause_lits(*r).any(|l| l == Lit::neg(g)) {
+                assert!(s.is_locked(*r), "unlocked ¬g-tagged clause survived the forget");
             }
         }
         // Verdicts unchanged: learnt clauses are redundant by construction.
@@ -1851,16 +2023,8 @@ mod tests {
     #[test]
     fn learnt_clauses_inherit_cones_of_their_derivation() {
         let (s, _, _) = two_cone_solver();
-        let cone1 = s
-            .learnt_refs
-            .iter()
-            .filter(|r| s.clauses[r.0 as usize].cone & Solver::cone_bit(1) != 0)
-            .count();
-        let cone2 = s
-            .learnt_refs
-            .iter()
-            .filter(|r| s.clauses[r.0 as usize].cone & Solver::cone_bit(2) != 0)
-            .count();
+        let cone1 = s.learnt_refs.iter().filter(|r| s.cone(**r) & Solver::cone_bit(1) != 0).count();
+        let cone2 = s.learnt_refs.iter().filter(|r| s.cone(**r) & Solver::cone_bit(2) != 0).count();
         assert!(cone1 > 0, "refuting the cone-1 pigeonhole must learn cone-1 lemmas");
         assert!(cone2 > 0, "refuting the cone-2 pigeonhole must learn cone-2 lemmas");
     }
@@ -1976,6 +2140,173 @@ mod tests {
             assert_eq!(got, *brute, "revisited round {i} diverged after its cone was forgotten");
         }
     }
+
+    #[test]
+    fn locked_binary_learnt_survives_forget_whichever_literal_it_implies() {
+        // (¬a ∨ b ∨ c) ∧ (¬a ∨ b ∨ ¬c) under a, ¬b learns the binary
+        // clause (b ∨ ¬a). The unit ¬b then makes it the level-zero
+        // reason of ¬a — its *second* literal: the watch loop decides a
+        // binary clause from the watch and does not move the implied
+        // literal to the front. It is locked all the same.
+        let mut s = Solver::new();
+        let vs = n_vars(&mut s, 3);
+        s.add_clause(&lits(&vs, &[-1, 2, 3]));
+        s.add_clause(&lits(&vs, &[-1, 2, -3]));
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, -2])), SatResult::Unsat);
+        let learnt = s.learnt_refs[0];
+        assert_eq!(s.clause_lits(learnt).collect::<Vec<_>>(), lits(&vs, &[2, -1]));
+        s.backtrack_to_base();
+        s.add_clause(&lits(&vs, &[-2]));
+        let not_a = Lit::neg(vs[0]);
+        assert_eq!(s.value(not_a), LBool::True);
+        assert_eq!(s.reason[vs[0].index()], Some(learnt));
+
+        s.forget_learnts_with(&[not_a]);
+        assert_eq!(s.learnt_refs, [learnt], "a reason clause must not be forgotten");
+        s.compact_arena(); // would panic on a dangling reason
+        assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn dead_binary_watch_is_dropped_when_the_loop_reaches_it() {
+        // Same learnt clause, not locked this time. Forgetting it leaves
+        // its two watches behind (the arena is too small to compact);
+        // the next propagation of `a` must drop the one it meets.
+        let mut s = Solver::new();
+        let vs = n_vars(&mut s, 3);
+        s.add_clause(&lits(&vs, &[-1, 2, 3]));
+        s.add_clause(&lits(&vs, &[-1, 2, -3]));
+        assert_eq!(s.solve_with_assumptions(&lits(&vs, &[1, -2])), SatResult::Unsat);
+        let a = Lit::pos(vs[0]);
+        let binary = |s: &Solver| {
+            s.watches[a.index()].iter().filter(|w| w.tagged & Watch::BINARY != 0).count()
+        };
+        assert_eq!(binary(&s), 1);
+        s.backtrack_to_base();
+        s.forget_learnts_with(&lits(&vs, &[2]));
+        assert!(s.learnt_refs.is_empty());
+        assert_eq!((binary(&s), s.stats().arena_compactions), (1, 0), "removal is lazy");
+        assert_eq!(s.solve_with_assumptions(&[a]), SatResult::Sat);
+        assert_eq!(binary(&s), 0);
+        assert!(s.model_value(vs[1]), "the original clauses still force b");
+    }
+
+    // ---- search-trace pin -------------------------------------------------
+
+    /// `(decisions, propagations, conflicts, learnt_clauses,
+    /// deleted_clauses, arena_compactions)` — the search trace as exact
+    /// counters.
+    fn trace(s: &Solver) -> [u64; 6] {
+        let st = s.stats();
+        [
+            st.decisions,
+            st.propagations,
+            st.conflicts,
+            st.learnt_clauses,
+            st.deleted_clauses,
+            st.arena_compactions,
+        ]
+    }
+
+    /// The clause store, watch loop and `add_clause` may change
+    /// representation, never behaviour: watch order, the literal order
+    /// inside a clause, `swap_remove` positions, the compaction trigger
+    /// and the compaction order are all part of the search trace. These
+    /// numbers were recorded before the arena rewrite (ISSUE 21) and must
+    /// not move — in debug and in release builds.
+    #[test]
+    fn search_trace_is_pinned() {
+        // Plain CDCL: conflicts, restarts, learnt clauses of every length.
+        let mut s = pigeonhole(7);
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(trace(&s), PINNED_PIGEONHOLE_7, "pigeonhole(7)");
+
+        // Seeded random 3-CNF near the threshold, summed over the battery
+        // (duplicate literals and tautologies exercise `add_clause`).
+        let mut state = 0x243F_6A88_85A3_08D3u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let mut sum = [0u64; 6];
+        let mut sat = 0;
+        for _ in 0..40 {
+            let nv = 70 + (next() % 41) as usize; // 70..=110 vars
+            let nc = nv * 17 / 4;
+            let mut s = Solver::new();
+            let vs = n_vars(&mut s, nv);
+            for _ in 0..nc {
+                let cl: Vec<i32> = (0..3)
+                    .map(|_| {
+                        let var = (next() % nv as u32) as i32 + 1;
+                        if next() % 2 == 0 {
+                            var
+                        } else {
+                            -var
+                        }
+                    })
+                    .collect();
+                s.add_clause(&lits(&vs, &cl));
+            }
+            sat += (s.solve() == SatResult::Sat) as u32;
+            for (acc, x) in sum.iter_mut().zip(trace(&s)) {
+                *acc += x;
+            }
+        }
+        assert_eq!((sat, sum), PINNED_RANDOM_3CNF, "random 3-CNF battery");
+
+        // One solver, eight guarded pigeonholes, a tiny learnt budget:
+        // `reduce_db`, lazy removal of deleted clauses' watches and
+        // `compact_arena` all run mid-search.
+        let mut s = Solver::new();
+        s.set_max_learnts(30.0);
+        let guards: Vec<Var> = (0..8).map(|_| guarded_pigeonhole(&mut s, 5)).collect();
+        for (i, &g) in guards.iter().enumerate() {
+            let mut assumptions = vec![Lit::pos(g)];
+            assumptions.extend(guards.iter().take(i).map(|&h| Lit::neg(h)));
+            assert_eq!(s.solve_with_assumptions(&assumptions), SatResult::Unsat);
+        }
+        for &g in &guards {
+            assert_eq!(s.solve_with_assumptions(&[Lit::pos(g)]), SatResult::Unsat);
+        }
+        assert_eq!(trace(&s), PINNED_LOW_BUDGET_SESSION, "low-budget session");
+
+        // Cone forgetting between solves: the first forget kills a small
+        // share of the arena (its watches, binary ones included, are
+        // removed lazily by the watch loop), the second a large one (the
+        // compaction trigger fires).
+        let mut s = Solver::new();
+        s.set_open_cone(Solver::cone_bit(1));
+        let abc = n_vars(&mut s, 3);
+        s.add_clause(&lits(&abc, &[-1, 2, 3]));
+        s.add_clause(&lits(&abc, &[-1, 2, -3]));
+        let g1 = tseitin_guarded_pigeonhole(&mut s, 5);
+        s.set_open_cone(Solver::cone_bit(2));
+        let g2 = guarded_pigeonhole(&mut s, 6);
+        s.set_open_cone(0);
+        let only1 = [Lit::pos(g1), Lit::neg(g2)];
+        let only2 = [Lit::pos(g2), Lit::neg(g1)];
+        // Learns the binary clause (b ∨ ¬a) inside cone 1.
+        assert_eq!(s.solve_with_assumptions(&lits(&abc, &[1, -2])), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&only1), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&only2), SatResult::Unsat);
+        s.backtrack_to_base();
+        s.forget_learnts_in_cones(Solver::cone_bit(1), &[Lit::neg(g1)]);
+        // Propagating `a` meets the dead binary clause's watch.
+        let a_then_2 = [Lit::pos(abc[0]), Lit::pos(g2), Lit::neg(g1)];
+        assert_eq!(s.solve_with_assumptions(&a_then_2), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&only1), SatResult::Unsat);
+        s.backtrack_to_base();
+        s.forget_learnts_in_cones(Solver::cone_bit(2), &[Lit::neg(g2)]);
+        assert_eq!(s.solve_with_assumptions(&only1), SatResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[Lit::neg(g1), Lit::neg(g2)]), SatResult::Sat);
+        assert_eq!(trace(&s), PINNED_CONE_FORGET_SESSION, "cone-forget session");
+    }
+
+    const PINNED_PIGEONHOLE_7: [u64; 6] = [4167, 45020, 3496, 3488, 0, 0];
+    const PINNED_RANDOM_3CNF: (u32, [u64; 6]) = (20, [8602, 155324, 6780, 6623, 0, 0]);
+    const PINNED_LOW_BUDGET_SESSION: [u64; 6] = [4121, 26801, 2063, 2055, 2022, 15];
+    const PINNED_CONE_FORGET_SESSION: [u64; 6] = [1371, 12512, 974, 972, 972, 1];
 
     #[test]
     fn clauses_can_be_added_between_assumption_calls() {

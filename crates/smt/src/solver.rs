@@ -17,7 +17,6 @@ use crate::model::{Model, Value};
 use crate::sat::{Lit, SatResult as CoreResult, Solver, SolverStats};
 use crate::sorts::Sort;
 use crate::term::{TermId, TermPool};
-use std::collections::HashMap;
 
 /// Outcome of a [`Context::check`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -230,6 +229,11 @@ impl Context {
         self.assertions.len()
     }
 
+    /// Every assertion made so far, in order.
+    pub fn assertions(&self) -> &[TermId] {
+        &self.assertions
+    }
+
     /// Decides satisfiability of the conjunction of all assertions.
     ///
     /// Incremental: only assertions added since the previous check are
@@ -285,18 +289,9 @@ impl Context {
             CoreResult::Sat => {
                 // Harvest values for every term the encoder saw, then drop
                 // the search assignment so the next call starts clean.
-                let mut values: HashMap<TermId, Value> = HashMap::new();
-                for t in caches.bool_terms() {
-                    if let Some(b) = caches.bool_value(&self.sat, t) {
-                        values.insert(t, Value::Bool(b));
-                    }
-                }
-                for t in caches.bv_terms() {
-                    if let Some(v) = caches.bv_value(&self.sat, t) {
-                        values.insert(t, Value::Bv(v));
-                    }
-                }
-                self.model = Some(Model::new(values));
+                let bools = caches.bool_values(&self.sat).map(|(t, b)| (t, Value::Bool(b)));
+                let bvs = caches.bv_values(&self.pool, &self.sat).map(|(t, v)| (t, Value::Bv(v)));
+                self.model = Some(bools.chain(bvs).collect());
                 self.sat.backtrack_to_base();
                 SatResult::Sat
             }

@@ -64,6 +64,38 @@ fn formula() -> impl Strategy<Value = F> {
     })
 }
 
+/// A bit-vector equality as the encoder asserts them under a guard: two
+/// variables, or a variable against a mux.
+fn equality() -> impl Strategy<Value = F> {
+    prop_oneof![
+        (0u8..4, 0u8..4).prop_map(|(a, b)| F::BvEq(a, b)),
+        (0u8..4, 0u8..4, 0u8..16, 0u8..4).prop_map(|(c, t, k, r)| F::IteEq { c, t, k, r }),
+    ]
+}
+
+/// What gets asserted: any formula, or the encoder's dominant top-level
+/// shape `g ⇒ (eq ∧ eq ∧ (a ∨ b))` — alone or beside `g` — which the
+/// blaster lowers by guard pushing: clauses under `¬g`, no literal for
+/// the equalities.
+fn root() -> impl Strategy<Value = F> {
+    let guarded = (0u8..4, equality(), equality(), formula(), formula(), any::<bool>()).prop_map(
+        |(g, e1, e2, a, b, guard_holds)| {
+            let body = F::And(
+                Box::new(F::And(Box::new(e1), Box::new(e2))),
+                Box::new(F::Or(Box::new(a), Box::new(b))),
+            );
+            let implication = F::Implies(Box::new(F::Var(g)), Box::new(body));
+            if guard_holds {
+                // Asserted beside its guard, so the pushed clauses bind.
+                F::And(Box::new(F::Var(g)), Box::new(implication))
+            } else {
+                implication
+            }
+        },
+    );
+    prop_oneof![formula(), guarded]
+}
+
 struct Env {
     bools: Vec<TermId>,
     bvs: Vec<TermId>,
@@ -154,7 +186,7 @@ proptest! {
 
     /// SAT answers come with models that really satisfy the assertion.
     #[test]
-    fn models_satisfy_assertions(f in formula()) {
+    fn models_satisfy_assertions(f in root()) {
         let mut ctx = Context::new();
         let env = env(&mut ctx);
         let t = build(&mut ctx, &f, &env);
@@ -173,7 +205,7 @@ proptest! {
     /// to the four booleans and the four 4-bit vectors (the constants in
     /// the leaves make the actual values matter, not just their order).
     #[test]
-    fn agrees_with_bruteforce(f in formula()) {
+    fn agrees_with_bruteforce(f in root()) {
         let mut ctx = Context::new();
         let env = env(&mut ctx);
         let t = build(&mut ctx, &f, &env);

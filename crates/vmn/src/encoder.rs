@@ -154,10 +154,21 @@ pub enum EncodeError {
     NodeOutOfScope(NodeId),
     /// The trace bound the slice asks for is outside `1..=MAX_TRACE_BOUND`.
     TraceBound(usize),
+    /// A middlebox in the slice rewrites the destination to one of
+    /// `count` addresses, outside `1..=MAX_BACKENDS`.
+    Backends {
+        mbox: String,
+        count: usize,
+    },
 }
 
 /// Longest bounded trace the encoder builds.
 const MAX_TRACE_BOUND: usize = 62;
+
+/// Width of [`StepVars::choice`], the index a `RewriteDstOneOf` picks its
+/// backend by — hence the longest backend list the encoder builds.
+const CHOICE_W: u32 = 4;
+const MAX_BACKENDS: usize = 1 << CHOICE_W;
 
 impl From<NetError> for EncodeError {
     fn from(e: NetError) -> Self {
@@ -175,6 +186,11 @@ impl std::fmt::Display for EncodeError {
             EncodeError::TraceBound(k) => {
                 write!(f, "trace bound {k} is outside the supported range 1..={MAX_TRACE_BOUND}")
             }
+            EncodeError::Backends { mbox, count } => write!(
+                f,
+                "middlebox {mbox:?} balances over {count} backends; \
+                 the encoder supports 1..={MAX_BACKENDS}"
+            ),
         }
     }
 }
@@ -277,6 +293,16 @@ impl Encoded {
             terminals.iter().copied().filter(|&n| net.topo.node(n).kind.is_host()).collect();
         let mboxes: Vec<NodeId> =
             terminals.iter().copied().filter(|&n| net.topo.node(n).kind.is_middlebox()).collect();
+        for &m in &mboxes {
+            for action in net.model(m).rules.iter().flat_map(|r| &r.actions) {
+                if let Action::RewriteDstOneOf(addrs) = action {
+                    if !(1..=MAX_BACKENDS).contains(&addrs.len()) {
+                        let mbox = net.topo.node(m).name.clone();
+                        return Err(EncodeError::Backends { mbox, count: addrs.len() });
+                    }
+                }
+            }
+        }
 
         let mut ctx = Context::new();
         let mut steps = Vec::with_capacity(k);
@@ -305,7 +331,7 @@ impl Encoded {
                 input,
                 delivered: ctx.fresh_const(format!("delivered@{t}"), Sort::bitvec(node_w)),
                 target: ctx.fresh_const(format!("target@{t}"), Sort::bitvec(step_w)),
-                choice: ctx.fresh_const(format!("choice@{t}"), Sort::bitvec(4)),
+                choice: ctx.fresh_const(format!("choice@{t}"), Sort::bitvec(CHOICE_W)),
                 fresh_port: ctx.fresh_const(format!("fresh_port@{t}"), Sort::bitvec(PORT_W)),
                 fresh_tag: ctx.fresh_const(format!("fresh_tag@{t}"), Sort::bitvec(TAG_W)),
             });
@@ -919,16 +945,17 @@ impl Encoded {
                     cur = FieldVars { dst: self.addr_const(*a), ..cur };
                 }
                 Action::RewriteDstOneOf(addrs) => {
-                    // dst := addrs[choice], choice constrained in range.
+                    // dst := addrs[choice], choice constrained in range
+                    // (`Encoded::new` checked that the list fits the index).
                     let n = addrs.len() as u64;
                     let choice = self.steps[t].choice;
-                    let max = self.ctx.bv_const(n - 1, 4);
+                    let max = self.ctx.bv_const(n - 1, CHOICE_W);
                     let in_range = self.ctx.bv_ule(choice, max);
                     let rule = self.ctx.implies(fired, in_range);
                     self.ctx.assert(rule);
                     let mut expr = self.addr_const(addrs[0]);
                     for (i, &a) in addrs.iter().enumerate().skip(1) {
-                        let ic = self.ctx.bv_const(i as u64, 4);
+                        let ic = self.ctx.bv_const(i as u64, CHOICE_W);
                         let is_i = self.ctx.eq(choice, ic);
                         let ac = self.addr_const(a);
                         expr = self.ctx.ite(is_i, ac, expr);
@@ -1448,6 +1475,56 @@ mod encoder_tests {
         let inv = Invariant::NodeIsolation { src: a, dst: b };
         let mut enc = encode(&net, &failed, &[a, b], &inv, 4).unwrap();
         assert_eq!(enc.ctx.check(), SatResult::Unsat, "failed hosts send nothing");
+    }
+
+    /// Guard pushing lowers an asserted `g ⇒ (field = field ∧ …)` to
+    /// clauses without giving the equalities literals; every term that
+    /// *does* get a literal keeps a two-sided definition. So a model read
+    /// back through the literals must be the model its own variables
+    /// determine: `fired`, `present` and every assertion, evaluated
+    /// structurally from the values of the variables alone, agree with
+    /// what the context reports.
+    #[test]
+    fn model_literals_agree_with_structural_evaluation() {
+        use vmn_net::Rule;
+        use vmn_smt::{Model, Term, TermId};
+        let mut topo = Topology::new();
+        let src = topo.add_host("src", "8.8.8.8".parse().unwrap());
+        let dst = topo.add_host("dst", "10.0.0.5".parse().unwrap());
+        let sw = topo.add_switch("sw");
+        let fw = topo.add_middlebox("fw", "stateful-firewall", vec![]);
+        for n in [src, dst, fw] {
+            topo.add_link(n, sw);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        let everything = "0.0.0.0/0".parse().unwrap();
+        tables.add_rule(sw, Rule::from_neighbor(everything, src, fw).with_priority(20));
+        let mut net = Network::new(topo, tables);
+        let acl = vec![(everything, everything)];
+        net.set_model(fw, vmn_mbox::models::learning_firewall("stateful-firewall", acl));
+
+        let inv = Invariant::NodeIsolation { src, dst };
+        let mut enc = encode(&net, &FailureScenario::none(), &[src, dst, fw], &inv, 4).unwrap();
+        assert_eq!(enc.ctx.check(), SatResult::Sat, "src reaches dst through the firewall");
+
+        let vars: Vec<TermId> = (0..enc.ctx.pool().len() as u32)
+            .map(TermId)
+            .filter(|&t| matches!(enc.ctx.pool().term(t), Term::Var { .. }))
+            .collect();
+        let mut from_vars: Model = vars.iter().map(|&t| (t, enc.ctx.eval(t))).collect();
+
+        let mut read: Vec<TermId> = enc.fired.values().copied().collect();
+        assert!(read.iter().any(|&t| enc.ctx.eval_bool(t)), "a rule fired on the witness");
+        read.extend(enc.steps.iter().map(|s| s.present));
+        for t in read {
+            let structural = from_vars.eval_bool(enc.ctx.pool(), t);
+            assert_eq!(enc.ctx.eval_bool(t), structural, "{}", enc.ctx.pool().display(t));
+        }
+        for &a in enc.ctx.assertions() {
+            assert!(from_vars.eval_bool(enc.ctx.pool(), a), "{}", enc.ctx.pool().display(a));
+        }
     }
 
     #[test]
