@@ -461,7 +461,8 @@ fn main() -> ExitCode {
     // Search work and the size of the CNF it ran on (inherited reports
     // carry zeroed solver statistics).
     let sum = |field: fn(&vmn::Report) -> u64| -> u64 { reports.iter().map(field).sum() };
-    let conflicts = sum(|r| r.solver.conflicts);
+    let (conflicts, decisions, propagations) =
+        (sum(|r| r.solver.conflicts), sum(|r| r.solver.decisions), sum(|r| r.solver.propagations));
     let (vars, clauses, clause_lits) =
         (sum(|r| r.solver.vars), sum(|r| r.solver.clauses), sum(|r| r.solver.clause_lits));
     // Per-backend query counts over the runs that actually executed
@@ -478,7 +479,8 @@ fn main() -> ExitCode {
         };
         println!(
             "{} invariants: {} hold, {} violated, {} inherited by symmetry; \
-             solve time {total:?}, {conflicts} conflicts on \
+             solve time {total:?}, {conflicts} conflicts / {decisions} decisions / \
+             {propagations} propagations on \
              {vars} vars / {clauses} clauses / {clause_lits} literals; \
              {smt_queries} smt / {bdd_queries} bdd{contracts} scenario queries",
             reports.len(),

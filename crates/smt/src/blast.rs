@@ -389,6 +389,19 @@ impl<'a> Blaster<'a> {
         prefix.truncate(guards);
     }
 
+    /// Seeds the decision order with the variables of `t`'s literal (a
+    /// boolean term) or bits (a bit-vector term), lowering `t` if need be.
+    pub fn decide_first(&mut self, t: TermId, weight: f64) {
+        if self.pool.sort(t).is_bool() {
+            let l = self.lit_of(t);
+            self.solver.decide_first(l.var(), weight);
+        } else {
+            for i in self.bits_range(t) {
+                self.solver.decide_first(self.caches.bits[i].var(), weight);
+            }
+        }
+    }
+
     /// Consumes the blaster, releasing its borrows and returning the
     /// encoding caches for model extraction and later resumption
     /// ([`Blaster::resume`]).

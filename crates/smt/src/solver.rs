@@ -52,6 +52,9 @@ pub struct Context {
     caches: Option<BlastCaches>,
     /// Number of assertions already lowered into the solver.
     lowered_upto: usize,
+    /// Decide-first marks not yet handed to the core (see
+    /// [`Context::decide_first`]); drained by the next check.
+    decide_first: Vec<(TermId, f64)>,
     /// Cumulative conflict count at the last
     /// [`Context::reset_search_state`] (0 if never reset) — the watermark
     /// behind [`Context::conflicts_since_search_reset`].
@@ -77,6 +80,7 @@ impl Context {
             sat: Solver::new(),
             caches: None,
             lowered_upto: 0,
+            decide_first: Vec::new(),
             search_reset_conflicts: 0,
         }
     }
@@ -208,6 +212,18 @@ impl Context {
         self.assertion_cones.push(self.open_cone);
     }
 
+    /// Marks `t` — a boolean or bit-vector term — as one the search should
+    /// branch on early: the next check resolves it to its literal (or
+    /// bits) and seeds those variables' activity with `weight` in the CDCL
+    /// core ([`Solver::decide_first`]), so a cold search decides marked
+    /// terms before unmarked ones, heavier before lighter. This changes
+    /// the order the search visits assignments in, never the verdict, the
+    /// models admitted or the proof log; the encoder uses it to name the
+    /// variables that *are* the schedule of its bounded trace.
+    pub fn decide_first(&mut self, t: TermId, weight: f64) {
+        self.decide_first.push((t, weight));
+    }
+
     /// Opens cone `tag`: subsequent assertions (until [`Context::end_cone`])
     /// are tagged as belonging to sub-query `tag`, and so — transitively,
     /// through conflict analysis in the SAT core — is every lemma ever
@@ -272,6 +288,11 @@ impl Context {
         }
         self.lowered_upto = self.assertions.len();
         blaster.set_open_cone(0);
+        // After the assertions, so a mark allocates no variable the
+        // formula would not have allocated itself.
+        for (t, weight) in self.decide_first.drain(..) {
+            blaster.decide_first(t, weight);
+        }
         let assumption_lits: Vec<Lit> = assumptions
             .iter()
             .map(|&t| {

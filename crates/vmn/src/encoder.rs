@@ -14,6 +14,9 @@
 //!   executed symbolically, and an output packet may be emitted;
 //! * **Idle** — nothing happens (lets shorter traces embed in K steps).
 //!
+//! The encoding models a single transport protocol: packets carry no
+//! protocol field and a model's `ProtoIs` guard is compile-time true.
+//!
 //! Every emitted packet is *delivered atomically* by the network
 //! pseudo-node Ω: the destination terminal is a precomputed function of
 //! (emitting terminal, destination-address equivalence class), compiled
@@ -37,6 +40,58 @@
 //! call) decides any registered pair. The solver, its learnt clauses and
 //! the bit-blasting caches persist across the whole session, so each
 //! check pays only for what distinguishes it from the checks before it.
+//!
+//! ## Trace normal form
+//!
+//! A bounded trace admits every witness in many equivalent schedules:
+//! idle steps anywhere, sends nobody processes, events after the
+//! violation. The skeleton and the violation formulas assert three rules
+//! that keep one representative of each family, so the solver refutes (or
+//! finds) each schedule once. Each rule is justified by a rewriting of
+//! traces that maps a witness to a witness *no longer than itself* — which
+//! is why [`crate::bounds::trace_bound`] does not know about any of this.
+//!
+//! 1. **Idle is a suffix** (`kind[t] = IDLE ⇒ kind[t+1] = IDLE`).
+//!    *Compaction*: delete the idle steps and shift later events down,
+//!    renumbering `target` links. Relative order is unchanged, so per-box
+//!    FIFO order, "inserted earlier" history formulas and the pairwise
+//!    distinctness of fresh ports all carry over.
+//! 2. **The violating reception is the last event** (every `recv_at(dst,
+//!    t)` case of a violation formula also requires step `t+1` idle).
+//!    *Truncation*: every constraint on step `t` reads steps `≤ t` only
+//!    — pending sets, history formulas, the flow-isolation "`dst` sent
+//!    first" clause, traversal provenance — so the prefix that ends at the
+//!    reception is a trace of its own, and still a violation.
+//! 3. **Every host send is consumed, or is the last event**
+//!    (`kind[i] = SEND ⇒ idle[i+1] ∨ ⋁_{t>i} (kind[t] = PROC ∧ target[t]
+//!    = i)`). *Deletion*: a packet no step processes was delivered to a
+//!    host (hosts never react), dropped, or left pending at a middlebox —
+//!    where, being never the oldest pending packet at a processing step
+//!    (it would have been the target), it only ever sat behind the packets
+//!    that were processed. Deleting the send therefore changes no
+//!    middlebox's state or FIFO choice. It can remove a reception, but not
+//!    the violating one (rule 2 makes that the last event, which this rule
+//!    exempts), and it can remove a send of `dst`'s, which only makes the
+//!    *negated* "`dst` initiated the flow" clause of flow isolation easier
+//!    to satisfy.
+//!
+//! **Obligation on a new [`Invariant`] variant.** The rules are sound for
+//! a violation formula that is (a) *existential in one reception* — a
+//! disjunction over `t` of `recv_at(dst, t) ∧ φ(t)` built through
+//! `Encoded::recv_at`, with `φ(t)` reading steps `≤ t` only — and (b)
+//! *monotone under deleting unconsumed sends*: removing a host send that
+//! no step processes never turns `φ(t)` false. An invariant that counts
+//! receptions, looks past the reception, or requires some packet to be
+//! *left* unprocessed breaks one of the rewritings and must not reuse the
+//! rules as they stand. `encoder_tests::
+//! normal_form_keeps_every_verdict_at_every_bound` is the differential
+//! check, `tests/support/normal_form.rs` the shape check on witnesses.
+//!
+//! The same control variables — `kind`, `actor`, `present`, `delivered`,
+//! `target` of every step — are handed to the solver as *decide-first*
+//! terms ([`vmn_smt::Context::decide_first`], later steps heavier): they
+//! are the schedule, and with the schedule fixed most header bits follow
+//! by propagation.
 //!
 //! Middlebox state is never materialised: membership queries compile to
 //! *history formulas* — "some earlier step processed a matching insert" —
@@ -67,6 +122,13 @@ const TAG_W: u32 = 32;
 const KIND_IDLE: u64 = 0;
 const KIND_SEND: u64 = 1;
 const KIND_PROC: u64 = 2;
+
+/// Decide-first weight of the last step's control variables (earlier
+/// steps scale down linearly). The CDCL core's activity bump starts at 1
+/// and grows 5 % a conflict, so a seed of 1000 keeps the schedule ahead of
+/// the header bits for the first ≈ 135 conflicts of a cold session — about
+/// one check's worth on a slice-sized formula — and is noise after that.
+const SCHEDULE_WEIGHT: f64 = 1000.0;
 
 /// Ephemeral ports handed out by NAT rewrites start here; host-chosen
 /// source ports stay below, which keeps fresh ports genuinely fresh.
@@ -264,6 +326,9 @@ pub struct Encoded {
     /// Activation literal per registered invariant (cross-invariant
     /// session reuse: one skeleton serves many invariants).
     invariants: Vec<(Invariant, TermId)>,
+    /// Whether the trace normal form (module docs) is asserted. Always
+    /// true outside the differential test that compares the two.
+    normal_form: bool,
     // ---- build-time state ----------------------------------------------
     insert_sites: Vec<InsertSite>,
     /// pending(m, i, t): delivered-to-m(i) ∧ not processed before t.
@@ -353,6 +418,7 @@ impl Encoded {
             mboxes,
             scenarios: Vec::new(),
             invariants: Vec::new(),
+            normal_form: true,
             insert_sites: Vec::new(),
             pending_memo: HashMap::new(),
             processed_memo: HashMap::new(),
@@ -573,6 +639,16 @@ impl Encoded {
         self.ctx.and(&[kp, am])
     }
 
+    /// `kind[t] = PROC ∧ target[t] = i`: step `t` consumes the packet
+    /// emitted at step `i`.
+    fn consumes(&mut self, t: usize, i: usize) -> TermId {
+        let kp = self.kind_is(t, KIND_PROC);
+        let tv = self.steps[t].target;
+        let ic = self.step_const(i);
+        let e = self.ctx.eq(tv, ic);
+        self.ctx.and(&[kp, e])
+    }
+
     fn addr_const(&mut self, a: Address) -> TermId {
         self.ctx.bv_const(a.0 as u64, ADDR_W)
     }
@@ -723,6 +799,49 @@ impl Encoded {
             self.constrain_step(net, t);
         }
         self.constrain_fresh_values();
+        if self.normal_form {
+            self.constrain_normal_form();
+        }
+        self.mark_schedule();
+    }
+
+    /// The two skeleton rules of the trace normal form (module docs);
+    /// the third lives in [`Encoded::recv_at`].
+    fn constrain_normal_form(&mut self) {
+        for t in 0..self.k - 1 {
+            // Idle is a suffix.
+            let idle = self.kind_is(t, KIND_IDLE);
+            let idle_next = self.kind_is(t + 1, KIND_IDLE);
+            let rule = self.ctx.implies(idle, idle_next);
+            self.ctx.assert(rule);
+            // A host send is consumed by a later step, or is the last event.
+            let mut fates = vec![idle_next];
+            for u in t + 1..self.k {
+                fates.push(self.consumes(u, t));
+            }
+            let send = self.kind_is(t, KIND_SEND);
+            let some_fate = self.ctx.or(&fates);
+            let rule = self.ctx.implies(send, some_fate);
+            self.ctx.assert(rule);
+        }
+    }
+
+    /// Names the schedule to the solver: the control variables of every
+    /// step are marked decide-first, later steps heavier. Which event
+    /// happens where fixes, by propagation, most of what the 160 header
+    /// bits a step carries may be; branching on the header bits first (a
+    /// cold heap yields variables in index order, and they come first)
+    /// spends some twenty decisions per conflict on values no clause reads
+    /// yet. The last step is decided first because every violation ends
+    /// the trace: it is where the invariant's clauses bite.
+    fn mark_schedule(&mut self) {
+        for t in 0..self.k {
+            let s = &self.steps[t];
+            let weight = SCHEDULE_WEIGHT * (t + 1) as f64 / self.k as f64;
+            for term in [s.kind, s.actor, s.present, s.delivered, s.target] {
+                self.ctx.decide_first(term, weight);
+            }
+        }
     }
 
     fn constrain_step(&mut self, net: &Network, t: usize) {
@@ -828,12 +947,7 @@ impl Encoded {
         // Bind input fields to the targeted instance (shared across
         // middlebox identities).
         for i in 0..t {
-            let sel = {
-                let tv = self.steps[t].target;
-                let ic = self.step_const(i);
-                let e = self.ctx.eq(tv, ic);
-                self.ctx.and(&[proc, e])
-            };
+            let sel = self.consumes(t, i);
             let tie = self.fields_eq(self.steps[t].input, self.steps[i].out);
             let rule = self.ctx.implies(sel, tie);
             self.ctx.assert(rule);
@@ -1157,8 +1271,8 @@ impl Encoded {
                 self.ctx.eq(f.dport, c)
             }
             Guard::ProtoIs(_) => {
-                // The encoding models a single transport protocol (see
-                // DESIGN.md); protocol guards are compile-time true.
+                // The encoding models a single transport protocol (module
+                // docs); protocol guards are compile-time true.
                 self.ctx.tru()
             }
             Guard::OriginIn(p) => self.prefix_match(f.origin, *p),
@@ -1251,13 +1365,19 @@ impl Encoded {
 
     // ---- invariants --------------------------------------------------------
 
+    /// Step `t` emits a packet that is delivered to `d` — and, in normal
+    /// form, nothing happens after it: every invariant's violation is one
+    /// such reception, so the trace can stop there.
     fn recv_at(&mut self, d: NodeId, t: usize) -> TermId {
         let id = self.index[&d];
         let present = self.steps[t].present;
         let dc = self.node_const(id);
         let dv = self.steps[t].delivered;
-        let e = self.ctx.eq(dv, dc);
-        self.ctx.and(&[present, e])
+        let mut parts = vec![present, self.ctx.eq(dv, dc)];
+        if self.normal_form && t + 1 < self.k {
+            parts.push(self.kind_is(t + 1, KIND_IDLE));
+        }
+        self.ctx.and(&parts)
     }
 
     /// Builds the violation formula for `inv` and returns it as a term
@@ -1359,13 +1479,7 @@ impl Encoded {
                     // Processing steps inherit from the target, adding
                     // `through` membership.
                     for i in 0..t {
-                        let sel = {
-                            let k = self.kind_is(t, KIND_PROC);
-                            let tv = self.steps[t].target;
-                            let ic = self.step_const(i);
-                            let e = self.ctx.eq(tv, ic);
-                            self.ctx.and(&[k, e])
-                        };
+                        let sel = self.consumes(t, i);
                         let via_now = {
                             let members: Vec<NodeId> = through
                                 .iter()
@@ -1526,6 +1640,184 @@ mod encoder_tests {
             assert!(from_vars.eval_bool(enc.ctx.pool(), a), "{}", enc.ctx.pool().display(a));
         }
     }
+
+    // ---- trace normal form ------------------------------------------------
+
+    use vmn_mbox::models;
+    use vmn_net::{Prefix, Rule};
+
+    fn px(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
+
+    /// `hosts` and one middlebox of type `mbox_type` on one switch, with
+    /// host routes; the caller adds steering and the model.
+    fn star(hosts: &[(&str, &str)], mbox_type: &str, mbox_addrs: &[&str]) -> Star {
+        let mut topo = Topology::new();
+        let hs: Vec<NodeId> =
+            hosts.iter().map(|(n, a)| topo.add_host(*n, a.parse().unwrap())).collect();
+        let sw = topo.add_switch("sw");
+        let addrs = mbox_addrs.iter().map(|a| a.parse().unwrap()).collect();
+        let mb = topo.add_middlebox("mb", mbox_type, addrs);
+        for &n in hs.iter().chain([&mb]) {
+            topo.add_link(n, sw);
+        }
+        Star { topo, hosts: hs, sw, mb }
+    }
+
+    struct Star {
+        topo: Topology,
+        hosts: Vec<NodeId>,
+        sw: NodeId,
+        mb: NodeId,
+    }
+
+    /// A fixture of the differential test: network, hosts, middleboxes.
+    type Fixture = (Network, Vec<NodeId>, Vec<NodeId>);
+
+    /// outside / inside, all traffic steered through one box of `model`.
+    fn guarded(mbox_type: &str, model: MboxModel) -> Fixture {
+        let st = star(&[("outside", "8.8.8.8"), ("inside", "10.0.0.5")], mbox_type, &[]);
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&st.topo);
+        let mut tables = rc.build(&st.topo, &FailureScenario::none());
+        for &h in &st.hosts {
+            let steer = Rule::from_neighbor(px("0.0.0.0/0"), h, st.mb).with_priority(10);
+            tables.add_rule(st.sw, steer);
+        }
+        let mut net = Network::new(st.topo, tables);
+        net.set_model(st.mb, model);
+        (net, st.hosts, vec![st.mb])
+    }
+
+    /// Two hosts behind a learning firewall that lets inside open flows.
+    fn firewalled() -> Fixture {
+        let acl = vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))];
+        guarded("stateful-firewall", models::learning_firewall("stateful-firewall", acl))
+    }
+
+    /// The fixtures of this module and of `engine_tests`, one per model
+    /// family.
+    fn fixtures() -> Vec<(&'static str, Fixture)> {
+        let none = FailureScenario::none();
+        let mut out = Vec::new();
+
+        let (net, a, b) = two_hosts();
+        out.push(("two hosts", (net, vec![a, b], vec![])));
+        out.push(("learning firewall", firewalled()));
+        let nat = models::nat("nat", px("10.0.0.0/8"), "1.2.3.4".parse().unwrap());
+        out.push(("nat", guarded("nat", nat)));
+
+        let st = star(
+            &[("client", "8.8.8.8"), ("b1", "10.0.0.1"), ("b2", "10.0.0.2")],
+            "load-balancer",
+            &["10.0.0.100"],
+        );
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&st.topo);
+        rc.destination(px("10.0.0.100/32"), st.mb);
+        let tables = rc.build(&st.topo, &none);
+        let mut net = Network::new(st.topo, tables);
+        let backends = vec!["10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap()];
+        let vip = "10.0.0.100".parse().unwrap();
+        net.set_model(st.mb, models::load_balancer("load-balancer", vip, backends));
+        out.push(("load balancer", (net, st.hosts, vec![st.mb])));
+
+        let st = star(
+            &[("server", "10.1.0.1"), ("client", "10.2.0.1"), ("other", "10.3.0.1")],
+            "content-cache",
+            &[],
+        );
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&st.topo);
+        let mut tables = rc.build(&st.topo, &none);
+        let (server, clients) = (st.hosts[0], &st.hosts[1..]);
+        for &h in clients {
+            let steer = Rule::from_neighbor(px("10.1.0.0/16"), h, st.mb).with_priority(10);
+            tables.add_rule(st.sw, steer);
+        }
+        let steer = Rule::from_neighbor(px("10.2.0.0/15"), server, st.mb).with_priority(10);
+        tables.add_rule(st.sw, steer);
+        let mut net = Network::new(st.topo, tables);
+        net.set_model(st.mb, models::content_cache("content-cache", [px("10.1.0.0/16")], vec![]));
+        out.push(("content cache", (net, st.hosts, vec![st.mb])));
+
+        for (name, with_backup) in [("pipelined", false), ("backup steering", true)] {
+            let (net, src, dst) = crate::engine::engine_tests::pipelined(with_backup);
+            let mboxes = net.topo.middleboxes().collect();
+            out.push((name, (net, vec![src, dst], mboxes)));
+        }
+        out
+    }
+
+    /// The skeleton without the three normal-form rules: the reference
+    /// the differential test compares [`encode_skeleton`] against.
+    fn encode_skeleton_unnormalised(net: &Network, nodes: &[NodeId], k: usize) -> Encoded {
+        let mut enc = Encoded::new(net, nodes, k).unwrap();
+        enc.normal_form = false;
+        enc.build_steps(net);
+        enc
+    }
+
+    /// The normal form loses no verdict and costs no step: for every
+    /// fixture, every invariant kind over every ordered host pair, every
+    /// single-middlebox failure and every bound up to the longest witness
+    /// any of them needs, the formula with the three rules is satisfiable
+    /// exactly when the formula without them is.
+    #[test]
+    fn normal_form_keeps_every_verdict_at_every_bound() {
+        let mut sat_cases = 0;
+        for (name, (net, hosts, mboxes)) in fixtures() {
+            let nodes: Vec<NodeId> = hosts.iter().chain(&mboxes).copied().collect();
+            let mut scenarios = vec![FailureScenario::none()];
+            scenarios.extend(mboxes.iter().map(|&m| FailureScenario::nodes([m])));
+            let mut invs = Vec::new();
+            for &src in &hosts {
+                for &dst in hosts.iter().filter(|&&d| d != src) {
+                    invs.push(Invariant::NodeIsolation { src, dst });
+                    invs.push(Invariant::FlowIsolation { src, dst });
+                    invs.push(Invariant::DataIsolation { origin: src, dst });
+                    if !mboxes.is_empty() {
+                        let through = mboxes.clone();
+                        invs.push(Invariant::Traversal { dst, through, from: Some(src) });
+                    }
+                }
+            }
+            for k in 1..=6 {
+                let mut normal = encode_skeleton(&net, &nodes, k).unwrap();
+                let mut plain = encode_skeleton_unnormalised(&net, &nodes, k);
+                assert!(normal.ctx.num_assertions() > plain.ctx.num_assertions() || k == 1);
+                for inv in &invs {
+                    for s in &scenarios {
+                        let want = plain.check_invariant_scenario(&net, inv, s).unwrap();
+                        let got = normal.check_invariant_scenario(&net, inv, s).unwrap();
+                        assert_eq!(got, want, "{name}, k = {k}: {inv} under {s:?}");
+                        sat_cases += (got == SatResult::Sat) as u32;
+                    }
+                }
+            }
+        }
+        assert!(sat_cases > 100, "the battery exercises witnesses, not only proofs: {sat_cases}");
+    }
+
+    /// The encoder's output and the search it causes, as exact counters,
+    /// in debug and release: two hosts behind a learning firewall, flow
+    /// isolation, six steps, nothing failed. A change to the formula moves
+    /// `vars` / `clauses`; a change to the decision order moves
+    /// `conflicts` / `decisions`.
+    #[test]
+    fn encoding_and_search_are_pinned() {
+        let (net, hosts, mboxes) = firewalled();
+        let nodes: Vec<NodeId> = hosts.iter().chain(&mboxes).copied().collect();
+        let inv = Invariant::FlowIsolation { src: hosts[0], dst: hosts[1] };
+        let mut enc = encode_skeleton(&net, &nodes, 6).unwrap();
+        let verdict = enc.check_invariant_scenario(&net, &inv, &FailureScenario::none()).unwrap();
+        assert_eq!(verdict, SatResult::Unsat, "the firewall admits only flows inside opened");
+        let st = enc.ctx.stats();
+        assert_eq!((st.vars, st.clauses, st.conflicts, st.decisions), PINNED_FIREWALL_K6);
+    }
+
+    const PINNED_FIREWALL_K6: (u64, u64, u64, u64) = (9761, 42520, 1141, 32915);
 
     #[test]
     fn out_of_scope_endpoints_are_rejected() {

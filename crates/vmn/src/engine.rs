@@ -1243,7 +1243,7 @@ impl Verifier {
 }
 
 #[cfg(test)]
-mod engine_tests {
+pub(crate) mod engine_tests {
     use super::*;
     use vmn_mbox::models;
     use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology};
@@ -1252,7 +1252,9 @@ mod engine_tests {
         s.parse().unwrap()
     }
 
-    fn pipelined(with_backup: bool) -> (Network, NodeId, NodeId) {
+    /// src → dst through `fw1`, optionally with `fw2` as backup steering;
+    /// one scenario fails `fw1`. (Also a fixture of `encoder_tests`.)
+    pub(crate) fn pipelined(with_backup: bool) -> (Network, NodeId, NodeId) {
         let mut topo = Topology::new();
         let src = topo.add_host("src", "8.8.8.8".parse().unwrap());
         let dst = topo.add_host("dst", "10.0.0.5".parse().unwrap());

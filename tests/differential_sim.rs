@@ -7,6 +7,9 @@
 //! Completeness direction (sampled): random concrete schedules that
 //! stumble on a violation imply the verifier must find one too.
 
+#[path = "support/normal_form.rs"]
+mod normal_form;
+
 use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, Header, NodeId, Prefix, RoutingConfig, Rule, Topology};
@@ -25,6 +28,7 @@ fn assert_replays(net: &Network, inv: &Invariant, report: &vmn::Report) {
     let Verdict::Violated { trace, scenario } = &report.verdict else {
         panic!("expected a violation for {inv}");
     };
+    normal_form::assert_normal_form(trace, inv, "differential_sim");
     let receptions = trace.replay(net, scenario).expect("replay must not hit fabric errors");
     let ok = receptions.iter().any(|o| match inv {
         Invariant::NodeIsolation { src, dst } => {

@@ -40,6 +40,8 @@
 //! reproduce exactly; set `VMN_FUZZ_CASES` to bound the case count (CI
 //! pins a small subset, the default is 200).
 
+#[path = "support/normal_form.rs"]
+mod normal_form;
 #[path = "support/policy_reference.rs"]
 mod policy_reference;
 
@@ -238,9 +240,12 @@ fn opts(case: &Case, sessions: Sessions, cluster_threshold: f64) -> VerifyOption
 }
 
 /// Replays a violation witness on the concrete simulator and asserts it
-/// produces at least one real reception.
-fn assert_witness_replays(net: &Network, verdict: &Verdict, label: &str, engine: &str) {
+/// produces at least one real reception — and that the witness has the
+/// encoder's normal form.
+fn assert_witness_replays(case: &Case, verdict: &Verdict, engine: &str) {
+    let (net, label) = (&case.net, &case.label);
     if let Verdict::Violated { trace, scenario } = verdict {
+        normal_form::assert_normal_form(trace, &case.inv, &format!("{label}: {engine}"));
         let receptions = trace
             .replay(net, scenario)
             .unwrap_or_else(|e| panic!("{label}: {engine} witness fails to replay: {e}"));
@@ -347,7 +352,7 @@ fn run_case(seed: u64) {
     let oracle =
         Verifier::new(&case.net, opts(&case, Sessions::PerScenario, 0.0)).expect("valid network");
     let want = oracle.verify(&case.inv).expect("oracle verifies");
-    assert_witness_replays(&case.net, &want.verdict, label, "oracle");
+    assert_witness_replays(&case, &want.verdict, "oracle");
     assert_certificate_checks(&want, label, "oracle");
 
     let engines = [
@@ -373,7 +378,7 @@ fn run_case(seed: u64) {
         {
             assert_eq!(gs, ws, "{label}: {engine} first violating scenario diverges");
         }
-        assert_witness_replays(&case.net, &got.verdict, label, engine);
+        assert_witness_replays(&case, &got.verdict, engine);
         assert_certificate_checks(&got, label, engine);
 
         // Second pass on the same verifier: re-enters the pooled,
@@ -436,7 +441,7 @@ fn run_case(seed: u64) {
         {
             assert_eq!(gs, ws, "{label}: {engine} first violating scenario diverges");
         }
-        assert_witness_replays(&case.net, &got.verdict, label, engine);
+        assert_witness_replays(&case, &got.verdict, engine);
     }
 
     // Mixed-backend sweep hygiene: duplicating the invariant forces the
