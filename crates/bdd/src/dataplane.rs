@@ -8,10 +8,15 @@
 //!   box forwards, with classification oracles existentially quantified
 //!   under the model's exclusivity constraints (scenario-independent,
 //!   cached per device), and
-//! * a **delivery predicate list** per (emitting terminal, failure
-//!   scenario) — where the static datapath delivers each destination
-//!   class, built from exactly the same [`HeaderClasses`] interval sweep
-//!   the SMT encoder uses, so both backends see the same network.
+//! * a **delivery predicate** per (failure scenario, emitting terminal,
+//!   target terminal) — the destination addresses the static datapath
+//!   carries from the emitter to the target, as the union of the target's
+//!   intervals in [`TransferFunction::delivery_intervals`], the list the
+//!   SMT encoder compiles too, so both backends see the same network.
+//!   The interval list is swept once per (scenario, emitter); a predicate
+//!   is built only for a target some query's slice contains. A slice
+//!   observes nothing else — an arrival outside it is a drop — so what a
+//!   query compiles is bounded by its slice, not by the network.
 //!
 //! A [`Query`] is answered by composing these predicates breadth-first
 //! from each eligible sender up to a hop budget. On violation, a
@@ -28,8 +33,10 @@
 //! is built on it.
 
 use crate::{Bdd, BddStats, Ref};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use vmn_mbox::{Action, Guard, MboxModel};
 use vmn_net::{
     Address, FailureScenario, ForwardingTables, Header, HeaderClasses, NetError, NodeId, Topology,
@@ -154,18 +161,32 @@ pub enum Outcome {
 }
 
 /// The BDD dataplane: one manager plus the per-device and per-scenario
-/// predicate caches. Build once per network; `check` per query.
+/// predicate caches. Build once per network; `check` per query. Every
+/// cache fills on demand and holds only what some query's slice could
+/// observe, so neither a query's work nor the manager's size grows with
+/// the part of the network outside the slices asked about.
 pub struct Dataplane {
     man: Bdd,
-    classes: HeaderClasses,
+    classes: Arc<HeaderClasses>,
     /// Forwarded-header predicate per middlebox (scenario-independent:
     /// stateless models behave identically under every scenario in which
     /// they are alive).
     transfer: HashMap<NodeId, Ref>,
-    /// Delivery predicates per scenario, per emitter: where each
-    /// destination-address interval lands. Built over *all* terminals;
-    /// queries filter to their slice, so the cache is slice-independent.
-    delivery: HashMap<FailureScenario, HashMap<NodeId, Vec<(NodeId, Ref)>>>,
+    delivery: HashMap<FailureScenario, Delivery>,
+}
+
+/// One scenario's static datapath, as far as queries have looked at it.
+#[derive(Default)]
+struct Delivery {
+    /// [`TransferFunction::delivery_intervals`] per emitter: the one
+    /// whole-address-space sweep an (emitter, scenario) pair costs.
+    intervals: HashMap<NodeId, Vec<(u32, u32, Option<NodeId>)>>,
+    /// (emitter, target) → the destination predicate of the target's
+    /// intervals together with the index of the first of them (the order
+    /// a search visits targets in), or `None` when the emitter delivers
+    /// nothing there. An entry exists only for a target some query's
+    /// slice contained.
+    predicates: HashMap<(NodeId, NodeId), Option<(usize, Ref)>>,
 }
 
 fn field_vars(base: u32, width: u32) -> Vec<u32> {
@@ -173,15 +194,11 @@ fn field_vars(base: u32, width: u32) -> Vec<u32> {
 }
 
 impl Dataplane {
-    /// Builds the dataplane for a network: header classes come from the
-    /// same prefix set the SMT encoder splits on.
-    pub fn new(topo: &Topology, tables: &ForwardingTables) -> Dataplane {
-        Dataplane {
-            man: Bdd::new(),
-            classes: HeaderClasses::from_network(topo, tables),
-            transfer: HashMap::new(),
-            delivery: HashMap::new(),
-        }
+    /// Builds the dataplane for the network `classes` was computed from
+    /// ([`HeaderClasses::from_network`], the prefix set the SMT encoder
+    /// splits on); every `check` must be given that network.
+    pub fn new(classes: Arc<HeaderClasses>) -> Dataplane {
+        Dataplane { man: Bdd::new(), classes, transfer: HashMap::new(), delivery: HashMap::new() }
     }
 
     /// Cumulative manager counters (nodes, cache traffic) for reports.
@@ -305,34 +322,57 @@ impl Dataplane {
     }
 
     /// Where the static datapath delivers terminal `f`'s emissions under
-    /// `scenario`, as (target, destination-predicate) pairs: the transfer
-    /// function's delivery intervals — the list the SMT encoder compiles —
-    /// as range predicates.
+    /// `scenario` among the `visible` targets (sorted), as (target,
+    /// destination-predicate) pairs in the order the targets first appear
+    /// in the transfer function's delivery intervals — the list the SMT
+    /// encoder compiles — each predicate the union of its target's
+    /// intervals. Targets outside `visible` are neither built nor cached.
     fn delivery_predicates(
         &mut self,
         topo: &Topology,
         tables: &ForwardingTables,
         scenario: &FailureScenario,
         f: NodeId,
+        visible: &[NodeId],
     ) -> Result<Vec<(NodeId, Ref)>, DataplaneError> {
-        if let Some(cached) = self.delivery.get(scenario).and_then(|by_emitter| by_emitter.get(&f))
-        {
-            return Ok(cached.clone());
+        debug_assert!(visible.windows(2).all(|w| w[0] < w[1]), "binary-searched below");
+        if !self.delivery.contains_key(scenario) {
+            self.delivery.insert(scenario.clone(), Delivery::default());
         }
-        let intervals =
-            TransferFunction::new(topo, tables, scenario).delivery_intervals(f, &self.classes)?;
-        let dst_vars = field_vars(DST_BASE, 32);
-        let mut per_target: Vec<(NodeId, Ref)> = Vec::new();
-        for (start, end, target) in intervals {
-            let Some(target) = target else { continue };
-            let pred = self.man.bits_in_range(&dst_vars, start as u64, end as u64);
-            match per_target.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, existing)) => *existing = self.man.or(*existing, pred),
-                None => per_target.push((target, pred)),
+        let cache = self.delivery.get_mut(scenario).expect("inserted above");
+        let missing: Vec<NodeId> =
+            visible.iter().copied().filter(|&t| !cache.predicates.contains_key(&(f, t))).collect();
+        if !missing.is_empty() {
+            let intervals = match cache.intervals.entry(f) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(
+                    TransferFunction::new(topo, tables, scenario)
+                        .delivery_intervals(f, &self.classes)?,
+                ),
+            };
+            for &t in &missing {
+                cache.predicates.insert((f, t), None);
+            }
+            let dst_vars = field_vars(DST_BASE, 32);
+            for (i, &(start, end, target)) in intervals.iter().enumerate() {
+                let Some(target) = target else { continue };
+                if missing.binary_search(&target).is_err() {
+                    continue;
+                }
+                let pred = self.man.bits_in_range(&dst_vars, start as u64, end as u64);
+                let slot = cache.predicates.get_mut(&(f, target)).expect("inserted above");
+                *slot = Some(match *slot {
+                    Some((first, sofar)) => (first, self.man.or(sofar, pred)),
+                    None => (i, pred),
+                });
             }
         }
-        self.delivery.entry(scenario.clone()).or_default().insert(f, per_target.clone());
-        Ok(per_target)
+        let mut found: Vec<(usize, NodeId, Ref)> = visible
+            .iter()
+            .filter_map(|&t| cache.predicates[&(f, t)].map(|(first, pred)| (first, t, pred)))
+            .collect();
+        found.sort_unstable_by_key(|&(first, ..)| first);
+        Ok(found.into_iter().map(|(_, t, pred)| (t, pred)).collect())
     }
 
     /// Answers `query` on `slice` under `scenario` by predicate
@@ -353,6 +393,13 @@ impl Dataplane {
     ) -> Result<Outcome, DataplaneError> {
         let dst = query.dst();
         let through = query.through().to_vec();
+        // All a search on `slice` can observe: an arrival anywhere else is
+        // a drop in the sliced semantics (the encoder maps it to its drop
+        // sink), so no other target's predicate is ever built.
+        let mut visible = slice.to_vec();
+        visible.push(dst);
+        visible.sort_unstable();
+        visible.dedup();
         let senders: Vec<NodeId> = slice
             .iter()
             .copied()
@@ -387,7 +434,9 @@ impl Dataplane {
             for hop in 0..=hop_budget {
                 let mut next: Vec<(NodeId, Ref)> = Vec::new();
                 for (loc, set) in std::mem::take(&mut frontier) {
-                    for (target, pred) in self.delivery_predicates(topo, tables, scenario, loc)? {
+                    for (target, pred) in
+                        self.delivery_predicates(topo, tables, scenario, loc, &visible)?
+                    {
                         let arrived = self.man.and(set, pred);
                         if arrived == Bdd::FALSE {
                             continue;
@@ -399,13 +448,11 @@ impl Dataplane {
                             )?;
                             return Ok(Outcome::Violated(Box::new(w)));
                         }
-                        // Arrivals outside the slice are drops in the
-                        // sliced semantics (the encoder maps them to its
-                        // drop sink); hosts absorb; excluded boxes never
-                        // process (a processed packet is "touched" for
-                        // good, so those continuations cannot violate).
-                        if !slice.contains(&target)
-                            || !topo.node(target).kind.is_middlebox()
+                        // `target` is in the slice. Hosts absorb;
+                        // excluded boxes never process (a processed
+                        // packet is "touched" for good, so those
+                        // continuations cannot violate).
+                        if !topo.node(target).kind.is_middlebox()
                             || through.contains(&target)
                             || hop == hop_budget
                         {
@@ -604,6 +651,10 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn dataplane(topo: &Topology, tables: &ForwardingTables) -> Dataplane {
+        Dataplane::new(Arc::new(HeaderClasses::from_network(topo, tables)))
+    }
+
     #[test]
     fn statefulness_classifies_the_model_library() {
         let stateless = [
@@ -653,13 +704,140 @@ mod tests {
         (topo, tables, models_map, outside, inside)
     }
 
+    /// A 2 × 2 × 4 campus in the shape `vmn_scenarios::estate` generates
+    /// (that crate sits above this one): two buildings of two floors of
+    /// four hosts `h<b>x<f>x<k>` at `10.<b>.<f>.<k>`, each building
+    /// behind an in-line ACL firewall `fw<b>` that passes only the
+    /// building's own sources, joined at a core switch.
+    fn campus() -> (Topology, ForwardingTables, HashMap<NodeId, MboxModel>) {
+        let site_prefix = |b: u8| Prefix::new(Address::from_octets([10, b, 0, 0]), 16);
+        let mut topo = Topology::new();
+        let core = topo.add_switch("core");
+        let mut sites = Vec::new();
+        for b in 0..2u8 {
+            let ssw = topo.add_switch(format!("building{b}"));
+            let fw = topo.add_middlebox(format!("fw{b}"), format!("site-firewall-{b}"), vec![]);
+            topo.add_link(ssw, fw);
+            topo.add_link(fw, core);
+            let mut floors = Vec::new();
+            for f in 0..2u8 {
+                let fsw = topo.add_switch(format!("floor{b}x{f}"));
+                topo.add_link(fsw, ssw);
+                for k in 0..4u8 {
+                    let h =
+                        topo.add_host(format!("h{b}x{f}x{k}"), Address::from_octets([10, b, f, k]));
+                    topo.add_link(h, fsw);
+                }
+                floors.push(fsw);
+            }
+            sites.push((ssw, fw, floors));
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        let mut models_map = HashMap::new();
+        for (b, (ssw, fw, floors)) in sites.iter().enumerate() {
+            for &fsw in floors {
+                tables.add_rule(fsw, Rule::new(px("10.0.0.0/8"), *ssw).with_priority(-10));
+                tables.add_rule(
+                    *ssw,
+                    Rule::from_neighbor(px("10.0.0.0/8"), fsw, *fw).with_priority(-10),
+                );
+            }
+            let other = 1 - b;
+            tables
+                .add_rule(core, Rule::from_neighbor(site_prefix(other as u8), *fw, sites[other].1));
+            models_map.insert(
+                *fw,
+                models::acl_firewall(
+                    &format!("site-firewall-{b}"),
+                    vec![(site_prefix(b as u8), Prefix::default_route())],
+                ),
+            );
+        }
+        (topo, tables, models_map)
+    }
+
+    /// The lazily built delivery predicates against their definition: for
+    /// every scenario, emitter and target of a slice, the predicate admits
+    /// a destination exactly when the transfer function delivers it from
+    /// the emitter to that target — checked on every header class — and
+    /// nothing is compiled for a target outside the slice.
+    #[test]
+    fn delivery_predicates_match_the_transfer_function_and_stay_in_the_slice() {
+        let (topo, tables, models_map, outside, inside) = acl_network();
+        let fw = topo.by_name("fw").unwrap();
+        let acl = (
+            topo,
+            tables,
+            models_map,
+            vec![outside, inside, fw],
+            Query::SourceReaches { saddr: addr("8.8.8.8"), dst: inside },
+            vec![FailureScenario::none(), FailureScenario::nodes([fw])],
+        );
+        let (topo, tables, models_map) = campus();
+        let [src, dst, fw0, fw1, floor] =
+            ["h0x0x0", "h1x0x0", "fw0", "fw1", "floor0x0"].map(|n| topo.by_name(n).unwrap());
+        let estate = (
+            topo,
+            tables,
+            models_map,
+            vec![src, dst, fw0, fw1],
+            Query::SourceReaches { saddr: addr("10.0.0.0"), dst },
+            vec![
+                FailureScenario::none(),
+                FailureScenario::nodes([fw0]),
+                FailureScenario::nodes([floor]),
+            ],
+        );
+        for (topo, tables, models_map, mut slice, query, scenarios) in [acl, estate] {
+            slice.sort_unstable();
+            let classes = Arc::new(HeaderClasses::from_network(&topo, &tables));
+            let mut dp = Dataplane::new(classes.clone());
+            for scenario in &scenarios {
+                dp.check(&topo, &tables, &models_map, scenario, &slice, &query, 3).unwrap();
+                let tf = TransferFunction::new(&topo, &tables, scenario);
+                for &emitter in &slice {
+                    let built =
+                        dp.delivery_predicates(&topo, &tables, scenario, emitter, &slice).unwrap();
+                    for &target in &slice {
+                        let pred = built
+                            .iter()
+                            .find(|&&(t, _)| t == target)
+                            .map_or(Bdd::FALSE, |&(_, pred)| pred);
+                        for rep in classes.representatives() {
+                            let admits = dp.man.eval(pred, |v| {
+                                (DST_BASE..DST_BASE + 32).contains(&v)
+                                    && rep.0 >> (31 - (v - DST_BASE)) & 1 == 1
+                            });
+                            assert_eq!(
+                                admits,
+                                tf.deliver(emitter, rep).unwrap() == Some(target),
+                                "{} -> {} at {rep} under {scenario:?}",
+                                topo.node(emitter).name,
+                                topo.node(target).name,
+                            );
+                        }
+                    }
+                }
+                let cached = &dp.delivery[scenario];
+                assert!(!cached.predicates.is_empty());
+                assert!(
+                    cached.predicates.keys().all(|(_, target)| slice.contains(target)),
+                    "a predicate was compiled for a terminal outside the slice"
+                );
+                assert!(cached.intervals.keys().all(|emitter| slice.contains(emitter)));
+            }
+        }
+    }
+
     #[test]
     fn acl_slice_reachability_and_witness() {
         let (topo, tables, models_map, outside, inside) = acl_network();
         let fw = topo.by_name("fw").unwrap();
         let none = FailureScenario::none();
         let slice = vec![outside, inside, fw];
-        let mut dp = Dataplane::new(&topo, &tables);
+        let mut dp = dataplane(&topo, &tables);
         // 8.8.8.8 → 10.0.0.5 is allowed by the ACL: violation expected,
         // with a replay-ready witness through the firewall.
         let q = Query::SourceReaches { saddr: addr("8.8.8.8"), dst: inside };
@@ -711,7 +889,7 @@ mod tests {
             fw,
             models::acl_firewall("acl-firewall", vec![(px("8.0.0.0/8"), px("10.0.0.0/24"))]),
         );
-        let mut dp = Dataplane::new(&topo, &tables);
+        let mut dp = dataplane(&topo, &tables);
         let none = FailureScenario::none();
         let slice = vec![outside, far, fw];
         let q = Query::SourceReaches { saddr: addr("8.8.8.8"), dst: far };
@@ -730,7 +908,7 @@ mod tests {
         // any middlebox hop (the "misconfigured redundant routing" class).
         let failed = FailureScenario::nodes([fw]);
         let slice = vec![outside, inside, fw];
-        let mut dp = Dataplane::new(&topo, &tables);
+        let mut dp = dataplane(&topo, &tables);
         let q = Query::SourceReaches { saddr: addr("8.8.8.8"), dst: inside };
         match dp.check(&topo, &tables, &models_map, &failed, &slice, &q, 3).unwrap() {
             Outcome::Violated(w) => assert!(w.hops.is_empty(), "failed box must not process"),
@@ -750,7 +928,7 @@ mod tests {
         let fw = topo.by_name("fw").unwrap();
         let mut models_map = HashMap::new();
         models_map.insert(fw, models::learning_firewall("fw", vec![]));
-        let mut dp = Dataplane::new(&topo, &tables);
+        let mut dp = dataplane(&topo, &tables);
         let none = FailureScenario::none();
         let q = Query::SourceReaches { saddr: addr("8.8.8.8"), dst: inside };
         let err = dp
@@ -765,7 +943,7 @@ mod tests {
         let fw = topo.by_name("fw").unwrap();
         let none = FailureScenario::none();
         let slice = vec![outside, inside, fw];
-        let mut dp = Dataplane::new(&topo, &tables);
+        let mut dp = dataplane(&topo, &tables);
         let q = Query::SourceReaches { saddr: addr("8.8.8.8"), dst: inside };
         // The violating path needs one middlebox hop; budget 0 only
         // allows direct sender→dst delivery, so the query holds.

@@ -17,8 +17,9 @@
 //! * [`dataplane`] — per-device transfer predicates (stateless middlebox
 //!   models with classification oracles existentially quantified),
 //!   delivery predicates mirroring the SMT encoder's header-class
-//!   intervals, and a hop-bounded reachability search that extracts a
-//!   concrete witness path on violation.
+//!   intervals, built only for the targets a query's slice contains, and
+//!   a hop-bounded reachability search that extracts a concrete witness
+//!   path on violation.
 
 #![forbid(unsafe_code)]
 
@@ -226,8 +227,9 @@ impl Bdd {
         self.ite(f, Bdd::TRUE, g)
     }
 
-    /// Existential quantification over every variable for which `keep`
-    /// returns false... inverted: quantifies exactly the ids in `vars`.
+    /// Existential quantification `∃ vars. f`: the function true wherever
+    /// some valuation of the variables in `vars` makes `f` true. Ids `f`
+    /// does not depend on are ignored.
     pub fn exists(&mut self, f: Ref, vars: &[u32]) -> Ref {
         if vars.is_empty() {
             return f;

@@ -293,7 +293,10 @@ impl Estate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use vmn::modular::{synthesize, ModularContext};
     use vmn::{PartitionMode, Verifier, VerifyOptions};
+    use vmn_analysis::TouchSet;
 
     fn small(style: EstateStyle) -> EstateParams {
         EstateParams {
@@ -376,5 +379,47 @@ mod tests {
         let r = v.verify(&other).unwrap();
         assert!(r.verdict.holds());
         assert_eq!(r.contract_scenarios, r.scenarios_checked);
+    }
+
+    /// `cross_for` runs each scenario's fixpoint over one shared
+    /// scenario-independent prelude; the one-shot `synthesize` builds
+    /// everything per call. Same crossings, edge by edge, on the two
+    /// full-size estates and all their scenarios.
+    #[test]
+    fn memoised_synthesis_equals_the_one_shot_on_the_full_estates() {
+        for params in [EstateParams::campus(), EstateParams::isp()] {
+            let e = Estate::build(params);
+            let ctx = ModularContext::resolve(&e.net.topo, e.partition()).unwrap();
+            for scenario in e.net.all_scenarios() {
+                let shared = ctx.cross_for(&e.net, &scenario);
+                let one_shot = synthesize(&e.net, &scenario);
+                assert_eq!(shared.cross.len(), one_shot.cross.len(), "{scenario:?}");
+                for (edge, windows) in &one_shot.cross {
+                    assert_eq!(shared.cross.get(edge), Some(windows), "{edge:?} {scenario:?}");
+                }
+            }
+        }
+    }
+
+    /// The prelude holds every model's forward summary, so one that
+    /// outlived a `set-model` delta would keep proving what the new model
+    /// no longer guarantees: widening a firewall's ACL through
+    /// `swap_network` must take the contract answer away.
+    #[test]
+    fn a_model_delta_takes_a_stale_contract_answer_away() {
+        let mut e = Estate::build(small(EstateStyle::Campus));
+        let inv = e.pair_isolation(1, 0);
+        let mut v = Verifier::new(&e.net, modular_opts(&e)).unwrap();
+        let before = v.verify(&inv).unwrap();
+        assert!(before.verdict.holds());
+        assert_eq!(before.contract_scenarios, before.scenarios_checked);
+
+        e.inject_cross_site_allow(1, 0);
+        v.swap_network(Arc::new(e.net.clone()), &TouchSet::node("fw0")).unwrap();
+        let ctx = v.modular_context().expect("explicit partition");
+        assert!(!ctx.contract_holds(v.network(), &inv, &FailureScenario::none()));
+        let after = v.verify(&inv).unwrap();
+        assert!(!after.verdict.holds(), "the opened firewall lets building 1 in");
+        assert_eq!(after.contract_scenarios, 0);
     }
 }

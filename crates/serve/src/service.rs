@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use vmn::slice::{slice_names, verdict_fingerprint};
 use vmn::{Invariant, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_analysis::TouchSet;
-use vmn_net::{FailureScenario, HeaderClasses, NodeId};
+use vmn_net::{FailureScenario, NodeId};
 
 use crate::delta::{scenario_key, Delta};
 use crate::spec::NetSpec;
@@ -98,7 +98,6 @@ pub struct NetSession {
     pipelines: Vec<(String, vmn_net::PipelineSpec, NodeId, NodeId)>,
     /// Pipeline results, re-checked on every delta (static, cheap).
     pipeline_holds: Vec<(String, bool)>,
-    classes: HeaderClasses,
     /// The policy partition by name, in canonical order (classes sorted,
     /// then the list of classes), for stability comparison across epochs.
     partition: Vec<Vec<String>>,
@@ -145,7 +144,6 @@ impl NetSession {
             options.partition = PartitionMode::Auto;
         }
         let verifier = Verifier::from_arc(net.clone(), options).map_err(|e| e.to_string())?;
-        let classes = HeaderClasses::from_network(&net.topo, &net.tables);
         let partition = owned_partition(&partition_names(&verifier));
         let mut session = NetSession {
             spec,
@@ -154,7 +152,6 @@ impl NetSession {
             invariants: m.invariants,
             pipelines: m.pipelines,
             pipeline_holds: Vec::new(),
-            classes,
             partition,
             cache: HashMap::new(),
         };
@@ -204,7 +201,6 @@ impl NetSession {
         // either way — escalation only disables step 2, not step 3.)
         let mut escalated = false;
         if !touched.is_nothing() {
-            self.classes = HeaderClasses::from_network(&net.topo, &net.tables);
             let partition = partition_names(&self.verifier);
             if partition != self.partition {
                 escalated = !matches!(touched, TouchSet::Everything);
@@ -291,8 +287,15 @@ impl NetSession {
                 // The plan fingerprinted here is the plan a re-check runs.
                 let plan = self.verifier.plan(inv, scenario).map_err(|e| e.to_string())?;
                 let (nodes, k) = (plan.nodes(), plan.bound());
-                let fp = verdict_fingerprint(&net, &self.classes, inv, scenario, nodes, k)
-                    .map_err(|e| e.to_string())?;
+                let fp = verdict_fingerprint(
+                    &net,
+                    self.verifier.header_classes(),
+                    inv,
+                    scenario,
+                    nodes,
+                    k,
+                )
+                .map_err(|e| e.to_string())?;
                 let slice = slice_names(&net, nodes);
                 if let Some(entry) = self.cache.get_mut(&key) {
                     if entry.fingerprint == fp {

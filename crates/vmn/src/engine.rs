@@ -8,13 +8,13 @@ use crate::policy::{group_by_symmetry, PolicyClasses};
 use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox, stateless_slice};
 use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use vmn_analysis::{ContractError, ModuleContract, Partition, TouchSet};
 use vmn_bdd::dataplane::{DataplaneError, Outcome, Query};
 use vmn_bdd::{BddStats, Dataplane};
 use vmn_check::CertificateBundle;
-use vmn_net::{FailureScenario, NetError, NodeId};
+use vmn_net::{FailureScenario, HeaderClasses, NetError, NodeId};
 use vmn_smt::{SatResult, SolverStats};
 
 /// Outcome of verifying one invariant.
@@ -448,11 +448,16 @@ pub struct Verifier {
     /// `verify_all` workers thereby share warmed-up solver state across
     /// invariants instead of rebuilding a stack per representative.
     pool: SessionPool,
+    /// The header classes of the current epoch, built on first use and
+    /// shared by the BDD dataplane and the daemon's fingerprints.
+    classes: OnceLock<Arc<HeaderClasses>>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
-    /// (per-middlebox transfer predicates and per-scenario delivery
-    /// predicates cache inside it). Locking recovers from poisoning for
-    /// the same reason the pool's does.
+    /// (per-middlebox transfer predicates, per-(scenario, emitter)
+    /// delivery intervals and per-(scenario, emitter, target) delivery
+    /// predicates cache inside it, each filled only as far as the slices
+    /// checked so far reach). Locking recovers from poisoning for the
+    /// same reason the pool's does.
     bdd: Mutex<Option<Dataplane>>,
     /// The modular-verification context (resolved partition, boundary
     /// edges, validated contracts and the per-scenario synthesis cache).
@@ -558,6 +563,7 @@ impl Verifier {
             options,
             policy,
             pool: SessionPool::new(),
+            classes: OnceLock::new(),
             bdd: Mutex::new(None),
             modular,
         })
@@ -607,6 +613,13 @@ impl Verifier {
         &self.net
     }
 
+    /// [`HeaderClasses::from_network`] of the current epoch, computed once
+    /// per epoch however many consumers ask.
+    pub fn header_classes(&self) -> &Arc<HeaderClasses> {
+        self.classes
+            .get_or_init(|| Arc::new(HeaderClasses::from_network(&self.net.topo, &self.net.tables)))
+    }
+
     /// Swaps in a new network epoch, retiring exactly the pooled state
     /// the delta's footprint invalidates:
     ///
@@ -626,7 +639,8 @@ impl Verifier {
     ///   session, cost entry and the dataplane are retired.
     ///
     /// Policy classes are recomputed (unless pinned by
-    /// [`VerifyOptions::policy_hint`]) for any non-`Nothing` touch.
+    /// [`VerifyOptions::policy_hint`]) for any non-`Nothing` touch, and
+    /// the header classes dropped with the dataplane that shares them.
     pub fn swap_network(
         &mut self,
         net: Arc<Network>,
@@ -657,6 +671,7 @@ impl Verifier {
         }
         if !touched.is_nothing() {
             self.policy = Self::policy_classes(&net, &self.options);
+            self.classes = OnceLock::new();
             *self.bdd.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
             self.bdd.clear_poison();
             self.modular = modular.expect("built above for non-Nothing touches");
@@ -811,7 +826,7 @@ impl Verifier {
             }
         };
         if guard.is_none() {
-            *guard = Some(Dataplane::new(&self.net.topo, &self.net.tables));
+            *guard = Some(Dataplane::new(self.header_classes().clone()));
         }
         let dp = guard.as_mut().expect("installed above");
         let before = dp.stats();

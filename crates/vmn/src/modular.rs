@@ -52,7 +52,7 @@
 //! witnesses identical to the monolithic ones by construction.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vmn_analysis::{
     auto_partition, ContractError, ModuleContract, Partition, PortContract, WindowSet,
@@ -276,120 +276,145 @@ impl CrossMap {
     }
 }
 
-/// Runs the window-propagation fixpoint for one scenario.
-pub fn synthesize(net: &Network, scenario: &FailureScenario) -> CrossMap {
-    let topo = &net.topo;
-    let summaries: HashMap<NodeId, ForwardSummary> = topo
-        .middleboxes()
-        .filter(|&m| !scenario.is_failed(m))
-        .map(|m| (m, forward_summary(net.model(m))))
-        .collect();
-    // Source widening vocabulary: the CIDR aggregate of all host /32s.
-    // Widening a seed to its aggregate block only adds headers (sound)
-    // and collapses per-host windows into per-subnet ones.
-    let agg = aggregate_prefixes(topo.host_prefixes());
-    let widen =
-        |a: Address| agg.iter().copied().find(|p| p.contains(a)).unwrap_or_else(|| Prefix::host(a));
-    // Per-(switch, next-hop) aggregated destination narrowing.
-    let mut narrow: HashMap<(NodeId, NodeId), Vec<Prefix>> = HashMap::new();
-    for (sw, node) in topo.nodes() {
-        if node.kind.is_terminal() {
-            continue;
-        }
-        let mut by_next: HashMap<NodeId, Vec<Prefix>> = HashMap::new();
-        for r in net.tables.rules(sw) {
-            by_next.entry(r.next).or_default().push(r.prefix);
-        }
-        for (next, ps) in by_next {
-            narrow.insert((sw, next), aggregate_prefixes(ps));
-        }
-    }
+/// The half of contract synthesis no failure scenario changes: what the
+/// models and the tables say, before anything is propagated. One per
+/// network epoch serves every scenario's fixpoint.
+struct Prelude {
+    /// Emission summary per middlebox.
+    summaries: HashMap<NodeId, ForwardSummary>,
+    /// Source widening vocabulary: the CIDR aggregate of all host /32s.
+    /// Widening a seed to its aggregate block only adds headers (sound)
+    /// and collapses per-host windows into per-subnet ones.
+    agg: Vec<Prefix>,
+    /// Per-(switch, next-hop) aggregated destination narrowing.
+    narrow: HashMap<(NodeId, NodeId), Vec<Prefix>>,
+}
 
-    let mut cross: HashMap<(NodeId, NodeId), WindowSet> = HashMap::new();
-    let mut reach: HashMap<NodeId, WindowSet> = HashMap::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut queued: BTreeSet<NodeId> = BTreeSet::new();
-    for h in topo.hosts().filter(|&h| !scenario.is_failed(h)) {
-        queue.push_back(h);
-        queued.insert(h);
-    }
-
-    while let Some(v) = queue.pop_front() {
-        queued.remove(&v);
-        if scenario.is_failed(v) {
-            continue;
-        }
-        let node = topo.node(v);
-        // Windows this node can emit (switches are narrowed per edge
-        // below instead).
-        let emit: WindowSet = if node.kind.is_host() {
-            let mut seed = WindowSet::empty();
-            for &a in &node.addresses {
-                seed.insert((widen(a), any_dst()));
-            }
-            seed
-        } else if node.kind.is_middlebox() {
-            let arrived = reach.get(&v).cloned().unwrap_or_else(WindowSet::empty);
-            match summaries.get(&v) {
-                Some(ForwardSummary::Filter(f)) => arrived.intersect(f),
-                // A rewriting box emits headers unrelated to the
-                // arrived ones (VIP→backend, NAT restore, cached
-                // response), so the arrival only gates *whether* it
-                // emits, never *what*.
-                Some(ForwardSummary::Rewrite) if !arrived.is_empty() => WindowSet::any(),
-                _ => WindowSet::empty(),
-            }
-        } else {
-            reach.get(&v).cloned().unwrap_or_else(WindowSet::empty)
-        };
-        if emit.is_empty() {
-            continue;
-        }
-        let neighbors: Vec<NodeId> = topo.live_neighbors(v, scenario).collect();
-        for x in neighbors {
-            let w = if node.kind.is_terminal() {
-                // Entry semantics of `deliver`: direct hand-off to a
-                // terminal neighbour owning the destination, injection
-                // into any switch neighbour.
-                if topo.node(x).kind.is_terminal() {
-                    let owned = aggregate_prefixes(
-                        topo.node(x).addresses.iter().copied().map(Prefix::host).collect(),
-                    );
-                    let mut owned_ws = WindowSet::empty();
-                    for p in owned {
-                        owned_ws.insert((any_dst(), p));
-                    }
-                    emit.intersect(&owned_ws)
-                } else {
-                    emit.clone()
-                }
-            } else {
-                // Switch hop: destination narrowed by the union of
-                // rules toward this neighbour.
-                match narrow.get(&(v, x)) {
-                    Some(ps) => {
-                        let mut out = WindowSet::empty();
-                        for &p in ps {
-                            out.union_with(&emit.narrow_dst(p));
-                        }
-                        out
-                    }
-                    None => WindowSet::empty(),
-                }
-            };
-            if w.is_empty() {
+impl Prelude {
+    fn new(net: &Network) -> Prelude {
+        let topo = &net.topo;
+        let summaries = topo.middleboxes().map(|m| (m, forward_summary(net.model(m)))).collect();
+        let agg = aggregate_prefixes(topo.host_prefixes());
+        let mut narrow: HashMap<(NodeId, NodeId), Vec<Prefix>> = HashMap::new();
+        for (sw, node) in topo.nodes() {
+            if node.kind.is_terminal() {
                 continue;
             }
-            let grew = cross.entry((v, x)).or_default().union_with(&w);
-            if grew && !topo.node(x).kind.is_host() {
-                let r = reach.entry(x).or_default();
-                if r.union_with(&w) && queued.insert(x) {
-                    queue.push_back(x);
+            let mut by_next: HashMap<NodeId, Vec<Prefix>> = HashMap::new();
+            for r in net.tables.rules(sw) {
+                by_next.entry(r.next).or_default().push(r.prefix);
+            }
+            for (next, ps) in by_next {
+                narrow.insert((sw, next), aggregate_prefixes(ps));
+            }
+        }
+        Prelude { summaries, agg, narrow }
+    }
+
+    /// The per-scenario half: propagates windows from the live hosts
+    /// until no edge's crossing grows. A failed node is never dequeued
+    /// past the liveness test, so its summary is never read.
+    fn fixpoint(&self, net: &Network, scenario: &FailureScenario) -> CrossMap {
+        let topo = &net.topo;
+        let Prelude { summaries, agg, narrow } = self;
+        let widen = |a: Address| {
+            agg.iter().copied().find(|p| p.contains(a)).unwrap_or_else(|| Prefix::host(a))
+        };
+
+        let mut cross: HashMap<(NodeId, NodeId), WindowSet> = HashMap::new();
+        let mut reach: HashMap<NodeId, WindowSet> = HashMap::new();
+        let mut queue: VecDeque<NodeId> = VecDeque::new();
+        let mut queued: BTreeSet<NodeId> = BTreeSet::new();
+        for h in topo.hosts().filter(|&h| !scenario.is_failed(h)) {
+            queue.push_back(h);
+            queued.insert(h);
+        }
+
+        while let Some(v) = queue.pop_front() {
+            queued.remove(&v);
+            if scenario.is_failed(v) {
+                continue;
+            }
+            let node = topo.node(v);
+            // Windows this node can emit (switches are narrowed per edge
+            // below instead).
+            let emit: WindowSet = if node.kind.is_host() {
+                let mut seed = WindowSet::empty();
+                for &a in &node.addresses {
+                    seed.insert((widen(a), any_dst()));
+                }
+                seed
+            } else if node.kind.is_middlebox() {
+                let arrived = reach.get(&v).cloned().unwrap_or_else(WindowSet::empty);
+                match summaries.get(&v) {
+                    Some(ForwardSummary::Filter(f)) => arrived.intersect(f),
+                    // A rewriting box emits headers unrelated to the
+                    // arrived ones (VIP→backend, NAT restore, cached
+                    // response), so the arrival only gates *whether* it
+                    // emits, never *what*.
+                    Some(ForwardSummary::Rewrite) if !arrived.is_empty() => WindowSet::any(),
+                    _ => WindowSet::empty(),
+                }
+            } else {
+                reach.get(&v).cloned().unwrap_or_else(WindowSet::empty)
+            };
+            if emit.is_empty() {
+                continue;
+            }
+            let neighbors: Vec<NodeId> = topo.live_neighbors(v, scenario).collect();
+            for x in neighbors {
+                let w = if node.kind.is_terminal() {
+                    // Entry semantics of `deliver`: direct hand-off to a
+                    // terminal neighbour owning the destination, injection
+                    // into any switch neighbour.
+                    if topo.node(x).kind.is_terminal() {
+                        let owned = aggregate_prefixes(
+                            topo.node(x).addresses.iter().copied().map(Prefix::host).collect(),
+                        );
+                        let mut owned_ws = WindowSet::empty();
+                        for p in owned {
+                            owned_ws.insert((any_dst(), p));
+                        }
+                        emit.intersect(&owned_ws)
+                    } else {
+                        emit.clone()
+                    }
+                } else {
+                    // Switch hop: destination narrowed by the union of
+                    // rules toward this neighbour.
+                    match narrow.get(&(v, x)) {
+                        Some(ps) => {
+                            let mut out = WindowSet::empty();
+                            for &p in ps {
+                                out.union_with(&emit.narrow_dst(p));
+                            }
+                            out
+                        }
+                        None => WindowSet::empty(),
+                    }
+                };
+                if w.is_empty() {
+                    continue;
+                }
+                let grew = cross.entry((v, x)).or_default().union_with(&w);
+                if grew && !topo.node(x).kind.is_host() {
+                    let r = reach.entry(x).or_default();
+                    if r.union_with(&w) && queued.insert(x) {
+                        queue.push_back(x);
+                    }
                 }
             }
         }
+        CrossMap { cross }
     }
-    CrossMap { cross }
+}
+
+/// Runs the window-propagation fixpoint for one scenario, from nothing.
+/// A [`ModularContext`] answers the same question through
+/// [`ModularContext::cross_for`], which builds the scenario-independent
+/// half once per epoch and memoises the rest per scenario.
+pub fn synthesize(net: &Network, scenario: &FailureScenario) -> CrossMap {
+    Prelude::new(net).fixpoint(net, scenario)
 }
 
 /// A partition resolved against a concrete topology, plus the contract
@@ -405,6 +430,12 @@ pub struct ModularContext {
     /// Declared contracts, already validated against the no-failure
     /// synthesis. Empty in auto mode.
     pub contracts: Vec<ModuleContract>,
+    /// The scenario-independent half of the synthesis, built by the
+    /// first [`ModularContext::cross_for`]. It reads models and tables,
+    /// so a context must not outlive its network epoch:
+    /// `Verifier::swap_network` builds a new one on every touch that
+    /// can change either.
+    prelude: OnceLock<Prelude>,
     cache: Mutex<HashMap<FailureScenario, Arc<CrossMap>>>,
 }
 
@@ -435,6 +466,7 @@ impl ModularContext {
             module_ix,
             boundary,
             contracts: Vec::new(),
+            prelude: OnceLock::new(),
             cache: Mutex::new(HashMap::new()),
         })
     }
@@ -492,7 +524,7 @@ impl ModularContext {
                 return Err(ContractError::DuplicateModule { module: mc.module.clone() });
             }
         }
-        let synth = synthesize(net, &FailureScenario::none());
+        let synth = self.cross_for(net, &FailureScenario::none());
         let resolve_edge = |pc: &PortContract| -> Result<(NodeId, NodeId), ContractError> {
             let unknown =
                 || ContractError::UnknownEdge { from: pc.from.clone(), to: pc.to.clone() };
@@ -558,18 +590,25 @@ impl ModularContext {
         Ok(())
     }
 
-    /// The memoized per-scenario synthesis.
+    /// The per-scenario synthesis, memoised, over the epoch's shared
+    /// scenario-independent prelude. The fixpoint runs outside the memo's lock, so
+    /// `verify_all` workers on different scenarios do not serialise; two
+    /// that race on one scenario compute the same map and the first
+    /// insert is kept.
     pub fn cross_for(&self, net: &Network, scenario: &FailureScenario) -> Arc<CrossMap> {
-        let mut cache = match self.cache.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if let Some(hit) = cache.get(scenario) {
+        if let Some(hit) = self.memo().get(scenario) {
             return hit.clone();
         }
-        let cross = Arc::new(synthesize(net, scenario));
-        cache.insert(scenario.clone(), cross.clone());
-        cross
+        let prelude = self.prelude.get_or_init(|| Prelude::new(net));
+        let cross = Arc::new(prelude.fixpoint(net, scenario));
+        self.memo().entry(scenario.clone()).or_insert(cross).clone()
+    }
+
+    /// The memo's lock. A panicking holder cannot leave the map
+    /// half-updated (it only ever probes or inserts a finished map), so
+    /// a poisoned lock is recovered, not propagated.
+    fn memo(&self) -> MutexGuard<'_, HashMap<FailureScenario, Arc<CrossMap>>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The contract fast path: `Some(())`-style `true` means the
@@ -610,7 +649,7 @@ impl ModularContext {
     /// ingress assumptions and egress guarantees the engine actually
     /// uses, in declaration form (for reporting and the CLI).
     pub fn synthesized_contracts(&self, net: &Network) -> Vec<ModuleContract> {
-        let synth = synthesize(net, &FailureScenario::none());
+        let synth = self.cross_for(net, &FailureScenario::none());
         let name = |n: NodeId| net.topo.node(n).name.clone();
         let mut out: Vec<ModuleContract> = self
             .partition

@@ -134,3 +134,78 @@ fn sliced_verification_is_faster_on_larger_networks() {
     assert_eq!(a.verdict.holds(), b.verdict.holds());
     assert!(slice_time < whole_time, "slice {slice_time:?} should beat whole {whole_time:?}");
 }
+
+/// The paper's headline (§4) as an exact counter on the BDD path: one
+/// cross-site isolation check allocates the same number of BDD nodes
+/// whatever the size of the campus around its slice. The slice is the two
+/// hosts and their two site firewalls; what its emitters deliver to those
+/// four depends on the source building's own floors (its firewall takes
+/// every address between the building's hosts), so the count is one
+/// number per building shape — and for each shape the same number at 2,
+/// 4, 8 and 13 buildings.
+#[test]
+fn bdd_work_is_independent_of_network_size() {
+    use vmn::Backend;
+    use vmn_scenarios::estate::{Estate, EstateParams, EstateStyle};
+
+    let nodes_allocated = |sites: usize, subnets_per_site: usize| {
+        let e = Estate::build(EstateParams {
+            style: EstateStyle::Campus,
+            sites,
+            subnets_per_site,
+            hosts_per_subnet: 16,
+            with_failures: true,
+        });
+        let inv = Invariant::NodeIsolation { src: e.hosts[0][0][0], dst: e.hosts[1][0][0] };
+        let opts = VerifyOptions { backend: Backend::Bdd, ..Default::default() };
+        let r = Verifier::new(&e.net, opts).unwrap().verify(&inv).unwrap();
+        assert!(r.verdict.holds(), "site firewalls isolate the buildings");
+        assert_eq!(r.bdd_scenarios, r.scenarios_checked);
+        assert!(r.bdd.nodes > 0);
+        r.bdd.nodes
+    };
+    for subnets_per_site in [16, 4] {
+        let by_size = [2, 4, 8, 13].map(|sites| nodes_allocated(sites, subnets_per_site));
+        assert!(
+            by_size.iter().all(|&n| n == by_size[0]),
+            "{subnets_per_site} floors a building: BDD nodes per check must not depend on \
+             the number of buildings, got {by_size:?}"
+        );
+    }
+}
+
+/// What the BDD dataplane compiles follows the plan it is given: the same
+/// query on the whole terminal set reaches the same verdict and builds a
+/// delivery predicate for every terminal an emitter can reach, the slice
+/// only for its own four.
+#[test]
+fn a_slice_compiles_less_of_the_dataplane_than_the_whole_network() {
+    use vmn::Backend;
+    use vmn_scenarios::estate::{Estate, EstateParams, EstateStyle};
+
+    let e = Estate::build(EstateParams {
+        style: EstateStyle::Campus,
+        sites: 2,
+        subnets_per_site: 2,
+        hosts_per_subnet: 4,
+        with_failures: true,
+    });
+    for (inv, holds) in [(e.pair_isolation(1, 0), true), (e.local_reachability(1).remove(0), false)]
+    {
+        let check = |opts: VerifyOptions| {
+            let opts = VerifyOptions { backend: Backend::Bdd, ..opts };
+            Verifier::new(&e.net, opts).unwrap().verify(&inv).unwrap()
+        };
+        let (sliced, whole) =
+            (check(VerifyOptions::default()), check(VerifyOptions::whole_network()));
+        assert_eq!(sliced.verdict.holds(), holds, "{inv}");
+        assert_eq!(whole.verdict.holds(), holds, "{inv}");
+        assert!(sliced.encoded_nodes < whole.encoded_nodes, "{inv}");
+        assert!(
+            sliced.bdd.nodes < whole.bdd.nodes,
+            "{inv}: {} nodes on the slice, {} on the whole network",
+            sliced.bdd.nodes,
+            whole.bdd.nodes
+        );
+    }
+}
