@@ -9,12 +9,10 @@
 //!   the axes below. `EXPERIMENTS.md` holds one committed run next to the
 //!   shapes the paper reports; `--fig N --samples K` runs one figure.
 //! * `cargo bench -p vmn_bench` — `solver` (the SAT + bit-vector core on
-//!   pigeonhole and bit-vector instances) and four engine sweeps, each the
+//!   pigeonhole and bit-vector instances) and two engine sweeps, each the
 //!   default engine against the baseline it replaced: `scenario_sweep`
-//!   (pooled vs from-scratch sessions), `invariant_sweep` (cross-invariant
-//!   pool vs fresh stacks), `cluster_sweep` (slice clustering vs one union
-//!   vs per-scenario) and `fastpath_sweep` (BDD routing vs forced SMT).
-//!   Their workloads are defined below.
+//!   (pooled vs from-scratch sessions) and `fastpath_sweep` (BDD routing
+//!   vs forced SMT). Their workloads are defined below.
 //!
 //! ## Scale mapping
 //!
@@ -179,24 +177,14 @@ pub fn whole(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
 /// visits all `n + 1` scenarios (no-failure first) instead of stopping
 /// early.
 pub fn scenario_sweep_workload(n: usize) -> (Network, Vec<Vec<NodeId>>, Invariant) {
-    let (dc, net) = sweep_datacenter(n, 2);
-    (net, dc.policy_hint(), dc.pair_isolation(0, 1))
-}
-
-/// The §5.1 datacenter (two racks and one host pair per policy group,
-/// redundant middleboxes) with `n` middlebox failure scenarios attached —
-/// the shared substrate of the `scenario_sweep` and `invariant_sweep`
-/// benches.
-fn sweep_datacenter(
-    n: usize,
-    policy_groups: usize,
-) -> (vmn_scenarios::datacenter::Datacenter, Network) {
     use vmn_net::FailureScenario;
     use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
+    // Two policy groups, two racks and one host pair each, redundant
+    // middleboxes.
     let dc = Datacenter::build(DatacenterParams {
-        racks: policy_groups * 2,
+        racks: 4,
         hosts_per_rack: 2,
-        policy_groups,
+        policy_groups: 2,
         redundant: true,
         with_failures: false,
     });
@@ -214,166 +202,7 @@ fn sweep_datacenter(
     for s in faults.into_iter().take(n) {
         net.add_scenario(s);
     }
-    (dc, net)
-}
-
-/// Workload of the `invariant_sweep` bench: the sweep datacenter with
-/// *three* policy groups, `n` failure scenarios, and the paper's §5.1
-/// fleet shape — one node-isolation and one flow-isolation invariant per
-/// *direction* of every cross-group pair, plus per-group IDPS traversal
-/// (15 invariants).
-/// The two directions of a pair share their slice union and trace bound,
-/// so a `verify_all` with session reuse re-enters one warmed-up solver
-/// per (node-set, bound) key instead of building a fresh stack per
-/// representative; no two of them are symmetric (their policy-class
-/// signatures differ), so the symmetry machinery cannot collapse them
-/// and the session layer is genuinely exercised.
-pub fn invariant_sweep_workload(n: usize) -> (Network, Vec<Vec<NodeId>>, Vec<Invariant>) {
-    let (dc, net) = sweep_datacenter(n, 3);
-    let hint = dc.policy_hint();
-    let mut invs = Vec::new();
-    for a in 0..hint.len() {
-        for b in (a + 1)..hint.len() {
-            let (ha, hb) = (hint[a][0], hint[b][0]);
-            invs.push(Invariant::NodeIsolation { src: ha, dst: hb });
-            invs.push(Invariant::NodeIsolation { src: hb, dst: ha });
-            invs.push(Invariant::FlowIsolation { src: ha, dst: hb });
-            invs.push(Invariant::FlowIsolation { src: hb, dst: ha });
-        }
-    }
-    invs.extend(dc.traversal_invariants());
-    (net, hint, invs)
-}
-
-/// Workload of the `cluster_sweep` bench: one invariant whose
-/// per-scenario slices *diverge wildly* — the regime where the single
-/// union-of-all-slices sweep encodes far more than any one scenario
-/// needs, and where slice-similarity clustering must beat both the
-/// one-union and the per-scenario extremes.
-///
-/// Shape: hosts `a → b` behind a primary firewall→IDPS chain, `groups`
-/// shallow backup chains (a firewall fronting three alternative
-/// IDPSes), and one *deep* last-resort chain (a firewall feeding a long
-/// gateway pipeline with a failover tail). Failure scenario `(g, i)`
-/// kills every earlier firewall plus `i` of group `g`'s IDPSes, so
-/// traffic re-converges through a different 4-node slice each time; the
-/// two final scenarios kill every other firewall and route through the
-/// deep chain, whose pipeline depth drags the trace bound from 5 up
-/// to 9. Within a group the slices overlap at Jaccard 0.6, across
-/// groups only at the endpoints (≈0.3) — the default threshold merges
-/// per group and keeps groups apart. The single union therefore pays
-/// the deep chain's bound *and* node count on **every** scenario's
-/// check, while the clustered sweep checks the shallow majority on
-/// 4-node, bound-5 sessions and quarantines the deep slice in its own
-/// cluster; the per-scenario extreme re-encodes per distinct slice.
-/// All firewalls deny everything, so the isolation invariant holds in
-/// every scenario and a sweep visits all of them. Shallow scenarios are
-/// interleaved across groups, proving the engine preserves configured
-/// order while routing checks to per-cluster sessions.
-pub fn divergent_slice_workload(groups: usize) -> (Network, Vec<Vec<NodeId>>, Invariant) {
-    use vmn_mbox::models;
-    use vmn_net::{FailureScenario, Prefix, RoutingConfig, Rule, Topology};
-
-    let px = |s: &str| -> Prefix { s.parse().unwrap() };
-    let mut topo = Topology::new();
-    let sw = topo.add_switch("sw");
-    let a = topo.add_host("a", "10.1.0.1".parse().unwrap());
-    let b = topo.add_host("b", "10.2.0.1".parse().unwrap());
-    topo.add_link(a, sw);
-    topo.add_link(b, sw);
-
-    const IDPS_PER_GROUP: usize = 3;
-    const DEEP_GATEWAYS: usize = 5;
-    let fw_p = topo.add_middlebox("fwP", "stateful-firewall", vec![]);
-    let idps_p = topo.add_middlebox("idpsP", "idps", vec![]);
-    topo.add_link(fw_p, sw);
-    topo.add_link(idps_p, sw);
-    let mut backup: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    for g in 0..groups {
-        let fw = topo.add_middlebox(format!("fw{g}"), "stateful-firewall", vec![]);
-        topo.add_link(fw, sw);
-        let idpses: Vec<NodeId> = (0..IDPS_PER_GROUP)
-            .map(|i| {
-                let idps = topo.add_middlebox(format!("idps{g}.{i}"), "idps", vec![]);
-                topo.add_link(idps, sw);
-                idps
-            })
-            .collect();
-        backup.push((fw, idpses));
-    }
-    // The deep last-resort chain: fwD → gw0 → … → gw4, with an alternate
-    // final hop gw4' (its failover scenario keeps the slices similar
-    // enough to share the deep cluster).
-    let fw_d = topo.add_middlebox("fwD", "stateful-firewall", vec![]);
-    topo.add_link(fw_d, sw);
-    let gws: Vec<NodeId> = (0..DEEP_GATEWAYS)
-        .map(|i| {
-            let gw = topo.add_middlebox(format!("gw{i}"), "gateway", vec![]);
-            topo.add_link(gw, sw);
-            gw
-        })
-        .collect();
-    let gw_alt = topo.add_middlebox("gw4alt", "gateway", vec![]);
-    topo.add_link(gw_alt, sw);
-
-    let mut rc = RoutingConfig::new();
-    rc.host_routes(&topo);
-    let mut tables = rc.build(&topo, &FailureScenario::none());
-    let all = px("10.0.0.0/8");
-    // a's traffic: primary chain, then the shallow groups in priority
-    // order, then the deep chain as last resort.
-    tables.add_rule(sw, Rule::from_neighbor(all, a, fw_p).with_priority(100));
-    for (g, &(fw, _)) in backup.iter().enumerate() {
-        tables.add_rule(sw, Rule::from_neighbor(all, a, fw).with_priority(90 - 2 * g as i32));
-    }
-    tables.add_rule(sw, Rule::from_neighbor(all, a, fw_d).with_priority(50));
-    tables.add_rule(sw, Rule::from_neighbor(all, fw_p, idps_p).with_priority(100));
-    for &(fw, ref idpses) in &backup {
-        for (i, &idps) in idpses.iter().enumerate() {
-            tables.add_rule(sw, Rule::from_neighbor(all, fw, idps).with_priority(80 - i as i32));
-        }
-    }
-    // The deep pipeline: fwD → gw0 → … → gw4 (gw4' as failover tail).
-    tables.add_rule(sw, Rule::from_neighbor(all, fw_d, gws[0]).with_priority(80));
-    for w in gws.windows(2) {
-        tables.add_rule(sw, Rule::from_neighbor(all, w[0], w[1]).with_priority(80));
-    }
-    let before_last = gws[DEEP_GATEWAYS - 2];
-    tables.add_rule(sw, Rule::from_neighbor(all, before_last, gw_alt).with_priority(79));
-
-    let mut net = Network::new(topo, tables);
-    net.set_model(fw_p, models::learning_firewall("stateful-firewall", vec![]));
-    net.set_model(idps_p, models::idps("idps"));
-    for &(fw, ref idpses) in &backup {
-        net.set_model(fw, models::learning_firewall("stateful-firewall", vec![]));
-        for &idps in idpses {
-            net.set_model(idps, models::idps("idps"));
-        }
-    }
-    net.set_model(fw_d, models::learning_firewall("stateful-firewall", vec![]));
-    for &gw in gws.iter().chain([gw_alt].iter()) {
-        net.set_model(gw, models::gateway("gateway"));
-    }
-
-    // Shallow scenarios, interleaved across groups round by round…
-    for round in 0..IDPS_PER_GROUP {
-        for (g, (_, idpses)) in backup.iter().enumerate() {
-            let mut failed = vec![fw_p];
-            failed.extend(backup.iter().take(g).map(|&(fw, _)| fw));
-            failed.extend(idpses.iter().take(round).copied());
-            net.add_scenario(FailureScenario::nodes(failed));
-        }
-    }
-    // …then the two deep ones (all shallow firewalls down; the second
-    // additionally fails the deep chain's last gateway).
-    let mut all_fw_down = vec![fw_p];
-    all_fw_down.extend(backup.iter().map(|&(fw, _)| fw));
-    net.add_scenario(FailureScenario::nodes(all_fw_down.clone()));
-    all_fw_down.push(gws[DEEP_GATEWAYS - 1]);
-    net.add_scenario(FailureScenario::nodes(all_fw_down));
-
-    let inv = Invariant::NodeIsolation { src: a, dst: b };
-    (net, vec![vec![a], vec![b]], inv)
+    (net, dc.policy_hint(), dc.pair_isolation(0, 1))
 }
 
 /// Workload of the `fastpath_sweep` bench: a *stateless-heavy* estate —

@@ -4,8 +4,8 @@
 //!
 //! ```console
 //! $ vmn check network.vmn [--whole-network] [--threads N] [--trace]
-//!                         [--cluster-threshold F] [--certificate OUT]
-//!                         [--partition auto]
+//!                         [--certificate OUT]
+//!                         [--backend auto|smt|bdd] [--partition auto]
 //! $ vmn check run.cert          # first line `vmn-cert v1`: trusted check
 //! $ vmn lint network.vmn        # per-middlebox static-analysis report
 //! $ vmn lint --estates          # lint the built-in scenario estates
@@ -26,21 +26,19 @@ use vmn_serve::NetSpec;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vmn check <file> [--whole-network] [--threads N] [--trace]\n\
-         \x20                    [--cluster-threshold F] [--certificate OUT]\n\
+         \x20                    [--certificate OUT]\n\
          \x20                    [--backend auto|smt|bdd] [--partition auto]\n\
          \n\
          With a `.vmn` network description, verifies every `verify` line\n\
          and prints a verdict per invariant. --whole-network disables\n\
          slicing (for comparison), --threads enables parallel\n\
          verification, --trace prints violation witnesses.\n\
-         --cluster-threshold sets the Jaccard slice-similarity threshold\n\
-         for grouping failure scenarios into shared solver sessions (0 =\n\
-         one union, 1 = per-scenario, default 0.4). --certificate records\n\
-         a DRAT-style proof of every verdict and writes the bundles to\n\
-         OUT. --backend picks the engine per scenario: auto (default)\n\
-         answers stateless slices on the BDD dataplane and the rest on\n\
-         SMT, smt forces the solver pipeline, bdd forces the fast path\n\
-         and fails cleanly on slices with mutable middlebox state.\n\
+         --certificate records a DRAT-style proof of every verdict and\n\
+         writes the bundles to OUT. --backend picks the engine per\n\
+         scenario: auto (default) answers stateless slices on the BDD\n\
+         dataplane and the rest on SMT, smt forces the solver pipeline,\n\
+         bdd forces the fast path and fails cleanly on slices with\n\
+         mutable middlebox state.\n\
          --partition auto verifies modularly: the topology is cut into\n\
          modules on low-connectivity boundaries, boundary contracts are\n\
          synthesized for the cut links, and cross-module isolation\n\
@@ -278,7 +276,6 @@ fn main() -> ExitCode {
     let mut whole = false;
     let mut threads = 1usize;
     let mut trace = false;
-    let mut cluster_threshold: Option<f64> = None;
     let mut certificate_out: Option<String> = None;
     let mut backend = Backend::Auto;
     let mut partition = false;
@@ -310,18 +307,6 @@ fn main() -> ExitCode {
                 threads = match s["--threads=".len()..].parse() {
                     Ok(n) => n,
                     Err(_) => return usage(),
-                }
-            }
-            "--cluster-threshold" => {
-                cluster_threshold = match it.next().map(|n| n.parse()) {
-                    Some(Ok(f)) if (0.0f64..=1.0).contains(&f) => Some(f),
-                    _ => return usage(),
-                }
-            }
-            s if s.starts_with("--cluster-threshold=") => {
-                cluster_threshold = match s["--cluster-threshold=".len()..].parse() {
-                    Ok(f) if (0.0f64..=1.0).contains(&f) => Some(f),
-                    _ => return usage(),
                 }
             }
             "--certificate" => {
@@ -384,9 +369,6 @@ fn main() -> ExitCode {
     };
 
     let mut options = if whole { VerifyOptions::whole_network() } else { VerifyOptions::default() };
-    if let Some(t) = cluster_threshold {
-        options.cluster_threshold = t;
-    }
     options.emit_proofs = certificate_out.is_some();
     options.backend = backend;
     if partition {

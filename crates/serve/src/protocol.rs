@@ -181,7 +181,6 @@ pub fn handle_line(svc: &mut Service, line: &str) -> Response {
                         ("scenarios", Value::num(s.spec().fail_specs().count() as f64)),
                         ("cached_pairs", Value::num(s.cached_pairs() as f64)),
                         ("pooled_sessions", Value::num(s.verifier().pooled_sessions() as f64)),
-                        ("cost_entries", Value::num(s.verifier().cost_model_entries() as f64)),
                     ])
                 })
                 .collect();
@@ -261,6 +260,16 @@ mod tests {
         let v = json::parse(&r.text).unwrap();
         let nets = v.get("nets").and_then(Value::as_arr).unwrap();
         assert_eq!(nets.len(), 1);
+        // The whole per-net field set is pinned: a status field only
+        // disappears (or appears) when someone means it to.
+        let Value::Obj(fields) = &nets[0] else { panic!("status net is an object: {}", nets[0]) };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["name", "nodes", "invariants", "scenarios", "cached_pairs", "pooled_sessions"]
+        );
+        assert_eq!(nets[0].str_field("name"), Some("n"));
+        assert_eq!(field_num(&nets[0], "invariants"), 2.0);
         assert_eq!(field_num(&nets[0], "cached_pairs"), 2.0);
 
         // Errors don't kill the session.

@@ -9,7 +9,7 @@
 //! Applying a delta re-checks only what the delta can touch:
 //!
 //! 1. the delta's [`TouchSet`] retires exactly the stale pooled solver
-//!    sessions (`Verifier::swap_network`) and cost-model entries;
+//!    sessions (`Verifier::swap_network`);
 //! 2. cached pairs whose slice is disjoint from a `Nodes` footprint are
 //!    *prefiltered* — skipped without any recomputation (sound unless
 //!    the policy partition moved, which escalates to everything);

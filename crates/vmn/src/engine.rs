@@ -108,24 +108,20 @@ pub enum Backend {
 
 /// Lifetime of the solver sessions behind the SMT-routed scenarios of a
 /// sweep. Planning, routing, the BDD and contract paths and the report's
-/// accounting are the same in every mode.
+/// accounting are the same in both modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Sessions {
     /// One session per scenario cluster, checked out of the verifier's
     /// pool keyed by (node-set, trace bound) and returned — with every
-    /// clause learnt so far — for the next invariant with the same key,
-    /// governed by the pool's per-key cost model. Scenarios and
-    /// invariants are selected by activation literals.
+    /// clause learnt so far — for the next invariant with the same key.
+    /// Scenarios and invariants are selected by activation literals.
     #[default]
     Pooled,
-    /// One fresh session per scenario cluster and invariant, never
-    /// pooled — the baseline the `invariant_sweep` bench compares against.
-    PerInvariant,
     /// A fresh encoder and solver per scenario on the scenario's own
     /// slice, violation and scenario asserted directly: no activation
     /// literals, no clustering, no pool. The from-scratch baseline of the
     /// `scenario_sweep` bench and the reference the differential tests
-    /// hold the other two modes to.
+    /// hold `Pooled` to.
     PerScenario,
 }
 
@@ -134,21 +130,11 @@ pub enum Sessions {
 pub struct VerifyOptions {
     /// Verify on slices (§4) instead of the whole network.
     pub use_slices: bool,
-    /// Overrides the computed trace bound entirely.
-    pub steps_override: Option<usize>,
     /// Policy classes, if the operator knows them; otherwise they are
     /// computed by partition refinement.
     pub policy_hint: Option<Vec<Vec<NodeId>>>,
     /// How long a solver session lives — see [`Sessions`].
     pub sessions: Sessions,
-    /// Slice-similarity threshold for the sweep's scenario clustering
-    /// (Jaccard, in `[0, 1]`): scenarios whose slices overlap at least
-    /// this much share one encoder/solver session; divergent ones get
-    /// their own, smaller session. `0.0` degenerates to the single
-    /// union-of-all-slices sweep, `1.0` to one session per distinct slice
-    /// (identical slices still share). [`Sessions::PerScenario`] never
-    /// clusters. Values are clamped to `[0, 1]`.
-    pub cluster_threshold: f64,
     /// Record a DRAT-style proof log on every solver session and attach a
     /// certificate to each report ([`Report::certificate`]), validatable
     /// by the independent `vmn_check` crate (`vmn-cli check`). Off by
@@ -189,20 +175,20 @@ pub enum PartitionMode {
     Explicit { partition: Partition, contracts: Vec<ModuleContract> },
 }
 
-/// Default Jaccard threshold for scenario clustering: slices within one
-/// "failure family" (shared endpoints plus mostly-shared middleboxes)
-/// typically overlap well above this, so nesting workloads keep the
-/// single-union sweep, while genuinely divergent slices split off.
+/// The Jaccard threshold of the sweep's scenario clustering: SMT-routed
+/// scenarios whose slices overlap at least this much share one
+/// encoder/solver session. Slices within one "failure family" (shared
+/// endpoints plus mostly-shared middleboxes) typically overlap well above
+/// it, so nesting workloads keep the single-union sweep, while genuinely
+/// divergent slices split off into smaller sessions.
 pub const DEFAULT_CLUSTER_THRESHOLD: f64 = 0.4;
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             use_slices: true,
-            steps_override: None,
             policy_hint: None,
             sessions: Sessions::Pooled,
-            cluster_threshold: DEFAULT_CLUSTER_THRESHOLD,
             emit_proofs: false,
             backend: Backend::Auto,
             partition: PartitionMode::Off,
@@ -276,15 +262,6 @@ type SessionKey = (Vec<NodeId>, usize);
 /// stragglers beyond the cap are simply dropped).
 const MAX_POOLED_SESSIONS: usize = 8;
 
-/// EWMA weight of the newest cost sample in the pool's per-key model.
-const COST_EWMA_ALPHA: f64 = 0.5;
-
-/// Decay applied to a stale warm-cost estimate on every *fresh* sweep of
-/// a key whose prediction currently blocks warmed starts (see
-/// [`KeyCost::record`]): pulls the estimate toward observed fresh costs
-/// so the model can re-explore instead of ratcheting shut forever.
-const WARM_RECOVERY_ALPHA: f64 = 0.25;
-
 /// A re-entered session that has accumulated this many conflicts *since
 /// its last scrub* gets its search heuristics (activities, phases) reset
 /// at checkout: past this point the profile is tuned to a foreign
@@ -293,136 +270,46 @@ const WARM_RECOVERY_ALPHA: f64 = 0.25;
 /// sessions outright and forfeited both).
 const SCRUB_SEARCH_CONFLICTS: u64 = 10_000;
 
-/// A warmed session is retired once its observed per-invariant cost
-/// exceeds a fresh stack's by this factor. Below it, re-entering wins
-/// (the skeleton encoding is saved and skeleton/scenario lemmas are
-/// shared); above it, the warmed solver's foreign learnt database and
-/// activity profile are predicted to cost more than they save.
-const WARM_LOSS_MARGIN: f64 = 1.25;
-
-/// Per-key cost model: exponentially-weighted averages of the solver
-/// work one invariant's sweep costs on this key, split by whether the
-/// sweep ran on a pool-warmed session or a freshly built stack. Costs
-/// are derived from the per-check [`SolverStats`] deltas (conflicts
-/// weighted heavily, propagations lightly — see [`session_cost`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct KeyCost {
-    fresh: Option<f64>,
-    warm: Option<f64>,
-}
-
-impl KeyCost {
-    fn record(&mut self, warmed: bool, cost: f64) {
-        let slot = if warmed { &mut self.warm } else { &mut self.fresh };
-        *slot = Some(match *slot {
-            None => cost,
-            Some(prev) => prev + COST_EWMA_ALPHA * (cost - prev),
-        });
-        // While the model predicts warm losses, no warmed sweep ever runs
-        // on this key, so the warm estimate could never be contradicted —
-        // a one-way ratchet. Decay the stale warm estimate toward each
-        // fresh observation instead: after a few fresh sweeps the
-        // prediction re-opens and the next warmed sweep re-measures the
-        // truth (its downside is bounded — one sweep).
-        if !warmed && !self.warm_predicted_to_win() {
-            let warm = self.warm.expect("prediction requires a warm estimate");
-            self.warm = Some(warm + WARM_RECOVERY_ALPHA * (cost - warm));
-        }
-    }
-
-    /// Whether a warmed session is predicted to beat a fresh stack for
-    /// the next invariant on this key. Optimistic until evidence exists
-    /// both ways: the first warmed sweep on a key is the experiment that
-    /// produces the warm estimate (its downside is bounded — one sweep —
-    /// while the blind cutoff this model replaces forfeited the win on
-    /// every heavyweight key forever).
-    fn warm_predicted_to_win(&self) -> bool {
-        match (self.fresh, self.warm) {
-            (Some(fresh), Some(warm)) => warm <= fresh * WARM_LOSS_MARGIN,
-            _ => true,
-        }
-    }
-}
-
-/// Scalar cost of one invariant's sweep on a session, from its
-/// [`SolverStats`] delta: conflicts dominate solver wall-clock; the
-/// propagation term keeps pure-propagation sweeps comparable.
-fn session_cost(delta: &SolverStats) -> f64 {
-    delta.conflicts as f64 + delta.propagations as f64 / 256.0
-}
-
-/// The verifier's pool of live solver sessions plus the per-key cost
-/// model driving retire/pool decisions.
+/// The verifier's pool of idle solver sessions, keyed by (node-set,
+/// trace bound).
 ///
-/// All locking recovers from poisoning: both maps are plain caches whose
-/// invariants hold after any partial mutation (a pushed-or-not session, a
-/// half-updated EWMA), so a worker thread that panicked mid-`verify_all`
-/// must not wedge every later verify on this verifier.
+/// Locking recovers from poisoning: the map is a plain cache whose
+/// invariants hold after any partial mutation (a pushed-or-not session),
+/// so a worker thread that panicked mid-`verify_all` must not wedge every
+/// later verify on this verifier.
 struct SessionPool {
     idle: Mutex<HashMap<SessionKey, Vec<Encoded>>>,
-    costs: Mutex<HashMap<SessionKey, KeyCost>>,
 }
 
 impl SessionPool {
     fn new() -> SessionPool {
-        SessionPool { idle: Mutex::new(HashMap::new()), costs: Mutex::new(HashMap::new()) }
+        SessionPool { idle: Mutex::new(HashMap::new()) }
     }
 
-    /// Locks a cache map, recovering the guard if a previous holder
-    /// panicked (the data is a valid cache state either way).
-    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the map, recovering the guard if a previous holder panicked
+    /// (the data is a valid cache state either way).
+    fn lock(&self) -> MutexGuard<'_, HashMap<SessionKey, Vec<Encoded>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn pooled(&self) -> usize {
-        Self::lock(&self.idle).values().map(Vec::len).sum()
+        self.lock().values().map(Vec::len).sum()
     }
 
-    /// Number of keys the cost model currently tracks.
-    fn cost_entries(&self) -> usize {
-        Self::lock(&self.costs).len()
-    }
-
-    /// Drops idle sessions *and their cost-model entries* for every key
-    /// `stale` selects. Evicting the cost entries together with the
-    /// sessions is what keeps `costs` bounded in a long-lived process:
-    /// a retired key's node set can never be requested again (the nodes
-    /// changed behaviour or identity), so its EWMA would otherwise sit
-    /// in the map forever.
+    /// Drops the idle sessions of every key `stale` selects.
     fn retire<F: Fn(&SessionKey) -> bool>(&self, stale: F) {
-        Self::lock(&self.idle).retain(|k, _| !stale(k));
-        Self::lock(&self.costs).retain(|k, _| !stale(k));
+        self.lock().retain(|k, _| !stale(k));
     }
 
-    /// Pops an idle session for `key` if the cost model predicts a warm
-    /// start wins; when it predicts a loss, any idle sessions for the key
-    /// are dropped (their learnt databases are dead weight) and `None`
-    /// directs the caller to a fresh stack.
+    /// Pops an idle session for `key`, if any.
     fn checkout(&self, key: &SessionKey) -> Option<Encoded> {
-        let predicted_win =
-            Self::lock(&self.costs).get(key).copied().unwrap_or_default().warm_predicted_to_win();
-        let mut idle = Self::lock(&self.idle);
-        if predicted_win {
-            idle.get_mut(key).and_then(Vec::pop)
-        } else {
-            idle.remove(key);
-            None
-        }
+        self.lock().get_mut(key).and_then(Vec::pop)
     }
 
-    /// Records the observed cost of one invariant's sweep on `key`.
-    fn record(&self, key: &SessionKey, warmed: bool, delta: &SolverStats) {
-        Self::lock(&self.costs).entry(key.clone()).or_default().record(warmed, session_cost(delta));
-    }
-
-    /// Returns a session to the pool — unless the cost model now predicts
-    /// warmed sessions lose on this key, in which case it is retired
-    /// (dropped). Sessions beyond the per-key cap are dropped too.
+    /// Returns a session to the pool; sessions beyond the per-key cap are
+    /// dropped.
     fn checkin(&self, key: SessionKey, enc: Encoded) {
-        if !Self::lock(&self.costs).get(&key).copied().unwrap_or_default().warm_predicted_to_win() {
-            return;
-        }
-        let mut idle = Self::lock(&self.idle);
+        let mut idle = self.lock();
         let slot = idle.entry(key).or_default();
         if slot.len() < MAX_POOLED_SESSIONS {
             slot.push(enc);
@@ -443,8 +330,7 @@ pub struct Verifier {
     policy: PolicyClasses,
     /// Live solver sessions (scenario-/invariant-free skeletons plus
     /// everything registered on them so far), keyed by (node-set, trace
-    /// bound), with the cost model driving retire/pool decisions.
-    /// `verify` checks sessions out, solves on them, and returns them;
+    /// bound). `verify` checks sessions out, solves on them, and returns them;
     /// `verify_all` workers thereby share warmed-up solver state across
     /// invariants instead of rebuilding a stack per representative.
     pool: SessionPool,
@@ -501,11 +387,11 @@ enum Route {
 struct Cluster {
     nodes: Vec<NodeId>,
     k: usize,
-    /// Session, pool-hit flag, stats snapshot at checkout, and the
-    /// proof-check watermark at checkout: a pooled session's log already
-    /// holds other invariants' check records, so this invariant's
-    /// certificate slices from the watermark.
-    session: Option<(Encoded, bool, SolverStats, usize)>,
+    /// Session, stats snapshot at checkout, and the proof-check watermark
+    /// at checkout: a pooled session's log already holds other
+    /// invariants' check records, so this invariant's certificate slices
+    /// from the watermark.
+    session: Option<(Encoded, SolverStats, usize)>,
 }
 
 /// Lowers a BDD dataplane witness to the engine's trace format: one
@@ -624,11 +510,10 @@ impl Verifier {
     /// the delta's footprint invalidates:
     ///
     /// * [`TouchSet::Nothing`] — invariants/scenarios changed but no
-    ///   node's behaviour did: every session, cost entry and the BDD
-    ///   dataplane survive (both register new scenarios and invariants
-    ///   lazily).
-    /// * [`TouchSet::Nodes`] — a model swap: sessions (and their cost
-    ///   entries) whose node set contains a touched node are retired;
+    ///   node's behaviour did: every session and the BDD dataplane
+    ///   survive (both register new scenarios and invariants lazily).
+    /// * [`TouchSet::Nodes`] — a model swap: sessions whose node set
+    ///   contains a touched node are retired;
     ///   the rest keep their skeletons, which encode only their own
     ///   nodes' models plus delivery behaviour — and the topology and
     ///   tables are unchanged by contract for this variant. The BDD
@@ -636,7 +521,7 @@ impl Verifier {
     ///   dropped and rebuilt lazily.
     /// * [`TouchSet::Everything`] — structural change: node identity,
     ///   header classes and delivery may all have moved; every pooled
-    ///   session, cost entry and the dataplane are retired.
+    ///   session and the dataplane are retired.
     ///
     /// Policy classes are recomputed (unless pinned by
     /// [`VerifyOptions::policy_hint`]) for any non-`Nothing` touch, and
@@ -689,34 +574,23 @@ impl Verifier {
         self.pool.pooled()
     }
 
-    /// Number of (node-set, bound) keys the session pool's cost model
-    /// tracks. Bounded in a long-lived process: [`Verifier::swap_network`]
-    /// evicts entries together with the sessions they model.
-    pub fn cost_model_entries(&self) -> usize {
-        self.pool.cost_entries()
-    }
-
     /// Checks a session for `(nodes, k)` out of the pool, building the
-    /// skeleton on a miss, when the cost model vetoes reuse, or always
-    /// unless sessions are [`Sessions::Pooled`]. The flag reports whether
-    /// the session came back warmed (pool hit).
-    fn checkout_session(&self, nodes: &[NodeId], k: usize) -> Result<(Encoded, bool), VerifyError> {
-        if self.options.sessions == Sessions::Pooled {
-            if let Some(mut enc) = self.pool.checkout(&(nodes.to_vec(), k)) {
-                // A session that has absorbed a heavyweight search since
-                // its last scrub carries an activity/phase profile tuned
-                // to a foreign query; scrub it (keeping the clause
-                // database and caches) so re-entry starts a clean search
-                // over warm lemmas. The watermark makes this a per-wear
-                // decision: many light sweeps never re-trigger it.
-                if enc.ctx.conflicts_since_search_reset() >= SCRUB_SEARCH_CONFLICTS {
-                    enc.ctx.reset_search_state();
-                }
-                // The pool only holds sessions this verifier built, so a
-                // pooled session's proof state always matches the options.
-                debug_assert_eq!(enc.ctx.proofs_enabled(), self.options.emit_proofs);
-                return Ok((enc, true));
+    /// skeleton on a miss.
+    fn checkout_session(&self, nodes: &[NodeId], k: usize) -> Result<Encoded, VerifyError> {
+        if let Some(mut enc) = self.pool.checkout(&(nodes.to_vec(), k)) {
+            // A session that has absorbed a heavyweight search since its
+            // last scrub carries an activity/phase profile tuned to a
+            // foreign query; scrub it (keeping the clause database and
+            // caches) so re-entry starts a clean search over warm lemmas.
+            // The watermark makes this a per-wear decision: many light
+            // sweeps never re-trigger it.
+            if enc.ctx.conflicts_since_search_reset() >= SCRUB_SEARCH_CONFLICTS {
+                enc.ctx.reset_search_state();
             }
+            // The pool only holds sessions this verifier built, so a
+            // pooled session's proof state always matches the options.
+            debug_assert_eq!(enc.ctx.proofs_enabled(), self.options.emit_proofs);
+            return Ok(enc);
         }
         let mut enc = encoder::encode_skeleton(&self.net, nodes, k)?;
         if self.options.emit_proofs {
@@ -725,17 +599,7 @@ impl Verifier {
             // skeleton still has a pristine solver.
             enc.ctx.enable_proofs();
         }
-        Ok((enc, false))
-    }
-
-    /// Feeds the cost model and returns the session to the pool for the
-    /// next invariant with the same key (unless the model retires it).
-    fn checkin_session(&self, key: SessionKey, enc: Encoded, warmed: bool, delta: &SolverStats) {
-        if self.options.sessions != Sessions::Pooled {
-            return;
-        }
-        self.pool.record(&key, warmed, delta);
-        self.pool.checkin(key, enc);
+        Ok(enc)
     }
 
     /// Picks the answer path of one planned scenario — the only place the
@@ -867,9 +731,7 @@ impl Verifier {
         };
         nodes.sort();
         nodes.dedup();
-        let bound = self.options.steps_override.unwrap_or_else(|| {
-            bounds::trace_bound(&self.net, scenario, inv, &nodes, bounds::DEFAULT_SLACK)
-        });
+        let bound = bounds::trace_bound(&self.net, scenario, inv, &nodes, bounds::DEFAULT_SLACK);
         Ok(Plan { nodes, bound })
     }
 
@@ -891,8 +753,8 @@ impl Verifier {
     /// SMT — and the scenarios are then checked in their configured
     /// order, so the first violating scenario is the same whatever the
     /// configuration. The SMT-routed scenarios are *clustered*: their
-    /// slices are grouped by Jaccard similarity (see
-    /// `options.cluster_threshold`), each cluster gets one encoder
+    /// slices are grouped by Jaccard similarity (at
+    /// [`DEFAULT_CLUSTER_THRESHOLD`]), each cluster gets one encoder
     /// holding the scenario-independent formula over the union of its
     /// members' slices at the largest required bound, and each scenario
     /// is one assumption-based call on its cluster's persistent solver —
@@ -900,7 +762,7 @@ impl Verifier {
     /// scenario of the same cluster. (A union of sufficient slices is
     /// itself sufficient, and a larger trace bound only widens the
     /// violation search, so verdicts are the same for *any* clustering;
-    /// the differential tests and the fuzz suite hold every clustering
+    /// the differential tests and the fuzz suite hold the clustered sweep
     /// to [`Sessions::PerScenario`], which does none, and replay every
     /// extracted witness on the concrete simulator.)
     ///
@@ -947,16 +809,9 @@ impl Verifier {
         if self.options.sessions == Sessions::PerScenario {
             return (Vec::new(), cluster_of);
         }
-        // NaN survives f64::clamp; fall back to the documented default
-        // rather than silently disabling every merge.
-        let threshold = if self.options.cluster_threshold.is_nan() {
-            DEFAULT_CLUSTER_THRESHOLD
-        } else {
-            self.options.cluster_threshold.clamp(0.0, 1.0)
-        };
         let smt: Vec<usize> = (0..planned.len()).filter(|&i| planned[i].2 == Route::Smt).collect();
         let slices: Vec<Vec<NodeId>> = smt.iter().map(|&i| planned[i].1.nodes.clone()).collect();
-        let clusters = cluster_slices(&slices, threshold)
+        let clusters = cluster_slices(&slices, DEFAULT_CLUSTER_THRESHOLD)
             .into_iter()
             .enumerate()
             .map(|(c, members)| {
@@ -988,9 +843,9 @@ impl Verifier {
             // the same (node-set, bound) key; the stats delta taken at
             // checkin still attributes only this invariant's checks to
             // its report.
-            let (enc, warmed) = self.checkout_session(&cluster.nodes, cluster.k)?;
+            let enc = self.checkout_session(&cluster.nodes, cluster.k)?;
             let (before, checks_from) = (enc.ctx.stats(), enc.ctx.proof_checks());
-            cluster.session = Some((enc, warmed, before, checks_from));
+            cluster.session = Some((enc, before, checks_from));
         }
         let (enc, ..) = cluster.session.as_mut().expect("installed above");
         match enc.check_invariant_scenario(&self.net, inv, scenario) {
@@ -1116,23 +971,21 @@ impl Verifier {
             break;
         }
 
-        // Return every touched session to the pool (with its observed
-        // cost), summing the per-cluster deltas into this invariant's
-        // attribution, and fold in the sizes/bounds of the clusters that
-        // were *actually encoded* (an early violation may leave later
-        // clusters unbuilt).
+        // Return every touched session to the pool, summing the
+        // per-cluster deltas into this invariant's attribution, and fold
+        // in the sizes/bounds of the clusters that were *actually
+        // encoded* (an early violation may leave later clusters unbuilt).
         for cluster in clusters {
-            let Some((enc, warmed, before, checks_from)) = cluster.session else { continue };
+            let Some((enc, before, checks_from)) = cluster.session else { continue };
             report.encoded_nodes = report.encoded_nodes.max(cluster.nodes.len());
             report.steps = report.steps.max(cluster.k);
-            let delta = enc.ctx.stats().delta_since(&before);
-            report.solver = report.solver + delta;
+            report.solver = report.solver + enc.ctx.stats().delta_since(&before);
             if let (Some(bundle), Some(session)) =
                 (&mut report.certificate, enc.ctx.proof_session(checks_from))
             {
                 bundle.sessions.push(session);
             }
-            self.checkin_session((cluster.nodes, cluster.k), enc, warmed, &delta);
+            self.pool.checkin((cluster.nodes, cluster.k), enc);
         }
 
         // A check error beats everything; a deferred planning error only
@@ -1366,69 +1219,108 @@ pub(crate) mod engine_tests {
         assert_eq!(scenario.fault_count(), 1, "only the failure scenario bypasses");
     }
 
+    /// The knob-count pin: an exhaustive destructuring, so adding a field
+    /// to [`VerifyOptions`] fails to compile until this test is edited on
+    /// purpose.
     #[test]
-    fn steps_override_is_respected() {
+    fn verify_options_has_six_knobs() {
+        let VerifyOptions { use_slices, policy_hint, sessions, emit_proofs, backend, partition } =
+            VerifyOptions::default();
+        assert!(use_slices);
+        assert!(policy_hint.is_none());
+        assert_eq!(sessions, Sessions::Pooled);
+        assert!(!emit_proofs);
+        assert_eq!(backend, Backend::Auto);
+        assert!(matches!(partition, PartitionMode::Off));
+    }
+
+    #[test]
+    fn plans_use_the_derived_trace_bound() {
         let (net, src, dst) = pipelined(true);
-        let opts = VerifyOptions { steps_override: Some(3), ..Default::default() };
-        let v = Verifier::new(&net, opts).unwrap();
-        let r = v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-        assert_eq!(r.steps, 3);
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let inv = Invariant::NodeIsolation { src, dst };
+        let mut max = 0;
+        for s in net.all_scenarios() {
+            let plan = v.plan(&inv, &s).unwrap();
+            let derived = bounds::trace_bound(&net, &s, &inv, plan.nodes(), bounds::DEFAULT_SLACK);
+            assert_eq!(plan.bound(), derived, "{s:?}");
+            max = max.max(derived);
+        }
+        assert_eq!(v.verify(&inv).unwrap().steps, max);
+    }
+
+    /// The premise of every session-sharing test: `a` and `b` plan to the
+    /// same node set and trace bound in every scenario, so their sweeps
+    /// cluster alike and check out the same pool keys.
+    fn assert_same_plans(v: &Verifier, a: &Invariant, b: &Invariant) {
+        for s in v.network().all_scenarios() {
+            let (pa, pb) = (v.plan(a, &s).unwrap(), v.plan(b, &s).unwrap());
+            assert_eq!(pa.nodes(), pb.nodes(), "{a} vs {b} under {s:?}: nodes");
+            assert_eq!(pa.bound(), pb.bound(), "{a} vs {b} under {s:?}: bound");
+        }
     }
 
     #[test]
     fn sessions_are_pooled_and_reused_across_invariants() {
         let (net, src, dst) = pipelined(true);
-        // Pin the bound so both invariant kinds share a session key.
-        let opts = VerifyOptions { steps_override: Some(4), ..Default::default() };
-        let v = Verifier::new(&net, opts).unwrap();
+        // Slice closure and pipeline depth are symmetric in the endpoints,
+        // so the two directions of one pair share a session key.
+        let (fwd, rev) = (
+            Invariant::NodeIsolation { src, dst },
+            Invariant::NodeIsolation { src: dst, dst: src },
+        );
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        assert_same_plans(&v, &fwd, &rev);
         assert_eq!(v.pooled_sessions(), 0);
-        let r1 = v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
+        let r1 = v.verify(&fwd).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "the session returns to the pool");
-        let r2 = v.verify(&Invariant::DataIsolation { origin: src, dst }).unwrap();
+        let r2 = v.verify(&rev).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "the second invariant re-entered the same session");
-        assert_eq!(r1.verdict.holds(), r2.verdict.holds());
         // Per-invariant attribution: each report carries only its own
         // solver work, not the session's cumulative counters.
         assert!(r1.solver.decisions + r1.solver.propagations > 0);
         assert!(r2.solver.decisions + r2.solver.propagations > 0);
 
-        // With per-invariant sessions, nothing is pooled.
-        let opts = VerifyOptions {
-            steps_override: Some(4),
-            sessions: Sessions::PerInvariant,
-            ..Default::default()
-        };
+        // The from-scratch mode pools nothing.
+        let opts = VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() };
         let v2 = Verifier::new(&net, opts).unwrap();
-        v2.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
+        v2.verify(&fwd).unwrap();
         assert_eq!(v2.pooled_sessions(), 0);
     }
 
     #[test]
     fn session_reuse_matches_fresh_stacks() {
         let (net, src, dst) = pipelined(false);
-        let invs = [
+        let node = [
             Invariant::NodeIsolation { src, dst },
             Invariant::NodeIsolation { src: dst, dst: src },
-            Invariant::DataIsolation { origin: src, dst },
         ];
-        let pooled =
-            Verifier::new(&net, VerifyOptions { steps_override: Some(4), ..Default::default() })
-                .unwrap();
+        let flow = [
+            Invariant::FlowIsolation { src, dst },
+            Invariant::FlowIsolation { src: dst, dst: src },
+        ];
+        let pooled = Verifier::new(&net, VerifyOptions::default()).unwrap();
         let fresh = Verifier::new(
             &net,
-            VerifyOptions {
-                steps_override: Some(4),
-                sessions: Sessions::PerInvariant,
-                ..Default::default()
-            },
+            VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() },
         )
         .unwrap();
-        for inv in &invs {
+        assert_same_plans(&pooled, &node[0], &node[1]);
+        assert_same_plans(&pooled, &flow[0], &flow[1]);
+        for inv in node.iter().chain(&flow) {
             let got = pooled.verify(inv).unwrap();
             let want = fresh.verify(inv).unwrap();
             assert_eq!(got.verdict.holds(), want.verdict.holds(), "{inv}");
             assert_eq!(got.scenarios_checked, want.scenarios_checked, "{inv}");
+            if let (
+                Verdict::Violated { scenario: gs, .. },
+                Verdict::Violated { scenario: ws, .. },
+            ) = (&got.verdict, &want.verdict)
+            {
+                assert_eq!(gs, ws, "{inv}: first violating scenario");
+            }
         }
+        assert_eq!(pooled.pooled_sessions(), 2, "one session per shared (node-set, bound) key");
     }
 
     #[test]
@@ -1450,86 +1342,20 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn key_cost_model_predictions() {
-        let mut c = KeyCost::default();
-        assert!(c.warm_predicted_to_win(), "no evidence: optimistic");
-        c.record(false, 1000.0);
-        assert!(c.warm_predicted_to_win(), "fresh-only evidence: still optimistic");
-        c.record(true, 800.0);
-        assert!(c.warm_predicted_to_win(), "warm cheaper than fresh");
-        // A run of expensive warmed sweeps flips the prediction…
-        for _ in 0..4 {
-            c.record(true, 5000.0);
-        }
-        assert!(!c.warm_predicted_to_win(), "warm EWMA far above fresh");
-        // …cheaper warm samples win it back directly (EWMA, not a
-        // ratchet)…
-        for _ in 0..6 {
-            c.record(true, 500.0);
-        }
-        assert!(c.warm_predicted_to_win(), "cost model must recover from warm evidence");
-        // …and — crucially — so do *fresh* samples alone: while the
-        // prediction blocks warmed starts, the system can only ever
-        // observe fresh sweeps, so the stale warm estimate must decay
-        // toward them or the model would ratchet shut forever.
-        for _ in 0..4 {
-            c.record(true, 50_000.0);
-        }
-        assert!(!c.warm_predicted_to_win());
-        let mut fresh_rounds = 0;
-        while !c.warm_predicted_to_win() {
-            c.record(false, 1000.0);
-            fresh_rounds += 1;
-            assert!(fresh_rounds < 100, "fresh-only evidence must eventually re-open the key");
-        }
-    }
-
-    #[test]
-    fn cost_model_retires_sessions_predicted_to_lose() {
-        let (net, src, dst) = pipelined(true);
-        let opts = VerifyOptions { steps_override: Some(4), ..Default::default() };
-        let v = Verifier::new(&net, opts).unwrap();
-        let inv = Invariant::NodeIsolation { src, dst };
-        let r = v.verify(&inv).unwrap();
-        assert_eq!(v.pooled_sessions(), 1);
-        // Force the model to predict warmed losses for the pooled key.
-        {
-            let mut costs = SessionPool::lock(&v.pool.costs);
-            let key = costs.keys().next().cloned().expect("one key recorded");
-            let cost = costs.get_mut(&key).unwrap();
-            cost.record(false, 10.0);
-            for _ in 0..4 {
-                cost.record(true, 1_000_000.0);
-            }
-            assert!(!cost.warm_predicted_to_win());
-        }
-        // Checkout now rebuilds fresh (and drains the stale idle session);
-        // checkin retires instead of pooling.
-        let r2 = v.verify(&inv).unwrap();
-        assert_eq!(r.verdict.holds(), r2.verdict.holds());
-        assert_eq!(v.pooled_sessions(), 0, "predicted-to-lose sessions must be retired");
-    }
-
-    #[test]
     fn pool_lock_poisoning_does_not_wedge_later_verifies() {
         let (net, src, dst) = pipelined(true);
         let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
         let inv = Invariant::NodeIsolation { src, dst };
         let first = v.verify(&inv).unwrap();
         assert!(v.pooled_sessions() > 0);
-        // Poison both pool mutexes: a worker panicking while holding the
+        // Poison the pool mutex: a worker panicking while holding the
         // lock marks it poisoned for every later lock().
         std::thread::scope(|s| {
             let idle = s.spawn(|| {
                 let _guard = v.pool.idle.lock().unwrap();
                 panic!("worker dies holding the idle lock");
             });
-            let costs = s.spawn(|| {
-                let _guard = v.pool.costs.lock().unwrap();
-                panic!("worker dies holding the costs lock");
-            });
             assert!(idle.join().is_err());
-            assert!(costs.join().is_err());
         });
         assert!(v.pool.idle.is_poisoned(), "the test must actually poison the lock");
         // Later verifies (and pool diagnostics) recover instead of
@@ -1688,66 +1514,60 @@ pub(crate) mod engine_tests {
         }
     }
 
-    const ALL_SESSIONS: [Sessions; 3] =
-        [Sessions::Pooled, Sessions::PerInvariant, Sessions::PerScenario];
+    const ALL_SESSIONS: [Sessions; 2] = [Sessions::Pooled, Sessions::PerScenario];
 
-    /// Verifies `inv` under every [`Sessions`] mode × `thresholds` on top
-    /// of `base` and holds each run to the [`Sessions::PerScenario`]
-    /// reference: same verdict, first violating scenario, scenario count
-    /// and per-backend split — and, when the scenarios' slices nest, the
-    /// same `encoded_nodes`/`steps`. Every report also goes to `expect`
-    /// for the case's own assertions; the reference is returned.
+    /// Verifies `inv` under every [`Sessions`] mode on top of `base` and
+    /// holds each run to the [`Sessions::PerScenario`] reference: same
+    /// verdict, first violating scenario, scenario count and per-backend
+    /// split — and, when the scenarios' slices nest, the same
+    /// `encoded_nodes`/`steps`. Every report also goes to `expect` for
+    /// the case's own assertions; the reference is returned.
     fn sessions_agree(
         case: &str,
         net: &Network,
         base: &VerifyOptions,
         inv: &Invariant,
-        thresholds: &[f64],
         nested: bool,
         expect: impl Fn(&Report, &str),
     ) -> Report {
-        let run = |sessions, cluster_threshold| {
-            let opts = VerifyOptions { sessions, cluster_threshold, ..base.clone() };
+        let run = |sessions| {
+            let opts = VerifyOptions { sessions, ..base.clone() };
             Verifier::new(net, opts).unwrap().verify(inv).unwrap()
         };
-        let want = run(Sessions::PerScenario, DEFAULT_CLUSTER_THRESHOLD);
+        let want = run(Sessions::PerScenario);
         for sessions in ALL_SESSIONS {
-            for &threshold in thresholds {
-                let got = run(sessions, threshold);
-                let ctx = format!("{case}: {inv} under {sessions:?}, threshold {threshold}");
-                assert_eq!(got.verdict.holds(), want.verdict.holds(), "{ctx}");
-                if let (
-                    Verdict::Violated { scenario: gs, .. },
-                    Verdict::Violated { scenario: ws, .. },
-                ) = (&got.verdict, &want.verdict)
-                {
-                    assert_eq!(gs, ws, "{ctx}: first violating scenario");
-                }
-                assert_eq!(got.scenarios_checked, want.scenarios_checked, "{ctx}");
-                assert_eq!(
-                    (got.smt_scenarios, got.bdd_scenarios, got.contract_scenarios),
-                    (want.smt_scenarios, want.bdd_scenarios, want.contract_scenarios),
-                    "{ctx}: per-backend split"
-                );
-                assert_eq!(
-                    got.smt_scenarios + got.bdd_scenarios + got.contract_scenarios,
-                    got.scenarios_checked,
-                    "{ctx}"
-                );
-                if nested {
-                    assert_eq!(got.encoded_nodes, want.encoded_nodes, "{ctx}");
-                    assert_eq!(got.steps, want.steps, "{ctx}: bound is the max over scenarios");
-                }
-                expect(&got, &ctx);
+            let got = run(sessions);
+            let ctx = format!("{case}: {inv} under {sessions:?}");
+            assert_eq!(got.verdict.holds(), want.verdict.holds(), "{ctx}");
+            if let (
+                Verdict::Violated { scenario: gs, .. },
+                Verdict::Violated { scenario: ws, .. },
+            ) = (&got.verdict, &want.verdict)
+            {
+                assert_eq!(gs, ws, "{ctx}: first violating scenario");
             }
+            assert_eq!(got.scenarios_checked, want.scenarios_checked, "{ctx}");
+            assert_eq!(
+                (got.smt_scenarios, got.bdd_scenarios, got.contract_scenarios),
+                (want.smt_scenarios, want.bdd_scenarios, want.contract_scenarios),
+                "{ctx}: per-backend split"
+            );
+            assert_eq!(
+                got.smt_scenarios + got.bdd_scenarios + got.contract_scenarios,
+                got.scenarios_checked,
+                "{ctx}"
+            );
+            if nested {
+                assert_eq!(got.encoded_nodes, want.encoded_nodes, "{ctx}");
+                assert_eq!(got.steps, want.steps, "{ctx}: bound is the max over scenarios");
+            }
+            expect(&got, &ctx);
         }
         want
     }
 
     #[test]
     fn sessions_modes_agree() {
-        let default = [DEFAULT_CLUSTER_THRESHOLD];
-
         // Mixed backends. fw1 becomes a deny-all *stateless* ACL: the
         // no-failure scenario steers through it alone, classifies
         // stateless, and holds on the BDD fast path. Under fw1's failure
@@ -1759,23 +1579,16 @@ pub(crate) mod engine_tests {
         let fw1 = net.topo.by_name("fw1").unwrap();
         net.set_model(fw1, models::acl_firewall("stateful-firewall", vec![]));
         let inv = Invariant::NodeIsolation { src, dst };
-        let ra = sessions_agree(
-            "mixed/auto",
-            &net,
-            &VerifyOptions::default(),
-            &inv,
-            &default,
-            false,
-            |r, ctx| {
+        let ra =
+            sessions_agree("mixed/auto", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
                 assert!(!r.verdict.holds(), "{ctx}: the backup path has no ACL bite");
                 assert_eq!(r.bdd_scenarios + r.smt_scenarios, r.scenarios_checked, "{ctx}");
                 assert!(r.bdd_scenarios > 0, "{ctx}: the stateless scenario takes the fast path");
                 assert!(r.smt_scenarios > 0, "{ctx}: the stateful scenario stays on smt");
                 assert!(r.solver.decisions + r.solver.propagations > 0, "{ctx}");
-            },
-        );
+            });
         let smt = VerifyOptions { backend: Backend::Smt, ..Default::default() };
-        let rs = sessions_agree("mixed/smt", &net, &smt, &inv, &default, false, |_, _| {});
+        let rs = sessions_agree("mixed/smt", &net, &smt, &inv, false, |_, _| {});
         assert_eq!(ra.verdict.holds(), rs.verdict.holds());
         assert_eq!(ra.scenarios_checked, rs.scenarios_checked);
 
@@ -1790,29 +1603,15 @@ pub(crate) mod engine_tests {
             net.set_model(fw, models::learning_firewall("stateful-firewall", vec![]));
         }
         let inv = Invariant::NodeIsolation { src, dst };
-        sessions_agree(
-            "bounds",
-            &net,
-            &VerifyOptions::default(),
-            &inv,
-            &default,
-            true,
-            |r, ctx| {
-                assert!(!r.verdict.holds(), "{ctx}: failure must bypass the dead firewall");
-                assert_eq!(
-                    r.scenarios_checked, 2,
-                    "{ctx}: violation found in the failure scenario"
-                );
-            },
-        );
+        sessions_agree("bounds", &net, &VerifyOptions::default(), &inv, true, |r, ctx| {
+            assert!(!r.verdict.holds(), "{ctx}: failure must bypass the dead firewall");
+            assert_eq!(r.scenarios_checked, 2, "{ctx}: violation found in the failure scenario");
+        });
 
-        // Clustering extremes. The same deny-all network plus a third
-        // scenario: every clustering — one union, default, per-slice —
-        // must match the from-scratch reference.
+        // A third scenario on the same deny-all network: the clustered
+        // sweep must still match the from-scratch reference.
         net.add_scenario(vmn_net::FailureScenario::nodes([dst]));
-        let thresholds = [0.0, DEFAULT_CLUSTER_THRESHOLD, 1.0];
-        let opts = VerifyOptions::default();
-        sessions_agree("clusters", &net, &opts, &inv, &thresholds, true, |_, _| {});
+        sessions_agree("three scenarios", &net, &VerifyOptions::default(), &inv, true, |_, _| {});
 
         // Contracts. Same module: exact engine; flow isolation is
         // violated by a direct unsolicited send. Across modules: every
@@ -1820,15 +1619,119 @@ pub(crate) mod engine_tests {
         let (net, a1, _a2, b1, b2) = two_buildings();
         let modular = VerifyOptions { partition: PartitionMode::Auto, ..Default::default() };
         let local = Invariant::FlowIsolation { src: b2, dst: b1 };
-        sessions_agree("modular/local", &net, &modular, &local, &default, true, |r, ctx| {
+        sessions_agree("modular/local", &net, &modular, &local, true, |r, ctx| {
             assert!(!r.verdict.holds(), "{ctx}");
             assert_eq!(r.contract_scenarios, 0, "{ctx}");
         });
         let cross = Invariant::FlowIsolation { src: a1, dst: b1 };
-        sessions_agree("modular/cross", &net, &modular, &cross, &default, true, |r, ctx| {
+        sessions_agree("modular/cross", &net, &modular, &cross, true, |r, ctx| {
             assert!(r.verdict.holds(), "{ctx}");
             assert_eq!(r.contract_scenarios, r.scenarios_checked, "{ctx}");
         });
+    }
+
+    /// An invariant whose per-scenario slices diverge: hosts `a → b`
+    /// behind a primary firewall→IDPS chain, two backup groups (a
+    /// firewall fronting two alternative IDPSes each) and a deeper
+    /// last-resort chain (an allow-all firewall feeding two gateways).
+    /// Scenario `(g, i)` fails every earlier firewall plus `i` of group
+    /// `g`'s IDPSes, so traffic re-converges through a different 4-node
+    /// slice each time: within a group the slices overlap at Jaccard 0.6,
+    /// across groups at 1/3, so [`DEFAULT_CLUSTER_THRESHOLD`] keeps the
+    /// groups apart. The last scenario fails every shallow firewall and
+    /// routes through the deep chain, whose larger bound gets a cluster
+    /// of its own and whose allow-all firewall violates the invariant.
+    fn divergent_slices() -> (Network, Invariant) {
+        use vmn_net::FailureScenario;
+        let mut topo = Topology::new();
+        let sw = topo.add_switch("sw");
+        let a = topo.add_host("a", "10.1.0.1".parse().unwrap());
+        let b = topo.add_host("b", "10.2.0.1".parse().unwrap());
+        let mut mbox = |name: String, kind: &str| {
+            let m = topo.add_middlebox(name, kind, vec![]);
+            topo.add_link(m, sw);
+            m
+        };
+        let (fw_p, idps_p) =
+            (mbox("fwP".into(), "stateful-firewall"), mbox("idpsP".into(), "idps"));
+        let groups: Vec<(NodeId, [NodeId; 2])> = (0..2)
+            .map(|g| {
+                let fw = mbox(format!("fw{g}"), "stateful-firewall");
+                (fw, [0, 1].map(|i| mbox(format!("idps{g}.{i}"), "idps")))
+            })
+            .collect();
+        let fw_d = mbox("fwD".into(), "stateful-firewall");
+        let gws = [0, 1].map(|i| mbox(format!("gw{i}"), "gateway"));
+        topo.add_link(a, sw);
+        topo.add_link(b, sw);
+
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        let all = px("10.0.0.0/8");
+        let mut steer = |from, to, prio| {
+            tables.add_rule(sw, Rule::from_neighbor(all, from, to).with_priority(prio));
+        };
+        steer(a, fw_p, 100);
+        steer(fw_p, idps_p, 100);
+        for (g, &(fw, idpses)) in groups.iter().enumerate() {
+            steer(a, fw, 90 - g as i32);
+            steer(fw, idpses[0], 80);
+            steer(fw, idpses[1], 79);
+        }
+        steer(a, fw_d, 50);
+        steer(fw_d, gws[0], 80);
+        steer(gws[0], gws[1], 80);
+
+        let mut net = Network::new(topo, tables);
+        for fw in [fw_p, groups[0].0, groups[1].0] {
+            net.set_model(fw, models::learning_firewall("stateful-firewall", vec![]));
+        }
+        let any = px("0.0.0.0/0");
+        net.set_model(fw_d, models::learning_firewall("stateful-firewall", vec![(any, any)]));
+        for idps in std::iter::once(idps_p).chain(groups.iter().flat_map(|g| g.1)) {
+            net.set_model(idps, models::idps("idps"));
+        }
+        for gw in gws {
+            net.set_model(gw, models::gateway("gateway"));
+        }
+        // Shallow scenarios, interleaved across the groups (the engine
+        // must keep configured order while checking on per-cluster
+        // sessions), then the deep one.
+        for round in 0..2 {
+            for (g, (_, idpses)) in groups.iter().enumerate() {
+                let mut failed = vec![fw_p];
+                failed.extend(groups[..g].iter().map(|&(fw, _)| fw));
+                failed.extend(&idpses[..round]);
+                net.add_scenario(FailureScenario::nodes(failed));
+            }
+        }
+        net.add_scenario(FailureScenario::nodes([fw_p, groups[0].0, groups[1].0]));
+        (net, Invariant::NodeIsolation { src: a, dst: b })
+    }
+
+    #[test]
+    fn divergent_slices_are_checked_on_several_clusters() {
+        let (net, inv) = divergent_slices();
+        let deep = net.all_scenarios().pop().unwrap();
+        let want =
+            sessions_agree("divergent", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
+                let Verdict::Violated { scenario, .. } = &r.verdict else {
+                    panic!("{ctx}: the deep chain's allow-all firewall forwards the probe");
+                };
+                assert_eq!(scenario, &deep, "{ctx}: only the deep scenario violates");
+                assert_eq!(r.smt_scenarios, r.scenarios_checked, "{ctx}: every slice is stateful");
+            });
+
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let got = v.verify(&inv).unwrap();
+        let keys: Vec<SessionKey> = v.pool.lock().keys().cloned().collect();
+        assert!(keys.len() >= 2, "one pooled session per cluster key, got {keys:?}");
+        assert_eq!(v.pooled_sessions(), keys.len());
+        let max_k = keys.iter().map(|&(_, k)| k).max().unwrap();
+        assert!(keys.iter().any(|&(_, k)| k < max_k), "the deep cluster has its own bound");
+        assert_eq!(got.steps, max_k, "the report's bound is the max over the clusters'");
+        assert_eq!(got.steps, want.steps, "and the max over the scenarios'");
     }
 
     #[test]
@@ -1876,30 +1779,28 @@ pub(crate) mod engine_tests {
     #[test]
     fn swap_network_retires_exactly_the_touched_sessions() {
         let (net, src, dst) = pipelined(true);
-        let opts = VerifyOptions { steps_override: Some(4), ..Default::default() };
-        let mut v = Verifier::new(&net, opts).unwrap();
+        let fw1 = net.topo.by_name("fw1").unwrap();
+        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
         v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-        assert_eq!(v.pooled_sessions(), 1);
-        assert!(v.cost_model_entries() > 0);
+        assert_eq!(v.pooled_sessions(), 1, "both scenarios' slices share one cluster");
+        assert!(v.pool.lock().keys().all(|(nodes, _)| nodes.contains(&fw1)));
 
         // An invariant/scenario-only delta keeps everything warm.
         v.swap_network(v.network().clone(), &TouchSet::Nothing).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "TouchSet::Nothing must not retire sessions");
 
         // A model swap of a box outside the pooled session's node set
-        // keeps it; one inside retires it (and its cost entry).
+        // keeps it; one inside retires it.
         v.swap_network(v.network().clone(), &TouchSet::node("no-such-box")).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "disjoint footprint must not retire the session");
         v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
         assert_eq!(v.pooled_sessions(), 0, "fw1 is in the pooled slice");
-        assert_eq!(v.cost_model_entries(), 0, "cost entries retire with their sessions");
 
         // Structural deltas retire everything.
         v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
         assert_eq!(v.pooled_sessions(), 1);
         v.swap_network(v.network().clone(), &TouchSet::Everything).unwrap();
         assert_eq!(v.pooled_sessions(), 0);
-        assert_eq!(v.cost_model_entries(), 0);
 
         // And the verifier still verifies correctly afterwards.
         let r = v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
@@ -1907,18 +1808,12 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn cost_model_map_stays_bounded_under_topology_churn() {
-        // Satellite regression: the pool's per-key EWMA map used to grow
-        // without bound as network deltas retired old keys — every churn
-        // epoch leaves distinct (node-set, bound) keys behind. Churn the
-        // topology so each epoch pools under a *different* key and assert
-        // the map never exceeds the live-key count.
+    fn session_pool_stays_bounded_under_topology_churn() {
+        // Leak regression: every structural epoch must retire the keys of
+        // the last one, so the pool never holds more than the live key.
         let (net, src, dst) = pipelined(true);
-        let mut v =
-            Verifier::new(&net, VerifyOptions { steps_override: Some(4), ..Default::default() })
-                .unwrap();
+        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
         for epoch in 0..6usize {
-            // Vary the bound so the session key differs per epoch.
             let mut net2 = (**v.network()).clone();
             let tag = format!("extra{epoch}");
             let h = net2.topo.add_host(&tag, format!("172.16.0.{}", epoch + 1).parse().unwrap());
@@ -1927,9 +1822,9 @@ pub(crate) mod engine_tests {
             v.swap_network(Arc::new(net2), &TouchSet::Everything).unwrap();
             v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
             assert!(
-                v.cost_model_entries() <= 1,
-                "epoch {epoch}: cost map leaked retired keys ({} entries)",
-                v.cost_model_entries()
+                v.pooled_sessions() <= 1,
+                "epoch {epoch}: pool leaked retired keys ({} sessions)",
+                v.pooled_sessions()
             );
         }
     }

@@ -64,7 +64,7 @@ fn certificates_cover_all_engine_configs() {
         Invariant::FlowIsolation { src: outside, dst: inside }, // holds
         Invariant::NodeIsolation { src: outside, dst: inside }, // violated
     ];
-    for sessions in [Sessions::PerScenario, Sessions::PerInvariant, Sessions::Pooled] {
+    for sessions in [Sessions::PerScenario, Sessions::Pooled] {
         let opts = VerifyOptions { emit_proofs: true, sessions, ..VerifyOptions::default() };
         let v = Verifier::new(&net, opts).unwrap();
         for inv in &invariants {
@@ -89,13 +89,22 @@ fn pooled_sessions_slice_certificates_per_invariant() {
     // invariant's derivations) but carries only its own check records —
     // and still validates standalone.
     let (net, outside, inside) = firewalled_network();
-    let opts =
-        VerifyOptions { emit_proofs: true, steps_override: Some(4), ..VerifyOptions::default() };
+    let opts = VerifyOptions { emit_proofs: true, ..VerifyOptions::default() };
     let v = Verifier::new(&net, opts).unwrap();
-    let r1 = v.verify(&Invariant::NodeIsolation { src: outside, dst: inside }).unwrap();
+    // The two directions of one pair: the first holds, the second is
+    // violated, and — the premise of the test — both plan to the same
+    // node set and trace bound, hence to one session key.
+    let inbound = Invariant::FlowIsolation { src: outside, dst: inside };
+    let outbound = Invariant::FlowIsolation { src: inside, dst: outside };
+    for s in net.all_scenarios() {
+        let (p1, p2) = (v.plan(&inbound, &s).unwrap(), v.plan(&outbound, &s).unwrap());
+        assert_eq!((p1.nodes(), p1.bound()), (p2.nodes(), p2.bound()), "{s:?}");
+    }
+    let r1 = v.verify(&inbound).unwrap();
     assert_eq!(v.pooled_sessions(), 1, "the proof-logging session must pool normally");
-    let r2 = v.verify(&Invariant::DataIsolation { origin: outside, dst: inside }).unwrap();
+    let r2 = v.verify(&outbound).unwrap();
     assert_eq!(v.pooled_sessions(), 1, "the second invariant re-entered the session");
+    assert!(r1.verdict.holds() && !r2.verdict.holds());
     validate_report(&r1, "first invariant on the session");
     validate_report(&r2, "second invariant on the shared session");
     let (c1, c2) = (r1.certificate.unwrap(), r2.certificate.unwrap());

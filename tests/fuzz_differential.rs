@@ -1,27 +1,23 @@
 //! Randomized differential fuzzing of the whole incremental solving
 //! stack: random topologies (hosts, stateful/stateless firewalls, load
 //! balancers), random steering with failover priorities, random policy
-//! groups and random failure scenarios — verified by four engines that
+//! groups and random failure scenarios — verified by two engines that
 //! must agree on every observable:
 //!
 //! * the from-scratch oracle (`Sessions::PerScenario`: fresh slice,
 //!   encoder and solver per scenario);
-//! * the single-union incremental sweep (`cluster_threshold: 0.0` — the
-//!   PR-2 engine);
-//! * the clustered incremental sweep (the default threshold);
-//! * the per-scenario-session extreme (`cluster_threshold: 1.0`).
+//! * the clustered incremental sweep on pooled sessions (the default).
 //!
-//! Verdicts, scenario counts and first violating scenarios must match
-//! pairwise, every violation witness must replay into a real forbidden
-//! reception on the concrete simulator, and re-verifying on the clustered
-//! engine (re-entering its pooled, cost-modelled sessions) must be
-//! stable. Every engine additionally runs with `emit_proofs` on, and the
-//! independent trusted checker (`vmn_check`) validates each report's
-//! certificate — UNSAT derivations for refuted scenarios, replayable
-//! models for violations — so the proof log is fuzzed against the same
-//! random workloads as the solver itself.
+//! Verdicts, scenario counts and first violating scenarios must match,
+//! every violation witness must replay into a real forbidden reception on
+//! the concrete simulator, and re-verifying on the clustered engine
+//! (re-entering its pooled sessions) must be stable. Both engines run
+//! with `emit_proofs` on, and the independent trusted checker
+//! (`vmn_check`) validates each report's certificate — UNSAT derivations
+//! for refuted scenarios, replayable models for violations — so the proof
+//! log is fuzzed against the same random workloads as the solver itself.
 //!
-//! On top of the four certified engines, every case re-runs with proofs
+//! On top of the two certified engines, every case re-runs with proofs
 //! off under `Backend::Auto` (incremental and baseline), where stateless
 //! slices are answered by the BDD dataplane fast path instead of the
 //! solver: verdicts, scenario counts and first violating scenarios must
@@ -229,11 +225,10 @@ fn generate(rng: &mut TestRng) -> Case {
     Case { net, hint, inv, label }
 }
 
-fn opts(case: &Case, sessions: Sessions, cluster_threshold: f64) -> VerifyOptions {
+fn opts(case: &Case, sessions: Sessions) -> VerifyOptions {
     VerifyOptions {
         policy_hint: case.hint.clone(),
         sessions,
-        cluster_threshold,
         emit_proofs: true,
         ..Default::default()
     }
@@ -350,50 +345,42 @@ fn run_case(seed: u64) {
     policy_reference::assert_matches_reference(&case.net, label);
 
     let oracle =
-        Verifier::new(&case.net, opts(&case, Sessions::PerScenario, 0.0)).expect("valid network");
+        Verifier::new(&case.net, opts(&case, Sessions::PerScenario)).expect("valid network");
     let want = oracle.verify(&case.inv).expect("oracle verifies");
     assert_witness_replays(&case, &want.verdict, "oracle");
     assert_certificate_checks(&want, label, "oracle");
 
-    let engines = [
-        ("single-union", 0.0),
-        ("clustered", VerifyOptions::default().cluster_threshold),
-        ("per-scenario", 1.0),
-    ];
-    for (engine, threshold) in engines {
-        let v = Verifier::new(&case.net, opts(&case, Sessions::Pooled, threshold))
-            .expect("valid network");
-        let got = v.verify(&case.inv).expect("incremental verify succeeds");
-        assert_eq!(
-            got.verdict.holds(),
-            want.verdict.holds(),
-            "{label}: {engine} verdict diverges from oracle"
-        );
-        assert_eq!(
-            got.scenarios_checked, want.scenarios_checked,
-            "{label}: {engine} scenario count diverges"
-        );
-        if let (Verdict::Violated { scenario: gs, .. }, Verdict::Violated { scenario: ws, .. }) =
-            (&got.verdict, &want.verdict)
-        {
-            assert_eq!(gs, ws, "{label}: {engine} first violating scenario diverges");
-        }
-        assert_witness_replays(&case, &got.verdict, engine);
-        assert_certificate_checks(&got, label, engine);
-
-        // Second pass on the same verifier: re-enters the pooled,
-        // cost-modelled sessions and must be observably identical — and
-        // its certificate, sliced from the re-entered session's shared
-        // log, must validate independently.
-        let again = v.verify(&case.inv).expect("re-verify succeeds");
-        assert_eq!(
-            again.verdict.holds(),
-            got.verdict.holds(),
-            "{label}: {engine} verdict unstable across session reuse"
-        );
-        assert_eq!(again.scenarios_checked, got.scenarios_checked, "{label}: {engine} re-sweep");
-        assert_certificate_checks(&again, label, &format!("{engine} (re-entered)"));
+    let engine = "clustered";
+    let v = Verifier::new(&case.net, opts(&case, Sessions::Pooled)).expect("valid network");
+    let got = v.verify(&case.inv).expect("incremental verify succeeds");
+    assert_eq!(
+        got.verdict.holds(),
+        want.verdict.holds(),
+        "{label}: {engine} verdict diverges from oracle"
+    );
+    assert_eq!(
+        got.scenarios_checked, want.scenarios_checked,
+        "{label}: {engine} scenario count diverges"
+    );
+    if let (Verdict::Violated { scenario: gs, .. }, Verdict::Violated { scenario: ws, .. }) =
+        (&got.verdict, &want.verdict)
+    {
+        assert_eq!(gs, ws, "{label}: {engine} first violating scenario diverges");
     }
+    assert_witness_replays(&case, &got.verdict, engine);
+    assert_certificate_checks(&got, label, engine);
+
+    // Second pass on the same verifier: re-enters the pooled sessions and
+    // must be observably identical — and its certificate, sliced from the
+    // re-entered session's shared log, must validate independently.
+    let again = v.verify(&case.inv).expect("re-verify succeeds");
+    assert_eq!(
+        again.verdict.holds(),
+        got.verdict.holds(),
+        "{label}: {engine} verdict unstable across session reuse"
+    );
+    assert_eq!(again.scenarios_checked, got.scenarios_checked, "{label}: {engine} re-sweep");
+    assert_certificate_checks(&again, label, &format!("{engine} (re-entered)"));
 
     // Multi-backend routing (proofs off, `Backend::Auto`): scenarios
     // whose slices carry no mutable middlebox state are answered by the
@@ -480,7 +467,7 @@ fn run_case(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Four engines, one verdict — on fully random networks.
+    /// Every engine, one verdict — on fully random networks.
     #[test]
     fn engines_agree_on_random_networks(seed in any::<u64>()) {
         run_case(seed);

@@ -1,10 +1,10 @@
 //! Differential tests for cross-invariant solver sessions:
 //! `Verifier::verify_all` with the session pool (`Sessions::Pooled`, the
-//! default) must return verdicts *identical* to per-invariant fresh
-//! solver stacks (`Sessions::PerInvariant`) — same holds/violated answer
-//! per invariant, same first violating scenario, same scenario counts,
-//! same symmetry inheritance — and every violation witness must replay
-//! into a real forbidden reception on the concrete simulator.
+//! default) must return verdicts *identical* to fresh solver stacks per
+//! scenario (`Sessions::PerScenario`) — same holds/violated answer per
+//! invariant, same first violating scenario, same scenario counts, same
+//! symmetry inheritance — and every violation witness must replay into a
+//! real forbidden reception on the concrete simulator.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,7 +22,7 @@ fn opts(hint: Vec<Vec<NodeId>>, sessions: Sessions) -> VerifyOptions {
 /// replay on the simulator under both engines.
 fn assert_fleet_matches(net: &Network, hint: Vec<Vec<NodeId>>, invs: &[Invariant], label: &str) {
     let pooled = Verifier::new(net, opts(hint.clone(), Sessions::Pooled)).expect("valid network");
-    let fresh = Verifier::new(net, opts(hint, Sessions::PerInvariant)).expect("valid network");
+    let fresh = Verifier::new(net, opts(hint, Sessions::PerScenario)).expect("valid network");
     let got = pooled.verify_all(invs, 1).expect("session verify_all succeeds");
     let want = fresh.verify_all(invs, 1).expect("fresh verify_all succeeds");
     assert!(pooled.pooled_sessions() > 0, "{label}: the pool must have been exercised");
