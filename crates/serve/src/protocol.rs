@@ -174,6 +174,7 @@ pub fn handle_line(svc: &mut Service, line: &str) -> Response {
                 .iter()
                 .map(|name| {
                     let s = svc.net(name).expect("listed");
+                    let pool = s.verifier().pool_stats();
                     Value::obj([
                         ("name", Value::str(*name)),
                         ("nodes", Value::num(s.names().len() as f64)),
@@ -181,6 +182,8 @@ pub fn handle_line(svc: &mut Service, line: &str) -> Response {
                         ("scenarios", Value::num(s.spec().fail_specs().count() as f64)),
                         ("cached_pairs", Value::num(s.cached_pairs() as f64)),
                         ("pooled_sessions", Value::num(s.verifier().pooled_sessions() as f64)),
+                        ("pool_checkouts", Value::num(pool.checkouts as f64)),
+                        ("pool_hits", Value::num(pool.hits as f64)),
                     ])
                 })
                 .collect();
@@ -266,11 +269,25 @@ mod tests {
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
-            ["name", "nodes", "invariants", "scenarios", "cached_pairs", "pooled_sessions"]
+            [
+                "name",
+                "nodes",
+                "invariants",
+                "scenarios",
+                "cached_pairs",
+                "pooled_sessions",
+                "pool_checkouts",
+                "pool_hits"
+            ]
         );
         assert_eq!(nets[0].str_field("name"), Some("n"));
         assert_eq!(field_num(&nets[0], "invariants"), 2.0);
         assert_eq!(field_num(&nets[0], "cached_pairs"), 2.0);
+        // Nothing steers `a -> b` through `fw`, so its slice is stateless,
+        // the BDD path answers both pairs, and no session is checked out
+        // (`tests/serve_deltas.rs` pins the counters on SMT traffic).
+        assert_eq!(field_num(&nets[0], "pool_checkouts"), 0.0);
+        assert_eq!(field_num(&nets[0], "pool_hits"), 0.0);
 
         // Errors don't kill the session.
         let r = handle_line(

@@ -1,8 +1,8 @@
 //! The long-lived verification service.
 //!
 //! A [`Service`] holds a fleet of named [`NetSession`]s. Each session
-//! keeps the symbolic [`NetSpec`], a warmed [`Verifier`] (whose solver
-//! sessions persist across checks), and a **verdict cache** with one
+//! keeps the symbolic [`NetSpec`], a warmed [`Verifier`] (whose few most
+//! recent solver sessions persist across checks), and a **verdict cache** with one
 //! entry per (invariant, scenario) pair, keyed by the pair's *slice
 //! fingerprint* ([`vmn::slice::verdict_fingerprint`]).
 //!

@@ -113,7 +113,8 @@ pub enum Backend {
 pub enum Sessions {
     /// One session per scenario cluster, checked out of the verifier's
     /// pool keyed by (node-set, trace bound) and returned — with every
-    /// clause learnt so far — for the next invariant with the same key.
+    /// clause learnt so far — for the next sweep with the same key, as
+    /// one of the pool's few most recent idle sessions.
     /// Scenarios and invariants are selected by activation literals.
     #[default]
     Pooled,
@@ -257,10 +258,14 @@ impl std::error::Error for VerifyError {}
 /// learnt-clause database.
 type SessionKey = (Vec<NodeId>, usize);
 
-/// Idle sessions kept per key; checkout pops, checkin pushes (so under
-/// `verify_all` at most one session per worker thread exists per key, and
-/// stragglers beyond the cap are simply dropped).
-const MAX_POOLED_SESSIONS: usize = 8;
+/// Idle sessions kept across *all* keys. Every re-entry measured on the
+/// benchmark workloads takes the session checked in just before it (the
+/// next scenario of one invariant on one slice), so one slot keeps every
+/// hit; the second keeps both clusters' sessions of a divergent-slice
+/// sweep (`divergent_slices_are_checked_on_several_clusters`). Idle
+/// memory is bounded by the slots instead of growing with the number of
+/// distinct slices.
+const MAX_IDLE_SESSIONS: usize = 2;
 
 /// A re-entered session that has accumulated this many conflicts *since
 /// its last scrub* gets its search heuristics (activities, phases) reset
@@ -270,50 +275,39 @@ const MAX_POOLED_SESSIONS: usize = 8;
 /// sessions outright and forfeited both).
 const SCRUB_SEARCH_CONFLICTS: u64 = 10_000;
 
-/// The verifier's pool of idle solver sessions, keyed by (node-set,
-/// trace bound).
-///
-/// Locking recovers from poisoning: the map is a plain cache whose
-/// invariants hold after any partial mutation (a pushed-or-not session),
-/// so a worker thread that panicked mid-`verify_all` must not wedge every
-/// later verify on this verifier.
+/// Session-pool traffic over a verifier's lifetime ([`Verifier::pool_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Sessions asked of the pool: one per SMT cluster a sweep opens.
+    pub checkouts: u64,
+    /// Checkouts served by an idle session instead of a fresh skeleton.
+    pub hits: u64,
+}
+
+/// The verifier's idle solver sessions: at most [`MAX_IDLE_SESSIONS`]
+/// across all keys, in checkin order.
+#[derive(Default)]
 struct SessionPool {
-    idle: Mutex<HashMap<SessionKey, Vec<Encoded>>>,
+    /// Least recently checked in first.
+    idle: Vec<(SessionKey, Encoded)>,
+    stats: PoolStats,
 }
 
 impl SessionPool {
-    fn new() -> SessionPool {
-        SessionPool { idle: Mutex::new(HashMap::new()) }
+    /// Takes the most recently checked-in idle session for `key`, if any.
+    fn checkout(&mut self, key: &SessionKey) -> Option<Encoded> {
+        self.stats.checkouts += 1;
+        let i = self.idle.iter().rposition(|(k, _)| k == key)?;
+        self.stats.hits += 1;
+        Some(self.idle.remove(i).1)
     }
 
-    /// Locks the map, recovering the guard if a previous holder panicked
-    /// (the data is a valid cache state either way).
-    fn lock(&self) -> MutexGuard<'_, HashMap<SessionKey, Vec<Encoded>>> {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn pooled(&self) -> usize {
-        self.lock().values().map(Vec::len).sum()
-    }
-
-    /// Drops the idle sessions of every key `stale` selects.
-    fn retire<F: Fn(&SessionKey) -> bool>(&self, stale: F) {
-        self.lock().retain(|k, _| !stale(k));
-    }
-
-    /// Pops an idle session for `key`, if any.
-    fn checkout(&self, key: &SessionKey) -> Option<Encoded> {
-        self.lock().get_mut(key).and_then(Vec::pop)
-    }
-
-    /// Returns a session to the pool; sessions beyond the per-key cap are
-    /// dropped.
-    fn checkin(&self, key: SessionKey, enc: Encoded) {
-        let mut idle = self.lock();
-        let slot = idle.entry(key).or_default();
-        if slot.len() < MAX_POOLED_SESSIONS {
-            slot.push(enc);
-        }
+    /// Returns a session as the most recent entry and hands back the
+    /// oldest one if the pool is then over its cap, so the caller can free
+    /// it after releasing the lock.
+    fn checkin(&mut self, key: SessionKey, enc: Encoded) -> Option<(SessionKey, Encoded)> {
+        self.idle.push((key, enc));
+        (self.idle.len() > MAX_IDLE_SESSIONS).then(|| self.idle.remove(0))
     }
 }
 
@@ -328,12 +322,16 @@ pub struct Verifier {
     net: Arc<Network>,
     options: VerifyOptions,
     policy: PolicyClasses,
-    /// Live solver sessions (scenario-/invariant-free skeletons plus
+    /// Idle solver sessions (scenario-/invariant-free skeletons plus
     /// everything registered on them so far), keyed by (node-set, trace
-    /// bound). `verify` checks sessions out, solves on them, and returns them;
-    /// `verify_all` workers thereby share warmed-up solver state across
-    /// invariants instead of rebuilding a stack per representative.
-    pool: SessionPool,
+    /// bound). `verify` checks a session out per cluster, solves on it and
+    /// returns it, so the next sweep on the same key — typically the next
+    /// scenario of the same invariant in the daemon — re-enters it warm;
+    /// `verify_all` workers share the pool. Locking recovers from
+    /// poisoning: the pool is a plain cache whose invariants hold after any
+    /// partial mutation, so a worker that panicked mid-`verify_all` must
+    /// not wedge every later verify on this verifier.
+    pool: Mutex<SessionPool>,
     /// The header classes of the current epoch, built on first use and
     /// shared by the BDD dataplane and the daemon's fingerprints.
     classes: OnceLock<Arc<HeaderClasses>>,
@@ -448,7 +446,7 @@ impl Verifier {
             net,
             options,
             policy,
-            pool: SessionPool::new(),
+            pool: Mutex::default(),
             classes: OnceLock::new(),
             bdd: Mutex::new(None),
             modular,
@@ -544,14 +542,15 @@ impl Verifier {
         };
         match touched {
             TouchSet::Nothing => {}
-            TouchSet::Everything => self.pool.retire(|_| true),
+            TouchSet::Everything => self.pool().idle.clear(),
             TouchSet::Nodes(names) => {
                 // Names resolve identically on the old and new topology
                 // for this variant (the contract is "models changed,
                 // structure did not"); unknown names simply match no key.
+                // `retain` keeps the survivors' recency order.
                 let ids: HashSet<NodeId> =
                     names.iter().filter_map(|n| net.topo.by_name(n).ok()).collect();
-                self.pool.retire(|(nodes, _)| nodes.iter().any(|n| ids.contains(n)));
+                self.pool().idle.retain(|((nodes, _), _)| !nodes.iter().any(|n| ids.contains(n)));
             }
         }
         if !touched.is_nothing() {
@@ -569,15 +568,29 @@ impl Verifier {
         &self.policy
     }
 
+    /// Locks the session pool, recovering the guard if a previous holder
+    /// panicked (the data is a valid cache state either way).
+    fn pool(&self) -> MutexGuard<'_, SessionPool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of idle sessions currently pooled (diagnostics/tests).
     pub fn pooled_sessions(&self) -> usize {
-        self.pool.pooled()
+        self.pool().idle.len()
+    }
+
+    /// Checkouts and hits of the session pool so far.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool().stats
     }
 
     /// Checks a session for `(nodes, k)` out of the pool, building the
     /// skeleton on a miss.
     fn checkout_session(&self, nodes: &[NodeId], k: usize) -> Result<Encoded, VerifyError> {
-        if let Some(mut enc) = self.pool.checkout(&(nodes.to_vec(), k)) {
+        // Bound first: as an `if let` scrutinee the guard would hold the
+        // pool lock through the scrub below.
+        let pooled = self.pool().checkout(&(nodes.to_vec(), k));
+        if let Some(mut enc) = pooled {
             // A session that has absorbed a heavyweight search since its
             // last scrub carries an activity/phase profile tuned to a
             // foreign query; scrub it (keeping the clause database and
@@ -767,8 +780,8 @@ impl Verifier {
     /// extracted witness on the concrete simulator.)
     ///
     /// How long the cluster sessions live is `options.sessions`: by
-    /// default they persist *across invariants* in a pool keyed by
-    /// (node-set, trace bound).
+    /// default they outlive the sweep in a small recency-bounded pool
+    /// keyed by (node-set, trace bound).
     pub fn verify(&self, inv: &Invariant) -> Result<Report, VerifyError> {
         self.verify_under(inv, self.net.all_scenarios())
     }
@@ -985,7 +998,10 @@ impl Verifier {
             {
                 bundle.sessions.push(session);
             }
-            self.pool.checkin((cluster.nodes, cluster.k), enc);
+            // The guard is a temporary of this statement; an evicted
+            // session is freed after it, outside the lock.
+            let evicted = self.pool().checkin((cluster.nodes, cluster.k), enc);
+            drop(evicted);
         }
 
         // A check error beats everything; a deferred planning error only
@@ -1118,6 +1134,11 @@ pub(crate) mod engine_tests {
 
     fn px(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    /// The keys of `v`'s idle sessions, oldest first.
+    fn pooled_keys(v: &Verifier) -> Vec<SessionKey> {
+        v.pool().idle.iter().map(|(key, _)| key.clone()).collect()
     }
 
     /// src → dst through `fw1`, optionally with `fw2` as backup steering;
@@ -1276,6 +1297,7 @@ pub(crate) mod engine_tests {
         assert_eq!(v.pooled_sessions(), 1, "the session returns to the pool");
         let r2 = v.verify(&rev).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "the second invariant re-entered the same session");
+        assert_eq!(v.pool_stats(), PoolStats { checkouts: 2, hits: 1 });
         // Per-invariant attribution: each report carries only its own
         // solver work, not the session's cumulative counters.
         assert!(r1.solver.decisions + r1.solver.propagations > 0);
@@ -1352,12 +1374,12 @@ pub(crate) mod engine_tests {
         // lock marks it poisoned for every later lock().
         std::thread::scope(|s| {
             let idle = s.spawn(|| {
-                let _guard = v.pool.idle.lock().unwrap();
-                panic!("worker dies holding the idle lock");
+                let _guard = v.pool.lock().unwrap();
+                panic!("worker dies holding the pool lock");
             });
             assert!(idle.join().is_err());
         });
-        assert!(v.pool.idle.is_poisoned(), "the test must actually poison the lock");
+        assert!(v.pool.is_poisoned(), "the test must actually poison the lock");
         // Later verifies (and pool diagnostics) recover instead of
         // propagating the poison.
         assert!(v.pooled_sessions() > 0);
@@ -1725,9 +1747,9 @@ pub(crate) mod engine_tests {
 
         let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
         let got = v.verify(&inv).unwrap();
-        let keys: Vec<SessionKey> = v.pool.lock().keys().cloned().collect();
+        let keys = pooled_keys(&v);
         assert!(keys.len() >= 2, "one pooled session per cluster key, got {keys:?}");
-        assert_eq!(v.pooled_sessions(), keys.len());
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), keys.len(), "{keys:?}");
         let max_k = keys.iter().map(|&(_, k)| k).max().unwrap();
         assert!(keys.iter().any(|&(_, k)| k < max_k), "the deep cluster has its own bound");
         assert_eq!(got.steps, max_k, "the report's bound is the max over the clusters'");
@@ -1783,7 +1805,7 @@ pub(crate) mod engine_tests {
         let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
         v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
         assert_eq!(v.pooled_sessions(), 1, "both scenarios' slices share one cluster");
-        assert!(v.pool.lock().keys().all(|(nodes, _)| nodes.contains(&fw1)));
+        assert!(pooled_keys(&v).iter().all(|(nodes, _)| nodes.contains(&fw1)));
 
         // An invariant/scenario-only delta keeps everything warm.
         v.swap_network(v.network().clone(), &TouchSet::Nothing).unwrap();
@@ -1827,6 +1849,69 @@ pub(crate) mod engine_tests {
                 v.pooled_sessions()
             );
         }
+    }
+
+    /// The recency bound on its own, over synthetic keys (the pool never
+    /// looks inside a session, so one cheap skeleton per slot will do).
+    #[test]
+    fn session_pool_keeps_the_most_recent_sessions_across_keys() {
+        let (net, ..) = pipelined(true);
+        let nodes: Vec<NodeId> = net.topo.terminals().collect();
+        let session = || encoder::encode_skeleton(&net, &nodes, 3).unwrap();
+        let key = |i: usize| (Vec::new(), i);
+        let keys = |pool: &SessionPool| pool.idle.iter().map(|(k, _)| k.1).collect::<Vec<_>>();
+
+        // A, A, B, B, …: every second checkout re-enters the session
+        // checked in just before it, however many keys went by.
+        let mut pool = SessionPool::default();
+        let (n, cap) = (3 * MAX_IDLE_SESSIONS, MAX_IDLE_SESSIONS);
+        let mut evicted = Vec::new();
+        for i in 0..n {
+            for hit in [false, true] {
+                let enc = pool.checkout(&key(i));
+                assert_eq!(enc.is_some(), hit, "checkout {} of key {i}", 1 + usize::from(hit));
+                evicted.extend(pool.checkin(key(i), enc.unwrap_or_else(session)).map(|(k, _)| k.1));
+            }
+        }
+        assert_eq!(pool.stats, PoolStats { checkouts: 2 * n as u64, hits: n as u64 });
+        // Every miss built a session that is now pooled or was evicted,
+        // oldest first.
+        assert_eq!(evicted, (0..n - cap).collect::<Vec<_>>());
+        assert_eq!(keys(&pool), (n - cap..n).collect::<Vec<_>>());
+
+        // Cap + 1 distinct keys evict exactly the oldest.
+        let mut pool = SessionPool::default();
+        for i in 0..cap {
+            assert!(pool.checkin(key(i), session()).is_none(), "key {i} fits");
+        }
+        let (oldest, _) = pool.checkin(key(cap), session()).expect("one over the cap");
+        assert_eq!(oldest, key(0));
+        assert_eq!(keys(&pool), (1..=cap).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn retire_keeps_the_recency_order_of_the_survivors() {
+        let (net, inv) = divergent_slices();
+        let fw1 = net.topo.by_name("fw1").unwrap();
+        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        v.verify(&inv).unwrap();
+        // The last two of the three clusters stay: group 1's, through
+        // `fw1`, then the deep chain's.
+        let before = pooled_keys(&v);
+        assert_eq!(before.len(), MAX_IDLE_SESSIONS);
+        assert!(before[0].0.contains(&fw1) && !before[1].0.contains(&fw1), "{before:?}");
+
+        // A footprint outside both (group 0's firewall) keeps both, in order.
+        v.swap_network(v.network().clone(), &TouchSet::node("fw0")).unwrap();
+        assert_eq!(pooled_keys(&v), before);
+        // One inside the older leaves the newer, which stays older than
+        // the next checkin: the freed slot takes it without an eviction.
+        v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
+        assert_eq!(pooled_keys(&v), before[1..]);
+        let (nodes, k) = before[0].clone();
+        let session = encoder::encode_skeleton(&net, &nodes, k).unwrap();
+        assert!(v.pool().checkin((nodes, k), session).is_none(), "retirement freed a slot");
+        assert_eq!(pooled_keys(&v), [before[1].clone(), before[0].clone()]);
     }
 
     #[test]

@@ -68,35 +68,40 @@ use crate::network::Network;
 const STATE_DEPTH_LIMIT: u32 = 3;
 
 /// CIDR-aggregates a prefix list: covered prefixes are dropped and
-/// sibling pairs merge into their parent, repeatedly. The result is a
-/// disjoint cover of the input (exact, not a widening).
+/// sibling pairs merge into their parent, repeatedly. The result is the
+/// sorted maximal aligned blocks of the input's union, a disjoint cover
+/// of the input (exact, not a widening).
+///
+/// One pass over the sorted input suffices: a prefix sorts after every
+/// prefix covering it, and the output so far is disjoint and ascending,
+/// so its last block is the only one that can cover the next prefix or be
+/// that prefix's lower sibling — and after a merge, the only candidate
+/// sibling of the parent is the block below it.
 pub fn aggregate_prefixes(mut ps: Vec<Prefix>) -> Vec<Prefix> {
-    loop {
-        ps.sort();
-        ps.dedup();
-        let snapshot = ps.clone();
-        ps.retain(|p| !snapshot.iter().any(|q| *q != *p && q.covers(*p)));
-        let mut out: Vec<Prefix> = Vec::with_capacity(ps.len());
-        let mut merged = false;
-        let mut i = 0;
-        while i < ps.len() {
-            if i + 1 < ps.len() && ps[i].len() == ps[i + 1].len() && ps[i].len() > 0 {
-                let parent = Prefix::new(ps[i].addr(), ps[i].len() - 1);
-                if parent.covers(ps[i + 1]) {
-                    out.push(parent);
-                    merged = true;
-                    i += 2;
-                    continue;
-                }
+    ps.sort_unstable();
+    ps.dedup();
+    // Grown on demand, not sized to the input: the per-epoch prelude keeps
+    // every result, and thousands of host routes aggregate to a handful.
+    let mut out: Vec<Prefix> = Vec::new();
+    for p in ps {
+        if out.last().is_some_and(|top| top.covers(p)) {
+            continue;
+        }
+        let mut block = p;
+        while let Some(&top) = out.last() {
+            if top.len() != block.len() || top.len() == 0 {
+                break;
             }
-            out.push(ps[i]);
-            i += 1;
+            let parent = Prefix::new(top.addr(), top.len() - 1);
+            if !parent.covers(block) {
+                break;
+            }
+            out.pop();
+            block = parent;
         }
-        ps = out;
-        if !merged {
-            return ps;
-        }
+        out.push(block);
     }
+    out
 }
 
 fn any_dst() -> Prefix {
@@ -705,6 +710,75 @@ mod tests {
         // Covered prefixes are dropped.
         let ps = vec![px("10.0.0.0/8"), px("10.1.0.0/16")];
         assert_eq!(aggregate_prefixes(ps), vec![px("10.0.0.0/8")]);
+    }
+
+    /// The fixpoint loop `aggregate_prefixes` replaced, kept as its oracle:
+    /// sort, drop covered prefixes, merge one level of adjacent siblings,
+    /// until a round merges nothing.
+    fn aggregate_by_fixpoint(mut ps: Vec<Prefix>) -> Vec<Prefix> {
+        loop {
+            ps.sort();
+            ps.dedup();
+            let snapshot = ps.clone();
+            ps.retain(|p| !snapshot.iter().any(|q| *q != *p && q.covers(*p)));
+            let mut out: Vec<Prefix> = Vec::with_capacity(ps.len());
+            let mut merged = false;
+            let mut i = 0;
+            while i < ps.len() {
+                if i + 1 < ps.len() && ps[i].len() == ps[i + 1].len() && ps[i].len() > 0 {
+                    let parent = Prefix::new(ps[i].addr(), ps[i].len() - 1);
+                    if parent.covers(ps[i + 1]) {
+                        out.push(parent);
+                        merged = true;
+                        i += 2;
+                        continue;
+                    }
+                }
+                out.push(ps[i]);
+                i += 1;
+            }
+            ps = out;
+            if !merged {
+                return ps;
+            }
+        }
+    }
+
+    #[test]
+    fn aggregate_matches_the_fixpoint_oracle() {
+        // xorshift64: the crate has no RNG dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut merging = 0;
+        for case in 0..5_000 {
+            // Up to 40 prefixes inside one /28, /24 or /20, lengths skewed
+            // toward /32 so that covers, duplicates and sibling chains are
+            // all common without one short prefix swallowing the case.
+            let bits = 4 + 4 * (case % 3);
+            let ps: Vec<Prefix> = (0..next() % 40)
+                .map(|_| {
+                    let r = next();
+                    let addr = Address(0x0A00_0000 | (r >> 32) as u32 & ((1 << bits) - 1));
+                    let short = (r % (bits + 1) as u64).min((r >> 16) % (bits + 1) as u64);
+                    Prefix::new(addr, 32 - short as u32)
+                })
+                .collect();
+            let want = aggregate_by_fixpoint(ps.clone());
+            merging += usize::from(want.iter().any(|p| !ps.contains(p)));
+            assert_eq!(aggregate_prefixes(ps.clone()), want, "case {case}: {ps:?}");
+        }
+        assert!(merging > 1_000, "only {merging} cases merged siblings");
+        // Unaligned runs of host routes, up to the campus's 3 328 hosts.
+        for hosts in [16, 1_000, 3_328] {
+            let ps: Vec<Prefix> =
+                (0..hosts).map(|h| Prefix::host(Address(0x0A01_0003 + h))).collect();
+            assert_eq!(aggregate_prefixes(ps.clone()), aggregate_by_fixpoint(ps), "{hosts} hosts");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use vmn::{Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
 use vmn_net::NodeId;
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
@@ -109,6 +110,63 @@ fn enterprise_families_match_fresh_stacks() {
         }
     }
     assert_fleet_matches(&e.net, e.policy_hint(), &invs, "enterprise");
+}
+
+/// The pool's bound on a battery with more session keys than idle slots:
+/// the smoke-sized §5.1 datacenter of the benchmark's `dc-fleet`, with
+/// one injected rule misconfiguration, checked with default options.
+#[test]
+fn datacenter_fleet_keeps_the_pool_bounded() {
+    let mut dc = Datacenter::build(DatacenterParams {
+        racks: 8,
+        hosts_per_rack: 2,
+        policy_groups: 4,
+        redundant: true,
+        with_failures: true,
+    });
+    let mut rng = StdRng::seed_from_u64(7);
+    let (a, b) = dc.inject_rule_misconfig(&mut rng, 1)[0];
+    let mut invs = dc.isolation_invariants();
+    invs.push(dc.pair_isolation(a, b));
+    invs.extend(dc.traversal_invariants());
+
+    let pooled = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
+    let fresh = Verifier::new(
+        &dc.net,
+        VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() },
+    )
+    .unwrap();
+    let got = pooled.verify_all(&invs, 1).unwrap();
+    let want = fresh.verify_all(&invs, 1).unwrap();
+    let first = |r: &vmn::Report| match &r.verdict {
+        Verdict::Holds => None,
+        Verdict::Violated { scenario, .. } => Some(scenario.clone()),
+    };
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(first(g), first(w), "{}: verdict or first violating scenario", g.invariant);
+    }
+    assert!(got.iter().any(|r| !r.verdict.holds()), "the misconfiguration must show");
+
+    // Every sweep here forms one cluster, whose key is the union of its
+    // scenarios' plans at their largest bound.
+    let keys: HashSet<(Vec<NodeId>, usize)> = got
+        .iter()
+        .filter(|r| !r.inherited)
+        .map(|r| {
+            let (mut nodes, mut k) = (Vec::new(), 0);
+            for s in dc.net.all_scenarios() {
+                let plan = pooled.plan(&r.invariant, &s).unwrap();
+                nodes.extend_from_slice(plan.nodes());
+                k = k.max(plan.bound());
+            }
+            nodes.sort();
+            nodes.dedup();
+            (nodes, k)
+        })
+        .collect();
+    assert!(keys.len() > 4, "the battery must outnumber the idle slots: {keys:?}");
+    let idle = pooled.pooled_sessions();
+    assert!(idle <= 2, "{idle} idle sessions for {} keys", keys.len());
 }
 
 #[test]
