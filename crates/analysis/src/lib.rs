@@ -317,17 +317,6 @@ pub struct ModelAnalysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl ModelAnalysis {
-    /// Highest severity among the diagnostics, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
-    pub fn has_errors(&self) -> bool {
-        self.max_severity() == Some(Severity::Error)
-    }
-}
-
 /// How strong a parallelism claim is: slicing may shrink networks more
 /// aggressively the higher the rank, so declaring a rank *above* the
 /// inferred one is unsound.

@@ -5,10 +5,11 @@
 //! Networks with Mutable Datapaths", NSDI 2017) discharges its verification
 //! conditions with Z3, as quantified formulas over uninterpreted functions.
 //! The VMN encoder grounds those formulas over a bounded trace before it
-//! solves them (see `vmn-logic`), and what is left is quantifier-free
-//! booleans and fixed-width bit-vectors — so that is the whole solver: a
-//! [CDCL](sat) SAT core, a [Tseitin / bit-blasting front end](blast) that
-//! lowers terms to clauses, and an incremental [`Context`] over both.
+//! solves them (each past-time ♦ becomes an OR over earlier steps), and
+//! what is left is quantifier-free booleans and fixed-width bit-vectors —
+//! so that is the whole solver: a [CDCL](sat) SAT core, a
+//! [Tseitin / bit-blasting front end](blast) that lowers terms to clauses,
+//! and an incremental [`Context`] over both.
 //!
 //! * booleans with the usual connectives (classification oracles are free
 //!   booleans per trace step),

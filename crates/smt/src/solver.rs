@@ -89,10 +89,6 @@ impl Context {
         &self.pool
     }
 
-    pub fn pool_mut(&mut self) -> &mut TermPool {
-        &mut self.pool
-    }
-
     /// Solver statistics, cumulative over every check this context ran
     /// (the CDCL core is persistent). Snapshot it before a check and use
     /// [`SolverStats::delta_since`] — or read [`Context::last_check_stats`]
@@ -321,25 +317,23 @@ impl Context {
         out
     }
 
-    /// Forgets every learnt clause rendered dead by the given boolean
-    /// terms being *deselected* (assumed false from now on) — typically
-    /// activation literals of sub-queries a session has moved past. A
-    /// learnt clause containing the term's negation is satisfied while
-    /// the term is assumed false, hence prunes nothing yet still costs
-    /// watch-list traversals on every propagation; clauses mentioning
-    /// the term only positively (lemmas learnt *while* it was
-    /// deselected) keep pruning under the standing assumption and are
-    /// kept. Terms never lowered to a literal are ignored. A no-op
-    /// before the first check.
-    pub fn forget_learnts_mentioning(&mut self, terms: &[TermId]) {
-        self.forget_learnts_for(&[], terms);
-    }
-
-    /// The sharp variant of [`Context::forget_learnts_mentioning`]: also
-    /// forgets every learnt clause derived (transitively) from an
-    /// assertion tagged with one of the given cone `tags` — the lemmas
-    /// from a deselected sub-query's Tseitin *interior*, which never
-    /// mention its activation literal and so escape the literal scan.
+    /// Forgets the learnt clauses rendered dead by the given boolean
+    /// `terms` and cone `tags` being *deselected* for good — typically the
+    /// activation literals and cones of sub-queries a session has moved
+    /// past.
+    ///
+    /// * **By literal.** A learnt clause containing a term's negation is
+    ///   satisfied while the term is assumed false, hence prunes nothing
+    ///   yet still costs watch-list traversals on every propagation.
+    ///   Clauses mentioning the term only positively (lemmas learnt
+    ///   *while* it was deselected) keep pruning under the standing
+    ///   assumption and are kept. Terms never lowered to a literal are
+    ///   ignored.
+    /// * **By cone.** Every learnt clause derived (transitively) from an
+    ///   assertion tagged with one of the `tags` — the lemmas from a
+    ///   deselected sub-query's Tseitin *interior*, which never mention
+    ///   its activation literal and so escape the literal scan.
+    ///
     /// Sound because learnt clauses are redundant by construction; a
     /// no-op before the first check (nothing is lowered yet, hence
     /// nothing learnt).
@@ -378,11 +372,6 @@ impl Context {
     /// The model from the last `check`, if it returned [`SatResult::Sat`].
     pub fn model(&self) -> Option<&Model> {
         self.model.as_ref()
-    }
-
-    /// Mutable access (model evaluation caches derived values).
-    pub fn model_mut(&mut self) -> Option<&mut Model> {
-        self.model.as_mut()
     }
 
     /// Evaluates `t` in the current model. Panics without a model.

@@ -1,8 +1,8 @@
 //! Hash-consed term graph.
 //!
 //! All formulas handed to the solver are built from [`Term`]s interned in a
-//! [`TermPool`]. Interning gives structural sharing (the bounded-trace
-//! grounding in `vmn-logic` produces heavily repetitive formulas) and makes
+//! [`TermPool`]. Interning gives structural sharing (the VMN encoder's
+//! bounded-trace unrolling produces heavily repetitive formulas) and makes
 //! equality of subterms a pointer comparison.
 
 use crate::sorts::Sort;

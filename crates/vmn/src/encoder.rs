@@ -93,11 +93,18 @@
 //! are the schedule, and with the schedule fixed most header bits follow
 //! by propagation.
 //!
+//! ## Middlebox state
+//!
 //! Middlebox state is never materialised: membership queries compile to
 //! *history formulas* — "some earlier step processed a matching insert" —
 //! exactly mirroring the paper's axioms like
 //! `established(flow(p)) ⟺ ♦(rcv(fw, p′) ∧ acl(...) ∧ flow(p′) = flow(p))`.
-//! The ♦-unrollings are produced by the `vmn-logic` grounder.
+//! Over a bounded trace each ♦ is one OR over the inserts it can see. A
+//! lookup at step `t` sees only inserts by the *same box instance* into
+//! the *same set* at steps `< t`: guards are evaluated before actions, so
+//! an insert at `t` is not yet visible, and two firewalls that both
+//! declare `established` keep separate sets (which is what makes
+//! firewalls flow-parallel across instances).
 //!
 //! Classification oracles (`malicious?` …) become free boolean variables
 //! per (oracle, step), optionally constrained by the model's
@@ -108,7 +115,6 @@
 use crate::invariant::Invariant;
 use crate::network::Network;
 use std::collections::HashMap;
-use vmn_logic::{Formula, Grounder, LtlBuilder};
 use vmn_mbox::{Action, Guard, KeyExpr, MboxModel};
 use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
 use vmn_smt::{Context, SatResult, Sort, TermId};
@@ -179,15 +185,6 @@ struct InsertSite {
     active: TermId,
     key: SymKey,
     original: FieldVars,
-}
-
-/// LTL atoms used for history formulas: "insert site `s` fired at step t
-/// with a key matching the (captured) lookup key".
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct HistAtom {
-    /// Index into the encoder's insert-site table; the atom is true at
-    /// step `t` iff that site is at step `t` and its key matches.
-    site: usize,
 }
 
 /// Selects one remembered field of an insert entry's original header.
@@ -334,7 +331,6 @@ pub struct Encoded {
     /// pending(m, i, t): delivered-to-m(i) ∧ not processed before t.
     pending_memo: HashMap<(NodeId, usize, usize), TermId>,
     processed_memo: HashMap<(NodeId, usize, usize), TermId>,
-    ltl: LtlBuilder<HistAtom>,
 }
 
 impl Encoded {
@@ -422,7 +418,6 @@ impl Encoded {
             insert_sites: Vec::new(),
             pending_memo: HashMap::new(),
             processed_memo: HashMap::new(),
-            ltl: LtlBuilder::new(),
         })
     }
 
@@ -1293,10 +1288,8 @@ impl Encoded {
                 self.ctx.or(&opts)
             }
             Guard::StateContains { state, key } => {
-                // History formula: ♦(matching insert fired) — grounded by
-                // the vmn-logic machinery over steps 0..t-1. Inserts at the
-                // current step are not yet visible (the concrete
-                // interpreter evaluates guards before actions).
+                // History formula: ♦(matching insert fired), one OR over
+                // the box's earlier inserts.
                 let lookup = self.key_of(*key, f);
                 self.history_lookup(t, m, &lookup, state)
             }
@@ -1304,13 +1297,9 @@ impl Encoded {
         }
     }
 
-    /// `∃ t' < t` with a matching active insert — built as an `earlier`
-    /// formula through the LTL grounder so the unrolling shares structure.
-    ///
-    /// Only inserts performed by middlebox `m` itself are visible: two
-    /// firewall instances may both declare a set named `established`, but
-    /// their state is per-instance (this is what makes firewalls
-    /// flow-parallel across instances).
+    /// The strict ♦ of a state lookup at step `t`: the OR, over `m`'s own
+    /// inserts into `set` at steps `< t` (module docs), of "the insert
+    /// fired and its key matches `lookup`". No such insert gives `false`.
     fn history_lookup(&mut self, t: usize, m: NodeId, lookup: &SymKey, set: &str) -> TermId {
         let mut matches = Vec::new();
         for site_idx in 0..self.insert_sites.len() {
@@ -1319,30 +1308,9 @@ impl Encoded {
                 continue;
             }
             let keq = self.key_eq(&site.key, lookup);
-            let m = self.ctx.and(&[site.active, keq]);
-            matches.push((site.step, m));
+            matches.push(self.ctx.and(&[site.active, keq]));
         }
-        if matches.is_empty() {
-            return self.ctx.fls();
-        }
-        // Ground `earlier(atom)` at step t where atom(s) = OR of matches
-        // at step s. (The grounder's memoisation is per lookup here; the
-        // point of routing through vmn-logic is to keep the temporal
-        // semantics in one audited place.)
-        let atom = self.ltl.atom(HistAtom { site: self.ltl.len() });
-        let formula: Formula = self.ltl.earlier(atom);
-        let mut grounder: Grounder<HistAtom> = Grounder::new();
-        let by_step: HashMap<usize, Vec<TermId>> =
-            matches.iter().fold(HashMap::new(), |mut acc, (s, m)| {
-                acc.entry(*s).or_default().push(*m);
-                acc
-            });
-        let ltl = &self.ltl;
-        let ctx = &mut self.ctx;
-        grounder.ground(ltl, ctx.pool_mut(), formula, t, &mut |pool, _a, s| match by_step.get(&s) {
-            Some(ms) => pool.or(ms),
-            None => pool.fls(),
-        })
+        self.ctx.or(&matches)
     }
 
     fn constrain_fresh_values(&mut self) {
@@ -1818,6 +1786,42 @@ mod encoder_tests {
     }
 
     const PINNED_FIREWALL_K6: (u64, u64, u64, u64) = (9761, 42520, 1141, 32915);
+
+    /// A state lookup at step `t` is the OR over exactly the same box's
+    /// inserts into the same set at steps `< t` (module docs): no other
+    /// instance's, no other set's, not the insert at `t` itself — and
+    /// `false` at step 0.
+    #[test]
+    fn history_lookup_sees_own_earlier_inserts_only() {
+        let (net, src, dst) = crate::engine::engine_tests::pipelined(true);
+        let fws: Vec<NodeId> = net.topo.middleboxes().collect();
+        let nodes: Vec<NodeId> = [src, dst].into_iter().chain(fws.iter().copied()).collect();
+        let k = 4;
+        let mut enc = encode_skeleton(&net, &nodes, k).unwrap();
+        let sites = enc.insert_sites.clone();
+        let lookup = enc.key_of(KeyExpr::Flow, enc.steps[k - 1].input);
+        let fls = enc.ctx.fls();
+        for &m in &fws {
+            assert!(sites.iter().any(|s| s.mbox != m), "the other firewall inserts too");
+            assert_eq!(enc.history_lookup(0, m, &lookup, "established"), fls);
+            let own_before = |enc: &mut Encoded, end: usize| {
+                let own = sites.iter().filter(|s| s.mbox == m && s.step < end);
+                let matches: Vec<TermId> = own
+                    .map(|s| {
+                        let keq = enc.key_eq(&s.key, &lookup);
+                        enc.ctx.and(&[s.active, keq])
+                    })
+                    .collect();
+                enc.ctx.or(&matches)
+            };
+            for t in 1..k {
+                let got = enc.history_lookup(t, m, &lookup, "established");
+                assert_eq!(got, own_before(&mut enc, t), "step {t}");
+                assert_ne!(got, own_before(&mut enc, t + 1), "step {t} sees its own insert");
+                assert_eq!(enc.history_lookup(t, m, &lookup, "elsewhere"), fls);
+            }
+        }
+    }
 
     #[test]
     fn out_of_scope_endpoints_are_rejected() {

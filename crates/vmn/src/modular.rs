@@ -649,37 +649,6 @@ impl ModularContext {
             .live_neighbors(dst, scenario)
             .any(|x| cross.windows(x, dst).admits_window(saddr, any_dst()))
     }
-
-    /// The synthesized per-module contracts under no failures — the
-    /// ingress assumptions and egress guarantees the engine actually
-    /// uses, in declaration form (for reporting and the CLI).
-    pub fn synthesized_contracts(&self, net: &Network) -> Vec<ModuleContract> {
-        let synth = self.cross_for(net, &FailureScenario::none());
-        let name = |n: NodeId| net.topo.node(n).name.clone();
-        let mut out: Vec<ModuleContract> = self
-            .partition
-            .modules
-            .iter()
-            .map(|m| ModuleContract { module: m.name.clone(), ..Default::default() })
-            .collect();
-        for &(a, b) in &self.boundary {
-            for (f, t) in [(a, b), (b, a)] {
-                let windows = synth.windows(f, t);
-                let (fm, tm) = (self.module_of(f), self.module_of(t));
-                if let Some(fm) = fm {
-                    out[fm].egress.push(PortContract {
-                        from: name(f),
-                        to: name(t),
-                        windows: windows.clone(),
-                    });
-                }
-                if let Some(tm) = tm {
-                    out[tm].ingress.push(PortContract { from: name(f), to: name(t), windows });
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! End-to-end verification tests: small networks, every middlebox type,
 //! both verdict polarities.
 
-use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
+use vmn::{Backend, Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, NodeId, Prefix, RoutingConfig, Rule, Topology};
 
@@ -68,6 +68,59 @@ fn stateful_firewall_blocks_unsolicited_but_not_replies() {
             );
         }
         Verdict::Holds => panic!("node isolation should be violated via hole punching"),
+    }
+}
+
+/// Middlebox state is per instance: a learning firewall admits a reply
+/// only to a flow *it* saw opened. With one firewall on both directions,
+/// inside opens a hole for outside; steer outbound through `fw1` and
+/// inbound through `fw2`, and `fw2` has opened nothing.
+#[test]
+fn firewall_state_is_per_instance() {
+    let build = |inbound_fw: &str| {
+        let mut topo = Topology::new();
+        let outside = topo.add_host("outside", addr("8.8.8.8"));
+        let inside = topo.add_host("inside", addr("10.0.0.5"));
+        let sw = topo.add_switch("sw");
+        let fw1 = topo.add_middlebox("fw1", "stateful-firewall", vec![]);
+        let fw2 = topo.add_middlebox("fw2", "stateful-firewall", vec![]);
+        for n in [outside, inside, fw1, fw2] {
+            topo.add_link(n, sw);
+        }
+        let inbound = if inbound_fw == "fw1" { fw1 } else { fw2 };
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        let any = px("0.0.0.0/0");
+        tables.add_rule(sw, Rule::from_neighbor(any, inside, fw1).with_priority(10));
+        tables.add_rule(sw, Rule::from_neighbor(any, outside, inbound).with_priority(10));
+        let mut net = Network::new(topo, tables);
+        for fw in [fw1, fw2] {
+            let acl = vec![(px("10.0.0.0/8"), any)];
+            net.set_model(fw, models::learning_firewall("stateful-firewall", acl));
+        }
+        (net, outside, inside)
+    };
+    for sessions in [Sessions::Pooled, Sessions::PerScenario] {
+        let opts = VerifyOptions { backend: Backend::Smt, sessions, ..Default::default() };
+
+        let (net, outside, inside) = build("fw1");
+        let inv = Invariant::NodeIsolation { src: outside, dst: inside };
+        let v = Verifier::new(&net, opts.clone()).unwrap();
+        let Verdict::Violated { trace, scenario } = v.verify(&inv).unwrap().verdict else {
+            panic!("{sessions:?}: one firewall on both directions lets the reply in");
+        };
+        let receptions = trace.replay(&net, &scenario).expect("trace replays");
+        assert!(
+            receptions.iter().any(|o| o.at == inside && o.header.src == net.host_address(outside)),
+            "{sessions:?}: replay reproduces the reception:\n{}",
+            trace.render(&net)
+        );
+
+        let (net, outside, inside) = build("fw2");
+        let inv = Invariant::NodeIsolation { src: outside, dst: inside };
+        let v = Verifier::new(&net, opts).unwrap();
+        assert!(v.verify(&inv).unwrap().verdict.holds(), "{sessions:?}: fw2 saw no flow opened");
     }
 }
 
