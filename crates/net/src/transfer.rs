@@ -198,7 +198,7 @@ impl<'a> TransferFunction<'a> {
 /// Two addresses in the same class match exactly the same set of
 /// configuration prefixes, hence are treated identically by every switch
 /// (and by prefix-based middlebox ACLs built from the same prefix set).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HeaderClasses {
     /// Sorted start addresses; class `i` covers `[starts[i], starts[i+1])`.
     starts: Vec<u32>,

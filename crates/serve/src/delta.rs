@@ -2,7 +2,8 @@
 //!
 //! Each delta applies to the *symbolic* spec and reports a
 //! [`TouchSet`] — which middleboxes' pooled solver sessions the edit
-//! invalidates — that the daemon feeds into `Verifier::swap_network`:
+//! invalidates, and so which part of the verifier's epoch it can move —
+//! that the daemon feeds into `Verifier::swap_network`:
 //!
 //! * **Structural and routing deltas** (nodes, links, routes, steers)
 //!   return [`TouchSet::Everything`]. Warmed sessions bake in the
@@ -17,9 +18,17 @@
 //!   invariants and scenarios are registered lazily per check, so
 //!   existing sessions stay valid verbatim.
 //!
+//! The touch set also decides how much of the epoch the swap keeps. A
+//! `Nodes` touch keeps topology, tables and node ids (a kind change only
+//! retypes the box), so the verifier
+//! carries header classes, partition and contract prelude over, refines
+//! policy classes again only when the models' address split or a box's
+//! type moved, and resumes the contract crossings from the touched boxes
+//! when their models only widened. `Everything` rebuilds the epoch; a
+//! `Nothing` touch keeps all of it.
+//!
 //! The distinct question of which *cached verdicts* a delta may change
-//! is answered later by slice-fingerprint comparison (see `service`);
-//! the touch set is only about session soundness.
+//! is answered later by slice-fingerprint comparison (see `service`).
 
 use std::collections::BTreeSet;
 use vmn_analysis::TouchSet;

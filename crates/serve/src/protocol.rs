@@ -17,7 +17,10 @@
 //! responses describe the re-verification (see [`DeltaReport`]):
 //! `touched` (the session footprint), `pairs`, `prefiltered`,
 //! `contract_answered`, `cache_hits`, `rechecked`, `retired`, `modules`
-//! / `modules_touched` (modular mode), `changed` and `elapsed_ms`.
+//! / `modules_touched` (modular mode), `changed`, and three times:
+//! `swap_ms` (building the epoch on `load`, swapping it in on a delta),
+//! `reconcile_ms` (the prefilter / contract / fingerprint / recheck
+//! ladder) and `elapsed_ms` (the whole request, both included).
 //! The empty scenario key `""` names the implicit no-failure scenario.
 
 use std::io::{BufRead, Write};
@@ -34,14 +37,27 @@ pub struct Response {
     pub shutdown: bool,
 }
 
+impl Response {
+    /// The response line for `v`. Serialising grows the text by doubling;
+    /// it is trimmed to its length, so a caller that keeps responses (a
+    /// batch client, a log) holds what they say, not up to twice that.
+    fn line(v: Value) -> Response {
+        let mut text = v.to_string();
+        text.shrink_to_fit();
+        Response { text, shutdown: false }
+    }
+}
+
 fn error(message: impl std::fmt::Display) -> Response {
-    let v = Value::obj([("ok", Value::Bool(false)), ("error", Value::str(message.to_string()))]);
-    Response { text: v.to_string(), shutdown: false }
+    Response::line(Value::obj([
+        ("ok", Value::Bool(false)),
+        ("error", Value::str(message.to_string())),
+    ]))
 }
 
 fn ok(mut fields: Vec<(&'static str, Value)>) -> Response {
     fields.insert(0, ("ok", Value::Bool(true)));
-    Response { text: Value::obj(fields).to_string(), shutdown: false }
+    Response::line(Value::obj(fields))
 }
 
 fn touched_json(t: &TouchSet) -> Value {
@@ -80,6 +96,8 @@ fn report_json(r: &DeltaReport) -> Vec<(&'static str, Value)> {
         ("modules", Value::num(r.modules as f64)),
         ("modules_touched", r.modules_touched.map(|n| Value::num(n as f64)).unwrap_or(Value::Null)),
         ("changed", Value::Arr(changed)),
+        ("swap_ms", Value::Num(r.swap.as_secs_f64() * 1e3)),
+        ("reconcile_ms", Value::Num(r.reconcile.as_secs_f64() * 1e3)),
         ("elapsed_ms", Value::Num(r.elapsed.as_secs_f64() * 1e3)),
     ]
 }

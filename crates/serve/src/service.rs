@@ -12,7 +12,8 @@
 //!    sessions (`Verifier::swap_network`);
 //! 2. cached pairs whose slice is disjoint from a `Nodes` footprint are
 //!    *prefiltered* — skipped without any recomputation (sound unless
-//!    the policy partition moved, which escalates to everything);
+//!    the policy classes moved, which the swap reports and which
+//!    escalates to everything);
 //! 3. surviving pairs recompute their fingerprint: an unchanged
 //!    fingerprint is a *cache hit* (the verdict is a deterministic
 //!    function of the fingerprinted inputs), a changed one triggers a
@@ -53,8 +54,8 @@ pub struct CacheEntry {
 pub struct DeltaReport {
     /// The batch's merged session footprint.
     pub touched: TouchSet,
-    /// Whether a policy-partition change forced the cache prefilter to
-    /// treat the batch as touching everything.
+    /// Whether a policy-class change forced the cache prefilter to treat
+    /// the batch as touching everything.
     pub escalated: bool,
     /// Total (invariant, scenario) pairs after the batch.
     pub pairs: usize,
@@ -76,6 +77,12 @@ pub struct DeltaReport {
     /// Verdicts that changed (or appeared), as
     /// (invariant spec, scenario key, holds, previous holds).
     pub changed: Vec<(String, String, bool, Option<bool>)>,
+    /// Time spent building (`load`) or swapping in (delta) the verifier's
+    /// epoch.
+    pub swap: Duration,
+    /// Time spent in the reconcile ladder.
+    pub reconcile: Duration,
+    /// Wall-clock of the whole request, `swap` and `reconcile` included.
     pub elapsed: Duration,
 }
 
@@ -98,33 +105,8 @@ pub struct NetSession {
     pipelines: Vec<(String, vmn_net::PipelineSpec, NodeId, NodeId)>,
     /// Pipeline results, re-checked on every delta (static, cheap).
     pipeline_holds: Vec<(String, bool)>,
-    /// The policy partition by name, in canonical order (classes sorted,
-    /// then the list of classes), for stability comparison across epochs.
-    partition: Vec<Vec<String>>,
     /// (invariant spec, scenario key) → cached verdict.
     cache: HashMap<(String, String), CacheEntry>,
-}
-
-/// The verifier's policy partition by name, in canonical order, borrowing
-/// the names: comparing epochs allocates no `String`.
-fn partition_names(verifier: &Verifier) -> Vec<Vec<&str>> {
-    let topo = &verifier.network().topo;
-    let mut classes: Vec<Vec<&str>> = verifier
-        .policy()
-        .classes
-        .iter()
-        .map(|class| {
-            let mut names: Vec<&str> = class.iter().map(|&n| topo.node(n).name.as_str()).collect();
-            names.sort_unstable();
-            names
-        })
-        .collect();
-    classes.sort_unstable();
-    classes
-}
-
-fn owned_partition(partition: &[Vec<&str>]) -> Vec<Vec<String>> {
-    partition.iter().map(|class| class.iter().map(|n| n.to_string()).collect()).collect()
 }
 
 /// Scenario key for the implicit no-failure scenario.
@@ -143,8 +125,9 @@ impl NetSession {
         if spec.partition {
             options.partition = PartitionMode::Auto;
         }
-        let verifier = Verifier::from_arc(net.clone(), options).map_err(|e| e.to_string())?;
-        let partition = owned_partition(&partition_names(&verifier));
+        let start = Instant::now();
+        let verifier = Verifier::from_arc(net, options).map_err(|e| e.to_string())?;
+        let swap = start.elapsed();
         let mut session = NetSession {
             spec,
             verifier,
@@ -152,10 +135,8 @@ impl NetSession {
             invariants: m.invariants,
             pipelines: m.pipelines,
             pipeline_holds: Vec::new(),
-            partition,
             cache: HashMap::new(),
         };
-        let start = Instant::now();
         let mut report = DeltaReport {
             touched: TouchSet::Everything,
             escalated: false,
@@ -168,6 +149,8 @@ impl NetSession {
             modules: session.module_count(),
             modules_touched: None,
             changed: Vec::new(),
+            swap,
+            reconcile: Duration::ZERO,
             elapsed: Duration::ZERO,
         };
         session.reconcile(&TouchSet::Everything, &mut report)?;
@@ -187,26 +170,22 @@ impl NetSession {
             touched = touched.union(spec.apply(d).map_err(|e| e.to_string())?);
         }
         let m = spec.materialize().map_err(|e| e.to_string())?;
-        let net = Arc::new(m.net);
-        self.verifier.swap_network(net.clone(), &touched).map_err(|e| e.to_string())?;
+        let swap_start = Instant::now();
+        let moved =
+            self.verifier.swap_network(Arc::new(m.net), &touched).map_err(|e| e.to_string())?;
+        let swap = swap_start.elapsed();
         self.spec = spec;
         self.names = m.names;
         self.invariants = m.invariants;
         self.pipelines = m.pipelines;
 
-        // The policy partition feeds slice computation: if it moved, a
+        // The policy classes feed slice computation: if they moved, a
         // pair's plan can change even though its old slice is disjoint
         // from the footprint, so the *prefilter* must not trust
         // disjointness. (Fingerprints recompute against the new plan
         // either way — escalation only disables step 2, not step 3.)
-        let mut escalated = false;
-        if !touched.is_nothing() {
-            let partition = partition_names(&self.verifier);
-            if partition != self.partition {
-                escalated = !matches!(touched, TouchSet::Everything);
-                self.partition = owned_partition(&partition);
-            }
-        }
+        // Only a `Nodes` footprint is prefiltered at all.
+        let escalated = moved && matches!(touched, TouchSet::Nodes(_));
         let effective = if escalated { TouchSet::Everything } else { touched.clone() };
 
         let modules_touched = self.modules_touched(&touched);
@@ -222,6 +201,8 @@ impl NetSession {
             modules: self.module_count(),
             modules_touched,
             changed: Vec::new(),
+            swap,
+            reconcile: Duration::ZERO,
             elapsed: Duration::ZERO,
         };
         self.reconcile(&effective, &mut report)?;
@@ -244,6 +225,7 @@ impl NetSession {
     /// Brings the verdict cache in line with the current epoch; see the
     /// module docs for the prefilter / fingerprint / recheck ladder.
     fn reconcile(&mut self, effective: &TouchSet, report: &mut DeltaReport) -> Result<(), String> {
+        let start = Instant::now();
         let scenarios = self.scenario_list();
         let mut live: BTreeSet<(String, String)> = BTreeSet::new();
         for (inv_spec, inv) in &self.invariants {
@@ -330,6 +312,7 @@ impl NetSession {
                 self.verifier.check_pipeline(p, *s, *d).map_err(|e| e.to_string())?.is_none();
             self.pipeline_holds.push((spec.clone(), holds));
         }
+        report.reconcile = start.elapsed();
         Ok(())
     }
 

@@ -7,7 +7,7 @@ use crate::network::Network;
 use crate::policy::{group_by_symmetry, PolicyClasses};
 use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox, stateless_slice};
 use crate::trace::{StepKind, Trace, TraceStep};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use vmn_analysis::{ContractError, ModuleContract, Partition, TouchSet};
@@ -504,64 +504,88 @@ impl Verifier {
             .get_or_init(|| Arc::new(HeaderClasses::from_network(&self.net.topo, &self.net.tables)))
     }
 
-    /// Swaps in a new network epoch, retiring exactly the pooled state
-    /// the delta's footprint invalidates:
+    /// Swaps in a new network epoch. The new epoch is the old one plus
+    /// what the delta's footprint can have changed:
     ///
-    /// * [`TouchSet::Nothing`] — invariants/scenarios changed but no
-    ///   node's behaviour did: every session and the BDD dataplane
-    ///   survive (both register new scenarios and invariants lazily).
-    /// * [`TouchSet::Nodes`] — a model swap: sessions whose node set
-    ///   contains a touched node are retired;
-    ///   the rest keep their skeletons, which encode only their own
-    ///   nodes' models plus delivery behaviour — and the topology and
-    ///   tables are unchanged by contract for this variant. The BDD
-    ///   dataplane caches per-middlebox transfer predicates, so it is
-    ///   dropped and rebuilt lazily.
+    /// * [`TouchSet::Nothing`] — invariants or scenarios changed, no
+    ///   node's behaviour did: everything is kept. Sessions and the BDD
+    ///   dataplane register new scenarios and invariants lazily.
+    /// * [`TouchSet::Nodes`] — a model swap, which keeps topology, tables
+    ///   and node ids by contract (only a touched box's type name may
+    ///   change). Kept: the header classes, the
+    ///   partition and boundary, the prelude's aggregates, and every
+    ///   pooled session whose node set misses the touched boxes (a
+    ///   skeleton encodes only its own nodes' models plus delivery).
+    ///   Carried: the policy classes, refined again only if a touched box
+    ///   changed type or the initial split moved
+    ///   ([`PolicyClasses::after_model_swap`]), and the memoised contract
+    ///   crossings, resumed from the touched boxes when their summaries
+    ///   only widened ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
+    ///   Explicit contracts are re-validated against the carried
+    ///   synthesis, since a widened model can break a declared guarantee.
+    ///   Dropped: the touched boxes' sessions, and the BDD dataplane, which
+    ///   caches per-middlebox transfer predicates.
     /// * [`TouchSet::Everything`] — structural change: node identity,
-    ///   header classes and delivery may all have moved; every pooled
-    ///   session and the dataplane are retired.
+    ///   header classes and delivery may all have moved, so the epoch is
+    ///   built from nothing and every pooled session is retired.
     ///
-    /// Policy classes are recomputed (unless pinned by
-    /// [`VerifyOptions::policy_hint`]) for any non-`Nothing` touch, and
-    /// the header classes dropped with the dataplane that shares them.
+    /// Returns whether the policy classes may have moved: always for
+    /// `Everything`, never for `Nothing`, and for `Nodes` whether they
+    /// differ, compared by [`NodeId`]. On an error the verifier still
+    /// answers for the old epoch.
     pub fn swap_network(
         &mut self,
         net: Arc<Network>,
         touched: &TouchSet,
-    ) -> Result<(), VerifyError> {
+    ) -> Result<bool, VerifyError> {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
-        // Rebuild the modular context against the new epoch before any
-        // state is mutated (explicit contracts are re-validated — a delta
-        // can widen the crossings past a declared guarantee). A `Nothing`
-        // touch leaves topology, tables and models alone, so the existing
-        // context and its memoized syntheses stay valid.
-        let modular = if touched.is_nothing() {
-            None
-        } else {
-            Some(Self::build_modular(&net, &self.options)?)
-        };
-        match touched {
-            TouchSet::Nothing => {}
-            TouchSet::Everything => self.pool().idle.clear(),
+        let moved = match touched {
+            TouchSet::Nothing => false,
+            TouchSet::Everything => {
+                // Built before any state is mutated: explicit contracts
+                // are validated against the new epoch and may refuse it.
+                self.modular = Self::build_modular(&net, &self.options)?;
+                self.pool().idle.clear();
+                self.policy = Self::policy_classes(&net, &self.options);
+                self.classes = OnceLock::new();
+                true
+            }
             TouchSet::Nodes(names) => {
                 // Names resolve identically on the old and new topology
-                // for this variant (the contract is "models changed,
-                // structure did not"); unknown names simply match no key.
-                // `retain` keeps the survivors' recency order.
-                let ids: HashSet<NodeId> =
+                // for this variant; unknown names simply match nothing.
+                let ids: Vec<NodeId> =
                     names.iter().filter_map(|n| net.topo.by_name(n).ok()).collect();
+                if let Some(ctx) = &mut self.modular {
+                    ctx.carry(&net, &ids);
+                    if let PartitionMode::Explicit { contracts, .. } = &self.options.partition {
+                        if let Err(e) = ctx.install_contracts(&net, contracts.clone()) {
+                            // The carried context answers for `net`; the
+                            // verifier keeps the old epoch, so it gets a
+                            // context of that epoch back.
+                            self.modular = Self::build_modular(&self.net, &self.options)?;
+                            return Err(e.into());
+                        }
+                    }
+                }
+                // `retain` keeps the survivors' recency order.
                 self.pool().idle.retain(|((nodes, _), _)| !nodes.iter().any(|n| ids.contains(n)));
+                let refined = match self.options.policy_hint {
+                    Some(_) => None,
+                    None => self.policy.after_model_swap(&self.net, &net, &ids),
+                };
+                refined.is_some_and(|p| {
+                    let moved = p.classes != self.policy.classes;
+                    self.policy = p;
+                    moved
+                })
             }
-        }
+        };
         if !touched.is_nothing() {
-            self.policy = Self::policy_classes(&net, &self.options);
-            self.classes = OnceLock::new();
             *self.bdd.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
             self.bdd.clear_poison();
-            self.modular = modular.expect("built above for non-Nothing touches");
         }
         self.net = net;
-        Ok(())
+        Ok(moved)
     }
 
     pub fn policy(&self) -> &PolicyClasses {
@@ -1129,6 +1153,7 @@ impl Verifier {
 #[cfg(test)]
 pub(crate) mod engine_tests {
     use super::*;
+    use std::collections::HashSet;
     use vmn_mbox::models;
     use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology};
 

@@ -31,6 +31,27 @@
 //! (intersection of two prefixes is the longer one or empty), so the
 //! fixpoint terminates.
 //!
+//! A model swap resumes the fixpoint instead of restarting it
+//! ([`ModularContext::carry`]). A [`WindowSet`] is a canonical form: its
+//! maximal windows, or the `any` flag. Order window sets by
+//! [`WindowSet::implies`], with `any` above everything. Union is then the
+//! join, and intersection with a fixed set is the meet. Switch narrowing
+//! and terminal hand-off are intersections, and a rewriting box's "`any`
+//! once anything arrives" is monotone. So the crossings are the least
+//! fixpoint of monotone transfers, one per node. A swap changes only the
+//! touched boxes' transfers. Suppose every touched box's new summary
+//! covers its old one: `old.implies(new)`, or a filter became a rewrite.
+//! Then each new transfer lies above the old one pointwise, and the new
+//! least fixpoint lies above the old one. Every worklist step from a
+//! state below a least fixpoint stays below it. The old map satisfies
+//! every constraint except possibly the touched boxes' ones. So
+//! re-enqueueing the touched boxes and iterating from the old map ends
+//! exactly at the new least fixpoint. Its canonical form is what a run
+//! from the hosts computes, so the result is `==` to it, window for
+//! window. What has arrived at a node is the union of its incoming
+//! crossings, so it is rebuilt from the map, not stored. A narrowing swap
+//! has no such start and recomputes from the hosts.
+//!
 //! The window sets on cut edges *are* the module contracts: the set on
 //! an incoming cut edge is the module's ingress assumption, the set on
 //! an outgoing one its egress guarantee. Synthesized contracts compose
@@ -269,7 +290,7 @@ pub fn forward_summary(model: &MboxModel) -> ForwardSummary {
 
 /// The synthesized crossings of one scenario: for each directed live
 /// edge, the windows packets crossing it may occupy.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrossMap {
     pub cross: HashMap<(NodeId, NodeId), WindowSet>,
 }
@@ -316,23 +337,63 @@ impl Prelude {
         Prelude { summaries, agg, narrow }
     }
 
-    /// The per-scenario half: propagates windows from the live hosts
-    /// until no edge's crossing grows. A failed node is never dequeued
-    /// past the liveness test, so its summary is never read.
+    /// Re-summarises the touched boxes after a model swap. Returns
+    /// whether every new summary covers the old one — the window order of
+    /// [`WindowSet::implies`], or a filter turned [`ForwardSummary::Rewrite`]
+    /// — so that crossings of the old epoch lie below the new fixpoint.
+    fn resummarise(&mut self, net: &Network, touched: &[NodeId]) -> bool {
+        let mut covers = true;
+        for &m in touched.iter().filter(|&&m| net.topo.node(m).kind.is_middlebox()) {
+            let new = forward_summary(net.model(m));
+            let old = self.summaries.insert(m, new.clone());
+            covers &= match (old, &new) {
+                (Some(ForwardSummary::Filter(o)), ForwardSummary::Filter(n)) => o.implies(n),
+                (Some(ForwardSummary::Rewrite), ForwardSummary::Filter(_)) => false,
+                (_, ForwardSummary::Rewrite) | (None, _) => true,
+            };
+        }
+        covers
+    }
+
+    /// The per-scenario half, from nothing: propagates windows from the
+    /// live hosts until no edge's crossing grows.
     fn fixpoint(&self, net: &Network, scenario: &FailureScenario) -> CrossMap {
+        self.propagate(net, scenario, CrossMap::default(), net.topo.hosts())
+    }
+
+    /// Propagates from `start`, a map below this prelude's least fixpoint
+    /// for `scenario`, re-processing `dirty` (the nodes whose constraints
+    /// `start` may violate) and everything their emission grows, until no
+    /// edge's crossing grows. A failed node is never dequeued past the
+    /// liveness test, so its summary is never read.
+    fn propagate(
+        &self,
+        net: &Network,
+        scenario: &FailureScenario,
+        start: CrossMap,
+        dirty: impl IntoIterator<Item = NodeId>,
+    ) -> CrossMap {
         let topo = &net.topo;
         let Prelude { summaries, agg, narrow } = self;
         let widen = |a: Address| {
             agg.iter().copied().find(|p| p.contains(a)).unwrap_or_else(|| Prefix::host(a))
         };
 
-        let mut cross: HashMap<(NodeId, NodeId), WindowSet> = HashMap::new();
+        let mut cross = start.cross;
+        // What has arrived at each non-host node is the union of its
+        // incoming crossings, so it is rebuilt rather than stored.
         let mut reach: HashMap<NodeId, WindowSet> = HashMap::new();
+        for (&(_, x), w) in &cross {
+            if !topo.node(x).kind.is_host() {
+                reach.entry(x).or_default().union_with(w);
+            }
+        }
         let mut queue: VecDeque<NodeId> = VecDeque::new();
         let mut queued: BTreeSet<NodeId> = BTreeSet::new();
-        for h in topo.hosts().filter(|&h| !scenario.is_failed(h)) {
-            queue.push_back(h);
-            queued.insert(h);
+        for v in dirty {
+            if !scenario.is_failed(v) && queued.insert(v) {
+                queue.push_back(v);
+            }
         }
 
         while let Some(v) = queue.pop_front() {
@@ -436,10 +497,9 @@ pub struct ModularContext {
     /// synthesis. Empty in auto mode.
     pub contracts: Vec<ModuleContract>,
     /// The scenario-independent half of the synthesis, built by the
-    /// first [`ModularContext::cross_for`]. It reads models and tables,
-    /// so a context must not outlive its network epoch:
-    /// `Verifier::swap_network` builds a new one on every touch that
-    /// can change either.
+    /// first [`ModularContext::cross_for`]. It reads the tables and the
+    /// models: a model swap carries it over with [`ModularContext::carry`],
+    /// and any other change to the network needs a new context.
     prelude: OnceLock<Prelude>,
     cache: Mutex<HashMap<FailureScenario, Arc<CrossMap>>>,
 }
@@ -607,6 +667,32 @@ impl ModularContext {
         let prelude = self.prelude.get_or_init(|| Prelude::new(net));
         let cross = Arc::new(prelude.fixpoint(net, scenario));
         self.memo().entry(scenario.clone()).or_insert(cross).clone()
+    }
+
+    /// Carries the context across a model swap on `touched` into the
+    /// epoch `net`, which keeps topology and tables: the partition,
+    /// boundary, prelude aggregates and narrowing all stay, and only the
+    /// touched boxes are re-summarised. If every touched summary widened,
+    /// each memoised scenario's crossings are moved into a fixpoint
+    /// resumed at the touched boxes; otherwise the memo is dropped and
+    /// scenarios are synthesised from the hosts again on demand. Only the
+    /// network's own scenarios are carried: crossings memoised for any
+    /// other (a scenario a delta has since removed) are dropped, not
+    /// resumed. Declared contracts are not re-validated here.
+    pub fn carry(&mut self, net: &Network, touched: &[NodeId]) {
+        // No prelude means nothing was synthesised, so nothing is memoised.
+        let Some(prelude) = self.prelude.get_mut() else { return };
+        let memo = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let live = net.all_scenarios();
+        memo.retain(|scenario, _| live.contains(scenario));
+        if !prelude.resummarise(net, touched) {
+            memo.clear();
+            return;
+        }
+        for (scenario, cross) in memo.iter_mut() {
+            let old = Arc::unwrap_or_clone(std::mem::take(cross));
+            *cross = Arc::new(prelude.propagate(net, scenario, old, touched.iter().copied()));
+        }
     }
 
     /// The memo's lock. A panicking holder cannot leave the map
@@ -790,6 +876,70 @@ mod tests {
         assert!(w.admits("10.1.0.1".parse().unwrap(), "10.2.0.1".parse().unwrap()));
         // Stateless: no reverse closure.
         assert!(!w.admits("10.2.0.1".parse().unwrap(), "10.1.0.1".parse().unwrap()));
+    }
+
+    /// Two sites behind ACL firewalls `fw1` and `fw2`, joined by a core
+    /// switch, with a scenario that fails `fw2`.
+    fn two_sites() -> (Network, NodeId) {
+        let mut topo = Topology::new();
+        let a1 = topo.add_host("a1", "10.1.0.1".parse().unwrap());
+        let b1 = topo.add_host("b1", "10.2.0.1".parse().unwrap());
+        let sw1 = topo.add_switch("sw1");
+        let sw2 = topo.add_switch("sw2");
+        let core = topo.add_switch("core");
+        let fw1 = topo.add_middlebox("fw1", "acl-firewall", vec![]);
+        let fw2 = topo.add_middlebox("fw2", "acl-firewall", vec![]);
+        for (x, y) in [(a1, sw1), (sw1, fw1), (fw1, core), (b1, sw2), (sw2, fw2), (fw2, core)] {
+            topo.add_link(x, y);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        let (a_net, b_net) = (px("10.1.0.0/16"), px("10.2.0.0/16"));
+        tables.add_rule(sw1, Rule::from_neighbor(b_net, a1, fw1));
+        tables.add_rule(sw2, Rule::from_neighbor(a_net, b1, fw2));
+        tables.add_rule(core, Rule::from_neighbor(b_net, fw1, fw2));
+        tables.add_rule(core, Rule::from_neighbor(a_net, fw2, fw1));
+        let mut net = Network::new(topo, tables);
+        net.set_model(fw1, models::acl_firewall("acl-firewall", vec![(a_net, any_dst())]));
+        net.set_model(fw2, models::acl_firewall("acl-firewall", vec![(b_net, any_dst())]));
+        net.add_scenario(FailureScenario::nodes([fw2]));
+        (net, fw1)
+    }
+
+    /// A model swap carries the memoised crossings: a widening resumes
+    /// them, anything else drops them, and either way every scenario's
+    /// crossings are exactly — `==`, window normal form included — the
+    /// from-scratch synthesis of the new epoch. A scenario the network no
+    /// longer lists is not carried.
+    #[test]
+    fn carried_crossings_equal_a_fresh_synthesis() {
+        let (mut net, fw1) = two_sites();
+        let scenarios = net.all_scenarios();
+        let mut ctx = ModularContext::auto(&net.topo);
+        let removed = FailureScenario::nodes([net.topo.by_name("core").unwrap()]);
+        for s in scenarios.iter().chain([&removed]) {
+            ctx.cross_for(&net, s);
+        }
+        let site = px("10.1.0.0/16");
+        let filter = |acl: Vec<(Prefix, Prefix)>| models::acl_firewall("acl-firewall", acl);
+        let steps = [
+            ("widen", filter(vec![(site, any_dst()), (px("10.2.0.0/16"), site)]), true),
+            ("restore", filter(vec![(site, any_dst())]), false),
+            ("rewrite", models::content_cache("cache", [site], vec![]), true),
+            ("filter again", filter(vec![(site, any_dst())]), false),
+        ];
+        for (label, model, resumed) in steps {
+            let before = ctx.cross_for(&net, &FailureScenario::none());
+            net.set_model(fw1, model);
+            ctx.carry(&net, &[fw1]);
+            let kept = if resumed { scenarios.len() } else { 0 };
+            assert_eq!(ctx.memo().len(), kept, "{label}: memoised scenarios after the carry");
+            for s in &scenarios {
+                assert_eq!(*ctx.cross_for(&net, s), synthesize(&net, s), "{label}: {s:?}");
+            }
+            assert_ne!(*before, *ctx.cross_for(&net, &FailureScenario::none()), "{label}");
+        }
     }
 
     /// Regression: a rewriting box's emission must not be limited to the

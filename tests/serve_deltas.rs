@@ -13,7 +13,12 @@
 //!   report the first violating scenario in configured sweep order;
 //! * the delta report's cache accounting is conserved: every pair is
 //!   prefiltered, contract-answered, fingerprint-hit, or re-checked —
-//!   nothing is dropped.
+//!   nothing is dropped — and its swap and reconcile times fit inside
+//!   its elapsed time;
+//! * the session's verifier, carried from epoch to epoch, equals one
+//!   built from nothing on the same network and options: policy classes,
+//!   header classes, modules, and the contract crossings of every live
+//!   scenario (half the generated networks run under `partition auto`).
 //!
 //! This is the soundness argument for the daemon's verdict cache: the
 //! prefilter / contract / fingerprint / recheck ladder may skip
@@ -30,7 +35,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
-use vmn::{Verdict, Verifier, VerifyOptions};
+use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_serve::{scenario_key, Delta, NetSession, NodeSpec};
 
 fn fuzz_cases() -> u32 {
@@ -83,7 +88,8 @@ fn fw_kind(rng: &mut TestRng) -> &'static str {
 /// Derives a random hub network in `.vmn` config text: host pairs on
 /// per-pair /16s, one or two firewalls (stateful or ACL) with random
 /// allow-lists, random host-keyed steering with failover priorities,
-/// two registered invariants, and possibly an initial failure scenario.
+/// two registered invariants, possibly an initial failure scenario, and
+/// in half the cases `partition auto`.
 fn generate(rng: &mut TestRng) -> Gen {
     let pairs = 2 + rng.below(2) as usize;
     let mut config = String::new();
@@ -144,6 +150,9 @@ fn generate(rng: &mut TestRng) -> Gen {
     }
     if rng.below(2) == 0 {
         config.push_str(&format!("fail {}\n", fws[rng.below(fws.len() as u64) as usize]));
+    }
+    if rng.below(2) == 0 {
+        config.push_str("partition auto\n");
     }
     Gen { config, hosts, fws, pool }
 }
@@ -214,9 +223,40 @@ fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -
     }
 }
 
+/// The session's verifier, carried across every swap since load, must
+/// hold exactly the epoch a verifier built from nothing on the same
+/// network and options holds.
+fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
+    let carried = session.verifier();
+    let net = carried.network();
+    let partition = if session.spec().partition { PartitionMode::Auto } else { PartitionMode::Off };
+    let options = VerifyOptions { partition, ..VerifyOptions::default() };
+    let fresh = Verifier::from_arc(net.clone(), options).expect("valid network");
+    assert_eq!(carried.policy().classes, fresh.policy().classes, "{label}: policy classes");
+    assert_eq!(carried.header_classes(), fresh.header_classes(), "{label}: header classes");
+    match (carried.modular_context(), fresh.modular_context()) {
+        (None, None) => {}
+        (Some(c), Some(f)) => {
+            assert_eq!(c.module_count(), f.module_count(), "{label}: module count");
+            for (id, node) in net.topo.nodes() {
+                assert_eq!(c.module_of(id), f.module_of(id), "{label}: module of {}", node.name);
+            }
+            for (skey, scenario) in session.scenario_list() {
+                assert_eq!(
+                    *c.cross_for(net, &scenario),
+                    *f.cross_for(net, &scenario),
+                    "{label}: crossings under {skey:?}"
+                );
+            }
+        }
+        _ => panic!("{label}: only one of the two verifiers is modular"),
+    }
+}
+
 /// The core oracle: the daemon's cached state must be indistinguishable
 /// from a verifier built from scratch off the same symbolic spec.
 fn assert_matches_scratch(session: &NetSession, label: &str) {
+    assert_epoch_matches_fresh(session, label);
     let m = session.spec().materialize().expect("live spec rematerializes");
     let fresh = Verifier::new(&m.net, VerifyOptions::default()).expect("valid network");
     let scenarios = session.scenario_list();
@@ -271,6 +311,7 @@ fn run_case(seed: u64) {
     let pairs = session.invariants().len() * session.scenario_list().len();
     assert_eq!(load_report.pairs, pairs, "{label}: load sweeps every pair");
     assert_eq!(load_report.rechecked, pairs, "{label}: cold cache solves every pair");
+    assert!(load_report.swap + load_report.reconcile <= load_report.elapsed, "{load_report:?}");
     assert_matches_scratch(&session, &format!("{label} after load"));
 
     for step in 0..4 {
@@ -282,6 +323,10 @@ fn run_case(seed: u64) {
             report.prefiltered + report.contract_answered + report.cache_hits + report.rechecked,
             report.pairs,
             "{label} step {step}: cache accounting must conserve pairs: {report:?}"
+        );
+        assert!(
+            report.swap + report.reconcile <= report.elapsed,
+            "{label} step {step}: the rungs' time must fit in the elapsed time: {report:?}"
         );
         assert_eq!(
             report.pairs,
