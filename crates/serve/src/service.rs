@@ -3,8 +3,9 @@
 //! A [`Service`] holds a fleet of named [`NetSession`]s. Each session
 //! keeps the symbolic [`NetSpec`], a warmed [`Verifier`] (whose few most
 //! recent solver sessions persist across checks), and a **verdict cache** with one
-//! entry per (invariant, scenario) pair, keyed by the pair's *slice
-//! fingerprint* ([`vmn::slice::verdict_fingerprint`]).
+//! entry per (invariant, scenario) pair, holding the pair's verdict under
+//! its *slice fingerprint* ([`vmn::slice::verdict_fingerprint`]) and the
+//! one generation before it.
 //!
 //! Applying a delta re-checks only what the delta can touch:
 //!
@@ -14,39 +15,111 @@
 //!    *prefiltered* — skipped without any recomputation (sound unless
 //!    the policy classes moved, which the swap reports and which
 //!    escalates to everything);
-//! 3. surviving pairs recompute their fingerprint: an unchanged
-//!    fingerprint is a *cache hit* (the verdict is a deterministic
-//!    function of the fingerprinted inputs), a changed one triggers a
-//!    re-verification of just that pair, on the plan just fingerprinted
-//!    ([`Verifier::verify_planned`]).
+//! 3. surviving pairs recompute their fingerprint and look it up among
+//!    the answers the live pairs hold: a fingerprint seen before — from
+//!    this pair or another, in this epoch or, through an entry's previous
+//!    generation, the one before — is a *cache hit* (the verdict is a
+//!    deterministic function of the fingerprinted inputs, none of which
+//!    names the pair); an unseen one triggers a re-verification of just
+//!    that pair, on the plan just fingerprinted
+//!    ([`Verifier::verify_planned`]), whose answer the later pairs of the
+//!    same pass can hit in turn.
+//!
+//! A hit's witness is re-targeted: its scenario becomes the asking pair's,
+//! and its node ids — insertion indices, which shift when a node is
+//! removed — are mapped by name into the current epoch. The cache keeps
+//! two generations per live pair, so a pass looks up at most 2 × live
+//! pairs answers plus its own re-checks.
 //!
 //! Pipeline invariants are static-datapath checks, orders of magnitude
 //! cheaper than the SMT path, and are simply re-checked on every delta.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vmn::slice::{slice_names, verdict_fingerprint};
-use vmn::{Invariant, PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_analysis::TouchSet;
 use vmn_net::{FailureScenario, NodeId};
 
 use crate::delta::{scenario_key, Delta};
 use crate::spec::NetSpec;
 
+/// One decided verdict, in a form any later epoch can take.
+#[derive(Clone, Debug)]
+struct Answer {
+    /// The fingerprint the verdict was decided under (0 for a contract
+    /// answer).
+    fingerprint: u64,
+    verdict: Verdict,
+    /// The name of every node the witness mentions, by its id in the
+    /// verdict's epoch (empty for `Holds`).
+    names: BTreeMap<NodeId, String>,
+}
+
+impl Answer {
+    fn new(fingerprint: u64, verdict: Verdict, net: &Network) -> Answer {
+        let mut names = BTreeMap::new();
+        if let Verdict::Violated { trace, .. } = &verdict {
+            for step in &trace.steps {
+                for n in step.actor.into_iter().chain(step.delivered_to) {
+                    names.entry(n).or_insert_with(|| net.topo.node(n).name.clone());
+                }
+            }
+        }
+        Answer { fingerprint, verdict, names }
+    }
+
+    /// This answer served to `scenario` of the epoch whose node ids `ids`
+    /// holds. `None` if a witness node is gone, which an equal
+    /// fingerprint rules out short of a hash collision.
+    fn retarget(
+        &self,
+        ids: &HashMap<String, NodeId>,
+        scenario: &FailureScenario,
+    ) -> Option<Answer> {
+        let Verdict::Violated { trace, .. } = &self.verdict else {
+            return Some(self.clone());
+        };
+        let new_id: BTreeMap<NodeId, NodeId> = self
+            .names
+            .iter()
+            .map(|(old, name)| Some((*old, *ids.get(name)?)))
+            .collect::<Option<_>>()?;
+        let mut trace = trace.clone();
+        for step in &mut trace.steps {
+            step.actor = step.actor.map(|n| new_id[&n]);
+            step.delivered_to = step.delivered_to.map(|n| new_id[&n]);
+        }
+        Some(Answer {
+            fingerprint: self.fingerprint,
+            verdict: Verdict::Violated { trace, scenario: scenario.clone() },
+            names: self.names.iter().map(|(old, name)| (new_id[old], name.clone())).collect(),
+        })
+    }
+}
+
 /// One cached (invariant, scenario) verdict.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// Fingerprint of everything the verdict depends on.
-    pub fingerprint: u64,
     /// The slice's member names — intersected against delta footprints.
     pub slice: BTreeSet<String>,
-    pub verdict: Verdict,
     /// Answered by the boundary contracts alone: no slice, no
     /// fingerprint. Such entries are never prefiltered — the contract
     /// re-answers them (cheaply) whenever the epoch moves.
     pub contract: bool,
+    answer: Answer,
+    /// The fingerprinted answer this entry held before its fingerprint
+    /// last changed, so that undoing a delta finds it.
+    previous: Option<Answer>,
+}
+
+impl CacheEntry {
+    /// The pair's verdict, its witness in the current epoch.
+    pub fn verdict(&self) -> &Verdict {
+        &self.answer.verdict
+    }
 }
 
 /// What one delta batch did.
@@ -63,7 +136,9 @@ pub struct DeltaReport {
     pub prefiltered: usize,
     /// Pairs answered by the boundary contracts alone (modular mode).
     pub contract_answered: usize,
-    /// Pairs whose recomputed fingerprint matched the cache.
+    /// Pairs whose recomputed fingerprint was seen before: some live
+    /// pair — this one or another — was decided under it, in this epoch
+    /// or, as an entry's previous generation, the one before.
     pub cache_hits: usize,
     /// Pairs actually re-verified.
     pub rechecked: usize,
@@ -227,11 +302,24 @@ impl NetSession {
     fn reconcile(&mut self, effective: &TouchSet, report: &mut DeltaReport) -> Result<(), String> {
         let start = Instant::now();
         let scenarios = self.scenario_list();
-        let mut live: BTreeSet<(String, String)> = BTreeSet::new();
+        let live: BTreeSet<(String, String)> = self
+            .invariants
+            .iter()
+            .flat_map(|(inv, _)| scenarios.iter().map(move |(s, _)| (inv.clone(), s.clone())))
+            .collect();
+        // Every answer a live pair holds, by the fingerprint it was
+        // decided under; the first in key order wins, so a pass is
+        // deterministic.
+        let mut known: HashMap<u64, Answer> = HashMap::new();
+        for entry in live.iter().filter_map(|key| self.cache.get(key)).filter(|e| !e.contract) {
+            for answer in std::iter::once(&entry.answer).chain(&entry.previous) {
+                known.entry(answer.fingerprint).or_insert_with(|| answer.clone());
+            }
+        }
+        let net = self.verifier.network().clone();
         for (inv_spec, inv) in &self.invariants {
             for (skey, scenario) in &scenarios {
                 let key = (inv_spec.clone(), skey.clone());
-                live.insert(key.clone());
                 report.pairs += 1;
 
                 if let Some(entry) = self.cache.get(&key) {
@@ -244,25 +332,17 @@ impl NetSession {
                         continue;
                     }
                 }
-                let net = self.verifier.network().clone();
                 // Modular mode: if the boundary contracts prove the pair
                 // outright, skip planning and fingerprinting entirely.
                 if let Some(ctx) = self.verifier.modular_context() {
                     if ctx.contract_holds(&net, inv, scenario) {
                         report.contract_answered += 1;
-                        let was = self.cache.get(&key).map(|e| e.verdict.holds());
-                        if was != Some(true) {
-                            report.changed.push((inv_spec.clone(), skey.clone(), true, was));
-                        }
-                        self.cache.insert(
-                            key,
-                            CacheEntry {
-                                fingerprint: 0,
-                                slice: BTreeSet::new(),
-                                verdict: Verdict::Holds,
-                                contract: true,
-                            },
-                        );
+                        let holds = Answer {
+                            fingerprint: 0,
+                            verdict: Verdict::Holds,
+                            names: BTreeMap::new(),
+                        };
+                        record(&mut self.cache, key, BTreeSet::new(), true, holds, report);
                         continue;
                     }
                 }
@@ -279,27 +359,23 @@ impl NetSession {
                 )
                 .map_err(|e| e.to_string())?;
                 let slice = slice_names(&net, nodes);
-                if let Some(entry) = self.cache.get_mut(&key) {
-                    if entry.fingerprint == fp {
-                        entry.slice = slice;
+                let answer = match known.get(&fp).and_then(|a| a.retarget(&self.names, scenario)) {
+                    Some(answer) => {
                         report.cache_hits += 1;
-                        continue;
+                        answer
                     }
-                }
-                let was = self.cache.get(&key).map(|e| e.verdict.holds());
-                let r = self
-                    .verifier
-                    .verify_planned(inv, vec![(scenario.clone(), plan)])
-                    .map_err(|e| e.to_string())?;
-                report.rechecked += 1;
-                let holds = r.verdict.holds();
-                if was != Some(holds) {
-                    report.changed.push((inv_spec.clone(), skey.clone(), holds, was));
-                }
-                self.cache.insert(
-                    key,
-                    CacheEntry { fingerprint: fp, slice, verdict: r.verdict, contract: false },
-                );
+                    None => {
+                        let r = self
+                            .verifier
+                            .verify_planned(inv, vec![(scenario.clone(), plan)])
+                            .map_err(|e| e.to_string())?;
+                        report.rechecked += 1;
+                        let answer = Answer::new(fp, r.verdict, &net);
+                        known.insert(fp, answer.clone());
+                        answer
+                    }
+                };
+                record(&mut self.cache, key, slice, false, answer, report);
             }
         }
         let before = self.cache.len();
@@ -324,7 +400,7 @@ impl NetSession {
             .iter()
             .map(|(spec, _)| {
                 let violation = order.iter().find_map(|skey| {
-                    match &self.cache.get(&(spec.clone(), skey.clone()))?.verdict {
+                    match self.cache.get(&(spec.clone(), skey.clone()))?.verdict() {
                         Verdict::Holds => None,
                         Verdict::Violated { trace, .. } => Some((skey.clone(), trace.steps.len())),
                     }
@@ -387,6 +463,33 @@ impl NetSession {
     pub fn invariants(&self) -> &[(String, Invariant)] {
         &self.invariants
     }
+}
+
+/// Files `answer` as `key`'s verdict and reports it if it changed or
+/// appeared. A fingerprinted answer it replaces under another
+/// fingerprint becomes the entry's previous generation; contract answers
+/// keep none.
+fn record(
+    cache: &mut HashMap<(String, String), CacheEntry>,
+    key: (String, String),
+    slice: BTreeSet<String>,
+    contract: bool,
+    answer: Answer,
+    report: &mut DeltaReport,
+) {
+    let old = cache.remove(&key);
+    let holds = answer.verdict.holds();
+    let was = old.as_ref().map(|e| e.answer.verdict.holds());
+    if was != Some(holds) {
+        report.changed.push((key.0.clone(), key.1.clone(), holds, was));
+    }
+    let previous = match old {
+        Some(e) if e.contract || contract => None,
+        Some(e) if e.answer.fingerprint == answer.fingerprint => e.previous,
+        Some(e) => Some(e.answer),
+        None => None,
+    };
+    cache.insert(key, CacheEntry { slice, contract, answer, previous });
 }
 
 /// A fleet of named sessions plus the protocol driver.

@@ -275,12 +275,25 @@ pub fn slice_names(net: &Network, slice: &[NodeId]) -> BTreeSet<String> {
 ///   equal outcome merged so that irrelevant class splits elsewhere in
 ///   the network do not perturb the fingerprint.
 ///
-/// Equal fingerprints across two network epochs therefore imply the
-/// same verdict (modulo the 2⁻⁶⁴ hash-collision risk every cache key
-/// accepts), which is what lets the `vmn_serve` daemon answer from its
-/// verdict cache after a delta instead of re-solving: a routing change
-/// three pods over refines the global header classes but leaves this
-/// slice's merged intervals — and hence its fingerprint — untouched.
+/// Of the scenario, only `failed ∩ slice` is hashed. A failure reaches a
+/// check in two ways only. The encoder's `add_scenario` silences the
+/// failed encoded terminals (no send, no processing) and ties each live
+/// member's emissions to the scenario's delivery intervals; the BDD check
+/// starts from the live slice hosts and follows the same intervals; and
+/// the choice between the two reads the live slice middleboxes. A failed
+/// node outside the slice, or a failed link, therefore acts only through
+/// the delivery of live members, which is hashed (last item). (The contract
+/// rung reads the whole scenario, but it only ever answers `Holds`, and
+/// only when the exact engine would.)
+///
+/// Equal fingerprints — across two network epochs, or across two
+/// scenarios of one epoch — therefore imply the same verdict (modulo the
+/// 2⁻⁶⁴ hash-collision risk every cache key accepts), which is what lets
+/// the `vmn_serve` daemon answer from its verdict cache instead of
+/// re-solving: a routing change three pods over refines the global header
+/// classes but leaves this slice's merged intervals — and hence its
+/// fingerprint — untouched, and a failure scenario that reroutes nothing
+/// in the slice is answered by a scenario the pair was already checked in.
 ///
 /// `classes` must be the header classes of `net`
 /// ([`HeaderClasses::from_network`]); they are passed in so one
@@ -318,25 +331,13 @@ pub fn verdict_fingerprint(
         }
     }
 
-    // Scenario, over names (sorted: BTreeSet order is id order, which is
-    // not stable across epochs).
-    let mut failed: Vec<&str> = scenario.failed_nodes.iter().map(|&n| name(net, n)).collect();
+    // Scenario: the failed slice members, over names (sorted: id order is
+    // not stable across epochs). Everything else a scenario fails acts
+    // through the delivery intervals hashed below.
+    let mut failed: Vec<&str> =
+        nodes.iter().filter(|&&n| scenario.is_failed(n)).map(|&n| name(net, n)).collect();
     failed.sort_unstable();
     failed.hash(&mut h);
-    let mut failed_links: Vec<(&str, &str)> = scenario
-        .failed_links
-        .iter()
-        .map(|l| {
-            let (a, b) = (name(net, l.a), name(net, l.b));
-            if a <= b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        })
-        .collect();
-    failed_links.sort_unstable();
-    failed_links.hash(&mut h);
 
     k.hash(&mut h);
 
@@ -634,5 +635,157 @@ mod tests {
         assert!(slice.contains(&cache));
         assert!(slice.contains(&c1), "needs a representative of the client class: {slice:?}");
         assert!(!slice.contains(&c2), "one representative suffices: {slice:?}");
+    }
+
+    /// Two host pairs on one switch. `a0`'s and `a1`'s traffic is steered
+    /// through the learning firewall `fw`, which admits only pod 0's own
+    /// traffic, and falls back to the allow-all `fwb` when `fw` or its link
+    /// is down.
+    fn failover() -> Network {
+        let mut topo = Topology::new();
+        let sw = topo.add_switch("sw");
+        let a0 = topo.add_host("a0", addr("10.1.0.1"));
+        let b0 = topo.add_host("b0", addr("10.1.0.2"));
+        let a1 = topo.add_host("a1", addr("10.2.0.1"));
+        let b1 = topo.add_host("b1", addr("10.2.0.2"));
+        let fw = topo.add_middlebox("fw", "stateful-firewall", vec![]);
+        let fwb = topo.add_middlebox("fwb", "stateful-firewall", vec![]);
+        for n in [a0, b0, a1, b1, fw, fwb] {
+            topo.add_link(n, sw);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        for h in [a0, a1] {
+            tables.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/8"), h, fw).with_priority(20));
+            tables.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/8"), h, fwb).with_priority(10));
+        }
+        let mut net = Network::new(topo, tables);
+        let pod0 = vec![(px("10.1.0.0/16"), px("10.1.0.0/16"))];
+        net.set_model(fw, models::learning_firewall("stateful-firewall", pod0));
+        let all = vec![(px("0.0.0.0/0"), px("0.0.0.0/0"))];
+        net.set_model(fwb, models::learning_firewall("stateful-firewall", all));
+        net
+    }
+
+    fn by_name<const N: usize>(net: &Network, names: [&str; N]) -> [NodeId; N] {
+        names.map(|n| net.topo.by_name(n).unwrap())
+    }
+
+    /// The fingerprint of `inv` under `scenario` over a given plan.
+    fn fingerprint_over(
+        v: &crate::Verifier,
+        inv: &Invariant,
+        scenario: &FailureScenario,
+        (nodes, k): (&[NodeId], usize),
+    ) -> u64 {
+        verdict_fingerprint(v.network(), v.header_classes(), inv, scenario, nodes, k).unwrap()
+    }
+
+    /// The fingerprint of `inv` under `scenario` over the engine's own plan.
+    fn fingerprint(v: &crate::Verifier, inv: &Invariant, scenario: &FailureScenario) -> u64 {
+        let plan = v.plan(inv, scenario).unwrap();
+        fingerprint_over(v, inv, scenario, (plan.nodes(), plan.bound()))
+    }
+
+    #[test]
+    fn a_failure_outside_the_slice_keeps_the_fingerprint() {
+        let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
+        let net = v.network();
+        let [a0, b0, a1, sw] = by_name(net, ["a0", "b0", "a1", "sw"]);
+        let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
+        let none = fingerprint(&v, &inv, &FailureScenario::none());
+        for name in ["a1", "b1", "fwb"] {
+            let s = FailureScenario::nodes(by_name(net, [name]));
+            assert_eq!(fingerprint(&v, &inv, &s), none, "failing {name}");
+        }
+        let mut link = FailureScenario::none();
+        link.failed_links.insert(vmn_net::Link::new(a1, sw));
+        assert_eq!(fingerprint(&v, &inv, &link), none, "failing a1's link");
+    }
+
+    #[test]
+    fn a_failed_slice_member_changes_the_fingerprint() {
+        let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
+        let net = v.network();
+        let [a0, b0] = by_name(net, ["a0", "b0"]);
+        let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
+        let none = fingerprint(&v, &inv, &FailureScenario::none());
+        for name in ["fw", "b0"] {
+            let s = FailureScenario::nodes(by_name(net, [name]));
+            assert_ne!(fingerprint(&v, &inv, &s), none, "failing {name}");
+        }
+    }
+
+    #[test]
+    fn a_failure_that_reroutes_a_live_member_changes_the_fingerprint() {
+        // Over the no-failure plan, so that only delivery can differ:
+        // with `fw`'s link down `a0`'s packets go to `fwb`, outside the
+        // slice; with the switch down they go nowhere.
+        let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
+        let [a0, b0, fw, sw] = by_name(v.network(), ["a0", "b0", "fw", "sw"]);
+        let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
+        let plan = v.plan(&inv, &FailureScenario::none()).unwrap();
+        assert!(plan.nodes().contains(&fw) && !plan.nodes().contains(&sw));
+        let over = (plan.nodes(), plan.bound());
+        let none = fingerprint_over(&v, &inv, &FailureScenario::none(), over);
+        let mut link = FailureScenario::none();
+        link.failed_links.insert(vmn_net::Link::new(fw, sw));
+        assert_ne!(fingerprint_over(&v, &inv, &link, over), none, "failing fw's link");
+        let switch = FailureScenario::nodes([sw]);
+        assert_ne!(fingerprint_over(&v, &inv, &switch, over), none, "failing the switch");
+    }
+
+    /// Equal fingerprints mean equal verdicts: over every scenario of at
+    /// most two failed nodes or one failed link, each invariant's
+    /// scenarios are grouped by fingerprint, and every group must agree
+    /// with `verify_under`, which decides each scenario on its own.
+    #[test]
+    fn equal_fingerprints_decide_equal_verdicts() {
+        let net = failover();
+        let v = crate::Verifier::new(&net, crate::VerifyOptions::default()).unwrap();
+        let mut scenarios = vec![FailureScenario::none()];
+        let ids: Vec<NodeId> = net.topo.node_ids().collect();
+        for (i, &x) in ids.iter().enumerate() {
+            scenarios.push(FailureScenario::nodes([x]));
+            for &y in &ids[i + 1..] {
+                scenarios.push(FailureScenario::nodes([x, y]));
+            }
+        }
+        for &l in net.topo.links() {
+            let mut s = FailureScenario::none();
+            s.failed_links.insert(l);
+            scenarios.push(s);
+        }
+        let [a0, b0, a1, b1] = by_name(&net, ["a0", "b0", "a1", "b1"]);
+        let invariants = [
+            Invariant::FlowIsolation { src: a0, dst: b0 },
+            Invariant::FlowIsolation { src: a0, dst: b1 },
+            Invariant::NodeIsolation { src: a1, dst: b0 },
+        ];
+        let (mut shared, mut verdicts_seen) = (0, BTreeSet::new());
+        for inv in &invariants {
+            let mut groups: std::collections::HashMap<u64, Vec<(usize, bool)>> =
+                std::collections::HashMap::new();
+            for (i, s) in scenarios.iter().enumerate() {
+                let holds = v.verify_under(inv, vec![s.clone()]).unwrap().verdict.holds();
+                groups.entry(fingerprint(&v, inv, s)).or_default().push((i, holds));
+            }
+            for group in groups.values().filter(|g| g.len() > 1) {
+                shared += group.len();
+                verdicts_seen.insert(group[0].1);
+                for &(i, holds) in group {
+                    assert_eq!(
+                        holds, group[0].1,
+                        "{inv:?}: scenarios {:?} and {:?} share a fingerprint but not a verdict",
+                        scenarios[group[0].0], scenarios[i]
+                    );
+                }
+            }
+        }
+        // Not vacuous: many scenarios share a fingerprint, on both sides
+        // of the verdict.
+        assert!(shared > scenarios.len(), "{shared} scenarios in shared groups");
+        assert_eq!(verdicts_seen.len(), 2, "shared groups hold and violate");
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * every cached (invariant, scenario) verdict equals a fresh
 //!   `Verifier::verify_under` on a fresh materialisation of the spec;
-//! * every cached violation witness replays into a real forbidden
-//!   reception on the concrete simulator;
+//! * every cached violation witness is for the pair's own scenario and
+//!   replays into a real forbidden reception on the concrete simulator;
 //! * the aggregated per-invariant verdicts (`NetSession::verdicts`)
 //!   report the first violating scenario in configured sweep order;
 //! * the delta report's cache accounting is conserved: every pair is
@@ -24,13 +24,19 @@
 //! prefilter / contract / fingerprint / recheck ladder may skip
 //! arbitrary solver work, but must never change an answer. Cases derive
 //! from the proptest per-test seed; `VMN_FUZZ_CASES` bounds the case
-//! count (CI pins a small subset, the default is 60). A deterministic
-//! companion (`module_confined_deltas`) drives a partitioned two-site
-//! estate and pins the modular ladder rung: single-module deltas leave
-//! the other module's pairs prefiltered and its pooled sessions alive,
-//! while cross-module pairs are re-answered from boundary contracts; a
-//! second (`pods_load_reenters_every_repeated_session`) pins the session
-//! pool's checkouts and hits on a cold load of the `pods-deltas` estate.
+//! count (CI pins a small subset, the default is 60). The stream lists a
+//! spare host ahead of the pairs and now and then removes it, which
+//! renumbers every later node under the cached witnesses. A
+//! deterministic companion (`module_confined_deltas`) drives a
+//! partitioned two-site estate and pins the modular ladder rung:
+//! single-module deltas leave the other module's pairs prefiltered and
+//! its pooled sessions alive, while cross-module pairs are re-answered
+//! from boundary contracts; `pods_load_reenters_every_repeated_session`
+//! pins the session pool's traffic on a cold load of the `pods-deltas`
+//! estate, `pods_deltas_answer_known_fingerprints_from_the_cache` the
+//! fingerprint index's hits on its deltas, and
+//! `remove_node_renumbers_the_served_witness` a witness served across a
+//! node removal.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -92,7 +98,8 @@ fn fw_kind(rng: &mut TestRng) -> &'static str {
 /// in half the cases `partition auto`.
 fn generate(rng: &mut TestRng) -> Gen {
     let pairs = 2 + rng.below(2) as usize;
-    let mut config = String::new();
+    // A spare host ahead of the pairs: removing it shifts every later id.
+    let mut config = String::from("host spare 10.8.0.1\n");
     let mut hosts = Vec::new();
     for i in 0..pairs {
         for (role, last) in [("a", 1), ("b", 2)] {
@@ -110,6 +117,7 @@ fn generate(rng: &mut TestRng) -> Gen {
         config.push_str(&format!("{} {name} {}\n", fw_kind(rng), args.join(" ")));
         fws.push(name);
     }
+    config.push_str("link spare sw\n");
     for n in hosts.iter().chain(&fws) {
         config.push_str(&format!("link {n} sw\n"));
     }
@@ -209,8 +217,12 @@ fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -
                 }]
             }
         }
-        // Structural churn: a new (unsteered) host joins the hub.
+        // Structural churn: the spare host leaves, or a new (unsteered)
+        // host joins the hub.
         _ => {
+            if session.names().contains_key("spare") && rng.below(2) == 0 {
+                return vec![Delta::RemoveNode("spare".into())];
+            }
             let name = format!("hx{step}");
             vec![
                 Delta::AddNode(NodeSpec::Host {
@@ -273,11 +285,15 @@ fn assert_matches_scratch(session: &NetSession, label: &str) {
                 .verify_under(inv, vec![scenario.clone()])
                 .expect("from-scratch verify succeeds");
             assert_eq!(
-                entry.verdict.holds(),
+                entry.verdict().holds(),
                 want.verdict.holds(),
                 "{label}: cached verdict for {spec:?} under {skey:?} diverges from scratch"
             );
-            if let Verdict::Violated { trace, scenario: vs } = &entry.verdict {
+            if let Verdict::Violated { trace, scenario: vs } = entry.verdict() {
+                assert_eq!(
+                    vs, scenario,
+                    "{label}: witness for {spec:?} / {skey:?} is for another scenario"
+                );
                 let receptions = trace.replay(&m.net, vs).unwrap_or_else(|e| {
                     panic!("{label}: witness for {spec:?} / {skey:?} fails to replay: {e}")
                 });
@@ -310,7 +326,11 @@ fn run_case(seed: u64) {
         .unwrap_or_else(|e| panic!("{label}: generated config rejected: {e}\n{}", gen.config));
     let pairs = session.invariants().len() * session.scenario_list().len();
     assert_eq!(load_report.pairs, pairs, "{label}: load sweeps every pair");
-    assert_eq!(load_report.rechecked, pairs, "{label}: cold cache solves every pair");
+    assert_eq!(
+        load_report.rechecked + load_report.cache_hits,
+        pairs,
+        "{label}: a cold cache solves every pair or shares an earlier pair's answer"
+    );
     assert!(load_report.swap + load_report.reconcile <= load_report.elapsed, "{load_report:?}");
     assert_matches_scratch(&session, &format!("{label} after load"));
 
@@ -459,27 +479,17 @@ verify node-isolation b2 -> b1
     assert_matches_scratch(&session, "after invariant add");
 }
 
-/// Pool traffic of a cold `load` of the benchmark's `pods-deltas` estate:
-/// eight pods of two hosts behind a learning firewall, one standing
-/// failure (`fw0`), and per pod flow isolation `a -> b` inside the pod and
-/// across to the next. The daemon re-checks each of the 32 (invariant,
-/// scenario) pairs on its own, invariant by invariant. Under `fail fw0`
-/// nothing stateful is left on `a0`'s path, so its two pairs go to the BDD
-/// path: 30 checkouts. Every other invariant's second scenario plans the
-/// same slice as its first and re-enters the session checked in just
-/// before: 14 hits. The per-key pool before the recency bound, which kept
-/// all 16 sessions, produced exactly these 30 checkouts and 14 hits (an
-/// instrumented copy of the parent commit), so the bound forfeits no
-/// re-entry here.
-#[test]
-fn pods_load_reenters_every_repeated_session() {
+/// The benchmark's `pods-deltas` estate: eight pods of two hosts behind a
+/// learning firewall, one standing failure (`fw0`), and per pod flow
+/// isolation `a -> b` inside the pod and across to the next.
+fn pods_config() -> String {
     use std::fmt::Write;
     let pods = 8;
     let mut config = String::from("switch core\n");
     for p in 0..pods {
         let net = p + 1;
         let _ = writeln!(config, "host a{p} 10.{net}.0.1\nhost b{p} 10.{net}.0.2\nswitch sw{p}");
-        let _ = writeln!(config, "firewall fw{p} allow 10.{net}.0.0/16 -> 10.{net}.0.0/16");
+        let _ = writeln!(config, "firewall fw{p} {}", pod_acl(p, false).join(" "));
         let _ =
             writeln!(config, "link a{p} sw{p}\nlink b{p} sw{p}\nlink fw{p} sw{p}\nlink sw{p} core");
     }
@@ -492,9 +502,100 @@ fn pods_load_reenters_every_repeated_session() {
         let _ = writeln!(config, "verify flow-isolation a{p} -> b{}", (p + 1) % pods);
     }
     config.push_str("fail fw0\n");
-    let (session, load) = NetSession::load(&config, VerifyOptions::default()).expect("pods load");
-    assert_eq!((load.pairs, load.rechecked), (32, 32), "{load:?}");
+    config
+}
+
+/// Pod `pod`'s firewall ACL as the benchmark's model deltas write it: the
+/// pod's own traffic, and when widened anything toward its `b` host.
+fn pod_acl(pod: usize, widened: bool) -> Vec<String> {
+    let net = pod + 1;
+    let mut acl = format!("allow 10.{net}.0.0/16 -> 10.{net}.0.0/16");
+    if widened {
+        acl.push_str(&format!(" , 10.0.0.0/8 -> 10.{net}.0.2/32"));
+    }
+    acl.split_whitespace().map(String::from).collect()
+}
+
+/// Pool traffic of a cold `load` of the `pods-deltas` estate. The daemon
+/// checks the 32 (invariant, scenario) pairs invariant by invariant and
+/// answers every pair whose fingerprint an earlier pair of the same load
+/// was decided under. `fw0` sits only in `a0`'s two slices, so each of the
+/// other 14 invariants has the same fingerprint under `fail fw0` as under
+/// no failure: 14 hits, 18 re-checks. `a0`'s two pairs under `fail fw0`
+/// have nothing stateful left on their path and go to the BDD path, so
+/// the pool sees one checkout per distinct slice and no hit. Before the
+/// fingerprint index those 14 pairs re-entered the session checked in
+/// just before them (30 checkouts, 14 hits); the index now answers them
+/// before a session is needed.
+#[test]
+fn pods_load_reenters_every_repeated_session() {
+    let (session, load) =
+        NetSession::load(&pods_config(), VerifyOptions::default()).expect("pods load");
+    assert_eq!((load.pairs, load.cache_hits, load.rechecked), (32, 14, 18), "{load:?}");
     let stats = session.verifier().pool_stats();
-    assert_eq!((stats.checkouts, stats.hits), (30, 14), "{stats:?}");
+    assert_eq!((stats.checkouts, stats.hits), (16, 0), "{stats:?}");
     assert!(session.verifier().pooled_sessions() <= 2);
+}
+
+/// The fingerprint index on the `pods-deltas` estate. Widening `fw3`
+/// re-checks only the no-failure column of the pairs whose slice holds it
+/// (their `fail fw0` column has the same fingerprint); restoring it
+/// re-checks nothing, since each touched pair finds its answer as its
+/// entry's previous generation. A new scenario failing `fw5` is answered
+/// from the no-failure column wherever `fw5` is outside the slice, and
+/// re-checks exactly the pairs whose slice holds it.
+#[test]
+fn pods_deltas_answer_known_fingerprints_from_the_cache() {
+    let (mut session, _) =
+        NetSession::load(&pods_config(), VerifyOptions::default()).expect("pods load");
+    let holding = |session: &NetSession, node: &str| {
+        let in_slice =
+            |spec: &str| session.cached(spec, "").is_some_and(|e| e.slice.contains(node));
+        session.invariants().iter().filter(|(spec, _)| in_slice(spec)).count()
+    };
+    let set_fw3 = |widened| Delta::SetModel {
+        name: "fw3".into(),
+        kind: "firewall".into(),
+        args: pod_acl(3, widened),
+    };
+    assert_eq!(holding(&session, "fw3"), 2, "a3 -> b3 and a3 -> b4");
+    let widen = session.apply(&[set_fw3(true)]).expect("widen applies");
+    assert_eq!(widen.rechecked, 2, "{widen:?}");
+    assert_matches_scratch(&session, "after widening fw3");
+    let restore = session.apply(&[set_fw3(false)]).expect("restore applies");
+    assert_eq!(restore.rechecked, 0, "{restore:?}");
+    assert_matches_scratch(&session, "after restoring fw3");
+
+    let in_fw5 = holding(&session, "fw5");
+    assert_eq!(in_fw5, 2, "a5 -> b5 and a5 -> b6");
+    let add = session.apply(&[Delta::AddScenario { fail: vec!["fw5".into()] }]).expect("applies");
+    assert_eq!((add.rechecked, add.cache_hits), (in_fw5, 16 - in_fw5), "{add:?}");
+    assert_matches_scratch(&session, "after failing fw5");
+}
+
+/// Removing a node renumbers every node after it. `z` comes first here,
+/// so removing it shifts every id in `a0 -> b0`'s witness; the pair's
+/// fingerprint does not move, and the witness the cache serves must name
+/// the new epoch's nodes.
+#[test]
+fn remove_node_renumbers_the_served_witness() {
+    let config = "\
+host z 10.9.0.1
+host a0 10.1.0.1
+firewall fw0 allow 10.1.0.0/16 -> 10.1.0.0/16
+host b0 10.1.0.2
+switch sw
+link z sw
+link a0 sw
+link fw0 sw
+link b0 sw
+autoroute
+steer sw from a0 10.0.0.0/8 fw0 prio 10
+verify flow-isolation a0 -> b0
+";
+    let (mut session, _) = NetSession::load(config, VerifyOptions::default()).expect("loads");
+    assert!(!session.verdicts()[0].holds, "fw0 admits pod traffic");
+    let report = session.apply(&[Delta::RemoveNode("z".into())]).expect("z is unreferenced");
+    assert_eq!((report.cache_hits, report.rechecked), (1, 0), "{report:?}");
+    assert_matches_scratch(&session, "after removing z");
 }
