@@ -14,12 +14,9 @@
 //! The engine consumes a [`TouchSet`] to retire warmed solver sessions
 //! (`vmn::Verifier::swap_network`): a session's skeleton encodes the
 //! models and delivery behaviour of its node set, so it survives exactly
-//! the deltas whose touch set misses that node set. The daemon
-//! additionally uses it as a cache prefilter: a cached verdict whose
-//! slice is disjoint from a [`TouchSet::Nodes`] footprint cannot have
-//! changed (provided the policy partition is stable — the daemon checks
-//! that separately and escalates to [`TouchSet::Everything`] when it
-//! moved).
+//! the deltas whose touch set misses that node set. The daemon keeps its
+//! cached verdicts as they are only under [`TouchSet::Nothing`]; after
+//! any other delta it asks each pair's slice fingerprint instead.
 
 use std::collections::BTreeSet;
 
@@ -35,8 +32,7 @@ pub enum TouchSet {
     Nothing,
     /// The named nodes changed behaviour (a middlebox model swap) while
     /// the topology, links and forwarding tables stayed fixed. Sessions
-    /// and cached verdicts whose node sets avoid these names are
-    /// untouched.
+    /// whose node sets avoid these names are untouched.
     Nodes(BTreeSet<String>),
     /// Structural change: topology, links or routing moved, so delivery
     /// behaviour (and node identity) may have changed anywhere.
@@ -65,17 +61,6 @@ impl TouchSet {
             }
         }
     }
-
-    /// Whether a slice/cluster with the given member names intersects
-    /// this footprint — i.e. whether its sessions and cached verdicts
-    /// must be considered stale.
-    pub fn touches<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> bool {
-        match self {
-            TouchSet::Nothing => false,
-            TouchSet::Everything => true,
-            TouchSet::Nodes(touched) => names.into_iter().any(|n| touched.contains(n)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,15 +75,5 @@ mod tests {
         assert_eq!(a.clone().union(TouchSet::Everything), TouchSet::Everything);
         let ab = a.union(b);
         assert_eq!(ab, TouchSet::Nodes(BTreeSet::from(["fw1".into(), "fw2".into()])));
-    }
-
-    #[test]
-    fn touches_checks_intersection() {
-        let t = TouchSet::node("fw1");
-        assert!(t.touches(["h1", "fw1"]));
-        assert!(!t.touches(["h1", "fw2"]));
-        assert!(!TouchSet::Nothing.touches(["fw1"]));
-        assert!(TouchSet::Everything.touches(std::iter::empty::<&str>()));
-        assert!(!t.touches(std::iter::empty::<&str>()));
     }
 }

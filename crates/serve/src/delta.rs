@@ -158,7 +158,7 @@ impl NetSpec {
                 if self.links.iter().any(|(_, x, y)| same_link(x, y, a, b)) {
                     return Err(err(0, format!("link {a} {b} already present")));
                 }
-                self.links.push((0, a.clone(), b.clone()));
+                self.add_link(0, a.clone(), b.clone())?;
                 Ok(TouchSet::Everything)
             }
             Delta::RemoveLink { a, b } => {
@@ -194,11 +194,7 @@ impl NetSpec {
                 Ok(TouchSet::Everything)
             }
             Delta::AddInvariant { spec } => {
-                let norm = normalize_spec(spec);
-                if self.verifies.iter().any(|(_, s)| *s == norm) {
-                    return Err(err(0, format!("invariant {norm:?} already registered")));
-                }
-                self.verifies.push((0, norm));
+                self.add_verify(0, spec)?;
                 Ok(TouchSet::Nothing)
             }
             Delta::RetireInvariant { spec } => {
@@ -211,11 +207,7 @@ impl NetSpec {
                 Ok(TouchSet::Nothing)
             }
             Delta::AddScenario { fail } => {
-                let key = scenario_key(fail);
-                if self.fails.iter().any(|(_, f)| scenario_key(f) == key) {
-                    return Err(err(0, format!("scenario {key:?} already registered")));
-                }
-                self.fails.push((0, fail.clone()));
+                self.add_fail(0, fail.clone())?;
                 Ok(TouchSet::Nothing)
             }
             Delta::RemoveScenario { fail } => {

@@ -18,10 +18,10 @@
 //!   [`vmn_analysis::TouchSet`] session footprint;
 //! * [`service::NetSession`] — a warmed [`vmn::Verifier`] plus a
 //!   verdict cache keyed by slice fingerprint
-//!   ([`vmn::slice::verdict_fingerprint`]): after a delta, pairs whose
-//!   slices the delta cannot touch are skipped outright, pairs whose
-//!   fingerprint is unchanged are answered from cache, and only the
-//!   rest re-solve — on pooled solver sessions that survived the swap;
+//!   ([`vmn::slice::verdict_fingerprint`]): a delta that touches no node
+//!   keeps every pair, pairs whose fingerprint was seen before are
+//!   answered from cache, and only the rest re-solve — on pooled solver
+//!   sessions that survived the swap;
 //! * [`service::Service`] + [`protocol`] — a named fleet of sessions
 //!   behind a newline-delimited-JSON protocol (`vmn serve`);
 //! * [`json`] — the minimal JSON tree this build vendors instead of a

@@ -15,12 +15,13 @@
 //! Responses always carry `"ok"`; errors are
 //! `{"ok":false,"error":"..."}` and never terminate the session. Delta
 //! responses describe the re-verification (see [`DeltaReport`]):
-//! `touched` (the session footprint), `pairs`, `prefiltered`,
-//! `contract_answered`, `cache_hits`, `rechecked`, `retired`, `modules`
-//! / `modules_touched` (modular mode), `changed`, and three times:
-//! `swap_ms` (building the epoch on `load`, swapping it in on a delta),
-//! `reconcile_ms` (the prefilter / contract / fingerprint / recheck
-//! ladder) and `elapsed_ms` (the whole request, both included).
+//! `touched` (the session footprint), `pairs`, `prefiltered` (pairs kept
+//! because the batch touched no node), `contract_answered`,
+//! `cache_hits`, `rechecked`, `retired`, `modules` / `modules_touched`
+//! (modular mode), `changed`, and three times: `swap_ms` (building the
+//! epoch on `load`, swapping it in on a delta), `reconcile_ms` (the
+//! kept / contract / fingerprint ladder) and `elapsed_ms` (the whole
+//! request, both included).
 //! The empty scenario key `""` names the implicit no-failure scenario.
 
 use std::io::{BufRead, Write};
@@ -86,7 +87,6 @@ fn report_json(r: &DeltaReport) -> Vec<(&'static str, Value)> {
         .collect();
     vec![
         ("touched", touched_json(&r.touched)),
-        ("escalated", Value::Bool(r.escalated)),
         ("pairs", Value::num(r.pairs as f64)),
         ("prefiltered", Value::num(r.prefiltered as f64)),
         ("contract_answered", Value::num(r.contract_answered as f64)),

@@ -7,21 +7,23 @@
 //! its *slice fingerprint* ([`vmn::slice::verdict_fingerprint`]) and the
 //! one generation before it.
 //!
-//! Applying a delta re-checks only what the delta can touch:
+//! Applying a delta re-checks only what the delta can touch. The delta's
+//! [`TouchSet`] retires exactly the stale pooled solver sessions
+//! (`Verifier::swap_network`); then every (invariant, scenario) pair takes
+//! the first of three rungs that answers it:
 //!
-//! 1. the delta's [`TouchSet`] retires exactly the stale pooled solver
-//!    sessions (`Verifier::swap_network`);
-//! 2. cached pairs whose slice is disjoint from a `Nodes` footprint are
-//!    *prefiltered* — skipped without any recomputation (sound unless
-//!    the policy classes moved, which the swap reports and which
-//!    escalates to everything);
-//! 3. surviving pairs recompute their fingerprint and look it up among
-//!    the answers the live pairs hold: a fingerprint seen before — from
-//!    this pair or another, in this epoch or, through an entry's previous
-//!    generation, the one before — is a *cache hit* (the verdict is a
-//!    deterministic function of the fingerprinted inputs, none of which
-//!    names the pair); an unseen one triggers a re-verification of just
-//!    that pair, on the plan just fingerprinted
+//! 1. **kept** — the batch touched no node ([`TouchSet::Nothing`]: only
+//!    invariants or scenarios came or went), so a cached pair stands as
+//!    it is;
+//! 2. **contract** — in modular mode, the boundary contracts prove the
+//!    pair outright, with no plan and no fingerprint;
+//! 3. **fingerprint** — the pair recomputes its fingerprint and looks it
+//!    up among the answers the live pairs hold: a fingerprint seen
+//!    before — from this pair or another, in this epoch or, through an
+//!    entry's previous generation, the one before — is a *cache hit* (the
+//!    verdict is a deterministic function of the fingerprinted inputs,
+//!    none of which names the pair); an unseen one triggers a
+//!    re-verification of just that pair, on the plan just fingerprinted
 //!    ([`Verifier::verify_planned`]), whose answer the later pairs of the
 //!    same pass can hit in turn.
 //!
@@ -33,12 +35,17 @@
 //!
 //! Pipeline invariants are static-datapath checks, orders of magnitude
 //! cheaper than the SMT path, and are simply re-checked on every delta.
+//!
+//! A batch is transactional. The pass stages its cache writes and
+//! pipeline results and commits them only once every pair is answered; a
+//! pass that fails restores the spec and rebuilds the previous epoch from
+//! nothing, so a refused batch leaves the session as it found it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vmn::slice::{slice_names, verdict_fingerprint};
+use vmn::slice::verdict_fingerprint;
 use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_analysis::TouchSet;
 use vmn_net::{FailureScenario, NodeId};
@@ -103,11 +110,9 @@ impl Answer {
 /// One cached (invariant, scenario) verdict.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// The slice's member names — intersected against delta footprints.
-    pub slice: BTreeSet<String>,
     /// Answered by the boundary contracts alone: no slice, no
-    /// fingerprint. Such entries are never prefiltered — the contract
-    /// re-answers them (cheaply) whenever the epoch moves.
+    /// fingerprint. The contract re-answers such entries (cheaply)
+    /// whenever the epoch moves.
     pub contract: bool,
     answer: Answer,
     /// The fingerprinted answer this entry held before its fingerprint
@@ -127,12 +132,9 @@ impl CacheEntry {
 pub struct DeltaReport {
     /// The batch's merged session footprint.
     pub touched: TouchSet,
-    /// Whether a policy-class change forced the cache prefilter to treat
-    /// the batch as touching everything.
-    pub escalated: bool,
     /// Total (invariant, scenario) pairs after the batch.
     pub pairs: usize,
-    /// Pairs skipped by footprint disjointness alone.
+    /// Pairs kept as cached because the batch touched no node.
     pub prefiltered: usize,
     /// Pairs answered by the boundary contracts alone (modular mode).
     pub contract_answered: usize,
@@ -159,6 +161,28 @@ pub struct DeltaReport {
     pub reconcile: Duration,
     /// Wall-clock of the whole request, `swap` and `reconcile` included.
     pub elapsed: Duration,
+}
+
+impl DeltaReport {
+    /// The report of a batch with footprint `touched` whose epoch took
+    /// `swap`, before its reconcile pass.
+    fn new(touched: TouchSet, session: &NetSession, swap: Duration) -> DeltaReport {
+        DeltaReport {
+            modules_touched: session.modules_touched(&touched),
+            touched,
+            pairs: 0,
+            prefiltered: 0,
+            contract_answered: 0,
+            cache_hits: 0,
+            rechecked: 0,
+            retired: 0,
+            modules: session.module_count(),
+            changed: Vec::new(),
+            swap,
+            reconcile: Duration::ZERO,
+            elapsed: Duration::ZERO,
+        }
+    }
 }
 
 /// The current verdict of one registered invariant, aggregated over the
@@ -212,23 +236,8 @@ impl NetSession {
             pipeline_holds: Vec::new(),
             cache: HashMap::new(),
         };
-        let mut report = DeltaReport {
-            touched: TouchSet::Everything,
-            escalated: false,
-            pairs: 0,
-            prefiltered: 0,
-            contract_answered: 0,
-            cache_hits: 0,
-            rechecked: 0,
-            retired: 0,
-            modules: session.module_count(),
-            modules_touched: None,
-            changed: Vec::new(),
-            swap,
-            reconcile: Duration::ZERO,
-            elapsed: Duration::ZERO,
-        };
-        session.reconcile(&TouchSet::Everything, &mut report)?;
+        let mut report = DeltaReport::new(TouchSet::Everything, &session, swap);
+        session.reconcile(&mut report)?;
         report.elapsed = start.elapsed();
         Ok((session, report))
     }
@@ -245,42 +254,28 @@ impl NetSession {
             touched = touched.union(spec.apply(d).map_err(|e| e.to_string())?);
         }
         let m = spec.materialize().map_err(|e| e.to_string())?;
+        let old_net = self.verifier.network().clone();
         let swap_start = Instant::now();
-        let moved =
-            self.verifier.swap_network(Arc::new(m.net), &touched).map_err(|e| e.to_string())?;
+        self.verifier.swap_network(Arc::new(m.net), &touched).map_err(|e| e.to_string())?;
         let swap = swap_start.elapsed();
-        self.spec = spec;
-        self.names = m.names;
-        self.invariants = m.invariants;
-        self.pipelines = m.pipelines;
+        let restore = (
+            std::mem::replace(&mut self.spec, spec),
+            std::mem::replace(&mut self.names, m.names),
+            std::mem::replace(&mut self.invariants, m.invariants),
+            std::mem::replace(&mut self.pipelines, m.pipelines),
+        );
 
-        // The policy classes feed slice computation: if they moved, a
-        // pair's plan can change even though its old slice is disjoint
-        // from the footprint, so the *prefilter* must not trust
-        // disjointness. (Fingerprints recompute against the new plan
-        // either way — escalation only disables step 2, not step 3.)
-        // Only a `Nodes` footprint is prefiltered at all.
-        let escalated = moved && matches!(touched, TouchSet::Nodes(_));
-        let effective = if escalated { TouchSet::Everything } else { touched.clone() };
-
-        let modules_touched = self.modules_touched(&touched);
-        let mut report = DeltaReport {
-            touched,
-            escalated,
-            pairs: 0,
-            prefiltered: 0,
-            contract_answered: 0,
-            cache_hits: 0,
-            rechecked: 0,
-            retired: 0,
-            modules: self.module_count(),
-            modules_touched,
-            changed: Vec::new(),
-            swap,
-            reconcile: Duration::ZERO,
-            elapsed: Duration::ZERO,
-        };
-        self.reconcile(&effective, &mut report)?;
+        let mut report = DeltaReport::new(touched, self, swap);
+        if let Err(e) = self.reconcile(&mut report) {
+            // The pass committed nothing. Rebuilding the previous epoch
+            // from nothing is correct by construction; the pooled
+            // sessions it drops are only a cache.
+            (self.spec, self.names, self.invariants, self.pipelines) = restore;
+            self.verifier
+                .swap_network(old_net, &TouchSet::Everything)
+                .expect("the previous epoch was accepted, and rebuilding it is deterministic");
+            return Err(e);
+        }
         report.elapsed = start.elapsed();
         Ok(report)
     }
@@ -298,9 +293,11 @@ impl NetSession {
     }
 
     /// Brings the verdict cache in line with the current epoch; see the
-    /// module docs for the prefilter / fingerprint / recheck ladder.
-    fn reconcile(&mut self, effective: &TouchSet, report: &mut DeltaReport) -> Result<(), String> {
+    /// module docs for the kept / contract / fingerprint ladder. The cache
+    /// and the pipeline results change only if the pass succeeds.
+    fn reconcile(&mut self, report: &mut DeltaReport) -> Result<(), String> {
         let start = Instant::now();
+        let kept = report.touched.is_nothing();
         let scenarios = self.scenario_list();
         let live: BTreeSet<(String, String)> = self
             .invariants
@@ -317,20 +314,14 @@ impl NetSession {
             }
         }
         let net = self.verifier.network().clone();
+        let mut staged = Vec::new();
         for (inv_spec, inv) in &self.invariants {
             for (skey, scenario) in &scenarios {
                 let key = (inv_spec.clone(), skey.clone());
                 report.pairs += 1;
-
-                if let Some(entry) = self.cache.get(&key) {
-                    // Contract entries carry no slice, so footprint
-                    // disjointness proves nothing about them — they are
-                    // only skippable when the epoch did not move at all.
-                    let skippable = !entry.contract || effective.is_nothing();
-                    if skippable && !effective.touches(entry.slice.iter().map(String::as_str)) {
-                        report.prefiltered += 1;
-                        continue;
-                    }
+                if kept && self.cache.contains_key(&key) {
+                    report.prefiltered += 1;
+                    continue;
                 }
                 // Modular mode: if the boundary contracts prove the pair
                 // outright, skip planning and fingerprinting entirely.
@@ -342,23 +333,21 @@ impl NetSession {
                             verdict: Verdict::Holds,
                             names: BTreeMap::new(),
                         };
-                        record(&mut self.cache, key, BTreeSet::new(), true, holds, report);
+                        staged.push((key, true, holds));
                         continue;
                     }
                 }
                 // The plan fingerprinted here is the plan a re-check runs.
                 let plan = self.verifier.plan(inv, scenario).map_err(|e| e.to_string())?;
-                let (nodes, k) = (plan.nodes(), plan.bound());
                 let fp = verdict_fingerprint(
                     &net,
                     self.verifier.header_classes(),
                     inv,
                     scenario,
-                    nodes,
-                    k,
+                    plan.nodes(),
+                    plan.bound(),
                 )
                 .map_err(|e| e.to_string())?;
-                let slice = slice_names(&net, nodes);
                 let answer = match known.get(&fp).and_then(|a| a.retarget(&self.names, scenario)) {
                     Some(answer) => {
                         report.cache_hits += 1;
@@ -375,19 +364,23 @@ impl NetSession {
                         answer
                     }
                 };
-                record(&mut self.cache, key, slice, false, answer, report);
+                staged.push((key, false, answer));
             }
         }
-        let before = self.cache.len();
-        self.cache.retain(|k, _| live.contains(k));
-        report.retired = before - self.cache.len();
-
-        self.pipeline_holds.clear();
+        let mut pipeline_holds = Vec::new();
         for (spec, p, s, d) in &self.pipelines {
             let holds =
                 self.verifier.check_pipeline(p, *s, *d).map_err(|e| e.to_string())?.is_none();
-            self.pipeline_holds.push((spec.clone(), holds));
+            pipeline_holds.push((spec.clone(), holds));
         }
+
+        let before = self.cache.len();
+        self.cache.retain(|k, _| live.contains(k));
+        report.retired = before - self.cache.len();
+        for (key, contract, answer) in staged {
+            record(&mut self.cache, key, contract, answer, report);
+        }
+        self.pipeline_holds = pipeline_holds;
         report.reconcile = start.elapsed();
         Ok(())
     }
@@ -472,7 +465,6 @@ impl NetSession {
 fn record(
     cache: &mut HashMap<(String, String), CacheEntry>,
     key: (String, String),
-    slice: BTreeSet<String>,
     contract: bool,
     answer: Answer,
     report: &mut DeltaReport,
@@ -489,7 +481,7 @@ fn record(
         Some(e) => Some(e.answer),
         None => None,
     };
-    cache.insert(key, CacheEntry { slice, contract, answer, previous });
+    cache.insert(key, CacheEntry { contract, answer, previous });
 }
 
 /// A fleet of named sessions plus the protocol driver.
@@ -570,8 +562,8 @@ verify   node-isolation outside -> inside
         let r = s
             .apply(&[Delta::AddInvariant { spec: "data-isolation inside -> outside".into() }])
             .unwrap();
-        // The two old pairs are prefiltered (TouchSet::Nothing touches
-        // no slice); only the new invariant's pair is verified.
+        // The two old pairs are kept (TouchSet::Nothing touches no
+        // node); only the new invariant's pair is verified.
         assert_eq!(r.pairs, 3);
         assert_eq!(r.prefiltered, 2);
         assert_eq!(r.rechecked, 1);
@@ -592,7 +584,7 @@ verify   node-isolation outside -> inside
     }
 
     #[test]
-    fn disjoint_set_model_is_prefiltered_or_cache_hit() {
+    fn disjoint_set_model_is_a_cache_hit() {
         // Two independent pods behind one core switch; touching pod B's
         // firewall must not re-verify pod A's invariant.
         let config = r"
@@ -638,13 +630,11 @@ verify flow-isolation b1 -> b2
             }])
             .unwrap();
         assert_eq!(r.touched, TouchSet::node("fwb"));
-        // Pod A's pair never re-verifies: prefiltered (slice disjoint
-        // from {fwb}) unless the policy partition moved, in which case
-        // its fingerprint still matches.
+        // Pod A's pair never re-verifies: its slice misses fwb, so its
+        // fingerprint is unchanged.
         let a_recheck = r.changed.iter().any(|(inv, _, _, _)| inv.contains("a1"));
         assert!(!a_recheck, "pod A's verdict must not change: {:?}", r.changed);
-        assert_eq!(r.prefiltered + r.cache_hits, 1, "pod A answered without solving: {r:?}");
-        assert_eq!(r.rechecked, 1, "only pod B re-verifies: {r:?}");
+        assert_eq!((r.prefiltered, r.cache_hits, r.rechecked), (0, 1, 1), "{r:?}");
     }
 
     #[test]
@@ -680,6 +670,24 @@ verify flow-isolation b1 -> b2
         let r = s.apply(&[Delta::RemoveScenario { fail: vec!["fw".into()] }]).unwrap();
         assert_eq!(r.retired, 2);
         assert!(s.verdicts().iter().find(|iv| iv.spec.starts_with("flow")).unwrap().holds);
+    }
+
+    /// Every (invariant, scenario) pair has a cache entry of its own: a
+    /// config whose keys would collide is refused, so after a load the
+    /// report's pairs are the cache's entries.
+    #[test]
+    fn every_pair_is_its_own_cache_entry() {
+        let (s, report) =
+            NetSession::load(&format!("{CONFIG}fail fw\n"), VerifyOptions::default()).unwrap();
+        assert_eq!((report.pairs, s.cached_pairs()), (4, 4));
+        for colliding in
+            ["fail\n", "fail fw\nfail fw\n", "verify flow-isolation outside -> inside\n"]
+        {
+            let config = format!("{CONFIG}{colliding}");
+            let err = NetSession::load(&config, VerifyOptions::default()).map(|_| ()).unwrap_err();
+            let last = config.lines().count();
+            assert!(err.starts_with(&format!("line {last}:")), "{colliding:?}: {err}");
+        }
     }
 
     #[test]

@@ -40,6 +40,8 @@ use vmn::{Invariant, Network};
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, NodeId, Prefix, RoutingConfig, Rule, Topology};
 
+use crate::delta::{normalize_spec, scenario_key};
+
 /// Spec error with source-line information (line 0 for errors raised by
 /// deltas, which have no source line).
 #[derive(Debug, Clone)]
@@ -197,7 +199,7 @@ impl NetSpec {
             }
             "link" => {
                 let [a, b] = two(lineno, &rest, "link <a> <b>")?;
-                self.links.push((lineno, a, b));
+                self.add_link(lineno, a, b)?;
             }
             "route" => {
                 // route <switch> <prefix> <next> [prio N]
@@ -247,10 +249,40 @@ impl NetSpec {
                 }
                 self.partition = true;
             }
-            "fail" => self.fails.push((lineno, rest)),
-            "verify" => self.verifies.push((lineno, rest.join(" "))),
+            "fail" => self.add_fail(lineno, rest)?,
+            "verify" => self.add_verify(lineno, &rest.join(" "))?,
             other => return Err(err(lineno, format!("unknown keyword {other:?}"))),
         }
+        Ok(())
+    }
+
+    /// Registers a link between two distinct nodes.
+    pub(crate) fn add_link(&mut self, line: usize, a: String, b: String) -> Result<(), SpecError> {
+        if a == b {
+            return Err(err(line, format!("link {a} {b} joins a node to itself")));
+        }
+        self.links.push((line, a, b));
+        Ok(())
+    }
+
+    /// Registers a failure scenario under a key of its own. The empty key
+    /// is the no-failure column, registered from the start.
+    pub(crate) fn add_fail(&mut self, line: usize, fail: Vec<String>) -> Result<(), SpecError> {
+        let key = scenario_key(&fail);
+        if key.is_empty() || self.fails.iter().any(|(_, f)| scenario_key(f) == key) {
+            return Err(err(line, format!("scenario {key:?} already registered")));
+        }
+        self.fails.push((line, fail));
+        Ok(())
+    }
+
+    /// Registers a `verify` spec, whitespace-normalised, once.
+    pub(crate) fn add_verify(&mut self, line: usize, spec: &str) -> Result<(), SpecError> {
+        let norm = normalize_spec(spec);
+        if self.verifies.iter().any(|(_, s)| *s == norm) {
+            return Err(err(line, format!("invariant {norm:?} already registered")));
+        }
+        self.verifies.push((line, norm));
         Ok(())
     }
 
@@ -362,7 +394,7 @@ impl NetSpec {
                     }
                 }
             } else {
-                let inv = parse_invariant(&names, *lineno, spec)?;
+                let inv = parse_invariant(&net.topo, &names, *lineno, spec)?;
                 invariants.push((spec.clone(), inv));
             }
         }
@@ -520,19 +552,27 @@ pub fn build_model(
 }
 
 /// Parses a reachability-invariant spec (`node-isolation a -> b`, …).
+/// Endpoints are hosts or middleboxes; an isolation invariant names
+/// packets by its source's address, so that source is a host.
 pub fn parse_invariant(
+    topo: &Topology,
     names: &HashMap<String, NodeId>,
     line: usize,
     spec: &str,
 ) -> Result<Invariant, SpecError> {
-    let lookup = |name: &str| -> Result<NodeId, SpecError> {
-        names.get(name).copied().ok_or_else(|| err(line, format!("unknown node {name:?}")))
+    let lookup = |name: &str| match names.get(name) {
+        None => Err(err(line, format!("unknown node {name:?}"))),
+        Some(&id) if topo.node(id).kind.is_terminal() => Ok(id),
+        Some(_) => Err(err(line, format!("{name:?} is a switch, not a host or middlebox"))),
     };
     let toks: Vec<&str> = spec.split_whitespace().collect();
     match toks.as_slice() {
         [kind, src, "->", dst, rest @ ..] => {
             let s = lookup(src)?;
             let d = lookup(dst)?;
+            if *kind != "traversal" && !topo.node(s).kind.is_host() {
+                return Err(err(line, format!("{kind} needs a host source, not {src:?}")));
+            }
             match (*kind, rest) {
                 ("node-isolation", []) => Ok(Invariant::NodeIsolation { src: s, dst: d }),
                 ("flow-isolation", []) => Ok(Invariant::FlowIsolation { src: s, dst: d }),
@@ -647,6 +687,63 @@ verify pipeline a -> b via idps
 
         let e = NetSpec::parse("frobnicate x\n").expect_err("bad keyword");
         assert_eq!(e.line, 1);
+
+        let e = NetSpec::parse("switch sw\nlink sw sw\n").expect_err("self-link");
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("itself"), "{e}");
+    }
+
+    /// Isolation sources and data origins are hosts; every endpoint is a
+    /// host or a middlebox. Anything else is refused with its line, one
+    /// case per invariant kind.
+    #[test]
+    fn invariant_endpoints_are_checked_against_node_kinds() {
+        let net = "host outside 8.8.8.8\nhost inside 10.0.0.5\nswitch sw\nfirewall fw\n\
+                   link outside sw\nlink inside sw\nlink fw sw\nautoroute\n";
+        let refused = [
+            ("node-isolation fw -> inside", "host source"),
+            ("flow-isolation fw -> inside", "host source"),
+            ("data-isolation fw -> inside", "host source"),
+            ("node-isolation sw -> inside", "switch"),
+            ("flow-isolation outside -> sw", "switch"),
+            ("traversal outside -> sw via fw", "switch"),
+            ("traversal outside -> inside via sw", "switch"),
+        ];
+        for (inv, why) in refused {
+            let text = format!("{net}verify {inv}\n");
+            let e = NetSpec::parse(&text).unwrap().materialize().map(|_| ()).expect_err(inv);
+            assert_eq!(e.line, 9, "{inv}: {e}");
+            assert!(e.message.contains(why), "{inv}: {e}");
+        }
+        let text = format!(
+            "{net}verify node-isolation outside -> fw\nverify traversal fw -> inside via fw\n"
+        );
+        assert_eq!(NetSpec::parse(&text).unwrap().materialize().unwrap().invariants.len(), 2);
+    }
+
+    /// A scenario or invariant key is registered once: a bare `fail` would
+    /// be the no-failure column, and a repeated line a second entry under
+    /// one key. The messages are the ones the delta path gives.
+    #[test]
+    fn scenario_and_invariant_keys_are_unique() {
+        let net = "host a 1.1.1.1\nhost b 2.2.2.2\nswitch sw\nfirewall fw\nlink a sw\nlink b sw\nlink fw sw\n";
+        let fail = |names: &[&str]| crate::Delta::AddScenario {
+            fail: names.iter().map(|n| n.to_string()).collect(),
+        };
+        let inv = crate::Delta::AddInvariant { spec: "node-isolation  a ->  b".into() };
+        let cases = [
+            ("", "fail", fail(&[]), "already registered"),
+            ("fail fw\n", "fail fw", fail(&["fw"]), "already registered"),
+            ("fail fw a\n", "fail a fw", fail(&["a", "fw"]), "already registered"),
+            ("verify node-isolation a -> b\n", "verify node-isolation  a ->  b", inv, "registered"),
+        ];
+        for (registered, line, delta, why) in cases {
+            let e = NetSpec::parse(&format!("{net}{registered}{line}\n")).expect_err(line);
+            assert_eq!(e.line, 8 + registered.lines().count(), "{line:?}: {e}");
+            assert!(e.message.contains(why), "{line:?}: {e}");
+            let mut spec = NetSpec::parse(&format!("{net}{registered}")).unwrap();
+            assert_eq!(spec.apply(&delta).expect_err(line).message, e.message, "{line:?}");
+        }
     }
 
     #[test]

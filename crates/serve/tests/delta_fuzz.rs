@@ -10,10 +10,17 @@
 //! and the `verdicts` and `status` responses after a refused request must
 //! equal the ones before it: `NetSession::apply` is transactional. Cases
 //! derive from the proptest per-test seed.
+//!
+//! A deterministic companion (`refused_deltas_leave_the_session_unchanged`)
+//! covers refusals the mutations cannot reach: a route that closes a
+//! forwarding loop, which only the re-verification after the swap finds,
+//! an invariant naming a switch, and a self-link. The session after each
+//! must equal the one before, and the next valid delta must answer as a
+//! verifier built from nothing on the same spec.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use vmn::VerifyOptions;
+use vmn::{Verifier, VerifyOptions};
 use vmn_serve::json::{self, Value};
 use vmn_serve::{handle_line, Service};
 
@@ -123,7 +130,7 @@ fn templates() -> Vec<Template> {
         t(
             "add-link",
             vec![("a", s("a2")), ("b", s("core"))],
-            vec![("a", s("ghost")), ("b", s("ghost")), ("b", s("asw"))],
+            vec![("a", s("ghost")), ("b", s("ghost")), ("b", s("asw")), ("b", s("a2"))],
             &[],
             false,
         ),
@@ -359,5 +366,65 @@ proptest! {
     #[test]
     fn mutated_deltas_are_refused_without_effect(seed in any::<u64>()) {
         run_case(seed);
+    }
+}
+
+/// Two hosts on a line of two switches. A route on `s2` sending `b`'s
+/// prefix back to `s1` loops, which only the reconcile pass after the swap
+/// finds; a switch endpoint and a self-link are refused before it.
+const LINE: &str = "\
+host a 1.0.0.1
+host b 2.0.0.1
+switch s1
+switch s2
+link a s1
+link b s2
+link s1 s2
+autoroute
+verify node-isolation a -> b
+";
+
+#[test]
+fn refused_deltas_leave_the_session_unchanged() {
+    let mut svc = Service::new(VerifyOptions::default());
+    let load = Value::obj([("op", s("load")), ("net", s(NET)), ("config", s(LINE))]);
+    let r = handle_line(&mut svc, &load.to_string());
+    assert!(r.text.starts_with(r#"{"ok":true"#), "{}", r.text);
+    let spec = |svc: &Service| format!("{:?}", svc.net(NET).expect("loaded").spec());
+    let (before, spec_before) = (observe(&mut svc), spec(&svc));
+
+    let refused = [
+        delta_value(
+            "add-route",
+            &[
+                ("switch", s("s2")),
+                ("prefix", s("2.0.0.0/8")),
+                ("next", s("s1")),
+                ("prio", Value::num(100.0)),
+            ],
+        ),
+        delta_value("add-invariant", &[("spec", s("node-isolation b -> s1"))]),
+        delta_value("add-link", &[("a", s("s1")), ("b", s("s1"))]),
+    ];
+    for bad in refused {
+        let line = request(vec![bad]);
+        let r = handle_line(&mut svc, &line);
+        assert!(r.text.starts_with(r#"{"ok":false"#), "accepted: {line}\n{}", r.text);
+        assert_eq!(observe(&mut svc), before, "a refused delta moved the session: {line}");
+        assert_eq!(spec(&svc), spec_before, "a refused delta moved the spec: {line}");
+    }
+
+    let line = request(vec![delta_value("add-invariant", &[("spec", s("node-isolation b -> a"))])]);
+    let r = handle_line(&mut svc, &line);
+    assert!(r.text.starts_with(r#"{"ok":true"#), "{}", r.text);
+    let session = svc.net(NET).expect("loaded");
+    let m = session.spec().materialize().expect("live spec rematerializes");
+    let fresh = Verifier::new(&m.net, VerifyOptions::default()).expect("valid network");
+    let verdicts = session.verdicts();
+    assert_eq!(verdicts.len(), 2);
+    for ((spec, inv), served) in m.invariants.iter().zip(&verdicts) {
+        assert_eq!(served.spec, *spec);
+        let want = fresh.verify(inv).expect("from-scratch verify succeeds").verdict.holds();
+        assert_eq!(served.holds, want, "{spec}");
     }
 }

@@ -529,18 +529,17 @@ impl Verifier {
     ///   header classes and delivery may all have moved, so the epoch is
     ///   built from nothing and every pooled session is retired.
     ///
-    /// Returns whether the policy classes may have moved: always for
-    /// `Everything`, never for `Nothing`, and for `Nodes` whether they
-    /// differ, compared by [`NodeId`]. On an error the verifier still
-    /// answers for the old epoch.
+    /// On an error the verifier still answers for the old epoch. Swapping
+    /// the old network back in with `Everything` rebuilds that epoch from
+    /// nothing, which is how a caller undoes a swap it cannot finish.
     pub fn swap_network(
         &mut self,
         net: Arc<Network>,
         touched: &TouchSet,
-    ) -> Result<bool, VerifyError> {
+    ) -> Result<(), VerifyError> {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
-        let moved = match touched {
-            TouchSet::Nothing => false,
+        match touched {
+            TouchSet::Nothing => {}
             TouchSet::Everything => {
                 // Built before any state is mutated: explicit contracts
                 // are validated against the new epoch and may refuse it.
@@ -548,7 +547,6 @@ impl Verifier {
                 self.pool().idle.clear();
                 self.policy = Self::policy_classes(&net, &self.options);
                 self.classes = OnceLock::new();
-                true
             }
             TouchSet::Nodes(names) => {
                 // Names resolve identically on the old and new topology
@@ -573,19 +571,17 @@ impl Verifier {
                     Some(_) => None,
                     None => self.policy.after_model_swap(&self.net, &net, &ids),
                 };
-                refined.is_some_and(|p| {
-                    let moved = p.classes != self.policy.classes;
+                if let Some(p) = refined {
                     self.policy = p;
-                    moved
-                })
+                }
             }
-        };
+        }
         if !touched.is_nothing() {
             *self.bdd.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
             self.bdd.clear_poison();
         }
         self.net = net;
-        Ok(moved)
+        Ok(())
     }
 
     pub fn policy(&self) -> &PolicyClasses {

@@ -246,14 +246,6 @@ pub fn cluster_slices(slices: &[Vec<NodeId>], threshold: f64) -> Vec<Vec<usize>>
     out
 }
 
-/// The slice's member names — the currency of the daemon's cache
-/// bookkeeping. Node *ids* are not stable across network epochs once
-/// nodes can be added and removed (they are insertion indices); names
-/// are, so footprint intersection and cached-verdict keys work on names.
-pub fn slice_names(net: &Network, slice: &[NodeId]) -> BTreeSet<String> {
-    slice.iter().map(|&n| net.topo.node(n).name.clone()).collect()
-}
-
 /// A name-based fingerprint of everything the verdict of one
 /// (invariant, scenario) check can depend on, given its verification
 /// plan (slice `nodes`, trace bound `k`).

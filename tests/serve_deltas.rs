@@ -12,26 +12,26 @@
 //! * the aggregated per-invariant verdicts (`NetSession::verdicts`)
 //!   report the first violating scenario in configured sweep order;
 //! * the delta report's cache accounting is conserved: every pair is
-//!   prefiltered, contract-answered, fingerprint-hit, or re-checked —
-//!   nothing is dropped — and its swap and reconcile times fit inside
-//!   its elapsed time;
+//!   kept (`prefiltered`), contract-answered, fingerprint-hit, or
+//!   re-checked — nothing is dropped — and its swap and reconcile times
+//!   fit inside its elapsed time;
 //! * the session's verifier, carried from epoch to epoch, equals one
 //!   built from nothing on the same network and options: policy classes,
 //!   header classes, modules, and the contract crossings of every live
 //!   scenario (half the generated networks run under `partition auto`).
 //!
 //! This is the soundness argument for the daemon's verdict cache: the
-//! prefilter / contract / fingerprint / recheck ladder may skip
-//! arbitrary solver work, but must never change an answer. Cases derive
+//! kept / contract / fingerprint ladder may skip arbitrary solver work,
+//! but must never change an answer. Cases derive
 //! from the proptest per-test seed; `VMN_FUZZ_CASES` bounds the case
 //! count (CI pins a small subset, the default is 60). The stream lists a
 //! spare host ahead of the pairs and now and then removes it, which
 //! renumbers every later node under the cached witnesses. A
 //! deterministic companion (`module_confined_deltas`) drives a
 //! partitioned two-site estate and pins the modular ladder rung:
-//! single-module deltas leave the other module's pairs prefiltered and
-//! its pooled sessions alive, while cross-module pairs are re-answered
-//! from boundary contracts; `pods_load_reenters_every_repeated_session`
+//! single-module deltas answer the other module's pairs from their
+//! unchanged fingerprints and keep its pooled sessions alive, while
+//! cross-module pairs are re-answered from boundary contracts; `pods_load_reenters_every_repeated_session`
 //! pins the session pool's traffic on a cold load of the `pods-deltas`
 //! estate, `pods_deltas_answer_known_fingerprints_from_the_cache` the
 //! fingerprint index's hits on its deltas, and
@@ -42,6 +42,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn_net::FailureScenario;
 use vmn_serve::{scenario_key, Delta, NetSession, NodeSpec};
 
 fn fuzz_cases() -> u32 {
@@ -326,6 +327,7 @@ fn run_case(seed: u64) {
         .unwrap_or_else(|e| panic!("{label}: generated config rejected: {e}\n{}", gen.config));
     let pairs = session.invariants().len() * session.scenario_list().len();
     assert_eq!(load_report.pairs, pairs, "{label}: load sweeps every pair");
+    assert_eq!(session.cached_pairs(), pairs, "{label}: one cache entry per pair");
     assert_eq!(
         load_report.rechecked + load_report.cache_hits,
         pairs,
@@ -353,6 +355,7 @@ fn run_case(seed: u64) {
             session.invariants().len() * session.scenario_list().len(),
             "{label} step {step}: pair count tracks the live spec"
         );
+        assert_eq!(session.cached_pairs(), report.pairs, "{label} step {step}: one entry per pair");
         assert_matches_scratch(&session, &format!("{label} step {step} ({batch:?})"));
     }
 }
@@ -370,7 +373,7 @@ proptest! {
 
 /// A two-site estate under `partition auto`: deltas confined to one
 /// site must re-check only that module's pairs — the other site's
-/// intra-module pairs stay prefiltered, cross-module pairs are
+/// intra-module pairs are fingerprint hits, cross-module pairs are
 /// re-answered by the boundary contracts without touching a solver, and
 /// the other site's pooled session survives. The
 /// from-scratch oracle runs monolithically, so every step is also a
@@ -427,9 +430,10 @@ verify node-isolation b2 -> b1
     );
     assert_matches_scratch(&session, "after load");
 
-    // A model rewrite confined to site A: one module touched, site B's
-    // intra pair stays prefiltered, cross pairs re-answered from the
-    // contracts, and site B's pooled session kept. It is the only one:
+    // A model rewrite confined to site A: one module touched, every
+    // non-contract pair answered by its unchanged fingerprint, cross
+    // pairs re-answered from the contracts, no solver run, and site B's
+    // pooled session kept. It is the only one:
     // the one SMT pair is `b2 -> b1` through `sfw`, and site A's
     // stateless slices go to the BDD path and pool nothing.
     let pooled_before = session.verifier().pooled_sessions();
@@ -441,11 +445,9 @@ verify node-isolation b2 -> b1
     };
     let report = session.apply(std::slice::from_ref(&delta)).expect("delta applies");
     assert_eq!(report.modules_touched, Some(1), "{report:?}");
-    assert_eq!(report.contract_answered, 4, "{report:?}");
-    assert!(report.prefiltered >= 1, "site B's intra pair must stay prefiltered: {report:?}");
     assert_eq!(
-        report.prefiltered + report.contract_answered + report.cache_hits + report.rechecked,
-        report.pairs,
+        (report.prefiltered, report.contract_answered, report.cache_hits, report.rechecked),
+        (0, 4, 4, 0),
         "{report:?}"
     );
     // The swap retires only sessions whose slice holds `afw`, so site B's
@@ -472,7 +474,7 @@ verify node-isolation b2 -> b1
     assert_matches_scratch(&session, "after opening bfw");
 
     // An invariant-only delta has an empty touch footprint: even the
-    // contract-answered entries are prefiltered instead of re-derived.
+    // contract-answered entries are kept instead of re-derived.
     let delta = Delta::AddInvariant { spec: "flow-isolation a2 -> b2".into() };
     let report = session.apply(std::slice::from_ref(&delta)).expect("delta applies");
     assert!(report.prefiltered >= 4, "untouched pairs stay cached: {report:?}");
@@ -549,9 +551,10 @@ fn pods_deltas_answer_known_fingerprints_from_the_cache() {
     let (mut session, _) =
         NetSession::load(&pods_config(), VerifyOptions::default()).expect("pods load");
     let holding = |session: &NetSession, node: &str| {
-        let in_slice =
-            |spec: &str| session.cached(spec, "").is_some_and(|e| e.slice.contains(node));
-        session.invariants().iter().filter(|(spec, _)| in_slice(spec)).count()
+        let v = session.verifier();
+        let id = session.names()[node];
+        let in_slice = |inv| v.plan(inv, &FailureScenario::none()).unwrap().nodes().contains(&id);
+        session.invariants().iter().filter(|(_, inv)| in_slice(inv)).count()
     };
     let set_fw3 = |widened| Delta::SetModel {
         name: "fw3".into(),
