@@ -266,7 +266,7 @@ impl Topology {
         }
     }
 
-    /// All host prefixes (host routes) — used for header-class splitting.
+    /// All host prefixes (host routes).
     pub fn host_prefixes(&self) -> Vec<Prefix> {
         self.hosts().flat_map(|h| self.node(h).addresses.iter().map(|&a| Prefix::host(a))).collect()
     }

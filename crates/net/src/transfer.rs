@@ -11,8 +11,8 @@
 //!
 //! [`HeaderClasses`] implements VeriFlow's equivalence-class trick: split
 //! the address space at every prefix boundary appearing in the
-//! configuration so that all addresses within a class are forwarded
-//! identically. Slicing and policy-equivalence computation enumerate
+//! configuration, and around every terminal's own address, so that all
+//! addresses within a class are delivered identically. Slicing and policy-equivalence computation enumerate
 //! classes instead of addresses.
 
 use crate::addr::{Address, Prefix};
@@ -195,9 +195,13 @@ impl<'a> TransferFunction<'a> {
 
 /// VeriFlow-style header equivalence classes over destination addresses.
 ///
-/// Two addresses in the same class match exactly the same set of
-/// configuration prefixes, hence are treated identically by every switch
-/// (and by prefix-based middlebox ACLs built from the same prefix set).
+/// Built by [`HeaderClasses::from_network`], two addresses in the same
+/// class match exactly the same set of table prefixes, hence are treated
+/// identically by every switch, and neither is owned by a terminal unless
+/// the class is that one address. [`TransferFunction::deliver`] reads the
+/// destination only through those two tests — the switch lookups and the
+/// entry step's hand-off to a linked terminal that owns it — so every
+/// address of a class is delivered like its representative.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HeaderClasses {
     /// Sorted start addresses; class `i` covers `[starts[i], starts[i+1])`.
@@ -206,10 +210,12 @@ pub struct HeaderClasses {
 
 impl HeaderClasses {
     /// Builds classes from every prefix appearing in the tables plus every
-    /// host address in the topology.
+    /// terminal's (host's or middlebox's) own addresses.
     pub fn from_network(topo: &Topology, tables: &ForwardingTables) -> HeaderClasses {
         let mut prefixes = tables.prefixes();
-        prefixes.extend(topo.host_prefixes());
+        prefixes.extend(
+            topo.terminals().flat_map(|t| topo.node(t).addresses.iter().map(|&a| Prefix::host(a))),
+        );
         Self::from_prefixes(&prefixes)
     }
 

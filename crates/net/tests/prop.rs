@@ -397,11 +397,27 @@ fn assert_index_matches_reference(
                 "terminal_path {t:?} -> {dst:?} under {scenario:?}"
             );
         }
+        let intervals = tf.delivery_intervals(t, &classes);
         assert_eq!(
-            tf.delivery_intervals(t, &classes),
+            intervals,
             ref_intervals(topo, tables, scenario, &classes, t),
             "delivery_intervals of {t:?} under {scenario:?}"
         );
+        // A terminal's own address is a class of its own: the entry step
+        // hands a packet for it straight to a linked owner, whatever the
+        // tables say about its neighbours.
+        let Ok(intervals) = intervals else { continue };
+        for a in topo.terminals().flat_map(|o| topo.node(o).addresses.clone()) {
+            let &(_, _, target) = intervals
+                .iter()
+                .find(|&&(first, last, _)| first <= a.0 && a.0 <= last)
+                .expect("intervals cover the address space");
+            assert_eq!(
+                tf.deliver(t, a),
+                Ok(target),
+                "delivery_intervals of {t:?} at owned address {a:?} under {scenario:?}"
+            );
+        }
     }
 }
 

@@ -20,12 +20,13 @@
 //!
 //! The touch set also decides how much of the epoch the swap keeps. A
 //! `Nodes` touch keeps topology, tables and node ids (a kind change only
-//! retypes the box), so the verifier
-//! carries header classes, partition and contract prelude over, refines
-//! policy classes again only when the models' address split or a box's
-//! type moved, and resumes the contract crossings from the touched boxes
-//! when their models only widened. `Everything` rebuilds the epoch; a
-//! `Nothing` touch keeps all of it.
+//! retypes the box), so the verifier carries header classes, partition
+//! and contract prelude over and resumes the contract crossings from the
+//! touched boxes when their models only widened. `Everything` rebuilds
+//! the epoch; a `Nothing` touch keeps all of it. Both `Nodes` and
+//! `Everything` drop the policy classes, which the verifier rebuilds
+//! only when a slice holding a box that is not flow-parallel (a cache)
+//! first reads them.
 //!
 //! The distinct question of which *cached verdicts* a delta may change
 //! is answered later by slice-fingerprint comparison (see `service`).

@@ -132,7 +132,10 @@ pub struct VerifyOptions {
     /// Verify on slices (§4) instead of the whole network.
     pub use_slices: bool,
     /// Policy classes, if the operator knows them; otherwise they are
-    /// computed by partition refinement.
+    /// computed by partition refinement. Read again whenever a swap
+    /// dropped the classes ([`Verifier::swap_network`]), so the hint
+    /// holds across every epoch; after a swap that adds or removes hosts
+    /// it must still name the new epoch's hosts.
     pub policy_hint: Option<Vec<Vec<NodeId>>>,
     /// How long a solver session lives — see [`Sessions`].
     pub sessions: Sessions,
@@ -321,7 +324,9 @@ impl SessionPool {
 pub struct Verifier {
     net: Arc<Network>,
     options: VerifyOptions,
-    policy: PolicyClasses,
+    /// The policy classes: filled by construction, emptied by a swap
+    /// that touches nodes, rebuilt by [`Verifier::policy`].
+    policy: OnceLock<PolicyClasses>,
     /// Idle solver sessions (scenario-/invariant-free skeletons plus
     /// everything registered on them so far), keyed by (node-set, trace
     /// bound). `verify` checks a session out per cluster, solves on it and
@@ -440,7 +445,7 @@ impl Verifier {
     /// the verifier and its own bookkeeping).
     pub fn from_arc(net: Arc<Network>, options: VerifyOptions) -> Result<Verifier, VerifyError> {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
-        let policy = Self::policy_classes(&net, &options);
+        let policy = OnceLock::from(Self::policy_classes(&net, &options));
         let modular = Self::build_modular(&net, &options)?;
         Ok(Verifier {
             net,
@@ -516,18 +521,22 @@ impl Verifier {
     ///   partition and boundary, the prelude's aggregates, and every
     ///   pooled session whose node set misses the touched boxes (a
     ///   skeleton encodes only its own nodes' models plus delivery).
-    ///   Carried: the policy classes, refined again only if a touched box
-    ///   changed type or the initial split moved
-    ///   ([`PolicyClasses::after_model_swap`]), and the memoised contract
-    ///   crossings, resumed from the touched boxes when their summaries
-    ///   only widened ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
+    ///   Carried: the memoised contract crossings, resumed from the
+    ///   touched boxes when their summaries only widened
+    ///   ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
     ///   Explicit contracts are re-validated against the carried
     ///   synthesis, since a widened model can break a declared guarantee.
-    ///   Dropped: the touched boxes' sessions, and the BDD dataplane, which
-    ///   caches per-middlebox transfer predicates.
+    ///   Dropped: the touched boxes' sessions, the BDD dataplane, which
+    ///   caches per-middlebox transfer predicates, and the policy classes,
+    ///   which read the models.
     /// * [`TouchSet::Everything`] — structural change: node identity,
     ///   header classes and delivery may all have moved, so the epoch is
     ///   built from nothing and every pooled session is retired.
+    ///
+    /// Dropped policy classes are rebuilt by [`Verifier::policy`] on first
+    /// read. Only [`Verifier::verify_all`]'s symmetry grouping and a slice
+    /// holding a box that is not flow-parallel read them, so a daemon
+    /// whose slices hold none never pays for them after load.
     ///
     /// On an error the verifier still answers for the old epoch. Swapping
     /// the old network back in with `Everything` rebuilds that epoch from
@@ -545,7 +554,7 @@ impl Verifier {
                 // are validated against the new epoch and may refuse it.
                 self.modular = Self::build_modular(&net, &self.options)?;
                 self.pool().idle.clear();
-                self.policy = Self::policy_classes(&net, &self.options);
+                self.policy = OnceLock::new();
                 self.classes = OnceLock::new();
             }
             TouchSet::Nodes(names) => {
@@ -567,13 +576,7 @@ impl Verifier {
                 }
                 // `retain` keeps the survivors' recency order.
                 self.pool().idle.retain(|((nodes, _), _)| !nodes.iter().any(|n| ids.contains(n)));
-                let refined = match self.options.policy_hint {
-                    Some(_) => None,
-                    None => self.policy.after_model_swap(&self.net, &net, &ids),
-                };
-                if let Some(p) = refined {
-                    self.policy = p;
-                }
+                self.policy = OnceLock::new();
             }
         }
         if !touched.is_nothing() {
@@ -584,8 +587,11 @@ impl Verifier {
         Ok(())
     }
 
+    /// The policy classes of the current epoch, from
+    /// [`VerifyOptions::policy_hint`] or by refinement, rebuilt on the
+    /// first read after a swap dropped them.
     pub fn policy(&self) -> &PolicyClasses {
-        &self.policy
+        self.policy.get_or_init(|| Self::policy_classes(&self.net, &self.options))
     }
 
     /// Locks the session pool, recovering the guard if a previous holder
@@ -758,7 +764,7 @@ impl Verifier {
     /// describes the plan that runs.
     pub fn plan(&self, inv: &Invariant, scenario: &FailureScenario) -> Result<Plan, VerifyError> {
         let mut nodes: Vec<NodeId> = if self.options.use_slices {
-            compute_slice(&self.net, scenario, inv, &self.policy)?
+            compute_slice(&self.net, scenario, inv, || self.policy())?
         } else {
             self.net.topo.terminals().collect()
         };
@@ -1042,7 +1048,7 @@ impl Verifier {
         invariants: &[Invariant],
         threads: usize,
     ) -> Result<Vec<Report>, VerifyError> {
-        let groups = group_by_symmetry(&self.net, &self.policy, invariants);
+        let groups = group_by_symmetry(&self.net, self.policy(), invariants);
         let reps: Vec<usize> = groups.iter().map(|g| g[0]).collect();
 
         // Verify representatives (possibly in parallel).
@@ -1848,6 +1854,79 @@ pub(crate) mod engine_tests {
         // And the verifier still verifies correctly afterwards.
         let r = v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
         assert!(!r.verdict.holds());
+    }
+
+    /// Clients `c1`, `c2` and `other` reach `server` through `mb`, a
+    /// learning firewall or — with `cache` — a content cache for the
+    /// server's /16 that refuses `other`. Node ids are equal either way,
+    /// as a model swap requires.
+    fn cached_clients(cache: bool) -> Network {
+        let mut topo = Topology::new();
+        let sw = topo.add_switch("sw");
+        let server = topo.add_host("server", "10.1.0.1".parse().unwrap());
+        let c1 = topo.add_host("c1", "10.2.0.1".parse().unwrap());
+        let c2 = topo.add_host("c2", "10.2.0.2".parse().unwrap());
+        let other = topo.add_host("other", "10.3.0.1".parse().unwrap());
+        let kind = if cache { "content-cache" } else { "stateful-firewall" };
+        let mb = topo.add_middlebox("mb", kind, vec![]);
+        for n in [server, c1, c2, other, mb] {
+            topo.add_link(n, sw);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &vmn_net::FailureScenario::none());
+        for h in [c1, c2, other] {
+            tables.add_rule(sw, Rule::from_neighbor(px("10.1.0.0/16"), h, mb).with_priority(10));
+        }
+        tables.add_rule(sw, Rule::from_neighbor(px("10.2.0.0/15"), server, mb).with_priority(10));
+        let mut net = Network::new(topo, tables);
+        let model = if cache {
+            let deny = vec![(px("10.3.0.0/16"), px("10.1.0.0/16"))];
+            models::content_cache(kind, [px("10.1.0.0/16")], deny)
+        } else {
+            models::learning_firewall(kind, vec![(px("0.0.0.0/0"), px("0.0.0.0/0"))])
+        };
+        net.set_model(mb, model);
+        net
+    }
+
+    #[test]
+    fn a_swap_rebuilds_the_policy_classes_on_first_read() {
+        let (fw, cache) = (cached_clients(false), Arc::new(cached_clients(true)));
+        let mut v = Verifier::new(&fw, VerifyOptions::default()).unwrap();
+        let before = v.policy().classes.clone();
+        assert_eq!(before, PolicyClasses::compute(&fw).classes);
+
+        v.swap_network(cache.clone(), &TouchSet::node("mb")).unwrap();
+        let fresh = PolicyClasses::compute(&cache).classes;
+        assert_ne!(before, fresh, "the cache's deny list splits `other` from the clients");
+        assert_eq!(v.policy().classes, fresh, "the swapped epoch refines its own models");
+
+        // The cache is not flow-parallel, so a slice through it takes one
+        // representative of every class.
+        let [server, c1, other] = ["server", "c1", "other"].map(|n| cache.topo.by_name(n).unwrap());
+        let plan = v
+            .plan(
+                &Invariant::DataIsolation { origin: server, dst: other },
+                &FailureScenario::none(),
+            )
+            .unwrap();
+        assert!(plan.nodes().contains(&c1), "slice {:?}", plan.nodes());
+    }
+
+    #[test]
+    fn a_policy_hint_survives_every_kind_of_swap() {
+        let (fw, cache) = (cached_clients(false), cached_clients(true));
+        let ids = |names: &[&str]| names.iter().map(|n| fw.topo.by_name(n).unwrap()).collect();
+        let hint: Vec<Vec<NodeId>> = vec![ids(&["server", "other"]), ids(&["c1", "c2"])];
+        assert_ne!(PolicyClasses::compute(&cache).classes, hint);
+        let options = VerifyOptions { policy_hint: Some(hint.clone()), ..Default::default() };
+        let mut v = Verifier::new(&fw, options).unwrap();
+        assert_eq!(v.policy().classes, hint);
+        v.swap_network(Arc::new(cache), &TouchSet::node("mb")).unwrap();
+        assert_eq!(v.policy().classes, hint, "after a model swap");
+        v.swap_network(Arc::new(fw), &TouchSet::Everything).unwrap();
+        assert_eq!(v.policy().classes, hint, "after a structural swap");
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub struct PolicyClasses {
     /// Hosts of each class.
     pub classes: Vec<Vec<NodeId>>,
     class_of: HashMap<NodeId, usize>,
-    /// The split refinement started from: each host's class, hosts in id
-    /// order, by which address sets the models mention contain it. Empty
-    /// for operator-given groups.
-    initial: Vec<u32>,
 }
 
 impl PolicyClasses {
@@ -39,7 +35,7 @@ impl PolicyClasses {
     pub fn from_groups(groups: Vec<Vec<NodeId>>) -> PolicyClasses {
         let class_of =
             groups.iter().enumerate().flat_map(|(i, g)| g.iter().map(move |&h| (h, i))).collect();
-        PolicyClasses { classes: groups, class_of, initial: Vec::new() }
+        PolicyClasses { classes: groups, class_of }
     }
 
     /// Computes classes by partition refinement over the no-failure
@@ -51,38 +47,28 @@ impl PolicyClasses {
     /// splits — a round that does not raise the class count is the
     /// fixpoint.
     pub fn compute(net: &Network) -> PolicyClasses {
-        Self::refine(net, initial_split(net))
-    }
-
-    /// The classes of `net`, reached from `old` (the epoch these classes
-    /// were computed on) by a model swap on `touched`; `None` when they
-    /// carry over unchanged.
-    ///
-    /// Refinement reads the models only through the initial split and the
-    /// middlebox types: the transfer function it probes is the topology
-    /// and tables, which a model swap keeps. So when every touched box
-    /// keeps its type and the split is equal, refinement — deterministic —
-    /// would return exactly these classes. Otherwise it reruns from the
-    /// new split.
-    pub fn after_model_swap(
-        &self,
-        old: &Network,
-        net: &Network,
-        touched: &[NodeId],
-    ) -> Option<PolicyClasses> {
-        let split = initial_split(net);
-        let types_kept = touched.iter().all(|&m| old.topo.mbox_type(m) == net.topo.mbox_type(m));
-        (!types_kept || split.0 != self.initial).then(|| Self::refine(net, split))
-    }
-
-    /// Partition refinement from an initial split (each host's class and
-    /// the class count).
-    fn refine(net: &Network, (initial, num): (Vec<u32>, usize)) -> PolicyClasses {
         let scenario = FailureScenario::none();
         let tf = TransferFunction::new(&net.topo, &net.tables, &scenario);
         let hosts: Vec<NodeId> = net.topo.hosts().collect();
         let addrs: Vec<Address> = hosts.iter().map(|&h| net.host_address(h)).collect();
-        let (mut class_of, mut num_classes) = (initial.clone(), num);
+
+        // Initial partition by static fingerprint: which of the address
+        // sets the middlebox models mention contain the host's address
+        // (one bit each, packed).
+        let mut mentioned: Vec<AddressSet<'_>> = net
+            .topo
+            .middleboxes()
+            .flat_map(|m| vmn_analysis::mentioned_addresses(net.model(m)))
+            .collect();
+        mentioned.sort();
+        mentioned.dedup();
+        let (mut class_of, mut num_classes) = number_by_key(hosts.len(), |h, key| {
+            key.extend(mentioned.chunks(32).map(|word| {
+                word.iter()
+                    .enumerate()
+                    .fold(0, |w, (bit, p)| w | (p.contains(addrs[h]) as u32) << bit)
+            }));
+        });
 
         let mut pipelines = Pipelines::new(net);
 
@@ -118,7 +104,7 @@ impl PolicyClasses {
         for (&h, &c) in hosts.iter().zip(&class_of) {
             classes[c as usize].push(h);
         }
-        PolicyClasses { initial, ..PolicyClasses::from_groups(classes) }
+        PolicyClasses::from_groups(classes)
     }
 
     pub fn num_classes(&self) -> usize {
@@ -140,25 +126,6 @@ impl PolicyClasses {
             _ => false,
         }
     }
-}
-
-/// Hosts split by static fingerprint: which of the address sets the
-/// middlebox models mention contain the host's address (one bit each,
-/// packed). Returns each host's class, hosts in id order, and the count.
-fn initial_split(net: &Network) -> (Vec<u32>, usize) {
-    let addrs: Vec<Address> = net.topo.hosts().map(|h| net.host_address(h)).collect();
-    let mut mentioned: Vec<AddressSet<'_>> = net
-        .topo
-        .middleboxes()
-        .flat_map(|m| vmn_analysis::mentioned_addresses(net.model(m)))
-        .collect();
-    mentioned.sort();
-    mentioned.dedup();
-    number_by_key(addrs.len(), |h, key| {
-        key.extend(mentioned.chunks(32).map(|word| {
-            word.iter().enumerate().fold(0, |w, (bit, p)| w | (p.contains(addrs[h]) as u32) << bit)
-        }));
-    })
 }
 
 /// The id of `key` in `ids`; new keys are numbered in order of first

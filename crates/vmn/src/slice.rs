@@ -28,17 +28,21 @@ use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId, Transfe
 /// Returns the terminal set (hosts and middleboxes), sorted. The result
 /// always contains the invariant's endpoints; with `use_slices == false`
 /// callers should instead pass every terminal to the encoder.
-pub fn compute_slice(
+///
+/// `policy` yields the policy classes. It is called at most once, and
+/// only when the slice holds a middlebox that is not flow-parallel, so a
+/// caller can build the classes on demand.
+pub fn compute_slice<'p>(
     net: &Network,
     scenario: &FailureScenario,
     inv: &Invariant,
-    policy: &PolicyClasses,
+    policy: impl FnOnce() -> &'p PolicyClasses,
 ) -> Result<Vec<NodeId>, NetError> {
     let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
     let mut set: BTreeSet<NodeId> = inv.endpoints().into_iter().collect();
 
     let mut changed = true;
-    let mut added_policy_reps = false;
+    let mut policy = Some(policy);
     while changed {
         changed = false;
 
@@ -85,16 +89,15 @@ pub fn compute_slice(
 
         // Origin-agnostic middleboxes require a representative per policy
         // equivalence class (done once; re-closure continues afterwards).
-        if !added_policy_reps {
-            let needs_reps = set.iter().any(|&n| {
+        let needs_reps = policy.take_if(|_| {
+            set.iter().any(|&n| {
                 net.topo.node(n).kind.is_middlebox()
                     && !matches!(net.model(n).parallelism, Parallelism::FlowParallel)
-            });
-            if needs_reps {
-                added_policy_reps = true;
-                for rep in policy.representatives() {
-                    changed |= set.insert(rep);
-                }
+            })
+        });
+        if let Some(policy) = needs_reps {
+            for rep in policy().representatives() {
+                changed |= set.insert(rep);
             }
         }
     }
@@ -529,7 +532,7 @@ mod tests {
             let (net, pairs) = many_pairs(n);
             let pc = PolicyClasses::from_groups(vec![]);
             let inv = Invariant::NodeIsolation { src: pairs[0].0, dst: pairs[0].1 };
-            let slice = compute_slice(&net, &FailureScenario::none(), &inv, &pc).unwrap();
+            let slice = compute_slice(&net, &FailureScenario::none(), &inv, || &pc).unwrap();
             // Slice = the two endpoints + the firewall, regardless of n.
             assert_eq!(slice.len(), 3, "n={n}: slice {slice:?}");
         }
@@ -538,9 +541,13 @@ mod tests {
     #[test]
     fn slice_contains_endpoints_and_path_mboxes() {
         let (net, pairs) = many_pairs(4);
-        let pc = PolicyClasses::from_groups(vec![]);
         let inv = Invariant::NodeIsolation { src: pairs[2].0, dst: pairs[2].1 };
-        let slice = compute_slice(&net, &FailureScenario::none(), &inv, &pc).unwrap();
+        // Every box on the path is flow-parallel, so the slice never asks
+        // for the policy classes.
+        let slice = compute_slice(&net, &FailureScenario::none(), &inv, || {
+            panic!("a flow-parallel slice must not read the policy classes")
+        })
+        .unwrap();
         assert!(slice.contains(&pairs[2].0));
         assert!(slice.contains(&pairs[2].1));
         let fw = net.topo.by_name("fw").unwrap();
@@ -621,7 +628,13 @@ mod tests {
 
         let pc = PolicyClasses::from_groups(vec![vec![c1, c2], vec![other], vec![server]]);
         let inv = Invariant::DataIsolation { origin: server, dst: other };
-        let slice = compute_slice(&net, &FailureScenario::none(), &inv, &pc).unwrap();
+        let reads = std::cell::Cell::new(0);
+        let slice = compute_slice(&net, &FailureScenario::none(), &inv, || {
+            reads.set(reads.get() + 1);
+            &pc
+        })
+        .unwrap();
+        assert_eq!(reads.get(), 1, "the classes are read once, however many closure rounds run");
         // other + server (endpoints), cache (on path), plus a rep for the
         // {c1, c2} class (c1).
         assert!(slice.contains(&cache));

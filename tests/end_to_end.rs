@@ -373,3 +373,59 @@ fn verify_all_uses_symmetry() {
     let inherited = reports.iter().filter(|r| r.inherited).count();
     assert_eq!(inherited, 3, "three of four verdicts come from symmetry");
 }
+
+/// A host linked straight to a NAT reaches the NAT's external address in
+/// one step: the entry step hands the packet to the linked terminal that
+/// owns it, with no switch involved. No table prefix mentions that
+/// address, so only splitting header classes at every terminal's own
+/// address keeps the encoder from answering for it with a neighbouring
+/// class's drop.
+#[test]
+fn a_linked_middlebox_receives_packets_for_its_own_address() {
+    let spec = vmn_serve::NetSpec::parse(
+        "host a 10.0.0.1\n\
+         host b 30.0.0.1\n\
+         switch sw\n\
+         nat n internal 10.0.0.0/8 external 20.0.0.5\n\
+         link a n\n\
+         link n sw\n\
+         link b sw\n\
+         autoroute\n\
+         verify node-isolation a -> n\n",
+    )
+    .unwrap();
+    let m = spec.materialize().unwrap();
+    let (a, n) = (m.names["a"], m.names["n"]);
+    let ext = addr("20.0.0.5");
+    let none = FailureScenario::none();
+    let tf = vmn_net::TransferFunction::new(&m.net.topo, &m.net.tables, &none);
+    assert_eq!(tf.deliver(a, ext).unwrap(), Some(n), "the entry step delivers to the owner");
+
+    let inv = &m.invariants[0].1;
+    for backend in [Backend::Auto, Backend::Smt] {
+        let v = Verifier::new(&m.net, VerifyOptions { backend, ..Default::default() }).unwrap();
+        let Verdict::Violated { trace, scenario } = v.verify(inv).unwrap().verdict else {
+            panic!("{backend:?}: a reaches n at n's external address");
+        };
+        let first = &trace.steps[0];
+        assert_eq!((first.actor, first.delivered_to), (Some(a), Some(n)), "{backend:?}");
+        assert_eq!(first.packet.map(|p| p.dst), Some(ext), "{backend:?}");
+        trace.replay(&m.net, &scenario).expect("the witness replays");
+
+        // The replay reports host receptions only; drive the simulator
+        // through the witness's sends to see the middlebox's.
+        let models = m.net.topo.middleboxes().map(|b| (b, m.net.model(b))).collect();
+        let mut sim = vmn_sim::Simulator::new(&m.net.topo, &m.net.tables, scenario, models);
+        for s in trace.steps.iter().filter(|s| s.kind == vmn::StepKind::HostSend) {
+            let (Some(host), Some(header)) = (s.actor, s.packet) else { continue };
+            sim.exec(&vmn_sim::SimOp::Send { host, header }).unwrap();
+        }
+        assert!(
+            sim.log()
+                .iter()
+                .any(|e| matches!(e, vmn_sim::SimEvent::Delivered(o) if o.from == a && o.at == n)),
+            "{backend:?}: the simulator delivers a's packet to n:\n{}",
+            trace.render(&m.net)
+        );
+    }
+}

@@ -172,12 +172,18 @@ fn generate(rng: &mut TestRng) -> Gen {
 fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -> Vec<Delta> {
     let registered: Vec<String> = session.spec().verify_specs().map(str::to_string).collect();
     match rng.below(5) {
-        // Reconfigure a firewall: new kind, new allow-list.
-        0 => vec![Delta::SetModel {
-            name: gen.fws[rng.below(gen.fws.len() as u64) as usize].clone(),
-            kind: fw_kind(rng).into(),
-            args: acl_args(rng),
-        }],
+        // Reconfigure a firewall: new kind, new allow-list; now and then
+        // a content cache instead, which is not flow-parallel, so the
+        // slices through it read the swapped epoch's policy classes.
+        0 => {
+            let name = gen.fws[rng.below(gen.fws.len() as u64) as usize].clone();
+            if rng.below(4) == 0 {
+                let servers = PREFIXES[rng.below(PREFIXES.len() as u64) as usize];
+                let args = vec!["servers".into(), servers.into()];
+                return vec![Delta::SetModel { name, kind: "cache".into(), args }];
+            }
+            vec![Delta::SetModel { name, kind: fw_kind(rng).into(), args: acl_args(rng) }]
+        }
         // Toggle a failure scenario (single box, or all boxes at once).
         1 => {
             let mut cands: Vec<Vec<String>> = gen.fws.iter().map(|f| vec![f.clone()]).collect();
