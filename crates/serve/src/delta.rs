@@ -21,7 +21,7 @@
 //! The touch set also decides how much of the epoch the swap keeps. A
 //! `Nodes` touch keeps topology, tables and node ids (a kind change only
 //! retypes the box), so the verifier carries header classes, partition
-//! and contract prelude over and resumes the contract crossings from the
+//! and contract prelude over and resumes the contract arrivals from the
 //! touched boxes when their models only widened. `Everything` rebuilds
 //! the epoch; a `Nothing` touch keeps all of it. Both `Nodes` and
 //! `Everything` drop the policy classes, which the verifier rebuilds

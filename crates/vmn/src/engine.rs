@@ -521,7 +521,7 @@ impl Verifier {
     ///   partition and boundary, the prelude's aggregates, and every
     ///   pooled session whose node set misses the touched boxes (a
     ///   skeleton encodes only its own nodes' models plus delivery).
-    ///   Carried: the memoised contract crossings, resumed from the
+    ///   Carried: the memoised contract arrivals, resumed from the
     ///   touched boxes when their summaries only widened
     ///   ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
     ///   Explicit contracts are re-validated against the carried

@@ -2,17 +2,18 @@
 //! and the contract fast path.
 //!
 //! The network is split into modules ([`Partition`], explicit or from
-//! the auto-partitioner). For every directed live edge the synthesizer
+//! the auto-partitioner). For every live non-host node the synthesizer
 //! computes a [`WindowSet`] over-approximating the `(src, dst)` address
-//! headers of packets that can cross the edge under a scenario, by a
+//! headers of packets that can arrive at it under a scenario, by a
 //! worklist fixpoint over the delivery semantics of
-//! [`vmn_net::transfer`]:
+//! [`vmn_net::transfer`]. Each node's emission is a function of what
+//! arrived at it, and each edge's crossing a function of what its tail
+//! emits:
 //!
-//! * a live host seeds its incident edges with `(own address, any)`
-//!   windows — the encoder only admits well-formed sends, so sources
-//!   cannot be spoofed (src seeds are widened to the covering aggregate
-//!   of host prefixes, which only adds headers and keeps the fixpoint
-//!   small on large estates);
+//! * a live host emits `(own address, any)` windows — the encoder only
+//!   admits well-formed sends, so sources cannot be spoofed (src seeds
+//!   are widened to the covering aggregate of host prefixes, which only
+//!   adds headers and keeps the fixpoint small on large estates);
 //! * a switch forwards a window to a live neighbour after narrowing the
 //!   destination side by the union of its rules toward that neighbour
 //!   (priorities and `from` qualifiers are ignored — a sound widening);
@@ -31,38 +32,51 @@
 //! (intersection of two prefixes is the longer one or empty), so the
 //! fixpoint terminates.
 //!
+//! Hosts are sinks. A host's emission is its seed and ignores what
+//! arrives at it, so an arrival at a host feeds no other constraint, and
+//! the fixpoint never propagates into one. The arrivals are the
+//! fixpoint's whole state ([`CrossMap`]); the crossing of any directed
+//! edge, host-bound ones included, is derived from its tail's arrivals
+//! on demand ([`ModularContext::crossing`]) by the same two transfer
+//! functions the fixpoint runs. That equals what a fixpoint storing
+//! every edge would accumulate, window for window: a transfer is
+//! monotone, so each value it took along the run lies below its value
+//! at the end, and a [`WindowSet`] holds the maximal windows of whatever
+//! was inserted into it, so the union of those values is the last one.
+//!
 //! A model swap resumes the fixpoint instead of restarting it
 //! ([`ModularContext::carry`]). A [`WindowSet`] is a canonical form: its
 //! maximal windows, or the `any` flag. Order window sets by
 //! [`WindowSet::implies`], with `any` above everything. Union is then the
 //! join, and intersection with a fixed set is the meet. Switch narrowing
 //! and terminal hand-off are intersections, and a rewriting box's "`any`
-//! once anything arrives" is monotone. So the crossings are the least
+//! once anything arrives" is monotone. So the arrivals are the least
 //! fixpoint of monotone transfers, one per node. A swap changes only the
 //! touched boxes' transfers. Suppose every touched box's new summary
 //! covers its old one: `old.implies(new)`, or a filter became a rewrite.
 //! Then each new transfer lies above the old one pointwise, and the new
 //! least fixpoint lies above the old one. Every worklist step from a
-//! state below a least fixpoint stays below it. The old map satisfies
-//! every constraint except possibly the touched boxes' ones. So
-//! re-enqueueing the touched boxes and iterating from the old map ends
-//! exactly at the new least fixpoint. Its canonical form is what a run
-//! from the hosts computes, so the result is `==` to it, window for
-//! window. What has arrived at a node is the union of its incoming
-//! crossings, so it is rebuilt from the map, not stored. A narrowing swap
-//! has no such start and recomputes from the hosts.
+//! state below a least fixpoint stays below it. The old arrivals satisfy
+//! every constraint except possibly the ones the touched boxes feed. So
+//! re-enqueueing the touched boxes and iterating from the old arrivals
+//! ends exactly at the new least fixpoint. Its canonical form is what a
+//! run from the hosts computes, so the result is `==` to it, window for
+//! window. Crossings are derived, not stored, so carrying the arrivals
+//! carries them too. A narrowing swap has no such start and recomputes
+//! from the hosts.
 //!
 //! The window sets on cut edges *are* the module contracts: the set on
 //! an incoming cut edge is the module's ingress assumption, the set on
 //! an outgoing one its egress guarantee. Synthesized contracts compose
 //! by construction (each edge carries one set, so the guarantee equals
 //! the assumption); explicitly declared contracts are checked against
-//! the synthesis — a declared egress must cover the synthesized
-//! crossing ([`ContractError::Unsound`]) and imply the neighbour's
-//! ingress assumption ([`ContractError::Compose`]). Because the encoder
-//! is fail-stop (failed nodes neither send nor process), every
-//! scenario's crossings are a subset of the no-failure crossings, so
-//! one check against the no-failure synthesis covers all scenarios.
+//! the synthesis — a declared egress or ingress must cover the
+//! synthesized crossing ([`ContractError::Unsound`]), and an egress must
+//! imply the neighbour's ingress assumption ([`ContractError::Compose`]).
+//! Because the encoder is fail-stop (failed nodes neither send nor
+//! process), every scenario's crossings are a subset of the no-failure
+//! crossings, so one check against the no-failure synthesis covers all
+//! scenarios.
 //!
 //! The fast path answers isolation invariants whose endpoints lie in
 //! *different* modules: both `NodeIsolation` and `FlowIsolation`
@@ -72,14 +86,16 @@
 //! falls back to the exact engine, which keeps modular verdicts and
 //! witnesses identical to the monolithic ones by construction.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use vmn_analysis::contract::prefix_intersect;
 use vmn_analysis::{
     auto_partition, ContractError, ModuleContract, Partition, PortContract, WindowSet,
 };
 use vmn_mbox::{Action, Guard, KeyExpr, MboxModel};
-use vmn_net::{Address, FailureScenario, NodeId, Prefix, Topology};
+use vmn_net::{FailureScenario, Link, NodeId, Prefix, Topology};
 
 use crate::invariant::Invariant;
 use crate::network::Network;
@@ -288,18 +304,13 @@ pub fn forward_summary(model: &MboxModel) -> ForwardSummary {
     ForwardSummary::Filter(out)
 }
 
-/// The synthesized crossings of one scenario: for each directed live
-/// edge, the windows packets crossing it may occupy.
+/// The synthesized arrivals of one scenario: for each live non-host node
+/// that anything reaches, the windows packets arriving at it may occupy.
+/// Hosts are sinks and have no entry. A crossing is derived from its
+/// tail's arrivals on demand ([`ModularContext::crossing`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrossMap {
-    pub cross: HashMap<(NodeId, NodeId), WindowSet>,
-}
-
-impl CrossMap {
-    /// Windows crossing `from -> to` (empty if nothing can).
-    pub fn windows(&self, from: NodeId, to: NodeId) -> WindowSet {
-        self.cross.get(&(from, to)).cloned().unwrap_or_else(WindowSet::empty)
-    }
+    pub(crate) reach: HashMap<NodeId, WindowSet>,
 }
 
 /// The half of contract synthesis no failure scenario changes: what the
@@ -340,7 +351,7 @@ impl Prelude {
     /// Re-summarises the touched boxes after a model swap. Returns
     /// whether every new summary covers the old one — the window order of
     /// [`WindowSet::implies`], or a filter turned [`ForwardSummary::Rewrite`]
-    /// — so that crossings of the old epoch lie below the new fixpoint.
+    /// — so that arrivals of the old epoch lie below the new fixpoint.
     fn resummarise(&mut self, net: &Network, touched: &[NodeId]) -> bool {
         let mut covers = true;
         for &m in touched.iter().filter(|&&m| net.topo.node(m).kind.is_middlebox()) {
@@ -355,8 +366,92 @@ impl Prelude {
         covers
     }
 
+    /// What the live node `v` emits once `arrived` has reached it. A host
+    /// emits its seed whatever arrives, which is what makes hosts sinks;
+    /// a switch emits what arrived, borrowed, and narrows it per edge in
+    /// [`Prelude::transfer`].
+    fn emission<'a>(&self, net: &Network, v: NodeId, arrived: &'a WindowSet) -> Cow<'a, WindowSet> {
+        let node = net.topo.node(v);
+        if node.kind.is_host() {
+            let mut seed = WindowSet::empty();
+            for &a in &node.addresses {
+                let widened = self.agg.iter().copied().find(|p| p.contains(a));
+                seed.insert((widened.unwrap_or_else(|| Prefix::host(a)), any_dst()));
+            }
+            Cow::Owned(seed)
+        } else if node.kind.is_middlebox() {
+            Cow::Owned(match self.summaries.get(&v) {
+                Some(ForwardSummary::Filter(f)) => arrived.intersect(f),
+                // A rewriting box emits headers unrelated to the arrived
+                // ones (VIP→backend, NAT restore, cached response), so the
+                // arrival only gates *whether* it emits, never *what*.
+                Some(ForwardSummary::Rewrite) if !arrived.is_empty() => WindowSet::any(),
+                _ => WindowSet::empty(),
+            })
+        } else {
+            Cow::Borrowed(arrived)
+        }
+    }
+
+    /// What crosses `from -> to` when `from` emits `emit`.
+    fn transfer<'a>(
+        &self,
+        topo: &Topology,
+        from: NodeId,
+        to: NodeId,
+        emit: Cow<'a, WindowSet>,
+    ) -> Cow<'a, WindowSet> {
+        if !topo.node(from).kind.is_terminal() {
+            // Switch hop: destination narrowed by the union of rules
+            // toward this neighbour, window by window.
+            let mut out = WindowSet::empty();
+            for &p in self.narrow.get(&(from, to)).map_or(&[][..], Vec::as_slice) {
+                if emit.is_any() {
+                    out.insert((any_dst(), p));
+                }
+                for &(s, d) in &emit.windows {
+                    if let Some(d) = prefix_intersect(d, p) {
+                        out.insert((s, d));
+                    }
+                }
+            }
+            return Cow::Owned(out);
+        }
+        // Entry semantics of `deliver`: direct hand-off to a terminal
+        // neighbour owning the destination, injection into any switch
+        // neighbour.
+        let owner = topo.node(to);
+        if !owner.kind.is_terminal() {
+            return emit;
+        }
+        let mut owned = WindowSet::empty();
+        for p in aggregate_prefixes(owner.addresses.iter().copied().map(Prefix::host).collect()) {
+            owned.insert((any_dst(), p));
+        }
+        Cow::Owned(emit.intersect(&owned))
+    }
+
+    /// What crosses `from -> to` under `scenario`, given that scenario's
+    /// `arrivals`: empty unless the edge is live.
+    fn crossing(
+        &self,
+        net: &Network,
+        scenario: &FailureScenario,
+        arrivals: &CrossMap,
+        from: NodeId,
+        to: NodeId,
+    ) -> WindowSet {
+        let topo = &net.topo;
+        if !topo.is_adjacent(from, to) || scenario.is_link_failed(Link::new(from, to)) {
+            return WindowSet::empty();
+        }
+        let nothing = WindowSet::empty();
+        let arrived = arrivals.reach.get(&from).unwrap_or(&nothing);
+        self.transfer(topo, from, to, self.emission(net, from, arrived)).into_owned()
+    }
+
     /// The per-scenario half, from nothing: propagates windows from the
-    /// live hosts until no edge's crossing grows.
+    /// live hosts until no node's arrivals grow.
     fn fixpoint(&self, net: &Network, scenario: &FailureScenario) -> CrossMap {
         self.propagate(net, scenario, CrossMap::default(), net.topo.hosts())
     }
@@ -364,7 +459,7 @@ impl Prelude {
     /// Propagates from `start`, a map below this prelude's least fixpoint
     /// for `scenario`, re-processing `dirty` (the nodes whose constraints
     /// `start` may violate) and everything their emission grows, until no
-    /// edge's crossing grows. A failed node is never dequeued past the
+    /// node's arrivals grow. A failed node is never dequeued past the
     /// liveness test, so its summary is never read.
     fn propagate(
         &self,
@@ -374,20 +469,7 @@ impl Prelude {
         dirty: impl IntoIterator<Item = NodeId>,
     ) -> CrossMap {
         let topo = &net.topo;
-        let Prelude { summaries, agg, narrow } = self;
-        let widen = |a: Address| {
-            agg.iter().copied().find(|p| p.contains(a)).unwrap_or_else(|| Prefix::host(a))
-        };
-
-        let mut cross = start.cross;
-        // What has arrived at each non-host node is the union of its
-        // incoming crossings, so it is rebuilt rather than stored.
-        let mut reach: HashMap<NodeId, WindowSet> = HashMap::new();
-        for (&(_, x), w) in &cross {
-            if !topo.node(x).kind.is_host() {
-                reach.entry(x).or_default().union_with(w);
-            }
-        }
+        let mut reach = start.reach;
         let mut queue: VecDeque<NodeId> = VecDeque::new();
         let mut queued: BTreeSet<NodeId> = BTreeSet::new();
         for v in dirty {
@@ -401,84 +483,39 @@ impl Prelude {
             if scenario.is_failed(v) {
                 continue;
             }
-            let node = topo.node(v);
-            // Windows this node can emit (switches are narrowed per edge
-            // below instead).
-            let emit: WindowSet = if node.kind.is_host() {
-                let mut seed = WindowSet::empty();
-                for &a in &node.addresses {
-                    seed.insert((widen(a), any_dst()));
+            // Taken out while `v` emits, so that the emission can borrow
+            // it while the neighbours' arrivals grow (a link never joins a
+            // node to itself).
+            let arrived = reach.remove(&v).unwrap_or_default();
+            {
+                let emit = self.emission(net, v, &arrived);
+                if !emit.is_empty() {
+                    for x in topo.live_neighbors(v, scenario) {
+                        if topo.node(x).kind.is_host() {
+                            continue;
+                        }
+                        let w = self.transfer(topo, v, x, Cow::Borrowed(&*emit));
+                        if !w.is_empty()
+                            && reach.entry(x).or_default().union_with(&w)
+                            && queued.insert(x)
+                        {
+                            queue.push_back(x);
+                        }
+                    }
                 }
-                seed
-            } else if node.kind.is_middlebox() {
-                let arrived = reach.get(&v).cloned().unwrap_or_else(WindowSet::empty);
-                match summaries.get(&v) {
-                    Some(ForwardSummary::Filter(f)) => arrived.intersect(f),
-                    // A rewriting box emits headers unrelated to the
-                    // arrived ones (VIP→backend, NAT restore, cached
-                    // response), so the arrival only gates *whether* it
-                    // emits, never *what*.
-                    Some(ForwardSummary::Rewrite) if !arrived.is_empty() => WindowSet::any(),
-                    _ => WindowSet::empty(),
-                }
-            } else {
-                reach.get(&v).cloned().unwrap_or_else(WindowSet::empty)
-            };
-            if emit.is_empty() {
-                continue;
             }
-            let neighbors: Vec<NodeId> = topo.live_neighbors(v, scenario).collect();
-            for x in neighbors {
-                let w = if node.kind.is_terminal() {
-                    // Entry semantics of `deliver`: direct hand-off to a
-                    // terminal neighbour owning the destination, injection
-                    // into any switch neighbour.
-                    if topo.node(x).kind.is_terminal() {
-                        let owned = aggregate_prefixes(
-                            topo.node(x).addresses.iter().copied().map(Prefix::host).collect(),
-                        );
-                        let mut owned_ws = WindowSet::empty();
-                        for p in owned {
-                            owned_ws.insert((any_dst(), p));
-                        }
-                        emit.intersect(&owned_ws)
-                    } else {
-                        emit.clone()
-                    }
-                } else {
-                    // Switch hop: destination narrowed by the union of
-                    // rules toward this neighbour.
-                    match narrow.get(&(v, x)) {
-                        Some(ps) => {
-                            let mut out = WindowSet::empty();
-                            for &p in ps {
-                                out.union_with(&emit.narrow_dst(p));
-                            }
-                            out
-                        }
-                        None => WindowSet::empty(),
-                    }
-                };
-                if w.is_empty() {
-                    continue;
-                }
-                let grew = cross.entry((v, x)).or_default().union_with(&w);
-                if grew && !topo.node(x).kind.is_host() {
-                    let r = reach.entry(x).or_default();
-                    if r.union_with(&w) && queued.insert(x) {
-                        queue.push_back(x);
-                    }
-                }
+            if !arrived.is_empty() {
+                reach.insert(v, arrived);
             }
         }
-        CrossMap { cross }
+        CrossMap { reach }
     }
 }
 
 /// Runs the window-propagation fixpoint for one scenario, from nothing.
 /// A [`ModularContext`] answers the same question through
 /// [`ModularContext::cross_for`], which builds the scenario-independent
-/// half once per epoch and memoises the rest per scenario.
+/// half once per epoch and memoises the arrivals per scenario.
 pub fn synthesize(net: &Network, scenario: &FailureScenario) -> CrossMap {
     Prelude::new(net).fixpoint(net, scenario)
 }
@@ -511,13 +548,18 @@ impl ModularContext {
         partition: Partition,
     ) -> Result<ModularContext, vmn_analysis::PartitionError> {
         partition.validate(topo.nodes().map(|(_, n)| n.name.as_str()))?;
+        // One name lookup per partition node: the first node of each
+        // name, as `Topology::by_name` finds it, without its linear scan.
+        let mut ids: HashMap<&str, NodeId> = HashMap::new();
+        for (id, n) in topo.nodes() {
+            ids.entry(n.name.as_str()).or_insert(id);
+        }
         let mut module_ix = vec![None; topo.nodes().count()];
         for (mi, m) in partition.modules.iter().enumerate() {
             for name in &m.nodes {
                 // Validation has already checked every module node names
                 // a real topology node.
-                let id = topo.by_name(name).expect("validated partition node");
-                module_ix[id.index()] = Some(mi);
+                module_ix[ids[name.as_str()].index()] = Some(mi);
             }
         }
         let mut boundary = BTreeSet::new();
@@ -589,7 +631,7 @@ impl ModularContext {
                 return Err(ContractError::DuplicateModule { module: mc.module.clone() });
             }
         }
-        let synth = self.cross_for(net, &FailureScenario::none());
+        let none = FailureScenario::none();
         let resolve_edge = |pc: &PortContract| -> Result<(NodeId, NodeId), ContractError> {
             let unknown =
                 || ContractError::UnknownEdge { from: pc.from.clone(), to: pc.to.clone() };
@@ -600,27 +642,15 @@ impl ModularContext {
             }
             Ok((f, t))
         };
-        // Egress guarantees must cover the synthesized crossings.
+        // Egress guarantees must cover the synthesized crossings, and so
+        // must ingress assumptions — a module check that assumes less
+        // than what can actually arrive would be unsound even if no
+        // neighbour declares an egress on the edge (undeclared guarantees
+        // default to the synthesis).
         for mc in &contracts {
-            for pc in &mc.egress {
+            for pc in mc.egress.iter().chain(&mc.ingress) {
                 let (f, t) = resolve_edge(pc)?;
-                let actual = synth.windows(f, t);
-                if !actual.implies(&pc.windows) {
-                    return Err(ContractError::Unsound {
-                        from: pc.from.clone(),
-                        to: pc.to.clone(),
-                        window: actual.to_string(),
-                    });
-                }
-            }
-            // Ingress assumptions must also cover the synthesized
-            // crossings — a module check that assumes less than what can
-            // actually arrive would be unsound even if no neighbour
-            // declares an egress on the edge (undeclared guarantees
-            // default to the synthesis).
-            for pc in &mc.ingress {
-                let (f, t) = resolve_edge(pc)?;
-                let actual = synth.windows(f, t);
+                let actual = self.crossing(net, &none, f, t);
                 if !actual.implies(&pc.windows) {
                     return Err(ContractError::Unsound {
                         from: pc.from.clone(),
@@ -664,19 +694,36 @@ impl ModularContext {
         if let Some(hit) = self.memo().get(scenario) {
             return hit.clone();
         }
-        let prelude = self.prelude.get_or_init(|| Prelude::new(net));
-        let cross = Arc::new(prelude.fixpoint(net, scenario));
+        let cross = Arc::new(self.prelude(net).fixpoint(net, scenario));
         self.memo().entry(scenario.clone()).or_insert(cross).clone()
+    }
+
+    /// The windows packets crossing `from -> to` under `scenario` may
+    /// occupy (empty unless the edge is live), derived from the memoised
+    /// arrivals at `from`.
+    pub fn crossing(
+        &self,
+        net: &Network,
+        scenario: &FailureScenario,
+        from: NodeId,
+        to: NodeId,
+    ) -> WindowSet {
+        let arrivals = self.cross_for(net, scenario);
+        self.prelude(net).crossing(net, scenario, &arrivals, from, to)
+    }
+
+    fn prelude(&self, net: &Network) -> &Prelude {
+        self.prelude.get_or_init(|| Prelude::new(net))
     }
 
     /// Carries the context across a model swap on `touched` into the
     /// epoch `net`, which keeps topology and tables: the partition,
     /// boundary, prelude aggregates and narrowing all stay, and only the
     /// touched boxes are re-summarised. If every touched summary widened,
-    /// each memoised scenario's crossings are moved into a fixpoint
+    /// each memoised scenario's arrivals are moved into a fixpoint
     /// resumed at the touched boxes; otherwise the memo is dropped and
     /// scenarios are synthesised from the hosts again on demand. Only the
-    /// network's own scenarios are carried: crossings memoised for any
+    /// network's own scenarios are carried: arrivals memoised for any
     /// other (a scenario a delta has since removed) are dropped, not
     /// resumed. Declared contracts are not re-validated here.
     pub fn carry(&mut self, net: &Network, touched: &[NodeId]) {
@@ -730,18 +777,20 @@ impl ModularContext {
             _ => return false,
         }
         let saddr = Prefix::host(net.host_address(src));
-        let cross = self.cross_for(net, scenario);
-        !topo
-            .live_neighbors(dst, scenario)
-            .any(|x| cross.windows(x, dst).admits_window(saddr, any_dst()))
+        let arrivals = self.cross_for(net, scenario);
+        let prelude = self.prelude(net);
+        !topo.live_neighbors(dst, scenario).any(|x| {
+            prelude.crossing(net, scenario, &arrivals, x, dst).admits_window(saddr, any_dst())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmn_analysis::Module;
     use vmn_mbox::models;
-    use vmn_net::{RoutingConfig, Rule};
+    use vmn_net::{Address, RoutingConfig, Rule};
 
     fn px(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -907,10 +956,178 @@ mod tests {
         (net, fw1)
     }
 
-    /// A model swap carries the memoised crossings: a widening resumes
+    /// A client `c` reaching backend `b` only through load balancer `lb`'s
+    /// VIP: `c - sw1 - lb - sw2 - b`, with only VIP-destined traffic
+    /// routed toward the load balancer.
+    fn load_balanced() -> Network {
+        let vip: Address = "10.2.0.100".parse().unwrap();
+        let backend: Address = "10.2.0.1".parse().unwrap();
+        let mut topo = Topology::new();
+        let c = topo.add_host("c", "10.1.0.1".parse().unwrap());
+        let b = topo.add_host("b", backend);
+        let sw1 = topo.add_switch("sw1");
+        let sw2 = topo.add_switch("sw2");
+        let lb = topo.add_middlebox("lb", "load-balancer", vec![vip]);
+        for (x, y) in [(c, sw1), (sw1, lb), (lb, sw2), (sw2, b)] {
+            topo.add_link(x, y);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        tables.add_rule(sw1, Rule::new(Prefix::host(vip), lb));
+        let mut net = Network::new(topo, tables);
+        net.set_model(lb, models::load_balancer("load-balancer", vip, vec![backend]));
+        net
+    }
+
+    /// The per-edge fixpoint the arrival map replaced, kept as the oracle
+    /// of [`ModularContext::crossing`]: it stores what crosses every
+    /// directed live edge, host-bound ones included, and rebuilds what
+    /// arrives at a node from its incoming crossings.
+    fn crossings_by_edge(
+        net: &Network,
+        scenario: &FailureScenario,
+    ) -> HashMap<(NodeId, NodeId), WindowSet> {
+        let topo = &net.topo;
+        let Prelude { summaries, agg, narrow } = &Prelude::new(net);
+        let widen = |a: Address| {
+            agg.iter().copied().find(|p| p.contains(a)).unwrap_or_else(|| Prefix::host(a))
+        };
+        let mut cross: HashMap<(NodeId, NodeId), WindowSet> = HashMap::new();
+        let mut reach: HashMap<NodeId, WindowSet> = HashMap::new();
+        let mut queue: VecDeque<NodeId> =
+            topo.hosts().filter(|&h| !scenario.is_failed(h)).collect();
+        let mut queued: BTreeSet<NodeId> = queue.iter().copied().collect();
+        while let Some(v) = queue.pop_front() {
+            queued.remove(&v);
+            let node = topo.node(v);
+            let emit: WindowSet = if node.kind.is_host() {
+                let mut seed = WindowSet::empty();
+                for &a in &node.addresses {
+                    seed.insert((widen(a), any_dst()));
+                }
+                seed
+            } else if node.kind.is_middlebox() {
+                let arrived = reach.get(&v).cloned().unwrap_or_else(WindowSet::empty);
+                match summaries.get(&v) {
+                    Some(ForwardSummary::Filter(f)) => arrived.intersect(f),
+                    Some(ForwardSummary::Rewrite) if !arrived.is_empty() => WindowSet::any(),
+                    _ => WindowSet::empty(),
+                }
+            } else {
+                reach.get(&v).cloned().unwrap_or_else(WindowSet::empty)
+            };
+            if emit.is_empty() {
+                continue;
+            }
+            let neighbors: Vec<NodeId> = topo.live_neighbors(v, scenario).collect();
+            for x in neighbors {
+                let w = if node.kind.is_terminal() {
+                    if topo.node(x).kind.is_terminal() {
+                        let owned = aggregate_prefixes(
+                            topo.node(x).addresses.iter().copied().map(Prefix::host).collect(),
+                        );
+                        let mut owned_ws = WindowSet::empty();
+                        for p in owned {
+                            owned_ws.insert((any_dst(), p));
+                        }
+                        emit.intersect(&owned_ws)
+                    } else {
+                        emit.clone()
+                    }
+                } else {
+                    match narrow.get(&(v, x)) {
+                        Some(ps) => {
+                            let mut out = WindowSet::empty();
+                            for &p in ps {
+                                out.union_with(&emit.narrow_dst(p));
+                            }
+                            out
+                        }
+                        None => WindowSet::empty(),
+                    }
+                };
+                if w.is_empty() {
+                    continue;
+                }
+                let grew = cross.entry((v, x)).or_default().union_with(&w);
+                if grew && !topo.node(x).kind.is_host() {
+                    let r = reach.entry(x).or_default();
+                    if r.union_with(&w) && queued.insert(x) {
+                        queue.push_back(x);
+                    }
+                }
+            }
+        }
+        cross
+    }
+
+    /// Under every scenario of `net`: each directed live edge's on-demand
+    /// crossing, host-bound edges included, is `==` to the per-edge
+    /// oracle's, and each node's memoised arrivals are the union of its
+    /// incoming oracle crossings.
+    fn assert_crossings_match_the_oracle(net: &Network, ctx: &ModularContext, label: &str) {
+        for s in net.all_scenarios() {
+            let want = crossings_by_edge(net, &s);
+            let mut arrivals: HashMap<NodeId, WindowSet> = HashMap::new();
+            for (&(_, x), w) in &want {
+                if !net.topo.node(x).kind.is_host() {
+                    arrivals.entry(x).or_default().union_with(w);
+                }
+            }
+            assert_eq!(ctx.cross_for(net, &s).reach, arrivals, "{label}: arrivals under {s:?}");
+            let mut crossed = 0;
+            for (v, _) in net.topo.nodes() {
+                for x in net.topo.live_neighbors(v, &s) {
+                    let edge = want.get(&(v, x));
+                    crossed += usize::from(edge.is_some());
+                    assert_eq!(
+                        ctx.crossing(net, &s, v, x),
+                        edge.cloned().unwrap_or_default(),
+                        "{label}: {} -> {} under {s:?}",
+                        net.topo.node(v).name,
+                        net.topo.node(x).name
+                    );
+                }
+            }
+            assert_eq!(crossed, want.len(), "{label}: the oracle crosses only live edges");
+        }
+    }
+
+    #[test]
+    fn on_demand_crossings_equal_the_per_edge_oracle() {
+        let (net, _) = two_sites();
+        assert_crossings_match_the_oracle(&net, &ModularContext::auto(&net.topo), "two sites");
+        let net = load_balanced();
+        assert_crossings_match_the_oracle(&net, &ModularContext::auto(&net.topo), "load balancer");
+    }
+
+    /// The oracle on the full campus and ISP estates, under their own
+    /// partitions. The estates come from `vmn_scenarios`, which links the
+    /// library build of this crate, so their networks are moved field by
+    /// field into this build's [`Network`].
+    #[test]
+    fn on_demand_crossings_equal_the_per_edge_oracle_on_the_full_estates() {
+        use vmn_scenarios::estate::{Estate, EstateParams};
+        for (label, params) in [("campus", EstateParams::campus()), ("isp", EstateParams::isp())] {
+            let e = Estate::build(params);
+            let partition = e.partition();
+            let net = Network {
+                topo: e.net.topo,
+                tables: e.net.tables,
+                models: e.net.models,
+                scenarios: e.net.scenarios,
+            };
+            let ctx = ModularContext::resolve(&net.topo, partition).unwrap();
+            assert_crossings_match_the_oracle(&net, &ctx, label);
+        }
+    }
+
+    /// A model swap carries the memoised arrivals: a widening resumes
     /// them, anything else drops them, and either way every scenario's
-    /// crossings are exactly — `==`, window normal form included — the
-    /// from-scratch synthesis of the new epoch. A scenario the network no
+    /// arrivals are exactly — `==`, window normal form included — the
+    /// from-scratch synthesis of the new epoch, and every crossing derived
+    /// from them is the per-edge oracle's. A scenario the network no
     /// longer lists is not carried.
     #[test]
     fn carried_crossings_equal_a_fresh_synthesis() {
@@ -938,6 +1155,7 @@ mod tests {
             for s in &scenarios {
                 assert_eq!(*ctx.cross_for(&net, s), synthesize(&net, s), "{label}: {s:?}");
             }
+            assert_crossings_match_the_oracle(&net, &ctx, label);
             assert_ne!(*before, *ctx.cross_for(&net, &FailureScenario::none()), "{label}");
         }
     }
@@ -951,34 +1169,47 @@ mod tests {
     /// isolation the monolithic engine refutes.
     #[test]
     fn rewriting_box_widens_crossings_beyond_arrived_windows() {
+        let net = load_balanced();
+        let id = |name| net.topo.by_name(name).unwrap();
+        let (client, backend) = (net.host_address(id("c")), net.host_address(id("b")));
         let vip: Address = "10.2.0.100".parse().unwrap();
-        let backend: Address = "10.2.0.1".parse().unwrap();
-        let client: Address = "10.1.0.1".parse().unwrap();
-        let mut topo = Topology::new();
-        let c = topo.add_host("c", client);
-        let b = topo.add_host("b", backend);
-        let sw1 = topo.add_switch("sw1");
-        let sw2 = topo.add_switch("sw2");
-        let lb = topo.add_middlebox("lb", "load-balancer", vec![vip]);
-        for (x, y) in [(c, sw1), (sw1, lb), (lb, sw2), (sw2, b)] {
-            topo.add_link(x, y);
-        }
-        let mut rc = RoutingConfig::new();
-        rc.host_routes(&topo);
-        let mut tables = rc.build(&topo, &FailureScenario::none());
-        // Only VIP-destined traffic is routed toward the LB.
-        tables.add_rule(sw1, Rule::new(Prefix::host(vip), lb));
-        let mut net = Network::new(topo, tables);
-        net.set_model(lb, models::load_balancer("load-balancer", vip, vec![backend]));
-
-        let cross = synthesize(&net, &FailureScenario::none());
+        let ctx = ModularContext::auto(&net.topo);
+        let none = FailureScenario::none();
         assert!(
-            cross.windows(sw1, lb).admits(client, vip),
+            ctx.crossing(&net, &none, id("sw1"), id("lb")).admits(client, vip),
             "VIP traffic must reach the load balancer"
         );
         assert!(
-            cross.windows(sw2, b).admits(client, backend),
+            ctx.crossing(&net, &none, id("sw2"), id("b")).admits(client, backend),
             "the rewritten emission must cross into the backend"
         );
+    }
+
+    /// A host alone in its module makes its `switch -> host` link a cut
+    /// edge. A declared ingress there must cover what can arrive, and
+    /// only the on-demand crossing of a host-bound edge says what that is:
+    /// here the load balancer rewrites the client's VIP traffic toward
+    /// the backend, so the client's source arrives.
+    #[test]
+    fn a_host_facing_ingress_must_cover_what_arrives() {
+        let net = load_balanced();
+        let module =
+            |name: &str, nodes: &[&str]| Module::new(name, nodes.iter().map(|n| n.to_string()));
+        let partition = Partition {
+            modules: vec![module("backend", &["b"]), module("rest", &["c", "sw1", "lb", "sw2"])],
+        };
+        let declare = |windows: WindowSet| {
+            let ingress = vec![PortContract { from: "sw2".into(), to: "b".into(), windows }];
+            let contract = ModuleContract { module: "backend".into(), ingress, egress: vec![] };
+            let mut ctx = ModularContext::resolve(&net.topo, partition.clone()).unwrap();
+            ctx.install_contracts(&net, vec![contract])
+        };
+        let backend_side = WindowSet::window(px("10.2.0.0/16"), any_dst());
+        assert!(
+            matches!(declare(backend_side), Err(ContractError::Unsound { ref from, ref to, .. })
+                if from == "sw2" && to == "b"),
+            "an ingress leaving out the client's source must be refused"
+        );
+        assert_eq!(declare(WindowSet::window(any_dst(), px("10.2.0.1/32"))), Ok(()));
     }
 }

@@ -17,7 +17,7 @@
 //!   fit inside its elapsed time;
 //! * the session's verifier, carried from epoch to epoch, equals one
 //!   built from nothing on the same network and options: policy classes,
-//!   header classes, modules, and the contract crossings of every live
+//!   header classes, modules, and the contract arrival maps of every live
 //!   scenario (half the generated networks run under `partition auto`).
 //!
 //! This is the soundness argument for the daemon's verdict cache: the
@@ -264,7 +264,7 @@ fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
                 assert_eq!(
                     *c.cross_for(net, &scenario),
                     *f.cross_for(net, &scenario),
-                    "{label}: crossings under {skey:?}"
+                    "{label}: contract arrivals under {skey:?}"
                 );
             }
         }
