@@ -13,8 +13,10 @@
 //!   carries from the emitter to the target, as the union of the target's
 //!   intervals in [`TransferFunction::delivery_intervals`], the list the
 //!   SMT encoder compiles too, so both backends see the same network.
-//!   The interval list is swept once per (scenario, emitter); a predicate
-//!   is built only for a target some query's slice contains. A slice
+//!   The interval lists are read from the memo of the [`HeaderClasses`]
+//!   the dataplane is built on, which the verifier shares with every other
+//!   interval reader; a predicate is built only for a target some query's
+//!   slice contains. A slice
 //!   observes nothing else — an arrival outside it is a drop — so what a
 //!   query compiles is bounded by its slice, not by the network.
 //!
@@ -33,7 +35,6 @@
 //! is built on it.
 
 use crate::{Bdd, BddStats, Ref};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -161,10 +162,12 @@ pub enum Outcome {
 }
 
 /// The BDD dataplane: one manager plus the per-device and per-scenario
-/// predicate caches. Build once per network; `check` per query. Every
-/// cache fills on demand and holds only what some query's slice could
-/// observe, so neither a query's work nor the manager's size grows with
-/// the part of the network outside the slices asked about.
+/// predicate caches. Build once per network and models; `check` per
+/// query. Every cache fills on demand and holds only what some query's
+/// slice could observe, so neither a query's work nor the manager's size
+/// grows with the part of the network outside the slices asked about. The
+/// interval lists the delivery predicates are built from are not kept
+/// here: they live in the shared [`HeaderClasses`].
 pub struct Dataplane {
     man: Bdd,
     classes: Arc<HeaderClasses>,
@@ -175,19 +178,12 @@ pub struct Dataplane {
     delivery: HashMap<FailureScenario, Delivery>,
 }
 
-/// One scenario's static datapath, as far as queries have looked at it.
-#[derive(Default)]
-struct Delivery {
-    /// [`TransferFunction::delivery_intervals`] per emitter: the one
-    /// whole-address-space sweep an (emitter, scenario) pair costs.
-    intervals: HashMap<NodeId, Vec<(u32, u32, Option<NodeId>)>>,
-    /// (emitter, target) → the destination predicate of the target's
-    /// intervals together with the index of the first of them (the order
-    /// a search visits targets in), or `None` when the emitter delivers
-    /// nothing there. An entry exists only for a target some query's
-    /// slice contained.
-    predicates: HashMap<(NodeId, NodeId), Option<(usize, Ref)>>,
-}
+/// One scenario's static datapath, as far as queries have looked at it:
+/// (emitter, target) → the destination predicate of the target's
+/// intervals together with the index of the first of them (the order a
+/// search visits targets in), or `None` when the emitter delivers nothing
+/// there. An entry exists only for a target some query's slice contained.
+type Delivery = HashMap<(NodeId, NodeId), Option<(usize, Ref)>>;
 
 fn field_vars(base: u32, width: u32) -> Vec<u32> {
     (base..base + width).collect()
@@ -196,7 +192,9 @@ fn field_vars(base: u32, width: u32) -> Vec<u32> {
 impl Dataplane {
     /// Builds the dataplane for the network `classes` was computed from
     /// ([`HeaderClasses::from_network`], the prefix set the SMT encoder
-    /// splits on); every `check` must be given that network.
+    /// splits on); every `check` must be given that network. The interval
+    /// lists are read from, and memoised in, `classes`, so a caller that
+    /// shares it with its other interval readers sweeps each list once.
     pub fn new(classes: Arc<HeaderClasses>) -> Dataplane {
         Dataplane { man: Bdd::new(), classes, transfer: HashMap::new(), delivery: HashMap::new() }
     }
@@ -204,6 +202,18 @@ impl Dataplane {
     /// Cumulative manager counters (nodes, cache traffic) for reports.
     pub fn stats(&self) -> BddStats {
         self.man.stats()
+    }
+
+    /// How many scenarios hold delivery predicates (diagnostics and tests).
+    pub fn memoised_scenarios(&self) -> usize {
+        self.delivery.len()
+    }
+
+    /// Drops the delivery predicates of every scenario not in `live` (a
+    /// scenario the network no longer declares). The manager keeps their
+    /// nodes; only the map entries go.
+    pub fn retain_scenarios(&mut self, live: &[FailureScenario]) {
+        self.delivery.retain(|scenario, _| live.contains(scenario));
     }
 
     /// The forwarded-header predicate of middlebox `m`.
@@ -341,17 +351,12 @@ impl Dataplane {
         }
         let cache = self.delivery.get_mut(scenario).expect("inserted above");
         let missing: Vec<NodeId> =
-            visible.iter().copied().filter(|&t| !cache.predicates.contains_key(&(f, t))).collect();
+            visible.iter().copied().filter(|&t| !cache.contains_key(&(f, t))).collect();
         if !missing.is_empty() {
-            let intervals = match cache.intervals.entry(f) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(
-                    TransferFunction::new(topo, tables, scenario)
-                        .delivery_intervals(f, &self.classes)?,
-                ),
-            };
+            let intervals = TransferFunction::new(topo, tables, scenario)
+                .delivery_intervals(f, &self.classes)?;
             for &t in &missing {
-                cache.predicates.insert((f, t), None);
+                cache.insert((f, t), None);
             }
             let dst_vars = field_vars(DST_BASE, 32);
             for (i, &(start, end, target)) in intervals.iter().enumerate() {
@@ -360,7 +365,7 @@ impl Dataplane {
                     continue;
                 }
                 let pred = self.man.bits_in_range(&dst_vars, start as u64, end as u64);
-                let slot = cache.predicates.get_mut(&(f, target)).expect("inserted above");
+                let slot = cache.get_mut(&(f, target)).expect("inserted above");
                 *slot = Some(match *slot {
                     Some((first, sofar)) => (first, self.man.or(sofar, pred)),
                     None => (i, pred),
@@ -369,7 +374,7 @@ impl Dataplane {
         }
         let mut found: Vec<(usize, NodeId, Ref)> = visible
             .iter()
-            .filter_map(|&t| cache.predicates[&(f, t)].map(|(first, pred)| (first, t, pred)))
+            .filter_map(|&t| cache[&(f, t)].map(|(first, pred)| (first, t, pred)))
             .collect();
         found.sort_unstable_by_key(|&(first, ..)| first);
         Ok(found.into_iter().map(|(_, t, pred)| (t, pred)).collect())
@@ -821,12 +826,17 @@ mod tests {
                     }
                 }
                 let cached = &dp.delivery[scenario];
-                assert!(!cached.predicates.is_empty());
+                assert!(!cached.is_empty());
                 assert!(
-                    cached.predicates.keys().all(|(_, target)| slice.contains(target)),
+                    cached.keys().all(|(_, target)| slice.contains(target)),
                     "a predicate was compiled for a terminal outside the slice"
                 );
-                assert!(cached.intervals.keys().all(|emitter| slice.contains(emitter)));
+                let swept = classes.memoised_emitters(scenario);
+                assert!(!swept.is_empty());
+                assert!(
+                    swept.iter().all(|emitter| slice.contains(emitter)),
+                    "an interval list was swept for an emitter outside the slice"
+                );
             }
         }
     }

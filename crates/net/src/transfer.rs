@@ -12,22 +12,32 @@
 //! [`HeaderClasses`] implements VeriFlow's equivalence-class trick: split
 //! the address space at every prefix boundary appearing in the
 //! configuration, and around every terminal's own address, so that all
-//! addresses within a class are delivered identically. Slicing and policy-equivalence computation enumerate
-//! classes instead of addresses.
+//! addresses within a class are delivered identically. Slicing and
+//! policy-equivalence computation enumerate classes instead of addresses.
+//! The classes also own the one delivery table: the per-(scenario, emitter) interval lists
+//! of [`TransferFunction::delivery_intervals`], each swept once and shared
+//! by every reader of the same classes.
 
 use crate::addr::{Address, Prefix};
 use crate::error::NetError;
 use crate::fwd::ForwardingTables;
 use crate::topology::{FailureScenario, NodeId, NodeKind, Topology};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// One run of destination addresses an emitter's packets land alike:
+/// `(first, last, target)`, inclusive, `None` for a drop.
+pub type Interval = (u32, u32, Option<NodeId>);
 
 /// The transfer function of a network under one failure scenario.
 ///
 /// Borrows the topology, tables and scenario and holds nothing else, so
-/// build one wherever a scenario is at hand. What is cached lives in the
-/// tables (each switch's LPM index, built by the first lookup and dropped
-/// by any rule change); delivery results and interval lists are not
-/// cached here — every call walks the tables.
+/// build one wherever a scenario is at hand. What is cached lives
+/// elsewhere: each switch's LPM index in the tables (built by the first
+/// lookup, dropped by any rule change), and the interval lists of
+/// [`TransferFunction::delivery_intervals`] in the [`HeaderClasses`]
+/// passed to it. `deliver` and `terminal_path` walk the tables every call.
 #[derive(Clone, Copy)]
 pub struct TransferFunction<'a> {
     pub topo: &'a Topology,
@@ -121,9 +131,8 @@ impl<'a> TransferFunction<'a> {
     }
 
     /// Where this emitter's packets land, header class by header class,
-    /// with adjacent classes of equal outcome merged: `(first, last,
-    /// target)` over destination addresses, covering the whole address
-    /// space in order, `None` for a drop.
+    /// with adjacent classes of equal outcome merged: [`Interval`]s over
+    /// destination addresses, covering the whole address space in order.
     ///
     /// This is the one interval view of the static datapath: the SMT
     /// encoder, the BDD dataplane and the verdict fingerprint each
@@ -133,12 +142,25 @@ impl<'a> TransferFunction<'a> {
     /// outcome and then discards that outcome (the encoder's and the
     /// fingerprint's out-of-slice "drop") keeps exactly the intervals it
     /// would have kept by merging after projecting.
+    ///
+    /// The list is memoised in `classes` under (scenario, emitter): only
+    /// the first call sweeps the classes, and every later call — from any
+    /// reader holding the same classes — gets the same [`Arc`]. `classes`
+    /// must therefore be [`HeaderClasses::from_network`] of this transfer
+    /// function's topology and tables. A forwarding loop is returned, not
+    /// memoised.
     pub fn delivery_intervals(
         &self,
         emitter: NodeId,
         classes: &HeaderClasses,
-    ) -> Result<Vec<(u32, u32, Option<NodeId>)>, NetError> {
-        let mut intervals: Vec<(u32, u32, Option<NodeId>)> = Vec::new();
+    ) -> Result<Arc<[Interval]>, NetError> {
+        if let Some(hit) = classes.memo().get(self.scenario).and_then(|m| m.get(&emitter)) {
+            return Ok(hit.clone());
+        }
+        // Swept outside the lock, so `verify_all` workers on different
+        // scenarios do not serialise; two that race on one list compute
+        // the same intervals and the first insert is kept.
+        let mut intervals: Vec<Interval> = Vec::new();
         for ci in 0..classes.num_classes() {
             let rep = classes.representative(ci);
             let target = self.deliver(emitter, rep)?;
@@ -152,7 +174,9 @@ impl<'a> TransferFunction<'a> {
                 _ => intervals.push((rep.0, last, target)),
             }
         }
-        Ok(intervals)
+        let mut memo = classes.memo();
+        let per_emitter = memo.entry(self.scenario.clone()).or_default();
+        Ok(per_emitter.entry(emitter).or_insert_with(|| intervals.into()).clone())
     }
 
     /// Follows the full middlebox pipeline from `src` toward `dst`,
@@ -193,7 +217,8 @@ impl<'a> TransferFunction<'a> {
     }
 }
 
-/// VeriFlow-style header equivalence classes over destination addresses.
+/// VeriFlow-style header equivalence classes over destination addresses,
+/// and the delivery table over them.
 ///
 /// Built by [`HeaderClasses::from_network`], two addresses in the same
 /// class match exactly the same set of table prefixes, hence are treated
@@ -202,10 +227,33 @@ impl<'a> TransferFunction<'a> {
 /// destination only through those two tests — the switch lookups and the
 /// entry step's hand-off to a linked terminal that owns it — so every
 /// address of a class is delivered like its representative.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The delivery table memoises [`TransferFunction::delivery_intervals`]
+/// per (scenario, emitter). Delivery reads only the topology, the tables
+/// and the scenario, so the table is valid exactly as long as the classes
+/// are: a holder that keeps the classes across a change of models keeps
+/// the table too, and a change of topology or tables needs new classes.
+/// Share one instance behind an [`Arc`] and every reader sweeps each list
+/// at most once. Equality compares the class splits only.
 pub struct HeaderClasses {
     /// Sorted start addresses; class `i` covers `[starts[i], starts[i+1])`.
     starts: Vec<u32>,
+    /// scenario → emitter → interval list, filled on demand.
+    delivery: Mutex<HashMap<FailureScenario, HashMap<NodeId, Arc<[Interval]>>>>,
+}
+
+impl PartialEq for HeaderClasses {
+    fn eq(&self, other: &HeaderClasses) -> bool {
+        self.starts == other.starts
+    }
+}
+
+impl Eq for HeaderClasses {}
+
+impl fmt::Debug for HeaderClasses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HeaderClasses").field("starts", &self.starts).finish_non_exhaustive()
+    }
 }
 
 impl HeaderClasses {
@@ -229,7 +277,7 @@ impl HeaderClasses {
         }
         starts.sort_unstable();
         starts.dedup();
-        HeaderClasses { starts }
+        HeaderClasses { starts, delivery: Mutex::default() }
     }
 
     pub fn num_classes(&self) -> usize {
@@ -252,6 +300,32 @@ impl HeaderClasses {
     /// Iterates over one representative per class.
     pub fn representatives(&self) -> impl Iterator<Item = Address> + '_ {
         self.starts.iter().map(|&s| Address(s))
+    }
+
+    /// The emitters whose interval lists under `scenario` are memoised,
+    /// sorted (diagnostics and tests).
+    pub fn memoised_emitters(&self, scenario: &FailureScenario) -> Vec<NodeId> {
+        let mut emitters: Vec<NodeId> =
+            self.memo().get(scenario).map(|m| m.keys().copied().collect()).unwrap_or_default();
+        emitters.sort_unstable();
+        emitters
+    }
+
+    /// How many scenarios the delivery table holds lists for.
+    pub fn memoised_scenarios(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// Drops the lists of every scenario not in `live` (a scenario its
+    /// network no longer declares).
+    pub fn retain_scenarios(&self, live: &[FailureScenario]) {
+        self.memo().retain(|scenario, _| live.contains(scenario));
+    }
+
+    /// The delivery table's lock. A holder only probes or inserts a
+    /// finished list, so a poisoned lock is recovered, not propagated.
+    fn memo(&self) -> MutexGuard<'_, HashMap<FailureScenario, HashMap<NodeId, Arc<[Interval]>>>> {
+        self.delivery.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

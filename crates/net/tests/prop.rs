@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashSet;
+use std::sync::Arc;
 use vmn_net::{
     Address, FailureScenario, ForwardingTables, HeaderClasses, Link, NetError, NodeId, NodeKind,
     Prefix, RoutingConfig, Rule, Topology, TransferFunction,
@@ -398,11 +399,19 @@ fn assert_index_matches_reference(
             );
         }
         let intervals = tf.delivery_intervals(t, &classes);
+        let reference = ref_intervals(topo, tables, scenario, &classes, t);
         assert_eq!(
-            intervals,
-            ref_intervals(topo, tables, scenario, &classes, t),
+            intervals.as_deref(),
+            reference.as_deref(),
             "delivery_intervals of {t:?} under {scenario:?}"
         );
+        // The second ask is a memo hit: the very same list, still equal
+        // to the reference.
+        let again = tf.delivery_intervals(t, &classes);
+        if let (Ok(first), Ok(second)) = (&intervals, &again) {
+            assert!(Arc::ptr_eq(first, second), "delivery_intervals of {t:?} was swept twice");
+        }
+        assert_eq!(again.as_deref(), reference.as_deref(), "memoised intervals of {t:?}");
         // A terminal's own address is a class of its own: the entry step
         // hands a packet for it straight to a linked owner, whatever the
         // tables say about its neighbours.

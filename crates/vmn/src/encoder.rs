@@ -115,6 +115,7 @@
 use crate::invariant::Invariant;
 use crate::network::Network;
 use std::collections::HashMap;
+use std::sync::Arc;
 use vmn_mbox::{Action, Guard, KeyExpr, MboxModel};
 use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
 use vmn_smt::{Context, SatResult, Sort, TermId};
@@ -285,8 +286,27 @@ pub fn encode(
 /// scenarios by [`Encoded::scenario_literal`], and one
 /// [`Encoded::check_invariant_scenario`] call decides any registered
 /// (invariant, scenario) pair on the persistent solver.
+///
+/// Builds header classes of its own, so its delivery lists are swept
+/// afresh; the verifier's sessions are built over the epoch's shared
+/// classes instead ([`Verifier::header_classes`](crate::Verifier::header_classes)).
 pub fn encode_skeleton(net: &Network, nodes: &[NodeId], k: usize) -> Result<Encoded, EncodeError> {
-    let mut enc = Encoded::new(net, nodes, k)?;
+    let classes = Arc::new(HeaderClasses::from_network(&net.topo, &net.tables));
+    encode_skeleton_over(net, classes, nodes, k)
+}
+
+/// [`encode_skeleton`] over given header classes, which must be
+/// [`HeaderClasses::from_network`] of `net`: each scenario's delivery
+/// intervals are read from their memo, so every session of an epoch
+/// shares one sweep per (scenario, emitter) with the BDD dataplane and the
+/// verdict fingerprints.
+pub(crate) fn encode_skeleton_over(
+    net: &Network,
+    classes: Arc<HeaderClasses>,
+    nodes: &[NodeId],
+    k: usize,
+) -> Result<Encoded, EncodeError> {
+    let mut enc = Encoded::new(net, classes, nodes, k)?;
     enc.build_steps(net);
     Ok(enc)
 }
@@ -311,9 +331,10 @@ pub struct Encoded {
     node_w: u32,
     step_w: u32,
     /// Destination-address equivalence classes of the static datapath
-    /// (scenario-independent; each scenario reuses them for its transfer
-    /// function compilation).
-    classes: HeaderClasses,
+    /// and the delivery intervals memoised over them: the encoder's own
+    /// from [`encode_skeleton`], the epoch's shared instance in a
+    /// verifier's session. Each scenario reads its intervals from here.
+    classes: Arc<HeaderClasses>,
     /// Host / middlebox terminals in scope (across all scenarios; each
     /// scenario's activation literal disables its failed ones).
     hosts: Vec<NodeId>,
@@ -334,7 +355,12 @@ pub struct Encoded {
 }
 
 impl Encoded {
-    fn new(net: &Network, nodes: &[NodeId], k: usize) -> Result<Encoded, EncodeError> {
+    fn new(
+        net: &Network,
+        classes: Arc<HeaderClasses>,
+        nodes: &[NodeId],
+        k: usize,
+    ) -> Result<Encoded, EncodeError> {
         if !(1..=MAX_TRACE_BOUND).contains(&k) {
             return Err(EncodeError::TraceBound(k));
         }
@@ -347,8 +373,6 @@ impl Encoded {
         let drop_id = terminals.len() as u64;
         let node_w = bits_for(drop_id + 1);
         let step_w = bits_for(k as u64);
-
-        let classes = HeaderClasses::from_network(&net.topo, &net.tables);
 
         let hosts: Vec<NodeId> =
             terminals.iter().copied().filter(|&n| net.topo.node(n).kind.is_host()).collect();
@@ -585,8 +609,10 @@ impl Encoded {
             }
             let intervals: Vec<(u32, u32, u64)> = tf
                 .delivery_intervals(f, &self.classes)?
-                .into_iter()
-                .filter_map(|(first, last, target)| Some((first, last, *self.index.get(&target?)?)))
+                .iter()
+                .filter_map(|&(first, last, target)| {
+                    Some((first, last, *self.index.get(&target?)?))
+                })
                 .collect();
             for t in 0..self.k {
                 let present = self.steps[t].present;
@@ -1721,7 +1747,8 @@ mod encoder_tests {
     /// The skeleton without the three normal-form rules: the reference
     /// the differential test compares [`encode_skeleton`] against.
     fn encode_skeleton_unnormalised(net: &Network, nodes: &[NodeId], k: usize) -> Encoded {
-        let mut enc = Encoded::new(net, nodes, k).unwrap();
+        let classes = Arc::new(HeaderClasses::from_network(&net.topo, &net.tables));
+        let mut enc = Encoded::new(net, classes, nodes, k).unwrap();
         enc.normal_form = false;
         enc.build_steps(net);
         enc

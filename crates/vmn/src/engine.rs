@@ -337,16 +337,18 @@ pub struct Verifier {
     /// partial mutation, so a worker that panicked mid-`verify_all` must
     /// not wedge every later verify on this verifier.
     pool: Mutex<SessionPool>,
-    /// The header classes of the current epoch, built on first use and
-    /// shared by the BDD dataplane and the daemon's fingerprints.
+    /// The header classes of the current epoch and the delivery intervals
+    /// memoised in them, built on first use and shared by every interval
+    /// reader: the pooled solver sessions, the BDD dataplane and the
+    /// daemon's fingerprints.
     classes: OnceLock<Arc<HeaderClasses>>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
-    /// (per-middlebox transfer predicates, per-(scenario, emitter)
-    /// delivery intervals and per-(scenario, emitter, target) delivery
-    /// predicates cache inside it, each filled only as far as the slices
-    /// checked so far reach). Locking recovers from poisoning for the
-    /// same reason the pool's does.
+    /// (per-middlebox transfer predicates and per-(scenario, emitter,
+    /// target) delivery predicates cache inside it, each filled only as
+    /// far as the slices checked so far reach; the interval lists the
+    /// predicates are built from live in `classes`). Locking recovers
+    /// from poisoning for the same reason the pool's does.
     bdd: Mutex<Option<Dataplane>>,
     /// The modular-verification context (resolved partition, boundary
     /// edges, validated contracts and the per-scenario synthesis cache).
@@ -503,7 +505,10 @@ impl Verifier {
     }
 
     /// [`HeaderClasses::from_network`] of the current epoch, computed once
-    /// per epoch however many consumers ask.
+    /// per epoch however many consumers ask. The engine builds no other
+    /// instance: its solver sessions, its BDD dataplane and the daemon's
+    /// fingerprints all read their delivery intervals through this one,
+    /// so each (scenario, emitter) list is swept once per epoch.
     pub fn header_classes(&self) -> &Arc<HeaderClasses> {
         self.classes
             .get_or_init(|| Arc::new(HeaderClasses::from_network(&self.net.topo, &self.net.tables)))
@@ -517,7 +522,8 @@ impl Verifier {
     ///   dataplane register new scenarios and invariants lazily.
     /// * [`TouchSet::Nodes`] — a model swap, which keeps topology, tables
     ///   and node ids by contract (only a touched box's type name may
-    ///   change). Kept: the header classes, the
+    ///   change). Kept: the header classes with their memoised delivery
+    ///   intervals (delivery reads no model), the
     ///   partition and boundary, the prelude's aggregates, and every
     ///   pooled session whose node set misses the touched boxes (a
     ///   skeleton encodes only its own nodes' models plus delivery).
@@ -531,7 +537,13 @@ impl Verifier {
     ///   which read the models.
     /// * [`TouchSet::Everything`] — structural change: node identity,
     ///   header classes and delivery may all have moved, so the epoch is
-    ///   built from nothing and every pooled session is retired.
+    ///   built from nothing: the classes and their interval memo are
+    ///   dropped and every pooled session is retired.
+    ///
+    /// Whatever the kind, every per-scenario memo the swap keeps — the
+    /// memoised intervals, the contract arrivals and the BDD delivery
+    /// predicates — drops the scenarios the new network no longer
+    /// declares, so a daemon's removed scenarios do not accumulate.
     ///
     /// Dropped policy classes are rebuilt by [`Verifier::policy`] on first
     /// read. Only [`Verifier::verify_all`]'s symmetry grouping and a slice
@@ -579,9 +591,21 @@ impl Verifier {
                 self.policy = OnceLock::new();
             }
         }
+        // Any delta may have removed scenarios: every per-scenario memo
+        // that survives the swap keeps only the new epoch's.
+        let live = net.all_scenarios();
+        let bdd = self.bdd.get_mut().unwrap_or_else(PoisonError::into_inner);
         if !touched.is_nothing() {
-            *self.bdd.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+            *bdd = None;
             self.bdd.clear_poison();
+        } else if let Some(dp) = bdd {
+            dp.retain_scenarios(&live);
+        }
+        if let Some(classes) = self.classes.get() {
+            classes.retain_scenarios(&live);
+        }
+        if let Some(ctx) = &self.modular {
+            ctx.retain_scenarios(&live);
         }
         self.net = net;
         Ok(())
@@ -631,7 +655,8 @@ impl Verifier {
             debug_assert_eq!(enc.ctx.proofs_enabled(), self.options.emit_proofs);
             return Ok(enc);
         }
-        let mut enc = encoder::encode_skeleton(&self.net, nodes, k)?;
+        let classes = self.header_classes().clone();
+        let mut enc = encoder::encode_skeleton_over(&self.net, classes, nodes, k)?;
         if self.options.emit_proofs {
             // Legal here (and only here): clauses reach the SAT core
             // during lazy lowering at check time, so a freshly encoded
@@ -1157,7 +1182,7 @@ pub(crate) mod engine_tests {
     use super::*;
     use std::collections::HashSet;
     use vmn_mbox::models;
-    use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology};
+    use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology, TransferFunction};
 
     fn px(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -1856,6 +1881,45 @@ pub(crate) mod engine_tests {
         assert!(!r.verdict.holds());
     }
 
+    /// The pooled SMT sessions read the epoch's one delivery memo: after
+    /// a check on a stateful slice, the verifier's header classes already
+    /// hold every live slice terminal's interval list. A model swap keeps
+    /// the memo (the very same lists); a structural swap starts an empty
+    /// one.
+    #[test]
+    fn smt_sessions_share_the_epochs_delivery_memo() {
+        let (net, src, dst) = pipelined(true);
+        let inv = Invariant::NodeIsolation { src, dst };
+        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let classes = v.header_classes().clone();
+        let mut lists = Vec::new();
+        for s in net.all_scenarios() {
+            let r = v.verify_under(&inv, vec![s.clone()]).unwrap();
+            assert_eq!(r.smt_scenarios, 1, "the stateful slice takes the SMT route");
+            let swept = classes.memoised_emitters(&s);
+            let tf = TransferFunction::new(&net.topo, &net.tables, &s);
+            let plan = v.plan(&inv, &s).unwrap();
+            for &t in plan.nodes().iter().filter(|&&t| !s.is_failed(t)) {
+                let name = &net.topo.node(t).name;
+                assert!(swept.contains(&t), "{name} under {s:?}: the session swept a private copy");
+                lists.push((s.clone(), t, tf.delivery_intervals(t, &classes).unwrap()));
+            }
+        }
+        assert!(!lists.is_empty());
+
+        v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
+        assert!(Arc::ptr_eq(v.header_classes(), &classes), "a model swap keeps the classes");
+        for (s, t, list) in &lists {
+            let tf = TransferFunction::new(&net.topo, &net.tables, s);
+            let again = tf.delivery_intervals(*t, v.header_classes()).unwrap();
+            assert!(Arc::ptr_eq(&again, list), "a model swap keeps the memoised lists");
+        }
+
+        v.swap_network(v.network().clone(), &TouchSet::Everything).unwrap();
+        assert!(!Arc::ptr_eq(v.header_classes(), &classes));
+        assert_eq!(v.header_classes().memoised_scenarios(), 0, "a structural swap starts afresh");
+    }
+
     /// Clients `c1`, `c2` and `other` reach `server` through `mb`, a
     /// learning firewall or — with `cache` — a content cache for the
     /// server's /16 that refuses `other`. Node ids are equal either way,
@@ -2358,5 +2422,45 @@ pub(crate) mod engine_tests {
         let touched = TouchSet::Nodes(std::iter::once("fw1".to_string()).collect());
         let err = v.swap_network(Arc::new(wide), &touched).expect_err("widened crossings");
         assert!(matches!(err, VerifyError::Contract(ContractError::Unsound { .. })), "got {err}");
+    }
+
+    /// A scenario a delta removes leaves every per-scenario memo at the
+    /// next swap, even one that touches nothing: after 50 add/remove
+    /// pairs the contract arrivals, the BDD delivery predicates and the
+    /// interval lists each hold the live scenarios only.
+    #[test]
+    fn removed_scenarios_leave_every_per_scenario_memo() {
+        let (net, a1, a2, b1, _b2) = two_buildings();
+        let opts = VerifyOptions { partition: PartitionMode::Auto, ..Default::default() };
+        let mut v = Verifier::new(&net, opts).unwrap();
+        // Across the buildings the contracts answer; within one the BDD
+        // dataplane does.
+        let invs = [
+            Invariant::NodeIsolation { src: a1, dst: b1 },
+            Invariant::NodeIsolation { src: a2, dst: a1 },
+        ];
+        let extras: Vec<FailureScenario> = ["b1", "b2", "bsw1", "bsw2", "core", "fw1"]
+            .iter()
+            .map(|n| FailureScenario::nodes([net.topo.by_name(n).unwrap()]))
+            .collect();
+        let memos = |v: &mut Verifier| {
+            let bdd = v.bdd.get_mut().unwrap().as_ref().map_or(0, Dataplane::memoised_scenarios);
+            let modular = v.modular.as_ref().unwrap().memoised_scenarios();
+            (modular, bdd, v.header_classes().memoised_scenarios())
+        };
+        for round in 0..50 {
+            let mut added = net.clone();
+            added.add_scenario(extras[round % extras.len()].clone());
+            v.swap_network(Arc::new(added), &TouchSet::Nothing).unwrap();
+            for s in v.network().all_scenarios() {
+                for inv in &invs {
+                    v.verify_under(inv, vec![s.clone()]).unwrap();
+                }
+            }
+            assert_eq!(memos(&mut v), (3, 3, 3), "round {round}: every memo saw the new scenario");
+            v.swap_network(Arc::new(net.clone()), &TouchSet::Nothing).unwrap();
+        }
+        let live = net.all_scenarios().len();
+        assert_eq!(memos(&mut v), (live, live, live), "arrivals, predicates, interval lists");
     }
 }

@@ -712,6 +712,17 @@ impl ModularContext {
         self.prelude(net).crossing(net, scenario, &arrivals, from, to)
     }
 
+    /// How many scenarios have memoised arrivals (diagnostics and tests).
+    pub fn memoised_scenarios(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// Drops the memoised arrivals of every scenario not in `live` (a
+    /// scenario the network no longer declares).
+    pub fn retain_scenarios(&self, live: &[FailureScenario]) {
+        self.memo().retain(|scenario, _| live.contains(scenario));
+    }
+
     fn prelude(&self, net: &Network) -> &Prelude {
         self.prelude.get_or_init(|| Prelude::new(net))
     }
@@ -727,11 +738,10 @@ impl ModularContext {
     /// other (a scenario a delta has since removed) are dropped, not
     /// resumed. Declared contracts are not re-validated here.
     pub fn carry(&mut self, net: &Network, touched: &[NodeId]) {
+        self.retain_scenarios(&net.all_scenarios());
         // No prelude means nothing was synthesised, so nothing is memoised.
         let Some(prelude) = self.prelude.get_mut() else { return };
         let memo = self.cache.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let live = net.all_scenarios();
-        memo.retain(|scenario, _| live.contains(scenario));
         if !prelude.resummarise(net, touched) {
             memo.clear();
             return;

@@ -292,7 +292,10 @@ pub fn cluster_slices(slices: &[Vec<NodeId>], threshold: f64) -> Vec<Vec<usize>>
 ///
 /// `classes` must be the header classes of `net`
 /// ([`HeaderClasses::from_network`]); they are passed in so one
-/// computation serves every (invariant, scenario) pair of an epoch.
+/// computation serves every (invariant, scenario) pair of an epoch, and
+/// the interval lists are read from their memo: a list the engine's
+/// sessions or BDD dataplane already swept over the same classes is not
+/// swept again, and neither is one an earlier fingerprint swept.
 pub fn verdict_fingerprint(
     net: &Network,
     classes: &HeaderClasses,
@@ -369,7 +372,7 @@ pub fn verdict_fingerprint(
             continue;
         }
         name(net, f).hash(&mut h);
-        for (first, last, target) in tf.delivery_intervals(f, classes)? {
+        for &(first, last, target) in tf.delivery_intervals(f, classes)?.iter() {
             if let Some(t) = target.filter(|t| in_slice.contains(t)) {
                 (first, last, name(net, t)).hash(&mut h);
             }

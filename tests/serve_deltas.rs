@@ -17,8 +17,9 @@
 //!   fit inside its elapsed time;
 //! * the session's verifier, carried from epoch to epoch, equals one
 //!   built from nothing on the same network and options: policy classes,
-//!   header classes, modules, and the contract arrival maps of every live
-//!   scenario (half the generated networks run under `partition auto`).
+//!   header classes and the interval lists memoised over them, modules,
+//!   and the contract arrival maps of every live scenario (half the
+//!   generated networks run under `partition auto`).
 //!
 //! This is the soundness argument for the daemon's verdict cache: the
 //! kept / contract / fingerprint ladder may skip arbitrary solver work,
@@ -42,7 +43,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
-use vmn_net::FailureScenario;
+use vmn_net::{FailureScenario, TransferFunction};
 use vmn_serve::{scenario_key, Delta, NetSession, NodeSpec};
 
 fn fuzz_cases() -> u32 {
@@ -253,6 +254,19 @@ fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
     let fresh = Verifier::from_arc(net.clone(), options).expect("valid network");
     assert_eq!(carried.policy().classes, fresh.policy().classes, "{label}: policy classes");
     assert_eq!(carried.header_classes(), fresh.header_classes(), "{label}: header classes");
+    // `==` compares the class splits only; the memoised interval lists
+    // must match a fresh sweep too, or a list outlived its epoch.
+    for (skey, scenario) in session.scenario_list() {
+        let tf = TransferFunction::new(&net.topo, &net.tables, &scenario);
+        for t in net.topo.terminals() {
+            assert_eq!(
+                tf.delivery_intervals(t, carried.header_classes()),
+                tf.delivery_intervals(t, fresh.header_classes()),
+                "{label}: delivery intervals of {} under {skey:?}",
+                net.topo.node(t).name
+            );
+        }
+    }
     match (carried.modular_context(), fresh.modular_context()) {
         (None, None) => {}
         (Some(c), Some(f)) => {
