@@ -11,10 +11,11 @@
 //! anything derived from the topology — header classes, delivery
 //! functions, node ids — may have moved.
 //!
-//! The engine consumes a [`TouchSet`] to retire warmed solver sessions
-//! (`vmn::Verifier::swap_network`): a session's skeleton encodes the
-//! models and delivery behaviour of its node set, so it survives exactly
-//! the deltas whose touch set misses that node set. The daemon keeps its
+//! The engine consumes a [`TouchSet`] to decide how much of its epoch a
+//! swap keeps (`vmn::Verifier::swap_network`): header classes, delivery
+//! intervals, contract arrivals, policy classes and the BDD dataplane
+//! each survive exactly the deltas that cannot have moved them. The
+//! daemon keeps its
 //! cached verdicts as they are only under [`TouchSet::Nothing`]; after
 //! any other delta it asks each pair's slice fingerprint instead.
 
@@ -27,12 +28,11 @@ use std::collections::BTreeSet;
 pub enum TouchSet {
     /// No observable behaviour changed: invariants or failure scenarios
     /// were added/retired, but every node forwards and filters exactly
-    /// as before. Warmed sessions stay valid (scenarios and invariants
-    /// register lazily on sessions behind activation literals).
+    /// as before. Every per-epoch table stays valid.
     Nothing,
     /// The named nodes changed behaviour (a middlebox model swap) while
-    /// the topology, links and forwarding tables stayed fixed. Sessions
-    /// whose node sets avoid these names are untouched.
+    /// the topology, links and forwarding tables stayed fixed. Anything
+    /// that reads no model of these nodes is untouched.
     Nodes(BTreeSet<String>),
     /// Structural change: topology, links or routing moved, so delivery
     /// behaviour (and node identity) may have changed anywhere.

@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
     for &scenarios in &[3usize, 6] {
         let (net, hint, inv) = scenario_sweep_workload(scenarios);
         for (label, sessions) in
-            [("incremental", Sessions::Pooled), ("from_scratch", Sessions::PerScenario)]
+            [("incremental", Sessions::Clustered), ("from_scratch", Sessions::PerScenario)]
         {
             let opts =
                 VerifyOptions { policy_hint: Some(hint.clone()), sessions, ..Default::default() };

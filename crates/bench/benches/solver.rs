@@ -1,8 +1,8 @@
 //! Criterion bench for the solver substrate itself: SAT search and
 //! bit-vector lowering — the components whose cost every verification
 //! figure ultimately decomposes into — on synthetic formulas and on one
-//! encoded slice (`lower_skeleton`: the lowering path;
-//! `proof_after_warmup`: the propagation path).
+//! encoded slice (`lower_skeleton`: the lowering path; `prove_slice`:
+//! lowering plus the proof search, as one cluster session pays them).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vmn::encoder::encode_skeleton;
@@ -109,16 +109,12 @@ fn bench(c: &mut Criterion) {
             assert_eq!(enc.ctx.check(), SatResult::Sat);
         })
     });
-    // The propagation path: on a session whose CNF is already lowered,
-    // forget the invariant's lemmas and prove it again — unit propagation
-    // and conflict analysis, no encoding.
+    // The whole proof on a cold session: encode the skeleton, register
+    // the scenario and the invariant, lower, and refute.
     let none = FailureScenario::none();
-    let mut enc = encode_skeleton(&net, &terminals, SLICE_K).unwrap();
-    assert_eq!(enc.check_invariant_scenario(&net, &holds, &none).unwrap(), SatResult::Unsat);
-    group.bench_function("proof_after_warmup", |b| {
+    group.bench_function("prove_slice", |b| {
         b.iter(|| {
-            enc.ctx.forget_learnts_for(&[0], &[]);
-            enc.ctx.reset_search_state();
+            let mut enc = encode_skeleton(&net, &terminals, SLICE_K).unwrap();
             assert_eq!(
                 enc.check_invariant_scenario(&net, &holds, &none).unwrap(),
                 SatResult::Unsat

@@ -11,7 +11,7 @@
 //! * `cargo bench -p vmn_bench` — `solver` (the SAT + bit-vector core on
 //!   pigeonhole and bit-vector instances) and two engine sweeps, each the
 //!   default engine against the baseline it replaced: `scenario_sweep`
-//!   (pooled vs from-scratch sessions) and `fastpath_sweep` (BDD routing
+//!   (clustered vs from-scratch sessions) and `fastpath_sweep` (BDD routing
 //!   vs forced SMT). Their workloads are defined below.
 //!
 //! ## Scale mapping
@@ -120,9 +120,8 @@ pub fn print_series(title: &str, series: &[Series]) {
 
 /// Times `samples` cold runs of verifying `inv` and returns the durations
 /// plus the last report. Every sample gets a verifier of its own, built
-/// outside the timed call: a second `verify` on the same verifier
-/// re-enters the pooled session the first one warmed and would time a
-/// re-check, not a check.
+/// outside the timed call, so no sample reads per-epoch tables (header
+/// classes, the BDD dataplane) an earlier one filled.
 pub fn time_verify(
     net: &Network,
     options: &VerifyOptions,

@@ -1,7 +1,7 @@
 //! The trusted certificate checker for VMN verdicts.
 //!
-//! The verification engine (SAT core, bit-blaster, session pool,
-//! clustered sweeps) is a large, aggressively optimised codebase — exactly
+//! The verification engine (SAT core, bit-blaster, clustered sweeps,
+//! assumption-based scenario checks) is a large, aggressively optimised codebase — exactly
 //! the kind of code where a silently wrong UNSAT answer is plausible. This
 //! crate is the other half of the certificate discipline: the *untrusted*
 //! engine emits a small proof for every verdict, and this *trusted* checker
@@ -14,9 +14,9 @@
 //! additions with LRAT-style antecedent hints, clause deletions) plus the
 //! per-check verdict records ([`CheckRecord`]) taken against prefixes of
 //! that log. Because the log is append-only and every record carries its
-//! prefix length, per-scenario certificates are reconstructible from a
-//! pooled session's shared log — the engine's session reuse does not
-//! degrade checkability.
+//! prefix length, each scenario checked on a shared cluster session is
+//! checkable on its own — the engine's session sharing does not degrade
+//! checkability.
 //!
 //! Literals use the DIMACS convention: variable `v` (0-based in the engine)
 //! appears as the integer `v + 1`, negated literals are negative, `0` never

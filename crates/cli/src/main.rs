@@ -63,9 +63,9 @@ fn usage() -> ExitCode {
          Long-lived verification daemon speaking newline-delimited JSON\n\
          on stdin/stdout (or on a unix socket with --socket): load\n\
          networks, apply topology/policy/invariant deltas, and read\n\
-         re-verification reports answered from warmed solver sessions\n\
-         and a slice-fingerprint verdict cache. See the vmn_serve crate\n\
-         docs for the protocol."
+         re-verification reports answered from a slice-fingerprint\n\
+         verdict cache, re-solving only the pairs it misses. See the\n\
+         vmn_serve crate docs for the protocol."
     );
     ExitCode::from(2)
 }
@@ -180,10 +180,11 @@ fn lint_main(args: &[String]) -> ExitCode {
 }
 
 /// `vmn serve`: the delta-driven verification daemon. One fleet of
-/// warmed sessions per process; requests arrive as newline-delimited
+/// network sessions per process; requests arrive as newline-delimited
 /// JSON on stdin (responses on stdout) or, with `--socket`, on a unix
 /// socket served one connection at a time — the fleet, its verdict
-/// caches and its pooled solver sessions persist across connections.
+/// caches and its verifiers' per-epoch tables persist across
+/// connections.
 fn serve_main(args: &[String]) -> ExitCode {
     let mut socket: Option<String> = None;
     let mut it = args.iter();

@@ -1,22 +1,21 @@
 //! Deltas: incremental edits to a [`NetSpec`].
 //!
 //! Each delta applies to the *symbolic* spec and reports a
-//! [`TouchSet`] — which middleboxes' pooled solver sessions the edit
-//! invalidates, and so which part of the verifier's epoch it can move —
-//! that the daemon feeds into `Verifier::swap_network`:
+//! [`TouchSet`] — which middleboxes' behaviour the edit changes, and so
+//! which part of the verifier's epoch it can move — that the daemon
+//! feeds into `Verifier::swap_network`:
 //!
 //! * **Structural and routing deltas** (nodes, links, routes, steers)
-//!   return [`TouchSet::Everything`]. Warmed sessions bake in the
-//!   global header-class partition and per-scenario delivery, both of
-//!   which these edits can change for every slice, so everything must
-//!   be retired to stay sound.
+//!   return [`TouchSet::Everything`]. They can change the global
+//!   header-class partition and per-scenario delivery for every slice,
+//!   so the whole epoch is rebuilt to stay sound.
 //! * **`SetModel`** returns [`TouchSet::Nodes`] for the one box —
 //!   unless the new configuration changes the addresses the box *owns*
 //!   (NAT external, LB VIP), which lives in the topology and escalates
 //!   to `Everything`.
 //! * **Invariant and scenario deltas** return [`TouchSet::Nothing`]:
-//!   invariants and scenarios are registered lazily per check, so
-//!   existing sessions stay valid verbatim.
+//!   invariants and scenarios are registered lazily per check, so the
+//!   epoch stays valid verbatim.
 //!
 //! The touch set also decides how much of the epoch the swap keeps. A
 //! `Nodes` touch keeps topology, tables and node ids (a kind change only

@@ -20,8 +20,8 @@
 //!   verdict cache keyed by slice fingerprint
 //!   ([`vmn::slice::verdict_fingerprint`]): a delta that touches no node
 //!   keeps every pair, pairs whose fingerprint was seen before are
-//!   answered from cache, and only the rest re-solve — on pooled solver
-//!   sessions that survived the swap;
+//!   answered from cache, and only the rest re-solve, each sweep on
+//!   solver sessions of its own;
 //! * [`service::Service`] + [`protocol`] — a named fleet of sessions
 //!   behind a newline-delimited-JSON protocol (`vmn serve`);
 //! * [`json`] — the minimal JSON tree this build vendors instead of a

@@ -192,16 +192,12 @@ pub fn handle_line(svc: &mut Service, line: &str) -> Response {
                 .iter()
                 .map(|name| {
                     let s = svc.net(name).expect("listed");
-                    let pool = s.verifier().pool_stats();
                     Value::obj([
                         ("name", Value::str(*name)),
                         ("nodes", Value::num(s.names().len() as f64)),
                         ("invariants", Value::num(s.invariants().len() as f64)),
                         ("scenarios", Value::num(s.spec().fail_specs().count() as f64)),
                         ("cached_pairs", Value::num(s.cached_pairs() as f64)),
-                        ("pooled_sessions", Value::num(s.verifier().pooled_sessions() as f64)),
-                        ("pool_checkouts", Value::num(pool.checkouts as f64)),
-                        ("pool_hits", Value::num(pool.hits as f64)),
                     ])
                 })
                 .collect();
@@ -285,27 +281,10 @@ mod tests {
         // disappears (or appears) when someone means it to.
         let Value::Obj(fields) = &nets[0] else { panic!("status net is an object: {}", nets[0]) };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "name",
-                "nodes",
-                "invariants",
-                "scenarios",
-                "cached_pairs",
-                "pooled_sessions",
-                "pool_checkouts",
-                "pool_hits"
-            ]
-        );
+        assert_eq!(keys, ["name", "nodes", "invariants", "scenarios", "cached_pairs"]);
         assert_eq!(nets[0].str_field("name"), Some("n"));
         assert_eq!(field_num(&nets[0], "invariants"), 2.0);
         assert_eq!(field_num(&nets[0], "cached_pairs"), 2.0);
-        // Nothing steers `a -> b` through `fw`, so its slice is stateless,
-        // the BDD path answers both pairs, and no session is checked out
-        // (`tests/serve_deltas.rs` pins the counters on SMT traffic).
-        assert_eq!(field_num(&nets[0], "pool_checkouts"), 0.0);
-        assert_eq!(field_num(&nets[0], "pool_hits"), 0.0);
 
         // Errors don't kill the session.
         let r = handle_line(

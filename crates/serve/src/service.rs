@@ -1,14 +1,14 @@
 //! The long-lived verification service.
 //!
 //! A [`Service`] holds a fleet of named [`NetSession`]s. Each session
-//! keeps the symbolic [`NetSpec`], a warmed [`Verifier`] (whose few most
-//! recent solver sessions persist across checks), and a **verdict cache** with one
-//! entry per (invariant, scenario) pair, holding the pair's verdict under
-//! its *slice fingerprint* ([`vmn::slice::verdict_fingerprint`]) and the
-//! one generation before it.
+//! keeps the symbolic [`NetSpec`], a [`Verifier`] (whose per-epoch tables
+//! persist across checks; its solver sessions live one sweep each), and a
+//! **verdict cache** with one entry per (invariant, scenario) pair,
+//! holding the pair's verdict under its *slice fingerprint*
+//! ([`vmn::slice::verdict_fingerprint`]) and the one generation before it.
 //!
 //! Applying a delta re-checks only what the delta can touch. The delta's
-//! [`TouchSet`] retires exactly the stale pooled solver sessions
+//! [`TouchSet`] decides how much of the verifier's epoch the swap keeps
 //! (`Verifier::swap_network`); then every (invariant, scenario) pair takes
 //! the first of three rungs that answers it:
 //!
@@ -268,8 +268,8 @@ impl NetSession {
         let mut report = DeltaReport::new(touched, self, swap);
         if let Err(e) = self.reconcile(&mut report) {
             // The pass committed nothing. Rebuilding the previous epoch
-            // from nothing is correct by construction; the pooled
-            // sessions it drops are only a cache.
+            // from nothing is correct by construction; the tables it
+            // drops are only caches.
             (self.spec, self.names, self.invariants, self.pipelines) = restore;
             self.verifier
                 .swap_network(old_net, &TouchSet::Everything)

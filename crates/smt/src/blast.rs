@@ -76,13 +76,6 @@ impl<'a> Blaster<'a> {
         self.caches.true_lit
     }
 
-    /// Sets the solver's open cone mask for subsequently emitted clauses
-    /// (see [`Solver::set_open_cone`]); pass 0 to close it. Used by the
-    /// context to tag each assertion's CNF with its sub-query cone.
-    pub fn set_open_cone(&mut self, mask: u64) {
-        self.solver.set_open_cone(mask);
-    }
-
     fn fresh(&mut self) -> Lit {
         Lit::pos(self.solver.new_var())
     }
@@ -435,11 +428,6 @@ pub struct BlastCaches {
 }
 
 impl BlastCaches {
-    /// The literal a boolean term was lowered to, if it has been lowered.
-    pub(crate) fn lit_for(&self, t: TermId) -> Option<Lit> {
-        self.bool_lits.get(t.index()).copied().flatten()
-    }
-
     /// Every boolean term that received a literal, with its truth value
     /// under the solver's model.
     pub(crate) fn bool_values<'s>(
@@ -752,8 +740,9 @@ mod tests {
         let mut blaster = Blaster::new(&sh.pool, &mut solver);
         blaster.assert_true(root);
         let caches = blaster.into_caches();
-        assert!(caches.lit_for(g).is_some());
-        assert!(caches.lit_for(eq).is_none() && caches.lit_for(root).is_none());
+        let lit_for = |t: TermId| caches.bool_lits.get(t.index()).copied().flatten();
+        assert!(lit_for(g).is_some());
+        assert!(lit_for(eq).is_none() && lit_for(root).is_none());
         // true_lit, g, and the 2 × 3 bits; 2 clauses per bit pair.
         assert_eq!(solver.num_vars(), 2 + 2 * BV_W as usize);
         assert_eq!(solver.stats().clauses, 2 * BV_W as u64);

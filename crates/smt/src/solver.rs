@@ -31,14 +31,6 @@ pub enum SatResult {
 pub struct Context {
     pool: TermPool,
     assertions: Vec<TermId>,
-    /// Cone bitmask per assertion (parallel to `assertions`): the cones
-    /// open (via [`Context::begin_cone`]) when the assertion was added.
-    /// Lowering pushes the mask into the SAT core so clauses — and, via
-    /// conflict analysis, every lemma derived from them — carry their
-    /// sub-query's tag.
-    assertion_cones: Vec<u64>,
-    /// Mask applied to assertions added now (0 outside any cone).
-    open_cone: u64,
     model: Option<Model>,
     stats: SolverStats,
     /// Work done by the most recent check alone (stats delta around the
@@ -55,10 +47,6 @@ pub struct Context {
     /// Decide-first marks not yet handed to the core (see
     /// [`Context::decide_first`]); drained by the next check.
     decide_first: Vec<(TermId, f64)>,
-    /// Cumulative conflict count at the last
-    /// [`Context::reset_search_state`] (0 if never reset) — the watermark
-    /// behind [`Context::conflicts_since_search_reset`].
-    search_reset_conflicts: u64,
 }
 
 impl Default for Context {
@@ -72,8 +60,6 @@ impl Context {
         Context {
             pool: TermPool::new(),
             assertions: Vec::new(),
-            assertion_cones: Vec::new(),
-            open_cone: 0,
             model: None,
             stats: SolverStats::default(),
             last_check: SolverStats::default(),
@@ -81,7 +67,6 @@ impl Context {
             caches: None,
             lowered_upto: 0,
             decide_first: Vec::new(),
-            search_reset_conflicts: 0,
         }
     }
 
@@ -101,27 +86,15 @@ impl Context {
     /// [`crate::sat::ProofLog`]). Must be called before the first check
     /// (the core must not have lowered any clause yet); idempotent. Every
     /// subsequent [`Context::check`]/[`Context::check_assuming`] records a
-    /// certificate check against the session's shared proof log.
+    /// certificate check against the session's proof log.
     pub fn enable_proofs(&mut self) {
         self.sat.enable_proof();
     }
 
-    /// Whether proof logging is on.
-    pub fn proofs_enabled(&self) -> bool {
-        self.sat.proof().is_some()
-    }
-
-    /// Number of check records accumulated so far — the watermark callers
-    /// snapshot before re-entering a pooled session, so
-    /// [`Context::proof_session`] can export only their own checks.
-    pub fn proof_checks(&self) -> usize {
-        self.sat.proof().map_or(0, |p| p.num_checks())
-    }
-
-    /// Exports this session's proof for the trusted checker: the full
-    /// shared step log, with check records from `checks_from` onwards.
-    pub fn proof_session(&self, checks_from: usize) -> Option<vmn_check::SessionProof> {
-        self.sat.proof_session(checks_from)
+    /// Exports this session's proof for the trusted checker: the step
+    /// log and a check record per check taken on this context.
+    pub fn proof_session(&self) -> Option<vmn_check::SessionProof> {
+        self.sat.proof_session()
     }
 
     /// Work done by the most recent [`Context::check`] /
@@ -205,7 +178,6 @@ impl Context {
     pub fn assert(&mut self, t: TermId) {
         assert!(self.pool.sort(t).is_bool(), "assertions must be boolean");
         self.assertions.push(t);
-        self.assertion_cones.push(self.open_cone);
     }
 
     /// Marks `t` — a boolean or bit-vector term — as one the search should
@@ -218,23 +190,6 @@ impl Context {
     /// variables that *are* the schedule of its bounded trace.
     pub fn decide_first(&mut self, t: TermId, weight: f64) {
         self.decide_first.push((t, weight));
-    }
-
-    /// Opens cone `tag`: subsequent assertions (until [`Context::end_cone`])
-    /// are tagged as belonging to sub-query `tag`, and so — transitively,
-    /// through conflict analysis in the SAT core — is every lemma ever
-    /// derived from their clauses. [`Context::forget_learnts_for`] later
-    /// discards exactly those lemmas when the sub-query is deselected for
-    /// good. Tags ≥ 63 share one saturated bit (sound over-forgetting).
-    /// Nested calls replace the mask rather than stacking.
-    pub fn begin_cone(&mut self, tag: u32) {
-        self.open_cone = Solver::cone_bit(tag);
-    }
-
-    /// Closes the open cone; subsequent assertions are untagged (their
-    /// lemmas are only ever forgotten by the literal scan, never by cone).
-    pub fn end_cone(&mut self) {
-        self.open_cone = 0;
     }
 
     pub fn num_assertions(&self) -> usize {
@@ -276,14 +231,11 @@ impl Context {
             Some(c) => Blaster::resume(&self.pool, &mut self.sat, c),
             None => Blaster::new(&self.pool, &mut self.sat),
         };
-        // Lower the assertions added since the previous check, each under
-        // its own cone.
-        for i in self.lowered_upto..self.assertions.len() {
-            blaster.set_open_cone(self.assertion_cones[i]);
-            blaster.assert_true(self.assertions[i]);
+        // Lower the assertions added since the previous check.
+        for &t in &self.assertions[self.lowered_upto..] {
+            blaster.assert_true(t);
         }
         self.lowered_upto = self.assertions.len();
-        blaster.set_open_cone(0);
         // After the assertions, so a mark allocates no variable the
         // formula would not have allocated itself.
         for (t, weight) in self.decide_first.drain(..) {
@@ -315,58 +267,6 @@ impl Context {
         };
         self.caches = Some(caches);
         out
-    }
-
-    /// Forgets the learnt clauses rendered dead by the given boolean
-    /// `terms` and cone `tags` being *deselected* for good — typically the
-    /// activation literals and cones of sub-queries a session has moved
-    /// past.
-    ///
-    /// * **By literal.** A learnt clause containing a term's negation is
-    ///   satisfied while the term is assumed false, hence prunes nothing
-    ///   yet still costs watch-list traversals on every propagation.
-    ///   Clauses mentioning the term only positively (lemmas learnt
-    ///   *while* it was deselected) keep pruning under the standing
-    ///   assumption and are kept. Terms never lowered to a literal are
-    ///   ignored.
-    /// * **By cone.** Every learnt clause derived (transitively) from an
-    ///   assertion tagged with one of the `tags` — the lemmas from a
-    ///   deselected sub-query's Tseitin *interior*, which never mention
-    ///   its activation literal and so escape the literal scan.
-    ///
-    /// Sound because learnt clauses are redundant by construction; a
-    /// no-op before the first check (nothing is lowered yet, hence
-    /// nothing learnt).
-    pub fn forget_learnts_for(&mut self, tags: &[u32], terms: &[TermId]) {
-        let Some(caches) = &self.caches else { return };
-        let dead: Vec<Lit> = terms.iter().filter_map(|&t| caches.lit_for(t)).map(|l| !l).collect();
-        let mask = tags.iter().fold(0u64, |m, &t| m | Solver::cone_bit(t));
-        if dead.is_empty() && mask == 0 {
-            return;
-        }
-        self.sat.backtrack_to_base();
-        self.sat.forget_learnts_in_cones(mask, &dead);
-    }
-
-    /// Resets the CDCL core's search heuristics (variable activities,
-    /// branching order, saved phases) while keeping every clause — see
-    /// [`Solver::reset_search_state`]. The session-pool policy uses this
-    /// to scrub the foreign search profile off a heavily-worn session
-    /// before the next sub-query re-enters it.
-    pub fn reset_search_state(&mut self) {
-        self.sat.backtrack_to_base();
-        self.sat.reset_search_state();
-        self.search_reset_conflicts = self.sat.stats().conflicts;
-    }
-
-    /// Conflicts accumulated since the last
-    /// [`Context::reset_search_state`] (the context's lifetime total if
-    /// never reset). The session-pool policy keys its scrub decision on
-    /// this watermark, so only a session worn by heavyweight search
-    /// *since* its last scrub is scrubbed again — not every session that
-    /// ever crossed the threshold once.
-    pub fn conflicts_since_search_reset(&self) -> u64 {
-        self.sat.stats().conflicts.saturating_sub(self.search_reset_conflicts)
     }
 
     /// The model from the last `check`, if it returned [`SatResult::Sat`].
@@ -487,45 +387,6 @@ mod tests {
         assert_eq!(first.decisions + second.decisions, total.decisions);
         assert_eq!(first.conflicts + second.conflicts, total.conflicts);
         assert_eq!(total.delta_since(&cumulative).decisions, second.decisions);
-    }
-
-    #[test]
-    fn cone_forget_keeps_verdicts() {
-        // Two guarded sub-queries asserted under distinct cones; after
-        // deselecting the first (cone forget + literal scan), every
-        // verdict must be unchanged — the invariant-switch idiom the
-        // encoder relies on.
-        let mut ctx = Context::new();
-        let g1 = ctx.fresh_const("g1", Sort::Bool);
-        let g2 = ctx.fresh_const("g2", Sort::Bool);
-        let x = ctx.fresh_const("x", Sort::bitvec(16));
-        let a = ctx.bv_const(3, 16);
-        let b = ctx.bv_const(9, 16);
-        ctx.begin_cone(1);
-        let r1 = {
-            let e = ctx.eq(x, a);
-            ctx.implies(g1, e)
-        };
-        ctx.assert(r1);
-        ctx.end_cone();
-        ctx.begin_cone(2);
-        let r2 = {
-            let e = ctx.eq(x, b);
-            ctx.implies(g2, e)
-        };
-        ctx.assert(r2);
-        ctx.end_cone();
-        let ng1 = ctx.not(g1);
-        let ng2 = ctx.not(g2);
-        assert_eq!(ctx.check_assuming(&[g1, ng2]), SatResult::Sat);
-        assert_eq!(ctx.eval_bv(x), 3);
-        assert_eq!(ctx.check_assuming(&[g1, g2]), SatResult::Unsat);
-        // Deselect g1 for good.
-        ctx.forget_learnts_for(&[1], &[g1]);
-        assert_eq!(ctx.check_assuming(&[g2, ng1]), SatResult::Sat);
-        assert_eq!(ctx.eval_bv(x), 9);
-        assert_eq!(ctx.check_assuming(&[g1, g2]), SatResult::Unsat, "semantics survive forget");
-        assert_eq!(ctx.check(), SatResult::Sat);
     }
 
     #[test]

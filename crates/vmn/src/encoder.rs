@@ -27,9 +27,10 @@
 //!
 //! ## Incremental failure scenarios and invariants
 //!
-//! One [`Encoded`] instance serves *every* failure scenario of a sweep —
-//! and, through the session layer, every invariant sharing its node set
-//! and trace bound. The skeleton built by [`encode_skeleton`] — step
+//! One [`Encoded`] instance serves *every* failure scenario of a sweep's
+//! cluster — and can serve several invariants sharing its node set and
+//! trace bound (the engine builds one per cluster and sweep; the benchmark
+//! probe reuses one across invariants). The skeleton built by [`encode_skeleton`] — step
 //! semantics, FIFO ordering, middlebox models, history formulas — depends
 //! on neither. Everything a scenario changes (which terminals are alive,
 //! where the re-converged routing delivers) is asserted under a
@@ -484,7 +485,9 @@ impl Encoded {
     /// Activation literal of `inv`, registering (and encoding) the
     /// invariant's violation formula on first use: the literal *implies*
     /// the violation, so assuming it true selects the invariant while
-    /// other registered invariants stay inert.
+    /// other registered invariants stay inert. Lemmas learnt for an
+    /// earlier invariant stay in the solver: they are redundant, and the
+    /// engine drops every session with its sweep.
     pub fn invariant_literal(
         &mut self,
         net: &Network,
@@ -494,37 +497,10 @@ impl Encoded {
             return Ok(*lit);
         }
         let n = self.invariants.len();
-        if n > 0 {
-            // A new invariant enters a warmed-up session. Lemmas derived
-            // from an earlier invariant's encoding prune nothing while its
-            // activation literal is assumed false, yet still drag
-            // propagation through their watch lists — forget them, both by
-            // the satisfied literal (clauses mentioning ¬invariant!i) and
-            // by *cone*: every lemma whose derivation used a clause of the
-            // earlier invariant's violation formula, activation literal or
-            // not (the Tseitin interior never mentions the literal).
-            // Untagged skeleton/scenario lemmas are the cross-invariant
-            // payoff and stay.
-            let terms: Vec<TermId> = self.invariants.iter().map(|(_, l)| *l).collect();
-            let tags: Vec<u32> = (0..n as u32).collect();
-            self.ctx.forget_learnts_for(&tags, &terms);
-        }
         let lit = self.ctx.fresh_const(format!("invariant!{n}"), Sort::Bool);
-        // Everything this invariant contributes — its violation formula
-        // and the definitional side constraints `invariant_violation`
-        // asserts directly — is tagged with the invariant's cone, so the
-        // forget-on-switch above can discard its lemmas sharply.
-        self.ctx.begin_cone(n as u32);
-        let violated = match self.invariant_violation(net, inv) {
-            Ok(v) => v,
-            Err(e) => {
-                self.ctx.end_cone();
-                return Err(e);
-            }
-        };
+        let violated = self.invariant_violation(net, inv)?;
         let rule = self.ctx.implies(lit, violated);
         self.ctx.assert(rule);
-        self.ctx.end_cone();
         self.invariants.push((inv.clone(), lit));
         Ok(lit)
     }

@@ -8,7 +8,7 @@ use crate::policy::{group_by_symmetry, PolicyClasses};
 use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox, stateless_slice};
 use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use vmn_analysis::{ContractError, ModuleContract, Partition, TouchSet};
 use vmn_bdd::dataplane::{DataplaneError, Outcome, Query};
@@ -58,15 +58,15 @@ pub struct Report {
     /// Whether the verdict was inherited from a symmetric representative
     /// instead of being verified directly.
     pub inherited: bool,
-    /// Solver work attributable to this invariant's checks alone —
-    /// per-check stats deltas off the (possibly shared, cross-invariant)
-    /// solver session. Zero for inherited reports.
+    /// Solver work of this invariant's checks: the summed counters of the
+    /// solver sessions its sweep built, which no other sweep shares. Zero
+    /// for inherited reports.
     pub solver: SolverStats,
     /// Machine-checkable certificate of the verdict, present when
     /// [`VerifyOptions::emit_proofs`] is on: one proof session per solver
-    /// session this invariant's sweep touched, each holding the session's
-    /// full clause derivation log plus *this invariant's* check records
-    /// (UNSAT derivations for refuted scenarios, models for violations).
+    /// session this invariant's sweep built, each holding the session's
+    /// full clause derivation log plus its check records (UNSAT
+    /// derivations for refuted scenarios, models for violations).
     /// Validated by the independent `vmn_check` crate — see
     /// [`vmn_check::check_bundle`]. `None` when proofs are off and for
     /// inherited reports (the representative carries the certificate).
@@ -106,23 +106,24 @@ pub enum Backend {
     Bdd,
 }
 
-/// Lifetime of the solver sessions behind the SMT-routed scenarios of a
-/// sweep. Planning, routing, the BDD and contract paths and the report's
-/// accounting are the same in both modes.
+/// How the SMT-routed scenarios of a sweep share solver sessions.
+/// Planning, routing, the BDD and contract paths and the report's
+/// accounting are the same in both modes. Either way a session lives one
+/// sweep: no session outlives the [`Verifier::verify`] call that built
+/// it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Sessions {
-    /// One session per scenario cluster, checked out of the verifier's
-    /// pool keyed by (node-set, trace bound) and returned — with every
-    /// clause learnt so far — for the next sweep with the same key, as
-    /// one of the pool's few most recent idle sessions.
-    /// Scenarios and invariants are selected by activation literals.
+    /// One session per scenario cluster, built when the cluster's first
+    /// scenario comes up; each scenario is one assumption-based check
+    /// selected by activation literals, so clauses learnt on one scenario
+    /// carry over to the next of the same cluster.
     #[default]
-    Pooled,
+    Clustered,
     /// A fresh encoder and solver per scenario on the scenario's own
     /// slice, violation and scenario asserted directly: no activation
-    /// literals, no clustering, no pool. The from-scratch baseline of the
+    /// literals, no clustering. The from-scratch baseline of the
     /// `scenario_sweep` bench and the reference the differential tests
-    /// hold `Pooled` to.
+    /// hold `Clustered` to.
     PerScenario,
 }
 
@@ -192,7 +193,7 @@ impl Default for VerifyOptions {
         VerifyOptions {
             use_slices: true,
             policy_hint: None,
-            sessions: Sessions::Pooled,
+            sessions: Sessions::Clustered,
             emit_proofs: false,
             backend: Backend::Auto,
             partition: PartitionMode::Off,
@@ -256,99 +257,32 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Key of a solver session: the encoded node set and the trace bound.
-/// Two invariants with the same key can share one skeleton, solver and
-/// learnt-clause database.
-type SessionKey = (Vec<NodeId>, usize);
-
-/// Idle sessions kept across *all* keys. Every re-entry measured on the
-/// benchmark workloads takes the session checked in just before it (the
-/// next scenario of one invariant on one slice), so one slot keeps every
-/// hit; the second keeps both clusters' sessions of a divergent-slice
-/// sweep (`divergent_slices_are_checked_on_several_clusters`). Idle
-/// memory is bounded by the slots instead of growing with the number of
-/// distinct slices.
-const MAX_IDLE_SESSIONS: usize = 2;
-
-/// A re-entered session that has accumulated this many conflicts *since
-/// its last scrub* gets its search heuristics (activities, phases) reset
-/// at checkout: past this point the profile is tuned to a foreign
-/// heavyweight query and degrades the next search, while the learnt
-/// skeleton/scenario lemmas remain worth keeping (PR 3 retired such
-/// sessions outright and forfeited both).
-const SCRUB_SEARCH_CONFLICTS: u64 = 10_000;
-
-/// Session-pool traffic over a verifier's lifetime ([`Verifier::pool_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Sessions asked of the pool: one per SMT cluster a sweep opens.
-    pub checkouts: u64,
-    /// Checkouts served by an idle session instead of a fresh skeleton.
-    pub hits: u64,
-}
-
-/// The verifier's idle solver sessions: at most [`MAX_IDLE_SESSIONS`]
-/// across all keys, in checkin order.
-#[derive(Default)]
-struct SessionPool {
-    /// Least recently checked in first.
-    idle: Vec<(SessionKey, Encoded)>,
-    stats: PoolStats,
-}
-
-impl SessionPool {
-    /// Takes the most recently checked-in idle session for `key`, if any.
-    fn checkout(&mut self, key: &SessionKey) -> Option<Encoded> {
-        self.stats.checkouts += 1;
-        let i = self.idle.iter().rposition(|(k, _)| k == key)?;
-        self.stats.hits += 1;
-        Some(self.idle.remove(i).1)
-    }
-
-    /// Returns a session as the most recent entry and hands back the
-    /// oldest one if the pool is then over its cap, so the caller can free
-    /// it after releasing the lock.
-    fn checkin(&mut self, key: SessionKey, enc: Encoded) -> Option<(SessionKey, Encoded)> {
-        self.idle.push((key, enc));
-        (self.idle.len() > MAX_IDLE_SESSIONS).then(|| self.idle.remove(0))
-    }
-}
-
 /// The VMN verifier for one network epoch.
 ///
 /// The verifier *owns* its network (behind an [`Arc`]), so long-lived
 /// holders — the `vmn serve` daemon — can apply configuration deltas by
 /// swapping a mutated network in with [`Verifier::swap_network`] while
-/// keeping every warmed solver session the delta's [`TouchSet`] proves
-/// untouched.
+/// keeping every per-epoch table the delta's [`TouchSet`] proves
+/// untouched. It holds no solver session between calls.
 pub struct Verifier {
     net: Arc<Network>,
     options: VerifyOptions,
     /// The policy classes: filled by construction, emptied by a swap
     /// that touches nodes, rebuilt by [`Verifier::policy`].
     policy: OnceLock<PolicyClasses>,
-    /// Idle solver sessions (scenario-/invariant-free skeletons plus
-    /// everything registered on them so far), keyed by (node-set, trace
-    /// bound). `verify` checks a session out per cluster, solves on it and
-    /// returns it, so the next sweep on the same key — typically the next
-    /// scenario of the same invariant in the daemon — re-enters it warm;
-    /// `verify_all` workers share the pool. Locking recovers from
-    /// poisoning: the pool is a plain cache whose invariants hold after any
-    /// partial mutation, so a worker that panicked mid-`verify_all` must
-    /// not wedge every later verify on this verifier.
-    pool: Mutex<SessionPool>,
     /// The header classes of the current epoch and the delivery intervals
     /// memoised in them, built on first use and shared by every interval
-    /// reader: the pooled solver sessions, the BDD dataplane and the
-    /// daemon's fingerprints.
+    /// reader: the solver sessions, the BDD dataplane and the daemon's
+    /// fingerprints.
     classes: OnceLock<Arc<HeaderClasses>>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
     /// (per-middlebox transfer predicates and per-(scenario, emitter,
     /// target) delivery predicates cache inside it, each filled only as
     /// far as the slices checked so far reach; the interval lists the
-    /// predicates are built from live in `classes`). Locking recovers
-    /// from poisoning for the same reason the pool's does.
+    /// predicates are built from live in `classes`). A lock poisoned by a
+    /// panicking `verify_all` worker discards the dataplane
+    /// ([`Verifier::check_bdd`]), so it never wedges later verifies.
     bdd: Mutex<Option<Dataplane>>,
     /// The modular-verification context (resolved partition, boundary
     /// edges, validated contracts and the per-scenario synthesis cache).
@@ -388,15 +322,11 @@ enum Route {
 
 /// One cluster of a sweep's SMT-routed scenarios: the union of its
 /// members' slices, the largest bound among them and — lazily, when its
-/// first scenario comes up — the solver session.
+/// first scenario comes up — the solver session, dropped with the sweep.
 struct Cluster {
     nodes: Vec<NodeId>,
     k: usize,
-    /// Session, stats snapshot at checkout, and the proof-check watermark
-    /// at checkout: a pooled session's log already holds other
-    /// invariants' check records, so this invariant's certificate slices
-    /// from the watermark.
-    session: Option<(Encoded, SolverStats, usize)>,
+    session: Option<Encoded>,
 }
 
 /// Lowers a BDD dataplane witness to the engine's trace format: one
@@ -453,7 +383,6 @@ impl Verifier {
             net,
             options,
             policy,
-            pool: Mutex::default(),
             classes: OnceLock::new(),
             bdd: Mutex::new(None),
             modular,
@@ -518,27 +447,24 @@ impl Verifier {
     /// what the delta's footprint can have changed:
     ///
     /// * [`TouchSet::Nothing`] — invariants or scenarios changed, no
-    ///   node's behaviour did: everything is kept. Sessions and the BDD
-    ///   dataplane register new scenarios and invariants lazily.
+    ///   node's behaviour did: everything is kept. The BDD dataplane
+    ///   registers new scenarios lazily.
     /// * [`TouchSet::Nodes`] — a model swap, which keeps topology, tables
     ///   and node ids by contract (only a touched box's type name may
     ///   change). Kept: the header classes with their memoised delivery
-    ///   intervals (delivery reads no model), the
-    ///   partition and boundary, the prelude's aggregates, and every
-    ///   pooled session whose node set misses the touched boxes (a
-    ///   skeleton encodes only its own nodes' models plus delivery).
-    ///   Carried: the memoised contract arrivals, resumed from the
-    ///   touched boxes when their summaries only widened
+    ///   intervals (delivery reads no model), the partition and boundary,
+    ///   and the prelude's aggregates. Carried: the memoised contract
+    ///   arrivals, resumed from the touched boxes when their summaries
+    ///   only widened
     ///   ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
     ///   Explicit contracts are re-validated against the carried
     ///   synthesis, since a widened model can break a declared guarantee.
-    ///   Dropped: the touched boxes' sessions, the BDD dataplane, which
-    ///   caches per-middlebox transfer predicates, and the policy classes,
-    ///   which read the models.
+    ///   Dropped: the BDD dataplane, which caches per-middlebox transfer
+    ///   predicates, and the policy classes, which read the models.
     /// * [`TouchSet::Everything`] — structural change: node identity,
     ///   header classes and delivery may all have moved, so the epoch is
     ///   built from nothing: the classes and their interval memo are
-    ///   dropped and every pooled session is retired.
+    ///   dropped too.
     ///
     /// Whatever the kind, every per-scenario memo the swap keeps — the
     /// memoised intervals, the contract arrivals and the BDD delivery
@@ -565,7 +491,6 @@ impl Verifier {
                 // Built before any state is mutated: explicit contracts
                 // are validated against the new epoch and may refuse it.
                 self.modular = Self::build_modular(&net, &self.options)?;
-                self.pool().idle.clear();
                 self.policy = OnceLock::new();
                 self.classes = OnceLock::new();
             }
@@ -586,8 +511,6 @@ impl Verifier {
                         }
                     }
                 }
-                // `retain` keeps the survivors' recency order.
-                self.pool().idle.retain(|((nodes, _), _)| !nodes.iter().any(|n| ids.contains(n)));
                 self.policy = OnceLock::new();
             }
         }
@@ -618,43 +541,15 @@ impl Verifier {
         self.policy.get_or_init(|| Self::policy_classes(&self.net, &self.options))
     }
 
-    /// Locks the session pool, recovering the guard if a previous holder
-    /// panicked (the data is a valid cache state either way).
-    fn pool(&self) -> MutexGuard<'_, SessionPool> {
-        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Number of idle sessions currently pooled (diagnostics/tests).
+    /// Always 0: no solver session outlives the sweep that built it. Kept
+    /// because the `benchmark/` package still reports it.
     pub fn pooled_sessions(&self) -> usize {
-        self.pool().idle.len()
+        0
     }
 
-    /// Checkouts and hits of the session pool so far.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool().stats
-    }
-
-    /// Checks a session for `(nodes, k)` out of the pool, building the
-    /// skeleton on a miss.
-    fn checkout_session(&self, nodes: &[NodeId], k: usize) -> Result<Encoded, VerifyError> {
-        // Bound first: as an `if let` scrutinee the guard would hold the
-        // pool lock through the scrub below.
-        let pooled = self.pool().checkout(&(nodes.to_vec(), k));
-        if let Some(mut enc) = pooled {
-            // A session that has absorbed a heavyweight search since its
-            // last scrub carries an activity/phase profile tuned to a
-            // foreign query; scrub it (keeping the clause database and
-            // caches) so re-entry starts a clean search over warm lemmas.
-            // The watermark makes this a per-wear decision: many light
-            // sweeps never re-trigger it.
-            if enc.ctx.conflicts_since_search_reset() >= SCRUB_SEARCH_CONFLICTS {
-                enc.ctx.reset_search_state();
-            }
-            // The pool only holds sessions this verifier built, so a
-            // pooled session's proof state always matches the options.
-            debug_assert_eq!(enc.ctx.proofs_enabled(), self.options.emit_proofs);
-            return Ok(enc);
-        }
+    /// Builds the solver session of a cluster: the skeleton over `nodes`
+    /// at bound `k`, with proof logging when certificates are requested.
+    fn new_session(&self, nodes: &[NodeId], k: usize) -> Result<Encoded, VerifyError> {
         let classes = self.header_classes().clone();
         let mut enc = encoder::encode_skeleton_over(&self.net, classes, nodes, k)?;
         if self.options.emit_proofs {
@@ -739,11 +634,10 @@ impl Verifier {
                 Query::Bypass { dst: *dst, through: through.clone(), from: *from }
             }
         };
-        // Unlike the pool's maps, a dataplane caught mid-mutation by a
-        // panicking thread is not obviously a valid cache state, so
-        // poison recovery here *discards* the instance instead of
-        // trusting it: the next check rebuilds lazily, which is exactly
-        // the already-supported cold path.
+        // A dataplane caught mid-mutation by a panicking thread is not
+        // obviously a valid cache state, so poison recovery *discards* the
+        // instance instead of trusting it: the next check rebuilds lazily,
+        // which is exactly the already-supported cold path.
         let mut guard = match self.bdd.lock() {
             Ok(g) => g,
             Err(poisoned) => {
@@ -830,9 +724,9 @@ impl Verifier {
     /// to [`Sessions::PerScenario`], which does none, and replay every
     /// extracted witness on the concrete simulator.)
     ///
-    /// How long the cluster sessions live is `options.sessions`: by
-    /// default they outlive the sweep in a small recency-bounded pool
-    /// keyed by (node-set, trace bound).
+    /// The cluster sessions live as long as the sweep: each is built when
+    /// its cluster's first scenario comes up and dropped when the sweep
+    /// ends.
     pub fn verify(&self, inv: &Invariant) -> Result<Report, VerifyError> {
         self.verify_under(inv, self.net.all_scenarios())
     }
@@ -894,35 +788,22 @@ impl Verifier {
         (clusters, cluster_of)
     }
 
-    /// Decides one scenario on its cluster's session, checking the
-    /// session out when the cluster's first scenario comes up.
+    /// Decides one scenario on its cluster's session, building the
+    /// session when the cluster's first scenario comes up.
     fn check_on_session(
         &self,
         inv: &Invariant,
         scenario: &FailureScenario,
         cluster: &mut Cluster,
     ) -> Result<Option<Trace>, VerifyError> {
-        if cluster.session.is_none() {
-            // Sessions may have been warmed up by other invariants with
-            // the same (node-set, bound) key; the stats delta taken at
-            // checkin still attributes only this invariant's checks to
-            // its report.
-            let enc = self.checkout_session(&cluster.nodes, cluster.k)?;
-            let (before, checks_from) = (enc.ctx.stats(), enc.ctx.proof_checks());
-            cluster.session = Some((enc, before, checks_from));
-        }
-        let (enc, ..) = cluster.session.as_mut().expect("installed above");
-        match enc.check_invariant_scenario(&self.net, inv, scenario) {
-            Ok(SatResult::Sat) => Ok(Some(Trace::extract(enc))),
-            Ok(SatResult::Unsat) => Ok(None),
-            Err(e) => {
-                // A session whose check errored may hold a half-registered
-                // scenario encoding; drop it, so later invariants with the
-                // same key start from a clean skeleton.
-                cluster.session = None;
-                Err(e.into())
-            }
-        }
+        let enc = match &mut cluster.session {
+            Some(enc) => enc,
+            None => cluster.session.insert(self.new_session(&cluster.nodes, cluster.k)?),
+        };
+        Ok(match enc.check_invariant_scenario(&self.net, inv, scenario)? {
+            SatResult::Sat => Some(Trace::extract(enc)),
+            SatResult::Unsat => None,
+        })
     }
 
     /// Decides one scenario from nothing ([`Sessions::PerScenario`]): a
@@ -942,7 +823,7 @@ impl Verifier {
         }
         let sat = enc.ctx.check();
         report.solver = report.solver + enc.ctx.stats();
-        if let (Some(bundle), Some(session)) = (&mut report.certificate, enc.ctx.proof_session(0)) {
+        if let (Some(bundle), Some(session)) = (&mut report.certificate, enc.ctx.proof_session()) {
             bundle.sessions.push(session);
         }
         Ok((sat == SatResult::Sat).then(|| Trace::extract(&mut enc)))
@@ -950,7 +831,7 @@ impl Verifier {
 
     /// The one loop every verification runs: plan and route the
     /// scenarios, cluster the SMT-routed ones, check them in order until
-    /// the first violation, return the sessions, finish the report.
+    /// the first violation, finish the report from the sessions built.
     ///
     /// A plan or routing error ends planning, but must not mask a
     /// violation in an *earlier* scenario, so the prefix planned before
@@ -1035,24 +916,20 @@ impl Verifier {
             break;
         }
 
-        // Return every touched session to the pool, summing the
-        // per-cluster deltas into this invariant's attribution, and fold
-        // in the sizes/bounds of the clusters that were *actually
-        // encoded* (an early violation may leave later clusters unbuilt).
+        // Sum the sessions built into this invariant's report, and fold
+        // in the sizes/bounds of the clusters that were *actually encoded*
+        // (an early violation may leave later clusters unbuilt). The
+        // sessions are dropped here.
         for cluster in clusters {
-            let Some((enc, before, checks_from)) = cluster.session else { continue };
+            let Some(enc) = cluster.session else { continue };
             report.encoded_nodes = report.encoded_nodes.max(cluster.nodes.len());
             report.steps = report.steps.max(cluster.k);
-            report.solver = report.solver + enc.ctx.stats().delta_since(&before);
+            report.solver = report.solver + enc.ctx.stats();
             if let (Some(bundle), Some(session)) =
-                (&mut report.certificate, enc.ctx.proof_session(checks_from))
+                (&mut report.certificate, enc.ctx.proof_session())
             {
                 bundle.sessions.push(session);
             }
-            // The guard is a temporary of this statement; an evicted
-            // session is freed after it, outside the lock.
-            let evicted = self.pool().checkin((cluster.nodes, cluster.k), enc);
-            drop(evicted);
         }
 
         // A check error beats everything; a deferred planning error only
@@ -1188,11 +1065,6 @@ pub(crate) mod engine_tests {
         s.parse().unwrap()
     }
 
-    /// The keys of `v`'s idle sessions, oldest first.
-    fn pooled_keys(v: &Verifier) -> Vec<SessionKey> {
-        v.pool().idle.iter().map(|(key, _)| key.clone()).collect()
-    }
-
     /// src → dst through `fw1`, optionally with `fw2` as backup steering;
     /// one scenario fails `fw1`. (Also a fixture of `encoder_tests`.)
     pub(crate) fn pipelined(with_backup: bool) -> (Network, NodeId, NodeId) {
@@ -1301,7 +1173,7 @@ pub(crate) mod engine_tests {
             VerifyOptions::default();
         assert!(use_slices);
         assert!(policy_hint.is_none());
-        assert_eq!(sessions, Sessions::Pooled);
+        assert_eq!(sessions, Sessions::Clustered);
         assert!(!emit_proofs);
         assert_eq!(backend, Backend::Auto);
         assert!(matches!(partition, PartitionMode::Off));
@@ -1324,42 +1196,13 @@ pub(crate) mod engine_tests {
 
     /// The premise of every session-sharing test: `a` and `b` plan to the
     /// same node set and trace bound in every scenario, so their sweeps
-    /// cluster alike and check out the same pool keys.
+    /// cluster alike.
     fn assert_same_plans(v: &Verifier, a: &Invariant, b: &Invariant) {
         for s in v.network().all_scenarios() {
             let (pa, pb) = (v.plan(a, &s).unwrap(), v.plan(b, &s).unwrap());
             assert_eq!(pa.nodes(), pb.nodes(), "{a} vs {b} under {s:?}: nodes");
             assert_eq!(pa.bound(), pb.bound(), "{a} vs {b} under {s:?}: bound");
         }
-    }
-
-    #[test]
-    fn sessions_are_pooled_and_reused_across_invariants() {
-        let (net, src, dst) = pipelined(true);
-        // Slice closure and pipeline depth are symmetric in the endpoints,
-        // so the two directions of one pair share a session key.
-        let (fwd, rev) = (
-            Invariant::NodeIsolation { src, dst },
-            Invariant::NodeIsolation { src: dst, dst: src },
-        );
-        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        assert_same_plans(&v, &fwd, &rev);
-        assert_eq!(v.pooled_sessions(), 0);
-        let r1 = v.verify(&fwd).unwrap();
-        assert_eq!(v.pooled_sessions(), 1, "the session returns to the pool");
-        let r2 = v.verify(&rev).unwrap();
-        assert_eq!(v.pooled_sessions(), 1, "the second invariant re-entered the same session");
-        assert_eq!(v.pool_stats(), PoolStats { checkouts: 2, hits: 1 });
-        // Per-invariant attribution: each report carries only its own
-        // solver work, not the session's cumulative counters.
-        assert!(r1.solver.decisions + r1.solver.propagations > 0);
-        assert!(r2.solver.decisions + r2.solver.propagations > 0);
-
-        // The from-scratch mode pools nothing.
-        let opts = VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() };
-        let v2 = Verifier::new(&net, opts).unwrap();
-        v2.verify(&fwd).unwrap();
-        assert_eq!(v2.pooled_sessions(), 0);
     }
 
     #[test]
@@ -1373,16 +1216,16 @@ pub(crate) mod engine_tests {
             Invariant::FlowIsolation { src, dst },
             Invariant::FlowIsolation { src: dst, dst: src },
         ];
-        let pooled = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let clustered = Verifier::new(&net, VerifyOptions::default()).unwrap();
         let fresh = Verifier::new(
             &net,
             VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() },
         )
         .unwrap();
-        assert_same_plans(&pooled, &node[0], &node[1]);
-        assert_same_plans(&pooled, &flow[0], &flow[1]);
+        assert_same_plans(&clustered, &node[0], &node[1]);
+        assert_same_plans(&clustered, &flow[0], &flow[1]);
         for inv in node.iter().chain(&flow) {
-            let got = pooled.verify(inv).unwrap();
+            let got = clustered.verify(inv).unwrap();
             let want = fresh.verify(inv).unwrap();
             assert_eq!(got.verdict.holds(), want.verdict.holds(), "{inv}");
             assert_eq!(got.scenarios_checked, want.scenarios_checked, "{inv}");
@@ -1394,7 +1237,6 @@ pub(crate) mod engine_tests {
                 assert_eq!(gs, ws, "{inv}: first violating scenario");
             }
         }
-        assert_eq!(pooled.pooled_sessions(), 2, "one session per shared (node-set, bound) key");
     }
 
     #[test]
@@ -1413,32 +1255,6 @@ pub(crate) mod engine_tests {
         assert_eq!(reports[1].elapsed, Duration::ZERO, "inherited elapsed must not double-count");
         assert_eq!(reports[1].solver.decisions, 0);
         assert_eq!(reports[1].solver.propagations, 0);
-    }
-
-    #[test]
-    fn pool_lock_poisoning_does_not_wedge_later_verifies() {
-        let (net, src, dst) = pipelined(true);
-        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        let inv = Invariant::NodeIsolation { src, dst };
-        let first = v.verify(&inv).unwrap();
-        assert!(v.pooled_sessions() > 0);
-        // Poison the pool mutex: a worker panicking while holding the
-        // lock marks it poisoned for every later lock().
-        std::thread::scope(|s| {
-            let idle = s.spawn(|| {
-                let _guard = v.pool.lock().unwrap();
-                panic!("worker dies holding the pool lock");
-            });
-            assert!(idle.join().is_err());
-        });
-        assert!(v.pool.is_poisoned(), "the test must actually poison the lock");
-        // Later verifies (and pool diagnostics) recover instead of
-        // propagating the poison.
-        assert!(v.pooled_sessions() > 0);
-        let again = v.verify(&inv).unwrap();
-        assert_eq!(first.verdict.holds(), again.verdict.holds());
-        let all = v.verify_all(&[inv.clone(), inv], 2).unwrap();
-        assert_eq!(all.len(), 2);
     }
 
     /// The pipelined topology with the firewalls swapped to *stateless*
@@ -1588,7 +1404,7 @@ pub(crate) mod engine_tests {
         }
     }
 
-    const ALL_SESSIONS: [Sessions; 2] = [Sessions::Pooled, Sessions::PerScenario];
+    const ALL_SESSIONS: [Sessions; 2] = [Sessions::Clustered, Sessions::PerScenario];
 
     /// Verifies `inv` under every [`Sessions`] mode on top of `base` and
     /// holds each run to the [`Sessions::PerScenario`] reference: same
@@ -1797,13 +1613,25 @@ pub(crate) mod engine_tests {
                 assert_eq!(r.smt_scenarios, r.scenarios_checked, "{ctx}: every slice is stateful");
             });
 
-        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        let got = v.verify(&inv).unwrap();
-        let keys = pooled_keys(&v);
-        assert!(keys.len() >= 2, "one pooled session per cluster key, got {keys:?}");
+        let opts = VerifyOptions { emit_proofs: true, ..Default::default() };
+        let v = Verifier::new(&net, opts).unwrap();
+        let planned: Vec<_> = net
+            .all_scenarios()
+            .into_iter()
+            .map(|s| {
+                let plan = v.plan(&inv, &s).unwrap();
+                let route = v.route(&inv, &s, &plan).unwrap();
+                (s, plan, route)
+            })
+            .collect();
+        let keys: Vec<_> = v.cluster(&planned).0.into_iter().map(|c| (c.nodes, c.k)).collect();
+        assert!(keys.len() >= 2, "one session per cluster, got {keys:?}");
         assert_eq!(keys.iter().collect::<HashSet<_>>().len(), keys.len(), "{keys:?}");
         let max_k = keys.iter().map(|&(_, k)| k).max().unwrap();
         assert!(keys.iter().any(|&(_, k)| k < max_k), "the deep cluster has its own bound");
+        let got = v.verify(&inv).unwrap();
+        let sessions = got.certificate.expect("proofs are on").sessions.len();
+        assert_eq!(sessions, keys.len(), "the sweep reaches every cluster and builds its session");
         assert_eq!(got.steps, max_k, "the report's bound is the max over the clusters'");
         assert_eq!(got.steps, want.steps, "and the max over the scenarios'");
     }
@@ -1850,38 +1678,7 @@ pub(crate) mod engine_tests {
         assert_eq!(reports[1].bdd_scenarios, reports[0].bdd_scenarios, "provenance is kept");
     }
 
-    #[test]
-    fn swap_network_retires_exactly_the_touched_sessions() {
-        let (net, src, dst) = pipelined(true);
-        let fw1 = net.topo.by_name("fw1").unwrap();
-        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-        assert_eq!(v.pooled_sessions(), 1, "both scenarios' slices share one cluster");
-        assert!(pooled_keys(&v).iter().all(|(nodes, _)| nodes.contains(&fw1)));
-
-        // An invariant/scenario-only delta keeps everything warm.
-        v.swap_network(v.network().clone(), &TouchSet::Nothing).unwrap();
-        assert_eq!(v.pooled_sessions(), 1, "TouchSet::Nothing must not retire sessions");
-
-        // A model swap of a box outside the pooled session's node set
-        // keeps it; one inside retires it.
-        v.swap_network(v.network().clone(), &TouchSet::node("no-such-box")).unwrap();
-        assert_eq!(v.pooled_sessions(), 1, "disjoint footprint must not retire the session");
-        v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
-        assert_eq!(v.pooled_sessions(), 0, "fw1 is in the pooled slice");
-
-        // Structural deltas retire everything.
-        v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-        assert_eq!(v.pooled_sessions(), 1);
-        v.swap_network(v.network().clone(), &TouchSet::Everything).unwrap();
-        assert_eq!(v.pooled_sessions(), 0);
-
-        // And the verifier still verifies correctly afterwards.
-        let r = v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-        assert!(!r.verdict.holds());
-    }
-
-    /// The pooled SMT sessions read the epoch's one delivery memo: after
+    /// The SMT sessions read the epoch's one delivery memo: after
     /// a check on a stateful slice, the verifier's header classes already
     /// hold every live slice terminal's interval list. A model swap keeps
     /// the memo (the very same lists); a structural swap starts an empty
@@ -1994,94 +1791,8 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn session_pool_stays_bounded_under_topology_churn() {
-        // Leak regression: every structural epoch must retire the keys of
-        // the last one, so the pool never holds more than the live key.
-        let (net, src, dst) = pipelined(true);
-        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        for epoch in 0..6usize {
-            let mut net2 = (**v.network()).clone();
-            let tag = format!("extra{epoch}");
-            let h = net2.topo.add_host(&tag, format!("172.16.0.{}", epoch + 1).parse().unwrap());
-            let sw = net2.topo.by_name("sw").unwrap();
-            net2.topo.add_link(h, sw);
-            v.swap_network(Arc::new(net2), &TouchSet::Everything).unwrap();
-            v.verify(&Invariant::NodeIsolation { src, dst }).unwrap();
-            assert!(
-                v.pooled_sessions() <= 1,
-                "epoch {epoch}: pool leaked retired keys ({} sessions)",
-                v.pooled_sessions()
-            );
-        }
-    }
-
-    /// The recency bound on its own, over synthetic keys (the pool never
-    /// looks inside a session, so one cheap skeleton per slot will do).
-    #[test]
-    fn session_pool_keeps_the_most_recent_sessions_across_keys() {
-        let (net, ..) = pipelined(true);
-        let nodes: Vec<NodeId> = net.topo.terminals().collect();
-        let session = || encoder::encode_skeleton(&net, &nodes, 3).unwrap();
-        let key = |i: usize| (Vec::new(), i);
-        let keys = |pool: &SessionPool| pool.idle.iter().map(|(k, _)| k.1).collect::<Vec<_>>();
-
-        // A, A, B, B, …: every second checkout re-enters the session
-        // checked in just before it, however many keys went by.
-        let mut pool = SessionPool::default();
-        let (n, cap) = (3 * MAX_IDLE_SESSIONS, MAX_IDLE_SESSIONS);
-        let mut evicted = Vec::new();
-        for i in 0..n {
-            for hit in [false, true] {
-                let enc = pool.checkout(&key(i));
-                assert_eq!(enc.is_some(), hit, "checkout {} of key {i}", 1 + usize::from(hit));
-                evicted.extend(pool.checkin(key(i), enc.unwrap_or_else(session)).map(|(k, _)| k.1));
-            }
-        }
-        assert_eq!(pool.stats, PoolStats { checkouts: 2 * n as u64, hits: n as u64 });
-        // Every miss built a session that is now pooled or was evicted,
-        // oldest first.
-        assert_eq!(evicted, (0..n - cap).collect::<Vec<_>>());
-        assert_eq!(keys(&pool), (n - cap..n).collect::<Vec<_>>());
-
-        // Cap + 1 distinct keys evict exactly the oldest.
-        let mut pool = SessionPool::default();
-        for i in 0..cap {
-            assert!(pool.checkin(key(i), session()).is_none(), "key {i} fits");
-        }
-        let (oldest, _) = pool.checkin(key(cap), session()).expect("one over the cap");
-        assert_eq!(oldest, key(0));
-        assert_eq!(keys(&pool), (1..=cap).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn retire_keeps_the_recency_order_of_the_survivors() {
-        let (net, inv) = divergent_slices();
-        let fw1 = net.topo.by_name("fw1").unwrap();
-        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        v.verify(&inv).unwrap();
-        // The last two of the three clusters stay: group 1's, through
-        // `fw1`, then the deep chain's.
-        let before = pooled_keys(&v);
-        assert_eq!(before.len(), MAX_IDLE_SESSIONS);
-        assert!(before[0].0.contains(&fw1) && !before[1].0.contains(&fw1), "{before:?}");
-
-        // A footprint outside both (group 0's firewall) keeps both, in order.
-        v.swap_network(v.network().clone(), &TouchSet::node("fw0")).unwrap();
-        assert_eq!(pooled_keys(&v), before);
-        // One inside the older leaves the newer, which stays older than
-        // the next checkin: the freed slot takes it without an eviction.
-        v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
-        assert_eq!(pooled_keys(&v), before[1..]);
-        let (nodes, k) = before[0].clone();
-        let session = encoder::encode_skeleton(&net, &nodes, k).unwrap();
-        assert!(v.pool().checkin((nodes, k), session).is_none(), "retirement freed a slot");
-        assert_eq!(pooled_keys(&v), [before[1].clone(), before[0].clone()]);
-    }
-
-    #[test]
     fn bdd_lock_poisoning_discards_and_rebuilds_the_dataplane() {
-        // Satellite regression: the shared dataplane cache is guarded by
-        // a Mutex added after the pool's poison-recovery fix; a panicking
+        // The shared dataplane cache is guarded by a Mutex; a panicking
         // thread must not wedge (or corrupt) later fast-path checks.
         let allow = vec![(px("8.0.0.0/8"), px("10.0.0.0/24"))];
         let (net, src, dst) = stateless_pipelined(allow);

@@ -68,8 +68,7 @@ pub mod slice;
 pub mod trace;
 
 pub use engine::{
-    Backend, PartitionMode, Plan, PoolStats, Report, Sessions, Verdict, Verifier, VerifyError,
-    VerifyOptions,
+    Backend, PartitionMode, Plan, Report, Sessions, Verdict, Verifier, VerifyError, VerifyOptions,
 };
 pub use invariant::Invariant;
 pub use network::Network;

@@ -64,7 +64,7 @@ fn certificates_cover_all_engine_configs() {
         Invariant::FlowIsolation { src: outside, dst: inside }, // holds
         Invariant::NodeIsolation { src: outside, dst: inside }, // violated
     ];
-    for sessions in [Sessions::PerScenario, Sessions::Pooled] {
+    for sessions in [Sessions::PerScenario, Sessions::Clustered] {
         let opts = VerifyOptions { emit_proofs: true, sessions, ..VerifyOptions::default() };
         let v = Verifier::new(&net, opts).unwrap();
         for inv in &invariants {
@@ -83,17 +83,16 @@ fn proofs_off_by_default() {
 }
 
 #[test]
-fn pooled_sessions_slice_certificates_per_invariant() {
-    // Two invariants sharing one pooled session: the second certificate
-    // is cut from the session's *shared* log (its steps include the first
-    // invariant's derivations) but carries only its own check records —
-    // and still validates standalone.
+fn equal_plans_get_a_session_per_sweep() {
+    // Two invariants whose sweeps plan alike: each sweep builds a solver
+    // session of its own, and each certificate holds that session's log
+    // with exactly its own report's check records.
     let (net, outside, inside) = firewalled_network();
     let opts = VerifyOptions { emit_proofs: true, ..VerifyOptions::default() };
     let v = Verifier::new(&net, opts).unwrap();
     // The two directions of one pair: the first holds, the second is
     // violated, and — the premise of the test — both plan to the same
-    // node set and trace bound, hence to one session key.
+    // node set and trace bound in every scenario.
     let inbound = Invariant::FlowIsolation { src: outside, dst: inside };
     let outbound = Invariant::FlowIsolation { src: inside, dst: outside };
     for s in net.all_scenarios() {
@@ -101,19 +100,18 @@ fn pooled_sessions_slice_certificates_per_invariant() {
         assert_eq!((p1.nodes(), p1.bound()), (p2.nodes(), p2.bound()), "{s:?}");
     }
     let r1 = v.verify(&inbound).unwrap();
-    assert_eq!(v.pooled_sessions(), 1, "the proof-logging session must pool normally");
     let r2 = v.verify(&outbound).unwrap();
-    assert_eq!(v.pooled_sessions(), 1, "the second invariant re-entered the session");
     assert!(r1.verdict.holds() && !r2.verdict.holds());
-    validate_report(&r1, "first invariant on the session");
-    validate_report(&r2, "second invariant on the shared session");
-    let (c1, c2) = (r1.certificate.unwrap(), r2.certificate.unwrap());
-    let checks = |b: &vmn::check::CertificateBundle| {
-        b.sessions.iter().map(|s| s.checks.len()).sum::<usize>()
-    };
-    assert!(checks(&c1) > 0 && checks(&c2) > 0);
-    if let (Some(s1), Some(s2)) = (c1.sessions.first(), c2.sessions.first()) {
-        assert!(s2.steps.len() >= s1.steps.len(), "the shared log only grows across invariants");
+    for (r, label) in [(&r1, "inbound"), (&r2, "outbound")] {
+        validate_report(r, label);
+        let bundle = r.certificate.as_ref().unwrap();
+        assert_eq!(bundle.sessions.len(), 1, "{label}: the nested slices form one cluster");
+        assert!(r.smt_scenarios > 0, "{label}: the sweep ran on the solver");
+        assert_eq!(
+            bundle.sessions[0].checks.len(),
+            r.smt_scenarios,
+            "{label}: one check record per SMT-routed scenario of this sweep, none of the other's"
+        );
     }
 }
 

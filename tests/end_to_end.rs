@@ -101,7 +101,7 @@ fn firewall_state_is_per_instance() {
         }
         (net, outside, inside)
     };
-    for sessions in [Sessions::Pooled, Sessions::PerScenario] {
+    for sessions in [Sessions::Clustered, Sessions::PerScenario] {
         let opts = VerifyOptions { backend: Backend::Smt, sessions, ..Default::default() };
 
         let (net, outside, inside) = build("fw1");

@@ -6,12 +6,13 @@
 //!
 //! * the from-scratch oracle (`Sessions::PerScenario`: fresh slice,
 //!   encoder and solver per scenario);
-//! * the clustered incremental sweep on pooled sessions (the default).
+//! * the clustered incremental sweep, one session per scenario cluster
+//!   (the default).
 //!
 //! Verdicts, scenario counts and first violating scenarios must match,
 //! every violation witness must replay into a real forbidden reception on
 //! the concrete simulator, and re-verifying on the clustered engine
-//! (re-entering its pooled sessions) must be stable. Both engines run
+//! (fresh sessions over the epoch's memoised tables) must be stable. Both engines run
 //! with `emit_proofs` on, and the independent trusted checker
 //! (`vmn_check`) validates each report's certificate — UNSAT derivations
 //! for refuted scenarios, replayable models for violations — so the proof
@@ -351,7 +352,7 @@ fn run_case(seed: u64) {
     assert_certificate_checks(&want, label, "oracle");
 
     let engine = "clustered";
-    let v = Verifier::new(&case.net, opts(&case, Sessions::Pooled)).expect("valid network");
+    let v = Verifier::new(&case.net, opts(&case, Sessions::Clustered)).expect("valid network");
     let got = v.verify(&case.inv).expect("incremental verify succeeds");
     assert_eq!(
         got.verdict.holds(),
@@ -370,17 +371,17 @@ fn run_case(seed: u64) {
     assert_witness_replays(&case, &got.verdict, engine);
     assert_certificate_checks(&got, label, engine);
 
-    // Second pass on the same verifier: re-enters the pooled sessions and
-    // must be observably identical — and its certificate, sliced from the
-    // re-entered session's shared log, must validate independently.
+    // Second pass on the same verifier: fresh sessions over the header
+    // classes and delivery intervals the first pass memoised. It must be
+    // observably identical, and its certificate must validate.
     let again = v.verify(&case.inv).expect("re-verify succeeds");
     assert_eq!(
         again.verdict.holds(),
         got.verdict.holds(),
-        "{label}: {engine} verdict unstable across session reuse"
+        "{label}: {engine} verdict unstable across sweeps"
     );
     assert_eq!(again.scenarios_checked, got.scenarios_checked, "{label}: {engine} re-sweep");
-    assert_certificate_checks(&again, label, &format!("{engine} (re-entered)"));
+    assert_certificate_checks(&again, label, &format!("{engine} (second sweep)"));
 
     // Multi-backend routing (proofs off, `Backend::Auto`): scenarios
     // whose slices carry no mutable middlebox state are answered by the
@@ -397,9 +398,9 @@ fn run_case(seed: u64) {
     // is discharged — while the multi-site battery in
     // `modular_vs_monolithic.rs` covers the contract fast path.
     for (engine, sessions, partition) in [
-        ("auto-routed", Sessions::Pooled, PartitionMode::Off),
+        ("auto-routed", Sessions::Clustered, PartitionMode::Off),
         ("auto-routed-baseline", Sessions::PerScenario, PartitionMode::Off),
-        ("modular", Sessions::Pooled, PartitionMode::Auto),
+        ("modular", Sessions::Clustered, PartitionMode::Auto),
     ] {
         let options = VerifyOptions {
             policy_hint: case.hint.clone(),

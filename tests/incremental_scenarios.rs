@@ -20,7 +20,7 @@ fn opts(hint: Vec<Vec<NodeId>>, sessions: Sessions) -> VerifyOptions {
 /// Runs both engines on the same (network, invariant) and asserts the
 /// reports agree on everything observable.
 fn assert_same_verdict(net: &Network, hint: Vec<Vec<NodeId>>, inv: &Invariant, label: &str) {
-    let fast = Verifier::new(net, opts(hint.clone(), Sessions::Pooled)).expect("valid network");
+    let fast = Verifier::new(net, opts(hint.clone(), Sessions::Clustered)).expect("valid network");
     let slow = Verifier::new(net, opts(hint, Sessions::PerScenario)).expect("valid network");
     let got = fast.verify(inv).expect("incremental verify succeeds");
     let want = slow.verify(inv).expect("oracle verify succeeds");
@@ -89,7 +89,7 @@ fn datacenter_redundancy_misconfig_matches_oracle() {
     let mut rng = StdRng::seed_from_u64(11);
     let pairs = dc.inject_redundancy_misconfig(&mut rng, 1);
     let inv = dc.pair_isolation(pairs[0].0, pairs[0].1);
-    let verifier = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Pooled)).unwrap();
+    let verifier = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Clustered)).unwrap();
     let report = verifier.verify(&inv).unwrap();
     if let Verdict::Violated { scenario, .. } = &report.verdict {
         assert!(scenario.fault_count() > 0, "redundancy bug needs a failure to show");
@@ -120,7 +120,7 @@ fn verify_all_matches_oracle_reports() {
     // Whole-set verification (symmetry machinery on top of the sweep).
     let dc = dc(2);
     let invs = dc.isolation_invariants();
-    let fast = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Pooled)).unwrap();
+    let fast = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Clustered)).unwrap();
     let slow = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::PerScenario)).unwrap();
     let got = fast.verify_all(&invs, 1).unwrap();
     let want = slow.verify_all(&invs, 1).unwrap();
