@@ -32,7 +32,9 @@ pub enum TouchSet {
     Nothing,
     /// The named nodes changed behaviour (a middlebox model swap) while
     /// the topology, links and forwarding tables stayed fixed. Anything
-    /// that reads no model of these nodes is untouched.
+    /// that reads no model of these nodes is untouched. One thing in the
+    /// topology may move: a named box's type tag, when the swap changed
+    /// its kind but not the addresses it owns.
     Nodes(BTreeSet<String>),
     /// Structural change: topology, links or routing moved, so delivery
     /// behaviour (and node identity) may have changed anywhere.

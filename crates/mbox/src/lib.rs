@@ -223,7 +223,7 @@ pub struct RuleArm {
 }
 
 /// A complete middlebox model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MboxModel {
     /// Model/type name; topology nodes reference models by this tag.
     pub type_name: String,

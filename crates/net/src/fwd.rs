@@ -11,7 +11,7 @@
 
 use crate::addr::{Address, Prefix};
 use crate::topology::{FailureScenario, Link, NodeId, Topology};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// A forwarding rule on a switch.
@@ -238,40 +238,61 @@ impl RoutingConfig {
     /// Builds shortest-path tables (BFS over live switches) toward every
     /// destination. Rules get priority 0; callers can overlay pipeline
     /// rules with positive priorities and backups with negative ones.
+    ///
+    /// The BFS tree toward a terminal depends only on the live switches it
+    /// attaches to, in link order, so one tree serves every destination
+    /// behind the same attachment. Each switch's rules come in destination
+    /// order.
     pub fn build(&self, topo: &Topology, scenario: &FailureScenario) -> ForwardingTables {
+        let mut trees: HashMap<Vec<NodeId>, Vec<(NodeId, Option<NodeId>)>> = HashMap::new();
         let mut tables = ForwardingTables::new();
         for &(prefix, terminal) in &self.destinations {
             if scenario.is_failed(terminal) {
                 continue;
             }
-            // Multi-source BFS outwards from the terminal across switches;
-            // each switch learns its next hop toward the terminal.
-            let mut next_hop: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut queue: VecDeque<NodeId> = VecDeque::new();
-            for sw in topo.live_neighbors(terminal, scenario) {
-                if matches!(topo.node(sw).kind, crate::topology::NodeKind::Switch)
-                    && !next_hop.contains_key(&sw)
-                {
-                    next_hop.insert(sw, terminal);
-                    queue.push_back(sw);
-                }
-            }
-            while let Some(sw) = queue.pop_front() {
-                for nb in topo.live_neighbors(sw, scenario) {
-                    if matches!(topo.node(nb).kind, crate::topology::NodeKind::Switch)
-                        && !next_hop.contains_key(&nb)
-                    {
-                        next_hop.insert(nb, sw);
-                        queue.push_back(nb);
-                    }
-                }
-            }
-            for (sw, nh) in next_hop {
-                tables.add_rule(sw, Rule::new(prefix, nh));
+            let attachment: Vec<NodeId> =
+                topo.live_neighbors(terminal, scenario).filter(|&n| is_switch(topo, n)).collect();
+            let tree = trees
+                .entry(attachment)
+                .or_insert_with_key(|attachment| shortest_path_tree(topo, scenario, attachment));
+            for &(sw, toward) in tree.iter() {
+                tables.add_rule(sw, Rule::new(prefix, toward.unwrap_or(terminal)));
             }
         }
         tables
     }
+}
+
+fn is_switch(topo: &Topology, n: NodeId) -> bool {
+    matches!(topo.node(n).kind, crate::topology::NodeKind::Switch)
+}
+
+/// Multi-source BFS outwards from the switches a terminal attaches to,
+/// across live switches: every switch reached, in BFS order, with its
+/// next hop toward the terminal — `None` for an attachment switch, which
+/// delivers to the terminal itself.
+fn shortest_path_tree(
+    topo: &Topology,
+    scenario: &FailureScenario,
+    attachment: &[NodeId],
+) -> Vec<(NodeId, Option<NodeId>)> {
+    let mut seen = vec![false; topo.num_nodes()];
+    let mut tree: Vec<(NodeId, Option<NodeId>)> = Vec::new();
+    for &sw in attachment {
+        if !std::mem::replace(&mut seen[sw.index()], true) {
+            tree.push((sw, None));
+        }
+    }
+    let mut head = 0;
+    while let Some(&(sw, _)) = tree.get(head) {
+        head += 1;
+        for nb in topo.live_neighbors(sw, scenario) {
+            if is_switch(topo, nb) && !std::mem::replace(&mut seen[nb.index()], true) {
+                tree.push((nb, Some(sw)));
+            }
+        }
+    }
+    tree
 }
 
 #[cfg(test)]

@@ -266,6 +266,14 @@ impl Topology {
         }
     }
 
+    /// Re-tags a middlebox with another model type. Its links and
+    /// addresses stay, so nothing derived from the graph moves.
+    pub fn retag_middlebox(&mut self, id: NodeId, mbox_type: impl Into<String>) {
+        let node = &mut self.nodes[id.index()];
+        assert!(node.kind.is_middlebox(), "{:?} is not a middlebox", node.name);
+        node.kind = NodeKind::Middlebox { mbox_type: mbox_type.into() };
+    }
+
     /// All host prefixes (host routes).
     pub fn host_prefixes(&self) -> Vec<Prefix> {
         self.hosts().flat_map(|h| self.node(h).addresses.iter().map(|&a| Prefix::host(a))).collect()
@@ -342,6 +350,9 @@ mod tests {
         let (t, _, _, sw, fw) = small();
         assert_eq!(t.mbox_type(fw), Some("stateful-firewall"));
         assert_eq!(t.mbox_type(sw), None);
+        let mut t = t;
+        t.retag_middlebox(fw, "acl-firewall");
+        assert_eq!(t.mbox_type(fw), Some("acl-firewall"));
     }
 
     #[test]

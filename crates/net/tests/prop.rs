@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 use vmn_net::{
     Address, FailureScenario, ForwardingTables, HeaderClasses, Link, NetError, NodeId, NodeKind,
@@ -516,4 +516,77 @@ fn lookup_sees_rules_added_and_removed_after_it() {
     assert_eq!(tables.lookup(&topo, &none, sw, dst, src), Some(b), "host route added later wins");
     assert_eq!(tables.remove_rules(sw, |r| r.next == b), 1);
     assert_eq!(tables.lookup(&topo, &none, sw, dst, src), Some(a), "and is gone once removed");
+}
+
+/// The routing protocol as it was first written: one multi-source BFS per
+/// destination, outwards from the terminal's live switch neighbours, each
+/// switch learning its next hop toward the terminal.
+fn ref_autoroute(
+    topo: &Topology,
+    scenario: &FailureScenario,
+    destinations: &[(Prefix, NodeId)],
+) -> ForwardingTables {
+    let is_switch = |n: NodeId| matches!(topo.node(n).kind, NodeKind::Switch);
+    let mut tables = ForwardingTables::new();
+    for &(prefix, terminal) in destinations {
+        if scenario.is_failed(terminal) {
+            continue;
+        }
+        let mut next_hop: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let mut queue = VecDeque::new();
+        for sw in topo.live_neighbors(terminal, scenario) {
+            if is_switch(sw) && !next_hop.contains_key(&sw) {
+                next_hop.insert(sw, terminal);
+                queue.push_back(sw);
+            }
+        }
+        while let Some(sw) = queue.pop_front() {
+            for nb in topo.live_neighbors(sw, scenario) {
+                if is_switch(nb) && !next_hop.contains_key(&nb) {
+                    next_hop.insert(nb, sw);
+                    queue.push_back(nb);
+                }
+            }
+        }
+        for (sw, nh) in next_hop {
+            tables.add_rule(sw, Rule::new(prefix, nh));
+        }
+    }
+    tables
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `RoutingConfig::build` shares one BFS tree among the destinations
+    /// behind one attachment; every switch's rule list must still equal,
+    /// in order, the per-destination BFS's — host routes plus middlebox
+    /// destinations, with no failure, a failed node and a failed link.
+    #[test]
+    fn autoroute_matches_per_destination_bfs(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let topo = random_topology(&mut rng);
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        for m in topo.middleboxes() {
+            if rng.below(2) == 0 {
+                rc.destination(Prefix::host(topo.node(m).addresses[0]), m);
+            }
+        }
+        let nodes: Vec<NodeId> = topo.node_ids().collect();
+        let mut link_down = FailureScenario::none();
+        link_down.failed_links.insert(pick(&mut rng, topo.links()));
+        for scenario in [
+            FailureScenario::none(),
+            FailureScenario::nodes([pick(&mut rng, &nodes)]),
+            link_down,
+        ] {
+            let built = rc.build(&topo, &scenario);
+            let reference = ref_autoroute(&topo, &scenario, &rc.destinations);
+            prop_assert_eq!(built.num_rules(), reference.num_rules());
+            for n in topo.node_ids() {
+                prop_assert_eq!(built.rules(n), reference.rules(n), "rules at {:?} under {:?}", n, scenario);
+            }
+        }
+    }
 }

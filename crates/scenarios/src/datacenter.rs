@@ -16,6 +16,8 @@
 //! "groups only talk to themselves" policy, exactly how operators
 //! configure such fabrics.
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 use vmn::{Invariant, Network};
@@ -252,8 +254,9 @@ impl Datacenter {
     /// primary IDPS is down.
     pub fn inject_traversal_misconfig(&mut self) {
         let idps2 = self.idps2.expect("traversal misconfig needs a backup IDPS");
+        let tables = Arc::make_mut(&mut self.net.tables);
         for agg in self.aggs {
-            self.net.tables.remove_rules(agg, |r| r.next == idps2);
+            tables.remove_rules(agg, |r| r.next == idps2);
         }
     }
 

@@ -17,7 +17,12 @@
 //!   invariants and scenarios are registered lazily per check, so the
 //!   epoch stays valid verbatim.
 //!
-//! The touch set also decides how much of the epoch the swap keeps. A
+//! The touch set also decides how much of the spec is re-materialised:
+//! `Everything` rebuilds the structure (topology, name map, tables), while
+//! `Nodes` and `Nothing` rebuild only the behavioural half over the
+//! previous epoch's structure (see `NetSession::apply`).
+//!
+//! It also decides how much of the epoch the swap keeps. A
 //! `Nodes` touch keeps topology, tables and node ids (a kind change only
 //! retypes the box), so the verifier carries header classes, partition
 //! and contract prelude over and resumes the contract arrivals from the

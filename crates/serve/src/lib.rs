@@ -12,7 +12,11 @@
 //!
 //! * [`spec::NetSpec`] — the symbolic `.vmn` description, which deltas
 //!   edit and [`spec::NetSpec::materialize`] turns into the concrete
-//!   [`vmn::Network`] per epoch;
+//!   [`vmn::Network`] per epoch, in two halves: the structural one
+//!   (topology, name map, forwarding tables) and the behavioural one
+//!   (models, scenarios, invariants, pipelines). A delta that touches no
+//!   structure re-runs only the behavioural half, and its epoch shares
+//!   the topology and tables of the one before;
 //! * [`delta::Delta`] — the edit language (topology, links, routing,
 //!   model swaps, invariants, scenarios), each application reporting a
 //!   [`vmn_analysis::TouchSet`] session footprint;

@@ -18,13 +18,17 @@
 //! `touched` (the session footprint), `pairs`, `prefiltered` (pairs kept
 //! because the batch touched no node), `contract_answered`,
 //! `cache_hits`, `rechecked`, `retired`, `modules` / `modules_touched`
-//! (modular mode), `changed`, and three times: `swap_ms` (building the
-//! epoch on `load`, swapping it in on a delta), `reconcile_ms` (the
-//! kept / contract / fingerprint ladder) and `elapsed_ms` (the whole
-//! request, both included).
+//! (modular mode), `changed`, and four times: `materialize_ms` (turning
+//! the spec into the epoch's network: both halves on `load` and a
+//! structural delta, the behavioural half alone on any other),
+//! `swap_ms` (building the verifier's epoch on `load`, swapping it in on
+//! a delta), `reconcile_ms` (the kept / contract / fingerprint ladder)
+//! and `elapsed_ms` (the whole request, all three included), each in
+//! milliseconds at microsecond resolution.
 //! The empty scenario key `""` names the implicit no-failure scenario.
 
 use std::io::{BufRead, Write};
+use std::time::Duration;
 
 use crate::delta::Delta;
 use crate::json::{self, Value};
@@ -72,6 +76,12 @@ fn touched_json(t: &TouchSet) -> Value {
     }
 }
 
+/// A duration in milliseconds at microsecond resolution. Finer digits
+/// are timer noise, yet an `f64` of nanoseconds prints up to 17 of them.
+fn ms(d: Duration) -> Value {
+    Value::num(d.as_micros() as f64 / 1e3)
+}
+
 fn report_json(r: &DeltaReport) -> Vec<(&'static str, Value)> {
     let changed: Vec<Value> = r
         .changed
@@ -96,9 +106,10 @@ fn report_json(r: &DeltaReport) -> Vec<(&'static str, Value)> {
         ("modules", Value::num(r.modules as f64)),
         ("modules_touched", r.modules_touched.map(|n| Value::num(n as f64)).unwrap_or(Value::Null)),
         ("changed", Value::Arr(changed)),
-        ("swap_ms", Value::Num(r.swap.as_secs_f64() * 1e3)),
-        ("reconcile_ms", Value::Num(r.reconcile.as_secs_f64() * 1e3)),
-        ("elapsed_ms", Value::Num(r.elapsed.as_secs_f64() * 1e3)),
+        ("materialize_ms", ms(r.materialize)),
+        ("swap_ms", ms(r.swap)),
+        ("reconcile_ms", ms(r.reconcile)),
+        ("elapsed_ms", ms(r.elapsed)),
     ]
 }
 
@@ -268,6 +279,12 @@ mod tests {
         assert_eq!(v.str_field("touched"), Some("nothing"));
         assert_eq!(field_num(&v, "prefiltered"), 1.0);
         assert_eq!(field_num(&v, "rechecked"), 1.0);
+        // The request's times are pinned: its three steps, then the
+        // whole request.
+        let Value::Obj(fields) = &v else { panic!("a delta response is an object: {v}") };
+        let times: Vec<&str> =
+            fields.iter().map(|(k, _)| k.as_str()).filter(|k| k.ends_with("_ms")).collect();
+        assert_eq!(times, ["materialize_ms", "swap_ms", "reconcile_ms", "elapsed_ms"]);
 
         let r = handle_line(&mut svc, r#"{"op":"verdicts","net":"n"}"#);
         let v = json::parse(&r.text).unwrap();

@@ -51,7 +51,7 @@ use vmn_analysis::TouchSet;
 use vmn_net::{FailureScenario, NodeId};
 
 use crate::delta::{scenario_key, Delta};
-use crate::spec::NetSpec;
+use crate::spec::{NetSpec, Structure};
 
 /// One decided verdict, in a form any later epoch can take.
 #[derive(Clone, Debug)]
@@ -154,19 +154,29 @@ pub struct DeltaReport {
     /// Verdicts that changed (or appeared), as
     /// (invariant spec, scenario key, holds, previous holds).
     pub changed: Vec<(String, String, bool, Option<bool>)>,
+    /// Time spent materialising the epoch's network from the spec: both
+    /// halves on `load` and a structural delta, the behavioural half
+    /// alone on any other delta.
+    pub materialize: Duration,
     /// Time spent building (`load`) or swapping in (delta) the verifier's
     /// epoch.
     pub swap: Duration,
     /// Time spent in the reconcile ladder.
     pub reconcile: Duration,
-    /// Wall-clock of the whole request, `swap` and `reconcile` included.
+    /// Wall-clock of the whole request, `materialize`, `swap` and
+    /// `reconcile` included.
     pub elapsed: Duration,
 }
 
 impl DeltaReport {
     /// The report of a batch with footprint `touched` whose epoch took
-    /// `swap`, before its reconcile pass.
-    fn new(touched: TouchSet, session: &NetSession, swap: Duration) -> DeltaReport {
+    /// `materialize` and `swap`, before its reconcile pass.
+    fn new(
+        touched: TouchSet,
+        session: &NetSession,
+        materialize: Duration,
+        swap: Duration,
+    ) -> DeltaReport {
         DeltaReport {
             modules_touched: session.modules_touched(&touched),
             touched,
@@ -178,6 +188,7 @@ impl DeltaReport {
             retired: 0,
             modules: session.module_count(),
             changed: Vec::new(),
+            materialize,
             swap,
             reconcile: Duration::ZERO,
             elapsed: Duration::ZERO,
@@ -215,18 +226,20 @@ impl NetSession {
     /// Parses, materialises and fully verifies a configuration; every
     /// (invariant, scenario) pair lands in the verdict cache.
     pub fn load(config: &str, options: VerifyOptions) -> Result<(NetSession, DeltaReport), String> {
+        let start = Instant::now();
         let spec = NetSpec::parse(config).map_err(|e| e.to_string())?;
+        let materialize_start = Instant::now();
         let m = spec.materialize().map_err(|e| e.to_string())?;
-        let net = Arc::new(m.net);
+        let materialize = materialize_start.elapsed();
         // A `partition auto` directive switches the verifier into
         // modular mode regardless of the service-wide options.
         let mut options = options;
         if spec.partition {
             options.partition = PartitionMode::Auto;
         }
-        let start = Instant::now();
-        let verifier = Verifier::from_arc(net, options).map_err(|e| e.to_string())?;
-        let swap = start.elapsed();
+        let swap_start = Instant::now();
+        let verifier = Verifier::from_arc(Arc::new(m.net), options).map_err(|e| e.to_string())?;
+        let swap = swap_start.elapsed();
         let mut session = NetSession {
             spec,
             verifier,
@@ -236,7 +249,7 @@ impl NetSession {
             pipeline_holds: Vec::new(),
             cache: HashMap::new(),
         };
-        let mut report = DeltaReport::new(TouchSet::Everything, &session, swap);
+        let mut report = DeltaReport::new(TouchSet::Everything, &session, materialize, swap);
         session.reconcile(&mut report)?;
         report.elapsed = start.elapsed();
         Ok((session, report))
@@ -246,6 +259,11 @@ impl NetSession {
     /// the report describes the re-verification, or the session is
     /// unchanged. Batching merges the footprints, so one reconcile pass
     /// serves the whole batch.
+    ///
+    /// The batch pays for the structure it changed: a structural batch
+    /// ([`TouchSet::Everything`]) materialises both halves of the spec, any
+    /// other runs only the behavioural half over the current epoch's
+    /// topology, tables and name map, which the new epoch then shares.
     pub fn apply(&mut self, deltas: &[Delta]) -> Result<DeltaReport, String> {
         let start = Instant::now();
         let mut spec = self.spec.clone();
@@ -253,8 +271,18 @@ impl NetSession {
         for d in deltas {
             touched = touched.union(spec.apply(d).map_err(|e| e.to_string())?);
         }
-        let m = spec.materialize().map_err(|e| e.to_string())?;
         let old_net = self.verifier.network().clone();
+        let materialize_start = Instant::now();
+        let m = match touched {
+            TouchSet::Everything => spec.materialize(),
+            TouchSet::Nothing | TouchSet::Nodes(_) => spec.behaviour(Structure {
+                topo: old_net.topo.clone(),
+                tables: old_net.tables.clone(),
+                names: self.names.clone(),
+            }),
+        }
+        .map_err(|e| e.to_string())?;
+        let materialize = materialize_start.elapsed();
         let swap_start = Instant::now();
         self.verifier.swap_network(Arc::new(m.net), &touched).map_err(|e| e.to_string())?;
         let swap = swap_start.elapsed();
@@ -265,7 +293,7 @@ impl NetSession {
             std::mem::replace(&mut self.pipelines, m.pipelines),
         );
 
-        let mut report = DeltaReport::new(touched, self, swap);
+        let mut report = DeltaReport::new(touched, self, materialize, swap);
         if let Err(e) = self.reconcile(&mut report) {
             // The pass committed nothing. Rebuilding the previous epoch
             // from nothing is correct by construction; the tables it
@@ -650,6 +678,66 @@ verify flow-isolation b1 -> b2
         assert_eq!(r.prefiltered, 0);
         assert_eq!(r.cache_hits, 2, "{r:?}");
         assert_eq!(r.rechecked, 0, "{r:?}");
+    }
+
+    /// A model, scenario or intent delta materialises only the
+    /// behavioural half: its epoch holds its predecessor's topology and
+    /// tables, not copies. (No kind changes here; see the next test.)
+    #[test]
+    fn behavioural_deltas_share_the_epochs_topology_and_tables() {
+        let (mut s, _) = NetSession::load(CONFIG, VerifyOptions::default()).unwrap();
+        let deltas = [
+            Delta::SetModel { name: "fw".into(), kind: "firewall".into(), args: vec![] },
+            Delta::AddScenario { fail: vec!["fw".into()] },
+            Delta::AddInvariant { spec: "data-isolation inside -> outside".into() },
+            Delta::RetireInvariant { spec: "node-isolation outside -> inside".into() },
+        ];
+        for delta in deltas {
+            let before = s.verifier().network().clone();
+            let r = s.apply(std::slice::from_ref(&delta)).unwrap();
+            assert_ne!(r.touched, TouchSet::Everything, "{delta:?}");
+            let net = s.verifier().network();
+            assert!(Arc::ptr_eq(&net.topo, &before.topo), "{delta:?} copied the topology");
+            assert!(Arc::ptr_eq(&net.tables, &before.tables), "{delta:?} copied the tables");
+        }
+    }
+
+    /// A `set-model` that changes a box's kind but not the addresses it
+    /// owns is a model delta, yet the kind is the box's type tag in the
+    /// topology: the epoch reports the new type, on a re-tagged copy of
+    /// the topology, and still shares the tables.
+    #[test]
+    fn kind_change_retags_the_box_and_shares_the_tables() {
+        let (mut s, _) = NetSession::load(CONFIG, VerifyOptions::default()).unwrap();
+        let fw = s.names()["fw"];
+        let before = s.verifier().network().clone();
+        assert_eq!(before.topo.mbox_type(fw), Some("firewall"));
+        let args = ["allow", "10.0.0.0/8", "->", "0.0.0.0/0"].map(String::from).to_vec();
+        let r = s
+            .apply(&[Delta::SetModel { name: "fw".into(), kind: "acl-firewall".into(), args }])
+            .unwrap();
+        assert_eq!(r.touched, TouchSet::node("fw"));
+        let net = s.verifier().network();
+        assert_eq!(net.topo.mbox_type(fw), Some("acl-firewall"));
+        assert_eq!(net.model(fw).type_name, "acl-firewall");
+        assert_eq!(before.topo.mbox_type(fw), Some("firewall"), "the old epoch is untouched");
+        assert!(!Arc::ptr_eq(&net.topo, &before.topo));
+        assert!(Arc::ptr_eq(&net.tables, &before.tables), "a re-tag copies no table");
+    }
+
+    /// A structural delta materialises both halves: its epoch shares
+    /// neither topology nor tables with its predecessor.
+    #[test]
+    fn structural_delta_shares_no_structure() {
+        let (mut s, _) = NetSession::load(CONFIG, VerifyOptions::default()).unwrap();
+        let before = s.verifier().network().clone();
+        let r = s
+            .apply(&[Delta::AddNode(NodeSpec::Host { name: "h9".into(), addr: "9.9.9.9".into() })])
+            .unwrap();
+        assert_eq!(r.touched, TouchSet::Everything);
+        let net = s.verifier().network();
+        assert!(!Arc::ptr_eq(&net.topo, &before.topo));
+        assert!(!Arc::ptr_eq(&net.tables, &before.tables));
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! name→id map and resolved invariants — for the current epoch. The
 //! one-shot CLI parses and materialises exactly once.
 //!
+//! A materialisation has two halves. The *structural* half,
+//! `NetSpec::structure`, builds the topology, the name map and the
+//! forwarding tables (`autoroute` runs here). The *behavioural* half,
+//! `NetSpec::behaviour`, resolves the models, scenarios, invariants and
+//! pipelines over a structure. `materialize` runs both; the daemon runs
+//! the behavioural half alone after a delta that left the structure fixed,
+//! over the previous epoch's shared topology and tables.
+//!
 //! The grammar:
 //!
 //! ```text
@@ -36,9 +44,12 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use vmn::{Invariant, Network};
 use vmn_mbox::models;
-use vmn_net::{Address, FailureScenario, NodeId, Prefix, RoutingConfig, Rule, Topology};
+use vmn_net::{
+    Address, FailureScenario, ForwardingTables, NodeId, Prefix, RoutingConfig, Rule, Topology,
+};
 
 use crate::delta::{normalize_spec, scenario_key};
 
@@ -133,6 +144,16 @@ pub struct NetSpec {
     /// to single-space token separation so textual retire-by-spec
     /// matching is reliable.
     pub(crate) verifies: Vec<(usize, String)>,
+}
+
+/// The structural half of an epoch: what [`NetSpec::structure`] builds
+/// and a delta that touches no topology, link or route leaves as it was.
+/// The topology and the tables are shared [`Arc`]s, so an epoch built over
+/// another's structure holds the same ones.
+pub(crate) struct Structure {
+    pub(crate) topo: Arc<Topology>,
+    pub(crate) tables: Arc<ForwardingTables>,
+    pub(crate) names: HashMap<String, NodeId>,
 }
 
 /// A materialised epoch: the concrete network plus the name bindings and
@@ -300,12 +321,20 @@ impl NetSpec {
         self.nodes.iter().map(|(_, n)| n).find(|n| n.name() == name)
     }
 
-    /// Rebuilds the concrete network for the current spec state.
+    /// Rebuilds the concrete network for the current spec state: both
+    /// halves, the structural then the behavioural one.
     ///
     /// Node ids are assigned in spec insertion order, so additive deltas
     /// leave existing ids untouched; removals shift later ids, which is
     /// why all daemon cache bookkeeping works on names.
     pub fn materialize(&self) -> Result<Materialized, SpecError> {
+        self.behaviour(self.structure()?)
+    }
+
+    /// The structural half of a materialisation: the topology, the
+    /// name→id map and the forwarding tables (`autoroute`, then every
+    /// `route` and `steer` on top).
+    pub(crate) fn structure(&self) -> Result<Structure, SpecError> {
         let mut topo = Topology::new();
         let mut names: HashMap<String, NodeId> = HashMap::new();
         for (lineno, node) in &self.nodes {
@@ -325,9 +354,7 @@ impl NetSpec {
                 return Err(err(*lineno, format!("duplicate node name {:?}", node.name())));
             }
         }
-        let lookup = |line: usize, name: &str| -> Result<NodeId, SpecError> {
-            names.get(name).copied().ok_or_else(|| err(line, format!("unknown node {name:?}")))
-        };
+        let lookup = |line: usize, name: &str| resolve(&names, line, name);
 
         for (lineno, a, b) in &self.links {
             let na = lookup(*lineno, a)?;
@@ -340,7 +367,7 @@ impl NetSpec {
             rc.host_routes(&topo);
             rc.build(&topo, &FailureScenario::none())
         } else {
-            vmn_net::ForwardingTables::new()
+            ForwardingTables::new()
         };
         for (lineno, r) in &self.routes {
             let sw = lookup(*lineno, &r.switch)?;
@@ -357,11 +384,33 @@ impl NetSpec {
             let next = lookup(*lineno, &s.next)?;
             tables.add_rule(sw, Rule::from_neighbor(prefix, from, next).with_priority(s.prio));
         }
+        Ok(Structure { topo: Arc::new(topo), tables: Arc::new(tables), names })
+    }
 
-        let mut net = Network::new(topo, tables);
+    /// The behavioural half of a materialisation, over `structure`: the
+    /// middlebox models, the failure scenarios, the invariants and the
+    /// pipelines.
+    ///
+    /// `structure` must be this spec's: built from it by
+    /// [`NetSpec::structure`], or carried from an epoch whose spec differs
+    /// from this one only by deltas that touched no node or only
+    /// middlebox behaviour ([`TouchSet::Nothing`] or [`TouchSet::Nodes`]).
+    /// Such a delta may change a box's kind, whose type tag lives in the
+    /// topology: the box is re-tagged, which copies the topology if
+    /// another epoch still shares it. The tables are never copied.
+    ///
+    /// [`TouchSet::Nothing`]: vmn_analysis::TouchSet::Nothing
+    /// [`TouchSet::Nodes`]: vmn_analysis::TouchSet::Nodes
+    pub(crate) fn behaviour(&self, structure: Structure) -> Result<Materialized, SpecError> {
+        let Structure { topo, tables, names } = structure;
+        let lookup = |line: usize, name: &str| resolve(&names, line, name);
+        let mut net = Network::shared(topo, tables);
         for (lineno, node) in &self.nodes {
             if let NodeSpec::Mbox { name, kind, args } = node {
                 let id = lookup(*lineno, name)?;
+                if net.topo.mbox_type(id) != Some(kind.as_str()) {
+                    Arc::make_mut(&mut net.topo).retag_middlebox(id, kind);
+                }
                 net.set_model(id, build_model(*lineno, kind, name, args)?);
             }
         }
@@ -401,6 +450,11 @@ impl NetSpec {
 
         Ok(Materialized { net, names, invariants, pipelines })
     }
+}
+
+/// The id `name` has in `names`, or an unknown-node error on `line`.
+fn resolve(names: &HashMap<String, NodeId>, line: usize, name: &str) -> Result<NodeId, SpecError> {
+    names.get(name).copied().ok_or_else(|| err(line, format!("unknown node {name:?}")))
 }
 
 fn one(line: usize, rest: &[String], usage: &str) -> Result<String, SpecError> {

@@ -368,13 +368,18 @@ fn witness_to_trace(w: &vmn_bdd::Witness) -> Trace {
 }
 
 impl Verifier {
+    /// Builds a verifier over a copy of `net`. The copy shares `net`'s
+    /// topology and forwarding tables (both behind [`Arc`]s) and clones
+    /// only the models and scenarios, so no graph is deep-copied. The
+    /// tables' lookup indexes, built lazily on first use, are shared too
+    /// and outlive the verifier with the caller's network.
     pub fn new(net: &Network, options: VerifyOptions) -> Result<Verifier, VerifyError> {
         Self::from_arc(Arc::new(net.clone()), options)
     }
 
     /// Builds a verifier that shares an already-owned network (the
     /// daemon materialises each epoch once and hands the same `Arc` to
-    /// the verifier and its own bookkeeping).
+    /// the verifier and its own bookkeeping). Nothing is copied.
     pub fn from_arc(net: Arc<Network>, options: VerifyOptions) -> Result<Verifier, VerifyError> {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
         let policy = OnceLock::from(Self::policy_classes(&net, &options));
@@ -1676,6 +1681,17 @@ pub(crate) mod engine_tests {
         assert!(reports[1].inherited);
         assert_eq!(reports[1].bdd, BddStats::default(), "inherited cost must not double-count");
         assert_eq!(reports[1].bdd_scenarios, reports[0].bdd_scenarios, "provenance is kept");
+    }
+
+    /// `Verifier::new` copies the caller's network without copying its
+    /// graph: the verifier's epoch holds the very topology and tables the
+    /// caller does.
+    #[test]
+    fn verifier_new_shares_the_callers_topology_and_tables() {
+        let (net, _, _) = pipelined(true);
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        assert!(Arc::ptr_eq(&v.network().topo, &net.topo), "topology copied");
+        assert!(Arc::ptr_eq(&v.network().tables, &net.tables), "tables copied");
     }
 
     /// The SMT sessions read the epoch's one delivery memo: after

@@ -2,6 +2,7 @@
 //! middlebox models, and the failure scenarios to verify under.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use vmn_mbox::MboxModel;
 use vmn_net::{Address, FailureScenario, ForwardingTables, NodeId, Topology};
 
@@ -10,10 +11,16 @@ use vmn_net::{Address, FailureScenario, ForwardingTables, NodeId, Topology};
 /// Forwarding tables are shared across failure scenarios: backup rules
 /// (lower priorities) plus liveness-aware lookup implement the paper's
 /// "mapping from failure conditions to transfer functions".
+///
+/// Topology and tables sit behind [`Arc`]s, so a clone — a verifier's
+/// own copy, the daemon's next epoch — shares them instead of copying a
+/// graph of thousands of nodes. Readers see them through auto-deref; a
+/// caller that edits a built network goes through [`Arc::make_mut`],
+/// which copies only a structure some other holder still shares.
 #[derive(Clone)]
 pub struct Network {
-    pub topo: Topology,
-    pub tables: ForwardingTables,
+    pub topo: Arc<Topology>,
+    pub tables: Arc<ForwardingTables>,
     /// Model for every middlebox instance.
     pub models: HashMap<NodeId, MboxModel>,
     /// Failure scenarios to verify under. The no-failure scenario is
@@ -23,6 +30,12 @@ pub struct Network {
 
 impl Network {
     pub fn new(topo: Topology, tables: ForwardingTables) -> Network {
+        Network::shared(Arc::new(topo), Arc::new(tables))
+    }
+
+    /// A network over a topology and tables another network may hold
+    /// too, with no models and no scenarios yet.
+    pub fn shared(topo: Arc<Topology>, tables: Arc<ForwardingTables>) -> Network {
         Network { topo, tables, models: HashMap::new(), scenarios: Vec::new() }
     }
 

@@ -10,6 +10,7 @@ mod policy_reference;
 use policy_reference::assert_matches_reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use vmn::{Invariant, Network, PolicyClasses, Verifier, VerifyOptions};
 use vmn_mbox::models;
 use vmn_net::{FailureScenario, Prefix, RoutingConfig, Rule, Topology};
@@ -28,7 +29,7 @@ fn drop_one_steering_rule(net: &mut Network) {
         .switches()
         .find_map(|sw| Some((sw, *net.tables.rules(sw).iter().find(|r| r.from.is_some())?)))
         .expect("the generators steer traffic through middleboxes");
-    assert_eq!(net.tables.remove_rules(sw, |r| *r == rule), 1);
+    assert_eq!(Arc::make_mut(&mut net.tables).remove_rules(sw, |r| *r == rule), 1);
 }
 
 #[test]

@@ -13,8 +13,14 @@
 //!   report the first violating scenario in configured sweep order;
 //! * the delta report's cache accounting is conserved: every pair is
 //!   kept (`prefiltered`), contract-answered, fingerprint-hit, or
-//!   re-checked — nothing is dropped — and its swap and reconcile times
-//!   fit inside its elapsed time;
+//!   re-checked — nothing is dropped — and its materialise, swap and
+//!   reconcile times fit inside its elapsed time;
+//! * the session's network, whose topology and tables a model, scenario
+//!   or intent delta shares with the epoch before it (re-tagging a box
+//!   whose kind moved), equals the spec materialised from nothing: every
+//!   node's name, kind and type tag and addresses, the links and each
+//!   node's neighbour order, each switch's rules in order, the models,
+//!   the scenarios and the name map;
 //! * the session's verifier, carried from epoch to epoch, equals one
 //!   built from nothing on the same network and options: policy classes,
 //!   header classes and the interval lists memoised over them, modules,
@@ -44,7 +50,7 @@ use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_net::{FailureScenario, TransferFunction};
-use vmn_serve::{scenario_key, Delta, NetSession, NodeSpec};
+use vmn_serve::{scenario_key, Delta, Materialized, NetSession, NodeSpec};
 
 fn fuzz_cases() -> u32 {
     match std::env::var("VMN_FUZZ_CASES") {
@@ -286,11 +292,35 @@ fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
     }
 }
 
+/// The session's network, carried from epoch to epoch, must equal `m`,
+/// the live spec materialised from nothing. Rules are compared, not the
+/// lookup index the tables build lazily from them.
+fn assert_structure_matches(session: &NetSession, m: &Materialized, label: &str) {
+    let net = session.verifier().network();
+    let (topo, want) = (&net.topo, &m.net.topo);
+    assert_eq!(topo.num_nodes(), want.num_nodes(), "{label}: node count");
+    for ((id, node), (_, w)) in topo.nodes().zip(want.nodes()) {
+        assert_eq!(
+            (&node.name, &node.kind, &node.addresses),
+            (&w.name, &w.kind, &w.addresses),
+            "{label}: node {id:?}"
+        );
+        assert_eq!(topo.neighbors(id), want.neighbors(id), "{label}: neighbours of {}", node.name);
+        assert_eq!(net.tables.rules(id), m.net.tables.rules(id), "{label}: rules at {}", node.name);
+    }
+    assert_eq!(topo.links(), want.links(), "{label}: links");
+    assert_eq!(net.tables.num_rules(), m.net.tables.num_rules(), "{label}: rule count");
+    assert_eq!(net.models, m.net.models, "{label}: models");
+    assert_eq!(net.scenarios, m.net.scenarios, "{label}: scenarios");
+    assert_eq!(*session.names(), m.names, "{label}: name map");
+}
+
 /// The core oracle: the daemon's cached state must be indistinguishable
 /// from a verifier built from scratch off the same symbolic spec.
 fn assert_matches_scratch(session: &NetSession, label: &str) {
     assert_epoch_matches_fresh(session, label);
     let m = session.spec().materialize().expect("live spec rematerializes");
+    assert_structure_matches(session, &m, label);
     let fresh = Verifier::new(&m.net, VerifyOptions::default()).expect("valid network");
     let scenarios = session.scenario_list();
     let verdicts = session.verdicts();
@@ -353,7 +383,10 @@ fn run_case(seed: u64) {
         pairs,
         "{label}: a cold cache solves every pair or shares an earlier pair's answer"
     );
-    assert!(load_report.swap + load_report.reconcile <= load_report.elapsed, "{load_report:?}");
+    assert!(
+        load_report.materialize + load_report.swap + load_report.reconcile <= load_report.elapsed,
+        "{load_report:?}"
+    );
     assert_matches_scratch(&session, &format!("{label} after load"));
 
     for step in 0..4 {
@@ -367,7 +400,7 @@ fn run_case(seed: u64) {
             "{label} step {step}: cache accounting must conserve pairs: {report:?}"
         );
         assert!(
-            report.swap + report.reconcile <= report.elapsed,
+            report.materialize + report.swap + report.reconcile <= report.elapsed,
             "{label} step {step}: the rungs' time must fit in the elapsed time: {report:?}"
         );
         assert_eq!(
