@@ -63,8 +63,8 @@ fn usage() -> ExitCode {
          Long-lived verification daemon speaking newline-delimited JSON\n\
          on stdin/stdout (or on a unix socket with --socket): load\n\
          networks, apply topology/policy/invariant deltas, and read\n\
-         re-verification reports answered from a slice-fingerprint\n\
-         verdict cache, re-solving only the pairs it misses. See the\n\
+         re-verification reports answered from a slice-key verdict\n\
+         cache, re-solving only the pairs it misses. See the\n\
          vmn_serve crate docs for the protocol."
     );
     ExitCode::from(2)

@@ -48,7 +48,7 @@ use vmn_net::{Address, Prefix, Protocol};
 
 /// Failure behaviour of a middlebox (the paper's `@FailClosed` /
 /// fail-open annotation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum FailMode {
     /// Packets are dropped while the box is failed.
     Closed,
@@ -58,7 +58,7 @@ pub enum FailMode {
 
 /// How middlebox state is partitioned — the property slicing exploits
 /// (§4.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Parallelism {
     /// State is partitioned by flow and only the packet's own flow's state
     /// is read or written (e.g. stateful firewalls, NATs).
@@ -71,7 +71,7 @@ pub enum Parallelism {
 }
 
 /// How a state key is computed from the packet being processed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum KeyExpr {
     /// Direction-normalised 5-tuple ([`vmn_net::Header::flow`]).
     Flow,
@@ -86,7 +86,7 @@ pub enum KeyExpr {
 }
 
 /// A declared state set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateDecl {
     pub name: String,
     /// The key expression used at insertion time.
@@ -94,14 +94,14 @@ pub struct StateDecl {
 }
 
 /// A declared classification oracle (abstract packet class).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OracleDecl {
     /// Name, conventionally ending in `?` (e.g. `malicious?`).
     pub name: String,
 }
 
 /// Predicate over the packet being processed, middlebox state and oracles.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Guard {
     True,
     Not(Box<Guard>),
@@ -157,6 +157,23 @@ impl Guard {
         }
     }
 
+    /// This guard under the translation `a ↦ a ^ mask` of the address
+    /// space (see [`MboxModel::translated`]).
+    fn translated(&self, mask: u32) -> Guard {
+        match self {
+            Guard::Not(g) => Guard::not(g.translated(mask)),
+            Guard::And(gs) => Guard::and(gs.iter().map(|g| g.translated(mask))),
+            Guard::Or(gs) => Guard::or(gs.iter().map(|g| g.translated(mask))),
+            Guard::SrcIn(p) => Guard::SrcIn(p.translated(mask)),
+            Guard::DstIn(p) => Guard::DstIn(p.translated(mask)),
+            Guard::OriginIn(p) => Guard::OriginIn(p.translated(mask)),
+            Guard::SrcIs(a) => Guard::SrcIs(a.translated(mask)),
+            Guard::DstIs(a) => Guard::DstIs(a.translated(mask)),
+            Guard::OriginIs(a) => Guard::OriginIs(a.translated(mask)),
+            other => other.clone(),
+        }
+    }
+
     /// Key expressions used by state reads in this guard.
     fn state_keys(&self, out: &mut Vec<KeyExpr>) {
         match self {
@@ -179,7 +196,7 @@ impl Guard {
 }
 
 /// Effect of a matched rule, applied in order.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Action {
     /// Emit the current packet toward its (possibly rewritten) destination.
     Forward,
@@ -213,17 +230,35 @@ pub enum Action {
     HavocTag,
 }
 
+impl Action {
+    /// This action under the translation `a ↦ a ^ mask` of the address
+    /// space (see [`MboxModel::translated`]).
+    fn translated(&self, mask: u32) -> Action {
+        match self {
+            Action::RewriteSrc(a) => Action::RewriteSrc(a.translated(mask)),
+            Action::RewriteDst(a) => Action::RewriteDst(a.translated(mask)),
+            Action::RewriteDstOneOf(addrs) => {
+                Action::RewriteDstOneOf(addrs.iter().map(|a| a.translated(mask)).collect())
+            }
+            other => other.clone(),
+        }
+    }
+}
+
 /// One `when guard => actions` arm; arms are evaluated in order and the
 /// first whose guard matches fires (the paper's event-driven `when`
 /// blocks).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleArm {
     pub guard: Guard,
     pub actions: Vec<Action>,
 }
 
 /// A complete middlebox model.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The IR compares structurally (`Eq`, `Hash`, `Ord`): two models are equal
+/// exactly when every field is.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MboxModel {
     /// Model/type name; topology nodes reference models by this tag.
     pub type_name: String,
@@ -287,6 +322,36 @@ impl MboxModel {
     pub fn rule(mut self, guard: Guard, actions: Vec<Action>) -> MboxModel {
         self.rules.push(RuleArm { guard, actions });
         self
+    }
+
+    /// This model under the translation `a ↦ a ^ mask` of the address
+    /// space: every address it names is XORed with `mask`, and every
+    /// prefix becomes its image block. Names, ports, state keys and rule
+    /// order stay. The model reads addresses only through equality, prefix
+    /// membership and flow identity, all of which a translation keeps, so
+    /// processing a translated header with the translated model gives the
+    /// translated outcome ([`exec::process`] commutes with translation).
+    pub fn translated(&self, mask: u32) -> MboxModel {
+        let pairs = |acl: &[(Prefix, Prefix)]| {
+            acl.iter().map(|(s, d)| (s.translated(mask), d.translated(mask))).collect()
+        };
+        MboxModel {
+            type_name: self.type_name.clone(),
+            fail_mode: self.fail_mode,
+            parallelism: self.parallelism,
+            states: self.states.clone(),
+            oracles: self.oracles.clone(),
+            exclusive_oracles: self.exclusive_oracles.clone(),
+            acls: self.acls.iter().map(|(name, acl)| (name.clone(), pairs(acl))).collect(),
+            rules: self
+                .rules
+                .iter()
+                .map(|r| RuleArm {
+                    guard: r.guard.translated(mask),
+                    actions: r.actions.iter().map(|a| a.translated(mask)).collect(),
+                })
+                .collect(),
+        }
     }
 
     pub fn acl_pairs(&self, name: &str) -> Option<&[(Prefix, Prefix)]> {

@@ -2,8 +2,9 @@
 //! interpreter.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use vmn_mbox::exec::{process, MboxState, SeqChooser};
-use vmn_mbox::models;
+use vmn_mbox::{models, Action, Guard, MboxModel};
 use vmn_net::{Address, Header, Prefix};
 
 fn arb_header() -> impl Strategy<Value = Header> {
@@ -132,5 +133,101 @@ proptest! {
         let mut ch = SeqChooser::new();
         prop_assert_eq!(process(&closed, &mut st, true, h, &mut no_oracle, &mut ch).emitted, None);
         prop_assert_eq!(process(&open, &mut st, true, h, &mut no_oracle, &mut ch).emitted, Some(h));
+    }
+}
+
+/// Addresses and prefixes the random models and headers share, so that
+/// guards, ACLs and rewrites match often.
+const ADDRS: [u32; 7] =
+    [0x0A01_0001, 0x0A01_0002, 0x0A02_0001, 0x0A02_0002, 0x0102_0304, 0xC0A8_0007, 0];
+const PREFIXES: [&str; 6] =
+    ["10.1.0.0/16", "10.2.0.0/16", "10.0.0.0/8", "0.0.0.0/0", "10.1.0.2/32", "192.168.0.0/16"];
+
+fn pick_addr(rng: &mut TestRng) -> Address {
+    Address(ADDRS[rng.below(ADDRS.len() as u64) as usize])
+}
+
+fn pick_prefix(rng: &mut TestRng) -> Prefix {
+    PREFIXES[rng.below(PREFIXES.len() as u64) as usize].parse().unwrap()
+}
+
+fn pick_acl(rng: &mut TestRng) -> Vec<(Prefix, Prefix)> {
+    (0..rng.below(3)).map(|_| (pick_prefix(rng), pick_prefix(rng))).collect()
+}
+
+/// A library model with random parameters, or a hand-built one whose
+/// guards and actions are the address-reading arms no library model uses.
+fn random_model(rng: &mut TestRng) -> MboxModel {
+    match rng.below(12) {
+        0 => models::learning_firewall("fw", pick_acl(rng)),
+        1 => models::acl_firewall("acl", pick_acl(rng)),
+        2 => models::nat("nat", pick_prefix(rng), pick_addr(rng)),
+        3 => {
+            let backends = (0..1 + rng.below(3)).map(|_| pick_addr(rng)).collect();
+            models::load_balancer("lb", pick_addr(rng), backends)
+        }
+        4 => models::idps("idps"),
+        5 => models::content_cache("cache", [pick_prefix(rng)], pick_acl(rng)),
+        6 => models::scrubber("scrub"),
+        7 => models::wan_optimizer("wan"),
+        8 => models::application_firewall("app", &["skype?"], &["skype?", "jabber?"]),
+        9 => models::security_group_firewall("sg", pick_acl(rng)),
+        10 => models::gateway("gw"),
+        _ => MboxModel::new("exotic")
+            .rule(
+                Guard::and([
+                    Guard::SrcIs(pick_addr(rng)),
+                    Guard::not(Guard::OriginIs(pick_addr(rng))),
+                ]),
+                vec![Action::RewriteDst(pick_addr(rng)), Action::Forward],
+            )
+            .rule(
+                Guard::or([Guard::OriginIn(pick_prefix(rng)), Guard::DstIs(pick_addr(rng))]),
+                vec![Action::RewriteSrc(pick_addr(rng)), Action::Forward],
+            )
+            .rule(Guard::DstIn(pick_prefix(rng)), vec![Action::Forward])
+            .rule(Guard::True, vec![Action::Drop]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Translation commutes with execution: feeding `h ^ mask` to
+    /// `model.translated(mask)` fires the rule `h` fires in `model` and
+    /// emits the translated packet, over a run of packets that builds up
+    /// state (each packet is fresh or the reply to the last emission, so
+    /// established flows, NAT restores and cache hits occur).
+    #[test]
+    fn translated_models_commute_with_exec(seed in any::<u64>(), mask in any::<u32>()) {
+        let mut rng = TestRng::new(seed);
+        let model = random_model(&mut rng);
+        model.validate().expect("library models validate");
+        let moved = model.translated(mask);
+        prop_assert_eq!(moved.translated(mask), model.clone(), "a translation is its own inverse");
+        let (mut st, mut moved_st) = (MboxState::new(), MboxState::new());
+        let (mut ch, mut moved_ch) = (SeqChooser::new(), SeqChooser::new());
+        let mut last: Option<Header> = None;
+        for _ in 0..6 {
+            let h = match last {
+                Some(e) if rng.below(2) == 0 => e.reverse(),
+                _ => {
+                    let src = pick_addr(&mut rng);
+                    let origin = if rng.below(3) == 0 { pick_addr(&mut rng) } else { src };
+                    let port = |rng: &mut TestRng| [80, 443, 1000][rng.below(3) as usize];
+                    let (sp, dp) = (port(&mut rng), port(&mut rng));
+                    Header { origin, ..Header::tcp(src, sp, pick_addr(&mut rng), dp) }
+                }
+            };
+            // An oracle answers by name and step, never by address.
+            let flagged = rng.below(2) == 0;
+            let mut oracle = |name: &str, _: &Header| flagged && name.starts_with('m');
+            let out = process(&model, &mut st, false, h, &mut oracle, &mut ch);
+            let moved_out =
+                process(&moved, &mut moved_st, false, h.translated(mask), &mut oracle, &mut moved_ch);
+            prop_assert_eq!(moved_out.matched_rule, out.matched_rule, "{} on {}", model.type_name, h);
+            prop_assert_eq!(moved_out.emitted, out.emitted.map(|e| e.translated(mask)));
+            last = out.emitted.or(last);
+        }
     }
 }

@@ -26,6 +26,12 @@ impl Address {
     pub fn in_prefix(self, prefix: Prefix) -> bool {
         prefix.contains(self)
     }
+
+    /// This address under the translation `a ↦ a ^ mask` of the address
+    /// space. The translation is its own inverse.
+    pub fn translated(self, mask: u32) -> Address {
+        Address(self.0 ^ mask)
+    }
 }
 
 impl fmt::Display for Address {
@@ -133,6 +139,13 @@ impl Prefix {
     /// Last address of the block.
     pub fn last(self) -> Address {
         Address(self.addr.0 | !Self::mask(self.len))
+    }
+
+    /// The image of this block under `a ↦ a ^ mask`: XOR with a constant
+    /// maps every aligned block onto an aligned block of the same length,
+    /// so the image is the prefix of `addr ^ mask` at the same length.
+    pub fn translated(self, mask: u32) -> Prefix {
+        Prefix::new(self.addr.translated(mask), self.len)
     }
 
     /// The set of prefixes covering `self` minus `inner` (which must be
@@ -309,6 +322,18 @@ mod tests {
         // Nothing outside the outer block is covered.
         let outside: Address = "11.0.0.1".parse().unwrap();
         assert!(comp.iter().all(|p| !p.contains(outside)));
+    }
+
+    #[test]
+    fn translation_maps_a_block_onto_a_block() {
+        let p: Prefix = "10.1.0.0/16".parse().unwrap();
+        let mask = Address::from_octets([10, 1, 0, 1]).0;
+        assert_eq!(p.translated(mask), "0.0.0.0/16".parse().unwrap());
+        assert_eq!(p.translated(mask).translated(mask), p);
+        for probe in ["10.1.2.3", "10.2.0.1", "0.0.0.0"] {
+            let a: Address = probe.parse().unwrap();
+            assert_eq!(p.contains(a), p.translated(mask).contains(a.translated(mask)), "{probe}");
+        }
     }
 
     #[test]

@@ -45,6 +45,17 @@ impl Header {
         }
     }
 
+    /// This header under the translation `a ↦ a ^ mask` of the address
+    /// space: `src`, `dst` and `origin` move, ports, protocol and tag stay.
+    pub fn translated(self, mask: u32) -> Header {
+        Header {
+            src: self.src.translated(mask),
+            dst: self.dst.translated(mask),
+            origin: self.origin.translated(mask),
+            ..self
+        }
+    }
+
     /// Direction-insensitive flow identity (both directions of a
     /// connection map to the same [`FlowId`]). This mirrors the paper's
     /// `flow(p)` function used by e.g. the learning firewall: a reply
@@ -115,6 +126,18 @@ mod tests {
         let h3 = Header::tcp(addr("10.0.0.3"), 4242, addr("10.0.0.2"), 80);
         assert_ne!(h1.flow(), h2.flow());
         assert_ne!(h1.flow(), h3.flow());
+    }
+
+    #[test]
+    fn translation_keeps_flow_equality() {
+        // `flow` orders the two endpoints, and a translation can swap that
+        // order; the flows of two headers stay equal or unequal all the same.
+        let h = Header::tcp(addr("10.0.0.1"), 4242, addr("128.0.0.2"), 80);
+        let mask = 0x8000_0000;
+        let (t, r) = (h.translated(mask), h.reverse().translated(mask));
+        assert!(t.same_flow(&r));
+        assert!(!t.same_flow(&Header { src_port: 1, ..r }));
+        assert_eq!(t.translated(mask), h);
     }
 
     #[test]

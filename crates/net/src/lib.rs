@@ -40,4 +40,4 @@ pub use fwd::{ForwardingTables, RoutingConfig, Rule};
 pub use header::{FlowId, Header};
 pub use pipeline::{PipelineDag, PipelineSpec, PipelineViolation, PortClass};
 pub use topology::{FailureScenario, Link, Node, NodeId, NodeKind, Topology};
-pub use transfer::{HeaderClasses, Interval, TransferFunction};
+pub use transfer::{translated_intervals, HeaderClasses, Interval, TransferFunction};

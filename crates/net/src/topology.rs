@@ -28,7 +28,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// Role of a node.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum NodeKind {
     /// An end host that can originate and sink traffic.
     Host,

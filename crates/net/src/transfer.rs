@@ -30,6 +30,53 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// `(first, last, target)`, inclusive, `None` for a drop.
 pub type Interval = (u32, u32, Option<NodeId>);
 
+/// The image of a labelled interval list under the translation
+/// `a ↦ a ^ mask` of the address space, as its maximal runs: sorted,
+/// disjoint, and with no two adjacent runs of equal label.
+///
+/// `intervals` must be disjoint (their order does not matter). XOR by a
+/// constant does not keep an interval contiguous, but it maps every aligned
+/// block of `2^j` addresses onto an aligned block of the same size, so
+/// each interval is split into its aligned blocks (at most 62), each block
+/// is translated, and the translated blocks are sorted and merged again.
+/// Two lists that label every address alike have the same image, however
+/// each splits its runs.
+pub fn translated_intervals<T: Copy + PartialEq>(
+    intervals: &[(u32, u32, T)],
+    mask: u32,
+) -> Vec<(u32, u32, T)> {
+    let mut blocks: Vec<(u32, u32, T)> = Vec::with_capacity(intervals.len());
+    for &(first, last, label) in intervals {
+        if mask == 0 {
+            blocks.push((first, last, label));
+            continue;
+        }
+        let (mut lo, end) = (u64::from(first), u64::from(last) + 1);
+        while lo < end {
+            // The largest aligned block that starts at `lo` and ends by `end`.
+            let mut size = if lo == 0 { 1u64 << 32 } else { lo & lo.wrapping_neg() };
+            while lo + size > end {
+                size >>= 1;
+            }
+            let span = (size - 1) as u32;
+            let base = (lo as u32 ^ mask) & !span;
+            blocks.push((base, base | span, label));
+            lo += size;
+        }
+    }
+    blocks.sort_unstable_by_key(|b| b.0);
+    let mut out: Vec<(u32, u32, T)> = Vec::with_capacity(blocks.len());
+    for (first, last, label) in blocks {
+        match out.last_mut() {
+            Some(prev) if prev.2 == label && u64::from(prev.1) + 1 == u64::from(first) => {
+                prev.1 = last
+            }
+            _ => out.push((first, last, label)),
+        }
+    }
+    out
+}
+
 /// The transfer function of a network under one failure scenario.
 ///
 /// Borrows the topology, tables and scenario and holds nothing else, so

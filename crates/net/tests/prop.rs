@@ -5,8 +5,8 @@ use proptest::test_runner::TestRng;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 use vmn_net::{
-    Address, FailureScenario, ForwardingTables, HeaderClasses, Link, NetError, NodeId, NodeKind,
-    Prefix, RoutingConfig, Rule, Topology, TransferFunction,
+    translated_intervals, Address, FailureScenario, ForwardingTables, HeaderClasses, Link,
+    NetError, NodeId, NodeKind, Prefix, RoutingConfig, Rule, Topology, TransferFunction,
 };
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -588,5 +588,64 @@ proptest! {
                 prop_assert_eq!(built.rules(n), reference.rules(n), "rules at {:?} under {:?}", n, scenario);
             }
         }
+    }
+}
+
+/// The label `intervals` gives `a`, if any.
+fn label_at(intervals: &[(u32, u32, u8)], a: u32) -> Option<u8> {
+    intervals.iter().find(|&&(first, last, _)| first <= a && a <= last).map(|i| i.2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The block-wise XOR image of an interval list labels `a ^ mask`
+    /// exactly as the list labels `a`, and comes back as maximal runs.
+    /// Cuts are drawn near a few bases so that runs of every size occur,
+    /// from single addresses to most of the space; probes sit on and
+    /// beside every cut, and at random.
+    #[test]
+    fn xor_image_agrees_with_pointwise_translation(
+        seed in any::<u64>(),
+        mask in any::<u32>(),
+        probes in prop::collection::vec(any::<u32>(), 8),
+    ) {
+        let mut rng = TestRng::new(seed);
+        let bases = [0u32, 0x0A01_0000, 0x8000_0000, u32::MAX - 300];
+        let mut cuts: Vec<u32> = Vec::new();
+        for _ in 0..1 + rng.below(8) {
+            let base = pick(&mut rng, &bases);
+            let spread = 1u64 << rng.below(32);
+            cuts.push(base.wrapping_add(rng.below(spread) as u32));
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        // Runs between consecutive cuts, each labelled 0..3 or dropped
+        // (a gap); adjacent runs may share a label.
+        let mut intervals = Vec::new();
+        let mut starts = cuts.clone();
+        if starts[0] != 0 {
+            starts.insert(0, 0);
+        }
+        for (i, &first) in starts.iter().enumerate() {
+            let last = starts.get(i + 1).map_or(u32::MAX, |&next| next - 1);
+            if rng.below(5) > 0 {
+                intervals.push((first, last, rng.below(3) as u8));
+            }
+        }
+        let image = translated_intervals(&intervals, mask);
+        for w in image.windows(2) {
+            prop_assert!(w[0].1 < w[1].0, "runs are sorted and disjoint: {:?}", w);
+            prop_assert!(w[0].1 + 1 < w[1].0 || w[0].2 != w[1].2, "runs are maximal: {:?}", w);
+        }
+        let mut points = probes;
+        for &c in &starts {
+            points.extend([c, c.wrapping_sub(1), c.wrapping_add(1)]);
+        }
+        for a in points {
+            prop_assert_eq!(label_at(&image, a ^ mask), label_at(&intervals, a), "address {:#x}", a);
+        }
+        // Translating back restores the list's own maximal runs.
+        prop_assert_eq!(translated_intervals(&image, mask), translated_intervals(&intervals, 0));
     }
 }

@@ -33,7 +33,7 @@
 //! first reads them.
 //!
 //! The distinct question of which *cached verdicts* a delta may change
-//! is answered later by slice-fingerprint comparison (see `service`).
+//! is answered later by slice-key comparison (see `service`).
 
 use std::collections::BTreeSet;
 use vmn_analysis::TouchSet;

@@ -21,10 +21,12 @@
 //!   model swaps, invariants, scenarios), each application reporting a
 //!   [`vmn_analysis::TouchSet`] session footprint;
 //! * [`service::NetSession`] — a warmed [`vmn::Verifier`] plus a
-//!   verdict cache keyed by slice fingerprint
-//!   ([`vmn::slice::verdict_fingerprint`]): a delta that touches no node
-//!   keeps every pair, pairs whose fingerprint was seen before are
-//!   answered from cache, and only the rest re-solve, each sweep on
+//!   verdict cache keyed by an exact slice key
+//!   ([`vmn::slice::SliceKey`], compared in full, never by hash): a delta
+//!   that touches no node keeps every pair, pairs whose key was seen before
+//!   are answered from cache — possibly from another pair that is the same
+//!   check up to renaming and an XOR translation of addresses, whose
+//!   witness is carried over — and only the rest re-solve, each sweep on
 //!   solver sessions of its own;
 //! * [`service::Service`] + [`protocol`] — a named fleet of sessions
 //!   behind a newline-delimited-JSON protocol (`vmn serve`);

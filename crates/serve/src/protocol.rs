@@ -22,7 +22,7 @@
 //! the spec into the epoch's network: both halves on `load` and a
 //! structural delta, the behavioural half alone on any other),
 //! `swap_ms` (building the verifier's epoch on `load`, swapping it in on
-//! a delta), `reconcile_ms` (the kept / contract / fingerprint ladder)
+//! a delta), `reconcile_ms` (the kept / contract / slice-key ladder)
 //! and `elapsed_ms` (the whole request, all three included), each in
 //! milliseconds at microsecond resolution.
 //! The empty scenario key `""` names the implicit no-failure scenario.

@@ -4,8 +4,8 @@
 //! keeps the symbolic [`NetSpec`], a [`Verifier`] (whose per-epoch tables
 //! persist across checks; its solver sessions live one sweep each), and a
 //! **verdict cache** with one entry per (invariant, scenario) pair,
-//! holding the pair's verdict under its *slice fingerprint*
-//! ([`vmn::slice::verdict_fingerprint`]) and the one generation before it.
+//! holding the pair's verdict under its *slice key*
+//! ([`vmn::slice::SliceKey`]) and the one generation before it.
 //!
 //! Applying a delta re-checks only what the delta can touch. The delta's
 //! [`TouchSet`] decides how much of the verifier's epoch the swap keeps
@@ -16,22 +16,27 @@
 //!    invariants or scenarios came or went), so a cached pair stands as
 //!    it is;
 //! 2. **contract** — in modular mode, the boundary contracts prove the
-//!    pair outright, with no plan and no fingerprint;
-//! 3. **fingerprint** — the pair recomputes its fingerprint and looks it
-//!    up among the answers the live pairs hold: a fingerprint seen
-//!    before — from this pair or another, in this epoch or, through an
-//!    entry's previous generation, the one before — is a *cache hit* (the
-//!    verdict is a deterministic function of the fingerprinted inputs,
-//!    none of which names the pair); an unseen one triggers a
-//!    re-verification of just that pair, on the plan just fingerprinted
-//!    ([`Verifier::verify_planned`]), whose answer the later pairs of the
-//!    same pass can hit in turn.
+//!    pair outright, with no plan and no key;
+//! 3. **slice key** — the pair recomputes its key and looks it up among
+//!    the answers the live pairs hold. The key describes the planned check
+//!    exactly, up to a renaming of its nodes and an XOR translation of its
+//!    addresses, and is compared in full, so an equal key is the same
+//!    check: a key seen before — from this pair or another, in this epoch
+//!    or, through an entry's previous generation, the one before — is a
+//!    *cache hit*; an unseen one triggers a re-verification of just that
+//!    pair, on the plan just keyed ([`Verifier::verify_planned`]), whose
+//!    answer the later pairs of the same pass can hit in turn.
 //!
-//! A hit's witness is re-targeted: its scenario becomes the asking pair's,
-//! and its node ids — insertion indices, which shift when a node is
-//! removed — are mapped by name into the current epoch. The cache keeps
-//! two generations per live pair, so a pass looks up at most 2 × live
-//! pairs answers plus its own re-checks.
+//! A hit may come from another pair, such as the same pair shape in
+//! another pod on its own /16. Its witness is carried onto the asking pair
+//! ([`vmn::slice::Embedding::carry`]): each node moves to the asking pair's
+//! member at the same canonical index, each packet's `src`, `dst` and
+//! `origin` are XORed with the two pairs' masks, and the scenario becomes
+//! the asking pair's. Node ids — insertion indices, which shift when a node
+//! is removed — are read against the answer's own epoch, so a witness
+//! crosses epochs the same way. The cache keeps two generations per live
+//! pair, so a pass looks up at most 2 × live pairs answers plus its own
+//! re-checks.
 //!
 //! Pipeline invariants are static-datapath checks, orders of magnitude
 //! cheaper than the SMT path, and are simply re-checked on every delta.
@@ -41,82 +46,56 @@
 //! pass that fails restores the spec and rebuilds the previous epoch from
 //! nothing, so a refused batch leaves the session as it found it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vmn::slice::verdict_fingerprint;
-use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn::slice::{Embedding, SliceKey};
+use vmn::{Invariant, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_analysis::TouchSet;
 use vmn_net::{FailureScenario, NodeId};
 
 use crate::delta::{scenario_key, Delta};
 use crate::spec::{NetSpec, Structure};
 
-/// One decided verdict, in a form any later epoch can take.
+/// One decided verdict, in a form any later epoch and any pair of the same
+/// key can take.
 #[derive(Clone, Debug)]
 struct Answer {
-    /// The fingerprint the verdict was decided under (0 for a contract
+    /// The key the verdict was decided under (`None` for a contract
     /// answer).
-    fingerprint: u64,
+    key: Option<Arc<SliceKey>>,
+    /// Where the pair that holds this answer sits in the key, by node id in
+    /// the verdict's epoch.
+    at: Embedding,
     verdict: Verdict,
-    /// The name of every node the witness mentions, by its id in the
-    /// verdict's epoch (empty for `Holds`).
-    names: BTreeMap<NodeId, String>,
 }
 
 impl Answer {
-    fn new(fingerprint: u64, verdict: Verdict, net: &Network) -> Answer {
-        let mut names = BTreeMap::new();
-        if let Verdict::Violated { trace, .. } = &verdict {
-            for step in &trace.steps {
-                for n in step.actor.into_iter().chain(step.delivered_to) {
-                    names.entry(n).or_insert_with(|| net.topo.node(n).name.clone());
-                }
+    /// This answer served to the pair placed by `to` under `scenario`: the
+    /// witness, if any, is carried onto that pair's nodes and addresses
+    /// ([`Embedding::carry`]) and names the new scenario.
+    fn retarget(&self, to: &Embedding, scenario: &FailureScenario) -> Answer {
+        let verdict = match &self.verdict {
+            Verdict::Holds => Verdict::Holds,
+            Verdict::Violated { trace, .. } => {
+                Verdict::Violated { trace: self.at.carry(trace, to), scenario: scenario.clone() }
             }
-        }
-        Answer { fingerprint, verdict, names }
-    }
-
-    /// This answer served to `scenario` of the epoch whose node ids `ids`
-    /// holds. `None` if a witness node is gone, which an equal
-    /// fingerprint rules out short of a hash collision.
-    fn retarget(
-        &self,
-        ids: &HashMap<String, NodeId>,
-        scenario: &FailureScenario,
-    ) -> Option<Answer> {
-        let Verdict::Violated { trace, .. } = &self.verdict else {
-            return Some(self.clone());
         };
-        let new_id: BTreeMap<NodeId, NodeId> = self
-            .names
-            .iter()
-            .map(|(old, name)| Some((*old, *ids.get(name)?)))
-            .collect::<Option<_>>()?;
-        let mut trace = trace.clone();
-        for step in &mut trace.steps {
-            step.actor = step.actor.map(|n| new_id[&n]);
-            step.delivered_to = step.delivered_to.map(|n| new_id[&n]);
-        }
-        Some(Answer {
-            fingerprint: self.fingerprint,
-            verdict: Verdict::Violated { trace, scenario: scenario.clone() },
-            names: self.names.iter().map(|(old, name)| (new_id[old], name.clone())).collect(),
-        })
+        Answer { key: self.key.clone(), at: to.clone(), verdict }
     }
 }
 
 /// One cached (invariant, scenario) verdict.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// Answered by the boundary contracts alone: no slice, no
-    /// fingerprint. The contract re-answers such entries (cheaply)
-    /// whenever the epoch moves.
+    /// Answered by the boundary contracts alone: no slice, no key. The
+    /// contract re-answers such entries (cheaply) whenever the epoch
+    /// moves.
     pub contract: bool,
     answer: Answer,
-    /// The fingerprinted answer this entry held before its fingerprint
-    /// last changed, so that undoing a delta finds it.
+    /// The keyed answer this entry held before its key last changed, so
+    /// that undoing a delta finds it.
     previous: Option<Answer>,
 }
 
@@ -138,9 +117,9 @@ pub struct DeltaReport {
     pub prefiltered: usize,
     /// Pairs answered by the boundary contracts alone (modular mode).
     pub contract_answered: usize,
-    /// Pairs whose recomputed fingerprint was seen before: some live
-    /// pair — this one or another — was decided under it, in this epoch
-    /// or, as an entry's previous generation, the one before.
+    /// Pairs whose recomputed slice key was seen before: some live pair —
+    /// this one or another — was decided under it, in this epoch or, as an
+    /// entry's previous generation, the one before.
     pub cache_hits: usize,
     /// Pairs actually re-verified.
     pub rechecked: usize,
@@ -321,7 +300,7 @@ impl NetSession {
     }
 
     /// Brings the verdict cache in line with the current epoch; see the
-    /// module docs for the kept / contract / fingerprint ladder. The cache
+    /// module docs for the kept / contract / slice-key ladder. The cache
     /// and the pipeline results change only if the pass succeeds.
     fn reconcile(&mut self, report: &mut DeltaReport) -> Result<(), String> {
         let start = Instant::now();
@@ -332,13 +311,14 @@ impl NetSession {
             .iter()
             .flat_map(|(inv, _)| scenarios.iter().map(move |(s, _)| (inv.clone(), s.clone())))
             .collect();
-        // Every answer a live pair holds, by the fingerprint it was
-        // decided under; the first in key order wins, so a pass is
-        // deterministic.
-        let mut known: HashMap<u64, Answer> = HashMap::new();
+        // Every answer a live pair holds, by the key it was decided under;
+        // the first in key order wins, so a pass is deterministic.
+        let mut known: HashMap<Arc<SliceKey>, Answer> = HashMap::new();
         for entry in live.iter().filter_map(|key| self.cache.get(key)).filter(|e| !e.contract) {
             for answer in std::iter::once(&entry.answer).chain(&entry.previous) {
-                known.entry(answer.fingerprint).or_insert_with(|| answer.clone());
+                if let Some(key) = &answer.key {
+                    known.entry(key.clone()).or_insert_with(|| answer.clone());
+                }
             }
         }
         let net = self.verifier.network().clone();
@@ -352,22 +332,19 @@ impl NetSession {
                     continue;
                 }
                 // Modular mode: if the boundary contracts prove the pair
-                // outright, skip planning and fingerprinting entirely.
+                // outright, skip planning and keying entirely.
                 if let Some(ctx) = self.verifier.modular_context() {
                     if ctx.contract_holds(&net, inv, scenario) {
                         report.contract_answered += 1;
-                        let holds = Answer {
-                            fingerprint: 0,
-                            verdict: Verdict::Holds,
-                            names: BTreeMap::new(),
-                        };
+                        let holds =
+                            Answer { key: None, at: Embedding::default(), verdict: Verdict::Holds };
                         staged.push((key, true, holds));
                         continue;
                     }
                 }
-                // The plan fingerprinted here is the plan a re-check runs.
+                // The plan keyed here is the plan a re-check runs.
                 let plan = self.verifier.plan(inv, scenario).map_err(|e| e.to_string())?;
-                let fp = verdict_fingerprint(
+                let (slice_key, at) = SliceKey::new(
                     &net,
                     self.verifier.header_classes(),
                     inv,
@@ -376,10 +353,10 @@ impl NetSession {
                     plan.bound(),
                 )
                 .map_err(|e| e.to_string())?;
-                let answer = match known.get(&fp).and_then(|a| a.retarget(&self.names, scenario)) {
-                    Some(answer) => {
+                let answer = match known.get(&slice_key) {
+                    Some(hit) => {
                         report.cache_hits += 1;
-                        answer
+                        hit.retarget(&at, scenario)
                     }
                     None => {
                         let r = self
@@ -387,8 +364,10 @@ impl NetSession {
                             .verify_planned(inv, vec![(scenario.clone(), plan)])
                             .map_err(|e| e.to_string())?;
                         report.rechecked += 1;
-                        let answer = Answer::new(fp, r.verdict, &net);
-                        known.insert(fp, answer.clone());
+                        let slice_key = Arc::new(slice_key);
+                        let answer =
+                            Answer { key: Some(slice_key.clone()), at, verdict: r.verdict };
+                        known.insert(slice_key, answer.clone());
                         answer
                     }
                 };
@@ -487,9 +466,8 @@ impl NetSession {
 }
 
 /// Files `answer` as `key`'s verdict and reports it if it changed or
-/// appeared. A fingerprinted answer it replaces under another
-/// fingerprint becomes the entry's previous generation; contract answers
-/// keep none.
+/// appeared. A keyed answer it replaces under another key becomes the
+/// entry's previous generation; contract answers keep none.
 fn record(
     cache: &mut HashMap<(String, String), CacheEntry>,
     key: (String, String),
@@ -505,7 +483,7 @@ fn record(
     }
     let previous = match old {
         Some(e) if e.contract || contract => None,
-        Some(e) if e.answer.fingerprint == answer.fingerprint => e.previous,
+        Some(e) if e.answer.key == answer.key => e.previous,
         Some(e) => Some(e.answer),
         None => None,
     };
@@ -640,7 +618,9 @@ verify flow-isolation a1 -> a2
 verify flow-isolation b1 -> b2
 ";
         let (mut s, load_report) = NetSession::load(config, VerifyOptions::default()).unwrap();
-        assert_eq!(load_report.rechecked, 2);
+        // The two pods are one check up to the translation between their
+        // /16s: the second is answered from the first.
+        assert_eq!((load_report.rechecked, load_report.cache_hits), (1, 1), "{load_report:?}");
         let r = s
             .apply(&[Delta::SetModel {
                 name: "fwb".into(),
@@ -659,18 +639,18 @@ verify flow-isolation b1 -> b2
             .unwrap();
         assert_eq!(r.touched, TouchSet::node("fwb"));
         // Pod A's pair never re-verifies: its slice misses fwb, so its
-        // fingerprint is unchanged.
+        // key is unchanged.
         let a_recheck = r.changed.iter().any(|(inv, _, _, _)| inv.contains("a1"));
         assert!(!a_recheck, "pod A's verdict must not change: {:?}", r.changed);
         assert_eq!((r.prefiltered, r.cache_hits, r.rechecked), (0, 1, 1), "{r:?}");
     }
 
     #[test]
-    fn structural_delta_rechecks_changed_slices_only_via_fingerprint() {
+    fn structural_delta_rechecks_changed_slices_only_via_slice_key() {
         let (mut s, _) = NetSession::load(CONFIG, VerifyOptions::default()).unwrap();
         // Adding an unconnected host is TouchSet::Everything (structural)
-        // but leaves both slices' delivery intact, so the fingerprints
-        // match and no pair re-solves.
+        // but leaves both slices' delivery intact, so the keys match and
+        // no pair re-solves.
         let r = s
             .apply(&[Delta::AddNode(NodeSpec::Host { name: "h9".into(), addr: "9.9.9.9".into() })])
             .unwrap();

@@ -317,6 +317,16 @@ impl NetSpec {
         self.fails.iter().map(|(_, names)| names.as_slice())
     }
 
+    /// The `route` lines currently in force.
+    pub fn route_specs(&self) -> impl Iterator<Item = &RouteSpec> {
+        self.routes.iter().map(|(_, r)| r)
+    }
+
+    /// The `steer` lines currently in force.
+    pub fn steer_specs(&self) -> impl Iterator<Item = &SteerSpec> {
+        self.steers.iter().map(|(_, s)| s)
+    }
+
     pub(crate) fn node_spec(&self, name: &str) -> Option<&NodeSpec> {
         self.nodes.iter().map(|(_, n)| n).find(|n| n.name() == name)
     }

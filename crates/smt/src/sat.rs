@@ -65,7 +65,20 @@
 //!
 //! Bit-vector terms are lowered to clauses by [`crate::blast`] before the
 //! search starts, so the core decides plain propositional CNF.
+//!
+//! # Buffer reuse
+//!
+//! A solver grows its clause arena, its watch table and its per-variable
+//! arrays by doubling while clauses are added. Each doubling leaves the
+//! old buffer behind as a hole in the allocator's heap, and a process that
+//! builds one solver after another (the `vmn_serve` daemon re-checks one
+//! slice per solver) keeps those holes resident. So a dropped solver
+//! leaves these buffers, emptied, to the next solver built on the same
+//! thread, which grows nothing until it outgrows them. Of two sets, the
+//! larger is kept. Only capacity passes on; a new solver starts as empty
+//! as ever, so the search does not depend on it.
 
+use std::cell::RefCell;
 use std::fmt;
 use vmn_check::{CheckRecord, ClauseId, Outcome, ProofStep, SessionProof};
 
@@ -212,10 +225,6 @@ struct VarOrder {
 }
 
 impl VarOrder {
-    fn new() -> VarOrder {
-        VarOrder { heap: Vec::new(), index: Vec::new() }
-    }
-
     fn contains(&self, v: Var) -> bool {
         self.index.get(v.index()).is_some_and(|&i| i != usize::MAX)
     }
@@ -525,23 +534,100 @@ impl Default for Solver {
     }
 }
 
+/// The growable buffers of a dropped solver, emptied (module docs, *Buffer
+/// reuse*). The watch table keeps its own capacity only; its lists are
+/// small and dropped with the solver.
+#[derive(Default)]
+struct Buffers {
+    arena: Vec<u32>,
+    watches: Vec<Vec<Watch>>,
+    vals: Vec<LBool>,
+    polarity: Vec<bool>,
+    level: Vec<u32>,
+    reason: Vec<Option<ClauseRef>>,
+    trail: Vec<Lit>,
+    activity: Vec<f64>,
+    seen: Vec<bool>,
+    heap: Vec<Var>,
+    index: Vec<usize>,
+}
+
+impl Buffers {
+    /// The bytes of capacity held.
+    fn bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        cap(&self.arena)
+            + cap(&self.watches)
+            + cap(&self.vals)
+            + cap(&self.polarity)
+            + cap(&self.level)
+            + cap(&self.reason)
+            + cap(&self.trail)
+            + cap(&self.activity)
+            + cap(&self.seen)
+            + cap(&self.heap)
+            + cap(&self.index)
+    }
+}
+
+thread_local! {
+    /// The buffers the next solver on this thread starts from.
+    static SPARE: RefCell<Buffers> = RefCell::new(Buffers::default());
+}
+
+impl Drop for Solver {
+    fn drop(&mut self) {
+        fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+            let mut v = std::mem::take(v);
+            v.clear();
+            v
+        }
+        let spare = Buffers {
+            arena: emptied(&mut self.arena),
+            watches: emptied(&mut self.watches),
+            vals: emptied(&mut self.vals),
+            polarity: emptied(&mut self.polarity),
+            level: emptied(&mut self.level),
+            reason: emptied(&mut self.reason),
+            trail: emptied(&mut self.trail),
+            activity: emptied(&mut self.activity),
+            seen: emptied(&mut self.seen),
+            heap: emptied(&mut self.order.heap),
+            index: emptied(&mut self.order.index),
+        };
+        // A solver dropped while the thread itself is being torn down
+        // has no one to pass its buffers to.
+        let _ = SPARE.try_with(|kept| {
+            let mut kept = kept.borrow_mut();
+            if spare.bytes() > kept.bytes() {
+                *kept = spare;
+            }
+        });
+    }
+}
+
 impl Solver {
+    /// An empty solver, on the buffers the last solver dropped on this
+    /// thread left behind, if any (module docs, *Buffer reuse*).
     pub fn new() -> Solver {
+        let spare = SPARE.try_with(|kept| kept.take()).unwrap_or_default();
         Solver {
-            arena: Vec::new(),
-            watches: Vec::new(),
-            vals: Vec::new(),
-            polarity: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
-            trail: Vec::new(),
+            arena: spare.arena,
+            watches: spare.watches,
+            vals: spare.vals,
+            polarity: spare.polarity,
+            level: spare.level,
+            reason: spare.reason,
+            trail: spare.trail,
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: Vec::new(),
+            activity: spare.activity,
             var_inc: 1.0,
             clause_inc: 1.0,
-            order: VarOrder::new(),
-            seen: Vec::new(),
+            order: VarOrder { heap: spare.heap, index: spare.index },
+            seen: spare.seen,
             add_tmp: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
@@ -1412,6 +1498,37 @@ mod tests {
             }
         }
         s
+    }
+
+    /// A solver built after another is dropped on the same thread starts
+    /// empty on the dropped one's buffers and searches exactly as a
+    /// solver built from nothing does. On a thread of its own, so no other
+    /// test's solver passes its buffers in between.
+    #[test]
+    fn a_dropped_solvers_buffers_serve_the_next() {
+        std::thread::spawn(|| {
+            let mut first = pigeonhole(6);
+            assert_eq!(first.solve(), SatResult::Unsat);
+            let (stats, arena, watches) =
+                (trace(&first), first.arena.capacity(), first.watches.capacity());
+            drop(first);
+            let next = Solver::new();
+            assert_eq!((next.num_vars(), next.arena.len(), next.trail.len()), (0, 0, 0));
+            assert_eq!((next.arena.capacity(), next.watches.capacity()), (arena, watches));
+            drop(next);
+            let mut again = pigeonhole(6);
+            assert_eq!(again.solve(), SatResult::Unsat);
+            assert_eq!(trace(&again), stats, "capacity changes no search");
+            // Of two sets, the larger is kept.
+            drop(again);
+            let (large, small) = (Solver::new(), pigeonhole(2));
+            assert!(small.arena.capacity() < arena);
+            drop(large);
+            drop(small);
+            assert_eq!(Solver::new().arena.capacity(), arena);
+        })
+        .join()
+        .expect("the buffer test thread");
     }
 
     #[test]

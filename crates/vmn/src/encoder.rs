@@ -300,7 +300,7 @@ pub fn encode_skeleton(net: &Network, nodes: &[NodeId], k: usize) -> Result<Enco
 /// [`HeaderClasses::from_network`] of `net`: each scenario's delivery
 /// intervals are read from their memo, so every session of an epoch
 /// shares one sweep per (scenario, emitter) with the BDD dataplane and the
-/// verdict fingerprints.
+/// slice keys.
 pub(crate) fn encode_skeleton_over(
     net: &Network,
     classes: Arc<HeaderClasses>,

@@ -273,7 +273,7 @@ pub struct Verifier {
     /// The header classes of the current epoch and the delivery intervals
     /// memoised in them, built on first use and shared by every interval
     /// reader: the solver sessions, the BDD dataplane and the daemon's
-    /// fingerprints.
+    /// slice keys.
     classes: OnceLock<Arc<HeaderClasses>>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
@@ -441,7 +441,7 @@ impl Verifier {
     /// [`HeaderClasses::from_network`] of the current epoch, computed once
     /// per epoch however many consumers ask. The engine builds no other
     /// instance: its solver sessions, its BDD dataplane and the daemon's
-    /// fingerprints all read their delivery intervals through this one,
+    /// slice keys all read their delivery intervals through this one,
     /// so each (scenario, emitter) list is swept once per epoch.
     pub fn header_classes(&self) -> &Arc<HeaderClasses> {
         self.classes
@@ -682,10 +682,13 @@ impl Verifier {
 
     /// Plans one (invariant, scenario) pair: the slice (or whole terminal
     /// set) and trace bound the engine decides it on. The `vmn_serve`
-    /// daemon fingerprints cached verdicts over exactly these inputs
-    /// (`vmn::slice::verdict_fingerprint`) and hands the same [`Plan`]
-    /// back through [`Verifier::verify_planned`], so the fingerprint
-    /// describes the plan that runs.
+    /// daemon keys cached verdicts by the [`SliceKey`](crate::slice::SliceKey)
+    /// of exactly this plan, and hands the same [`Plan`] back through
+    /// [`Verifier::verify_planned`] on a miss, so the key describes the
+    /// check that runs. Two pairs whose plans have equal keys are one check
+    /// up to a renaming of nodes and an XOR translation of addresses, so
+    /// one pair's verdict, and its witness carried over, answers the
+    /// other.
     pub fn plan(&self, inv: &Invariant, scenario: &FailureScenario) -> Result<Plan, VerifyError> {
         let mut nodes: Vec<NodeId> = if self.options.use_slices {
             compute_slice(&self.net, scenario, inv, || self.policy())?
@@ -751,7 +754,7 @@ impl Verifier {
     /// [`Verifier::verify_under`] for scenarios the caller has already
     /// planned with [`Verifier::plan`] on this verifier's current network
     /// epoch. The daemon uses this to re-check exactly the (invariant,
-    /// scenario) pairs a delta touched, on the plans it fingerprinted.
+    /// scenario) pairs a delta touched, on the plans it keyed.
     pub fn verify_planned(
         &self,
         inv: &Invariant,

@@ -9,7 +9,7 @@
 use vmn_net::NodeId;
 
 /// A reachability invariant to verify.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// *Simple isolation*: `dst` never receives a packet whose source
     /// address belongs to `src`

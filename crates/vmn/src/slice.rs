@@ -18,10 +18,14 @@
 use crate::invariant::Invariant;
 use crate::network::Network;
 use crate::policy::PolicyClasses;
+use crate::trace::Trace;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use vmn_mbox::Parallelism;
-use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
+use vmn_mbox::{MboxModel, Parallelism};
+use vmn_net::{
+    translated_intervals, Address, FailureScenario, HeaderClasses, NetError, NodeId, NodeKind,
+    TransferFunction,
+};
 
 /// Computes the slice for verifying `inv` under `scenario`.
 ///
@@ -249,53 +253,261 @@ pub fn cluster_slices(slices: &[Vec<NodeId>], threshold: f64) -> Vec<Vec<usize>>
     out
 }
 
-/// A name-based fingerprint of everything the verdict of one
-/// (invariant, scenario) check can depend on, given its verification
-/// plan (slice `nodes`, trace bound `k`).
+/// One planned (invariant, scenario) check, described completely up to a
+/// renaming of its nodes and a translation `a ↦ a ^ m` of the address
+/// space. Keys compare by `Eq`; two checks with equal keys are one check,
+/// and [`Embedding::carry`] moves a witness of one onto the other.
 ///
-/// The engine's verdict is a deterministic function of exactly these
-/// inputs, in both backends:
+/// **What the key holds.** The slice members (the plan's `nodes`) in a
+/// canonical order: the invariant's endpoints first, in
+/// [`Invariant::endpoints`] order, then the rest sorted by kind and type
+/// tag, translated addresses, translated model and failed flag, and members
+/// alike in all of those by what each endpoint delivers to them (further
+/// ties keep id order, which costs a hit, never soundness: the order only
+/// decides which isomorphism equal keys exhibit).
+/// The mask `m` is the first address of the invariant's first endpoint,
+/// or 0 when that endpoint has none. Each member carries:
 ///
-/// * the invariant's kind and endpoint/through names,
-/// * which slice members the scenario fails (by name),
-/// * the trace bound,
-/// * each slice member's name, kind, owned addresses and — for
-///   middleboxes — its full model configuration,
-/// * the delivery behaviour of every live slice terminal, read from the
-///   one list the encoder compiles
-///   ([`TransferFunction::delivery_intervals`]): for each header
-///   equivalence class, where does a packet emitted by this terminal
-///   toward that class land, keeping the in-slice targets ("outside" and
-///   "drop" are one outcome to the encoder), with adjacent classes of
-///   equal outcome merged so that irrelevant class splits elsewhere in
-///   the network do not perturb the fingerprint.
+/// * its kind, middlebox type tag included;
+/// * its addresses, each XORed with `m`;
+/// * whether the scenario fails it;
+/// * its model IR, translated by `m` ([`MboxModel::translated`]);
+/// * if it is live, its in-slice delivery: the memoised
+///   [`TransferFunction::delivery_intervals`] (the list the encoder and the
+///   BDD check compile), kept where the target is a slice member, with the
+///   target given as its canonical index, and translated block by block
+///   ([`translated_intervals`]). Out-of-slice targets and drops are one
+///   outcome to both backends, so they are left out alike.
 ///
-/// Of the scenario, only `failed ∩ slice` is hashed. A failure reaches a
-/// check in two ways only. The encoder's `add_scenario` silences the
-/// failed encoded terminals (no send, no processing) and ties each live
-/// member's emissions to the scenario's delivery intervals; the BDD check
-/// starts from the live slice hosts and follows the same intervals; and
-/// the choice between the two reads the live slice middleboxes. A failed
-/// node outside the slice, or a failed link, therefore acts only through
-/// the delivery of live members, which is hashed (last item). (The contract
-/// rung reads the whole scenario, but it only ever answers `Holds`, and
-/// only when the exact engine would.)
+/// The key also holds the invariant, its nodes given as canonical indices,
+/// and the trace bound.
 ///
-/// Equal fingerprints — across two network epochs, or across two
-/// scenarios of one epoch — therefore imply the same verdict (modulo the
-/// 2⁻⁶⁴ hash-collision risk every cache key accepts), which is what lets
-/// the `vmn_serve` daemon answer from its verdict cache instead of
-/// re-solving: a routing change three pods over refines the global header
-/// classes but leaves this slice's merged intervals — and hence its
-/// fingerprint — untouched, and a failure scenario that reroutes nothing
-/// in the slice is answered by a scenario the pair was already checked in.
+/// **Why equal keys give equal verdicts.** Let two checks have equal keys,
+/// and let `π` map the first's member at each canonical index to the
+/// second's, and `τ(a) = a ^ m₁ ^ m₂`. Then `(π, τ)` maps every input of
+/// the first check onto the same input of the second:
 ///
-/// `classes` must be the header classes of `net`
-/// ([`HeaderClasses::from_network`]); they are passed in so one
-/// computation serves every (invariant, scenario) pair of an epoch, and
-/// the interval lists are read from their memo: a list the engine's
-/// sessions or BDD dataplane already swept over the same classes is not
-/// swept again, and neither is one an earlier fingerprint swept.
+/// * XOR by a constant is a bijection of the address space that maps every
+///   prefix onto a prefix of the same length. So `τ` maps each address and
+///   each prefix a model or member names to the one the other check names
+///   at the same place, and the key's translated forms are equal exactly
+///   when that holds.
+/// * `τ` preserves address equality, and with it the unordered endpoint
+///   pairs that [`vmn_net::Header::flow`] compares: a flow lookup matches
+///   after translation exactly when it matched before. Prefix membership,
+///   equality and flow identity are the only ways a model reads an
+///   address, so a translated model run on translated packets fires the
+///   same rules and emits the translated packets (the commutation
+///   property `vmn_mbox`'s tests check).
+/// * The only ordered comparison on addresses in a check is the
+///   encoder's `delivery_expr` (and the BDD check's reading of the same
+///   intervals), and it encodes nothing but membership in the delivery
+///   sets. Equal translated delivery sets mean that `π(f)` delivers `τ(a)`
+///   to `π(t)` exactly when `f` delivers `a` to `t`, inside the slice.
+/// * The failed members, the invariant and the bound correspond under `π`.
+///   A failure reaches a check only through the failed members and the
+///   delivery of the live ones: the encoder silences failed terminals and
+///   ties live emissions to the scenario's intervals; the BDD check starts
+///   from the live slice hosts and follows the same intervals; the choice
+///   between the two reads the live slice middleboxes. A failed node
+///   outside the slice, or a failed link, therefore acts only through
+///   delivery. (The contract rung reads the whole scenario, but it only
+///   answers `Holds`, and only when the exact engine would.)
+///
+/// So `(π, τ)` maps each run of the first check to a run of the second and
+/// back, violations to violations; the verdicts agree and a witness
+/// carries over. Nothing here rests on a hash: a key is compared in full.
+///
+/// **What it merges on purpose.** Checks that differ only in node names
+/// and ids (a node removal renumbers the rest), in a translation of their
+/// addresses (isomorphic pods on their own /16s), in a failure outside the
+/// slice, or in class splits elsewhere in the network (a routing change
+/// three pods over refines the global header classes but leaves this
+/// slice's merged delivery as it was). It does not merge checks that need a
+/// translation other than XOR: `a_p -> b_{p+1}` keeps the XOR of its two
+/// endpoint addresses under every mask, so those pairs stay in as many
+/// classes as that XOR takes values.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct SliceKey {
+    /// The invariant over canonical indices (`NodeId(i)` is member `i`).
+    invariant: Invariant,
+    bound: usize,
+    members: Vec<KeyMember>,
+}
+
+/// One slice member as its [`SliceKey`] describes it.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct KeyMember {
+    kind: NodeKind,
+    /// Owned addresses, translated.
+    addresses: Vec<Address>,
+    /// The model, translated.
+    model: Option<MboxModel>,
+    failed: bool,
+    /// Translated in-slice delivery, targets as canonical indices (empty
+    /// for a failed member).
+    delivery: Vec<(u32, u32, u32)>,
+}
+
+impl KeyMember {
+    /// What the canonical order sorts members by first.
+    fn shape(&self) -> (&NodeKind, &[Address], &Option<MboxModel>, bool) {
+        (&self.kind, &self.addresses, &self.model, self.failed)
+    }
+}
+
+/// Where one pair's check sits in its [`SliceKey`]: the slice member at
+/// each canonical index, by id in the check's epoch, and the mask its
+/// addresses were translated by.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Embedding {
+    pub members: Vec<NodeId>,
+    pub mask: u32,
+}
+
+impl SliceKey {
+    /// The key of checking `inv` under `scenario` on the plan
+    /// (`nodes`, `k`), and where this check sits in it.
+    ///
+    /// `classes` must be the header classes of `net`
+    /// ([`HeaderClasses::from_network`]); they are passed in so one
+    /// computation serves every (invariant, scenario) pair of an epoch, and
+    /// the interval lists are read from their memo: a list the engine's
+    /// sessions or BDD dataplane already swept over the same classes is not
+    /// swept again, and neither is one an earlier key swept.
+    pub fn new(
+        net: &Network,
+        classes: &HeaderClasses,
+        inv: &Invariant,
+        scenario: &FailureScenario,
+        nodes: &[NodeId],
+        k: usize,
+    ) -> Result<(SliceKey, Embedding), NetError> {
+        let mut order: Vec<NodeId> = Vec::with_capacity(nodes.len());
+        for n in inv.endpoints() {
+            if !order.contains(&n) {
+                order.push(n);
+            }
+        }
+        let mask =
+            order.first().and_then(|&n| net.topo.node(n).addresses.first()).map_or(0, |a| a.0);
+        let describe = |n: NodeId| {
+            let node = net.topo.node(n);
+            let member = KeyMember {
+                kind: node.kind.clone(),
+                addresses: node.addresses.iter().map(|a| a.translated(mask)).collect(),
+                model: net.models.get(&n).map(|m| m.translated(mask)),
+                failed: scenario.is_failed(n),
+                delivery: Vec::new(),
+            };
+            (n, member)
+        };
+        let mut members: Vec<(NodeId, KeyMember)> = order.iter().map(|&n| describe(n)).collect();
+        let mut rest: Vec<(NodeId, KeyMember)> =
+            nodes.iter().filter(|n| !order.contains(n)).map(|&n| describe(n)).collect();
+        rest.sort_by(|(_, a), (_, b)| a.shape().cmp(&b.shape()));
+        // Members alike in all of that (identical boxes without addresses)
+        // are told apart by what each endpoint delivers to them. Ties left
+        // after that keep id order: the key is then still exact, only not
+        // canonical, so an isomorphic check may miss it but none can match
+        // it wrongly.
+        let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
+        let inbound = |n: NodeId| -> Result<Vec<Vec<(u32, u32, ())>>, NetError> {
+            let mut from = Vec::with_capacity(order.len());
+            for &e in order.iter().filter(|&&e| !scenario.is_failed(e)) {
+                let to_n: Vec<(u32, u32, ())> = tf
+                    .delivery_intervals(e, classes)?
+                    .iter()
+                    .filter(|iv| iv.2 == Some(n))
+                    .map(|&(first, last, _)| (first, last, ()))
+                    .collect();
+                from.push(translated_intervals(&to_n, mask));
+            }
+            Ok(from)
+        };
+        let mut i = 0;
+        while i < rest.len() {
+            let j =
+                i + rest[i..].iter().take_while(|(_, m)| m.shape() == rest[i].1.shape()).count();
+            if j - i > 1 {
+                let mut alike = rest
+                    .drain(i..j)
+                    .map(|(n, m)| Ok((inbound(n)?, (n, m))))
+                    .collect::<Result<Vec<_>, NetError>>()?;
+                alike.sort_by(|a, b| a.0.cmp(&b.0));
+                rest.splice(i..i, alike.into_iter().map(|(_, member)| member));
+            }
+            i = j;
+        }
+        members.extend(rest);
+
+        // Canonical index by id, sorted for binary search.
+        let mut index: Vec<(NodeId, u32)> =
+            members.iter().enumerate().map(|(i, (n, _))| (*n, i as u32)).collect();
+        index.sort_unstable();
+        let index_of = |n: NodeId| index.binary_search_by_key(&n, |e| e.0).ok().map(|i| index[i].1);
+        for (n, member) in members.iter_mut().filter(|(_, m)| !m.failed) {
+            let in_slice: Vec<(u32, u32, u32)> = tf
+                .delivery_intervals(*n, classes)?
+                .iter()
+                .filter_map(|&(first, last, target)| Some((first, last, index_of(target?)?)))
+                .collect();
+            member.delivery = translated_intervals(&in_slice, mask);
+        }
+
+        let at = |n: &NodeId| NodeId(index_of(*n).expect("every endpoint is a member"));
+        let invariant = match inv {
+            Invariant::NodeIsolation { src, dst } => {
+                Invariant::NodeIsolation { src: at(src), dst: at(dst) }
+            }
+            Invariant::FlowIsolation { src, dst } => {
+                Invariant::FlowIsolation { src: at(src), dst: at(dst) }
+            }
+            Invariant::DataIsolation { origin, dst } => {
+                Invariant::DataIsolation { origin: at(origin), dst: at(dst) }
+            }
+            Invariant::Traversal { dst, through, from } => Invariant::Traversal {
+                dst: at(dst),
+                through: through.iter().map(at).collect(),
+                from: from.as_ref().map(at),
+            },
+        };
+        let (ids, members) = members.into_iter().unzip();
+        Ok((SliceKey { invariant, bound: k, members }, Embedding { members: ids, mask }))
+    }
+}
+
+impl Embedding {
+    /// A witness of the check this embedding places, carried onto the check
+    /// `to` places under an equal [`SliceKey`]: each node moves to the member
+    /// at its canonical index in `to`, and each packet's `src`, `dst` and
+    /// `origin` are XORed with both masks. Equal keys make the result a
+    /// witness of `to`'s check (see [`SliceKey`]).
+    ///
+    /// # Panics
+    ///
+    /// If the trace names a node that is not a member here. Neither backend
+    /// builds such a witness: both decide a check over its slice alone.
+    pub fn carry(&self, trace: &Trace, to: &Embedding) -> Trace {
+        let node = |n: NodeId| {
+            let i = self.members.iter().position(|&m| m == n);
+            to.members[i.expect("a witness names only slice members")]
+        };
+        let mask = self.mask ^ to.mask;
+        let mut trace = trace.clone();
+        for step in &mut trace.steps {
+            step.actor = step.actor.map(node);
+            step.delivered_to = step.delivered_to.map(node);
+            step.packet = step.packet.map(|h| h.translated(mask));
+        }
+        trace
+    }
+}
+
+/// A 64-bit hash of the [`SliceKey`] of one planned (invariant, scenario)
+/// check, for callers that want a compact summary of it (the benchmark's
+/// probe times this as the key's cost). Equal keys hash equal; a cache
+/// should compare the keys themselves, as the `vmn_serve` daemon does.
 pub fn verdict_fingerprint(
     net: &Network,
     classes: &HeaderClasses,
@@ -304,88 +516,16 @@ pub fn verdict_fingerprint(
     nodes: &[NodeId],
     k: usize,
 ) -> Result<u64, NetError> {
-    fn name(net: &Network, n: NodeId) -> &str {
-        &net.topo.node(n).name
-    }
+    let (key, _) = SliceKey::new(net, classes, inv, scenario, nodes, k)?;
     let mut h = std::collections::hash_map::DefaultHasher::new();
-
-    // Invariant shape, over names.
-    match inv {
-        Invariant::NodeIsolation { src, dst } => {
-            (0u8, name(net, *src), name(net, *dst)).hash(&mut h);
-        }
-        Invariant::FlowIsolation { src, dst } => {
-            (1u8, name(net, *src), name(net, *dst)).hash(&mut h);
-        }
-        Invariant::DataIsolation { origin, dst } => {
-            (2u8, name(net, *origin), name(net, *dst)).hash(&mut h);
-        }
-        Invariant::Traversal { dst, through, from } => {
-            (3u8, name(net, *dst)).hash(&mut h);
-            for &m in through {
-                name(net, m).hash(&mut h);
-            }
-            from.map(|f| name(net, f)).hash(&mut h);
-        }
-    }
-
-    // Scenario: the failed slice members, over names (sorted: id order is
-    // not stable across epochs). Everything else a scenario fails acts
-    // through the delivery intervals hashed below.
-    let mut failed: Vec<&str> =
-        nodes.iter().filter(|&&n| scenario.is_failed(n)).map(|&n| name(net, n)).collect();
-    failed.sort_unstable();
-    failed.hash(&mut h);
-
-    k.hash(&mut h);
-
-    // Slice membership: name, kind, addresses, and the middlebox model
-    // configurations (the debug form is a complete structural rendering
-    // of the model IR).
-    let mut members: Vec<NodeId> = nodes.to_vec();
-    members.sort_by_key(|&n| name(net, n));
-    let in_slice: BTreeSet<NodeId> = members.iter().copied().collect();
-    for &n in &members {
-        let node = net.topo.node(n);
-        node.name.hash(&mut h);
-        match &node.kind {
-            vmn_net::NodeKind::Host => 0u8.hash(&mut h),
-            vmn_net::NodeKind::Switch => 1u8.hash(&mut h),
-            vmn_net::NodeKind::Middlebox { mbox_type } => (2u8, mbox_type).hash(&mut h),
-        }
-        for a in &node.addresses {
-            a.0.hash(&mut h);
-        }
-        if node.kind.is_middlebox() {
-            if let Some(model) = net.models.get(&n) {
-                format!("{model:?}").hash(&mut h);
-            }
-        }
-    }
-
-    // Delivery behaviour: the transfer function's delivery intervals —
-    // the list the encoder compiles — restricted to in-slice targets
-    // (out-of-slice targets and drops are one outcome to the encoder).
-    let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
-    for &f in &members {
-        if scenario.is_failed(f) {
-            continue;
-        }
-        name(net, f).hash(&mut h);
-        for &(first, last, target) in tf.delivery_intervals(f, classes)?.iter() {
-            if let Some(t) = target.filter(|t| in_slice.contains(t)) {
-                (first, last, name(net, t)).hash(&mut h);
-            }
-        }
-    }
-
+    key.hash(&mut h);
     Ok(h.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmn_mbox::models;
+    use vmn_mbox::{models, Action};
     use vmn_net::{Prefix, RoutingConfig, Rule, Topology};
 
     fn addr(s: &str) -> Address {
@@ -650,10 +790,15 @@ mod tests {
     /// traffic, and falls back to the allow-all `fwb` when `fw` or its link
     /// is down.
     fn failover() -> Network {
+        failover_at(addr("10.1.0.2"))
+    }
+
+    /// [`failover`] with `b0` at `b0_addr`.
+    fn failover_at(b0_addr: Address) -> Network {
         let mut topo = Topology::new();
         let sw = topo.add_switch("sw");
         let a0 = topo.add_host("a0", addr("10.1.0.1"));
-        let b0 = topo.add_host("b0", addr("10.1.0.2"));
+        let b0 = topo.add_host("b0", b0_addr);
         let a1 = topo.add_host("a1", addr("10.2.0.1"));
         let b1 = topo.add_host("b1", addr("10.2.0.2"));
         let fw = topo.add_middlebox("fw", "stateful-firewall", vec![]);
@@ -680,53 +825,53 @@ mod tests {
         names.map(|n| net.topo.by_name(n).unwrap())
     }
 
-    /// The fingerprint of `inv` under `scenario` over a given plan.
-    fn fingerprint_over(
+    /// The key of `inv` under `scenario` over a given plan.
+    fn key_over(
         v: &crate::Verifier,
         inv: &Invariant,
         scenario: &FailureScenario,
         (nodes, k): (&[NodeId], usize),
-    ) -> u64 {
-        verdict_fingerprint(v.network(), v.header_classes(), inv, scenario, nodes, k).unwrap()
+    ) -> SliceKey {
+        SliceKey::new(v.network(), v.header_classes(), inv, scenario, nodes, k).unwrap().0
     }
 
-    /// The fingerprint of `inv` under `scenario` over the engine's own plan.
-    fn fingerprint(v: &crate::Verifier, inv: &Invariant, scenario: &FailureScenario) -> u64 {
+    /// The key of `inv` under `scenario` over the engine's own plan.
+    fn key(v: &crate::Verifier, inv: &Invariant, scenario: &FailureScenario) -> SliceKey {
         let plan = v.plan(inv, scenario).unwrap();
-        fingerprint_over(v, inv, scenario, (plan.nodes(), plan.bound()))
+        key_over(v, inv, scenario, (plan.nodes(), plan.bound()))
     }
 
     #[test]
-    fn a_failure_outside_the_slice_keeps_the_fingerprint() {
+    fn a_failure_outside_the_slice_keeps_the_key() {
         let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
         let net = v.network();
         let [a0, b0, a1, sw] = by_name(net, ["a0", "b0", "a1", "sw"]);
         let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
-        let none = fingerprint(&v, &inv, &FailureScenario::none());
+        let none = key(&v, &inv, &FailureScenario::none());
         for name in ["a1", "b1", "fwb"] {
             let s = FailureScenario::nodes(by_name(net, [name]));
-            assert_eq!(fingerprint(&v, &inv, &s), none, "failing {name}");
+            assert_eq!(key(&v, &inv, &s), none, "failing {name}");
         }
         let mut link = FailureScenario::none();
         link.failed_links.insert(vmn_net::Link::new(a1, sw));
-        assert_eq!(fingerprint(&v, &inv, &link), none, "failing a1's link");
+        assert_eq!(key(&v, &inv, &link), none, "failing a1's link");
     }
 
     #[test]
-    fn a_failed_slice_member_changes_the_fingerprint() {
+    fn a_failed_slice_member_changes_the_key() {
         let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
         let net = v.network();
         let [a0, b0] = by_name(net, ["a0", "b0"]);
         let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
-        let none = fingerprint(&v, &inv, &FailureScenario::none());
+        let none = key(&v, &inv, &FailureScenario::none());
         for name in ["fw", "b0"] {
             let s = FailureScenario::nodes(by_name(net, [name]));
-            assert_ne!(fingerprint(&v, &inv, &s), none, "failing {name}");
+            assert_ne!(key(&v, &inv, &s), none, "failing {name}");
         }
     }
 
     #[test]
-    fn a_failure_that_reroutes_a_live_member_changes_the_fingerprint() {
+    fn a_failure_that_reroutes_a_live_member_changes_the_key() {
         // Over the no-failure plan, so that only delivery can differ:
         // with `fw`'s link down `a0`'s packets go to `fwb`, outside the
         // slice; with the switch down they go nowhere.
@@ -736,20 +881,20 @@ mod tests {
         let plan = v.plan(&inv, &FailureScenario::none()).unwrap();
         assert!(plan.nodes().contains(&fw) && !plan.nodes().contains(&sw));
         let over = (plan.nodes(), plan.bound());
-        let none = fingerprint_over(&v, &inv, &FailureScenario::none(), over);
+        let none = key_over(&v, &inv, &FailureScenario::none(), over);
         let mut link = FailureScenario::none();
         link.failed_links.insert(vmn_net::Link::new(fw, sw));
-        assert_ne!(fingerprint_over(&v, &inv, &link, over), none, "failing fw's link");
+        assert_ne!(key_over(&v, &inv, &link, over), none, "failing fw's link");
         let switch = FailureScenario::nodes([sw]);
-        assert_ne!(fingerprint_over(&v, &inv, &switch, over), none, "failing the switch");
+        assert_ne!(key_over(&v, &inv, &switch, over), none, "failing the switch");
     }
 
-    /// Equal fingerprints mean equal verdicts: over every scenario of at
-    /// most two failed nodes or one failed link, each invariant's
-    /// scenarios are grouped by fingerprint, and every group must agree
-    /// with `verify_under`, which decides each scenario on its own.
+    /// Equal keys mean equal verdicts: over every scenario of at most two
+    /// failed nodes or one failed link, each invariant's scenarios are
+    /// grouped by key, and every group must agree with `verify_under`,
+    /// which decides each scenario on its own.
     #[test]
-    fn equal_fingerprints_decide_equal_verdicts() {
+    fn equal_keys_decide_equal_verdicts() {
         let net = failover();
         let v = crate::Verifier::new(&net, crate::VerifyOptions::default()).unwrap();
         let mut scenarios = vec![FailureScenario::none()];
@@ -773,11 +918,11 @@ mod tests {
         ];
         let (mut shared, mut verdicts_seen) = (0, BTreeSet::new());
         for inv in &invariants {
-            let mut groups: std::collections::HashMap<u64, Vec<(usize, bool)>> =
+            let mut groups: std::collections::HashMap<SliceKey, Vec<(usize, bool)>> =
                 std::collections::HashMap::new();
             for (i, s) in scenarios.iter().enumerate() {
                 let holds = v.verify_under(inv, vec![s.clone()]).unwrap().verdict.holds();
-                groups.entry(fingerprint(&v, inv, s)).or_default().push((i, holds));
+                groups.entry(key(&v, inv, s)).or_default().push((i, holds));
             }
             for group in groups.values().filter(|g| g.len() > 1) {
                 shared += group.len();
@@ -785,15 +930,268 @@ mod tests {
                 for &(i, holds) in group {
                     assert_eq!(
                         holds, group[0].1,
-                        "{inv:?}: scenarios {:?} and {:?} share a fingerprint but not a verdict",
+                        "{inv:?}: scenarios {:?} and {:?} share a key but not a verdict",
                         scenarios[group[0].0], scenarios[i]
                     );
                 }
             }
         }
-        // Not vacuous: many scenarios share a fingerprint, on both sides
-        // of the verdict.
+        // Not vacuous: many scenarios share a key, on both sides of the
+        // verdict.
         assert!(shared > scenarios.len(), "{shared} scenarios in shared groups");
         assert_eq!(verdicts_seen.len(), 2, "shared groups hold and violate");
+    }
+
+    /// A splitmix64 stream: the random networks below need no more.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A hub network as data, so that it can be built under any node
+    /// order, names and address translation: host pairs `a{i}`, `b{i}` on
+    /// `10.{i+1}.0.0/16`, firewalls with their models, and steering rules
+    /// (host, firewall, prefix, priority).
+    #[derive(Clone)]
+    struct Hub {
+        hosts: Vec<(String, Address)>,
+        fws: Vec<(String, MboxModel)>,
+        steers: Vec<(usize, usize, Prefix, i32)>,
+    }
+
+    impl Hub {
+        fn random(rng: &mut Rng) -> Hub {
+            const PREFIXES: [&str; 6] = [
+                "10.1.0.0/16",
+                "10.2.0.0/16",
+                "10.3.0.0/16",
+                "10.0.0.0/8",
+                "0.0.0.0/0",
+                "10.1.0.2/32",
+            ];
+            let pick = |rng: &mut Rng| px(PREFIXES[rng.below(PREFIXES.len() as u64) as usize]);
+            let mut hosts = Vec::new();
+            for i in 0..2 + rng.below(2) as u32 {
+                hosts.push((format!("a{i}"), Address(0x0A00_0001 + ((i + 1) << 16))));
+                hosts.push((format!("b{i}"), Address(0x0A00_0002 + ((i + 1) << 16))));
+            }
+            let mut fws = Vec::new();
+            for f in 0..1 + rng.below(2) {
+                let acl: Vec<(Prefix, Prefix)> =
+                    (0..rng.below(3)).map(|_| (pick(rng), pick(rng))).collect();
+                let model = match rng.below(2) {
+                    0 => models::learning_firewall("stateful-firewall", acl),
+                    _ => models::acl_firewall("acl-firewall", acl),
+                };
+                fws.push((format!("fw{f}"), model));
+            }
+            let mut steers = Vec::new();
+            for h in 0..hosts.len() {
+                for f in 0..fws.len() {
+                    if rng.below(2) == 0 {
+                        steers.push((h, f, px("10.0.0.0/8"), 30 - 5 * f as i32));
+                    }
+                }
+            }
+            Hub { hosts, fws, steers }
+        }
+
+        /// The network with its terminals added in `order` (indices over
+        /// hosts, then firewalls), each name passed through `rename`, and
+        /// every address and prefix translated by `mask`. Returns it with
+        /// the id of every terminal in hosts-then-firewalls order.
+        fn build(
+            &self,
+            order: &[usize],
+            rename: impl Fn(&str) -> String,
+            mask: u32,
+        ) -> (Network, Vec<NodeId>) {
+            let mut topo = Topology::new();
+            let sw = topo.add_switch(rename("sw"));
+            let mut ids = vec![NodeId(0); order.len()];
+            for &i in order {
+                ids[i] = match self.hosts.get(i) {
+                    Some((name, a)) => topo.add_host(rename(name), a.translated(mask)),
+                    None => {
+                        let (name, model) = &self.fws[i - self.hosts.len()];
+                        topo.add_middlebox(rename(name), model.type_name.clone(), vec![])
+                    }
+                };
+                topo.add_link(ids[i], sw);
+            }
+            let mut rc = RoutingConfig::new();
+            rc.host_routes(&topo);
+            let mut tables = rc.build(&topo, &FailureScenario::none());
+            for &(h, f, p, prio) in &self.steers {
+                let (from, to) = (ids[h], ids[self.hosts.len() + f]);
+                tables.add_rule(
+                    sw,
+                    Rule::from_neighbor(p.translated(mask), from, to).with_priority(prio),
+                );
+            }
+            let mut net = Network::new(topo, tables);
+            for (f, (_, model)) in self.fws.iter().enumerate() {
+                net.set_model(ids[self.hosts.len() + f], model.translated(mask));
+            }
+            (net, ids)
+        }
+    }
+
+    /// A random hub and a copy of it with its terminals added in another
+    /// order under other names, and every address translated by a random
+    /// mask: every planned pair has an equal key in both, the same verdict,
+    /// and a witness carried from one onto the other replays there.
+    #[test]
+    fn a_renamed_translated_network_has_equal_keys_and_verdicts() {
+        let (mut pairs, mut violated) = (0, 0);
+        for seed in 0..12 {
+            let mut rng = Rng(seed);
+            let hub = Hub::random(&mut rng);
+            let n = hub.hosts.len() + hub.fws.len();
+            let mut order: Vec<usize> = (0..n).collect();
+            let (a, ids_a) = hub.build(&order, str::to_string, 0);
+            for i in (1..n).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mask = (rng.below(1 << 32) as u32) | 1;
+            let (b, ids_b) = hub.build(&order, |name| format!("{name}'"), mask);
+            let va = crate::Verifier::new(&a, crate::VerifyOptions::default()).unwrap();
+            let vb = crate::Verifier::new(&b, crate::VerifyOptions::default()).unwrap();
+            let hosts = hub.hosts.len();
+            let mut scenarios: Vec<Vec<usize>> = vec![vec![]];
+            scenarios.extend((hosts..n).map(|f| vec![f]));
+            for _ in 0..4 {
+                let src = rng.below(hosts as u64) as usize;
+                let dst = (src + 1 + rng.below(hosts as u64 - 1) as usize) % hosts;
+                let node_isolation = rng.below(2) == 0;
+                let inv = |ids: &[NodeId]| match node_isolation {
+                    true => Invariant::NodeIsolation { src: ids[src], dst: ids[dst] },
+                    false => Invariant::FlowIsolation { src: ids[src], dst: ids[dst] },
+                };
+                let (inv_a, inv_b) = (inv(&ids_a), inv(&ids_b));
+                for failed in &scenarios {
+                    let (sa, sb) = (
+                        FailureScenario::nodes(failed.iter().map(|&i| ids_a[i])),
+                        FailureScenario::nodes(failed.iter().map(|&i| ids_b[i])),
+                    );
+                    let (pa, pb) = (va.plan(&inv_a, &sa).unwrap(), vb.plan(&inv_b, &sb).unwrap());
+                    let key_of = |v: &crate::Verifier, inv, s, p: &crate::Plan| {
+                        SliceKey::new(v.network(), v.header_classes(), inv, s, p.nodes(), p.bound())
+                            .unwrap()
+                    };
+                    let ((ka, at_a), (kb, at_b)) =
+                        (key_of(&va, &inv_a, &sa, &pa), key_of(&vb, &inv_b, &sb, &pb));
+                    assert_eq!(ka, kb, "seed {seed}: {inv_a} under {failed:?}");
+                    let fingerprint = |v: &crate::Verifier, inv, s, p: &crate::Plan| {
+                        verdict_fingerprint(
+                            v.network(),
+                            v.header_classes(),
+                            inv,
+                            s,
+                            p.nodes(),
+                            p.bound(),
+                        )
+                        .unwrap()
+                    };
+                    assert_eq!(
+                        fingerprint(&va, &inv_a, &sa, &pa),
+                        fingerprint(&vb, &inv_b, &sb, &pb)
+                    );
+                    let ra = va.verify_planned(&inv_a, vec![(sa, pa)]).unwrap();
+                    let rb = vb.verify_planned(&inv_b, vec![(sb.clone(), pb)]).unwrap();
+                    assert_eq!(ra.verdict.holds(), rb.verdict.holds(), "seed {seed}: {inv_a}");
+                    pairs += 1;
+                    if let crate::Verdict::Violated { trace, .. } = &ra.verdict {
+                        violated += 1;
+                        let carried = at_a.carry(trace, &at_b);
+                        let (Invariant::NodeIsolation { src, dst }
+                        | Invariant::FlowIsolation { src, dst }) = inv_b
+                        else {
+                            unreachable!("the test draws isolation invariants only")
+                        };
+                        let seen = carried.replay(&b, &sb).expect("the carried witness replays");
+                        assert!(
+                            seen.iter().any(|o| o.at == dst && o.header.src == b.host_address(src)),
+                            "seed {seed}: the carried witness of {inv_a} reaches no violation:\n{}",
+                            carried.render(&b)
+                        );
+                    }
+                }
+            }
+        }
+        // Not vacuous: both verdicts occur, and witnesses were carried.
+        assert!(violated > 0 && violated < pairs, "{violated} of {pairs} pairs violated");
+    }
+
+    /// The key of `a0 -> b0` over the engine's plan for `net` under no
+    /// failure.
+    fn pair_key(net: &Network) -> SliceKey {
+        let v = crate::Verifier::new(net, crate::VerifyOptions::default()).unwrap();
+        let [a0, b0] = by_name(v.network(), ["a0", "b0"]);
+        key(&v, &Invariant::FlowIsolation { src: a0, dst: b0 }, &FailureScenario::none())
+    }
+
+    /// Every single mutation of a check gives a different key: a prefix
+    /// length (in a model's ACL, and in a steering rule), one bit of a
+    /// host address, one ACL pair, one rule action, a member failed, and
+    /// the bound one more or one less. An equal key for any of them would
+    /// merge two checks that are not the same check.
+    #[test]
+    fn every_single_mutation_changes_the_key() {
+        let base = failover();
+        let base_key = pair_key(&base);
+        let fw = base.topo.by_name("fw").unwrap();
+        let sw = base.topo.by_name("sw").unwrap();
+        let with_model = |edit: &dyn Fn(&mut MboxModel)| {
+            let mut net = base.clone();
+            let mut model = net.model(fw).clone();
+            edit(&mut model);
+            net.set_model(fw, model);
+            net
+        };
+        let mut mutants: Vec<(&str, Network)> = vec![
+            ("ACL prefix length", with_model(&|m| m.acls[0].1[0].0 = px("10.1.0.0/17"))),
+            (
+                "ACL pair added",
+                with_model(&|m| m.acls[0].1.push((px("10.2.0.0/16"), px("10.1.0.0/16")))),
+            ),
+            ("rule action", with_model(&|m| m.rules[1].actions = vec![Action::Drop])),
+        ];
+        // The steering rule that sends `a0` to `fw` over a /9 instead of the
+        // /8: only delivery moves (10.128/9 now drops instead of reaching fw).
+        let mut steer = base.clone();
+        let a0 = base.topo.by_name("a0").unwrap();
+        let tables = std::sync::Arc::make_mut(&mut steer.tables);
+        assert_eq!(tables.remove_rules(sw, |r| r.from == Some(a0) && r.next == fw), 1);
+        tables.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/9"), a0, fw).with_priority(20));
+        mutants.push(("steering prefix length", steer));
+        // One bit of `b0`'s address (its host route follows).
+        mutants.push(("host address bit", failover_at(addr("10.1.1.2"))));
+        for (what, net) in &mutants {
+            assert_ne!(pair_key(net), base_key, "{what}");
+        }
+
+        // The failed flag and the bound, over the base plan.
+        let v = crate::Verifier::new(&base, crate::VerifyOptions::default()).unwrap();
+        let [a0, b0] = by_name(v.network(), ["a0", "b0"]);
+        let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
+        let plan = v.plan(&inv, &FailureScenario::none()).unwrap();
+        let (nodes, k) = (plan.nodes(), plan.bound());
+        let none = FailureScenario::none();
+        assert_eq!(key_over(&v, &inv, &none, (nodes, k)), base_key);
+        assert_ne!(
+            key_over(&v, &inv, &FailureScenario::nodes([fw]), (nodes, k)),
+            base_key,
+            "fw failed"
+        );
+        assert_ne!(key_over(&v, &inv, &none, (nodes, k + 1)), base_key, "bound + 1");
+        assert_ne!(key_over(&v, &inv, &none, (nodes, k - 1)), base_key, "bound - 1");
     }
 }

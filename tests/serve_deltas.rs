@@ -1,18 +1,21 @@
 //! Randomized differential testing of the serving layer's delta path:
 //! a [`vmn_serve::NetSession`] fed a random stream of delta batches —
 //! model swaps, invariant registrations and retirements, failure
-//! scenarios coming and going, structural node/link additions — must
-//! at every step hold exactly the state a from-scratch verifier
-//! derives from the same symbolic spec:
+//! scenarios coming and going, steering and routing rules added and
+//! removed, structural node/link additions — must at every step hold
+//! exactly the state a from-scratch verifier derives from the same
+//! symbolic spec:
 //!
 //! * every cached (invariant, scenario) verdict equals a fresh
 //!   `Verifier::verify_under` on a fresh materialisation of the spec;
 //! * every cached violation witness is for the pair's own scenario and
-//!   replays into a real forbidden reception on the concrete simulator;
+//!   replays into a real forbidden reception on the concrete simulator —
+//!   including a witness the cache carried over from another pair of the
+//!   same slice key, onto this pair's nodes and translated addresses;
 //! * the aggregated per-invariant verdicts (`NetSession::verdicts`)
 //!   report the first violating scenario in configured sweep order;
 //! * the delta report's cache accounting is conserved: every pair is
-//!   kept (`prefiltered`), contract-answered, fingerprint-hit, or
+//!   kept (`prefiltered`), contract-answered, a slice-key hit, or
 //!   re-checked — nothing is dropped — and its materialise, swap and
 //!   reconcile times fit inside its elapsed time;
 //! * the session's network, whose topology and tables a model, scenario
@@ -28,29 +31,35 @@
 //!   generated networks run under `partition auto`).
 //!
 //! This is the soundness argument for the daemon's verdict cache: the
-//! kept / contract / fingerprint ladder may skip arbitrary solver work,
-//! but must never change an answer. Cases derive
-//! from the proptest per-test seed; `VMN_FUZZ_CASES` bounds the case
-//! count (CI pins a small subset, the default is 60). The stream lists a
+//! kept / contract / slice-key ladder may skip arbitrary solver work,
+//! but must never change an answer. Cases derive from a per-test seed, as
+//! the proptest harness derives them; `VMN_FUZZ_CASES` bounds the case
+//! count (CI runs 300 in release, the default is 60). The stream lists a
 //! spare host ahead of the pairs and now and then removes it, which
-//! renumbers every later node under the cached witnesses. A
+//! renumbers every later node under the cached witnesses. Its firewalls
+//! sometimes admit exactly one pair's own /16, so that two pairs become
+//! the same check under an address translation; the run counts the
+//! translated witnesses it served and fails if there were none. A
 //! deterministic companion (`module_confined_deltas`) drives a
 //! partitioned two-site estate and pins the modular ladder rung:
 //! single-module deltas answer the other module's pairs from their
-//! unchanged fingerprints, while cross-module pairs are re-answered from
-//! boundary contracts; `pods_load_rechecks_each_fingerprint_once` pins
+//! unchanged keys, while cross-module pairs are re-answered from
+//! boundary contracts; `pods_load_checks_each_shape_once` pins
 //! the cache hits and re-checks of a cold load of the `pods-deltas`
 //! estate, `pods_deltas_answer_known_fingerprints_from_the_cache` the
-//! fingerprint index's hits on its deltas, and
+//! key index's hits on its deltas,
+//! `a_widened_pod_serves_its_witness_to_the_next` a witness carried
+//! from one pod to another, and
 //! `remove_node_renumbers_the_served_witness` a witness served across a
 //! node removal.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use vmn::slice::SliceKey;
 use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
-use vmn_net::{FailureScenario, TransferFunction};
-use vmn_serve::{scenario_key, Delta, Materialized, NetSession, NodeSpec};
+use vmn_net::{FailureScenario, Prefix, TransferFunction};
+use vmn_serve::{scenario_key, Delta, Materialized, NetSession, NodeSpec, RouteSpec, SteerSpec};
 
 fn fuzz_cases() -> u32 {
     match std::env::var("VMN_FUZZ_CASES") {
@@ -68,13 +77,24 @@ struct Gen {
     /// Invariant specs the stream may register (superset of the ones
     /// registered at load).
     pool: Vec<String>,
+    /// Steering and routing rules the stream may add or remove.
+    steers: Vec<SteerSpec>,
+    routes: Vec<RouteSpec>,
 }
 
 const PREFIXES: [&str; 5] =
     ["10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16", "10.0.0.0/8", "0.0.0.0/0"];
 
-/// Random `allow`-list arguments for a firewall model.
-fn acl_args(rng: &mut TestRng) -> Vec<String> {
+/// Random `allow`-list arguments for firewall `fw{f}`. One time in three
+/// the list admits exactly pair `f`'s own /16 to itself, the `pods-deltas`
+/// ACL: a pair steered through a firewall of its own then has the same
+/// slice key as another such pair, up to the translation between their
+/// /16s.
+fn acl_args(rng: &mut TestRng, f: usize) -> Vec<String> {
+    if rng.below(3) == 0 {
+        let own = format!("10.{}.0.0/16", f + 1);
+        return vec!["allow".into(), own.clone(), "->".into(), own];
+    }
     let n = rng.below(3);
     if n == 0 {
         return Vec::new();
@@ -121,7 +141,7 @@ fn generate(rng: &mut TestRng) -> Gen {
     let mut fws = Vec::new();
     for f in 0..nfw {
         let name = format!("fw{f}");
-        let args = acl_args(rng);
+        let args = acl_args(rng, f);
         config.push_str(&format!("{} {name} {}\n", fw_kind(rng), args.join(" ")));
         fws.push(name);
     }
@@ -130,14 +150,13 @@ fn generate(rng: &mut TestRng) -> Gen {
         config.push_str(&format!("link {n} sw\n"));
     }
     config.push_str("autoroute\n");
-    for h in &hosts {
-        for (fi, f) in fws.iter().enumerate() {
-            if rng.below(2) == 0 {
-                config.push_str(&format!(
-                    "steer sw from {h} 10.0.0.0/8 {f} prio {}\n",
-                    30 - 5 * fi as i32
-                ));
-            }
+    let gen_steers = steers(&hosts, &fws);
+    for s in &gen_steers {
+        if rng.below(2) == 0 {
+            config.push_str(&format!(
+                "steer {} from {} {} {} prio {}\n",
+                s.switch, s.from, s.prefix, s.next, s.prio
+            ));
         }
     }
 
@@ -170,7 +189,43 @@ fn generate(rng: &mut TestRng) -> Gen {
     if rng.below(2) == 0 {
         config.push_str("partition auto\n");
     }
-    Gen { config, hosts, fws, pool }
+    let routes = routes(&hosts);
+    Gen { config, hosts, fws, pool, steers: gen_steers, routes }
+}
+
+/// The steering vocabulary: each host's 10/8 traffic through each
+/// firewall, the first firewall preferred.
+fn steers(hosts: &[String], fws: &[String]) -> Vec<SteerSpec> {
+    let mut out = Vec::new();
+    for h in hosts {
+        for (fi, f) in fws.iter().enumerate() {
+            out.push(SteerSpec {
+                switch: "sw".into(),
+                from: h.clone(),
+                prefix: "10.0.0.0/8".into(),
+                next: f.clone(),
+                prio: 30 - 5 * fi as i32,
+            });
+        }
+    }
+    out
+}
+
+/// The routing vocabulary: a pair's /16, or its `b` host's /32, sent to
+/// some pair host. Routes point at hosts only, so no route can close a
+/// forwarding loop through a firewall. At priority 20 a route loses to
+/// steering and wins over the host routes.
+fn routes(hosts: &[String]) -> Vec<RouteSpec> {
+    let mut out = Vec::new();
+    for pair in 0..hosts.len() / 2 {
+        for prefix in [format!("10.{}.0.0/16", pair + 1), format!("10.{}.0.2/32", pair + 1)] {
+            for h in hosts {
+                let next = h.clone();
+                out.push(RouteSpec { switch: "sw".into(), prefix: prefix.clone(), next, prio: 20 });
+            }
+        }
+    }
+    out
 }
 
 /// One random delta batch against the session's *current* spec. Always
@@ -178,7 +233,7 @@ fn generate(rng: &mut TestRng) -> Gen {
 /// and removals never miss.
 fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -> Vec<Delta> {
     let registered: Vec<String> = session.spec().verify_specs().map(str::to_string).collect();
-    match rng.below(5) {
+    match rng.below(6) {
         // Reconfigure a firewall: new kind, new allow-list; now and then
         // a content cache instead, which is not flow-parallel, so the
         // slices through it read the swapped epoch's policy classes.
@@ -189,7 +244,8 @@ fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -
                 let args = vec!["servers".into(), servers.into()];
                 return vec![Delta::SetModel { name, kind: "cache".into(), args }];
             }
-            vec![Delta::SetModel { name, kind: fw_kind(rng).into(), args: acl_args(rng) }]
+            let f = gen.fws.iter().position(|n| *n == name).expect("a generated firewall");
+            vec![Delta::SetModel { name, kind: fw_kind(rng).into(), args: acl_args(rng, f) }]
         }
         // Toggle a failure scenario (single box, or all boxes at once).
         1 => {
@@ -229,6 +285,24 @@ fn next_batch(rng: &mut TestRng, gen: &Gen, session: &NetSession, step: usize) -
                 vec![Delta::AddInvariant {
                     spec: fresh[rng.below(fresh.len() as u64) as usize].clone(),
                 }]
+            }
+        }
+        // Toggle a steering or a routing rule.
+        4 => {
+            if rng.below(2) == 0 {
+                let s = gen.steers[rng.below(gen.steers.len() as u64) as usize].clone();
+                if session.spec().steer_specs().any(|x| *x == s) {
+                    vec![Delta::RemoveSteer(s)]
+                } else {
+                    vec![Delta::AddSteer(s)]
+                }
+            } else {
+                let r = gen.routes[rng.below(gen.routes.len() as u64) as usize].clone();
+                if session.spec().route_specs().any(|x| *x == r) {
+                    vec![Delta::RemoveRoute(r)]
+                } else {
+                    vec![Delta::AddRoute(r)]
+                }
             }
         }
         // Structural churn: the spare host leaves, or a new (unsteered)
@@ -369,7 +443,41 @@ fn assert_matches_scratch(session: &NetSession, label: &str) {
     }
 }
 
-fn run_case(seed: u64) {
+/// Slice-key groups among the session's live pairs that hold a violation
+/// and more than one address mask. The later pair of such a group was
+/// answered from the earlier one's entry, so its witness was carried over
+/// under a non-trivial translation (and `assert_matches_scratch` has
+/// replayed it).
+fn translated_witnesses(session: &NetSession) -> usize {
+    let v = session.verifier();
+    let mut groups: HashMap<SliceKey, (BTreeSet<u32>, bool)> = HashMap::new();
+    for (spec, inv) in session.invariants() {
+        for (skey, scenario) in session.scenario_list() {
+            let entry = session.cached(spec, &skey).expect("every pair is cached");
+            if entry.contract {
+                continue;
+            }
+            let plan = v.plan(inv, &scenario).expect("plans");
+            let (key, at) = SliceKey::new(
+                v.network(),
+                v.header_classes(),
+                inv,
+                &scenario,
+                plan.nodes(),
+                plan.bound(),
+            )
+            .expect("keys");
+            let group = groups.entry(key).or_default();
+            group.0.insert(at.mask);
+            group.1 |= !entry.verdict().holds();
+        }
+    }
+    groups.values().filter(|(masks, violated)| masks.len() > 1 && *violated).count()
+}
+
+/// Runs one random case and returns how many translated witnesses its
+/// states held ([`translated_witnesses`], summed over the steps).
+fn run_case(seed: u64) -> usize {
     let mut rng = TestRng::new(seed);
     let gen = generate(&mut rng);
     let label = format!("hosts={} fws={}", gen.hosts.len(), gen.fws.len());
@@ -388,6 +496,7 @@ fn run_case(seed: u64) {
         "{load_report:?}"
     );
     assert_matches_scratch(&session, &format!("{label} after load"));
+    let mut translated = translated_witnesses(&session);
 
     for step in 0..4 {
         let batch = next_batch(&mut rng, &gen, &session, step);
@@ -410,23 +519,34 @@ fn run_case(seed: u64) {
         );
         assert_eq!(session.cached_pairs(), report.pairs, "{label} step {step}: one entry per pair");
         assert_matches_scratch(&session, &format!("{label} step {step} ({batch:?})"));
+        translated += translated_witnesses(&session);
     }
+    translated
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
-
-    /// The delta-applied daemon and a from-scratch verifier must agree
-    /// on every observable, at every point of a random delta stream.
-    #[test]
-    fn delta_stream_matches_from_scratch(seed in any::<u64>()) {
-        run_case(seed);
+/// The delta-applied daemon and a from-scratch verifier must agree on
+/// every observable, at every point of a random delta stream. Case `i`'s
+/// seed is drawn as the proptest harness draws it; the run as a whole must
+/// have served at least one witness carried across pairs under a
+/// translation, or the random stream no longer reaches that path.
+#[test]
+fn delta_stream_matches_from_scratch() {
+    let base = proptest::test_runner::fnv(concat!(
+        module_path!(),
+        "::",
+        "delta_stream_matches_from_scratch"
+    ));
+    let mut translated = 0;
+    for case in 0..fuzz_cases() {
+        let mut rng = TestRng::new(base ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        translated += run_case(any::<u64>().generate(&mut rng));
     }
+    assert!(translated > 0, "no witness was carried across pairs in {} cases", fuzz_cases());
 }
 
 /// A two-site estate under `partition auto`: deltas confined to one
 /// site must re-check only that module's pairs — the other site's
-/// intra-module pairs are fingerprint hits, cross-module pairs are
+/// intra-module pairs are slice-key hits, cross-module pairs are
 /// re-answered by the boundary contracts without touching a solver. The
 /// from-scratch oracle runs monolithically, so every step is also a
 /// modular-vs-monolithic differential check.
@@ -483,7 +603,7 @@ verify node-isolation b2 -> b1
     assert_matches_scratch(&session, "after load");
 
     // A model rewrite confined to site A: one module touched, every
-    // non-contract pair answered by its unchanged fingerprint, cross
+    // non-contract pair answered by its unchanged slice key, cross
     // pairs re-answered from the contracts, no solver run.
     let delta = Delta::SetModel {
         name: "afw".into(),
@@ -560,27 +680,34 @@ fn pod_acl(pod: usize, widened: bool) -> Vec<String> {
 
 /// Cache hits and re-checks of a cold `load` of the `pods-deltas` estate.
 /// The daemon checks the 32 (invariant, scenario) pairs invariant by
-/// invariant and answers every pair whose fingerprint an earlier pair of
-/// the same load was decided under. `fw0` sits only in `a0`'s two slices,
-/// so each of the other 14 invariants has the same fingerprint under
-/// `fail fw0` as under no failure: 14 hits, 18 re-checks. `a0`'s two pairs
-/// under `fail fw0` have nothing stateful left on their path and go to the
-/// BDD path, so 16 re-checks build a solver session each, one per
-/// distinct slice; the index answers every repeated slice before a session
-/// is needed.
+/// invariant and answers every pair whose slice key an earlier pair of the
+/// same load was decided under. Each slice is `{a_p, b_q, fw_p}` and the
+/// key's mask is `a_p`'s address, so the pods' /16s translate onto each
+/// other and the key keeps only `b_q`'s offset from `a_p`:
+///
+/// * under no failure, the 8 intra-pod pairs are one shape, and the 8
+///   cross-pod pairs `a_p -> b_{p+1}` are 5: the XOR of `10.{p+1}` and
+///   `10.{p+2}`'s second octets takes the values 3, 1, 7, 1, 3, 1, 15 and
+///   9 (for `a7 -> b0`);
+/// * under `fail fw0`, `fw0` sits only in `a0`'s two slices, so the other
+///   14 pairs keep their no-failure keys, and `a0 -> b0` and `a0 -> b1`
+///   with `fw0` failed are 2 more shapes.
+///
+/// That is 8 re-checks and 24 hits.
 #[test]
-fn pods_load_rechecks_each_fingerprint_once() {
+fn pods_load_checks_each_shape_once() {
     let (_, load) = NetSession::load(&pods_config(), VerifyOptions::default()).expect("pods load");
-    assert_eq!((load.pairs, load.cache_hits, load.rechecked), (32, 14, 18), "{load:?}");
+    assert_eq!((load.pairs, load.cache_hits, load.rechecked), (32, 24, 8), "{load:?}");
 }
 
-/// The fingerprint index on the `pods-deltas` estate. Widening `fw3`
-/// re-checks only the no-failure column of the pairs whose slice holds it
-/// (their `fail fw0` column has the same fingerprint); restoring it
-/// re-checks nothing, since each touched pair finds its answer as its
-/// entry's previous generation. A new scenario failing `fw5` is answered
-/// from the no-failure column wherever `fw5` is outside the slice, and
-/// re-checks exactly the pairs whose slice holds it.
+/// The key index on the `pods-deltas` estate. Widening `fw3` re-checks
+/// only the no-failure column of the pairs whose slice holds it (their
+/// `fail fw0` column has the same key); restoring it re-checks nothing,
+/// since each touched pair finds its answer as its entry's previous
+/// generation. A new scenario failing `fw5` is answered from the
+/// no-failure column wherever `fw5` is outside the slice. Of the two pairs
+/// whose slice holds it, `a5 -> b5` without `fw5` is the same check as
+/// `a0 -> b0` without `fw0`, translated; only `a5 -> b6` re-checks.
 #[test]
 fn pods_deltas_answer_known_fingerprints_from_the_cache() {
     let (mut session, _) =
@@ -607,13 +734,52 @@ fn pods_deltas_answer_known_fingerprints_from_the_cache() {
     let in_fw5 = holding(&session, "fw5");
     assert_eq!(in_fw5, 2, "a5 -> b5 and a5 -> b6");
     let add = session.apply(&[Delta::AddScenario { fail: vec!["fw5".into()] }]).expect("applies");
-    assert_eq!((add.rechecked, add.cache_hits), (in_fw5, 16 - in_fw5), "{add:?}");
+    assert_eq!((add.rechecked, add.cache_hits), (1, 15), "{add:?}");
     assert_matches_scratch(&session, "after failing fw5");
+}
+
+/// Widening `fw3` and then `fw5` makes `a5 -> b5` the same check as
+/// `a3 -> b3` up to the translation between their /16s (and `a5 -> b6` the
+/// same as `a3 -> b4`): the second widening re-checks nothing, all 32 pairs
+/// are hits, and the violation the cache serves for `a5 -> b5` names pod
+/// 5's nodes and addresses (and replays, which `assert_matches_scratch`
+/// checks for every cached witness).
+#[test]
+fn a_widened_pod_serves_its_witness_to_the_next() {
+    let (mut session, _) =
+        NetSession::load(&pods_config(), VerifyOptions::default()).expect("pods load");
+    let widen = |pod| Delta::SetModel {
+        name: format!("fw{pod}"),
+        kind: "firewall".into(),
+        args: pod_acl(pod, true),
+    };
+    let first = session.apply(&[widen(3)]).expect("widen fw3 applies");
+    assert_eq!(first.rechecked, 2, "{first:?}");
+    let second = session.apply(&[widen(5)]).expect("widen fw5 applies");
+    assert_eq!((second.cache_hits, second.rechecked), (32, 0), "{second:?}");
+    assert_matches_scratch(&session, "after widening fw3 and fw5");
+
+    let Verdict::Violated { trace, .. } =
+        session.cached("flow-isolation a5 -> b5", "").expect("cached").verdict()
+    else {
+        panic!("the pod's own ACL admits a5 -> b5");
+    };
+    let names = session.names();
+    let pod5: BTreeSet<_> = ["a5", "b5", "fw5"].map(|n| names[n]).into();
+    let pod: Prefix = "10.6.0.0/16".parse().unwrap();
+    for step in &trace.steps {
+        for n in step.actor.into_iter().chain(step.delivered_to) {
+            assert!(pod5.contains(&n), "{n:?} is not in pod 5: {trace:?}");
+        }
+        if let Some(h) = step.packet {
+            assert!([h.src, h.dst, h.origin].iter().all(|&a| pod.contains(a)), "{h}");
+        }
+    }
 }
 
 /// Removing a node renumbers every node after it. `z` comes first here,
 /// so removing it shifts every id in `a0 -> b0`'s witness; the pair's
-/// fingerprint does not move, and the witness the cache serves must name
+/// slice key does not move, and the witness the cache serves must name
 /// the new epoch's nodes.
 #[test]
 fn remove_node_renumbers_the_served_witness() {
