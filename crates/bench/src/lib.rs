@@ -1,18 +1,12 @@
-//! The paper's §5 figures, and criterion benches for the regimes the
-//! regression benchmark (`benchmark/`, declared in `BENCHMARK.json`) does
-//! not cover. The two harnesses have disjoint jobs: `benchmark/` gates
-//! end-to-end time and exact per-layer counters on every PR; this crate
+//! The paper's §5 figures. The regression benchmark (`benchmark/`,
+//! declared in `BENCHMARK.json`) has a disjoint job: it gates end-to-end
+//! time and exact per-layer counters on every change; this crate
 //! reproduces the source paper's evaluation.
 //!
-//! * `cargo run -p vmn_bench --release --bin figures` — the full sweeps:
-//!   every §5 figure's series (and the §4 ablation) as a text table, on
-//!   the axes below. `EXPERIMENTS.md` holds one committed run next to the
-//!   shapes the paper reports; `--fig N --samples K` runs one figure.
-//! * `cargo bench -p vmn_bench` — `solver` (the SAT + bit-vector core on
-//!   pigeonhole and bit-vector instances) and two engine sweeps, each the
-//!   default engine against the baseline it replaced: `scenario_sweep`
-//!   (clustered vs from-scratch sessions) and `fastpath_sweep` (BDD routing
-//!   vs forced SMT). Their workloads are defined below.
+//! `cargo run -p vmn_bench --release --bin figures` runs the full sweeps:
+//! every §5 figure's series (and the §4 ablation) as a text table, on the
+//! axes below. `EXPERIMENTS.md` holds one committed run next to the
+//! shapes the paper reports; `--fig N --samples K` runs one figure.
 //!
 //! ## Scale mapping
 //!
@@ -170,172 +164,4 @@ pub fn whole(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
     VerifyOptions { policy_hint: Some(hint), ..VerifyOptions::whole_network() }
 }
 
-/// Workload of the `scenario_sweep` bench: the §5.1 datacenter with `n`
-/// middlebox failure scenarios attached, plus a cross-group isolation
-/// invariant that *holds* in every scenario — so a verification sweep
-/// visits all `n + 1` scenarios (no-failure first) instead of stopping
-/// early.
-pub fn scenario_sweep_workload(n: usize) -> (Network, Vec<Vec<NodeId>>, Invariant) {
-    use vmn_net::FailureScenario;
-    use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
-    // Two policy groups, two racks and one host pair each, redundant
-    // middleboxes.
-    let dc = Datacenter::build(DatacenterParams {
-        racks: 4,
-        hosts_per_rack: 2,
-        policy_groups: 2,
-        redundant: true,
-        with_failures: false,
-    });
-    let mut net = dc.net.clone();
-    let fw2 = dc.fw2.expect("redundant build has a backup firewall");
-    let idps2 = dc.idps2.expect("redundant build has a backup IDPS");
-    let mut faults: Vec<FailureScenario> = [dc.fw1, dc.idps1, fw2, idps2, dc.lb1]
-        .into_iter()
-        .map(|m| FailureScenario::nodes([m]))
-        .collect();
-    faults.push(FailureScenario::nodes([dc.fw1, dc.idps1]));
-    faults.push(FailureScenario::nodes([fw2, idps2]));
-    faults.push(FailureScenario::nodes([dc.fw1, idps2]));
-    assert!(n <= faults.len(), "at most {} failure scenarios available", faults.len());
-    for s in faults.into_iter().take(n) {
-        net.add_scenario(s);
-    }
-    (net, dc.policy_hint(), dc.pair_isolation(0, 1))
-}
-
-/// Workload of the `fastpath_sweep` bench: a *stateless-heavy* estate —
-/// `pods` leaf pods whose traffic is policed purely by forwarding, ACL
-/// firewalls and classification chains (no mutable middlebox state
-/// anywhere in their slices), plus a small stateful core pair behind a
-/// learning firewall.
-///
-/// Shape: pod `p` has hosts `a_p`/`b_p`; `a_p`'s traffic is steered
-/// through a deny-all ACL firewall (with a deny-all backup for the
-/// failover scenarios) that fronts an IDPS → gateway chain, so the pod
-/// slices are several middleboxes deep — expensive to encode
-/// symbolically, trivial to compose as BDD transfer predicates. The core
-/// pair `c0`/`c1` sits behind a deny-all *learning* firewall, which is
-/// stateful and pins its invariant to the SMT path under every backend
-/// choice. Every invariant *holds* in every scenario, so both backends
-/// sweep all scenarios and end-to-end wall clocks compare the full
-/// workload: under `Backend::Auto` the pod invariants route to the BDD
-/// dataplane and only the core pays for a solver; under `Backend::Smt`
-/// everything does.
-pub fn fastpath_workload(pods: usize) -> (Network, Vec<Vec<NodeId>>, Vec<Invariant>) {
-    use vmn_mbox::models;
-    use vmn_net::{Address, FailureScenario, Prefix, RoutingConfig, Rule, Topology};
-
-    let px = |s: &str| -> Prefix { s.parse().unwrap() };
-    let mut topo = Topology::new();
-    let sw = topo.add_switch("sw");
-    // The small stateful core.
-    let c0 = topo.add_host("c0", "10.0.1.1".parse().unwrap());
-    let c1 = topo.add_host("c1", "10.0.2.1".parse().unwrap());
-    let fw_c = topo.add_middlebox("fwC", "stateful-firewall", vec![]);
-    for n in [c0, c1, fw_c] {
-        topo.add_link(n, sw);
-    }
-    // The stateless pods: hosts behind an ACL (plus failover ACL) that
-    // fronts an IDPS → gateway chain.
-    struct Pod {
-        a: NodeId,
-        b: NodeId,
-        acl: NodeId,
-        acl_backup: NodeId,
-        idps: NodeId,
-        gw: NodeId,
-    }
-    let mut pod_nodes: Vec<Pod> = Vec::new();
-    for p in 0..pods {
-        let subnet = (p as u32 + 8) << 16;
-        let a = topo.add_host(format!("a{p}"), Address(0x0A00_0001 + subnet));
-        let b = topo.add_host(format!("b{p}"), Address(0x0A00_0002 + subnet));
-        let acl = topo.add_middlebox(format!("acl{p}"), "acl-firewall", vec![]);
-        let acl_backup = topo.add_middlebox(format!("aclb{p}"), "acl-firewall", vec![]);
-        let idps = topo.add_middlebox(format!("idps{p}"), "idps", vec![]);
-        let gw = topo.add_middlebox(format!("gw{p}"), "gateway", vec![]);
-        for n in [a, b, acl, acl_backup, idps, gw] {
-            topo.add_link(n, sw);
-        }
-        pod_nodes.push(Pod { a, b, acl, acl_backup, idps, gw });
-    }
-
-    let mut rc = RoutingConfig::new();
-    rc.host_routes(&topo);
-    let mut tables = rc.build(&topo, &FailureScenario::none());
-    let all = px("10.0.0.0/8");
-    tables.add_rule(sw, Rule::from_neighbor(all, c0, fw_c).with_priority(20));
-    for pod in &pod_nodes {
-        tables.add_rule(sw, Rule::from_neighbor(all, pod.a, pod.acl).with_priority(20));
-        tables.add_rule(sw, Rule::from_neighbor(all, pod.a, pod.acl_backup).with_priority(10));
-        tables.add_rule(sw, Rule::from_neighbor(all, pod.acl, pod.idps).with_priority(20));
-        tables.add_rule(sw, Rule::from_neighbor(all, pod.acl_backup, pod.idps).with_priority(20));
-        tables.add_rule(sw, Rule::from_neighbor(all, pod.idps, pod.gw).with_priority(20));
-    }
-
-    let mut net = Network::new(topo, tables);
-    net.set_model(fw_c, models::learning_firewall("stateful-firewall", vec![]));
-    for pod in &pod_nodes {
-        net.set_model(pod.acl, models::acl_firewall("acl-firewall", vec![]));
-        net.set_model(pod.acl_backup, models::acl_firewall("acl-firewall", vec![]));
-        net.set_model(pod.idps, models::idps("idps"));
-        net.set_model(pod.gw, models::gateway("gateway"));
-    }
-    // Failover scenarios: up to three pods lose their primary ACL and
-    // re-converge through the backup (keeps sweep length bounded as the
-    // pod axis grows).
-    for pod in pod_nodes.iter().take(3) {
-        net.add_scenario(FailureScenario::nodes([pod.acl]));
-    }
-
-    let mut invs: Vec<Invariant> =
-        pod_nodes.iter().map(|p| Invariant::NodeIsolation { src: p.a, dst: p.b }).collect();
-    invs.push(Invariant::NodeIsolation { src: c0, dst: c1 });
-    let mut hint: Vec<Vec<NodeId>> = pod_nodes.iter().map(|p| vec![p.a, p.b]).collect();
-    hint.push(vec![c0, c1]);
-    (net, hint, invs)
-}
-
 pub mod figures;
-
-#[cfg(test)]
-mod workload_tests {
-    use super::*;
-    use vmn::Backend;
-
-    /// The fastpath workload's routing contract: under `Auto` every pod
-    /// invariant is answered entirely by the BDD dataplane, the stateful
-    /// core stays on SMT, everything holds, and the verdicts match a
-    /// forced-SMT run — the assumptions the `fastpath_sweep` bench's
-    /// auto-vs-forced-SMT comparison rests on.
-    #[test]
-    fn fastpath_workload_routes_pods_to_bdd_and_core_to_smt() {
-        let (net, hint, invs) = fastpath_workload(2);
-        let scenarios = net.all_scenarios().len();
-        let auto = Verifier::new(
-            &net,
-            VerifyOptions { policy_hint: Some(hint.clone()), ..Default::default() },
-        )
-        .expect("valid network");
-        let smt = Verifier::new(
-            &net,
-            VerifyOptions { policy_hint: Some(hint), backend: Backend::Smt, ..Default::default() },
-        )
-        .expect("valid network");
-        let (core, pods) = invs.split_last().expect("core invariant is last");
-        for inv in pods {
-            let ra = auto.verify(inv).expect("verifies");
-            let rs = smt.verify(inv).expect("verifies");
-            assert!(ra.verdict.holds() && rs.verdict.holds(), "{inv}");
-            assert_eq!(ra.scenarios_checked, scenarios, "{inv}: full sweep");
-            assert_eq!(ra.bdd_scenarios, scenarios, "{inv}: pod slices are stateless");
-            assert_eq!(ra.smt_scenarios, 0, "{inv}");
-            assert_eq!(rs.bdd_scenarios, 0, "{inv}");
-        }
-        let ra = auto.verify(core).expect("verifies");
-        assert!(ra.verdict.holds());
-        assert_eq!(ra.bdd_scenarios, 0, "the learning-firewall core must stay on smt");
-        assert_eq!(ra.smt_scenarios, scenarios);
-    }
-}

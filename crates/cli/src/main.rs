@@ -412,13 +412,12 @@ fn main() -> ExitCode {
 
     let mut any_violated = false;
     for ((spec, _), report) in cfg.invariants.iter().zip(&reports) {
+        let by = if report.inherited { ", by symmetry" } else { "" };
         match &report.verdict {
             Verdict::Holds => {
                 println!(
-                    "HOLDS     {spec}   [{:?}, {} nodes{}]",
-                    report.elapsed,
-                    report.encoded_nodes,
-                    if report.inherited { ", by symmetry" } else { "" }
+                    "HOLDS     {spec}   [{:?}, {} nodes{by}]",
+                    report.elapsed, report.encoded_nodes
                 );
             }
             Verdict::Violated { trace: t, scenario } => {
@@ -428,7 +427,7 @@ fn main() -> ExitCode {
                 } else {
                     format!(" under failure of {:?}", scenario.failed_nodes)
                 };
-                println!("VIOLATED  {spec}{failures}   [{:?}]", report.elapsed);
+                println!("VIOLATED  {spec}{failures}   [{:?}{by}]", report.elapsed);
                 if trace {
                     print!("{}", t.render(&cfg.net));
                 }

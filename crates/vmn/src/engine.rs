@@ -47,8 +47,9 @@ pub struct Report {
     /// this invariant: the max over the checked scenarios' slices and the
     /// slice unions of the session clusters built (the union of all
     /// per-scenario slices when clustering collapses to one cluster).
-    /// Equal across [`Sessions`] modes whenever the scenarios' slices
-    /// nest, and never smaller with clustering than without.
+    /// Equal to [`Verifier::verify_from_scratch`]'s whenever the
+    /// scenarios' slices nest, and never smaller with clustering than
+    /// without.
     pub encoded_nodes: usize,
     /// Largest trace bound used for this invariant — the max over the
     /// scenarios actually checked (a cluster's bound is the max of its
@@ -89,6 +90,27 @@ pub struct Report {
     pub bdd: BddStats,
 }
 
+impl Report {
+    /// A holding report for `inv` with nothing checked yet.
+    fn unchecked(inv: &Invariant) -> Report {
+        Report {
+            invariant: inv.clone(),
+            verdict: Verdict::Holds,
+            elapsed: Duration::ZERO,
+            scenarios_checked: 0,
+            encoded_nodes: 0,
+            steps: 0,
+            inherited: false,
+            solver: SolverStats::default(),
+            certificate: None,
+            smt_scenarios: 0,
+            bdd_scenarios: 0,
+            contract_scenarios: 0,
+            bdd: BddStats::default(),
+        }
+    }
+}
+
 /// Which engine answers a scenario's reachability question.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
@@ -106,27 +128,6 @@ pub enum Backend {
     Bdd,
 }
 
-/// How the SMT-routed scenarios of a sweep share solver sessions.
-/// Planning, routing, the BDD and contract paths and the report's
-/// accounting are the same in both modes. Either way a session lives one
-/// sweep: no session outlives the [`Verifier::verify`] call that built
-/// it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sessions {
-    /// One session per scenario cluster, built when the cluster's first
-    /// scenario comes up; each scenario is one assumption-based check
-    /// selected by activation literals, so clauses learnt on one scenario
-    /// carry over to the next of the same cluster.
-    #[default]
-    Clustered,
-    /// A fresh encoder and solver per scenario on the scenario's own
-    /// slice, violation and scenario asserted directly: no activation
-    /// literals, no clustering. The from-scratch baseline of the
-    /// `scenario_sweep` bench and the reference the differential tests
-    /// hold `Clustered` to.
-    PerScenario,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct VerifyOptions {
@@ -138,8 +139,6 @@ pub struct VerifyOptions {
     /// holds across every epoch; after a swap that adds or removes hosts
     /// it must still name the new epoch's hosts.
     pub policy_hint: Option<Vec<Vec<NodeId>>>,
-    /// How long a solver session lives — see [`Sessions`].
-    pub sessions: Sessions,
     /// Record a DRAT-style proof log on every solver session and attach a
     /// certificate to each report ([`Report::certificate`]), validatable
     /// by the independent `vmn_check` crate (`vmn-cli check`). Off by
@@ -193,7 +192,6 @@ impl Default for VerifyOptions {
         VerifyOptions {
             use_slices: true,
             policy_hint: None,
-            sessions: Sessions::Clustered,
             emit_proofs: false,
             backend: Backend::Auto,
             partition: PartitionMode::Off,
@@ -729,8 +727,8 @@ impl Verifier {
     /// itself sufficient, and a larger trace bound only widens the
     /// violation search, so verdicts are the same for *any* clustering;
     /// the differential tests and the fuzz suite hold the clustered sweep
-    /// to [`Sessions::PerScenario`], which does none, and replay every
-    /// extracted witness on the concrete simulator.)
+    /// to [`Verifier::verify_from_scratch`], which does none, and replay
+    /// every extracted witness on the concrete simulator.)
     ///
     /// The cluster sessions live as long as the sweep: each is built when
     /// its cluster's first scenario comes up and dropped when the sweep
@@ -772,9 +770,6 @@ impl Verifier {
         // Scenarios without a cluster keep `usize::MAX`, so an accidental
         // lookup is loud instead of aliasing cluster 0.
         let mut cluster_of = vec![usize::MAX; planned.len()];
-        if self.options.sessions == Sessions::PerScenario {
-            return (Vec::new(), cluster_of);
-        }
         let smt: Vec<usize> = (0..planned.len()).filter(|&i| planned[i].2 == Route::Smt).collect();
         let slices: Vec<Vec<NodeId>> = smt.iter().map(|&i| planned[i].1.nodes.clone()).collect();
         let clusters = cluster_slices(&slices, DEFAULT_CLUSTER_THRESHOLD)
@@ -814,29 +809,6 @@ impl Verifier {
         })
     }
 
-    /// Decides one scenario from nothing ([`Sessions::PerScenario`]): a
-    /// fresh encoder on the scenario's own slice with violation and
-    /// scenario asserted directly. Deliberately shares nothing with
-    /// [`Verifier::check_on_session`], which the tests compare it to.
-    fn check_from_scratch(
-        &self,
-        inv: &Invariant,
-        scenario: &FailureScenario,
-        plan: &Plan,
-        report: &mut Report,
-    ) -> Result<Option<Trace>, VerifyError> {
-        let mut enc = encoder::encode(&self.net, scenario, &plan.nodes, inv, plan.bound)?;
-        if self.options.emit_proofs {
-            enc.ctx.enable_proofs();
-        }
-        let sat = enc.ctx.check();
-        report.solver = report.solver + enc.ctx.stats();
-        if let (Some(bundle), Some(session)) = (&mut report.certificate, enc.ctx.proof_session()) {
-            bundle.sessions.push(session);
-        }
-        Ok((sat == SatResult::Sat).then(|| Trace::extract(&mut enc)))
-    }
-
     /// The one loop every verification runs: plan and route the
     /// scenarios, cluster the SMT-routed ones, check them in order until
     /// the first violation, finish the report from the sessions built.
@@ -868,14 +840,6 @@ impl Verifier {
         let (mut clusters, cluster_of) = self.cluster(&planned);
 
         let mut report = Report {
-            invariant: inv.clone(),
-            verdict: Verdict::Holds,
-            elapsed: Duration::ZERO,
-            scenarios_checked: 0,
-            encoded_nodes: 0,
-            steps: 0,
-            inherited: false,
-            solver: SolverStats::default(),
             // One proof session per solver session the sweep touches; the
             // bundle label names the invariant so `vmn-cli check` output
             // is attributable.
@@ -883,10 +847,7 @@ impl Verifier {
                 .options
                 .emit_proofs
                 .then(|| CertificateBundle { label: inv.to_string(), sessions: Vec::new() }),
-            smt_scenarios: 0,
-            bdd_scenarios: 0,
-            contract_scenarios: 0,
-            bdd: BddStats::default(),
+            ..Report::unchecked(inv)
         };
         let mut error = None;
         for (i, (scenario, plan, route)) in planned.into_iter().enumerate() {
@@ -909,11 +870,7 @@ impl Verifier {
                 }
                 Route::Smt => {
                     report.smt_scenarios += 1;
-                    if self.options.sessions == Sessions::PerScenario {
-                        self.check_from_scratch(inv, &scenario, &plan, &mut report)
-                    } else {
-                        self.check_on_session(inv, &scenario, &mut clusters[cluster_of[i]])
-                    }
+                    self.check_on_session(inv, &scenario, &mut clusters[cluster_of[i]])
                 }
             };
             match answer {
@@ -944,6 +901,35 @@ impl Verifier {
         // a sweep that found no violation before it.
         if let Some(e) = error.or(deferred.filter(|_| report.verdict.holds())) {
             return Err(e);
+        }
+        report.elapsed = start.elapsed();
+        Ok(report)
+    }
+
+    /// Verifies `inv` the plainest way the engine can, as the oracle the
+    /// tests hold [`Verifier::verify`] and [`Verifier::verify_all`] to.
+    /// Each configured scenario, in order, is planned with
+    /// [`Verifier::plan`] and decided by a fresh encoder and solver on its
+    /// own slice, violation and scenario asserted directly. It does no
+    /// routing (every scenario goes to SMT, stateless or not; the backend
+    /// and partition options are not read), no clustering, no symmetry and
+    /// no proof log, and it stops at the first violation.
+    pub fn verify_from_scratch(&self, inv: &Invariant) -> Result<Report, VerifyError> {
+        let start = Instant::now();
+        let mut report = Report::unchecked(inv);
+        for scenario in self.net.all_scenarios() {
+            let plan = self.plan(inv, &scenario)?;
+            report.scenarios_checked += 1;
+            report.smt_scenarios += 1;
+            report.encoded_nodes = report.encoded_nodes.max(plan.nodes.len());
+            report.steps = report.steps.max(plan.bound);
+            let mut enc = encoder::encode(&self.net, &scenario, &plan.nodes, inv, plan.bound)?;
+            let sat = enc.ctx.check();
+            report.solver = report.solver + enc.ctx.stats();
+            if sat == SatResult::Sat {
+                report.verdict = Verdict::Violated { trace: Trace::extract(&mut enc), scenario };
+                break;
+            }
         }
         report.elapsed = start.elapsed();
         Ok(report)
@@ -1176,12 +1162,11 @@ pub(crate) mod engine_tests {
     /// to [`VerifyOptions`] fails to compile until this test is edited on
     /// purpose.
     #[test]
-    fn verify_options_has_six_knobs() {
-        let VerifyOptions { use_slices, policy_hint, sessions, emit_proofs, backend, partition } =
+    fn verify_options_has_five_knobs() {
+        let VerifyOptions { use_slices, policy_hint, emit_proofs, backend, partition } =
             VerifyOptions::default();
         assert!(use_slices);
         assert!(policy_hint.is_none());
-        assert_eq!(sessions, Sessions::Clustered);
         assert!(!emit_proofs);
         assert_eq!(backend, Backend::Auto);
         assert!(matches!(partition, PartitionMode::Off));
@@ -1224,17 +1209,12 @@ pub(crate) mod engine_tests {
             Invariant::FlowIsolation { src, dst },
             Invariant::FlowIsolation { src: dst, dst: src },
         ];
-        let clustered = Verifier::new(&net, VerifyOptions::default()).unwrap();
-        let fresh = Verifier::new(
-            &net,
-            VerifyOptions { sessions: Sessions::PerScenario, ..Default::default() },
-        )
-        .unwrap();
-        assert_same_plans(&clustered, &node[0], &node[1]);
-        assert_same_plans(&clustered, &flow[0], &flow[1]);
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        assert_same_plans(&v, &node[0], &node[1]);
+        assert_same_plans(&v, &flow[0], &flow[1]);
         for inv in node.iter().chain(&flow) {
-            let got = clustered.verify(inv).unwrap();
-            let want = fresh.verify(inv).unwrap();
+            let got = v.verify(inv).unwrap();
+            let want = v.verify_from_scratch(inv).unwrap();
             assert_eq!(got.verdict.holds(), want.verdict.holds(), "{inv}");
             assert_eq!(got.scenarios_checked, want.scenarios_checked, "{inv}");
             if let (
@@ -1396,31 +1376,28 @@ pub(crate) mod engine_tests {
     fn forced_bdd_matches_auto_on_stateless_slices() {
         let allow = vec![(px("8.0.0.0/8"), px("10.0.0.0/24"))];
         let (net, src, dst) = stateless_pipelined(allow);
-        for sessions in ALL_SESSIONS {
-            let forced = Verifier::new(
-                &net,
-                VerifyOptions { backend: Backend::Bdd, sessions, ..Default::default() },
-            )
-            .unwrap();
-            let auto =
-                Verifier::new(&net, VerifyOptions { sessions, ..Default::default() }).unwrap();
-            let inv = Invariant::NodeIsolation { src, dst };
-            let rf = forced.verify(&inv).unwrap();
-            let ra = auto.verify(&inv).unwrap();
-            assert_eq!(rf.verdict.holds(), ra.verdict.holds());
-            assert_eq!(rf.bdd_scenarios, ra.bdd_scenarios);
-        }
+        let forced =
+            Verifier::new(&net, VerifyOptions { backend: Backend::Bdd, ..Default::default() })
+                .unwrap();
+        let auto = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let inv = Invariant::NodeIsolation { src, dst };
+        let rf = forced.verify(&inv).unwrap();
+        let ra = auto.verify(&inv).unwrap();
+        let want = auto.verify_from_scratch(&inv).unwrap();
+        assert_eq!(rf.verdict.holds(), ra.verdict.holds());
+        assert_eq!(rf.bdd_scenarios, ra.bdd_scenarios);
+        assert_eq!(rf.bdd_scenarios, rf.scenarios_checked, "every slice is stateless");
+        assert_eq!(rf.verdict.holds(), want.verdict.holds(), "the smt oracle agrees");
+        assert_eq!(rf.scenarios_checked, want.scenarios_checked);
     }
 
-    const ALL_SESSIONS: [Sessions; 2] = [Sessions::Clustered, Sessions::PerScenario];
-
-    /// Verifies `inv` under every [`Sessions`] mode on top of `base` and
-    /// holds each run to the [`Sessions::PerScenario`] reference: same
-    /// verdict, first violating scenario, scenario count and per-backend
-    /// split — and, when the scenarios' slices nest, the same
-    /// `encoded_nodes`/`steps`. Every report also goes to `expect` for
-    /// the case's own assertions; the reference is returned.
-    fn sessions_agree(
+    /// Verifies `inv` on top of `base` and holds the run to
+    /// [`Verifier::verify_from_scratch`]: same verdict, first violating
+    /// scenario and scenario count, and a backend split that covers the
+    /// sweep — and, when the scenarios' slices nest, the same
+    /// `encoded_nodes`/`steps`. The report also goes to `expect` for the
+    /// case's own assertions; the oracle's report is returned.
+    fn matches_oracle(
         case: &str,
         net: &Network,
         base: &VerifyOptions,
@@ -1428,44 +1405,32 @@ pub(crate) mod engine_tests {
         nested: bool,
         expect: impl Fn(&Report, &str),
     ) -> Report {
-        let run = |sessions| {
-            let opts = VerifyOptions { sessions, ..base.clone() };
-            Verifier::new(net, opts).unwrap().verify(inv).unwrap()
-        };
-        let want = run(Sessions::PerScenario);
-        for sessions in ALL_SESSIONS {
-            let got = run(sessions);
-            let ctx = format!("{case}: {inv} under {sessions:?}");
-            assert_eq!(got.verdict.holds(), want.verdict.holds(), "{ctx}");
-            if let (
-                Verdict::Violated { scenario: gs, .. },
-                Verdict::Violated { scenario: ws, .. },
-            ) = (&got.verdict, &want.verdict)
-            {
-                assert_eq!(gs, ws, "{ctx}: first violating scenario");
-            }
-            assert_eq!(got.scenarios_checked, want.scenarios_checked, "{ctx}");
-            assert_eq!(
-                (got.smt_scenarios, got.bdd_scenarios, got.contract_scenarios),
-                (want.smt_scenarios, want.bdd_scenarios, want.contract_scenarios),
-                "{ctx}: per-backend split"
-            );
-            assert_eq!(
-                got.smt_scenarios + got.bdd_scenarios + got.contract_scenarios,
-                got.scenarios_checked,
-                "{ctx}"
-            );
-            if nested {
-                assert_eq!(got.encoded_nodes, want.encoded_nodes, "{ctx}");
-                assert_eq!(got.steps, want.steps, "{ctx}: bound is the max over scenarios");
-            }
-            expect(&got, &ctx);
+        let v = Verifier::new(net, base.clone()).unwrap();
+        let (got, want) = (v.verify(inv).unwrap(), v.verify_from_scratch(inv).unwrap());
+        let ctx = format!("{case}: {inv}");
+        assert_eq!(got.verdict.holds(), want.verdict.holds(), "{ctx}");
+        if let (Verdict::Violated { scenario: gs, .. }, Verdict::Violated { scenario: ws, .. }) =
+            (&got.verdict, &want.verdict)
+        {
+            assert_eq!(gs, ws, "{ctx}: first violating scenario");
         }
+        assert_eq!(got.scenarios_checked, want.scenarios_checked, "{ctx}");
+        assert_eq!(
+            got.smt_scenarios + got.bdd_scenarios + got.contract_scenarios,
+            got.scenarios_checked,
+            "{ctx}: the backend split covers the sweep"
+        );
+        assert_eq!(want.smt_scenarios, want.scenarios_checked, "{ctx}: the oracle is all smt");
+        if nested {
+            assert_eq!(got.encoded_nodes, want.encoded_nodes, "{ctx}");
+            assert_eq!(got.steps, want.steps, "{ctx}: bound is the max over scenarios");
+        }
+        expect(&got, &ctx);
         want
     }
 
     #[test]
-    fn sessions_modes_agree() {
+    fn sweeps_match_the_oracle() {
         // Mixed backends. fw1 becomes a deny-all *stateless* ACL: the
         // no-failure scenario steers through it alone, classifies
         // stateless, and holds on the BDD fast path. Under fw1's failure
@@ -1478,7 +1443,7 @@ pub(crate) mod engine_tests {
         net.set_model(fw1, models::acl_firewall("stateful-firewall", vec![]));
         let inv = Invariant::NodeIsolation { src, dst };
         let ra =
-            sessions_agree("mixed/auto", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
+            matches_oracle("mixed/auto", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
                 assert!(!r.verdict.holds(), "{ctx}: the backup path has no ACL bite");
                 assert_eq!(r.bdd_scenarios + r.smt_scenarios, r.scenarios_checked, "{ctx}");
                 assert!(r.bdd_scenarios > 0, "{ctx}: the stateless scenario takes the fast path");
@@ -1486,14 +1451,14 @@ pub(crate) mod engine_tests {
                 assert!(r.solver.decisions + r.solver.propagations > 0, "{ctx}");
             });
         let smt = VerifyOptions { backend: Backend::Smt, ..Default::default() };
-        let rs = sessions_agree("mixed/smt", &net, &smt, &inv, false, |_, _| {});
+        let rs = matches_oracle("mixed/smt", &net, &smt, &inv, false, |_, _| {});
         assert_eq!(ra.verdict.holds(), rs.verdict.holds());
         assert_eq!(ra.scenarios_checked, rs.scenarios_checked);
 
         // Bound maxima. Deny-all firewall without a backup: the invariant
         // holds on the no-failure scenario (longer path through fw1,
         // larger bound) and is violated under fw1's failure (direct
-        // delivery, smaller bound). Every mode must report the *max*
+        // delivery, smaller bound). Sweep and oracle must report the *max*
         // bound over the checked scenarios — not the last one.
         let (mut net, src, dst) = pipelined(false);
         for name in ["fw1", "fw2"] {
@@ -1501,7 +1466,7 @@ pub(crate) mod engine_tests {
             net.set_model(fw, models::learning_firewall("stateful-firewall", vec![]));
         }
         let inv = Invariant::NodeIsolation { src, dst };
-        sessions_agree("bounds", &net, &VerifyOptions::default(), &inv, true, |r, ctx| {
+        matches_oracle("bounds", &net, &VerifyOptions::default(), &inv, true, |r, ctx| {
             assert!(!r.verdict.holds(), "{ctx}: failure must bypass the dead firewall");
             assert_eq!(r.scenarios_checked, 2, "{ctx}: violation found in the failure scenario");
         });
@@ -1509,7 +1474,7 @@ pub(crate) mod engine_tests {
         // A third scenario on the same deny-all network: the clustered
         // sweep must still match the from-scratch reference.
         net.add_scenario(vmn_net::FailureScenario::nodes([dst]));
-        sessions_agree("three scenarios", &net, &VerifyOptions::default(), &inv, true, |_, _| {});
+        matches_oracle("three scenarios", &net, &VerifyOptions::default(), &inv, true, |_, _| {});
 
         // Contracts. Same module: exact engine; flow isolation is
         // violated by a direct unsolicited send. Across modules: every
@@ -1517,12 +1482,12 @@ pub(crate) mod engine_tests {
         let (net, a1, _a2, b1, b2) = two_buildings();
         let modular = VerifyOptions { partition: PartitionMode::Auto, ..Default::default() };
         let local = Invariant::FlowIsolation { src: b2, dst: b1 };
-        sessions_agree("modular/local", &net, &modular, &local, true, |r, ctx| {
+        matches_oracle("modular/local", &net, &modular, &local, true, |r, ctx| {
             assert!(!r.verdict.holds(), "{ctx}");
             assert_eq!(r.contract_scenarios, 0, "{ctx}");
         });
         let cross = Invariant::FlowIsolation { src: a1, dst: b1 };
-        sessions_agree("modular/cross", &net, &modular, &cross, true, |r, ctx| {
+        matches_oracle("modular/cross", &net, &modular, &cross, true, |r, ctx| {
             assert!(r.verdict.holds(), "{ctx}");
             assert_eq!(r.contract_scenarios, r.scenarios_checked, "{ctx}");
         });
@@ -1613,7 +1578,7 @@ pub(crate) mod engine_tests {
         let (net, inv) = divergent_slices();
         let deep = net.all_scenarios().pop().unwrap();
         let want =
-            sessions_agree("divergent", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
+            matches_oracle("divergent", &net, &VerifyOptions::default(), &inv, false, |r, ctx| {
                 let Verdict::Violated { scenario, .. } = &r.verdict else {
                     panic!("{ctx}: the deep chain's allow-all firewall forwards the probe");
                 };
@@ -1649,28 +1614,33 @@ pub(crate) mod engine_tests {
         // Forced BDD with fw1 a *stateless* ACL and fw2 left learning:
         // the no-failure scenario (via fw1) is answered on the BDD path,
         // the `fail fw1` scenario (via stateful fw2) is a routing error.
-        for sessions in ALL_SESSIONS {
-            let opts = VerifyOptions { backend: Backend::Bdd, sessions, ..Default::default() };
-            let (mut net, src, dst) = pipelined(true);
-            let fw1 = net.topo.by_name("fw1").unwrap();
-            let inv = Invariant::NodeIsolation { src, dst };
+        let opts = VerifyOptions { backend: Backend::Bdd, ..Default::default() };
+        let (mut net, src, dst) = pipelined(true);
+        let fw1 = net.topo.by_name("fw1").unwrap();
+        let inv = Invariant::NodeIsolation { src, dst };
 
-            // Allow-all fw1: violated in the first scenario; the error
-            // behind it must not surface.
-            let allow = vec![(px("0.0.0.0/0"), px("0.0.0.0/0"))];
-            net.set_model(fw1, models::acl_firewall("stateful-firewall", allow));
-            let r = Verifier::new(&net, opts.clone()).unwrap().verify(&inv).unwrap();
-            let Verdict::Violated { scenario, .. } = &r.verdict else {
-                panic!("{sessions:?}: allow-all fw1 forwards the probe");
-            };
-            assert_eq!(scenario, &vmn_net::FailureScenario::none(), "{sessions:?}");
-            assert_eq!((r.scenarios_checked, r.bdd_scenarios), (1, 1), "{sessions:?}");
+        // Allow-all fw1: violated in the first scenario; the error behind
+        // it must not surface.
+        let allow = vec![(px("0.0.0.0/0"), px("0.0.0.0/0"))];
+        net.set_model(fw1, models::acl_firewall("stateful-firewall", allow));
+        let v = Verifier::new(&net, opts.clone()).unwrap();
+        let r = v.verify(&inv).unwrap();
+        let Verdict::Violated { scenario, .. } = &r.verdict else {
+            panic!("allow-all fw1 forwards the probe");
+        };
+        assert_eq!(scenario, &vmn_net::FailureScenario::none());
+        assert_eq!((r.scenarios_checked, r.bdd_scenarios), (1, 1));
+        let want = v.verify_from_scratch(&inv).unwrap();
+        assert_eq!((want.verdict.holds(), want.scenarios_checked), (false, 1), "the oracle agrees");
 
-            // Deny-all fw1: the first scenario holds, so the error does.
-            net.set_model(fw1, models::acl_firewall("stateful-firewall", vec![]));
-            let err = Verifier::new(&net, opts).unwrap().verify(&inv).unwrap_err();
-            assert!(matches!(err, VerifyError::Bdd(_)), "{sessions:?}: got {err}");
-        }
+        // Deny-all fw1: the first scenario holds, so the error does — in
+        // place of the violation the oracle finds under `fail fw1`.
+        net.set_model(fw1, models::acl_firewall("stateful-firewall", vec![]));
+        let v = Verifier::new(&net, opts).unwrap();
+        let err = v.verify(&inv).unwrap_err();
+        assert!(matches!(err, VerifyError::Bdd(_)), "got {err}");
+        let want = v.verify_from_scratch(&inv).unwrap();
+        assert_eq!((want.verdict.holds(), want.scenarios_checked), (false, 2));
     }
 
     #[test]

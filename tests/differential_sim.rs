@@ -7,6 +7,8 @@
 //! Completeness direction (sampled): random concrete schedules that
 //! stumble on a violation imply the verifier must find one too.
 
+#[path = "support/forbidden.rs"]
+mod forbidden;
 #[path = "support/normal_form.rs"]
 mod normal_form;
 
@@ -30,19 +32,7 @@ fn assert_replays(net: &Network, inv: &Invariant, report: &vmn::Report) {
     };
     normal_form::assert_normal_form(trace, inv, "differential_sim");
     let receptions = trace.replay(net, scenario).expect("replay must not hit fabric errors");
-    let ok = receptions.iter().any(|o| match inv {
-        Invariant::NodeIsolation { src, dst } => {
-            o.at == *dst && o.header.src == net.host_address(*src)
-        }
-        Invariant::DataIsolation { origin, dst } => {
-            o.at == *dst && o.header.origin == net.host_address(*origin)
-        }
-        Invariant::FlowIsolation { src, dst } => {
-            // Sufficient check: dst received something from src's address.
-            o.at == *dst && o.header.src == net.host_address(*src)
-        }
-        Invariant::Traversal { dst, .. } => o.at == *dst,
-    });
+    let ok = receptions.iter().any(|o| forbidden::forbidden(net, inv, o));
     assert!(
         ok,
         "replay did not reproduce the violation of {inv}:\ntrace:\n{}\nreceptions: {receptions:?}",

@@ -4,26 +4,27 @@
 //! groups and random failure scenarios — verified by two engines that
 //! must agree on every observable:
 //!
-//! * the from-scratch oracle (`Sessions::PerScenario`: fresh slice,
-//!   encoder and solver per scenario);
+//! * the from-scratch oracle (`Verifier::verify_from_scratch`: fresh
+//!   slice, encoder and solver per scenario, every scenario on SMT);
 //! * the clustered incremental sweep, one session per scenario cluster
 //!   (the default).
 //!
 //! Verdicts, scenario counts and first violating scenarios must match,
 //! every violation witness must replay into a real forbidden reception on
 //! the concrete simulator, and re-verifying on the clustered engine
-//! (fresh sessions over the epoch's memoised tables) must be stable. Both engines run
-//! with `emit_proofs` on, and the independent trusted checker
-//! (`vmn_check`) validates each report's certificate — UNSAT derivations
-//! for refuted scenarios, replayable models for violations — so the proof
-//! log is fuzzed against the same random workloads as the solver itself.
+//! (fresh sessions over the epoch's memoised tables) must be stable. The
+//! clustered engine runs with `emit_proofs` on, and the independent
+//! trusted checker (`vmn_check`) validates each of its reports'
+//! certificates — UNSAT derivations for refuted scenarios, replayable
+//! models for violations — so the proof log is fuzzed against the same
+//! random workloads as the solver itself.
 //!
-//! On top of the two certified engines, every case re-runs with proofs
-//! off under `Backend::Auto` (incremental and baseline), where stateless
-//! slices are answered by the BDD dataplane fast path instead of the
-//! solver: verdicts, scenario counts and first violating scenarios must
-//! still match the SMT oracle, and BDD-synthesized witnesses must replay
-//! on the concrete simulator exactly like SMT ones. The same sweep also
+//! On top of the certified engine, every case re-runs with proofs off
+//! under `Backend::Auto`, where stateless slices are answered by the BDD
+//! dataplane fast path instead of the solver: verdicts, scenario counts
+//! and first violating scenarios must still match the SMT oracle, and
+//! BDD-synthesized witnesses must replay on the concrete simulator
+//! exactly like SMT ones. The same sweep also
 //! runs the auto-partitioned modular engine (`PartitionMode::Auto`),
 //! whose backend split additionally counts contract-answered scenarios
 //! and must still agree on every observable. Finally, every case
@@ -45,7 +46,7 @@ mod policy_reference;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
-use vmn::{Invariant, Network, PartitionMode, Sessions, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_mbox::exec::KeyVal;
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, Header, NodeId, Prefix, RoutingConfig, Rule, Topology};
@@ -226,13 +227,8 @@ fn generate(rng: &mut TestRng) -> Case {
     Case { net, hint, inv, label }
 }
 
-fn opts(case: &Case, sessions: Sessions) -> VerifyOptions {
-    VerifyOptions {
-        policy_hint: case.hint.clone(),
-        sessions,
-        emit_proofs: true,
-        ..Default::default()
-    }
+fn opts(case: &Case) -> VerifyOptions {
+    VerifyOptions { policy_hint: case.hint.clone(), emit_proofs: true, ..Default::default() }
 }
 
 /// Replays a violation witness on the concrete simulator and asserts it
@@ -345,14 +341,11 @@ fn run_case(seed: u64) {
     assert_analysis_consistent(&case.net, label);
     policy_reference::assert_matches_reference(&case.net, label);
 
-    let oracle =
-        Verifier::new(&case.net, opts(&case, Sessions::PerScenario)).expect("valid network");
-    let want = oracle.verify(&case.inv).expect("oracle verifies");
+    let v = Verifier::new(&case.net, opts(&case)).expect("valid network");
+    let want = v.verify_from_scratch(&case.inv).expect("oracle verifies");
     assert_witness_replays(&case, &want.verdict, "oracle");
-    assert_certificate_checks(&want, label, "oracle");
 
     let engine = "clustered";
-    let v = Verifier::new(&case.net, opts(&case, Sessions::Clustered)).expect("valid network");
     let got = v.verify(&case.inv).expect("incremental verify succeeds");
     assert_eq!(
         got.verdict.holds(),
@@ -397,17 +390,11 @@ fn run_case(seed: u64) {
     // reproduce the monolithic engine exactly when nothing cross-module
     // is discharged — while the multi-site battery in
     // `modular_vs_monolithic.rs` covers the contract fast path.
-    for (engine, sessions, partition) in [
-        ("auto-routed", Sessions::Clustered, PartitionMode::Off),
-        ("auto-routed-baseline", Sessions::PerScenario, PartitionMode::Off),
-        ("modular", Sessions::Clustered, PartitionMode::Auto),
-    ] {
-        let options = VerifyOptions {
-            policy_hint: case.hint.clone(),
-            sessions,
-            partition,
-            ..Default::default()
-        };
+    for (engine, partition) in
+        [("auto-routed", PartitionMode::Off), ("modular", PartitionMode::Auto)]
+    {
+        let options =
+            VerifyOptions { policy_hint: case.hint.clone(), partition, ..Default::default() };
         let v = Verifier::new(&case.net, options).expect("valid network");
         let got = v.verify(&case.inv).expect("routed verify succeeds");
         assert_eq!(

@@ -1,29 +1,28 @@
 //! Differential test for the incremental (assumption-based) scenario
 //! sweep: `Verifier::verify` on session clusters (the default) must return
 //! verdicts *identical* to the fresh-solver-per-scenario oracle
-//! (`Sessions::PerScenario`) — same holds/violated answer, same first
+//! (`Verifier::verify_from_scratch`) — same holds/violated answer, same first
 //! violating scenario, same scenario count — across the bundled
 //! `vmn_scenarios` workloads and their misconfigured variants.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmn::{Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
 use vmn_net::NodeId;
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
 use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
 use vmn_scenarios::multi_tenant::{MultiTenant, MultiTenantParams};
 
-fn opts(hint: Vec<Vec<NodeId>>, sessions: Sessions) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), sessions, ..Default::default() }
+fn opts(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
+    VerifyOptions { policy_hint: Some(hint), ..Default::default() }
 }
 
-/// Runs both engines on the same (network, invariant) and asserts the
-/// reports agree on everything observable.
+/// Runs the sweep and the oracle on the same (network, invariant) and
+/// asserts the reports agree on everything observable.
 fn assert_same_verdict(net: &Network, hint: Vec<Vec<NodeId>>, inv: &Invariant, label: &str) {
-    let fast = Verifier::new(net, opts(hint.clone(), Sessions::Clustered)).expect("valid network");
-    let slow = Verifier::new(net, opts(hint, Sessions::PerScenario)).expect("valid network");
-    let got = fast.verify(inv).expect("incremental verify succeeds");
-    let want = slow.verify(inv).expect("oracle verify succeeds");
+    let v = Verifier::new(net, opts(hint)).expect("valid network");
+    let got = v.verify(inv).expect("incremental verify succeeds");
+    let want = v.verify_from_scratch(inv).expect("oracle verify succeeds");
     assert_eq!(got.verdict.holds(), want.verdict.holds(), "{label}: verdicts disagree for {inv:?}");
     assert_eq!(got.scenarios_checked, want.scenarios_checked, "{label}: scenario counts differ");
     // (steps/encoded_nodes may legitimately differ: the incremental sweep
@@ -89,7 +88,7 @@ fn datacenter_redundancy_misconfig_matches_oracle() {
     let mut rng = StdRng::seed_from_u64(11);
     let pairs = dc.inject_redundancy_misconfig(&mut rng, 1);
     let inv = dc.pair_isolation(pairs[0].0, pairs[0].1);
-    let verifier = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Clustered)).unwrap();
+    let verifier = Verifier::new(&dc.net, opts(dc.policy_hint())).unwrap();
     let report = verifier.verify(&inv).unwrap();
     if let Verdict::Violated { scenario, .. } = &report.verdict {
         assert!(scenario.fault_count() > 0, "redundancy bug needs a failure to show");
@@ -120,13 +119,10 @@ fn verify_all_matches_oracle_reports() {
     // Whole-set verification (symmetry machinery on top of the sweep).
     let dc = dc(2);
     let invs = dc.isolation_invariants();
-    let fast = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Clustered)).unwrap();
-    let slow = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::PerScenario)).unwrap();
-    let got = fast.verify_all(&invs, 1).unwrap();
-    let want = slow.verify_all(&invs, 1).unwrap();
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g.verdict.holds(), w.verdict.holds());
-        assert_eq!(g.inherited, w.inherited);
+    let v = Verifier::new(&dc.net, opts(dc.policy_hint())).unwrap();
+    let got = v.verify_all(&invs, 1).unwrap();
+    assert_eq!(got.len(), invs.len());
+    for (g, inv) in got.iter().zip(&invs) {
+        assert_eq!(g.verdict.holds(), v.verify_from_scratch(inv).unwrap().verdict.holds(), "{inv}");
     }
 }

@@ -1,53 +1,78 @@
-//! Differential tests for clustered solver sessions:
-//! `Verifier::verify_all` with one session per scenario cluster
-//! (`Sessions::Clustered`, the default) must return verdicts *identical*
-//! to fresh solver stacks per
-//! scenario (`Sessions::PerScenario`) — same holds/violated answer per
-//! invariant, same first violating scenario, same scenario counts, same
-//! symmetry inheritance — and every violation witness must replay into a
-//! real forbidden reception on the concrete simulator.
+//! Differential tests for `Verifier::verify_all`: every report it
+//! returns, symmetry-inherited ones included, must agree with
+//! `Verifier::verify_from_scratch` of the report's *own* invariant (fresh
+//! encoder and solver per scenario, no routing, no clustering, no
+//! symmetry) — same holds/violated answer, same first violating scenario,
+//! same scenario count — and every violation witness must replay into a
+//! real reception on the concrete simulator. An inherited verdict is only
+//! as good as the symmetry argument behind it, and this is where it is
+//! checked against a direct one.
+
+#[path = "support/forbidden.rs"]
+mod forbidden;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmn::{Invariant, Network, Sessions, Verdict, Verifier, VerifyOptions};
+use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
 use vmn_net::NodeId;
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
 use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
+use vmn_scenarios::estate::{Estate, EstateParams};
 
-fn opts(hint: Vec<Vec<NodeId>>, sessions: Sessions) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), sessions, ..Default::default() }
+fn opts(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
+    VerifyOptions { policy_hint: Some(hint), ..Default::default() }
 }
 
-/// Runs `verify_all` with and without clustered sessions and asserts the
-/// reports agree on everything observable; violated invariants must
-/// replay on the simulator under both engines.
-fn assert_fleet_matches(net: &Network, hint: Vec<Vec<NodeId>>, invs: &[Invariant], label: &str) {
-    let clustered =
-        Verifier::new(net, opts(hint.clone(), Sessions::Clustered)).expect("valid network");
-    let fresh = Verifier::new(net, opts(hint, Sessions::PerScenario)).expect("valid network");
-    let got = clustered.verify_all(invs, 1).expect("session verify_all succeeds");
-    let want = fresh.verify_all(invs, 1).expect("fresh verify_all succeeds");
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
-        let inv = &g.invariant;
-        assert_eq!(g.verdict.holds(), w.verdict.holds(), "{label}: verdicts differ for {inv}");
-        assert_eq!(g.inherited, w.inherited, "{label}: inheritance differs for {inv}");
+/// Whether the witness of `verdict`, replayed, shows the reception `inv`
+/// forbids.
+fn witnesses(net: &Network, inv: &Invariant, verdict: &Verdict) -> bool {
+    let Verdict::Violated { trace, scenario } = verdict else { return false };
+    let receptions = trace.replay(net, scenario).expect("trace replays");
+    receptions.iter().any(|o| forbidden::forbidden(net, inv, o))
+}
+
+/// Runs `verify_all` and holds each report to the from-scratch oracle of
+/// its own invariant; violated invariants must replay on the simulator,
+/// the oracle's witness into the invariant's own forbidden reception.
+/// Returns the reports.
+fn assert_fleet_matches(
+    net: &Network,
+    hint: Vec<Vec<NodeId>>,
+    invs: &[Invariant],
+    label: &str,
+) -> Vec<vmn::Report> {
+    let v = Verifier::new(net, opts(hint)).expect("valid network");
+    let got = v.verify_all(invs, 1).expect("verify_all succeeds");
+    assert_eq!(got.len(), invs.len());
+    for (g, inv) in got.iter().zip(invs) {
+        assert_eq!(&g.invariant, inv, "{label}: reports come back in input order");
+        let w = v.verify_from_scratch(inv).expect("the oracle verifies");
+        let how = if g.inherited { "inherited" } else { "direct" };
+        assert_eq!(
+            g.verdict.holds(),
+            w.verdict.holds(),
+            "{label}: {how} verdict differs for {inv}"
+        );
         assert_eq!(
             g.scenarios_checked, w.scenarios_checked,
-            "{label}: scenario counts differ for {inv}"
+            "{label}: {how} scenario count differs for {inv}"
         );
         if let (
             Verdict::Violated { scenario: gs, trace: gt },
-            Verdict::Violated { scenario: ws, trace: wt },
+            Verdict::Violated { scenario: ws, .. },
         ) = (&g.verdict, &w.verdict)
         {
-            assert_eq!(gs, ws, "{label}: first violating scenario differs for {inv}");
-            for (t, s) in [(gt, gs), (wt, ws)] {
-                let receptions = t.replay(net, s).expect("trace replays");
-                assert!(!receptions.is_empty(), "{label}: witness replays to no reception");
+            assert_eq!(gs, ws, "{label}: {how} first violating scenario differs for {inv}");
+            let receptions = gt.replay(net, gs).expect("trace replays");
+            assert!(!receptions.is_empty(), "{label}: witness replays to no reception");
+            assert!(witnesses(net, inv, &w.verdict), "{label}: the oracle's witness of {inv}");
+            if !g.inherited {
+                assert!(witnesses(net, inv, &g.verdict), "{label}: the witness of {inv}");
             }
         }
     }
+    assert!(got.iter().any(|r| r.inherited), "{label}: some verdict is inherited");
+    got
 }
 
 fn dc() -> Datacenter {
@@ -61,15 +86,20 @@ fn dc() -> Datacenter {
 }
 
 /// A per-direction isolation + traversal fleet over the two policy
-/// groups — the invariants whose direction pairs plan alike.
+/// groups — the invariants whose direction pairs plan alike — plus the
+/// same pairs between the groups' second hosts, which inherit their
+/// verdicts by symmetry.
 fn dc_fleet(dc: &Datacenter) -> Vec<Invariant> {
     let hint = dc.policy_hint();
     let (a, b) = (hint[0][0], hint[1][0]);
+    let (a2, b2) = (hint[0][1], hint[1][1]);
     let mut invs = vec![
         Invariant::NodeIsolation { src: a, dst: b },
         Invariant::NodeIsolation { src: b, dst: a },
         Invariant::FlowIsolation { src: a, dst: b },
         Invariant::FlowIsolation { src: b, dst: a },
+        Invariant::NodeIsolation { src: a2, dst: b2 },
+        Invariant::FlowIsolation { src: b2, dst: a2 },
     ];
     invs.extend(dc.traversal_invariants());
     invs
@@ -93,6 +123,9 @@ fn datacenter_misconfigured_fleet_matches_fresh_stacks() {
     let pairs = dc.inject_rule_misconfig(&mut rng, 1);
     let mut invs = dc_fleet(&dc);
     invs.insert(2, dc.pair_isolation(pairs[0].0, pairs[0].1));
+    let hint = dc.policy_hint();
+    let (src, dst) = (hint[pairs[0].0][1], hint[pairs[0].1][1]);
+    invs.push(Invariant::NodeIsolation { src, dst });
     assert_fleet_matches(&dc.net, dc.policy_hint(), &invs, "dc/misconfig");
 }
 
@@ -101,9 +134,11 @@ fn enterprise_families_match_fresh_stacks() {
     let e = Enterprise::build(EnterpriseParams { subnets: 3, hosts_per_subnet: 2 });
     let mut invs = Vec::new();
     for (kind, inv) in e.invariants() {
-        let host = e.subnet_of_kind(kind).expect("subnet exists")[0];
+        let subnet = e.subnet_of_kind(kind).expect("subnet exists");
+        let host = subnet[0];
         invs.push(inv);
         invs.push(Invariant::NodeIsolation { src: host, dst: e.internet });
+        invs.push(Invariant::NodeIsolation { src: subnet[1], dst: e.internet });
         if kind == SubnetKind::Private {
             invs.push(Invariant::FlowIsolation { src: host, dst: e.internet });
         }
@@ -115,11 +150,11 @@ fn enterprise_families_match_fresh_stacks() {
 fn threaded_session_pool_matches_single_thread() {
     // Workers share one verifier (its header classes and dataplane) and
     // build sessions of their own; the reports must be indistinguishable
-    // from the single-threaded run (and from the fresh-stack oracle, by
+    // from the single-threaded run (and from the from-scratch oracle, by
     // transitivity with the tests above).
     let dc = dc();
     let invs = dc_fleet(&dc);
-    let v = Verifier::new(&dc.net, opts(dc.policy_hint(), Sessions::Clustered)).unwrap();
+    let v = Verifier::new(&dc.net, opts(dc.policy_hint())).unwrap();
     let single = v.verify_all(&invs, 1).unwrap();
     let threaded = v.verify_all(&invs, 4).unwrap();
     assert_eq!(single.len(), threaded.len());
@@ -128,4 +163,41 @@ fn threaded_session_pool_matches_single_thread() {
         assert_eq!(s.inherited, t.inherited);
         assert_eq!(s.scenarios_checked, t.scenarios_checked);
     }
+}
+
+#[test]
+fn campus_inherited_verdicts_match_direct_checks() {
+    // A small campus: the site firewalls are stateless ACLs, so every
+    // representative is answered on the BDD and its verdict inherited by
+    // the symmetric members, while the oracle decides each member on SMT.
+    // Opening site 0 to site 1 makes one family of pairs violated.
+    let mut e = Estate::build(EstateParams {
+        sites: 3,
+        subnets_per_site: 2,
+        hosts_per_subnet: 2,
+        ..EstateParams::campus()
+    });
+    e.inject_cross_site_allow(1, 0);
+    let h = &e.hosts;
+    let mut invs: Vec<Invariant> = (0..2)
+        .flat_map(|k| {
+            [
+                Invariant::NodeIsolation { src: h[1][0][k], dst: h[0][0][0] },
+                Invariant::NodeIsolation { src: h[1][1][k], dst: h[0][1][1] },
+                Invariant::NodeIsolation { src: h[2][0][k], dst: h[0][0][0] },
+                Invariant::FlowIsolation { src: h[2][1][k], dst: h[1][1][0] },
+            ]
+        })
+        .collect();
+    invs.extend(e.cross_site_isolation(4));
+    invs.extend(e.local_reachability(2));
+    let reports = assert_fleet_matches(&e.net, e.policy_hint(), &invs, "campus");
+    let inherited =
+        |holds: bool| reports.iter().filter(|r| r.inherited && r.verdict.holds() == holds).count();
+    assert!(inherited(true) > 0, "some holding verdict is inherited");
+    assert!(inherited(false) > 0, "some violation is inherited");
+    assert!(
+        reports.iter().all(|r| r.bdd_scenarios == r.scenarios_checked),
+        "every scenario is answered on the BDD"
+    );
 }
