@@ -402,7 +402,8 @@ fn main() -> ExitCode {
         // Inherited reports carry no certificate (the representative's
         // bundle covers the symmetry group), so the file holds one bundle
         // per solver run.
-        let bundles: Vec<_> = reports.iter().filter_map(|r| r.certificate.clone()).collect();
+        let bundles: Vec<_> =
+            reports.iter().filter_map(|r| r.certificate.as_deref().cloned()).collect();
         if let Err(e) = std::fs::write(path, vmn::check::write_bundles(&bundles)) {
             eprintln!("vmn: cannot write {path}: {e}");
             return ExitCode::from(2);
@@ -411,7 +412,7 @@ fn main() -> ExitCode {
     }
 
     let mut any_violated = false;
-    for ((spec, _), report) in cfg.invariants.iter().zip(&reports) {
+    for ((spec, inv), report) in cfg.invariants.iter().zip(&reports) {
         let by = if report.inherited { ", by symmetry" } else { "" };
         match &report.verdict {
             Verdict::Holds => {
@@ -428,8 +429,23 @@ fn main() -> ExitCode {
                     format!(" under failure of {:?}", scenario.failed_nodes)
                 };
                 println!("VIOLATED  {spec}{failures}   [{:?}{by}]", report.elapsed);
-                if trace {
+                if !trace {
+                    continue;
+                }
+                if !report.inherited {
                     print!("{}", t.render(&cfg.net));
+                    continue;
+                }
+                // An inherited report carries its representative's
+                // witness, which names the representative's endpoints:
+                // check this invariant itself for a witness of its own.
+                match verifier.verify(inv).map(|own| own.verdict) {
+                    Ok(Verdict::Violated { trace: own, .. }) => print!("{}", own.render(&cfg.net)),
+                    Ok(Verdict::Holds) => eprintln!("vmn: {spec}: holds when checked alone"),
+                    Err(e) => {
+                        eprintln!("vmn: verification failed: {e}");
+                        return ExitCode::from(2);
+                    }
                 }
             }
         }

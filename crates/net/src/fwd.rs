@@ -47,7 +47,7 @@ impl Rule {
     }
 
     /// Sort key: better rules first.
-    fn rank(&self) -> (i32, u32, bool) {
+    pub(crate) fn rank(&self) -> (i32, u32, bool) {
         (self.priority, self.prefix.len(), self.from.is_some())
     }
 }
@@ -61,12 +61,13 @@ struct Table {
 }
 
 /// A switch's rules arranged so that a lookup visits only the rules that
-/// can match its destination, best first.
+/// can match its destination, best first. It holds positions, not rules:
+/// every rule stays in [`Table::rules`] once.
 #[derive(Clone, Debug)]
 struct LpmIndex {
-    /// The rules best-first: a stable sort by descending [`Rule::rank`],
-    /// so equal-rank rules keep table order.
-    ordered: Vec<Rule>,
+    /// Positions in [`Table::rules`] best-first: a stable sort by
+    /// descending [`Rule::rank`], so equal-rank rules keep table order.
+    ordered: Vec<u32>,
     /// Host routes (/32 — the bulk of every generated table) as (address,
     /// position in `ordered`), sorted: the host routes for one destination
     /// are one contiguous run, best first.
@@ -77,11 +78,11 @@ struct LpmIndex {
 
 impl LpmIndex {
     fn build(rules: &[Rule]) -> LpmIndex {
-        let mut ordered = rules.to_vec();
-        ordered.sort_by_key(|r| std::cmp::Reverse(r.rank()));
+        let ordered = ranked(rules);
         let mut hosts = Vec::new();
         let mut shorter = Vec::new();
-        for (at, rule) in ordered.iter().enumerate() {
+        for (at, &pos) in ordered.iter().enumerate() {
+            let rule = &rules[pos as usize];
             if rule.prefix.len() == 32 {
                 hosts.push((rule.prefix.addr().0, at as u32));
             } else {
@@ -91,6 +92,14 @@ impl LpmIndex {
         hosts.sort_unstable();
         LpmIndex { ordered, hosts, shorter }
     }
+}
+
+/// Positions of `rules` best-first: a stable sort by descending
+/// [`Rule::rank`], the order in which a lookup tries them.
+pub(crate) fn ranked(rules: &[Rule]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..rules.len() as u32).collect();
+    order.sort_by_key(|&at| std::cmp::Reverse(rules[at as usize].rank()));
+    order
 }
 
 /// Per-switch forwarding state for one routing configuration.
@@ -188,7 +197,7 @@ impl ForwardingTables {
                 }
                 (None, None) => return None,
             };
-            let rule = &index.ordered[at as usize];
+            let rule = &table.rules[index.ordered[at as usize] as usize];
             // A dead next hop fails its link too; the next hop must also
             // actually be adjacent.
             if rule.matches(dst, from)

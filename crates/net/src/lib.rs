@@ -18,7 +18,8 @@
 //! * [`transfer`] — the per-failure-scenario transfer function: a walk of
 //!   the static datapath from terminal to terminal with loop detection
 //!   (a static forwarding loop is an error, as in §3.5 of the paper),
-//!   VeriFlow-style header equivalence classes, and the per-emitter
+//!   VeriFlow-style header equivalence classes, the per-switch next-hop
+//!   runs compiled over them that walks read, and the per-emitter
 //!   delivery intervals over them that every verification backend reads;
 //! * [`pipeline`] — the static *pipeline invariant* checker (which
 //!   middlebox chain a packet class traverses), the job the paper

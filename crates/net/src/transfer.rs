@@ -12,19 +12,30 @@
 //! [`HeaderClasses`] implements VeriFlow's equivalence-class trick: split
 //! the address space at every prefix boundary appearing in the
 //! configuration, and around every terminal's own address, so that all
-//! addresses within a class are delivered identically. Slicing and
-//! policy-equivalence computation enumerate classes instead of addresses.
-//! The classes also own the one delivery table: the per-(scenario, emitter) interval lists
-//! of [`TransferFunction::delivery_intervals`], each swept once and shared
-//! by every reader of the same classes.
+//! addresses within a class are delivered identically. The classes own
+//! two tables over that partition:
+//!
+//! * a compiled next-hop table per switch, as in Delta-net: for each
+//!   class, the switch's best adjacent rule, stored as maximal runs of
+//!   classes and built once per switch on first use. A walk handed the
+//!   classes ([`TransferFunction::with_classes`]) looks its destination's
+//!   class up once and then costs one short binary search per hop instead
+//!   of a longest-prefix match;
+//! * the delivery table: the per-(scenario, emitter) interval lists of
+//!   [`TransferFunction::delivery_intervals`], each swept once and shared
+//!   by every reader of the same classes.
+//!
+//! Slicing, trace bounds and policy-equivalence refinement walk the
+//! engine's classes; the interval readers (SMT encoder, BDD dataplane,
+//! verdict fingerprint) read the delivery table.
 
 use crate::addr::{Address, Prefix};
 use crate::error::NetError;
-use crate::fwd::ForwardingTables;
-use crate::topology::{FailureScenario, NodeId, NodeKind, Topology};
+use crate::fwd::{ranked, ForwardingTables, Rule};
+use crate::topology::{FailureScenario, Link, NodeId, NodeKind, Topology};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One run of destination addresses an emitter's packets land alike:
 /// `(first, last, target)`, inclusive, `None` for a drop.
@@ -79,17 +90,20 @@ pub fn translated_intervals<T: Copy + PartialEq>(
 
 /// The transfer function of a network under one failure scenario.
 ///
-/// Borrows the topology, tables and scenario and holds nothing else, so
+/// Borrows the topology, tables and scenario, and optionally the header
+/// classes of the same topology and tables, and holds nothing else, so
 /// build one wherever a scenario is at hand. What is cached lives
 /// elsewhere: each switch's LPM index in the tables (built by the first
-/// lookup, dropped by any rule change), and the interval lists of
-/// [`TransferFunction::delivery_intervals`] in the [`HeaderClasses`]
-/// passed to it. `deliver` and `terminal_path` walk the tables every call.
+/// lookup, dropped by any rule change), and each switch's next-hop runs
+/// and the interval lists of [`TransferFunction::delivery_intervals`] in
+/// the [`HeaderClasses`]. `deliver` and `terminal_path` walk every call;
+/// with classes a hop reads the runs, without them the LPM index.
 #[derive(Clone, Copy)]
 pub struct TransferFunction<'a> {
     pub topo: &'a Topology,
     pub tables: &'a ForwardingTables,
     pub scenario: &'a FailureScenario,
+    classes: Option<&'a HeaderClasses>,
 }
 
 impl<'a> TransferFunction<'a> {
@@ -98,7 +112,15 @@ impl<'a> TransferFunction<'a> {
         tables: &'a ForwardingTables,
         scenario: &'a FailureScenario,
     ) -> TransferFunction<'a> {
-        TransferFunction { topo, tables, scenario }
+        TransferFunction { topo, tables, scenario, classes: None }
+    }
+
+    /// The same transfer function, walking on `classes`' next-hop runs.
+    /// `classes` must be [`HeaderClasses::from_network`] of this transfer
+    /// function's topology and tables; the answers are those of the LPM
+    /// walk, only cheaper.
+    pub fn with_classes(self, classes: &'a HeaderClasses) -> TransferFunction<'a> {
+        TransferFunction { classes: Some(classes), ..self }
     }
 
     /// Delivers a packet emitted by terminal `from` toward `dst`.
@@ -107,6 +129,17 @@ impl<'a> TransferFunction<'a> {
     /// middlebox), `None` if the static datapath drops it, or an error if
     /// it loops.
     pub fn deliver(&self, from: NodeId, dst: Address) -> Result<Option<NodeId>, NetError> {
+        self.walk(from, self.destination(dst))
+    }
+
+    /// `dst` with its header class, when this walk has classes.
+    fn destination(&self, dst: Address) -> Dst {
+        Dst { addr: dst, class: self.classes.map(|c| c.class_of(dst)) }
+    }
+
+    /// The walk behind [`TransferFunction::deliver`], with the
+    /// destination's class already looked up.
+    fn walk(&self, from: NodeId, dst: Dst) -> Result<Option<NodeId>, NetError> {
         let node = self.topo.node(from);
         if !node.kind.is_terminal() {
             return Err(NetError::WrongNodeKind { node: from, expected: "terminal" });
@@ -118,7 +151,7 @@ impl<'a> TransferFunction<'a> {
         // packet without any switch involvement.
         for nb in self.topo.live_neighbors(from, self.scenario) {
             let n = self.topo.node(nb);
-            if n.kind.is_terminal() && n.addresses.contains(&dst) {
+            if n.kind.is_terminal() && n.addresses.contains(&dst.addr) {
                 return Ok(Some(nb));
             }
         }
@@ -128,7 +161,7 @@ impl<'a> TransferFunction<'a> {
             .topo
             .live_neighbors(from, self.scenario)
             .filter(|&nb| matches!(self.topo.node(nb).kind, NodeKind::Switch))
-            .find_map(|sw| Some((sw, self.lookup(sw, dst, from)?)));
+            .find_map(|sw| Some((sw, self.step(sw, dst, from)?)));
         let Some((entry, mut next)) = first_hop else {
             return Ok(None);
         };
@@ -139,7 +172,7 @@ impl<'a> TransferFunction<'a> {
         let mut hops_left = 2 * self.topo.links().len();
         let mut cur = entry;
         loop {
-            // `lookup` only returns live, adjacent next hops.
+            // `step` only returns live, adjacent next hops.
             if self.topo.node(next).kind.is_terminal() {
                 return Ok(Some(next));
             }
@@ -148,27 +181,49 @@ impl<'a> TransferFunction<'a> {
             }
             hops_left -= 1;
             let prev = std::mem::replace(&mut cur, next);
-            match self.lookup(cur, dst, prev) {
+            match self.step(cur, dst, prev) {
                 Some(n) => next = n,
                 None => return Ok(None),
             }
         }
     }
 
-    fn lookup(&self, switch: NodeId, dst: Address, from: NodeId) -> Option<NodeId> {
-        self.tables.lookup(self.topo, self.scenario, switch, dst, from)
+    /// Best live next hop at `switch` for a packet to `dst` arriving from
+    /// `from`: one hop of the walk, answered like
+    /// [`ForwardingTables::lookup`].
+    pub fn next_hop(&self, switch: NodeId, dst: Address, from: NodeId) -> Option<NodeId> {
+        self.step(switch, self.destination(dst), from)
+    }
+
+    /// [`TransferFunction::next_hop`] with the class looked up. With
+    /// classes, the switch's runs name its best adjacent rule; when that
+    /// rule's next hop is dead under the scenario, the LPM lookup finds
+    /// the backup.
+    fn step(&self, switch: NodeId, dst: Dst, from: NodeId) -> Option<NodeId> {
+        if let (Some(classes), Some(class)) = (self.classes, dst.class) {
+            if let Some(best) = classes.next_hop(self.topo, self.tables, switch, class, from) {
+                match best {
+                    None => return None,
+                    Some(n) if !self.scenario.is_link_failed(Link::new(switch, n)) => {
+                        return Some(n)
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        self.tables.lookup(self.topo, self.scenario, switch, dst.addr, from)
     }
 
     /// The nodes of a looping walk up to the first repeated (switch,
     /// ingress) pair — the payload of [`NetError::ForwardingLoop`]. Only
     /// called once `deliver` knows the walk loops, so recording visited
     /// pairs costs the loop-free path nothing.
-    fn loop_nodes(&self, from: NodeId, entry: NodeId, dst: Address) -> Vec<NodeId> {
+    fn loop_nodes(&self, from: NodeId, entry: NodeId, dst: Dst) -> Vec<NodeId> {
         let mut visited: HashSet<(NodeId, NodeId)> = HashSet::new();
         let mut nodes = vec![from, entry];
         let (mut prev, mut cur) = (from, entry);
         while visited.insert((cur, prev)) {
-            let Some(next) = self.lookup(cur, dst, prev) else {
+            let Some(next) = self.step(cur, dst, prev) else {
                 break;
             };
             nodes.push(next);
@@ -191,11 +246,11 @@ impl<'a> TransferFunction<'a> {
     /// would have kept by merging after projecting.
     ///
     /// The list is memoised in `classes` under (scenario, emitter): only
-    /// the first call sweeps the classes, and every later call — from any
-    /// reader holding the same classes — gets the same [`Arc`]. `classes`
-    /// must therefore be [`HeaderClasses::from_network`] of this transfer
-    /// function's topology and tables. A forwarding loop is returned, not
-    /// memoised.
+    /// the first call sweeps the classes, walking on their next-hop runs,
+    /// and every later call — from any reader holding the same classes —
+    /// gets the same [`Arc`]. `classes` must therefore be
+    /// [`HeaderClasses::from_network`] of this transfer function's
+    /// topology and tables. A forwarding loop is returned, not memoised.
     pub fn delivery_intervals(
         &self,
         emitter: NodeId,
@@ -207,10 +262,11 @@ impl<'a> TransferFunction<'a> {
         // Swept outside the lock, so `verify_all` workers on different
         // scenarios do not serialise; two that race on one list compute
         // the same intervals and the first insert is kept.
+        let tf = TransferFunction { classes: Some(classes), ..*self };
         let mut intervals: Vec<Interval> = Vec::new();
         for ci in 0..classes.num_classes() {
             let rep = classes.representative(ci);
-            let target = self.deliver(emitter, rep)?;
+            let target = tf.walk(emitter, Dst { addr: rep, class: Some(ci) })?;
             let last = if ci + 1 < classes.num_classes() {
                 classes.representative(ci + 1).0 - 1
             } else {
@@ -238,10 +294,11 @@ impl<'a> TransferFunction<'a> {
         src: NodeId,
         dst: Address,
     ) -> Result<(Vec<NodeId>, Option<NodeId>), NetError> {
+        let dst = self.destination(dst);
         let mut mboxes = Vec::new();
         let mut cur = src;
         loop {
-            match self.deliver(cur, dst)? {
+            match self.walk(cur, dst)? {
                 None => return Ok((mboxes, None)),
                 Some(t) => {
                     let node = self.topo.node(t);
@@ -264,8 +321,16 @@ impl<'a> TransferFunction<'a> {
     }
 }
 
+/// A walk's destination: the address, and its header class when the walk
+/// reads next-hop runs.
+#[derive(Clone, Copy)]
+struct Dst {
+    addr: Address,
+    class: Option<usize>,
+}
+
 /// VeriFlow-style header equivalence classes over destination addresses,
-/// and the delivery table over them.
+/// and the two tables over them: per-switch next-hop runs and delivery.
 ///
 /// Built by [`HeaderClasses::from_network`], two addresses in the same
 /// class match exactly the same set of table prefixes, hence are treated
@@ -275,18 +340,179 @@ impl<'a> TransferFunction<'a> {
 /// entry step's hand-off to a linked terminal that owns it — so every
 /// address of a class is delivered like its representative.
 ///
+/// The next-hop table compiles, per switch and on first use, which
+/// adjacent rule wins for each class: maximal runs `(first class, next
+/// hop)` for packets whose ingress no rule names, and for each ingress an
+/// ingress-qualified rule names, the runs where such a rule wins. Prefix
+/// membership is constant on a class, so each rule covers a contiguous
+/// range of classes, and one sweep over the (nested) ranges finds every
+/// class's best-ranked rule exactly. The table ignores failures: a walk
+/// checks the one next hop it names and falls back to
+/// [`ForwardingTables::lookup`] when that hop is dead.
+///
 /// The delivery table memoises [`TransferFunction::delivery_intervals`]
-/// per (scenario, emitter). Delivery reads only the topology, the tables
-/// and the scenario, so the table is valid exactly as long as the classes
-/// are: a holder that keeps the classes across a change of models keeps
-/// the table too, and a change of topology or tables needs new classes.
-/// Share one instance behind an [`Arc`] and every reader sweeps each list
-/// at most once. Equality compares the class splits only.
+/// per (scenario, emitter).
+///
+/// Both tables read only the topology, the tables and (delivery) the
+/// scenario, so they are valid exactly as long as the classes are: a
+/// holder that keeps the classes across a change of models keeps them
+/// too, and a change of topology or tables needs new classes. Share one
+/// instance behind an [`Arc`] and every reader compiles each switch and
+/// sweeps each list at most once. Equality compares the class splits
+/// only. Classes built by [`HeaderClasses::from_prefixes`] know no
+/// switches, so walks on them use the LPM index throughout.
 pub struct HeaderClasses {
     /// Sorted start addresses; class `i` covers `[starts[i], starts[i+1])`.
     starts: Vec<u32>,
+    /// Next-hop runs by node index, compiled on demand (switches only;
+    /// boxed, so a node that is no switch costs a pointer and a flag).
+    hops: Box<[OnceLock<Box<NextHops>>]>,
     /// scenario → emitter → interval list, filled on demand.
     delivery: Mutex<HashMap<FailureScenario, HashMap<NodeId, Arc<[Interval]>>>>,
+}
+
+/// One switch's compiled next hops: sorted, maximal runs `(first class,
+/// label)` covering every class, where a label is a next hop's
+/// [`NodeId`] or one of [`NextHops::DROP`] and [`NextHops::DEFER`].
+struct NextHops {
+    /// The best adjacent unqualified rule's next hop, or `DROP`.
+    unqualified: Box<[(u32, u32)]>,
+    /// For each ingress an adjacent qualified rule names, sorted: the
+    /// next hop where such a rule beats every unqualified one, `DEFER`
+    /// (read `unqualified`) elsewhere.
+    qualified: Box<[(NodeId, Box<[(u32, u32)]>)]>,
+}
+
+impl NextHops {
+    /// No adjacent rule matches: the packet is dropped.
+    const DROP: u32 = u32::MAX;
+    /// No ingress-qualified rule wins: the unqualified runs decide.
+    const DEFER: u32 = u32::MAX - 1;
+
+    /// Compiles the switch's adjacent rules into runs over the classes.
+    fn compile(
+        classes: &HeaderClasses,
+        topo: &Topology,
+        tables: &ForwardingTables,
+        switch: NodeId,
+    ) -> NextHops {
+        let rules = tables.rules(switch);
+        let n = classes.num_classes() as u32;
+        let span = |pos: usize, r: &Rule| -> Span {
+            let first = classes.class_of(r.prefix.first()) as u32;
+            // A host route's address is a class of its own.
+            let last = match r.prefix.len() {
+                32 => first,
+                _ => classes.class_of(r.prefix.last()) as u32,
+            };
+            (first, last, pos as u32, r.next.0)
+        };
+        let outermost_first = |s: &Span| (s.0, std::cmp::Reverse(s.1));
+        let mut unqualified: Vec<Span> = Vec::new();
+        let mut qualified: Vec<(NodeId, Span)> = Vec::new();
+        // A rule toward a non-neighbour never fires, whatever the scenario.
+        let adjacent = ranked(rules).into_iter().map(|at| &rules[at as usize]);
+        for (pos, r) in adjacent.filter(|r| topo.is_adjacent(switch, r.next)).enumerate() {
+            match r.from {
+                None => unqualified.push(span(pos, r)),
+                Some(f) => qualified.push((f, span(pos, r))),
+            }
+        }
+        unqualified.sort_unstable_by_key(outermost_first);
+        qualified.sort_unstable_by_key(|&(f, s)| (f, outermost_first(&s)));
+        // An ingress's runs name its qualified rules where one wins; where
+        // an unqualified rule outranks them, they defer to it.
+        let qualified = qualified
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|chunk| {
+                let deferring =
+                    unqualified.iter().map(|&(lo, hi, pos, _)| (lo, hi, pos, Self::DEFER));
+                let mut spans: Vec<Span> = deferring.chain(chunk.iter().map(|q| q.1)).collect();
+                // Two sorted runs: the stable sort merges them in one pass.
+                spans.sort_by_key(outermost_first);
+                (chunk[0].0, sweep(&spans, n, Self::DEFER))
+            })
+            .collect();
+        NextHops { unqualified: sweep(&unqualified, n, Self::DROP), qualified }
+    }
+
+    /// The best adjacent rule's next hop for `class` arriving from `from`,
+    /// `None` when no adjacent rule matches.
+    fn next_hop(&self, class: usize, from: NodeId) -> Option<NodeId> {
+        let label = match self.qualified.binary_search_by_key(&from, |&(f, _)| f) {
+            Ok(i) => label_at(&self.qualified[i].1, class),
+            Err(_) => Self::DEFER,
+        };
+        let label = if label == Self::DEFER { label_at(&self.unqualified, class) } else { label };
+        (label != Self::DROP).then_some(NodeId(label))
+    }
+
+    /// The heap bytes of the run lists.
+    fn bytes(&self) -> usize {
+        let run = std::mem::size_of::<(u32, u32)>();
+        let lists = self.qualified.iter().map(|(_, runs)| runs.len() * run).sum::<usize>();
+        self.unqualified.len() * run
+            + self.qualified.len() * std::mem::size_of::<(NodeId, Box<[(u32, u32)]>)>()
+            + lists
+    }
+}
+
+/// The label of `class` in a run list that starts at class 0.
+fn label_at(runs: &[(u32, u32)], class: usize) -> u32 {
+    runs[runs.partition_point(|&(first, _)| first as usize <= class) - 1].1
+}
+
+/// A rule on the classes: `(first class, last class, ranked position,
+/// label)`.
+type Span = (u32, u32, u32, u32);
+
+/// The maximal runs of the best-ranked span's label over all `n` classes,
+/// `uncovered` where no span reaches.
+///
+/// The spans come from prefixes, so any two are nested or disjoint, and
+/// must be sorted outermost first (by first class, then last class
+/// descending). One sweep keeps the spans enclosing the cursor on a
+/// stack, each entry carrying the best-ranked span of the chain up to it,
+/// and emits a run wherever the innermost enclosing span changes: the
+/// cost is in rules, not classes.
+fn sweep(spans: &[Span], n: u32, uncovered: u32) -> Box<[(u32, u32)]> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    let mut push = |first: u32, label: u32| {
+        if runs.last().is_none_or(|&(_, prev)| prev != label) {
+            runs.push((first, label));
+        }
+    };
+    // (last class, best ranked position on the chain, its label).
+    let mut stack: Vec<(u32, u32, u32)> = Vec::new();
+    let mut cursor = 0u32;
+    for &(first, last, pos, label) in spans {
+        while let Some(&(end, _, best)) = stack.last().filter(|top| top.0 < first) {
+            if cursor <= end {
+                push(cursor, best);
+                cursor = end + 1;
+            }
+            stack.pop();
+        }
+        if cursor < first {
+            push(cursor, stack.last().map_or(uncovered, |top| top.2));
+            cursor = first;
+        }
+        let best = match stack.last() {
+            Some(&(_, better, best)) if better < pos => (better, best),
+            _ => (pos, label),
+        };
+        stack.push((last, best.0, best.1));
+    }
+    while let Some((end, _, best)) = stack.pop() {
+        if cursor <= end {
+            push(cursor, best);
+            cursor = end + 1;
+        }
+    }
+    if cursor < n {
+        push(cursor, uncovered);
+    }
+    runs.into_boxed_slice()
 }
 
 impl PartialEq for HeaderClasses {
@@ -311,9 +537,12 @@ impl HeaderClasses {
         prefixes.extend(
             topo.terminals().flat_map(|t| topo.node(t).addresses.iter().map(|&a| Prefix::host(a))),
         );
-        Self::from_prefixes(&prefixes)
+        let mut classes = Self::from_prefixes(&prefixes);
+        classes.hops = (0..topo.num_nodes()).map(|_| OnceLock::new()).collect();
+        classes
     }
 
+    /// Classes split at `prefixes`, with no next-hop table.
     pub fn from_prefixes(prefixes: &[Prefix]) -> HeaderClasses {
         let mut starts: Vec<u32> = vec![0];
         for p in prefixes {
@@ -324,7 +553,7 @@ impl HeaderClasses {
         }
         starts.sort_unstable();
         starts.dedup();
-        HeaderClasses { starts, delivery: Mutex::default() }
+        HeaderClasses { starts, hops: Box::default(), delivery: Mutex::default() }
     }
 
     pub fn num_classes(&self) -> usize {
@@ -347,6 +576,38 @@ impl HeaderClasses {
     /// Iterates over one representative per class.
     pub fn representatives(&self) -> impl Iterator<Item = Address> + '_ {
         self.starts.iter().map(|&s| Address(s))
+    }
+
+    /// The best adjacent rule's next hop at `switch` for class `class`
+    /// arriving from `from`, failures ignored: `Some(None)` when no
+    /// adjacent rule matches, `None` when these classes hold no table for
+    /// `switch`. Compiles the switch's runs on first use.
+    fn next_hop(
+        &self,
+        topo: &Topology,
+        tables: &ForwardingTables,
+        switch: NodeId,
+        class: usize,
+        from: NodeId,
+    ) -> Option<Option<NodeId>> {
+        let hops = self.hops.get(switch.index())?;
+        let hops = hops.get_or_init(|| Box::new(NextHops::compile(self, topo, tables, switch)));
+        Some(hops.next_hop(class, from))
+    }
+
+    /// The switches whose next-hop runs are compiled, sorted (diagnostics
+    /// and tests).
+    pub fn compiled_switches(&self) -> Vec<NodeId> {
+        let compiled = self.hops.iter().enumerate().filter(|(_, h)| h.get().is_some());
+        compiled.map(|(i, _)| NodeId(i as u32)).collect()
+    }
+
+    /// The heap bytes of the next-hop table: a slot per node, and the
+    /// runs of every compiled switch (diagnostics).
+    pub fn next_hop_bytes(&self) -> usize {
+        let slots = self.hops.len() * std::mem::size_of::<OnceLock<Box<NextHops>>>();
+        let compiled = self.hops.iter().filter_map(OnceLock::get);
+        slots + compiled.map(|h| std::mem::size_of::<NextHops>() + h.bytes()).sum::<usize>()
     }
 
     /// The emitters whose interval lists under `scenario` are memoised,

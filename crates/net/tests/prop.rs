@@ -156,12 +156,13 @@ proptest! {
 
 // ---- The indexed tables against the reference walker ---------------------
 //
-// `ForwardingTables::lookup` answers from a per-switch index and
-// `TransferFunction::deliver` bounds its walk with a hop counter. The
+// `ForwardingTables::lookup` answers from a per-switch index, a walk on
+// header classes answers each hop from the switch's compiled next-hop runs,
+// and `TransferFunction::deliver` bounds its walk with a hop counter. The
 // functions below are the straightforward versions they replaced — filter
 // the whole rule list, sort it, scan the neighbour list; record every
-// visited (switch, ingress) pair — kept here as the reference the index must
-// agree with on every result and every error payload.
+// visited (switch, ingress) pair — kept here as the reference the index and
+// the runs must agree with on every result and every error payload.
 
 fn ref_lookup(
     topo: &Topology,
@@ -366,7 +367,8 @@ fn random_rule(rng: &mut TestRng, topo: &Topology, switch: NodeId) -> Rule {
     rule.with_priority(pick(rng, &[-1, 0, 0, 0, 1, 10]))
 }
 
-/// Every question the index answers, asked of it and of the reference.
+/// Every question the index and the runs answer, asked of them and of the
+/// reference.
 fn assert_index_matches_reference(
     topo: &Topology,
     tables: &ForwardingTables,
@@ -374,28 +376,50 @@ fn assert_index_matches_reference(
 ) {
     let classes = HeaderClasses::from_network(topo, tables);
     let tf = TransferFunction::new(topo, tables, scenario);
+    let on_runs = tf.with_classes(&classes);
     for sw in topo.switches() {
         for dst in classes.representatives() {
             for from in topo.node_ids() {
+                let reference = ref_lookup(topo, tables, scenario, sw, dst, from);
                 assert_eq!(
                     tables.lookup(topo, scenario, sw, dst, from),
-                    ref_lookup(topo, tables, scenario, sw, dst, from),
+                    reference,
                     "lookup at {sw:?} for {dst:?} from {from:?} under {scenario:?}"
+                );
+                // The runs name the best adjacent rule whatever the
+                // scenario; a dead next hop falls back to the LPM walk.
+                assert_eq!(
+                    on_runs.next_hop(sw, dst, from),
+                    reference,
+                    "runs at {sw:?} for {dst:?} from {from:?} under {scenario:?}"
                 );
             }
         }
     }
+    assert_eq!(classes.compiled_switches(), topo.switches().collect::<Vec<_>>());
     for t in topo.terminals() {
         for dst in classes.representatives() {
+            let delivered = ref_deliver(topo, tables, scenario, t, dst);
             assert_eq!(
                 tf.deliver(t, dst),
-                ref_deliver(topo, tables, scenario, t, dst),
+                delivered,
                 "deliver {t:?} -> {dst:?} under {scenario:?}"
             );
             assert_eq!(
+                on_runs.deliver(t, dst),
+                delivered,
+                "deliver on runs {t:?} -> {dst:?} under {scenario:?}"
+            );
+            let path = ref_terminal_path(topo, tables, scenario, t, dst);
+            assert_eq!(
                 tf.terminal_path(t, dst),
-                ref_terminal_path(topo, tables, scenario, t, dst),
+                path,
                 "terminal_path {t:?} -> {dst:?} under {scenario:?}"
+            );
+            assert_eq!(
+                on_runs.terminal_path(t, dst),
+                path,
+                "terminal_path on runs {t:?} -> {dst:?} under {scenario:?}"
             );
         }
         let intervals = tf.delivery_intervals(t, &classes);

@@ -22,15 +22,21 @@
 
 use crate::invariant::Invariant;
 use crate::network::Network;
-use vmn_net::{FailureScenario, NodeId, TransferFunction};
+use vmn_net::{FailureScenario, HeaderClasses, NodeId, TransferFunction};
 
 /// The slack steps the engine adds to every bound.
 pub const DEFAULT_SLACK: usize = 2;
 
 /// Longest middlebox pipeline between any pair of the given hosts under
-/// `scenario` (measured on the static datapath).
-pub fn max_pipeline_depth(net: &Network, scenario: &FailureScenario, hosts: &[NodeId]) -> usize {
-    let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
+/// `scenario` (measured on the static datapath, walked on `classes`, the
+/// [`HeaderClasses::from_network`] of `net`).
+pub fn max_pipeline_depth(
+    net: &Network,
+    classes: &HeaderClasses,
+    scenario: &FailureScenario,
+    hosts: &[NodeId],
+) -> usize {
+    let tf = TransferFunction::new(&net.topo, &net.tables, scenario).with_classes(classes);
     let mut depth = 0;
     for &src in hosts {
         if scenario.is_failed(src) {
@@ -58,6 +64,7 @@ pub fn max_pipeline_depth(net: &Network, scenario: &FailureScenario, hosts: &[No
 /// set (slice or whole network).
 pub fn trace_bound(
     net: &Network,
+    classes: &HeaderClasses,
     scenario: &FailureScenario,
     inv: &Invariant,
     nodes: &[NodeId],
@@ -65,7 +72,7 @@ pub fn trace_bound(
 ) -> usize {
     let hosts: Vec<NodeId> =
         nodes.iter().copied().filter(|&n| net.topo.node(n).kind.is_host()).collect();
-    let depth = max_pipeline_depth(net, scenario, &hosts);
+    let depth = max_pipeline_depth(net, classes, scenario, &hosts);
     let w = inv.witness_packets();
     w * (depth + 1) + slack
 }
@@ -111,13 +118,17 @@ mod tests {
         (net, h1, h2)
     }
 
+    fn classes(net: &Network) -> HeaderClasses {
+        HeaderClasses::from_network(&net.topo, &net.tables)
+    }
+
     #[test]
     fn depth_counts_middleboxes() {
         let (net, h1, h2) = two_host_net(true);
         let none = FailureScenario::none();
-        assert_eq!(max_pipeline_depth(&net, &none, &[h1, h2]), 1);
+        assert_eq!(max_pipeline_depth(&net, &classes(&net), &none, &[h1, h2]), 1);
         let (net2, h1b, h2b) = two_host_net(false);
-        assert_eq!(max_pipeline_depth(&net2, &none, &[h1b, h2b]), 0);
+        assert_eq!(max_pipeline_depth(&net2, &classes(&net2), &none, &[h1b, h2b]), 0);
     }
 
     #[test]
@@ -127,8 +138,9 @@ mod tests {
         let nodes = vec![h1, h2];
         let simple = Invariant::NodeIsolation { src: h1, dst: h2 };
         let flow = Invariant::FlowIsolation { src: h1, dst: h2 };
-        let b1 = trace_bound(&net, &none, &simple, &nodes, DEFAULT_SLACK);
-        let b2 = trace_bound(&net, &none, &flow, &nodes, DEFAULT_SLACK);
+        let hc = classes(&net);
+        let b1 = trace_bound(&net, &hc, &none, &simple, &nodes, DEFAULT_SLACK);
+        let b2 = trace_bound(&net, &hc, &none, &flow, &nodes, DEFAULT_SLACK);
         assert_eq!(b1, 2 + DEFAULT_SLACK);
         assert_eq!(b2, 2 * 2 + DEFAULT_SLACK);
         assert!(b2 > b1);

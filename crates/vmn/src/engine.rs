@@ -71,7 +71,9 @@ pub struct Report {
     /// Validated by the independent `vmn_check` crate — see
     /// [`vmn_check::check_bundle`]. `None` when proofs are off and for
     /// inherited reports (the representative carries the certificate).
-    pub certificate: Option<CertificateBundle>,
+    /// Boxed: callers keep reports by the thousand and nearly all of them
+    /// carry none, so the field costs a pointer, not a bundle.
+    pub certificate: Option<Box<CertificateBundle>>,
     /// How many of `scenarios_checked` each backend answered. Inherited
     /// reports keep the representative's counts (they describe the
     /// verdict's provenance, like `scenarios_checked`), so per-backend
@@ -268,10 +270,10 @@ pub struct Verifier {
     /// The policy classes: filled by construction, emptied by a swap
     /// that touches nodes, rebuilt by [`Verifier::policy`].
     policy: OnceLock<PolicyClasses>,
-    /// The header classes of the current epoch and the delivery intervals
-    /// memoised in them, built on first use and shared by every interval
-    /// reader: the solver sessions, the BDD dataplane and the daemon's
-    /// slice keys.
+    /// The header classes of the current epoch, with the next-hop runs and
+    /// delivery intervals memoised in them, built on first use and shared
+    /// by every walk and every interval reader: the solver sessions, the
+    /// BDD dataplane and the daemon's slice keys.
     classes: OnceLock<Arc<HeaderClasses>>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
@@ -380,24 +382,29 @@ impl Verifier {
     /// the verifier and its own bookkeeping). Nothing is copied.
     pub fn from_arc(net: Arc<Network>, options: VerifyOptions) -> Result<Verifier, VerifyError> {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
-        let policy = OnceLock::from(Self::policy_classes(&net, &options));
         let modular = Self::build_modular(&net, &options)?;
-        Ok(Verifier {
+        let verifier = Verifier {
             net,
             options,
-            policy,
+            policy: OnceLock::new(),
             classes: OnceLock::new(),
             bdd: Mutex::new(None),
             modular,
-        })
+        };
+        // Refined now, as part of set-up; the walks compile the epoch's
+        // next-hop runs on the way.
+        verifier.policy();
+        Ok(verifier)
     }
 
     /// The operator's policy classes when pinned by
-    /// [`VerifyOptions::policy_hint`], partition refinement otherwise.
-    fn policy_classes(net: &Network, options: &VerifyOptions) -> PolicyClasses {
-        match &options.policy_hint {
+    /// [`VerifyOptions::policy_hint`], partition refinement otherwise —
+    /// on the epoch's header classes, so the next-hop runs it compiles
+    /// serve the plans and sweeps that follow.
+    fn policy_classes(&self) -> PolicyClasses {
+        match &self.options.policy_hint {
             Some(groups) => PolicyClasses::from_groups(groups.clone()),
-            None => PolicyClasses::compute(net),
+            None => PolicyClasses::compute_over(&self.net, self.header_classes()),
         }
     }
 
@@ -440,7 +447,9 @@ impl Verifier {
     /// per epoch however many consumers ask. The engine builds no other
     /// instance: its solver sessions, its BDD dataplane and the daemon's
     /// slice keys all read their delivery intervals through this one,
-    /// so each (scenario, emitter) list is swept once per epoch.
+    /// so each (scenario, emitter) list is swept once per epoch, and
+    /// policy refinement, slicing, trace bounds and pipeline checks walk
+    /// on the next-hop runs compiled in it.
     pub fn header_classes(&self) -> &Arc<HeaderClasses> {
         self.classes
             .get_or_init(|| Arc::new(HeaderClasses::from_network(&self.net.topo, &self.net.tables)))
@@ -454,8 +463,9 @@ impl Verifier {
     ///   registers new scenarios lazily.
     /// * [`TouchSet::Nodes`] — a model swap, which keeps topology, tables
     ///   and node ids by contract (only a touched box's type name may
-    ///   change). Kept: the header classes with their memoised delivery
-    ///   intervals (delivery reads no model), the partition and boundary,
+    ///   change). Kept: the header classes with their next-hop runs and
+    ///   memoised delivery intervals (neither reads a model), the
+    ///   partition and boundary,
     ///   and the prelude's aggregates. Carried: the memoised contract
     ///   arrivals, resumed from the touched boxes when their summaries
     ///   only widened
@@ -466,8 +476,8 @@ impl Verifier {
     ///   predicates, and the policy classes, which read the models.
     /// * [`TouchSet::Everything`] — structural change: node identity,
     ///   header classes and delivery may all have moved, so the epoch is
-    ///   built from nothing: the classes and their interval memo are
-    ///   dropped too.
+    ///   built from nothing: the classes, their runs and their interval
+    ///   memo are dropped too.
     ///
     /// Whatever the kind, every per-scenario memo the swap keeps — the
     /// memoised intervals, the contract arrivals and the BDD delivery
@@ -541,7 +551,7 @@ impl Verifier {
     /// [`VerifyOptions::policy_hint`] or by refinement, rebuilt on the
     /// first read after a swap dropped them.
     pub fn policy(&self) -> &PolicyClasses {
-        self.policy.get_or_init(|| Self::policy_classes(&self.net, &self.options))
+        self.policy.get_or_init(|| self.policy_classes())
     }
 
     /// Always 0: no solver session outlives the sweep that built it. Kept
@@ -689,13 +699,20 @@ impl Verifier {
     /// other.
     pub fn plan(&self, inv: &Invariant, scenario: &FailureScenario) -> Result<Plan, VerifyError> {
         let mut nodes: Vec<NodeId> = if self.options.use_slices {
-            compute_slice(&self.net, scenario, inv, || self.policy())?
+            compute_slice(&self.net, self.header_classes(), scenario, inv, || self.policy())?
         } else {
             self.net.topo.terminals().collect()
         };
         nodes.sort();
         nodes.dedup();
-        let bound = bounds::trace_bound(&self.net, scenario, inv, &nodes, bounds::DEFAULT_SLACK);
+        let bound = bounds::trace_bound(
+            &self.net,
+            self.header_classes(),
+            scenario,
+            inv,
+            &nodes,
+            bounds::DEFAULT_SLACK,
+        );
         Ok(Plan { nodes, bound })
     }
 
@@ -843,10 +860,9 @@ impl Verifier {
             // One proof session per solver session the sweep touches; the
             // bundle label names the invariant so `vmn-cli check` output
             // is attributable.
-            certificate: self
-                .options
-                .emit_proofs
-                .then(|| CertificateBundle { label: inv.to_string(), sessions: Vec::new() }),
+            certificate: self.options.emit_proofs.then(|| {
+                Box::new(CertificateBundle { label: inv.to_string(), sessions: Vec::new() })
+            }),
             ..Report::unchecked(inv)
         };
         let mut error = None;
@@ -1037,7 +1053,8 @@ impl Verifier {
         dst: NodeId,
     ) -> Result<Option<(vmn_net::PipelineViolation, FailureScenario)>, VerifyError> {
         for scenario in self.net.all_scenarios() {
-            let tf = vmn_net::TransferFunction::new(&self.net.topo, &self.net.tables, &scenario);
+            let tf = vmn_net::TransferFunction::new(&self.net.topo, &self.net.tables, &scenario)
+                .with_classes(self.header_classes());
             for &addr in &self.net.topo.node(dst).addresses {
                 if let Err(v) = spec.check(&tf, src, addr).map_err(VerifyError::Net)? {
                     return Ok(Some((v, scenario)));
@@ -1180,7 +1197,14 @@ pub(crate) mod engine_tests {
         let mut max = 0;
         for s in net.all_scenarios() {
             let plan = v.plan(&inv, &s).unwrap();
-            let derived = bounds::trace_bound(&net, &s, &inv, plan.nodes(), bounds::DEFAULT_SLACK);
+            let derived = bounds::trace_bound(
+                &net,
+                v.header_classes(),
+                &s,
+                &inv,
+                plan.nodes(),
+                bounds::DEFAULT_SLACK,
+            );
             assert_eq!(plan.bound(), derived, "{s:?}");
             max = max.max(derived);
         }
@@ -1704,6 +1728,32 @@ pub(crate) mod engine_tests {
         v.swap_network(v.network().clone(), &TouchSet::Everything).unwrap();
         assert!(!Arc::ptr_eq(v.header_classes(), &classes));
         assert_eq!(v.header_classes().memoised_scenarios(), 0, "a structural swap starts afresh");
+    }
+
+    /// Policy refinement walks on the epoch's header classes, so
+    /// `Verifier::new` leaves the switches' next-hop runs compiled in
+    /// them for the plans and sweeps that follow. A model swap keeps the
+    /// classes with their runs, and the policy rebuilt after it walks on
+    /// them; a structural swap drops both.
+    #[test]
+    fn next_hop_runs_live_as_long_as_the_classes() {
+        let (fw, cache) = (cached_clients(false), Arc::new(cached_clients(true)));
+        let sw = fw.topo.by_name("sw").unwrap();
+        let mut v = Verifier::new(&fw, VerifyOptions::default()).unwrap();
+        let classes = v.header_classes().clone();
+        assert_eq!(classes.compiled_switches(), vec![sw], "refinement walked on the runs");
+        assert!(classes.next_hop_bytes() > 0);
+
+        v.swap_network(cache.clone(), &TouchSet::node("mb")).unwrap();
+        assert!(Arc::ptr_eq(v.header_classes(), &classes), "a model swap keeps the classes");
+        assert_eq!(classes.compiled_switches(), vec![sw], "and the runs compiled in them");
+        assert_eq!(v.policy().classes, PolicyClasses::compute(&cache).classes);
+
+        v.swap_network(cache.clone(), &TouchSet::Everything).unwrap();
+        assert!(!Arc::ptr_eq(v.header_classes(), &classes));
+        assert!(v.header_classes().compiled_switches().is_empty(), "a structural swap drops them");
+        assert_eq!(v.policy().classes, PolicyClasses::compute(&cache).classes);
+        assert_eq!(v.header_classes().compiled_switches(), vec![sw], "rebuilt by the next walk");
     }
 
     /// Clients `c1`, `c2` and `other` reach `server` through `mb`, a

@@ -18,7 +18,7 @@ use crate::invariant::Invariant;
 use crate::network::Network;
 use std::collections::HashMap;
 use vmn_analysis::AddressSet;
-use vmn_net::{Address, FailureScenario, NodeId, TransferFunction};
+use vmn_net::{Address, FailureScenario, HeaderClasses, NodeId, TransferFunction};
 
 /// A partition of the network's hosts into policy equivalence classes.
 #[derive(Clone, Debug)]
@@ -39,16 +39,25 @@ impl PolicyClasses {
     }
 
     /// Computes classes by partition refinement over the no-failure
-    /// transfer function and the middlebox configurations.
+    /// transfer function and the middlebox configurations, on header
+    /// classes built for the purpose ([`PolicyClasses::compute_over`]).
+    pub fn compute(net: &Network) -> PolicyClasses {
+        Self::compute_over(net, &HeaderClasses::from_network(&net.topo, &net.tables))
+    }
+
+    /// [`PolicyClasses::compute`] walking the static datapath on
+    /// `classes`' next-hop runs, which must be
+    /// [`HeaderClasses::from_network`] of `net` (the verifier passes its
+    /// own, so the runs compiled here serve the sweep that follows).
     ///
     /// Bookkeeping is linear in hosts × classes per round: pipelines and
     /// per-host signatures are interned to small integers, the next
     /// partition is numbered in one pass, and — refinement only ever
     /// splits — a round that does not raise the class count is the
     /// fixpoint.
-    pub fn compute(net: &Network) -> PolicyClasses {
+    pub fn compute_over(net: &Network, classes: &HeaderClasses) -> PolicyClasses {
         let scenario = FailureScenario::none();
-        let tf = TransferFunction::new(&net.topo, &net.tables, &scenario);
+        let tf = TransferFunction::new(&net.topo, &net.tables, &scenario).with_classes(classes);
         let hosts: Vec<NodeId> = net.topo.hosts().collect();
         let addrs: Vec<Address> = hosts.iter().map(|&h| net.host_address(h)).collect();
 

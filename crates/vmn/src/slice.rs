@@ -33,16 +33,18 @@ use vmn_net::{
 /// always contains the invariant's endpoints; with `use_slices == false`
 /// callers should instead pass every terminal to the encoder.
 ///
-/// `policy` yields the policy classes. It is called at most once, and
-/// only when the slice holds a middlebox that is not flow-parallel, so a
-/// caller can build the classes on demand.
+/// The datapath is walked on `classes`, the [`HeaderClasses::from_network`]
+/// of `net`. `policy` yields the policy classes. It is called at most
+/// once, and only when the slice holds a middlebox that is not
+/// flow-parallel, so a caller can build the classes on demand.
 pub fn compute_slice<'p>(
     net: &Network,
+    classes: &HeaderClasses,
     scenario: &FailureScenario,
     inv: &Invariant,
     policy: impl FnOnce() -> &'p PolicyClasses,
 ) -> Result<Vec<NodeId>, NetError> {
-    let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
+    let tf = TransferFunction::new(&net.topo, &net.tables, scenario).with_classes(classes);
     let mut set: BTreeSet<NodeId> = inv.endpoints().into_iter().collect();
 
     let mut changed = true;
@@ -536,6 +538,10 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn classes(net: &Network) -> HeaderClasses {
+        HeaderClasses::from_network(&net.topo, &net.tables)
+    }
+
     /// Many host pairs, each pair isolated behind a shared firewall; a
     /// slice for one pair must not include the others.
     fn many_pairs(n: usize) -> (Network, Vec<(NodeId, NodeId)>) {
@@ -675,7 +681,8 @@ mod tests {
             let (net, pairs) = many_pairs(n);
             let pc = PolicyClasses::from_groups(vec![]);
             let inv = Invariant::NodeIsolation { src: pairs[0].0, dst: pairs[0].1 };
-            let slice = compute_slice(&net, &FailureScenario::none(), &inv, || &pc).unwrap();
+            let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || &pc)
+                .unwrap();
             // Slice = the two endpoints + the firewall, regardless of n.
             assert_eq!(slice.len(), 3, "n={n}: slice {slice:?}");
         }
@@ -687,7 +694,7 @@ mod tests {
         let inv = Invariant::NodeIsolation { src: pairs[2].0, dst: pairs[2].1 };
         // Every box on the path is flow-parallel, so the slice never asks
         // for the policy classes.
-        let slice = compute_slice(&net, &FailureScenario::none(), &inv, || {
+        let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || {
             panic!("a flow-parallel slice must not read the policy classes")
         })
         .unwrap();
@@ -772,7 +779,7 @@ mod tests {
         let pc = PolicyClasses::from_groups(vec![vec![c1, c2], vec![other], vec![server]]);
         let inv = Invariant::DataIsolation { origin: server, dst: other };
         let reads = std::cell::Cell::new(0);
-        let slice = compute_slice(&net, &FailureScenario::none(), &inv, || {
+        let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || {
             reads.set(reads.get() + 1);
             &pc
         })

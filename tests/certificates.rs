@@ -135,7 +135,7 @@ fn stored_bundles_roundtrip_and_tampering_is_detected() {
     let v = Verifier::new(&net, opts).unwrap();
     let hold = v.verify(&Invariant::FlowIsolation { src: outside, dst: inside }).unwrap();
     let broken = v.verify(&Invariant::NodeIsolation { src: outside, dst: inside }).unwrap();
-    let bundles = vec![hold.certificate.unwrap(), broken.certificate.unwrap()];
+    let bundles = vec![*hold.certificate.unwrap(), *broken.certificate.unwrap()];
 
     // Round-trip through the on-disk format (what `vmn-cli check` reads).
     let text = write_bundles(&bundles);

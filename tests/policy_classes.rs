@@ -1,17 +1,21 @@
 //! Policy equivalence classes (§4.1): the near-linear refinement in
 //! `PolicyClasses::compute` against the reference it replaced, on the five
-//! scenario generators with and without a misconfiguration; and the
-//! symmetry soundness case the static fingerprint used to miss (prefixes
-//! mentioned directly in guards and rewrites, here a NAT's `internal`).
+//! scenario generators with and without a misconfiguration and on estates
+//! with per-host steering — computed alone, by `Verifier::new` on the
+//! verifier's header classes and their next-hop runs, and again after a
+//! model swap; and the symmetry soundness case the static fingerprint used
+//! to miss (prefixes mentioned directly in guards and rewrites, here a
+//! NAT's `internal`).
 
 #[path = "support/policy_reference.rs"]
 mod policy_reference;
 
-use policy_reference::assert_matches_reference;
+use policy_reference::{as_sets, assert_matches_reference, reference_classes};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use vmn::{Invariant, Network, PolicyClasses, Verifier, VerifyOptions};
+use vmn_analysis::TouchSet;
 use vmn_mbox::models;
 use vmn_net::{FailureScenario, Prefix, RoutingConfig, Rule, Topology};
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
@@ -32,8 +36,30 @@ fn drop_one_steering_rule(net: &mut Network) {
     assert_eq!(Arc::make_mut(&mut net.tables).remove_rules(sw, |r| *r == rule), 1);
 }
 
-#[test]
-fn refinement_matches_reference_on_the_generators() {
+/// Cross-site traffic from the first host of every subnet is steered to
+/// its neighbour on the same subnet switch, above the host routes, and
+/// from the third host to the site switch below them: per-host
+/// ingress-qualified rules that win on some header classes and are
+/// outranked on others.
+fn steer_each_subnet(estate: &mut Estate) {
+    let all10: Prefix = "10.0.0.0/8".parse().unwrap();
+    let tables = Arc::make_mut(&mut estate.net.tables);
+    for (b, site) in estate.hosts.iter().enumerate() {
+        for subnet in site {
+            let fsw = estate.net.topo.neighbors(subnet[0])[0];
+            tables.add_rule(fsw, Rule::from_neighbor(all10, subnet[0], subnet[1]).with_priority(5));
+            if let Some(&third) = subnet.get(2) {
+                let ssw = estate.site_switches[b];
+                tables.add_rule(fsw, Rule::from_neighbor(all10, third, ssw).with_priority(-5));
+            }
+        }
+    }
+}
+
+/// The five generators with and without a misconfiguration, and the two
+/// estate styles with per-host steering, each with a label.
+fn generator_networks() -> Vec<(String, Network)> {
+    let mut nets: Vec<(String, Network)> = Vec::new();
     let mut dc = Datacenter::build(DatacenterParams {
         racks: 6,
         hosts_per_rack: 3,
@@ -41,19 +67,19 @@ fn refinement_matches_reference_on_the_generators() {
         redundant: true,
         with_failures: false,
     });
-    assert_matches_reference(&dc.net, "datacenter");
+    nets.push(("datacenter".into(), dc.net.clone()));
     dc.inject_rule_misconfig(&mut StdRng::seed_from_u64(7), 1);
-    assert_matches_reference(&dc.net, "datacenter, one rule misconfiguration");
+    nets.push(("datacenter, one rule misconfiguration".into(), dc.net));
 
     let mut ent = Enterprise::build(EnterpriseParams::default());
-    assert_matches_reference(&ent.net, "enterprise");
+    nets.push(("enterprise".into(), ent.net.clone()));
     drop_one_steering_rule(&mut ent.net);
-    assert_matches_reference(&ent.net, "enterprise, one steering rule dropped");
+    nets.push(("enterprise, one steering rule dropped".into(), ent.net));
 
     let mut mt = MultiTenant::build(MultiTenantParams { tenants: 2, vms_per_group: 2 });
-    assert_matches_reference(&mt.net, "multi_tenant");
+    nets.push(("multi_tenant".into(), mt.net.clone()));
     drop_one_steering_rule(&mut mt.net);
-    assert_matches_reference(&mt.net, "multi_tenant, one steering rule dropped");
+    nets.push(("multi_tenant, one steering rule dropped".into(), mt.net));
 
     let isp = |ok| IspParams {
         peering_points: 2,
@@ -61,8 +87,8 @@ fn refinement_matches_reference_on_the_generators() {
         scrubber_behind_firewall: ok,
         ..Default::default()
     };
-    assert_matches_reference(&Isp::build(isp(true)).net, "isp");
-    assert_matches_reference(&Isp::build(isp(false)).net, "isp, scrubber bypasses the firewalls");
+    nets.push(("isp".into(), Isp::build(isp(true)).net));
+    nets.push(("isp, scrubber bypasses the firewalls".into(), Isp::build(isp(false)).net));
 
     for style in [EstateStyle::Campus, EstateStyle::Isp] {
         let mut estate = Estate::build(EstateParams {
@@ -72,9 +98,57 @@ fn refinement_matches_reference_on_the_generators() {
             hosts_per_subnet: 4,
             with_failures: true,
         });
-        assert_matches_reference(&estate.net, "estate");
+        nets.push((format!("{style:?} estate"), estate.net.clone()));
         estate.inject_cross_site_allow(0, 1);
-        assert_matches_reference(&estate.net, "estate, one cross-site allow");
+        nets.push((format!("{style:?} estate, one cross-site allow"), estate.net.clone()));
+        steer_each_subnet(&mut estate);
+        nets.push((format!("{style:?} estate, per-host steering"), estate.net));
+    }
+    nets
+}
+
+#[test]
+fn refinement_matches_reference_on_the_generators() {
+    for (label, net) in generator_networks() {
+        assert_matches_reference(&net, &label);
+    }
+}
+
+/// The verifier refines on its own header classes, walking their
+/// next-hop runs; its classes must be the reference's all the same.
+#[test]
+fn verifier_policy_matches_reference_on_the_generators() {
+    for (label, net) in generator_networks() {
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        assert!(!v.header_classes().compiled_switches().is_empty(), "{label}: no runs compiled");
+        assert_eq!(as_sets(&v.policy().classes), as_sets(&reference_classes(&net)), "{label}");
+    }
+}
+
+/// A model swap keeps the header classes and the runs compiled in them;
+/// the policy rebuilt on them must be the swapped network's reference.
+/// Estates swap in a widened firewall; the other generators swap their
+/// own network back in under their first middlebox's name.
+#[test]
+fn policy_rebuilt_after_a_model_swap_matches_reference() {
+    for (label, net) in generator_networks() {
+        let mut v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        let classes = v.header_classes().clone();
+        let mut swapped = net.clone();
+        let fw = match swapped.topo.by_name("fw1") {
+            Ok(fw) if label.contains("estate") => {
+                let model = swapped.models.get_mut(&fw).expect("site firewall model");
+                let (_, allow) = model.acls.iter_mut().find(|(n, _)| n == "allow").unwrap();
+                allow.push(("10.2.0.0/16".parse().unwrap(), "10.1.0.0/16".parse().unwrap()));
+                fw
+            }
+            _ => swapped.topo.middleboxes().next().expect("every generator has a middlebox"),
+        };
+        let name = swapped.topo.node(fw).name.clone();
+        v.swap_network(Arc::new(swapped.clone()), &TouchSet::node(name)).unwrap();
+        assert!(Arc::ptr_eq(v.header_classes(), &classes), "{label}: the classes were dropped");
+        let expected = as_sets(&reference_classes(&swapped));
+        assert_eq!(as_sets(&v.policy().classes), expected, "{label}, after a model swap");
     }
 }
 
