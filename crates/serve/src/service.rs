@@ -15,17 +15,19 @@
 //! 1. **kept** — the batch touched no node ([`TouchSet::Nothing`]: only
 //!    invariants or scenarios came or went), so a cached pair stands as
 //!    it is;
-//! 2. **contract** — in modular mode, the boundary contracts prove the
-//!    pair outright, with no plan and no key;
-//! 3. **slice key** — the pair recomputes its key and looks it up among
-//!    the answers the live pairs hold. The key describes the planned check
-//!    exactly, up to a renaming of its nodes and an XOR translation of its
-//!    addresses, and is compared in full, so an equal key is the same
-//!    check: a key seen before — from this pair or another, in this epoch
-//!    or, through an entry's previous generation, the one before — is a
-//!    *cache hit*; an unseen one triggers a re-verification of just that
-//!    pair, on the plan just keyed ([`Verifier::verify_planned`]), whose
-//!    answer the later pairs of the same pass can hit in turn.
+//! 2. **contract** — the verifier decides the pair ([`Verifier::decide`]);
+//!    in modular mode the boundary contracts may prove it outright
+//!    ([`Decision::Contract`]), with no plan and no key;
+//! 3. **slice key** — otherwise the decision is a plan, which the pair
+//!    keys and looks up among the answers the live pairs hold. The key
+//!    describes the planned check exactly, up to a renaming of its nodes
+//!    and an XOR translation of its addresses, and is compared in full, so
+//!    an equal key is the same check: a key seen before — from this pair
+//!    or another, in this epoch or, through an entry's previous
+//!    generation, the one before — is a *cache hit*; an unseen one
+//!    triggers a re-verification of just that pair, on the plan just keyed
+//!    ([`Verifier::verify_planned`]), whose answer the later pairs of the
+//!    same pass can hit in turn.
 //!
 //! A hit may come from another pair, such as the same pair shape in
 //! another pod on its own /16. Its witness is carried onto the asking pair
@@ -51,7 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vmn::slice::{Embedding, SliceKey};
-use vmn::{Invariant, PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn::{Decision, Invariant, PartitionMode, Verdict, Verifier, VerifyOptions};
 use vmn_analysis::TouchSet;
 use vmn_net::{FailureScenario, NodeId};
 
@@ -61,7 +63,7 @@ use crate::spec::{NetSpec, Structure};
 /// One decided verdict, in a form any later epoch and any pair of the same
 /// key can take.
 #[derive(Clone, Debug)]
-struct Answer {
+struct CachedVerdict {
     /// The key the verdict was decided under (`None` for a contract
     /// answer).
     key: Option<Arc<SliceKey>>,
@@ -71,38 +73,44 @@ struct Answer {
     verdict: Verdict,
 }
 
-impl Answer {
+impl CachedVerdict {
+    /// The boundary contracts' answer: the pair holds, under no key.
+    fn contract() -> CachedVerdict {
+        CachedVerdict { key: None, at: Embedding::default(), verdict: Verdict::Holds }
+    }
+
     /// This answer served to the pair placed by `to` under `scenario`: the
     /// witness, if any, is carried onto that pair's nodes and addresses
     /// ([`Embedding::carry`]) and names the new scenario.
-    fn retarget(&self, to: &Embedding, scenario: &FailureScenario) -> Answer {
+    fn retarget(&self, to: &Embedding, scenario: &FailureScenario) -> CachedVerdict {
         let verdict = match &self.verdict {
             Verdict::Holds => Verdict::Holds,
             Verdict::Violated { trace, .. } => {
                 Verdict::Violated { trace: self.at.carry(trace, to), scenario: scenario.clone() }
             }
         };
-        Answer { key: self.key.clone(), at: to.clone(), verdict }
+        CachedVerdict { key: self.key.clone(), at: to.clone(), verdict }
     }
 }
 
 /// One cached (invariant, scenario) verdict.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// Answered by the boundary contracts alone: no slice, no key. The
-    /// contract re-answers such entries (cheaply) whenever the epoch
-    /// moves.
-    pub contract: bool,
-    answer: Answer,
-    /// The keyed answer this entry held before its key last changed, so
-    /// that undoing a delta finds it.
-    previous: Option<Answer>,
+    answer: CachedVerdict,
+    /// The answer this entry held before its key last changed, so that
+    /// undoing a delta finds it.
+    previous: Option<CachedVerdict>,
 }
 
 impl CacheEntry {
     /// The pair's verdict, its witness in the current epoch.
     pub fn verdict(&self) -> &Verdict {
         &self.answer.verdict
+    }
+
+    /// Answered by the boundary contracts alone: no plan, no key.
+    pub fn contract(&self) -> bool {
+        self.answer.key.is_none()
     }
 }
 
@@ -313,15 +321,14 @@ impl NetSession {
             .collect();
         // Every answer a live pair holds, by the key it was decided under;
         // the first in key order wins, so a pass is deterministic.
-        let mut known: HashMap<Arc<SliceKey>, Answer> = HashMap::new();
-        for entry in live.iter().filter_map(|key| self.cache.get(key)).filter(|e| !e.contract) {
+        let mut known: HashMap<Arc<SliceKey>, CachedVerdict> = HashMap::new();
+        for entry in live.iter().filter_map(|key| self.cache.get(key)).filter(|e| !e.contract()) {
             for answer in std::iter::once(&entry.answer).chain(&entry.previous) {
                 if let Some(key) = &answer.key {
                     known.entry(key.clone()).or_insert_with(|| answer.clone());
                 }
             }
         }
-        let net = self.verifier.network().clone();
         let mut staged = Vec::new();
         for (inv_spec, inv) in &self.invariants {
             for (skey, scenario) in &scenarios {
@@ -331,21 +338,18 @@ impl NetSession {
                     report.prefiltered += 1;
                     continue;
                 }
-                // Modular mode: if the boundary contracts prove the pair
-                // outright, skip planning and keying entirely.
-                if let Some(ctx) = self.verifier.modular_context() {
-                    if ctx.contract_holds(&net, inv, scenario) {
+                // The contract rung, or the plan keyed here, which is the
+                // plan a re-check runs.
+                let plan = match self.verifier.decide(inv, scenario).map_err(|e| e.to_string())? {
+                    Decision::Contract => {
                         report.contract_answered += 1;
-                        let holds =
-                            Answer { key: None, at: Embedding::default(), verdict: Verdict::Holds };
-                        staged.push((key, true, holds));
+                        staged.push((key, CachedVerdict::contract()));
                         continue;
                     }
-                }
-                // The plan keyed here is the plan a re-check runs.
-                let plan = self.verifier.plan(inv, scenario).map_err(|e| e.to_string())?;
+                    Decision::Plan(plan) => plan,
+                };
                 let (slice_key, at) = SliceKey::new(
-                    &net,
+                    self.verifier.network(),
                     self.verifier.header_classes(),
                     inv,
                     scenario,
@@ -366,12 +370,12 @@ impl NetSession {
                         report.rechecked += 1;
                         let slice_key = Arc::new(slice_key);
                         let answer =
-                            Answer { key: Some(slice_key.clone()), at, verdict: r.verdict };
+                            CachedVerdict { key: Some(slice_key.clone()), at, verdict: r.verdict };
                         known.insert(slice_key, answer.clone());
                         answer
                     }
                 };
-                staged.push((key, false, answer));
+                staged.push((key, answer));
             }
         }
         let mut pipeline_holds = Vec::new();
@@ -384,8 +388,8 @@ impl NetSession {
         let before = self.cache.len();
         self.cache.retain(|k, _| live.contains(k));
         report.retired = before - self.cache.len();
-        for (key, contract, answer) in staged {
-            record(&mut self.cache, key, contract, answer, report);
+        for (key, answer) in staged {
+            record(&mut self.cache, key, answer, report);
         }
         self.pipeline_holds = pipeline_holds;
         report.reconcile = start.elapsed();
@@ -466,13 +470,12 @@ impl NetSession {
 }
 
 /// Files `answer` as `key`'s verdict and reports it if it changed or
-/// appeared. A keyed answer it replaces under another key becomes the
-/// entry's previous generation; contract answers keep none.
+/// appeared. An answer it replaces under another key becomes the entry's
+/// previous generation, which the slice-key rung reads of keyed entries only.
 fn record(
     cache: &mut HashMap<(String, String), CacheEntry>,
     key: (String, String),
-    contract: bool,
-    answer: Answer,
+    answer: CachedVerdict,
     report: &mut DeltaReport,
 ) {
     let old = cache.remove(&key);
@@ -482,12 +485,11 @@ fn record(
         report.changed.push((key.0.clone(), key.1.clone(), holds, was));
     }
     let previous = match old {
-        Some(e) if e.contract || contract => None,
         Some(e) if e.answer.key == answer.key => e.previous,
         Some(e) => Some(e.answer),
         None => None,
     };
-    cache.insert(key, CacheEntry { contract, answer, previous });
+    cache.insert(key, CacheEntry { answer, previous });
 }
 
 /// A fleet of named sessions plus the protocol driver.
@@ -555,11 +557,65 @@ verify   node-isolation outside -> inside
     #[test]
     fn engine_errors_reach_the_client_as_display_text() {
         // The learning firewall makes every slice stateful, so a forced
-        // BDD backend fails the first re-check with a routing error.
+        // BDD backend fails the first pair's decision with a routing error.
         let opts = VerifyOptions { backend: vmn::Backend::Bdd, ..Default::default() };
         let err = NetSession::load(CONFIG, opts).map(|_| ()).unwrap_err();
         assert!(err.starts_with("bdd backend:"), "{err}");
         assert!(!err.contains("Bdd(\""), "Debug formatting leaked into: {err}");
+    }
+
+    /// Two sites behind firewalls, the first one stateful, under
+    /// `partition auto`.
+    const TWO_SITES: &str = "\
+host a1 10.1.0.1
+host a2 10.1.0.2
+host b1 10.2.0.1
+host b2 10.2.0.2
+switch asw
+switch bsw
+switch core
+firewall afw allow 10.1.0.0/16 -> 0.0.0.0/0
+acl-firewall bfw allow 10.2.0.0/16 -> 0.0.0.0/0
+link a1 asw
+link a2 asw
+link b1 bsw
+link b2 bsw
+link asw afw
+link afw core
+link bsw bfw
+link bfw core
+autoroute
+steer asw from a1 10.0.0.0/8 afw prio -10
+steer asw from a2 10.0.0.0/8 afw prio -10
+steer bsw from b1 10.0.0.0/8 bfw prio -10
+steer bsw from b2 10.0.0.0/8 bfw prio -10
+steer core from afw 10.2.0.0/16 bfw
+steer core from bfw 10.1.0.0/16 afw
+partition auto
+fail afw
+verify node-isolation a1 -> b1
+";
+
+    /// The daemon and the engine take one answer path. The boundary
+    /// contracts prove the cross-site pair in every scenario, so a forced
+    /// BDD backend answers it from the contracts in both, although the
+    /// pair's slice holds the stateful `afw`.
+    #[test]
+    fn the_daemon_and_the_engine_decide_alike() {
+        let opts = VerifyOptions { backend: vmn::Backend::Bdd, ..Default::default() };
+        let served = NetSession::load(TWO_SITES, opts.clone()).map(|(s, r)| {
+            assert_eq!(r.contract_answered, r.pairs, "{r:?}");
+            s.verdicts()[0].holds
+        });
+        let m = NetSpec::parse(TWO_SITES).unwrap().materialize().unwrap();
+        let opts = VerifyOptions { partition: PartitionMode::Auto, ..opts };
+        let verified = Verifier::new(&m.net, opts)
+            .unwrap()
+            .verify(&m.invariants[0].1)
+            .map(|r| r.verdict.holds())
+            .map_err(|e| e.to_string());
+        assert_eq!(served, verified);
+        assert_eq!(served, Ok(true));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::encoder::{self, EncodeError, Encoded};
 use crate::invariant::Invariant;
 use crate::network::Network;
 use crate::policy::{group_by_symmetry, PolicyClasses};
-use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox, stateless_slice};
+use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox};
 use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -44,17 +44,17 @@ pub struct Report {
     /// Number of failure scenarios checked (stops early on violation).
     pub scenarios_checked: usize,
     /// Terminals in the largest node set planned or *actually encoded* for
-    /// this invariant: the max over the checked scenarios' slices and the
+    /// this invariant: the max over the checked scenarios' plans and the
     /// slice unions of the session clusters built (the union of all
-    /// per-scenario slices when clustering collapses to one cluster).
-    /// Equal to [`Verifier::verify_from_scratch`]'s whenever the
-    /// scenarios' slices nest, and never smaller with clustering than
-    /// without.
+    /// per-scenario slices when clustering collapses to one cluster). A
+    /// scenario the contracts prove has no plan and adds nothing. Equal to
+    /// [`Verifier::verify_from_scratch`]'s when the scenarios' slices nest
+    /// and the contracts prove none, never smaller with clustering.
     pub encoded_nodes: usize,
     /// Largest trace bound used for this invariant — the max over the
-    /// scenarios actually checked (a cluster's bound is the max of its
-    /// members'), so the values coincide whenever two configurations
-    /// sweep the same prefix.
+    /// planned scenarios actually checked (a cluster's bound is the max
+    /// of its members'; a contract-proved scenario has none), so the
+    /// values coincide whenever two configurations plan the same prefix.
     pub steps: usize,
     /// Whether the verdict was inherited from a symmetric representative
     /// instead of being verified directly.
@@ -119,14 +119,15 @@ pub enum Backend {
     /// Route per (slice, scenario): stateless slices — pure forwarding,
     /// ACLs and classification oracles — go to the BDD dataplane (no
     /// solver session, microseconds); anything touching mutable middlebox
-    /// state takes the SMT pipeline. When certificates are requested the
-    /// SMT path is used throughout (the BDD backend emits no proofs).
+    /// state takes the SMT pipeline. When certificates are requested every
+    /// planned scenario takes SMT (the BDD backend emits no proofs); one
+    /// the contracts prove takes neither and adds no proof session.
     #[default]
     Auto,
-    /// Everything on the SMT pipeline (the pre-fast-path behaviour).
+    /// Every planned scenario on the SMT pipeline.
     Smt,
-    /// Everything on the BDD dataplane; a stateful slice is a hard
-    /// [`VerifyError::Bdd`], never a silent fallback.
+    /// Every planned scenario on the BDD dataplane; a stateful slice is a
+    /// hard [`VerifyError::Bdd`], never a silent fallback.
     Bdd,
 }
 
@@ -153,9 +154,9 @@ pub struct VerifyOptions {
     /// installed, cross-module isolation invariants are first tried
     /// against the synthesized boundary contracts; scenarios the
     /// contracts prove are counted in [`Report::contract_scenarios`] and
-    /// skip encoding entirely. Anything inconclusive falls back to the
-    /// exact engine, so verdicts and witnesses are identical to
-    /// [`PartitionMode::Off`] by construction.
+    /// skip planning and encoding entirely. Anything inconclusive falls
+    /// back to the exact engine, so verdicts and witnesses are identical
+    /// to [`PartitionMode::Off`] by construction.
     pub partition: PartitionMode,
 }
 
@@ -290,14 +291,26 @@ pub struct Verifier {
     modular: Option<crate::modular::ModularContext>,
 }
 
+/// Who answers one (invariant, scenario) pair ([`Verifier::decide`]).
+#[derive(Debug)]
+pub enum Decision {
+    /// The boundary contracts prove the pair holds; nothing is planned.
+    Contract,
+    /// The pair is decided on this plan, by the backend it carries.
+    Plan(Plan),
+}
+
 /// One (invariant, scenario) pair's verification plan: the slice (or
-/// whole terminal set) and the trace bound. Only [`Verifier::plan`] makes
-/// one and the fields are private, so the engine never decides a pair on
-/// a slice it did not compute.
+/// whole terminal set), the trace bound and the backend that decides it.
+/// Only [`Verifier::decide`] makes one and the fields are private, so the
+/// engine never decides a pair on a slice it did not compute, nor routes
+/// a pair twice.
 #[derive(Debug)]
 pub struct Plan {
     nodes: Vec<NodeId>,
     bound: usize,
+    /// `Route::Bdd` or `Route::Smt`; the contract route has no plan.
+    route: Route,
 }
 
 impl Plan {
@@ -312,12 +325,20 @@ impl Plan {
     }
 }
 
-/// Which of the three answer paths decides a planned scenario.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which of the three answer paths decides a scenario.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Route {
     Contract,
     Bdd,
     Smt,
+}
+
+/// One (invariant, scenario) pair's outcome, whichever path answered it:
+/// the violation found, if any, and the BDD work (zero off the BDD path).
+struct Answer {
+    route: Route,
+    witness: Option<Trace>,
+    bdd: BddStats,
 }
 
 /// One cluster of a sweep's SMT-routed scenarios: the union of its
@@ -574,63 +595,61 @@ impl Verifier {
         Ok(enc)
     }
 
-    /// Picks the answer path of one planned scenario — the only place the
-    /// backend option and the boundary contracts are consulted. `Auto`
-    /// sends stateless slices to the BDD fast path unless certificates
-    /// are requested (the BDD backend emits none); forced `Bdd` turns
-    /// both obstacles into hard errors instead of silently falling back.
-    /// Backend routing resolves before the contract fast path, so a
-    /// forced-BDD misconfiguration errors exactly like the monolithic
-    /// engine would; the contracts then claim whatever they can prove.
-    fn route(
+    /// Decides who answers one (invariant, scenario) pair — the only
+    /// place the backend option and the boundary contracts are read. In
+    /// order: forced `Bdd` with certificates requested is an error; a pair
+    /// the contracts prove is [`Decision::Contract`]; any other is planned
+    /// and sent to the BDD dataplane (`Auto` on a stateless slice without
+    /// certificates; forced `Bdd`, where a stateful slice is an error) or
+    /// to SMT. The daemon keys the returned plan
+    /// ([`SliceKey`](crate::slice::SliceKey)) and hands the same plan to
+    /// [`Verifier::verify_planned`] on a miss, so the key describes the
+    /// check that runs.
+    pub fn decide(
         &self,
         inv: &Invariant,
         scenario: &FailureScenario,
-        plan: &Plan,
-    ) -> Result<Route, VerifyError> {
-        let bdd = match self.options.backend {
-            Backend::Smt => false,
-            Backend::Auto => {
-                !self.options.emit_proofs && stateless_slice(&self.net, scenario, &plan.nodes)
-            }
-            Backend::Bdd => {
-                if self.options.emit_proofs {
-                    return Err(VerifyError::Bdd(
-                        "certificates were requested but the bdd backend emits no proofs; \
-                         disable proof emission or use the smt backend"
-                            .into(),
-                    ));
-                }
-                if let Some(m) = first_stateful_middlebox(&self.net, scenario, &plan.nodes) {
+    ) -> Result<Decision, VerifyError> {
+        let backend = self.options.backend;
+        if backend == Backend::Bdd && self.options.emit_proofs {
+            return Err(VerifyError::Bdd(
+                "certificates were requested but the bdd backend emits no proofs; \
+                 disable proof emission or use the smt backend"
+                    .into(),
+            ));
+        }
+        if self.modular.as_ref().is_some_and(|m| m.contract_holds(&self.net, inv, scenario)) {
+            return Ok(Decision::Contract);
+        }
+        let (nodes, bound) = self.plan_for(inv, scenario)?;
+        let stateful = || first_stateful_middlebox(&self.net, scenario, &nodes);
+        let route = match backend {
+            Backend::Auto if !self.options.emit_proofs && stateful().is_none() => Route::Bdd,
+            Backend::Auto | Backend::Smt => Route::Smt,
+            Backend::Bdd => match stateful() {
+                None => Route::Bdd,
+                Some(m) => {
                     return Err(VerifyError::Bdd(format!(
                         "slice middlebox '{}' holds mutable state; the bdd backend only \
                          answers stateless slices",
                         self.net.topo.node(m).name
-                    )));
+                    )))
                 }
-                true
-            }
+            },
         };
-        let contract =
-            self.modular.as_ref().is_some_and(|m| m.contract_holds(&self.net, inv, scenario));
-        Ok(match (contract, bdd) {
-            (true, _) => Route::Contract,
-            (false, true) => Route::Bdd,
-            (false, false) => Route::Smt,
-        })
+        Ok(Decision::Plan(Plan { nodes, bound, route }))
     }
 
     /// Answers one scenario on the BDD dataplane: maps the invariant to a
     /// reachability query, runs the fixed-point check on the (lazily
-    /// built, shared) dataplane, accumulates the manager-stats delta into
-    /// `stats`, and lowers a violation witness to a replayable [`Trace`].
+    /// built, shared) dataplane, and lowers a violation witness to a
+    /// replayable [`Trace`]. The answer carries the manager-stats delta.
     fn check_bdd(
         &self,
         inv: &Invariant,
         scenario: &FailureScenario,
         plan: &Plan,
-        stats: &mut BddStats,
-    ) -> Result<Option<Trace>, VerifyError> {
+    ) -> Result<Answer, VerifyError> {
         // On a stateless slice no middlebox distinguishes flows or
         // origins, so flow isolation collapses to node isolation and data
         // isolation to reachability from the origin's address (the
@@ -681,23 +700,21 @@ impl Verifier {
                 DataplaneError::Net(n) => VerifyError::Net(n),
                 other => VerifyError::Bdd(other.to_string()),
             })?;
-        *stats = *stats + dp.stats().delta_since(&before);
-        match outcome {
-            Outcome::Holds => Ok(None),
-            Outcome::Violated(w) => Ok(Some(witness_to_trace(&w))),
-        }
+        let witness = match outcome {
+            Outcome::Holds => None,
+            Outcome::Violated(w) => Some(witness_to_trace(&w)),
+        };
+        Ok(Answer { route: Route::Bdd, witness, bdd: dp.stats().delta_since(&before) })
     }
 
-    /// Plans one (invariant, scenario) pair: the slice (or whole terminal
-    /// set) and trace bound the engine decides it on. The `vmn_serve`
-    /// daemon keys cached verdicts by the [`SliceKey`](crate::slice::SliceKey)
-    /// of exactly this plan, and hands the same [`Plan`] back through
-    /// [`Verifier::verify_planned`] on a miss, so the key describes the
-    /// check that runs. Two pairs whose plans have equal keys are one check
-    /// up to a renaming of nodes and an XOR translation of addresses, so
-    /// one pair's verdict, and its witness carried over, answers the
-    /// other.
-    pub fn plan(&self, inv: &Invariant, scenario: &FailureScenario) -> Result<Plan, VerifyError> {
+    /// The slice (or whole terminal set) and trace bound one (invariant,
+    /// scenario) pair is decided on; [`Verifier::decide`] puts them in a
+    /// [`Plan`].
+    pub fn plan_for(
+        &self,
+        inv: &Invariant,
+        scenario: &FailureScenario,
+    ) -> Result<(Vec<NodeId>, usize), VerifyError> {
         let mut nodes: Vec<NodeId> = if self.options.use_slices {
             compute_slice(&self.net, self.header_classes(), scenario, inv, || self.policy())?
         } else {
@@ -713,29 +730,18 @@ impl Verifier {
             &nodes,
             bounds::DEFAULT_SLACK,
         );
-        Ok(Plan { nodes, bound })
-    }
-
-    /// [`Verifier::plan`] as a (slice, bound) tuple. Only
-    /// `benchmark/src/probe.rs` calls this.
-    pub fn plan_for(
-        &self,
-        inv: &Invariant,
-        scenario: &FailureScenario,
-    ) -> Result<(Vec<NodeId>, usize), VerifyError> {
-        self.plan(inv, scenario).map(|p| (p.nodes, p.bound))
+        Ok((nodes, bound))
     }
 
     /// Verifies a single invariant across all configured failure
     /// scenarios, stopping at the first violation.
     ///
-    /// Every scenario is planned ([`Verifier::plan`]) and routed to one
-    /// of three answer paths — boundary contracts, the BDD dataplane, or
-    /// SMT — and the scenarios are then checked in their configured
-    /// order, so the first violating scenario is the same whatever the
-    /// configuration. The SMT-routed scenarios are *clustered*: their
-    /// slices are grouped by Jaccard similarity (at
-    /// [`DEFAULT_CLUSTER_THRESHOLD`]), each cluster gets one encoder
+    /// Every scenario is decided ([`Verifier::decide`]) for one of three
+    /// answer paths — boundary contracts, the BDD dataplane, or SMT — and
+    /// the scenarios are then checked in their configured order, so the
+    /// first violating scenario is the same whatever the configuration.
+    /// The SMT-routed scenarios are *clustered*: their slices are grouped
+    /// by Jaccard similarity (at [`DEFAULT_CLUSTER_THRESHOLD`]), each cluster gets one encoder
     /// holding the scenario-independent formula over the union of its
     /// members' slices at the largest required bound, and each scenario
     /// is one assumption-based call on its cluster's persistent solver —
@@ -763,19 +769,20 @@ impl Verifier {
         inv: &Invariant,
         scenarios: Vec<FailureScenario>,
     ) -> Result<Report, VerifyError> {
-        self.sweep(inv, scenarios.into_iter().map(|s| self.plan(inv, &s).map(|plan| (s, plan))))
+        self.sweep(inv, scenarios.into_iter().map(|s| self.decide(inv, &s).map(|d| (s, d))))
     }
 
     /// [`Verifier::verify_under`] for scenarios the caller has already
-    /// planned with [`Verifier::plan`] on this verifier's current network
-    /// epoch. The daemon uses this to re-check exactly the (invariant,
-    /// scenario) pairs a delta touched, on the plans it keyed.
+    /// decided with [`Verifier::decide`] on this verifier's current network
+    /// epoch, on the plans that returned; nothing is routed again. The
+    /// daemon uses this to re-check exactly the (invariant, scenario)
+    /// pairs a delta touched, on the plans it keyed.
     pub fn verify_planned(
         &self,
         inv: &Invariant,
         planned: Vec<(FailureScenario, Plan)>,
     ) -> Result<Report, VerifyError> {
-        self.sweep(inv, planned.into_iter().map(Ok))
+        self.sweep(inv, planned.into_iter().map(|(s, plan)| Ok((s, Decision::Plan(plan)))))
     }
 
     /// Groups the SMT-routed scenarios of a sweep into session clusters
@@ -783,12 +790,17 @@ impl Verifier {
     /// the index of its cluster. Only SMT-routed scenarios need solver
     /// sessions; clustering their slices alone keeps a BDD-heavy sweep
     /// from inflating (or merging) the solver clusters.
-    fn cluster(&self, planned: &[(FailureScenario, Plan, Route)]) -> (Vec<Cluster>, Vec<usize>) {
+    fn cluster(&self, decided: &[(FailureScenario, Decision)]) -> (Vec<Cluster>, Vec<usize>) {
         // Scenarios without a cluster keep `usize::MAX`, so an accidental
         // lookup is loud instead of aliasing cluster 0.
-        let mut cluster_of = vec![usize::MAX; planned.len()];
-        let smt: Vec<usize> = (0..planned.len()).filter(|&i| planned[i].2 == Route::Smt).collect();
-        let slices: Vec<Vec<NodeId>> = smt.iter().map(|&i| planned[i].1.nodes.clone()).collect();
+        let mut cluster_of = vec![usize::MAX; decided.len()];
+        let mut smt = Vec::new();
+        for (i, (_, decision)) in decided.iter().enumerate() {
+            if let Decision::Plan(plan @ Plan { route: Route::Smt, .. }) = decision {
+                smt.push((i, plan));
+            }
+        }
+        let slices: Vec<Vec<NodeId>> = smt.iter().map(|(_, plan)| plan.nodes.clone()).collect();
         let clusters = cluster_slices(&slices, DEFAULT_CLUSTER_THRESHOLD)
             .into_iter()
             .enumerate()
@@ -796,9 +808,10 @@ impl Verifier {
                 let mut nodes = Vec::new();
                 let mut k = 0;
                 for j in members {
-                    cluster_of[smt[j]] = c;
-                    nodes.extend_from_slice(&slices[j]);
-                    k = k.max(planned[smt[j]].1.bound);
+                    let (i, plan) = smt[j];
+                    cluster_of[i] = c;
+                    nodes.extend_from_slice(&plan.nodes);
+                    k = k.max(plan.bound);
                 }
                 nodes.sort();
                 nodes.dedup();
@@ -815,46 +828,36 @@ impl Verifier {
         inv: &Invariant,
         scenario: &FailureScenario,
         cluster: &mut Cluster,
-    ) -> Result<Option<Trace>, VerifyError> {
+    ) -> Result<Answer, VerifyError> {
         let enc = match &mut cluster.session {
             Some(enc) => enc,
             None => cluster.session.insert(self.new_session(&cluster.nodes, cluster.k)?),
         };
-        Ok(match enc.check_invariant_scenario(&self.net, inv, scenario)? {
+        let witness = match enc.check_invariant_scenario(&self.net, inv, scenario)? {
             SatResult::Sat => Some(Trace::extract(enc)),
             SatResult::Unsat => None,
-        })
+        };
+        Ok(Answer { route: Route::Smt, witness, bdd: BddStats::default() })
     }
 
-    /// The one loop every verification runs: plan and route the
-    /// scenarios, cluster the SMT-routed ones, check them in order until
-    /// the first violation, finish the report from the sessions built.
+    /// The one loop every verification runs: take the decided scenarios,
+    /// cluster the SMT-routed ones, answer them in order until the first
+    /// violation, folding each [`Answer`] into the report, and finish the
+    /// report from the sessions built.
     ///
-    /// A plan or routing error ends planning, but must not mask a
-    /// violation in an *earlier* scenario, so the prefix planned before
-    /// it is still checked and the error surfaces only if that holds.
+    /// A decision error ends the decisions, but must not mask a violation
+    /// in an *earlier* scenario, so the prefix decided before it is still
+    /// checked and the error surfaces only if that holds.
     fn sweep(
         &self,
         inv: &Invariant,
-        plans: impl Iterator<Item = Result<(FailureScenario, Plan), VerifyError>>,
+        decisions: impl Iterator<Item = Result<(FailureScenario, Decision), VerifyError>>,
     ) -> Result<Report, VerifyError> {
         let start = Instant::now();
-        let mut planned = Vec::new();
         let mut deferred = None;
-        for item in plans {
-            let routed = item.and_then(|(scenario, plan)| {
-                let route = self.route(inv, &scenario, &plan)?;
-                Ok((scenario, plan, route))
-            });
-            match routed {
-                Ok(p) => planned.push(p),
-                Err(e) => {
-                    deferred = Some(e);
-                    break;
-                }
-            }
-        }
-        let (mut clusters, cluster_of) = self.cluster(&planned);
+        let decided: Vec<_> =
+            decisions.map_while(|d| d.map_err(|e| deferred = Some(e)).ok()).collect();
+        let (mut clusters, cluster_of) = self.cluster(&decided);
 
         let mut report = Report {
             // One proof session per solver session the sweep touches; the
@@ -866,35 +869,33 @@ impl Verifier {
             ..Report::unchecked(inv)
         };
         let mut error = None;
-        for (i, (scenario, plan, route)) in planned.into_iter().enumerate() {
+        for (i, (scenario, decision)) in decided.into_iter().enumerate() {
             report.scenarios_checked += 1;
-            // Every checked plan counts toward the size/bound maxima,
-            // whichever path answers it, so reports stay comparable
-            // across backends and partitions.
-            report.encoded_nodes = report.encoded_nodes.max(plan.nodes.len());
-            report.steps = report.steps.max(plan.bound);
-            let answer = match route {
-                // The synthesized boundary windows prove the scenario
-                // holds; nothing is encoded.
-                Route::Contract => {
-                    report.contract_scenarios += 1;
-                    Ok(None)
+            let answered = match decision {
+                Decision::Contract => {
+                    Ok(Answer { route: Route::Contract, witness: None, bdd: BddStats::default() })
                 }
-                Route::Bdd => {
-                    report.bdd_scenarios += 1;
-                    self.check_bdd(inv, &scenario, &plan, &mut report.bdd)
-                }
-                Route::Smt => {
-                    report.smt_scenarios += 1;
-                    self.check_on_session(inv, &scenario, &mut clusters[cluster_of[i]])
+                Decision::Plan(plan) => {
+                    // Every plan checked counts toward the size/bound maxima.
+                    report.encoded_nodes = report.encoded_nodes.max(plan.nodes.len());
+                    report.steps = report.steps.max(plan.bound);
+                    match plan.route {
+                        Route::Bdd => self.check_bdd(inv, &scenario, &plan),
+                        _ => self.check_on_session(inv, &scenario, &mut clusters[cluster_of[i]]),
+                    }
                 }
             };
-            match answer {
-                Ok(None) => continue,
-                Ok(Some(trace)) => report.verdict = Verdict::Violated { trace, scenario },
-                Err(e) => error = Some(e),
+            let Ok(answer) = answered.map_err(|e| error = Some(e)) else { break };
+            match answer.route {
+                Route::Contract => report.contract_scenarios += 1,
+                Route::Bdd => report.bdd_scenarios += 1,
+                Route::Smt => report.smt_scenarios += 1,
             }
-            break;
+            report.bdd = report.bdd + answer.bdd;
+            if let Some(trace) = answer.witness {
+                report.verdict = Verdict::Violated { trace, scenario };
+                break;
+            }
         }
 
         // Sum the sessions built into this invariant's report, and fold
@@ -925,7 +926,7 @@ impl Verifier {
     /// Verifies `inv` the plainest way the engine can, as the oracle the
     /// tests hold [`Verifier::verify`] and [`Verifier::verify_all`] to.
     /// Each configured scenario, in order, is planned with
-    /// [`Verifier::plan`] and decided by a fresh encoder and solver on its
+    /// [`Verifier::plan_for`] and decided by a fresh encoder and solver on its
     /// own slice, violation and scenario asserted directly. It does no
     /// routing (every scenario goes to SMT, stateless or not; the backend
     /// and partition options are not read), no clustering, no symmetry and
@@ -934,12 +935,12 @@ impl Verifier {
         let start = Instant::now();
         let mut report = Report::unchecked(inv);
         for scenario in self.net.all_scenarios() {
-            let plan = self.plan(inv, &scenario)?;
+            let (nodes, bound) = self.plan_for(inv, &scenario)?;
             report.scenarios_checked += 1;
             report.smt_scenarios += 1;
-            report.encoded_nodes = report.encoded_nodes.max(plan.nodes.len());
-            report.steps = report.steps.max(plan.bound);
-            let mut enc = encoder::encode(&self.net, &scenario, &plan.nodes, inv, plan.bound)?;
+            report.encoded_nodes = report.encoded_nodes.max(nodes.len());
+            report.steps = report.steps.max(bound);
+            let mut enc = encoder::encode(&self.net, &scenario, &nodes, inv, bound)?;
             let sat = enc.ctx.check();
             report.solver = report.solver + enc.ctx.stats();
             if sat == SatResult::Sat {
@@ -996,15 +997,11 @@ impl Verifier {
                 .collect()
         };
 
-        // Distribute verdicts to symmetric members.
+        // Distribute verdicts to symmetric members; the first group whose
+        // representative failed fails the run with its error.
+        let rep_reports = rep_reports.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut out: Vec<Option<Report>> = (0..invariants.len()).map(|_| None).collect();
-        for (g_idx, group) in groups.iter().enumerate() {
-            let rep_report = match &rep_reports[g_idx] {
-                Ok(r) => r.clone(),
-                // Propagate the representative's real error (encode errors
-                // included — `EncodeError` is cloneable).
-                Err(e) => return Err(e.clone()),
-            };
+        for (group, rep_report) in groups.iter().zip(&rep_reports) {
             for (pos, &inv_idx) in group.iter().enumerate() {
                 let mut r = rep_report.clone();
                 r.invariant = invariants[inv_idx].clone();
@@ -1035,9 +1032,7 @@ impl Verifier {
         let inv = Invariant::NodeIsolation { src, dst };
         Ok(!self.verify(&inv)?.verdict.holds())
     }
-}
 
-impl Verifier {
     /// Checks a *pipeline invariant* (§2.3): packets from `src` to `dst`
     /// must traverse the given middlebox-type sequence on the static
     /// datapath. This is the invariant family the paper delegates to
@@ -1074,6 +1069,14 @@ pub(crate) mod engine_tests {
 
     fn px(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    /// [`Verifier::decide`]'s plan for a pair the contracts do not prove.
+    pub(crate) fn planned(v: &Verifier, inv: &Invariant, s: &FailureScenario) -> Plan {
+        match v.decide(inv, s).unwrap() {
+            Decision::Plan(plan) => plan,
+            Decision::Contract => panic!("{inv} under {s:?}: the contracts prove it"),
+        }
     }
 
     /// src → dst through `fw1`, optionally with `fw2` as backup steering;
@@ -1196,7 +1199,7 @@ pub(crate) mod engine_tests {
         let inv = Invariant::NodeIsolation { src, dst };
         let mut max = 0;
         for s in net.all_scenarios() {
-            let plan = v.plan(&inv, &s).unwrap();
+            let plan = planned(&v, &inv, &s);
             let derived = bounds::trace_bound(
                 &net,
                 v.header_classes(),
@@ -1216,7 +1219,7 @@ pub(crate) mod engine_tests {
     /// cluster alike.
     fn assert_same_plans(v: &Verifier, a: &Invariant, b: &Invariant) {
         for s in v.network().all_scenarios() {
-            let (pa, pb) = (v.plan(a, &s).unwrap(), v.plan(b, &s).unwrap());
+            let (pa, pb) = (planned(v, a, &s), planned(v, b, &s));
             assert_eq!(pa.nodes(), pb.nodes(), "{a} vs {b} under {s:?}: nodes");
             assert_eq!(pa.bound(), pb.bound(), "{a} vs {b} under {s:?}: bound");
         }
@@ -1511,9 +1514,10 @@ pub(crate) mod engine_tests {
             assert_eq!(r.contract_scenarios, 0, "{ctx}");
         });
         let cross = Invariant::FlowIsolation { src: a1, dst: b1 };
-        matches_oracle("modular/cross", &net, &modular, &cross, true, |r, ctx| {
+        matches_oracle("modular/cross", &net, &modular, &cross, false, |r, ctx| {
             assert!(r.verdict.holds(), "{ctx}");
             assert_eq!(r.contract_scenarios, r.scenarios_checked, "{ctx}");
+            assert_eq!((r.encoded_nodes, r.steps), (0, 0), "{ctx}: nothing is planned");
         });
     }
 
@@ -1612,16 +1616,15 @@ pub(crate) mod engine_tests {
 
         let opts = VerifyOptions { emit_proofs: true, ..Default::default() };
         let v = Verifier::new(&net, opts).unwrap();
-        let planned: Vec<_> = net
+        let decided: Vec<_> = net
             .all_scenarios()
             .into_iter()
             .map(|s| {
-                let plan = v.plan(&inv, &s).unwrap();
-                let route = v.route(&inv, &s, &plan).unwrap();
-                (s, plan, route)
+                let decision = v.decide(&inv, &s).unwrap();
+                (s, decision)
             })
             .collect();
-        let keys: Vec<_> = v.cluster(&planned).0.into_iter().map(|c| (c.nodes, c.k)).collect();
+        let keys: Vec<_> = v.cluster(&decided).0.into_iter().map(|c| (c.nodes, c.k)).collect();
         assert!(keys.len() >= 2, "one session per cluster, got {keys:?}");
         assert_eq!(keys.iter().collect::<HashSet<_>>().len(), keys.len(), "{keys:?}");
         let max_k = keys.iter().map(|&(_, k)| k).max().unwrap();
@@ -1708,7 +1711,7 @@ pub(crate) mod engine_tests {
             assert_eq!(r.smt_scenarios, 1, "the stateful slice takes the SMT route");
             let swept = classes.memoised_emitters(&s);
             let tf = TransferFunction::new(&net.topo, &net.tables, &s);
-            let plan = v.plan(&inv, &s).unwrap();
+            let plan = planned(&v, &inv, &s);
             for &t in plan.nodes().iter().filter(|&&t| !s.is_failed(t)) {
                 let name = &net.topo.node(t).name;
                 assert!(swept.contains(&t), "{name} under {s:?}: the session swept a private copy");
@@ -1805,12 +1808,8 @@ pub(crate) mod engine_tests {
         // The cache is not flow-parallel, so a slice through it takes one
         // representative of every class.
         let [server, c1, other] = ["server", "c1", "other"].map(|n| cache.topo.by_name(n).unwrap());
-        let plan = v
-            .plan(
-                &Invariant::DataIsolation { origin: server, dst: other },
-                &FailureScenario::none(),
-            )
-            .unwrap();
+        let inv = Invariant::DataIsolation { origin: server, dst: other };
+        let plan = planned(&v, &inv, &FailureScenario::none());
         assert!(plan.nodes().contains(&c1), "slice {:?}", plan.nodes());
     }
 
@@ -1887,13 +1886,16 @@ pub(crate) mod engine_tests {
         assert_eq!(full.scenarios_checked, direct.scenarios_checked);
 
         // A caller-planned sweep is the same sweep.
-        let planned = v
+        let plans = v
             .network()
             .all_scenarios()
             .into_iter()
-            .map(|s| v.plan(&inv, &s).map(|plan| (s, plan)).unwrap())
+            .map(|s| {
+                let plan = planned(&v, &inv, &s);
+                (s, plan)
+            })
             .collect();
-        let planned = v.verify_planned(&inv, planned).unwrap();
+        let planned = v.verify_planned(&inv, plans).unwrap();
         assert_eq!(planned.verdict.holds(), direct.verdict.holds());
         assert_eq!(planned.scenarios_checked, direct.scenarios_checked);
         assert_eq!((planned.encoded_nodes, planned.steps), (direct.encoded_nodes, direct.steps));
@@ -1985,6 +1987,85 @@ pub(crate) mod engine_tests {
             panic!("both violated");
         };
         assert_eq!(s, sm, "first violating scenario matches the oracle");
+    }
+
+    /// Two sites behind in-line firewalls that pass their own site's
+    /// sources only, `afw` a learning (stateful) firewall and `bfw` an
+    /// ACL, with one scenario failing `afw`: the two-site estate of the
+    /// daemon's agreement test.
+    ///
+    /// ```text
+    /// a1, a2 - asw - afw - core - bfw - bsw - b1, b2
+    /// ```
+    fn stateful_two_sites() -> (Network, NodeId, NodeId, NodeId) {
+        let mut topo = Topology::new();
+        let a1 = topo.add_host("a1", "10.1.0.1".parse().unwrap());
+        let a2 = topo.add_host("a2", "10.1.0.2".parse().unwrap());
+        let b1 = topo.add_host("b1", "10.2.0.1".parse().unwrap());
+        let b2 = topo.add_host("b2", "10.2.0.2".parse().unwrap());
+        let [asw, bsw, core] = ["asw", "bsw", "core"].map(|name| topo.add_switch(name));
+        let afw = topo.add_middlebox("afw", "firewall", vec![]);
+        let bfw = topo.add_middlebox("bfw", "acl-firewall", vec![]);
+        for (x, y) in [(a1, asw), (a2, asw), (b1, bsw), (b2, bsw)] {
+            topo.add_link(x, y);
+        }
+        for (x, y) in [(asw, afw), (afw, core), (bsw, bfw), (bfw, core)] {
+            topo.add_link(x, y);
+        }
+        let mut rc = RoutingConfig::new();
+        rc.host_routes(&topo);
+        let mut tables = rc.build(&topo, &FailureScenario::none());
+        for (sw, h, fw) in [(asw, a1, afw), (asw, a2, afw), (bsw, b1, bfw), (bsw, b2, bfw)] {
+            tables.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/8"), h, fw).with_priority(-10));
+        }
+        tables.add_rule(core, Rule::from_neighbor(px("10.2.0.0/16"), afw, bfw));
+        tables.add_rule(core, Rule::from_neighbor(px("10.1.0.0/16"), bfw, afw));
+        let mut net = Network::new(topo, tables);
+        let all = px("0.0.0.0/0");
+        net.set_model(afw, models::learning_firewall("firewall", vec![(px("10.1.0.0/16"), all)]));
+        net.set_model(bfw, models::acl_firewall("acl-firewall", vec![(px("10.2.0.0/16"), all)]));
+        net.add_scenario(FailureScenario::nodes([afw]));
+        (net, a1, a2, b1)
+    }
+
+    /// [`Verifier::decide`] tries the contracts before it plans: a pair
+    /// they prove is never planned. A plan it returns is routed once, so
+    /// re-checking a pair on its decided plans is the same sweep.
+    #[test]
+    fn decide_tries_the_contracts_before_planning() {
+        let (net, a1, a2, b1) = stateful_two_sites();
+        let opts = VerifyOptions { partition: PartitionMode::Auto, ..Default::default() };
+        let fresh = || Verifier::new(&net, opts.clone()).unwrap();
+        let cross = Invariant::NodeIsolation { src: a1, dst: b1 };
+        let v = fresh();
+        for s in net.all_scenarios() {
+            assert!(matches!(v.decide(&cross, &s), Ok(Decision::Contract)), "{s:?}");
+        }
+        let r = v.verify(&cross).unwrap();
+        assert!(r.verdict.holds());
+        assert_eq!(r.contract_scenarios, r.scenarios_checked);
+        assert_eq!(r.encoded_nodes, 0, "a scenario the contracts prove is not planned");
+
+        // An intra-site pair (on the BDD path) and a pair the contracts do
+        // not try (on SMT), each sweep on a verifier of its own: BDD work
+        // is counted off a dataplane that an earlier sweep leaves warm.
+        for inv in [
+            Invariant::NodeIsolation { src: a2, dst: a1 },
+            Invariant::DataIsolation { origin: b1, dst: a1 },
+        ] {
+            let (v, oracle) = (fresh(), fresh());
+            let scenarios = net.all_scenarios();
+            let plans = scenarios.iter().map(|s| (s.clone(), planned(&v, &inv, s))).collect();
+            let got = v.verify_planned(&inv, plans).unwrap();
+            let want = oracle.verify_under(&inv, scenarios).unwrap();
+            let counts = |r: &Report| {
+                let backends = (r.smt_scenarios, r.bdd_scenarios, r.contract_scenarios);
+                let work = format!("{:?} {:?}", r.solver, r.bdd);
+                (r.scenarios_checked, backends, r.encoded_nodes, r.steps, work)
+            };
+            assert_eq!(counts(&got), counts(&want), "{inv}");
+            assert_eq!(format!("{:?}", got.verdict), format!("{:?}", want.verdict), "{inv}");
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod slice;
 pub mod trace;
 
 pub use engine::{
-    Backend, PartitionMode, Plan, Report, Verdict, Verifier, VerifyError, VerifyOptions,
+    Backend, Decision, PartitionMode, Plan, Report, Verdict, Verifier, VerifyError, VerifyOptions,
 };
 pub use invariant::Invariant;
 pub use network::Network;

@@ -527,6 +527,7 @@ pub fn verdict_fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::engine_tests::planned;
     use vmn_mbox::{models, Action};
     use vmn_net::{Prefix, RoutingConfig, Rule, Topology};
 
@@ -844,7 +845,7 @@ mod tests {
 
     /// The key of `inv` under `scenario` over the engine's own plan.
     fn key(v: &crate::Verifier, inv: &Invariant, scenario: &FailureScenario) -> SliceKey {
-        let plan = v.plan(inv, scenario).unwrap();
+        let plan = planned(v, inv, scenario);
         key_over(v, inv, scenario, (plan.nodes(), plan.bound()))
     }
 
@@ -885,7 +886,7 @@ mod tests {
         let v = crate::Verifier::new(&failover(), crate::VerifyOptions::default()).unwrap();
         let [a0, b0, fw, sw] = by_name(v.network(), ["a0", "b0", "fw", "sw"]);
         let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
-        let plan = v.plan(&inv, &FailureScenario::none()).unwrap();
+        let plan = planned(&v, &inv, &FailureScenario::none());
         assert!(plan.nodes().contains(&fw) && !plan.nodes().contains(&sw));
         let over = (plan.nodes(), plan.bound());
         let none = key_over(&v, &inv, &FailureScenario::none(), over);
@@ -1088,7 +1089,7 @@ mod tests {
                         FailureScenario::nodes(failed.iter().map(|&i| ids_a[i])),
                         FailureScenario::nodes(failed.iter().map(|&i| ids_b[i])),
                     );
-                    let (pa, pb) = (va.plan(&inv_a, &sa).unwrap(), vb.plan(&inv_b, &sb).unwrap());
+                    let (pa, pb) = (planned(&va, &inv_a, &sa), planned(&vb, &inv_b, &sb));
                     let key_of = |v: &crate::Verifier, inv, s, p: &crate::Plan| {
                         SliceKey::new(v.network(), v.header_classes(), inv, s, p.nodes(), p.bound())
                             .unwrap()
@@ -1189,7 +1190,7 @@ mod tests {
         let v = crate::Verifier::new(&base, crate::VerifyOptions::default()).unwrap();
         let [a0, b0] = by_name(v.network(), ["a0", "b0"]);
         let inv = Invariant::FlowIsolation { src: a0, dst: b0 };
-        let plan = v.plan(&inv, &FailureScenario::none()).unwrap();
+        let plan = planned(&v, &inv, &FailureScenario::none());
         let (nodes, k) = (plan.nodes(), plan.bound());
         let none = FailureScenario::none();
         assert_eq!(key_over(&v, &inv, &none, (nodes, k)), base_key);

@@ -454,19 +454,13 @@ fn translated_witnesses(session: &NetSession) -> usize {
     for (spec, inv) in session.invariants() {
         for (skey, scenario) in session.scenario_list() {
             let entry = session.cached(spec, &skey).expect("every pair is cached");
-            if entry.contract {
+            if entry.contract() {
                 continue;
             }
-            let plan = v.plan(inv, &scenario).expect("plans");
-            let (key, at) = SliceKey::new(
-                v.network(),
-                v.header_classes(),
-                inv,
-                &scenario,
-                plan.nodes(),
-                plan.bound(),
-            )
-            .expect("keys");
+            let (nodes, bound) = v.plan_for(inv, &scenario).expect("plans");
+            let (key, at) =
+                SliceKey::new(v.network(), v.header_classes(), inv, &scenario, &nodes, bound)
+                    .expect("keys");
             let group = groups.entry(key).or_default();
             group.0.insert(at.mask);
             group.1 |= !entry.verdict().holds();
@@ -715,7 +709,7 @@ fn pods_deltas_answer_known_fingerprints_from_the_cache() {
     let holding = |session: &NetSession, node: &str| {
         let v = session.verifier();
         let id = session.names()[node];
-        let in_slice = |inv| v.plan(inv, &FailureScenario::none()).unwrap().nodes().contains(&id);
+        let in_slice = |inv| v.plan_for(inv, &FailureScenario::none()).unwrap().0.contains(&id);
         session.invariants().iter().filter(|(_, inv)| in_slice(inv)).count()
     };
     let set_fw3 = |widened| Delta::SetModel {
