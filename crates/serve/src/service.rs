@@ -86,7 +86,8 @@ impl CachedVerdict {
         let verdict = match &self.verdict {
             Verdict::Holds => Verdict::Holds,
             Verdict::Violated { trace, .. } => {
-                Verdict::Violated { trace: self.at.carry(trace, to), scenario: scenario.clone() }
+                let trace = Box::new(self.at.carry(trace, to));
+                Verdict::Violated { trace, scenario: Box::new(scenario.clone()) }
             }
         };
         CachedVerdict { key: self.key.clone(), at: to.clone(), verdict }

@@ -23,7 +23,9 @@ pub enum Verdict {
     /// No reachable violation in any checked failure scenario.
     Holds,
     /// A violation witness was found (with the scenario it occurs in).
-    Violated { trace: Trace, scenario: FailureScenario },
+    /// Boxed: most verdicts hold, and a report, like a daemon cache
+    /// entry, should not pay for a witness it does not carry.
+    Violated { trace: Box<Trace>, scenario: Box<FailureScenario> },
 }
 
 impl Verdict {
@@ -893,7 +895,8 @@ impl Verifier {
             }
             report.bdd = report.bdd + answer.bdd;
             if let Some(trace) = answer.witness {
-                report.verdict = Verdict::Violated { trace, scenario };
+                report.verdict =
+                    Verdict::Violated { trace: Box::new(trace), scenario: Box::new(scenario) };
                 break;
             }
         }
@@ -944,7 +947,8 @@ impl Verifier {
             let sat = enc.ctx.check();
             report.solver = report.solver + enc.ctx.stats();
             if sat == SatResult::Sat {
-                report.verdict = Verdict::Violated { trace: Trace::extract(&mut enc), scenario };
+                let trace = Box::new(Trace::extract(&mut enc));
+                report.verdict = Verdict::Violated { trace, scenario: Box::new(scenario) };
                 break;
             }
         }
@@ -1190,6 +1194,15 @@ pub(crate) mod engine_tests {
         assert!(!emit_proofs);
         assert_eq!(backend, Backend::Auto);
         assert!(matches!(partition, PartitionMode::Off));
+    }
+
+    /// The size pin: most verdicts hold, and reports and the daemon's cache
+    /// entries are kept by the thousand, so a witness lives behind a box
+    /// and a holding verdict costs two pointers, not a trace's worth.
+    #[test]
+    fn verdicts_and_reports_keep_their_witnesses_boxed() {
+        assert_eq!(std::mem::size_of::<Verdict>(), 16);
+        assert_eq!(std::mem::size_of::<Report>(), 256);
     }
 
     #[test]
@@ -1610,7 +1623,7 @@ pub(crate) mod engine_tests {
                 let Verdict::Violated { scenario, .. } = &r.verdict else {
                     panic!("{ctx}: the deep chain's allow-all firewall forwards the probe");
                 };
-                assert_eq!(scenario, &deep, "{ctx}: only the deep scenario violates");
+                assert_eq!(**scenario, deep, "{ctx}: only the deep scenario violates");
                 assert_eq!(r.smt_scenarios, r.scenarios_checked, "{ctx}: every slice is stateful");
             });
 
@@ -1655,7 +1668,7 @@ pub(crate) mod engine_tests {
         let Verdict::Violated { scenario, .. } = &r.verdict else {
             panic!("allow-all fw1 forwards the probe");
         };
-        assert_eq!(scenario, &vmn_net::FailureScenario::none());
+        assert_eq!(**scenario, vmn_net::FailureScenario::none());
         assert_eq!((r.scenarios_checked, r.bdd_scenarios), (1, 1));
         let want = v.verify_from_scratch(&inv).unwrap();
         assert_eq!((want.verdict.holds(), want.scenarios_checked), (false, 1), "the oracle agrees");
@@ -1877,7 +1890,7 @@ pub(crate) mod engine_tests {
         let Verdict::Violated { scenario, .. } = r.verdict else {
             panic!("failure bypass must violate");
         };
-        assert_eq!(scenario, fail);
+        assert_eq!(*scenario, fail);
 
         // And the full sweep equals verify().
         let full = v.verify_under(&inv, v.network().all_scenarios()).unwrap();

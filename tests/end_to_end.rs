@@ -416,7 +416,7 @@ fn a_linked_middlebox_receives_packets_for_its_own_address() {
         // The replay reports host receptions only; drive the simulator
         // through the witness's sends to see the middlebox's.
         let models = m.net.topo.middleboxes().map(|b| (b, m.net.model(b))).collect();
-        let mut sim = vmn_sim::Simulator::new(&m.net.topo, &m.net.tables, scenario, models);
+        let mut sim = vmn_sim::Simulator::new(&m.net.topo, &m.net.tables, *scenario, models);
         for s in trace.steps.iter().filter(|s| s.kind == vmn::StepKind::HostSend) {
             let (Some(host), Some(header)) = (s.actor, s.packet) else { continue };
             sim.exec(&vmn_sim::SimOp::Send { host, header }).unwrap();

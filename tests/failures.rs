@@ -137,7 +137,7 @@ fn no_backup_means_fail_closed_blocks_everything() {
     // scenario must be the healthy one, not the failed one.
     match rep.verdict {
         Verdict::Violated { scenario, .. } => {
-            assert_eq!(scenario, FailureScenario::none());
+            assert_eq!(*scenario, FailureScenario::none());
         }
         Verdict::Holds => panic!("healthy network allows the traffic"),
     }

@@ -416,7 +416,7 @@ fn assert_matches_scratch(session: &NetSession, label: &str) {
             );
             if let Verdict::Violated { trace, scenario: vs } = entry.verdict() {
                 assert_eq!(
-                    vs, scenario,
+                    **vs, *scenario,
                     "{label}: witness for {spec:?} / {skey:?} is for another scenario"
                 );
                 let receptions = trace.replay(&m.net, vs).unwrap_or_else(|e| {
