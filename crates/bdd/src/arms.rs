@@ -14,7 +14,6 @@
 //!   models replayed packets can carry an origin that differs from the
 //!   current source, so the dataplane's origin-reads-source-bits
 //!   shortcut would be unsound here;
-//! * `ProtoIs` is `true` (single modelled transport, as everywhere).
 //!
 //! Over-approximation only ever *adds* satisfying assignments, so an
 //! UNSAT verdict — `guard[arm] ∧ ¬guard[0] ∧ … ∧ ¬guard[arm-1] ∧ excl`
@@ -123,7 +122,6 @@ impl<'m> ModelCtx<'m> {
             Guard::OriginIs(a) => self.man.bits_eq(&field_vars(ORIGIN_BASE, 32), a.0 as u64),
             Guard::SrcPortIs(p) => self.man.bits_eq(&field_vars(SPORT_BASE, 16), *p as u64),
             Guard::DstPortIs(p) => self.man.bits_eq(&field_vars(DPORT_BASE, 16), *p as u64),
-            Guard::ProtoIs(_) => Bdd::TRUE,
             Guard::AclMatch(name) => {
                 let pairs = self.model.acl_pairs(name).unwrap_or(&[]).to_vec();
                 let mut r = Bdd::FALSE;
@@ -298,7 +296,6 @@ mod tests {
         for m in lib {
             let a = analyze_with(&m, &mut BddArmDecider);
             assert!(a.dead_arms.is_empty(), "{}: {:?}", m.type_name, a.dead_arms);
-            assert_eq!(a.inferred_parallelism, m.parallelism, "{}", m.type_name);
         }
     }
 }

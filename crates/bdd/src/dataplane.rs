@@ -30,14 +30,15 @@
 //! Only stateless models compile: any [`Guard::StateContains`] read or
 //! state-mutating/rewriting action makes the behaviour history- or
 //! packet-modification-dependent, which header-set composition cannot
-//! express. [`statefulness`] is the single source of truth for that
-//! classification; the slice-level routing decision in the `vmn` crate
-//! is built on it.
+//! express. [`vmn_analysis::bdd_support`] is the single source of truth
+//! for that classification; the slice-level routing decision in the
+//! `vmn` crate is built on it.
 
 use crate::{Bdd, BddStats, Ref};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use vmn_mbox::exec::{eval_guard, MboxState};
 use vmn_mbox::{Action, Guard, MboxModel};
 use vmn_net::{
     Address, FailureScenario, ForwardingTables, Header, HeaderClasses, NetError, NodeId, Topology,
@@ -56,20 +57,6 @@ const ORACLE_BASE: u32 = 96;
 /// Mirrors the encoder's `EPHEMERAL_BASE`: host sends use source ports
 /// below the range reserved for fresh NAT rewrites.
 const EPHEMERAL_BASE: u16 = 32768;
-
-/// Why `model` cannot be handled by the BDD backend, or `None` if it is
-/// a pure forwarding/ACL/classification box.
-///
-/// A thin delegate to [`vmn_analysis::bdd_support`] — the analysis
-/// crate owns the classification so the slice router, the lint pass,
-/// and this backend can never disagree. Conservative by construction:
-/// every state read and every packet-rewriting action disqualifies,
-/// because a transfer *predicate* can express neither history
-/// dependence nor header modification. `HavocTag` is allowed — the
-/// payload tag is not part of the reachable header space.
-pub fn statefulness(model: &MboxModel) -> Option<vmn_analysis::UnsupportedByBdd> {
-    vmn_analysis::bdd_support(model)
-}
 
 /// Errors from the BDD dataplane backend.
 #[derive(Clone, Debug)]
@@ -221,7 +208,7 @@ impl Dataplane {
         if let Some(&r) = self.transfer.get(&m) {
             return Ok(r);
         }
-        if let Some(why) = statefulness(model) {
+        if let Some(why) = vmn_analysis::bdd_support(model) {
             return Err(DataplaneError::Unsupported(format!("model {:?}: {why}", model.type_name)));
         }
         let oracle_var: HashMap<&str, u32> = model
@@ -305,7 +292,6 @@ impl Dataplane {
             Guard::DstIs(a) => self.man.bits_eq(&field_vars(DST_BASE, 32), a.0 as u64),
             Guard::SrcPortIs(p) => self.man.bits_eq(&field_vars(SPORT_BASE, 16), *p as u64),
             Guard::DstPortIs(p) => self.man.bits_eq(&field_vars(DPORT_BASE, 16), *p as u64),
-            Guard::ProtoIs(_) => Bdd::TRUE,
             Guard::AclMatch(name) => {
                 let pairs = model.acl_pairs(name).expect("validated model").to_vec();
                 let mut r = Bdd::FALSE;
@@ -576,7 +562,9 @@ impl Dataplane {
 
 /// Finds an oracle valuation (respecting exclusivity groups) under which
 /// the first matching rule of `model` forwards `header`, together with
-/// that rule's index.
+/// that rule's index. Guards are evaluated by the concrete interpreter
+/// ([`vmn_mbox::exec::eval_guard`], the simulator's semantics) on an
+/// empty state: the stateless models this backend compiles read none.
 fn forwarding_valuation(
     model: &MboxModel,
     header: &Header,
@@ -587,6 +575,7 @@ fn forwarding_valuation(
         "transfer compilation admits at most {} oracles",
         vmn_analysis::MAX_ORACLES
     );
+    let state = MboxState::new();
     'mask: for mask in 0..(1u32 << n) {
         let vals: HashMap<String, bool> = model
             .oracles
@@ -600,7 +589,8 @@ fn forwarding_valuation(
             }
         }
         for (r, arm) in model.rules.iter().enumerate() {
-            if eval_guard(model, &arm.guard, header, &vals) {
+            let mut oracle = |name: &str, _: &Header| vals.get(name).copied().unwrap_or(false);
+            if eval_guard(model, &state, &arm.guard, header, &mut oracle) {
                 if arm.actions.contains(&Action::Forward) {
                     return Some((r, vals));
                 }
@@ -609,37 +599,6 @@ fn forwarding_valuation(
         }
     }
     None
-}
-
-/// Concrete guard evaluation, mirroring the symbolic semantics: protocol
-/// guards are true (single modelled transport), origin guards read the
-/// header's origin field (equal to `src` on stateless paths).
-fn eval_guard(model: &MboxModel, g: &Guard, h: &Header, oracles: &HashMap<String, bool>) -> bool {
-    match g {
-        Guard::True => true,
-        Guard::Not(inner) => !eval_guard(model, inner, h, oracles),
-        Guard::And(gs) => gs.iter().all(|g| eval_guard(model, g, h, oracles)),
-        Guard::Or(gs) => gs.iter().any(|g| eval_guard(model, g, h, oracles)),
-        Guard::SrcIn(p) => p.contains(h.src),
-        Guard::DstIn(p) => p.contains(h.dst),
-        Guard::SrcIs(a) => h.src == *a,
-        Guard::DstIs(a) => h.dst == *a,
-        Guard::SrcPortIs(p) => h.src_port == *p,
-        Guard::DstPortIs(p) => h.dst_port == *p,
-        Guard::ProtoIs(_) => true,
-        Guard::OriginIn(p) => p.contains(h.origin),
-        Guard::OriginIs(a) => h.origin == *a,
-        Guard::AclMatch(name) => model
-            .acl_pairs(name)
-            .expect("validated model")
-            .iter()
-            .any(|(sp, dp)| sp.contains(h.src) && dp.contains(h.dst)),
-        Guard::Oracle(name) => oracles.get(name.as_str()).copied().unwrap_or(false),
-        Guard::StateContains { .. } => {
-            debug_assert!(false, "stateless classification admits no state reads");
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -658,32 +617,6 @@ mod tests {
 
     fn dataplane(topo: &Topology, tables: &ForwardingTables) -> Dataplane {
         Dataplane::new(Arc::new(HeaderClasses::from_network(topo, tables)))
-    }
-
-    #[test]
-    fn statefulness_classifies_the_model_library() {
-        let stateless = [
-            models::acl_firewall("aclfw", vec![(px("10.0.0.0/8"), px("10.0.0.0/8"))]),
-            models::idps("idps"),
-            models::ids_monitor("ids"),
-            models::scrubber("sb"),
-            models::application_firewall("appfw", &["skype?"], &["skype?", "jabber?"]),
-            models::wan_optimizer("wanopt"),
-            models::gateway("gw"),
-        ];
-        for m in &stateless {
-            assert!(statefulness(m).is_none(), "{} should be stateless", m.type_name);
-        }
-        let stateful = [
-            models::learning_firewall("fw", vec![]),
-            models::nat("nat", px("10.0.0.0/8"), addr("1.2.3.4")),
-            models::load_balancer("lb", addr("10.0.0.9"), vec![addr("10.0.0.1")]),
-            models::content_cache("cache", [px("10.1.0.0/16")], vec![]),
-            models::security_group_firewall("sg", vec![]),
-        ];
-        for m in &stateful {
-            assert!(statefulness(m).is_some(), "{} should be stateful", m.type_name);
-        }
     }
 
     /// outside/inside pair behind an ACL firewall; outside is allowed

@@ -61,8 +61,8 @@ impl MboxState {
         self.sets.values().all(Vec::is_empty)
     }
 
-    /// Every (set name, entries) pair — static analysis cross-checks
-    /// observed key shapes against inferred parallelism.
+    /// Every (set name, entries) pair — the fuzz suite checks observed
+    /// key shapes against the derived parallelism class.
     pub fn sets(&self) -> impl Iterator<Item = (&str, &[(KeyVal, Header)])> {
         self.sets.iter().map(|(n, v)| (n.as_str(), v.as_slice()))
     }
@@ -198,7 +198,6 @@ where
         Guard::DstIs(a) => h.dst == *a,
         Guard::SrcPortIs(p) => h.src_port == *p,
         Guard::DstPortIs(p) => h.dst_port == *p,
-        Guard::ProtoIs(p) => h.proto == *p,
         Guard::OriginIn(p) => p.contains(h.origin),
         Guard::OriginIs(a) => h.origin == *a,
         Guard::AclMatch(name) => model

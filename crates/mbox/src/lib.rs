@@ -20,14 +20,14 @@
 //! processed some earlier packet whose matched rule performed an
 //! [`Action::Insert`] and whose key expression evaluated to `k`. This is
 //! precisely how the paper axiomatises middlebox state, and it is what
-//! makes flow-parallel/origin-agnostic analysis (§4.1) syntactically
-//! checkable: a model is flow-parallel when every state access is keyed by
-//! [`KeyExpr::Flow`].
+//! makes a model's flow-parallel/origin-agnostic class (§4.1) derivable
+//! from its rules: `vmn_analysis::parallelism` reads it off the keys of
+//! the model's state accesses, and no model declares it.
 //!
 //! # Example: the paper's Listing 1 (learning firewall)
 //!
 //! ```
-//! use vmn_mbox::{MboxModel, Guard, Action, KeyExpr, FailMode, Parallelism};
+//! use vmn_mbox::{FailMode, KeyExpr};
 //! use vmn_net::Prefix;
 //!
 //! let acl: Vec<(Prefix, Prefix)> = vec![
@@ -35,7 +35,9 @@
 //! ];
 //! let fw = vmn_mbox::models::learning_firewall("fw", acl);
 //! assert_eq!(fw.fail_mode, FailMode::Closed);
-//! assert_eq!(fw.parallelism, Parallelism::FlowParallel);
+//! // No parallelism class is declared: the firewall keys its state by
+//! // flow, and that is what makes it flow-parallel.
+//! assert!(fw.states.iter().all(|s| s.key == KeyExpr::Flow));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +46,7 @@ pub mod exec;
 pub mod models;
 
 use std::fmt;
-use vmn_net::{Address, Prefix, Protocol};
+use vmn_net::{Address, Prefix};
 
 /// Failure behaviour of a middlebox (the paper's `@FailClosed` /
 /// fail-open annotation).
@@ -54,20 +56,6 @@ pub enum FailMode {
     Closed,
     /// Packets pass through unmodified while the box is failed.
     Open,
-}
-
-/// How middlebox state is partitioned — the property slicing exploits
-/// (§4.1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub enum Parallelism {
-    /// State is partitioned by flow and only the packet's own flow's state
-    /// is read or written (e.g. stateful firewalls, NATs).
-    FlowParallel,
-    /// State is shared across flows but behaviour does not depend on
-    /// *which* host installed it (e.g. content caches).
-    OriginAgnostic,
-    /// No structure; slicing cannot shrink networks containing this box.
-    General,
 }
 
 /// How a state key is computed from the packet being processed.
@@ -113,7 +101,6 @@ pub enum Guard {
     DstIs(Address),
     SrcPortIs(u16),
     DstPortIs(u16),
-    ProtoIs(Protocol),
     OriginIn(Prefix),
     OriginIs(Address),
     /// The (src, dst) pair is allowed by the named ACL in the model's
@@ -171,16 +158,6 @@ impl Guard {
             Guard::DstIs(a) => Guard::DstIs(a.translated(mask)),
             Guard::OriginIs(a) => Guard::OriginIs(a.translated(mask)),
             other => other.clone(),
-        }
-    }
-
-    /// Key expressions used by state reads in this guard.
-    fn state_keys(&self, out: &mut Vec<KeyExpr>) {
-        match self {
-            Guard::Not(g) => g.state_keys(out),
-            Guard::And(gs) | Guard::Or(gs) => gs.iter().for_each(|g| g.state_keys(out)),
-            Guard::StateContains { key, .. } => out.push(*key),
-            _ => {}
         }
     }
 
@@ -263,7 +240,6 @@ pub struct MboxModel {
     /// Model/type name; topology nodes reference models by this tag.
     pub type_name: String,
     pub fail_mode: FailMode,
-    pub parallelism: Parallelism,
     pub states: Vec<StateDecl>,
     pub oracles: Vec<OracleDecl>,
     /// Groups of oracles that are mutually exclusive (§3.4's output
@@ -280,7 +256,6 @@ impl MboxModel {
         MboxModel {
             type_name: type_name.into(),
             fail_mode: FailMode::Closed,
-            parallelism: Parallelism::FlowParallel,
             states: Vec::new(),
             oracles: Vec::new(),
             exclusive_oracles: Vec::new(),
@@ -291,11 +266,6 @@ impl MboxModel {
 
     pub fn fail_mode(mut self, m: FailMode) -> MboxModel {
         self.fail_mode = m;
-        self
-    }
-
-    pub fn parallelism(mut self, p: Parallelism) -> MboxModel {
-        self.parallelism = p;
         self
     }
 
@@ -338,7 +308,6 @@ impl MboxModel {
         MboxModel {
             type_name: self.type_name.clone(),
             fail_mode: self.fail_mode,
-            parallelism: self.parallelism,
             states: self.states.clone(),
             oracles: self.oracles.clone(),
             exclusive_oracles: self.exclusive_oracles.clone(),
@@ -360,17 +329,6 @@ impl MboxModel {
 
     pub fn state_decl(&self, name: &str) -> Option<&StateDecl> {
         self.states.iter().find(|s| s.name == name)
-    }
-
-    /// Whether every state access in the model is keyed by flow — the
-    /// syntactic check behind the flow-parallel classification.
-    pub fn is_flow_keyed(&self) -> bool {
-        let mut keys = Vec::new();
-        for r in &self.rules {
-            r.guard.state_keys(&mut keys);
-        }
-        keys.extend(self.states.iter().map(|s| s.key));
-        keys.iter().all(|k| *k == KeyExpr::Flow)
     }
 
     /// Validates internal references (state names, ACL names, oracles).
@@ -509,7 +467,6 @@ mod tests {
             )
             .rule(Guard::True, vec![Action::Drop]);
         assert!(m.validate().is_ok());
-        assert!(m.is_flow_keyed());
     }
 
     #[test]
@@ -533,19 +490,6 @@ mod tests {
         assert!(matches!(m.validate(), Err(ModelError::BadEmitCount { emits: 0, .. })));
         let m2 = MboxModel::new("bad2").rule(Guard::True, vec![Action::Forward, Action::Drop]);
         assert!(matches!(m2.validate(), Err(ModelError::BadEmitCount { emits: 2, .. })));
-    }
-
-    #[test]
-    fn origin_keyed_state_is_not_flow_parallel() {
-        let m = MboxModel::new("cache")
-            .state("cache", KeyExpr::Origin)
-            .rule(
-                Guard::StateContains { state: "cache".into(), key: KeyExpr::DstAddr },
-                vec![Action::RespondFromState("cache".into())],
-            )
-            .rule(Guard::True, vec![Action::Forward]);
-        assert!(m.validate().is_ok());
-        assert!(!m.is_flow_keyed());
     }
 
     #[test]

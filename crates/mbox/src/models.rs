@@ -7,7 +7,7 @@
 //! types in production networks, so — as the paper argues — a small
 //! reusable library covers most deployments.
 
-use crate::{Action, FailMode, Guard, KeyExpr, MboxModel, Parallelism};
+use crate::{Action, FailMode, Guard, KeyExpr, MboxModel};
 use vmn_net::{Address, Prefix};
 
 /// The paper's Listing 1: a learning (stateful) firewall.
@@ -18,7 +18,6 @@ use vmn_net::{Address, Prefix};
 pub fn learning_firewall(name: &str, acl: Vec<(Prefix, Prefix)>) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Closed)
-        .parallelism(Parallelism::FlowParallel)
         .state("established", KeyExpr::Flow)
         .acl("acl", acl)
         .rule(
@@ -37,7 +36,6 @@ pub fn learning_firewall(name: &str, acl: Vec<(Prefix, Prefix)>) -> MboxModel {
 pub fn acl_firewall(name: &str, allow: Vec<(Prefix, Prefix)>) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Closed)
-        .parallelism(Parallelism::FlowParallel)
         .acl("allow", allow)
         .rule(Guard::AclMatch("allow".into()), vec![Action::Forward])
         .rule(Guard::True, vec![Action::Drop])
@@ -56,7 +54,6 @@ pub fn acl_firewall(name: &str, allow: Vec<(Prefix, Prefix)>) -> MboxModel {
 pub fn nat(name: &str, internal: Prefix, external: Address) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Closed)
-        .parallelism(Parallelism::FlowParallel)
         .state("active", KeyExpr::Flow)
         // Inbound: restore the destination for known flows…
         .rule(
@@ -92,7 +89,6 @@ pub fn nat(name: &str, internal: Prefix, external: Address) -> MboxModel {
 pub fn load_balancer(name: &str, vip: Address, backends: Vec<Address>) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Closed)
-        .parallelism(Parallelism::FlowParallel)
         .rule(Guard::DstIs(vip), vec![Action::RewriteDstOneOf(backends), Action::Forward])
         .rule(Guard::True, vec![Action::Forward])
 }
@@ -105,7 +101,6 @@ pub fn load_balancer(name: &str, vip: Address, backends: Vec<Address>) -> MboxMo
 pub fn idps(name: &str) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Open)
-        .parallelism(Parallelism::FlowParallel)
         .oracle("malicious?")
         .rule(Guard::Oracle("malicious?".into()), vec![Action::Drop])
         .rule(Guard::True, vec![Action::Forward])
@@ -115,10 +110,7 @@ pub fn idps(name: &str) -> MboxModel {
 /// suspect prefixes toward a scrubber is a *routing* decision in the ISP
 /// scenario (§5.3.3), so the box itself is pass-through.
 pub fn ids_monitor(name: &str) -> MboxModel {
-    MboxModel::new(name)
-        .fail_mode(FailMode::Open)
-        .parallelism(Parallelism::FlowParallel)
-        .rule(Guard::True, vec![Action::Forward])
+    MboxModel::new(name).fail_mode(FailMode::Open).rule(Guard::True, vec![Action::Forward])
 }
 
 /// A scrubbing box: discards traffic the `attack?` oracle identifies and
@@ -126,7 +118,6 @@ pub fn ids_monitor(name: &str) -> MboxModel {
 pub fn scrubber(name: &str) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Closed)
-        .parallelism(Parallelism::FlowParallel)
         .oracle("attack?")
         .rule(Guard::Oracle("attack?".into()), vec![Action::Drop])
         .rule(Guard::True, vec![Action::Forward])
@@ -153,7 +144,6 @@ pub fn content_cache(
     let from_servers = Guard::or(servers.into_iter().map(Guard::SrcIn).collect::<Vec<_>>());
     MboxModel::new(name)
         .fail_mode(FailMode::Open)
-        .parallelism(Parallelism::OriginAgnostic)
         .state("cache", KeyExpr::Origin)
         .acl("deny", deny)
         // Server responses populate the cache.
@@ -173,8 +163,7 @@ pub fn content_cache(
 /// (e.g. `skype?`). All application oracles are declared mutually
 /// exclusive — the §3.4 example of an output constraint.
 pub fn application_firewall(name: &str, deny_apps: &[&str], all_apps: &[&str]) -> MboxModel {
-    let mut m =
-        MboxModel::new(name).fail_mode(FailMode::Closed).parallelism(Parallelism::FlowParallel);
+    let mut m = MboxModel::new(name).fail_mode(FailMode::Closed);
     for app in all_apps {
         m = m.oracle(*app);
     }
@@ -191,17 +180,13 @@ pub fn application_firewall(name: &str, deny_apps: &[&str], all_apps: &[&str]) -
 pub fn wan_optimizer(name: &str) -> MboxModel {
     MboxModel::new(name)
         .fail_mode(FailMode::Open)
-        .parallelism(Parallelism::FlowParallel)
         .rule(Guard::True, vec![Action::HavocTag, Action::Forward])
 }
 
 /// A plain gateway/router modelled as a pass-through middlebox (used when
 /// a pipeline position matters but the box adds no policy).
 pub fn gateway(name: &str) -> MboxModel {
-    MboxModel::new(name)
-        .fail_mode(FailMode::Open)
-        .parallelism(Parallelism::FlowParallel)
-        .rule(Guard::True, vec![Action::Forward])
+    MboxModel::new(name).fail_mode(FailMode::Open).rule(Guard::True, vec![Action::Forward])
 }
 
 /// A per-host virtual-switch firewall in the EC2 security-group style
@@ -246,17 +231,6 @@ mod tests {
         for m in models {
             m.validate().unwrap_or_else(|e| panic!("{} failed: {e}", m.type_name));
         }
-    }
-
-    #[test]
-    fn parallelism_classes_match_paper() {
-        assert_eq!(learning_firewall("f", vec![]).parallelism, Parallelism::FlowParallel);
-        assert_eq!(
-            content_cache("c", [px("10.0.0.0/8")], vec![]).parallelism,
-            Parallelism::OriginAgnostic
-        );
-        assert!(learning_firewall("f", vec![]).is_flow_keyed());
-        assert!(!content_cache("c", [px("10.0.0.0/8")], vec![]).is_flow_keyed());
     }
 
     #[test]

@@ -22,20 +22,21 @@
 
 use crate::invariant::Invariant;
 use crate::network::Network;
-use vmn_net::{FailureScenario, HeaderClasses, NodeId, TransferFunction};
+use vmn_net::{FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
 
 /// The slack steps the engine adds to every bound.
 pub const DEFAULT_SLACK: usize = 2;
 
 /// Longest middlebox pipeline between any pair of the given hosts under
 /// `scenario` (measured on the static datapath, walked on `classes`, the
-/// [`HeaderClasses::from_network`] of `net`).
+/// [`HeaderClasses::from_network`] of `net`). A static forwarding loop on
+/// any of those paths is an error: no bound covers it.
 pub fn max_pipeline_depth(
     net: &Network,
     classes: &HeaderClasses,
     scenario: &FailureScenario,
     hosts: &[NodeId],
-) -> usize {
+) -> Result<usize, NetError> {
     let tf = TransferFunction::new(&net.topo, &net.tables, scenario).with_classes(classes);
     let mut depth = 0;
     for &src in hosts {
@@ -47,17 +48,11 @@ pub fn max_pipeline_depth(
                 continue;
             }
             for &addr in &net.topo.node(dst).addresses {
-                // A static forwarding loop would be rejected earlier, when
-                // the transfer function is first exercised; here we take
-                // a conservative default.
-                match tf.terminal_path(src, addr) {
-                    Ok((mboxes, _)) => depth = depth.max(mboxes.len()),
-                    Err(_) => depth = depth.max(4),
-                }
+                depth = depth.max(tf.terminal_path(src, addr)?.0.len());
             }
         }
     }
-    depth
+    Ok(depth)
 }
 
 /// Computes the trace bound for verifying `inv` over the hosts of a node
@@ -69,12 +64,12 @@ pub fn trace_bound(
     inv: &Invariant,
     nodes: &[NodeId],
     slack: usize,
-) -> usize {
+) -> Result<usize, NetError> {
     let hosts: Vec<NodeId> =
         nodes.iter().copied().filter(|&n| net.topo.node(n).kind.is_host()).collect();
-    let depth = max_pipeline_depth(net, classes, scenario, &hosts);
+    let depth = max_pipeline_depth(net, classes, scenario, &hosts)?;
     let w = inv.witness_packets();
-    w * (depth + 1) + slack
+    Ok(w * (depth + 1) + slack)
 }
 
 #[cfg(test)]
@@ -126,9 +121,9 @@ mod tests {
     fn depth_counts_middleboxes() {
         let (net, h1, h2) = two_host_net(true);
         let none = FailureScenario::none();
-        assert_eq!(max_pipeline_depth(&net, &classes(&net), &none, &[h1, h2]), 1);
+        assert_eq!(max_pipeline_depth(&net, &classes(&net), &none, &[h1, h2]), Ok(1));
         let (net2, h1b, h2b) = two_host_net(false);
-        assert_eq!(max_pipeline_depth(&net2, &classes(&net2), &none, &[h1b, h2b]), 0);
+        assert_eq!(max_pipeline_depth(&net2, &classes(&net2), &none, &[h1b, h2b]), Ok(0));
     }
 
     #[test]
@@ -139,8 +134,8 @@ mod tests {
         let simple = Invariant::NodeIsolation { src: h1, dst: h2 };
         let flow = Invariant::FlowIsolation { src: h1, dst: h2 };
         let hc = classes(&net);
-        let b1 = trace_bound(&net, &hc, &none, &simple, &nodes, DEFAULT_SLACK);
-        let b2 = trace_bound(&net, &hc, &none, &flow, &nodes, DEFAULT_SLACK);
+        let b1 = trace_bound(&net, &hc, &none, &simple, &nodes, DEFAULT_SLACK).unwrap();
+        let b2 = trace_bound(&net, &hc, &none, &flow, &nodes, DEFAULT_SLACK).unwrap();
         assert_eq!(b1, 2 + DEFAULT_SLACK);
         assert_eq!(b2, 2 * 2 + DEFAULT_SLACK);
         assert!(b2 > b1);

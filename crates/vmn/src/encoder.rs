@@ -15,7 +15,7 @@
 //! * **Idle** — nothing happens (lets shorter traces embed in K steps).
 //!
 //! The encoding models a single transport protocol: packets carry no
-//! protocol field and a model's `ProtoIs` guard is compile-time true.
+//! protocol field, and no guard reads one.
 //!
 //! Every emitted packet is *delivered atomically* by the network
 //! pseudo-node Ω: the destination terminal is a precomputed function of
@@ -1266,11 +1266,6 @@ impl Encoded {
             Guard::DstPortIs(p) => {
                 let c = self.ctx.bv_const(*p as u64, PORT_W);
                 self.ctx.eq(f.dport, c)
-            }
-            Guard::ProtoIs(_) => {
-                // The encoding models a single transport protocol (module
-                // docs); protocol guards are compile-time true.
-                self.ctx.tru()
             }
             Guard::OriginIn(p) => self.prefix_match(f.origin, *p),
             Guard::OriginIs(a) => {

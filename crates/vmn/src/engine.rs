@@ -10,7 +10,7 @@ use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-use vmn_analysis::{ContractError, ModuleContract, Partition, TouchSet};
+use vmn_analysis::{ContractError, ModuleContract, Parallelism, Partition, TouchSet};
 use vmn_bdd::dataplane::{DataplaneError, Outcome, Query};
 use vmn_bdd::{BddStats, Dataplane};
 use vmn_check::CertificateBundle;
@@ -278,6 +278,10 @@ pub struct Verifier {
     /// by every walk and every interval reader: the solver sessions, the
     /// BDD dataplane and the daemon's slice keys.
     classes: OnceLock<Arc<HeaderClasses>>,
+    /// Every middlebox's derived parallelism class in the current epoch
+    /// ([`Network::parallelism_classes`]), derived at construction and on
+    /// every swap; slicing reads it.
+    parallelism: HashMap<NodeId, Parallelism>,
     /// The BDD dataplane backing the stateless fast path, built lazily on
     /// the first routed check and shared across invariants and scenarios
     /// (per-middlebox transfer predicates and per-(scenario, emitter,
@@ -407,6 +411,7 @@ impl Verifier {
         net.validate().map_err(VerifyError::InvalidNetwork)?;
         let modular = Self::build_modular(&net, &options)?;
         let verifier = Verifier {
+            parallelism: net.parallelism_classes(),
             net,
             options,
             policy: OnceLock::new(),
@@ -505,7 +510,8 @@ impl Verifier {
     /// Whatever the kind, every per-scenario memo the swap keeps — the
     /// memoised intervals, the contract arrivals and the BDD delivery
     /// predicates — drops the scenarios the new network no longer
-    /// declares, so a daemon's removed scenarios do not accumulate.
+    /// declares, so a daemon's removed scenarios do not accumulate, and
+    /// every box's parallelism class is derived again from its model.
     ///
     /// Dropped policy classes are rebuilt by [`Verifier::policy`] on first
     /// read. Only [`Verifier::verify_all`]'s symmetry grouping and a slice
@@ -566,6 +572,7 @@ impl Verifier {
         if let Some(ctx) = &self.modular {
             ctx.retain_scenarios(&live);
         }
+        self.parallelism = net.parallelism_classes();
         self.net = net;
         Ok(())
     }
@@ -717,21 +724,16 @@ impl Verifier {
         inv: &Invariant,
         scenario: &FailureScenario,
     ) -> Result<(Vec<NodeId>, usize), VerifyError> {
+        let classes = self.header_classes();
         let mut nodes: Vec<NodeId> = if self.options.use_slices {
-            compute_slice(&self.net, self.header_classes(), scenario, inv, || self.policy())?
+            compute_slice(&self.net, classes, &self.parallelism, scenario, inv, || self.policy())?
         } else {
             self.net.topo.terminals().collect()
         };
         nodes.sort();
         nodes.dedup();
-        let bound = bounds::trace_bound(
-            &self.net,
-            self.header_classes(),
-            scenario,
-            inv,
-            &nodes,
-            bounds::DEFAULT_SLACK,
-        );
+        let bound =
+            bounds::trace_bound(&self.net, classes, scenario, inv, &nodes, bounds::DEFAULT_SLACK)?;
         Ok((nodes, bound))
     }
 
@@ -1111,18 +1113,19 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn mis_annotated_model_is_rejected_at_construction() {
-        // Declared FlowParallel but writes a shared (src-keyed) state
-        // set on the forwarding path: slicing would trust the claim and
-        // build an unsound slice, so Verifier::new must refuse the
-        // network with a clean error.
-        use vmn_mbox::{Action, Guard, KeyExpr, MboxModel, Parallelism};
+    fn source_keyed_box_is_sliced_with_policy_representatives() {
+        // A box keying shared state by source declares nothing; its class
+        // is derived (General), so its slice takes one representative per
+        // policy class. `other` is no endpoint and no path from `src`
+        // or `dst` meets it: only a representative brings it in.
+        use vmn_mbox::{Action, Guard, KeyExpr, MboxModel};
         let mut topo = Topology::new();
         let src = topo.add_host("src", "8.8.8.8".parse().unwrap());
         let dst = topo.add_host("dst", "10.0.0.5".parse().unwrap());
+        let other = topo.add_host("other", "172.16.0.1".parse().unwrap());
         let sw = topo.add_switch("sw");
         let mb = topo.add_middlebox("mb", "tracker", vec![]);
-        for n in [src, dst, mb] {
+        for n in [src, dst, other, mb] {
             topo.add_link(n, sw);
         }
         let mut rc = RoutingConfig::new();
@@ -1130,37 +1133,56 @@ pub(crate) mod engine_tests {
         let mut tables = rc.build(&topo, &vmn_net::FailureScenario::none());
         tables.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/8"), src, mb).with_priority(20));
         let mut net = Network::new(topo, tables);
-        let mutant = MboxModel::new("tracker")
-            .parallelism(Parallelism::FlowParallel)
+        let tracker = MboxModel::new("tracker")
             .state("seen", KeyExpr::SrcAddr)
             .rule(
                 Guard::StateContains { state: "seen".into(), key: KeyExpr::SrcAddr },
                 vec![Action::Forward],
             )
             .rule(Guard::True, vec![Action::Insert("seen".into()), Action::Forward]);
-        net.set_model(mb, mutant);
-        let err = Verifier::new(&net, VerifyOptions::default())
-            .map(|_| ())
-            .expect_err("the overclaimed annotation must be rejected");
-        match err {
-            VerifyError::InvalidNetwork(msg) => {
-                assert!(msg.contains("parallelism-overclaim"), "unexpected message: {msg}");
-                assert!(msg.contains("\"mb\""), "names the offending middlebox: {msg}");
-            }
-            other => panic!("expected InvalidNetwork, got {other}"),
+        net.set_model(mb, tracker);
+        let inv = Invariant::NodeIsolation { src, dst };
+        let none = vmn_net::FailureScenario::none();
+
+        let v = Verifier::new(&net, VerifyOptions::default()).expect("nothing to declare");
+        let (slice, _) = v.plan_for(&inv, &none).unwrap();
+        assert!(slice.contains(&mb));
+        let reps = v.policy().representatives();
+        assert!(reps.contains(&other), "{reps:?}");
+        for rep in reps {
+            assert!(slice.contains(&rep), "representative {rep:?} missing from {slice:?}");
         }
 
-        // Fixing the annotation makes the same network verifiable.
-        let honest = MboxModel::new("tracker")
-            .parallelism(Parallelism::General)
-            .state("seen", KeyExpr::SrcAddr)
-            .rule(
-                Guard::StateContains { state: "seen".into(), key: KeyExpr::SrcAddr },
-                vec![Action::Forward],
-            )
-            .rule(Guard::True, vec![Action::Insert("seen".into()), Action::Forward]);
-        net.set_model(mb, honest);
-        assert!(Verifier::new(&net, VerifyOptions::default()).is_ok());
+        // A flow-keyed box on the same path needs no representatives.
+        net.set_model(mb, models::learning_firewall("tracker", vec![]));
+        let v = Verifier::new(&net, VerifyOptions::default()).unwrap();
+        assert_eq!(v.plan_for(&inv, &none).unwrap().0, vec![src, dst, mb]);
+    }
+
+    #[test]
+    fn whole_network_plans_refuse_a_forwarding_loop() {
+        // `s1` and `s2` bounce traffic for `h2` between each other. The
+        // trace bound walks every host pair of the whole network, so the
+        // loop surfaces from planning instead of a guessed bound.
+        let mut topo = Topology::new();
+        let h1 = topo.add_host("h1", "10.0.1.1".parse().unwrap());
+        let h2 = topo.add_host("h2", "10.0.2.1".parse().unwrap());
+        let s1 = topo.add_switch("s1");
+        let s2 = topo.add_switch("s2");
+        topo.add_link(h1, s1);
+        topo.add_link(h2, s2);
+        topo.add_link(s1, s2);
+        let mut tables = vmn_net::ForwardingTables::new();
+        tables.add_rule(s1, Rule::new(px("0.0.0.0/0"), s2));
+        tables.add_rule(s2, Rule::new(px("10.0.1.1/32"), s1));
+        tables.add_rule(s2, Rule::new(px("10.0.2.1/32"), s1));
+        let net = Network::new(topo, tables);
+        let v = Verifier::new(&net, VerifyOptions::whole_network()).unwrap();
+        let inv = Invariant::NodeIsolation { src: h1, dst: h2 };
+        match v.plan_for(&inv, &vmn_net::FailureScenario::none()) {
+            Err(VerifyError::Net(NetError::ForwardingLoop { .. })) => {}
+            other => panic!("expected a forwarding loop, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1220,7 +1242,8 @@ pub(crate) mod engine_tests {
                 &inv,
                 plan.nodes(),
                 bounds::DEFAULT_SLACK,
-            );
+            )
+            .unwrap();
             assert_eq!(plan.bound(), derived, "{s:?}");
             max = max.max(derived);
         }

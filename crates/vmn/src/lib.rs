@@ -74,9 +74,9 @@ pub use invariant::Invariant;
 pub use network::Network;
 pub use policy::PolicyClasses;
 pub use trace::{StepKind, Trace, TraceStep};
-/// Model static analysis (re-exported): inferred statefulness /
-/// parallelism, footprints, dead-arm diagnostics, and the
-/// annotation-soundness gate [`Network::validate`] runs per model.
+/// Model static analysis (re-exported): derived statefulness and
+/// parallelism — the class slicing uses, derived per box once per
+/// verifier epoch — footprints and dead-arm diagnostics.
 pub use vmn_analysis as analysis;
 /// The trusted certificate checker (re-exported): validates the
 /// [`Report::certificate`] bundles produced under

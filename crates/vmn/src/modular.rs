@@ -155,7 +155,6 @@ fn guard_windows(model: &MboxModel, g: &Guard, depth: u32) -> WindowSet {
         | Guard::Oracle(_)
         | Guard::SrcPortIs(_)
         | Guard::DstPortIs(_)
-        | Guard::ProtoIs(_)
         | Guard::OriginIn(_)
         | Guard::OriginIs(_) => WindowSet::any(),
         Guard::And(gs) => gs

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use vmn_analysis::Parallelism;
 use vmn_mbox::MboxModel;
 use vmn_net::{Address, FailureScenario, ForwardingTables, NodeId, Topology};
 
@@ -68,20 +69,19 @@ impl Network {
         out
     }
 
-    /// Checks that every middlebox has a model and that no model's
-    /// declared annotations overclaim what static analysis can infer
-    /// from its rules — slicing trusts the declarations, so an
-    /// overclaimed `Parallelism` would silently produce unsound slices.
+    /// Every middlebox's parallelism class, derived from its model by
+    /// [`vmn_analysis::parallelism`]. The verifier derives them once per
+    /// epoch; slicing reads them.
+    pub fn parallelism_classes(&self) -> HashMap<NodeId, Parallelism> {
+        self.models.iter().map(|(&n, m)| (n, vmn_analysis::parallelism(m))).collect()
+    }
+
+    /// Checks that every middlebox has a model.
     pub fn validate(&self) -> Result<(), String> {
-        for m in self.topo.middleboxes() {
-            let Some(model) = self.models.get(&m) else {
-                return Err(format!("middlebox {:?} has no model", self.topo.node(m).name));
-            };
-            if let Some(d) = vmn_analysis::annotation_error(model) {
-                return Err(format!("middlebox {:?}: {d}", self.topo.node(m).name));
-            }
+        match self.topo.middleboxes().find(|m| !self.models.contains_key(m)) {
+            Some(m) => Err(format!("middlebox {:?} has no model", self.topo.node(m).name)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The primary address of a host (used in invariant encodings).

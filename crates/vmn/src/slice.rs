@@ -19,9 +19,10 @@ use crate::invariant::Invariant;
 use crate::network::Network;
 use crate::policy::PolicyClasses;
 use crate::trace::Trace;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use vmn_mbox::{MboxModel, Parallelism};
+use vmn_analysis::Parallelism;
+use vmn_mbox::MboxModel;
 use vmn_net::{
     translated_intervals, Address, FailureScenario, HeaderClasses, NetError, NodeId, NodeKind,
     TransferFunction,
@@ -34,12 +35,15 @@ use vmn_net::{
 /// callers should instead pass every terminal to the encoder.
 ///
 /// The datapath is walked on `classes`, the [`HeaderClasses::from_network`]
-/// of `net`. `policy` yields the policy classes. It is called at most
-/// once, and only when the slice holds a middlebox that is not
-/// flow-parallel, so a caller can build the classes on demand.
+/// of `net`. `parallelism` holds every middlebox's derived class
+/// ([`Network::parallelism_classes`]). `policy` yields the policy
+/// classes. It is called at most once, and only when the slice holds a
+/// middlebox that is not flow-parallel, so a caller can build the
+/// classes on demand.
 pub fn compute_slice<'p>(
     net: &Network,
     classes: &HeaderClasses,
+    parallelism: &HashMap<NodeId, Parallelism>,
     scenario: &FailureScenario,
     inv: &Invariant,
     policy: impl FnOnce() -> &'p PolicyClasses,
@@ -93,12 +97,13 @@ pub fn compute_slice<'p>(
             }
         }
 
-        // Origin-agnostic middleboxes require a representative per policy
-        // equivalence class (done once; re-closure continues afterwards).
+        // A middlebox that is not flow-parallel requires a representative
+        // per policy equivalence class (done once; re-closure continues
+        // afterwards).
         let needs_reps = policy.take_if(|_| {
             set.iter().any(|&n| {
                 net.topo.node(n).kind.is_middlebox()
-                    && !matches!(net.model(n).parallelism, Parallelism::FlowParallel)
+                    && parallelism.get(&n) != Some(&Parallelism::FlowParallel)
             })
         });
         if let Some(policy) = needs_reps {
@@ -543,6 +548,17 @@ mod tests {
         HeaderClasses::from_network(&net.topo, &net.tables)
     }
 
+    /// [`compute_slice`] without failures, on `net`'s own header and
+    /// parallelism classes.
+    fn slice_of<'p>(
+        net: &Network,
+        inv: &Invariant,
+        policy: impl FnOnce() -> &'p PolicyClasses,
+    ) -> Vec<NodeId> {
+        let none = FailureScenario::none();
+        compute_slice(net, &classes(net), &net.parallelism_classes(), &none, inv, policy).unwrap()
+    }
+
     /// Many host pairs, each pair isolated behind a shared firewall; a
     /// slice for one pair must not include the others.
     fn many_pairs(n: usize) -> (Network, Vec<(NodeId, NodeId)>) {
@@ -682,8 +698,7 @@ mod tests {
             let (net, pairs) = many_pairs(n);
             let pc = PolicyClasses::from_groups(vec![]);
             let inv = Invariant::NodeIsolation { src: pairs[0].0, dst: pairs[0].1 };
-            let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || &pc)
-                .unwrap();
+            let slice = slice_of(&net, &inv, || &pc);
             // Slice = the two endpoints + the firewall, regardless of n.
             assert_eq!(slice.len(), 3, "n={n}: slice {slice:?}");
         }
@@ -695,10 +710,9 @@ mod tests {
         let inv = Invariant::NodeIsolation { src: pairs[2].0, dst: pairs[2].1 };
         // Every box on the path is flow-parallel, so the slice never asks
         // for the policy classes.
-        let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || {
+        let slice = slice_of(&net, &inv, || {
             panic!("a flow-parallel slice must not read the policy classes")
-        })
-        .unwrap();
+        });
         assert!(slice.contains(&pairs[2].0));
         assert!(slice.contains(&pairs[2].1));
         let fw = net.topo.by_name("fw").unwrap();
@@ -780,11 +794,10 @@ mod tests {
         let pc = PolicyClasses::from_groups(vec![vec![c1, c2], vec![other], vec![server]]);
         let inv = Invariant::DataIsolation { origin: server, dst: other };
         let reads = std::cell::Cell::new(0);
-        let slice = compute_slice(&net, &classes(&net), &FailureScenario::none(), &inv, || {
+        let slice = slice_of(&net, &inv, || {
             reads.set(reads.get() + 1);
             &pc
-        })
-        .unwrap();
+        });
         assert_eq!(reads.get(), 1, "the classes are read once, however many closure rounds run");
         // other + server (endpoints), cache (on path), plus a rep for the
         // {c1, c2} class (c1).
