@@ -2,10 +2,10 @@
 //!
 //! A contract at a cut edge is a [`WindowSet`]: an over-approximation
 //! of the `(src, dst)` address windows that packets crossing the edge
-//! can occupy. A module's *ingress assumption* is the window set on an
-//! incoming cut edge; its *egress guarantee* the set on an outgoing
-//! one. Composition holds when every egress guarantee implies the
-//! neighbouring module's ingress assumption over the same edge.
+//! can occupy. The `vmn` crate synthesizes every contract from the
+//! network itself, one set per directed edge, so what a module sends
+//! over an edge and what its neighbour may receive over it are the same
+//! set, and contracts compose by construction.
 //!
 //! Window sets are deliberately coarse — pairs of CIDR prefixes plus a
 //! "anything" top element — so that synthesis (a fixpoint in the `vmn`
@@ -14,8 +14,7 @@
 //! from prefixes already mentioned in the configuration.
 
 use std::collections::BTreeSet;
-use std::fmt;
-use vmn_net::{Address, Prefix};
+use vmn_net::Prefix;
 
 /// The intersection of two prefixes: the longer one if nested, nothing
 /// if disjoint.
@@ -117,16 +116,6 @@ impl WindowSet {
         out
     }
 
-    /// Narrows every window's destination side by a prefix.
-    pub fn narrow_dst(&self, dst: Prefix) -> WindowSet {
-        self.intersect(&WindowSet::window(Prefix::default_route(), dst))
-    }
-
-    /// Whether a concrete `(src, dst)` header falls in some window.
-    pub fn admits(&self, src: Address, dst: Address) -> bool {
-        self.any || self.windows.iter().any(|(s, d)| s.contains(src) && d.contains(dst))
-    }
-
     /// Whether any window intersects `(src ∈ p, dst ∈ q)`.
     pub fn admits_window(&self, src: Prefix, dst: Prefix) -> bool {
         self.any
@@ -162,94 +151,6 @@ impl WindowSet {
     }
 }
 
-impl fmt::Display for WindowSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.any {
-            return f.write_str("any");
-        }
-        if self.windows.is_empty() {
-            return f.write_str("none");
-        }
-        for (i, (s, d)) in self.windows.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" | ")?;
-            }
-            write!(f, "{s}->{d}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A contract on one directed cut edge `from -> to`: the windows that
-/// packets crossing the edge in that direction may occupy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortContract {
-    pub from: String,
-    pub to: String,
-    pub windows: WindowSet,
-}
-
-/// The contracts a module exposes: assumptions on incoming cut edges,
-/// guarantees on outgoing ones.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ModuleContract {
-    pub module: String,
-    /// Assumed windows on each incoming cut edge `(outside, inside)`.
-    pub ingress: Vec<PortContract>,
-    /// Guaranteed windows on each outgoing cut edge `(inside, outside)`.
-    pub egress: Vec<PortContract>,
-}
-
-/// Why a contract set is rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ContractError {
-    /// A declared contract under-approximates what the network can
-    /// actually send across the edge: the synthesized window `window`
-    /// crosses `from -> to` but the declared contract does not admit it.
-    Unsound { from: String, to: String, window: String },
-    /// An egress guarantee does not imply the neighbouring ingress
-    /// assumption on the same edge.
-    Compose { from: String, to: String },
-    /// A contract names an edge that is not a boundary edge of the
-    /// partition.
-    UnknownEdge { from: String, to: String },
-    /// A contract names a module the partition does not have.
-    UnknownModule { module: String },
-    /// Two declared contracts name the same module. Rejected outright:
-    /// the composition check skips contract pairs with equal module
-    /// names, so a shared name would silently skip the egress-implies-
-    /// ingress check between the two.
-    DuplicateModule { module: String },
-}
-
-impl fmt::Display for ContractError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ContractError::Unsound { from, to, window } => write!(
-                f,
-                "contract on {from} -> {to} is unsound: the network can send {window} \
-                 across the edge but the contract does not admit it"
-            ),
-            ContractError::Compose { from, to } => write!(
-                f,
-                "contracts do not compose on {from} -> {to}: the egress guarantee does \
-                 not imply the neighbour's ingress assumption"
-            ),
-            ContractError::UnknownEdge { from, to } => {
-                write!(f, "contract names {from} -> {to}, which is not a boundary edge")
-            }
-            ContractError::UnknownModule { module } => {
-                write!(f, "contract names module {module:?}, which is not in the partition")
-            }
-            ContractError::DuplicateModule { module } => {
-                write!(f, "two contracts declared for module {module:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ContractError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,8 +159,9 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn addr(s: &str) -> Address {
-        s.parse().unwrap()
+    /// Whether the concrete header `src -> dst` falls in some window.
+    fn admits(ws: &WindowSet, src: &str, dst: &str) -> bool {
+        ws.admits_window(px(src), px(dst))
     }
 
     #[test]
@@ -276,10 +178,10 @@ mod tests {
     #[test]
     fn admits_and_any() {
         let ws = WindowSet::window(px("10.1.0.0/16"), px("10.2.0.0/16"));
-        assert!(ws.admits(addr("10.1.3.4"), addr("10.2.0.1")));
-        assert!(!ws.admits(addr("10.3.0.1"), addr("10.2.0.1")));
-        assert!(WindowSet::any().admits(addr("1.2.3.4"), addr("5.6.7.8")));
-        assert!(!WindowSet::empty().admits(addr("1.2.3.4"), addr("5.6.7.8")));
+        assert!(admits(&ws, "10.1.3.4", "10.2.0.1"));
+        assert!(!admits(&ws, "10.3.0.1", "10.2.0.1"));
+        assert!(admits(&WindowSet::any(), "1.2.3.4", "5.6.7.8"));
+        assert!(!admits(&WindowSet::empty(), "1.2.3.4", "5.6.7.8"));
     }
 
     #[test]
@@ -287,8 +189,8 @@ mod tests {
         let a = WindowSet::window(px("10.0.0.0/8"), px("0.0.0.0/0"));
         let b = WindowSet::window(px("10.1.0.0/16"), px("10.2.0.0/16"));
         let i = a.intersect(&b);
-        assert!(i.admits(addr("10.1.0.1"), addr("10.2.0.1")));
-        assert!(!i.admits(addr("10.9.0.1"), addr("10.2.0.1")));
+        assert!(admits(&i, "10.1.0.1", "10.2.0.1"));
+        assert!(!admits(&i, "10.9.0.1", "10.2.0.1"));
         // Disjoint prefixes intersect to nothing.
         let c = WindowSet::window(px("192.168.0.0/16"), px("0.0.0.0/0"));
         assert!(a.intersect(&c).is_empty());
@@ -309,8 +211,8 @@ mod tests {
     fn reversed_swaps_sides() {
         let ws = WindowSet::window(px("10.1.0.0/16"), px("10.2.0.0/16"));
         let r = ws.reversed();
-        assert!(r.admits(addr("10.2.0.1"), addr("10.1.0.1")));
-        assert!(!r.admits(addr("10.1.0.1"), addr("10.2.0.1")));
+        assert!(admits(&r, "10.2.0.1", "10.1.0.1"));
+        assert!(!admits(&r, "10.1.0.1", "10.2.0.1"));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! each survive exactly the deltas that cannot have moved them. The
 //! daemon keeps its
 //! cached verdicts as they are only under [`TouchSet::Nothing`]; after
-//! any other delta it asks each pair's slice fingerprint instead.
+//! any other delta it asks each pair's slice key (`vmn::slice::SliceKey`)
+//! instead.
 
 use std::collections::BTreeSet;
 

@@ -40,7 +40,7 @@
 pub mod contract;
 pub mod delta;
 pub mod partition;
-pub use contract::{ContractError, ModuleContract, PortContract, Window, WindowSet};
+pub use contract::{Window, WindowSet};
 pub use delta::TouchSet;
 pub use partition::{auto_partition, Module, Partition, PartitionError};
 
@@ -61,7 +61,6 @@ pub enum Field {
     Dst,
     SrcPort,
     DstPort,
-    Proto,
     Origin,
     Tag,
 }
@@ -73,7 +72,6 @@ impl fmt::Display for Field {
             Field::Dst => "dst",
             Field::SrcPort => "src-port",
             Field::DstPort => "dst-port",
-            Field::Proto => "proto",
             Field::Origin => "origin",
             Field::Tag => "tag",
         };
@@ -444,9 +442,7 @@ pub fn mentioned_addresses(model: &MboxModel) -> Vec<AddressSet<'_>> {
 /// Header fields a key expression reads.
 fn key_fields(k: KeyExpr) -> Vec<Field> {
     match k {
-        KeyExpr::Flow => {
-            vec![Field::Src, Field::Dst, Field::SrcPort, Field::DstPort, Field::Proto]
-        }
+        KeyExpr::Flow => vec![Field::Src, Field::Dst, Field::SrcPort, Field::DstPort],
         KeyExpr::SrcAddr => vec![Field::Src],
         KeyExpr::DstAddr => vec![Field::Dst],
         KeyExpr::Origin => vec![Field::Origin],
@@ -454,15 +450,8 @@ fn key_fields(k: KeyExpr) -> Vec<Field> {
     }
 }
 
-const ALL_FIELDS: [Field; 7] = [
-    Field::Src,
-    Field::Dst,
-    Field::SrcPort,
-    Field::DstPort,
-    Field::Proto,
-    Field::Origin,
-    Field::Tag,
-];
+const ALL_FIELDS: [Field; 6] =
+    [Field::Src, Field::Dst, Field::SrcPort, Field::DstPort, Field::Origin, Field::Tag];
 
 fn rule_footprint(model: &MboxModel, rule: usize) -> Footprint {
     let mut fp = Footprint::default();

@@ -2,11 +2,12 @@
 //!
 //! A [`Partition`] splits the network's nodes into named, disjoint,
 //! covering modules. The cut edges between modules are the *boundary
-//! ports* where contracts live ([`crate::contract`]): each module is
-//! verified against assumptions on what can arrive over its incoming
-//! cut edges and guarantees on what it sends over its outgoing ones,
-//! and a cheap composition check ties the modules back together —
-//! LIGHTYEAR's recipe applied to VMN's mutable-datapath setting.
+//! ports* where contracts live ([`crate::contract`]): the `vmn` crate
+//! synthesizes, for each cut edge, what can cross it, and an isolation
+//! invariant between modules holds when nothing the destination's
+//! edges admit carries the source's address — LIGHTYEAR's modular
+//! recipe applied to VMN's mutable-datapath setting, with every
+//! contract derived from the network rather than written by hand.
 //!
 //! Everything here is name-based (`String` node names, `(String,
 //! String)` undirected links) so the partitioner stays independent of

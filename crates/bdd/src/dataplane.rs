@@ -252,8 +252,7 @@ impl Dataplane {
     }
 
     /// Compiles a model guard over the header variables. Mirrors the SMT
-    /// encoder's `guard_term`: protocol guards are compile-time true
-    /// (single modelled transport), and origin guards read the source
+    /// encoder's `guard_term`, except that origin guards read the source
     /// bits — valid precisely because on stateless slices no box ever
     /// separates `origin(p)` from `src(p)`.
     fn compile_guard(
@@ -510,7 +509,7 @@ impl Dataplane {
             }
             v
         };
-        let header = Header::tcp(
+        let header = Header::new(
             Address(bit(SRC_BASE, 32) as u32),
             bit(SPORT_BASE, 16) as u16,
             Address(bit(DST_BASE, 32) as u32),

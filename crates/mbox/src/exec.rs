@@ -271,7 +271,6 @@ where
                         dst: cur.src,
                         src_port: cur.dst_port,
                         dst_port: cur.src_port,
-                        proto: cur.proto,
                         origin: orig.origin,
                         tag: orig.tag,
                     };
@@ -309,7 +308,7 @@ mod tests {
         let fw = models::learning_firewall("fw", vec![(px("10.0.1.0/24"), px("10.0.2.0/24"))]);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let out = Header::tcp(addr("10.0.1.5"), 1000, addr("10.0.2.7"), 80);
+        let out = Header::new(addr("10.0.1.5"), 1000, addr("10.0.2.7"), 80);
 
         // Unsolicited inbound is dropped.
         let inbound = out.reverse();
@@ -332,7 +331,7 @@ mod tests {
         let fw = models::learning_firewall("fw", vec![(px("10.0.1.0/24"), px("10.0.2.0/24"))]);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let evil = Header::tcp(addr("10.9.9.9"), 1000, addr("10.0.2.7"), 80);
+        let evil = Header::new(addr("10.9.9.9"), 1000, addr("10.0.2.7"), 80);
         let r = process(&fw, &mut st, false, evil, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, None);
         assert!(st.is_empty());
@@ -344,7 +343,7 @@ mod tests {
         let cache = models::content_cache("c", [px("10.1.0.0/16")], vec![]);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let h = Header::tcp(addr("10.0.1.5"), 1000, addr("10.0.2.7"), 80);
+        let h = Header::new(addr("10.0.1.5"), 1000, addr("10.0.2.7"), 80);
         // Failed-closed firewall drops even ACL-allowed traffic.
         let r = process(&fw, &mut st, true, h, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, None);
@@ -359,7 +358,7 @@ mod tests {
         let n = models::nat("nat", px("192.168.0.0/16"), external);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let out = Header::tcp(addr("192.168.0.10"), 5555, addr("8.8.8.8"), 53);
+        let out = Header::new(addr("192.168.0.10"), 5555, addr("8.8.8.8"), 53);
 
         // Outbound: src rewritten to the external address with fresh port.
         let r = process(&n, &mut st, false, out, &mut no_oracle, &mut ch);
@@ -382,7 +381,7 @@ mod tests {
         let n = models::nat("nat", px("192.168.0.0/16"), external);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let unsolicited = Header::tcp(addr("8.8.8.8"), 53, external, 60001);
+        let unsolicited = Header::new(addr("8.8.8.8"), 53, external, 60001);
         let r = process(&n, &mut st, false, unsolicited, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, None);
     }
@@ -394,7 +393,7 @@ mod tests {
         let b2 = addr("10.0.0.2");
         let lb = models::load_balancer("lb", vip, vec![b1, b2]);
         let mut st = MboxState::new();
-        let h = Header::tcp(addr("10.9.0.1"), 1234, vip, 80);
+        let h = Header::new(addr("10.9.0.1"), 1234, vip, 80);
 
         let mut ch = SeqChooser::new(); // picks index 0
         let r = process(&lb, &mut st, false, h, &mut no_oracle, &mut ch);
@@ -405,7 +404,7 @@ mod tests {
         assert_eq!(r.emitted.unwrap().dst, b2);
 
         // Non-VIP traffic passes untouched.
-        let other = Header::tcp(addr("10.9.0.1"), 1234, addr("10.0.0.7"), 80);
+        let other = Header::new(addr("10.9.0.1"), 1234, addr("10.0.0.7"), 80);
         let mut ch = SeqChooser::new();
         let r = process(&lb, &mut st, false, other, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, Some(other));
@@ -416,7 +415,7 @@ mod tests {
         let box_ = models::idps("idps");
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let h = Header::tcp(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2);
+        let h = Header::new(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2);
         let mut bad = |name: &str, _: &Header| name == "malicious?";
         let r = process(&box_, &mut st, false, h, &mut bad, &mut ch);
         assert_eq!(r.emitted, None);
@@ -435,7 +434,7 @@ mod tests {
         let client = addr("10.2.0.9");
 
         // Miss: request forwarded to the server.
-        let request = Header::tcp(client, 4000, server, 80);
+        let request = Header::new(client, 4000, server, 80);
         let r = process(&cache, &mut st, false, request, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, Some(request));
 
@@ -447,7 +446,7 @@ mod tests {
 
         // Second client hits: served from cache with the cached origin.
         let client2 = addr("10.3.0.1");
-        let request2 = Header::tcp(client2, 4001, server, 80);
+        let request2 = Header::new(client2, 4001, server, 80);
         let r = process(&cache, &mut st, false, request2, &mut no_oracle, &mut ch);
         let served = r.emitted.expect("cache hit");
         assert_eq!(served.dst, client2);
@@ -465,13 +464,13 @@ mod tests {
         let server = addr("10.1.0.5");
 
         // Warm the cache via an allowed client.
-        let ok_req = Header::tcp(addr("10.2.0.9"), 4000, server, 80);
+        let ok_req = Header::new(addr("10.2.0.9"), 4000, server, 80);
         process(&cache, &mut st, false, ok_req, &mut no_oracle, &mut ch);
         let resp = Header { origin: server, tag: 9, ..ok_req.reverse() };
         process(&cache, &mut st, false, resp, &mut no_oracle, &mut ch);
 
         // Denied client gets nothing, despite the content being cached.
-        let denied = Header::tcp(addr("10.3.0.1"), 4001, server, 80);
+        let denied = Header::new(addr("10.3.0.1"), 4001, server, 80);
         let r = process(&cache, &mut st, false, denied, &mut no_oracle, &mut ch);
         assert_eq!(r.emitted, None, "deny ACL must win over cache hits");
     }
@@ -481,7 +480,7 @@ mod tests {
         let w = models::wan_optimizer("w");
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let h = Header { tag: 42, ..Header::tcp(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2) };
+        let h = Header { tag: 42, ..Header::new(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2) };
         let r = process(&w, &mut st, false, h, &mut no_oracle, &mut ch);
         let out = r.emitted.unwrap();
         assert_ne!(out.tag, 42, "payload identity must be havoced");
@@ -493,7 +492,7 @@ mod tests {
         let fw = models::application_firewall("appfw", &["skype?"], &["skype?", "jabber?"]);
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
-        let h = Header::tcp(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2);
+        let h = Header::new(addr("1.1.1.1"), 1, addr("2.2.2.2"), 2);
         let mut is_skype = |name: &str, _: &Header| name == "skype?";
         let r = process(&fw, &mut st, false, h, &mut is_skype, &mut ch);
         assert_eq!(r.emitted, None);

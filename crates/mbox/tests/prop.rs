@@ -9,7 +9,7 @@ use vmn_net::{Address, Header, Prefix};
 
 fn arb_header() -> impl Strategy<Value = Header> {
     (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>())
-        .prop_map(|(s, d, sp, dp)| Header::tcp(Address(s), sp, Address(d), dp))
+        .prop_map(|(s, d, sp, dp)| Header::new(Address(s), sp, Address(d), dp))
 }
 
 fn no_oracle(_: &str, _: &Header) -> bool {
@@ -70,7 +70,7 @@ proptest! {
         let mut st = MboxState::new();
         let mut ch = SeqChooser::new();
         let src = Address(0xC0A8_0000 | host as u32);
-        let out = Header::tcp(src, sp, dst, dp);
+        let out = Header::new(src, sp, dst, dp);
         let sent = process(&n, &mut st, false, out, &mut no_oracle, &mut ch)
             .emitted.expect("outbound forwarded");
         prop_assert_eq!(sent.src, external);
@@ -106,14 +106,14 @@ proptest! {
         let mut ch = SeqChooser::new();
         let server = Address(0x0A01_0005);
         // Warm: one response from the server.
-        let warm_req = Header::tcp(Address(0x0B00_0001), 1000, server, 80);
+        let warm_req = Header::new(Address(0x0B00_0001), 1000, server, 80);
         let resp = Header { origin: server, tag, ..warm_req.reverse() };
         process(&cache, &mut st, false, resp, &mut no_oracle, &mut ch);
         // Any client asking for that server gets the same content back.
         for (c, p) in reqs {
             let client = Address(0x0B00_0000 | (c & 0xFFFF));
             prop_assume!(!servers.contains(client));
-            let req = Header::tcp(client, p, server, 80);
+            let req = Header::new(client, p, server, 80);
             let out = process(&cache, &mut st, false, req, &mut no_oracle, &mut ch)
                 .emitted.expect("hit");
             prop_assert_eq!(out.origin, server);
@@ -216,7 +216,7 @@ proptest! {
                     let origin = if rng.below(3) == 0 { pick_addr(&mut rng) } else { src };
                     let port = |rng: &mut TestRng| [80, 443, 1000][rng.below(3) as usize];
                     let (sp, dp) = (port(&mut rng), port(&mut rng));
-                    Header { origin, ..Header::tcp(src, sp, pick_addr(&mut rng), dp) }
+                    Header { origin, ..Header::new(src, sp, pick_addr(&mut rng), dp) }
                 }
             };
             // An oracle answers by name and step, never by address.

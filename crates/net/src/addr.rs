@@ -1,4 +1,4 @@
-//! Addresses, prefixes and protocol identifiers.
+//! Addresses and prefixes.
 //!
 //! Addresses are IPv4-style 32-bit values. The verifier treats them as
 //! opaque bit-vectors; the dotted-quad notation exists purely for human
@@ -202,44 +202,6 @@ impl FromStr for Prefix {
     }
 }
 
-/// Transport protocol of a flow.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
-pub enum Protocol {
-    #[default]
-    Tcp,
-    Udp,
-    /// Anything else; carried as an opaque number.
-    Other(u8),
-}
-
-impl Protocol {
-    pub fn number(self) -> u8 {
-        match self {
-            Protocol::Tcp => 6,
-            Protocol::Udp => 17,
-            Protocol::Other(n) => n,
-        }
-    }
-
-    pub fn from_number(n: u8) -> Protocol {
-        match n {
-            6 => Protocol::Tcp,
-            17 => Protocol::Udp,
-            other => Protocol::Other(other),
-        }
-    }
-}
-
-impl fmt::Display for Protocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Protocol::Tcp => write!(f, "tcp"),
-            Protocol::Udp => write!(f, "udp"),
-            Protocol::Other(n) => write!(f, "proto{n}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +259,6 @@ mod tests {
         assert_eq!(p.len(), 32);
         assert!(p.contains("10.0.0.1".parse().unwrap()));
         assert!(!p.contains("10.0.0.2".parse().unwrap()));
-    }
-
-    #[test]
-    fn protocol_numbers() {
-        assert_eq!(Protocol::Tcp.number(), 6);
-        assert_eq!(Protocol::from_number(17), Protocol::Udp);
-        assert_eq!(Protocol::from_number(89), Protocol::Other(89));
     }
 
     #[test]

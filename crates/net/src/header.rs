@@ -4,7 +4,7 @@
 //! this concrete form is used by configurations, by the discrete-event
 //! simulator, and to replay counterexample traces.
 
-use crate::addr::{Address, Protocol};
+use crate::addr::Address;
 use std::fmt;
 
 /// The header fields VMN models, plus the two abstract fields the paper
@@ -21,15 +21,14 @@ pub struct Header {
     pub dst: Address,
     pub src_port: u16,
     pub dst_port: u16,
-    pub proto: Protocol,
     pub origin: Address,
     pub tag: u64,
 }
 
 impl Header {
-    /// A TCP header with given endpoints; origin defaults to the source.
-    pub fn tcp(src: Address, src_port: u16, dst: Address, dst_port: u16) -> Header {
-        Header { src, dst, src_port, dst_port, proto: Protocol::Tcp, origin: src, tag: 0 }
+    /// A header with given endpoints; origin defaults to the source.
+    pub fn new(src: Address, src_port: u16, dst: Address, dst_port: u16) -> Header {
+        Header { src, dst, src_port, dst_port, origin: src, tag: 0 }
     }
 
     /// The header of a reply travelling the reverse direction.
@@ -39,14 +38,13 @@ impl Header {
             dst: self.src,
             src_port: self.dst_port,
             dst_port: self.src_port,
-            proto: self.proto,
             origin: self.dst,
             tag: self.tag,
         }
     }
 
     /// This header under the translation `a ↦ a ^ mask` of the address
-    /// space: `src`, `dst` and `origin` move, ports, protocol and tag stay.
+    /// space: `src`, `dst` and `origin` move, ports and tag stay.
     pub fn translated(self, mask: u32) -> Header {
         Header {
             src: self.src.translated(mask),
@@ -64,7 +62,7 @@ impl Header {
         let a = (self.src, self.src_port);
         let b = (self.dst, self.dst_port);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        FlowId { lo_addr: lo.0, lo_port: lo.1, hi_addr: hi.0, hi_port: hi.1, proto: self.proto }
+        FlowId { lo_addr: lo.0, lo_port: lo.1, hi_addr: hi.0, hi_port: hi.1 }
     }
 
     /// Whether `self` travels the same flow as `other` (either direction).
@@ -75,22 +73,19 @@ impl Header {
 
 impl fmt::Display for Header {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{} -> {}:{} ({})",
-            self.src, self.src_port, self.dst, self.dst_port, self.proto
-        )
+        write!(f, "{}:{} -> {}:{}", self.src, self.src_port, self.dst, self.dst_port)
     }
 }
 
-/// Canonical (direction-normalised) flow identifier.
+/// Canonical (direction-normalised) flow identifier: the two
+/// `(address, port)` endpoints in order, the four fields the SMT
+/// encoder's flow key compares. No protocol is modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct FlowId {
     lo_addr: Address,
     lo_port: u16,
     hi_addr: Address,
     hi_port: u16,
-    proto: Protocol,
 }
 
 #[cfg(test)]
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn reverse_swaps_endpoints() {
-        let h = Header::tcp(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
+        let h = Header::new(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
         let r = h.reverse();
         assert_eq!(r.src, addr("10.0.0.2"));
         assert_eq!(r.src_port, 80);
@@ -114,16 +109,16 @@ mod tests {
 
     #[test]
     fn flow_is_direction_insensitive() {
-        let h = Header::tcp(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
+        let h = Header::new(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
         assert_eq!(h.flow(), h.reverse().flow());
         assert!(h.same_flow(&h.reverse()));
     }
 
     #[test]
     fn different_connections_have_different_flows() {
-        let h1 = Header::tcp(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
-        let h2 = Header::tcp(addr("10.0.0.1"), 4243, addr("10.0.0.2"), 80);
-        let h3 = Header::tcp(addr("10.0.0.3"), 4242, addr("10.0.0.2"), 80);
+        let h1 = Header::new(addr("10.0.0.1"), 4242, addr("10.0.0.2"), 80);
+        let h2 = Header::new(addr("10.0.0.1"), 4243, addr("10.0.0.2"), 80);
+        let h3 = Header::new(addr("10.0.0.3"), 4242, addr("10.0.0.2"), 80);
         assert_ne!(h1.flow(), h2.flow());
         assert_ne!(h1.flow(), h3.flow());
     }
@@ -132,18 +127,11 @@ mod tests {
     fn translation_keeps_flow_equality() {
         // `flow` orders the two endpoints, and a translation can swap that
         // order; the flows of two headers stay equal or unequal all the same.
-        let h = Header::tcp(addr("10.0.0.1"), 4242, addr("128.0.0.2"), 80);
+        let h = Header::new(addr("10.0.0.1"), 4242, addr("128.0.0.2"), 80);
         let mask = 0x8000_0000;
         let (t, r) = (h.translated(mask), h.reverse().translated(mask));
         assert!(t.same_flow(&r));
         assert!(!t.same_flow(&Header { src_port: 1, ..r }));
         assert_eq!(t.translated(mask), h);
-    }
-
-    #[test]
-    fn udp_and_tcp_flows_differ() {
-        let t = Header::tcp(addr("1.1.1.1"), 9, addr("2.2.2.2"), 9);
-        let u = Header { proto: Protocol::Udp, ..t };
-        assert_ne!(t.flow(), u.flow());
     }
 }

@@ -7,7 +7,7 @@
 //! from located packets to located packets. This crate provides both, from
 //! scratch:
 //!
-//! * [`addr`] — IPv4-style addresses, prefixes, ports, protocols;
+//! * [`addr`] — IPv4-style addresses and prefixes;
 //! * [`header`] — concrete packet headers and flow identities;
 //! * [`topology`] — nodes (hosts, switches, middleboxes), links and
 //!   failure scenarios;
@@ -35,10 +35,10 @@ pub mod pipeline;
 pub mod topology;
 pub mod transfer;
 
-pub use addr::{Address, Prefix, Protocol};
+pub use addr::{Address, Prefix};
 pub use error::NetError;
 pub use fwd::{ForwardingTables, RoutingConfig, Rule};
 pub use header::{FlowId, Header};
-pub use pipeline::{PipelineDag, PipelineSpec, PipelineViolation, PortClass};
+pub use pipeline::{PipelineSpec, PipelineViolation};
 pub use topology::{FailureScenario, Link, Node, NodeId, NodeKind, Topology};
 pub use transfer::{translated_intervals, HeaderClasses, Interval, TransferFunction};

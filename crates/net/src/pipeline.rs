@@ -9,7 +9,7 @@
 
 use crate::addr::Address;
 use crate::error::NetError;
-use crate::topology::{NodeId, Topology};
+use crate::topology::NodeId;
 use crate::transfer::TransferFunction;
 
 /// A pipeline requirement: the listed middlebox types must be traversed in
@@ -95,36 +95,12 @@ impl std::fmt::Display for PipelineViolation {
     }
 }
 
-/// Checks a pipeline spec for every (host, destination-host) pair in a
-/// topology; returns all violations. Convenience for the scenario tests.
-pub fn check_all_pairs(
-    topo: &Topology,
-    tf: &TransferFunction<'_>,
-    spec: &PipelineSpec,
-) -> Result<Vec<PipelineViolation>, NetError> {
-    let mut out = Vec::new();
-    let hosts: Vec<NodeId> = topo.hosts().collect();
-    for &src in &hosts {
-        for &dst in &hosts {
-            if src == dst {
-                continue;
-            }
-            for &addr in &topo.node(dst).addresses {
-                if let Err(v) = spec.check(tf, src, addr)? {
-                    out.push(v);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::Prefix;
     use crate::fwd::{ForwardingTables, RoutingConfig, Rule};
-    use crate::topology::FailureScenario;
+    use crate::topology::{FailureScenario, Topology};
 
     fn addr(s: &str) -> Address {
         s.parse().unwrap()
@@ -207,165 +183,5 @@ mod tests {
         // With the firewall dead, the base route bypasses both middleboxes.
         let v = spec.check(&tf, h1, addr("10.0.2.1")).unwrap().unwrap_err();
         assert_eq!(v.missing, "firewall");
-    }
-
-    #[test]
-    fn all_pairs_sweep() {
-        let (t, ft, _, _) = chain();
-        let none = FailureScenario::none();
-        let tf = TransferFunction::new(&t, &ft, &none);
-        let spec = PipelineSpec::new(["firewall"]);
-        let violations = check_all_pairs(&t, &tf, &spec).unwrap();
-        // Only the reverse direction (h2 -> h1) violates.
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].src, t.by_name("h2").unwrap());
-    }
-}
-
-/// A branching (DAG) pipeline invariant (§2.3's "more complicated
-/// pipeline invariants involve a DAG of middleboxes and specify the
-/// appropriate branching at each step", e.g. *"all http packets leaving
-/// the firewall go to the load balancer, while all other traffic goes
-/// directly to the destination"*).
-///
-/// Each branch pairs a destination-port predicate with the required
-/// middlebox-type sequence for packets matching it; the first matching
-/// branch applies. A packet matching no branch is unconstrained.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PipelineDag {
-    pub branches: Vec<(PortClass, PipelineSpec)>,
-}
-
-/// Packet class selector for DAG branches: a destination-port set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PortClass {
-    /// Matches the listed destination ports (e.g. 80/443 for "http").
-    Ports(Vec<u16>),
-    /// Matches everything (the default branch).
-    Any,
-}
-
-impl PortClass {
-    pub fn matches(&self, dst_port: u16) -> bool {
-        match self {
-            PortClass::Ports(ps) => ps.contains(&dst_port),
-            PortClass::Any => true,
-        }
-    }
-}
-
-impl PipelineDag {
-    pub fn new() -> PipelineDag {
-        PipelineDag { branches: Vec::new() }
-    }
-
-    /// Adds a branch; earlier branches take precedence.
-    pub fn branch(
-        mut self,
-        class: PortClass,
-        required: impl IntoIterator<Item = impl Into<String>>,
-    ) -> PipelineDag {
-        self.branches.push((class, PipelineSpec::new(required)));
-        self
-    }
-
-    /// Checks the DAG invariant for one (src, dst address, dst port)
-    /// triple: the first branch whose class matches the port applies.
-    pub fn check(
-        &self,
-        tf: &TransferFunction<'_>,
-        src: NodeId,
-        dst: Address,
-        dst_port: u16,
-    ) -> Result<Result<(), PipelineViolation>, NetError> {
-        for (class, spec) in &self.branches {
-            if class.matches(dst_port) {
-                return spec.check(tf, src, dst);
-            }
-        }
-        Ok(Ok(()))
-    }
-}
-
-impl Default for PipelineDag {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod dag_tests {
-    use super::*;
-    use crate::addr::Prefix;
-    use crate::fwd::{RoutingConfig, Rule};
-    use crate::topology::FailureScenario;
-
-    fn addr(s: &str) -> Address {
-        s.parse().unwrap()
-    }
-
-    fn px(s: &str) -> Prefix {
-        s.parse().unwrap()
-    }
-
-    /// src traffic is steered through fw always; http additionally through
-    /// the load balancer (fw emissions to port-80-backends go via lb).
-    fn branching() -> (Topology, crate::fwd::ForwardingTables, NodeId) {
-        let mut t = Topology::new();
-        let src = t.add_host("src", addr("8.8.8.8"));
-        let web = t.add_host("web", addr("10.0.1.1"));
-        let db = t.add_host("db", addr("10.0.2.1"));
-        let sw = t.add_switch("sw");
-        let fw = t.add_middlebox("fw", "firewall", vec![]);
-        let lb = t.add_middlebox("lb", "load-balancer", vec![]);
-        for n in [src, web, db, fw, lb] {
-            t.add_link(n, sw);
-        }
-        let mut rc = RoutingConfig::new();
-        rc.host_routes(&t);
-        let mut ft = rc.build(&t, &FailureScenario::none());
-        ft.add_rule(sw, Rule::from_neighbor(px("10.0.0.0/8"), src, fw).with_priority(20));
-        // Web-server traffic continues from the firewall to the LB.
-        ft.add_rule(sw, Rule::from_neighbor(px("10.0.1.0/24"), fw, lb).with_priority(20));
-        (t, ft, src)
-    }
-
-    #[test]
-    fn http_branch_requires_lb() {
-        let (t, ft, src) = branching();
-        let none = FailureScenario::none();
-        let tf = TransferFunction::new(&t, &ft, &none);
-        let dag = PipelineDag::new()
-            .branch(PortClass::Ports(vec![80, 443]), ["firewall", "load-balancer"])
-            .branch(PortClass::Any, ["firewall"]);
-        // Web traffic (http to the web rack) satisfies fw → lb.
-        assert_eq!(dag.check(&tf, src, addr("10.0.1.1"), 80).unwrap(), Ok(()));
-        // Database traffic only needs the firewall.
-        assert_eq!(dag.check(&tf, src, addr("10.0.2.1"), 5432).unwrap(), Ok(()));
-        // But http-class traffic aimed at the DB rack bypasses the LB —
-        // the invariant flags it.
-        let violation = dag.check(&tf, src, addr("10.0.2.1"), 80).unwrap();
-        assert!(violation.is_err(), "http to the db rack skips the load balancer");
-    }
-
-    #[test]
-    fn branch_order_gives_precedence() {
-        let (t, ft, src) = branching();
-        let none = FailureScenario::none();
-        let tf = TransferFunction::new(&t, &ft, &none);
-        // With Any first, the port-80 branch is shadowed.
-        let dag = PipelineDag::new()
-            .branch(PortClass::Any, ["firewall"])
-            .branch(PortClass::Ports(vec![80]), ["firewall", "load-balancer"]);
-        assert_eq!(dag.check(&tf, src, addr("10.0.2.1"), 80).unwrap(), Ok(()));
-    }
-
-    #[test]
-    fn empty_dag_constrains_nothing() {
-        let (t, ft, src) = branching();
-        let none = FailureScenario::none();
-        let tf = TransferFunction::new(&t, &ft, &none);
-        let dag = PipelineDag::default();
-        assert_eq!(dag.check(&tf, src, addr("10.0.1.1"), 80).unwrap(), Ok(()));
     }
 }

@@ -31,7 +31,8 @@
 //!
 //! Slicing, trace bounds and policy-equivalence refinement walk the
 //! engine's classes; the interval readers (SMT encoder, BDD dataplane,
-//! verdict fingerprint) read the delivery table.
+//! the daemon's slice key `vmn::slice::SliceKey`) read the delivery
+//! table.
 
 use crate::addr::{Address, Prefix};
 use crate::error::NetError;
@@ -274,13 +275,14 @@ impl<'a> TransferFunction<'a> {
     /// destination addresses, covering the whole address space in order.
     ///
     /// This is the one interval view of the static datapath: the SMT
-    /// encoder, the BDD dataplane and the verdict fingerprint each
-    /// project it (to node indices, range predicates, in-slice names), so
-    /// they agree on every delivery by construction. Merging happens on
-    /// the raw targets; a consumer that maps several targets to one
-    /// outcome and then discards that outcome (the encoder's and the
-    /// fingerprint's out-of-slice "drop") keeps exactly the intervals it
-    /// would have kept by merging after projecting.
+    /// encoder, the BDD dataplane and the slice key (`vmn::slice::SliceKey`)
+    /// each project it (to node indices, range predicates, canonical member
+    /// indices), so they agree on every delivery by construction. Merging
+    /// happens on the raw targets; a consumer that maps several targets to
+    /// one outcome and then discards that outcome (the encoder's
+    /// out-of-slice "drop", the targets the slice key leaves out) keeps
+    /// exactly the intervals it would have kept by merging after
+    /// projecting.
     ///
     /// The sweep walks on the classes' next-hop runs, one walk per run of
     /// classes rather than per class. A walk reports its reach: the last

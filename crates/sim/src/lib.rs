@@ -293,7 +293,7 @@ mod tests {
     fn firewall_blocks_unsolicited_inbound() {
         let (net, model) = firewalled_net(vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
         let mut s = sim(&net, &model, FailureScenario::none());
-        let attack = Header::tcp(addr("8.8.8.8"), 1234, addr("10.0.0.5"), 22);
+        let attack = Header::new(addr("8.8.8.8"), 1234, addr("10.0.0.5"), 22);
         s.send_and_settle(net.outside, attack).unwrap();
         assert!(!s.host_received(net.inside, |_| true), "inbound must be dropped");
     }
@@ -302,7 +302,7 @@ mod tests {
     fn firewall_allows_reply_after_outbound() {
         let (net, model) = firewalled_net(vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
         let mut s = sim(&net, &model, FailureScenario::none());
-        let request = Header::tcp(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
+        let request = Header::new(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
         s.send_and_settle(net.inside, request).unwrap();
         assert!(s.host_received(net.outside, |h| h.dst_port == 80), "outbound flows");
         let reply = request.reverse();
@@ -317,7 +317,7 @@ mod tests {
     fn interleaving_matters_reply_before_request_is_dropped() {
         let (net, model) = firewalled_net(vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
         let mut s = sim(&net, &model, FailureScenario::none());
-        let request = Header::tcp(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
+        let request = Header::new(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
         let reply = request.reverse();
         // Both packets are in flight; the firewall processes the reply first.
         s.exec(&SimOp::Send { host: net.inside, header: request }).unwrap();
@@ -338,7 +338,7 @@ mod tests {
     fn failed_closed_firewall_blocks_everything() {
         let (net, model) = firewalled_net(vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
         let mut s = sim(&net, &model, FailureScenario::nodes([net.fw]));
-        let request = Header::tcp(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
+        let request = Header::new(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
         // With the firewall failed, the pipeline rule is dead and the base
         // route delivers directly — traffic *bypasses* the firewall. This
         // models the "fail-over removes the middlebox" routing behaviour.
@@ -358,7 +358,7 @@ mod tests {
     fn event_log_records_pipeline() {
         let (net, model) = firewalled_net(vec![(px("10.0.0.0/8"), px("0.0.0.0/0"))]);
         let mut s = sim(&net, &model, FailureScenario::none());
-        let request = Header::tcp(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
+        let request = Header::new(addr("10.0.0.5"), 4000, addr("8.8.8.8"), 80);
         s.send_and_settle(net.inside, request).unwrap();
         let kinds: Vec<&'static str> = s
             .log()
@@ -431,7 +431,7 @@ mod more_tests {
         let mut sim = Simulator::new(&topo, &tables, FailureScenario::none(), models)
             .with_chooser(AlternatingChooser(0));
         for port in 0..4u16 {
-            let h = Header::tcp(addr("8.8.8.8"), 1000 + port, addr("10.0.0.100"), 80);
+            let h = Header::new(addr("8.8.8.8"), 1000 + port, addr("10.0.0.100"), 80);
             sim.send_and_settle(client, h).unwrap();
         }
         assert!(sim.host_received(b1, |_| true), "backend 1 sees traffic");
@@ -457,8 +457,8 @@ mod more_tests {
         // Oracle: only port 666 is malicious.
         let mut sim = Simulator::new(&topo, &tables, FailureScenario::none(), models)
             .with_oracle(|name, h| name == "malicious?" && h.dst_port == 666);
-        sim.send_and_settle(a, Header::tcp(addr("1.1.1.1"), 1, addr("2.2.2.2"), 666)).unwrap();
-        sim.send_and_settle(a, Header::tcp(addr("1.1.1.1"), 2, addr("2.2.2.2"), 80)).unwrap();
+        sim.send_and_settle(a, Header::new(addr("1.1.1.1"), 1, addr("2.2.2.2"), 666)).unwrap();
+        sim.send_and_settle(a, Header::new(addr("1.1.1.1"), 2, addr("2.2.2.2"), 80)).unwrap();
         assert!(!sim.host_received(b, |h| h.dst_port == 666), "malicious dropped");
         assert!(sim.host_received(b, |h| h.dst_port == 80), "benign delivered");
     }
@@ -482,7 +482,7 @@ mod more_tests {
         let mut sim = Simulator::new(&topo, &tables, FailureScenario::none(), models);
         sim.exec(&SimOp::Send {
             host: a,
-            header: Header::tcp(addr("1.1.1.1"), 1, addr("2.2.2.2"), 80),
+            header: Header::new(addr("1.1.1.1"), 1, addr("2.2.2.2"), 80),
         })
         .unwrap();
         // Zero budget: the queued packet stays queued, no error.

@@ -10,7 +10,7 @@ use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-use vmn_analysis::{ContractError, ModuleContract, Parallelism, Partition, TouchSet};
+use vmn_analysis::{Parallelism, Partition, TouchSet};
 use vmn_bdd::dataplane::{DataplaneError, Outcome, Query};
 use vmn_bdd::{BddStats, Dataplane};
 use vmn_check::CertificateBundle;
@@ -154,11 +154,12 @@ pub struct VerifyOptions {
     pub backend: Backend,
     /// Modular verification — see [`PartitionMode`]. With a partition
     /// installed, cross-module isolation invariants are first tried
-    /// against the synthesized boundary contracts; scenarios the
-    /// contracts prove are counted in [`Report::contract_scenarios`] and
-    /// skip planning and encoding entirely. Anything inconclusive falls
-    /// back to the exact engine, so verdicts and witnesses are identical
-    /// to [`PartitionMode::Off`] by construction.
+    /// against the boundary contracts, which are synthesized from the
+    /// network (none are declared); scenarios the contracts prove are
+    /// counted in [`Report::contract_scenarios`] and skip planning and
+    /// encoding entirely. Anything inconclusive falls back to the exact
+    /// engine, so verdicts and witnesses are identical to
+    /// [`PartitionMode::Off`] by construction.
     pub partition: PartitionMode,
 }
 
@@ -171,17 +172,16 @@ pub enum PartitionMode {
     Off,
     /// Partition with the auto-partitioner
     /// ([`vmn_analysis::auto_partition`]): cut on low-connectivity
-    /// boundaries (bridge links between infrastructure nodes). Boundary
-    /// contracts are synthesized, so composition holds by construction.
+    /// boundaries (bridge links between infrastructure nodes).
     Auto,
-    /// An operator-supplied partition, optionally with declared
-    /// per-module contracts. Declared contracts are validated against
-    /// the synthesized crossings at construction time — an
-    /// under-approximating declaration surfaces as
-    /// [`VerifyError::Contract`], never a silent pass — and checked to
-    /// compose (every egress guarantee implies the neighbouring
-    /// module's ingress assumption).
-    Explicit { partition: Partition, contracts: Vec<ModuleContract> },
+    /// An operator-supplied partition. In either mode the boundary
+    /// contracts are synthesized from the network, one window set per
+    /// cut edge, so they compose by construction.
+    ///
+    /// `contracts` admits only the empty list: no contract is declared.
+    /// The field remains for callers that still spell out
+    /// `contracts: vec![]`, and it leaves with the contract rung itself.
+    Explicit { partition: Partition, contracts: Vec<std::convert::Infallible> },
 }
 
 /// The Jaccard threshold of the sweep's scenario clustering: SMT-routed
@@ -218,10 +218,6 @@ pub enum VerifyError {
     Net(NetError),
     Encode(EncodeError),
     InvalidNetwork(String),
-    /// A declared module contract was rejected: unsound against the
-    /// synthesized crossings, failing to compose with a neighbour's
-    /// assumption, or naming a non-boundary edge.
-    Contract(ContractError),
     /// The BDD fast path could not (or must not) answer: a forced
     /// `Backend::Bdd` on a stateful slice or with certificates requested,
     /// or a dataplane-level failure such as witness reconstruction.
@@ -240,19 +236,12 @@ impl From<EncodeError> for VerifyError {
     }
 }
 
-impl From<ContractError> for VerifyError {
-    fn from(e: ContractError) -> Self {
-        VerifyError::Contract(e)
-    }
-}
-
 impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::Net(e) => write!(f, "{e}"),
             VerifyError::Encode(e) => write!(f, "{e}"),
             VerifyError::InvalidNetwork(s) => write!(f, "invalid network: {s}"),
-            VerifyError::Contract(e) => write!(f, "modular contract: {e}"),
             VerifyError::Bdd(s) => write!(f, "bdd backend: {s}"),
         }
     }
@@ -292,7 +281,7 @@ pub struct Verifier {
     /// ([`Verifier::check_bdd`]), so it never wedges later verifies.
     bdd: Mutex<Option<Dataplane>>,
     /// The modular-verification context (resolved partition, boundary
-    /// edges, validated contracts and the per-scenario synthesis cache).
+    /// edges and the per-scenario synthesis cache).
     /// `None` when [`VerifyOptions::partition`] is [`PartitionMode::Off`].
     modular: Option<crate::modular::ModularContext>,
 }
@@ -436,13 +425,8 @@ impl Verifier {
         }
     }
 
-    /// Resolves [`VerifyOptions::partition`] against a network:
-    /// validates the partition, and for explicit contracts checks
-    /// soundness against the synthesized crossings and composition
-    /// across every boundary edge. The encoder is fail-stop (failed
-    /// nodes neither send nor process), so crossings under any failure
-    /// scenario are a subset of the no-failure crossings and one check
-    /// here covers every scenario.
+    /// Resolves [`VerifyOptions::partition`] against a network: an
+    /// explicit partition must name every node of it exactly once.
     fn build_modular(
         net: &Network,
         options: &VerifyOptions,
@@ -450,11 +434,10 @@ impl Verifier {
         match &options.partition {
             PartitionMode::Off => Ok(None),
             PartitionMode::Auto => Ok(Some(crate::modular::ModularContext::auto(&net.topo))),
-            PartitionMode::Explicit { partition, contracts } => {
-                let mut ctx = crate::modular::ModularContext::resolve(&net.topo, partition.clone())
-                    .map_err(|e| VerifyError::InvalidNetwork(e.to_string()))?;
-                ctx.install_contracts(net, contracts.clone())?;
-                Ok(Some(ctx))
+            PartitionMode::Explicit { partition, .. } => {
+                crate::modular::ModularContext::resolve(&net.topo, partition.clone())
+                    .map(Some)
+                    .map_err(|e| VerifyError::InvalidNetwork(e.to_string()))
             }
         }
     }
@@ -498,8 +481,6 @@ impl Verifier {
     ///   arrivals, resumed from the touched boxes when their summaries
     ///   only widened
     ///   ([`ModularContext::carry`](crate::modular::ModularContext::carry)).
-    ///   Explicit contracts are re-validated against the carried
-    ///   synthesis, since a widened model can break a declared guarantee.
     ///   Dropped: the BDD dataplane, which caches per-middlebox transfer
     ///   predicates, and the policy classes, which read the models.
     /// * [`TouchSet::Everything`] — structural change: node identity,
@@ -530,8 +511,9 @@ impl Verifier {
         match touched {
             TouchSet::Nothing => {}
             TouchSet::Everything => {
-                // Built before any state is mutated: explicit contracts
-                // are validated against the new epoch and may refuse it.
+                // Built before any state is mutated: an explicit
+                // partition is resolved against the new topology and may
+                // refuse it.
                 self.modular = Self::build_modular(&net, &self.options)?;
                 self.policy = OnceLock::new();
                 self.classes = OnceLock::new();
@@ -543,15 +525,6 @@ impl Verifier {
                     names.iter().filter_map(|n| net.topo.by_name(n).ok()).collect();
                 if let Some(ctx) = &mut self.modular {
                     ctx.carry(&net, &ids);
-                    if let PartitionMode::Explicit { contracts, .. } = &self.options.partition {
-                        if let Err(e) = ctx.install_contracts(&net, contracts.clone()) {
-                            // The carried context answers for `net`; the
-                            // verifier keeps the old epoch, so it gets a
-                            // context of that epoch back.
-                            self.modular = Self::build_modular(&self.net, &self.options)?;
-                            return Err(e.into());
-                        }
-                    }
                 }
                 self.policy = OnceLock::new();
             }
@@ -2105,104 +2078,6 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn explicit_contracts_are_validated_and_composed() {
-        use vmn_analysis::{Module, ModuleContract, Partition, PortContract, WindowSet};
-        let (net, ..) = two_buildings();
-        let b1_nodes = ["a1", "a2", "bsw1", "fw1"];
-        let rest = ["b1", "b2", "bsw2", "fw2", "core"];
-        let partition = Partition {
-            modules: vec![
-                Module {
-                    name: "building-1".into(),
-                    nodes: b1_nodes.iter().map(|s| s.to_string()).collect(),
-                },
-                Module { name: "rest".into(), nodes: rest.iter().map(|s| s.to_string()).collect() },
-            ],
-        };
-
-        // A sound egress guarantee: building 1 only emits 10.1/16
-        // sources (the firewall's ACL), toward anything.
-        let sound = ModuleContract {
-            module: "building-1".into(),
-            ingress: vec![],
-            egress: vec![PortContract {
-                from: "fw1".into(),
-                to: "core".into(),
-                windows: WindowSet::window(px("10.1.0.0/16"), px("0.0.0.0/0")),
-            }],
-        };
-        let opts = VerifyOptions {
-            partition: PartitionMode::Explicit {
-                partition: partition.clone(),
-                contracts: vec![sound.clone()],
-            },
-            ..Default::default()
-        };
-        let v = Verifier::new(&net, opts).unwrap();
-        assert_eq!(v.modular_context().unwrap().module_count(), 2);
-
-        // An under-approximating guarantee must be rejected as a typed
-        // contract error, never silently accepted.
-        let unsound = ModuleContract {
-            egress: vec![PortContract {
-                from: "fw1".into(),
-                to: "core".into(),
-                windows: WindowSet::window(px("192.168.0.0/16"), px("0.0.0.0/0")),
-            }],
-            ..sound.clone()
-        };
-        let opts = VerifyOptions {
-            partition: PartitionMode::Explicit {
-                partition: partition.clone(),
-                contracts: vec![unsound],
-            },
-            ..Default::default()
-        };
-        let err = Verifier::new(&net, opts).map(|_| ()).expect_err("unsound contract");
-        assert!(matches!(err, VerifyError::Contract(ContractError::Unsound { .. })), "got {err}");
-
-        // A neighbour assumption narrower than the guarantee fails the
-        // composition check.
-        let narrow_ingress = ModuleContract {
-            module: "rest".into(),
-            ingress: vec![PortContract {
-                from: "fw1".into(),
-                to: "core".into(),
-                windows: WindowSet::window(px("10.1.7.0/24"), px("0.0.0.0/0")),
-            }],
-            egress: vec![],
-        };
-        let opts = VerifyOptions {
-            partition: PartitionMode::Explicit {
-                partition: partition.clone(),
-                contracts: vec![sound.clone(), narrow_ingress],
-            },
-            ..Default::default()
-        };
-        let err = Verifier::new(&net, opts).map(|_| ()).expect_err("non-composing contracts");
-        assert!(matches!(err, VerifyError::Contract(_)), "got {err}");
-
-        // A contract on a non-boundary edge is a typed error too.
-        let off_edge = ModuleContract {
-            egress: vec![PortContract {
-                from: "bsw1".into(),
-                to: "fw1".into(),
-                windows: WindowSet::any(),
-            }],
-            ..sound
-        };
-        let opts = VerifyOptions {
-            partition: PartitionMode::Explicit { partition, contracts: vec![off_edge] },
-            ..Default::default()
-        };
-        let err = Verifier::new(&net, opts).map(|_| ()).expect_err("non-boundary edge");
-        assert!(
-            matches!(err, VerifyError::Contract(ContractError::UnknownEdge { .. })),
-            "got {err}"
-        );
-    }
-
-    #[test]
     fn degenerate_partitions_recover_the_monolithic_engine() {
         use vmn_analysis::Partition;
         let (net, a1, _a2, b1, _b2) = two_buildings();
@@ -2239,56 +2114,32 @@ pub(crate) mod engine_tests {
         assert_eq!(r.contract_scenarios, r.scenarios_checked);
     }
 
+    /// A model swap carries the contract arrivals, not a rebuilt modular
+    /// context: after a widening swap every live scenario's arrivals are
+    /// still memoised (resumed at the touched box), after a narrowing one
+    /// none are (each is synthesized again on demand). Verdicts are the
+    /// same either way; only what the next check pays differs.
     #[test]
-    fn swap_network_revalidates_contracts() {
-        use vmn_analysis::{Module, ModuleContract, Partition, PortContract, WindowSet};
-        let (mut net, a1, _a2, b1, _b2) = two_buildings();
-        // Stricter building policy: only a1 may leave, and the declared
-        // guarantee promises exactly that.
-        let fw1 = net.topo.by_name("fw1").unwrap();
-        net.set_model(
-            fw1,
-            models::acl_firewall("acl-firewall-1", vec![(px("10.1.0.1/32"), px("0.0.0.0/0"))]),
-        );
-        let names_b1 = ["a1", "a2", "bsw1", "fw1"];
-        let rest = ["b1", "b2", "bsw2", "fw2", "core"];
-        let partition = Partition {
-            modules: vec![
-                Module {
-                    name: "building-1".into(),
-                    nodes: names_b1.iter().map(|s| s.to_string()).collect(),
-                },
-                Module { name: "rest".into(), nodes: rest.iter().map(|s| s.to_string()).collect() },
-            ],
-        };
-        let tight = ModuleContract {
-            module: "building-1".into(),
-            ingress: vec![],
-            egress: vec![PortContract {
-                from: "fw1".into(),
-                to: "core".into(),
-                windows: WindowSet::window(px("10.1.0.1/32"), px("0.0.0.0/0")),
-            }],
-        };
-        let opts = VerifyOptions {
-            partition: PartitionMode::Explicit { partition, contracts: vec![tight] },
-            ..Default::default()
-        };
+    fn model_swaps_carry_the_contract_arrivals() {
+        let (net, a1, _a2, b1, _b2) = two_buildings();
+        let opts = VerifyOptions { partition: PartitionMode::Auto, ..Default::default() };
         let mut v = Verifier::new(&net, opts).unwrap();
-        assert!(v.verify(&Invariant::NodeIsolation { src: a1, dst: b1 }).unwrap().verdict.holds());
-
-        // Swap in an epoch whose fw1 lets the whole building out: the
-        // synthesized crossing gains a2's sources, which the declared
-        // guarantee does not cover, so the swap must refuse with the
-        // typed contract error.
-        let mut wide = net.clone();
-        wide.set_model(
-            fw1,
-            models::acl_firewall("acl-firewall-1", vec![(px("10.1.0.0/16"), px("0.0.0.0/0"))]),
-        );
+        let cross = Invariant::NodeIsolation { src: a1, dst: b1 };
+        assert!(v.verify(&cross).unwrap().verdict.holds());
+        let live = net.all_scenarios().len();
+        let memoised = |v: &Verifier| v.modular_context().unwrap().memoised_scenarios();
+        assert_eq!(memoised(&v), live);
+        let fw1 = net.topo.by_name("fw1").unwrap();
         let touched = TouchSet::Nodes(std::iter::once("fw1".to_string()).collect());
-        let err = v.swap_network(Arc::new(wide), &touched).expect_err("widened crossings");
-        assert!(matches!(err, VerifyError::Contract(ContractError::Unsound { .. })), "got {err}");
+        let mut swap_fw1 = |src: &str| {
+            let mut next = net.clone();
+            let acl = vec![(px(src), px("0.0.0.0/0"))];
+            next.set_model(fw1, models::acl_firewall("acl-firewall-1", acl));
+            v.swap_network(Arc::new(next), &touched).unwrap();
+            memoised(&v)
+        };
+        assert_eq!(swap_fw1("10.0.0.0/8"), live, "a widening swap resumes every scenario");
+        assert_eq!(swap_fw1("10.1.0.1/32"), 0, "a narrowing swap drops them");
     }
 
     /// A scenario a delta removes leaves every per-scenario memo at the

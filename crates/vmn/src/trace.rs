@@ -72,7 +72,6 @@ impl Trace {
                     dst: Address(enc.ctx.eval_bv(sv.out.dst) as u32),
                     src_port: enc.ctx.eval_bv(sv.out.sport) as u16,
                     dst_port: enc.ctx.eval_bv(sv.out.dport) as u16,
-                    proto: vmn_net::Protocol::Tcp,
                     origin: Address(enc.ctx.eval_bv(sv.out.origin) as u32),
                     tag: enc.ctx.eval_bv(sv.out.tag),
                 })

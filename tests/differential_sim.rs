@@ -199,7 +199,7 @@ fn random_simulation_never_beats_the_verifier() {
                 if src == dst {
                     continue;
                 }
-                let h = Header::tcp(
+                let h = Header::new(
                     net.host_address(src),
                     rng.gen_range(1000..32000),
                     net.host_address(dst),
@@ -276,8 +276,8 @@ fn exhaustive_enumeration_never_beats_the_verifier() {
         // Concrete alphabet: each host can send a canonical packet to the
         // other, or the firewall processes. Depth 4 covers send/process
         // interleavings including hole punching.
-        let h_out = Header::tcp(addr("8.8.8.8"), 777, addr("10.0.0.5"), 80);
-        let h_in = Header::tcp(addr("10.0.0.5"), 80, addr("8.8.8.8"), 777);
+        let h_out = Header::new(addr("8.8.8.8"), 777, addr("10.0.0.5"), 80);
+        let h_in = Header::new(addr("10.0.0.5"), 80, addr("8.8.8.8"), 777);
         let alphabet = [
             SimOp::Send { host: outside, header: h_out },
             SimOp::Send { host: inside, header: h_in },

@@ -287,7 +287,7 @@ fn assert_analysis_consistent(net: &Network, label: &str) {
             if a == b {
                 continue;
             }
-            let h = Header::tcp(net.host_address(a), 1000, net.host_address(b), 80);
+            let h = Header::new(net.host_address(a), 1000, net.host_address(b), 80);
             // Drops and forwarding quirks are fine — only the state the
             // middleboxes accumulate matters here.
             let _ = sim.send_and_settle(a, h);

@@ -12,21 +12,16 @@
 //! the monolithic oracle on the verdict, the scenario count and the
 //! first violating scenario; every violation witness must replay into
 //! a real forbidden reception on the concrete simulator; and the
-//! backend split (smt + bdd + contract) must cover the sweep.
-//!
-//! Declared contracts are exercised in both directions: sound
-//! (everything-admitting) contracts must change no verdict, and
-//! deliberately unsound contracts must surface as a typed
-//! [`VerifyError::Contract`] at verifier construction — never a silent
-//! pass.
+//! backend split (smt + bdd + contract) must cover the sweep. Every
+//! contract is synthesized from the network; none is declared.
 //!
 //! Cases derive from the proptest harness's deterministic per-test
 //! seed; set `VMN_FUZZ_CASES` to bound the case count.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyError, VerifyOptions};
-use vmn_analysis::{ContractError, Module, ModuleContract, PortContract, WindowSet};
+use vmn::{Invariant, Network, PartitionMode, Verdict, Verifier, VerifyOptions};
+use vmn_analysis::Module;
 use vmn_mbox::models;
 use vmn_net::{Address, FailureScenario, NodeId, Prefix, RoutingConfig, Rule, Topology};
 
@@ -35,10 +30,6 @@ fn fuzz_cases() -> u32 {
         Ok(v) => v.parse().expect("VMN_FUZZ_CASES must be a number"),
         Err(_) => 96,
     }
-}
-
-fn px(s: &str) -> Prefix {
-    s.parse().unwrap()
 }
 
 fn site_prefix(b: usize) -> Prefix {
@@ -330,29 +321,10 @@ fn run_case(seed: u64) {
         assert!(!receptions.is_empty(), "{label}: oracle witness replays to no reception");
     }
 
-    // Sound everything-admitting declared contracts on one boundary
-    // edge: must be accepted and must change nothing.
-    let declared = vec![ModuleContract {
-        module: "site0".into(),
-        ingress: vec![PortContract {
-            from: "core".into(),
-            to: case.net.topo.node(case.firewalls[0]).name.clone(),
-            windows: WindowSet::any(),
-        }],
-        egress: vec![PortContract {
-            from: case.net.topo.node(case.firewalls[0]).name.clone(),
-            to: "core".into(),
-            windows: WindowSet::any(),
-        }],
-    }];
     let mut partitions = vec![
         (
             "site-partition",
             PartitionMode::Explicit { partition: site_partition(&case), contracts: vec![] },
-        ),
-        (
-            "site-partition+contracts",
-            PartitionMode::Explicit { partition: site_partition(&case), contracts: declared },
         ),
         ("auto", PartitionMode::Auto),
         (
@@ -395,32 +367,6 @@ fn run_case(seed: u64) {
             let receptions = trace.replay(&case.net, gs).expect("modular witness replays");
             assert!(!receptions.is_empty(), "{label}: {engine} witness replays to no reception");
         }
-    }
-
-    // A deliberately unsound declared contract: an egress guarantee that
-    // admits only a bogus block no site uses. The verifier must reject
-    // it with the typed contract error at construction — silently
-    // accepting it would let every cross-site check pass vacuously.
-    let unsound = vec![ModuleContract {
-        module: "site0".into(),
-        ingress: vec![],
-        egress: vec![PortContract {
-            from: case.net.topo.node(case.firewalls[0]).name.clone(),
-            to: "core".into(),
-            windows: WindowSet::window(px("192.168.0.0/16"), px("192.168.0.0/16")),
-        }],
-    }];
-    let options = VerifyOptions {
-        partition: PartitionMode::Explicit { partition: site_partition(&case), contracts: unsound },
-        ..Default::default()
-    };
-    match Verifier::new(&case.net, options) {
-        Err(VerifyError::Contract(ContractError::Unsound { from, to, .. })) => {
-            assert_eq!(from, case.net.topo.node(case.firewalls[0]).name);
-            assert_eq!(to, "core");
-        }
-        Err(e) => panic!("{label}: unsound contract surfaced as the wrong error: {e}"),
-        Ok(_) => panic!("{label}: unsound contract silently accepted"),
     }
 }
 
@@ -500,41 +446,11 @@ fn content_cache_on_cut_path_agrees_with_monolithic() {
     assert!(!want.verdict.holds(), "the cache forwards the client's request to the server");
 }
 
-/// Declared contracts must name real partition modules, exactly once
-/// each: a typo'd name used to be accepted silently, and two contracts
-/// sharing a name skipped the egress-implies-ingress check between
-/// them (the composition loop skips same-module pairs).
-#[test]
-fn contract_module_names_are_validated() {
-    let case = fixed_case(vec![SiteKind::Acl, SiteKind::Acl], vec![], "contract-names");
-    let partition = site_partition(&case);
-    let empty =
-        |module: &str| ModuleContract { module: module.into(), ingress: vec![], egress: vec![] };
-    let opts = |contracts| VerifyOptions {
-        partition: PartitionMode::Explicit { partition: partition.clone(), contracts },
-        ..Default::default()
-    };
-    match Verifier::new(&case.net, opts(vec![empty("sight0")])) {
-        Err(VerifyError::Contract(ContractError::UnknownModule { module })) => {
-            assert_eq!(module, "sight0");
-        }
-        Err(e) => panic!("typo'd module name surfaced as the wrong error: {e}"),
-        Ok(_) => panic!("typo'd module name silently accepted"),
-    }
-    match Verifier::new(&case.net, opts(vec![empty("site0"), empty("site0")])) {
-        Err(VerifyError::Contract(ContractError::DuplicateModule { module })) => {
-            assert_eq!(module, "site0");
-        }
-        Err(e) => panic!("duplicated module name surfaced as the wrong error: {e}"),
-        Ok(_) => panic!("duplicated module name silently accepted"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
     /// Modular and monolithic engines agree on random estates under
-    /// random partitions; unsound contracts are typed errors.
+    /// random partitions.
     #[test]
     fn modular_matches_monolithic(seed in any::<u64>()) {
         run_case(seed);
