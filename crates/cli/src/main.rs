@@ -33,7 +33,8 @@ fn usage() -> ExitCode {
          With a `.vmn` network description, verifies every `verify` line\n\
          and prints a verdict per invariant. --whole-network disables\n\
          slicing (for comparison), --threads enables parallel\n\
-         verification, --trace prints violation witnesses.\n\
+         verification, --trace prints violation witnesses (each\n\
+         invariant's own: only a HOLDS is shared by symmetry).\n\
          --certificate records a DRAT-style proof of every verdict and\n\
          writes the bundles to OUT. --backend picks the engine per\n\
          scenario: auto (default) answers stateless slices on the BDD\n\
@@ -403,7 +404,7 @@ fn main() -> ExitCode {
     }
 
     let mut any_violated = false;
-    for ((spec, inv), report) in cfg.invariants.iter().zip(&reports) {
+    for ((spec, _), report) in cfg.invariants.iter().zip(&reports) {
         let by = if report.inherited { ", by symmetry" } else { "" };
         match &report.verdict {
             Verdict::Holds => {
@@ -420,23 +421,8 @@ fn main() -> ExitCode {
                     format!(" under failure of {:?}", scenario.failed_nodes)
                 };
                 println!("VIOLATED  {spec}{failures}   [{:?}{by}]", report.elapsed);
-                if !trace {
-                    continue;
-                }
-                if !report.inherited {
+                if trace {
                     print!("{}", t.render(&cfg.net));
-                    continue;
-                }
-                // An inherited report carries its representative's
-                // witness, which names the representative's endpoints:
-                // check this invariant itself for a witness of its own.
-                match verifier.verify(inv).map(|own| own.verdict) {
-                    Ok(Verdict::Violated { trace: own, .. }) => print!("{}", own.render(&cfg.net)),
-                    Ok(Verdict::Holds) => eprintln!("vmn: {spec}: holds when checked alone"),
-                    Err(e) => {
-                        eprintln!("vmn: verification failed: {e}");
-                        return ExitCode::from(2);
-                    }
                 }
             }
         }

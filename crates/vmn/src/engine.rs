@@ -4,10 +4,11 @@ use crate::bounds;
 use crate::encoder::{self, EncodeError, Encoded};
 use crate::invariant::Invariant;
 use crate::network::Network;
-use crate::policy::{group_by_symmetry, PolicyClasses};
+use crate::policy::{group_by, group_by_symmetry, PolicyClasses};
 use crate::slice::{cluster_slices, compute_slice, first_stateful_middlebox};
 use crate::trace::{StepKind, Trace, TraceStep};
 use std::collections::HashMap;
+use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use vmn_analysis::{Parallelism, Partition, TouchSet};
@@ -59,7 +60,9 @@ pub struct Report {
     /// values coincide whenever two configurations plan the same prefix.
     pub steps: usize,
     /// Whether the verdict was inherited from a symmetric representative
-    /// instead of being verified directly.
+    /// instead of being verified directly. An inherited verdict is always
+    /// `Holds`, or the verdict of an exact duplicate of this invariant:
+    /// a `Violated` witness is never another invariant's.
     pub inherited: bool,
     /// Solver work of this invariant's checks: the summed counters of the
     /// solver sessions its sweep built, which no other sweep shares. Zero
@@ -72,14 +75,15 @@ pub struct Report {
     /// derivations for refuted scenarios, models for violations).
     /// Validated by the independent `vmn_check` crate — see
     /// [`vmn_check::check_bundle`]. `None` when proofs are off and for
-    /// inherited reports (the representative carries the certificate).
+    /// inherited reports (the representative certifies the shared verdict).
     /// Boxed: callers keep reports by the thousand and nearly all of them
     /// carry none, so the field costs a pointer, not a bundle.
     pub certificate: Option<Box<CertificateBundle>>,
     /// How many of `scenarios_checked` each backend answered. Inherited
     /// reports keep the representative's counts (they describe the
-    /// verdict's provenance, like `scenarios_checked`), so per-backend
-    /// totals should sum over non-inherited reports only.
+    /// provenance of the `Holds` or duplicate verdict, like
+    /// `scenarios_checked`), so per-backend totals should sum over
+    /// non-inherited reports only.
     pub smt_scenarios: usize,
     pub bdd_scenarios: usize,
     /// Scenarios answered by the modular engine's contract fast path
@@ -111,6 +115,22 @@ impl Report {
             bdd_scenarios: 0,
             contract_scenarios: 0,
             bdd: BddStats::default(),
+        }
+    }
+
+    /// This report handed to `inv`, a member of its symmetry group. The
+    /// cost fields are zeroed, so summing over a run's reports counts each
+    /// run once, and there is no run to certify (symmetry is the trusted
+    /// step here).
+    fn inherited_by(&self, inv: &Invariant) -> Report {
+        Report {
+            invariant: inv.clone(),
+            inherited: true,
+            elapsed: Duration::ZERO,
+            solver: SolverStats::default(),
+            bdd: BddStats::default(),
+            certificate: None,
+            ..self.clone()
         }
     }
 }
@@ -931,8 +951,11 @@ impl Verifier {
         Ok(report)
     }
 
-    /// Verifies a set of invariants, exploiting symmetry (one solver run
-    /// per symmetry group, §4.2) and thread-level parallelism.
+    /// Verifies a set of invariants, exploiting symmetry (§4.2) and
+    /// thread-level parallelism. One representative per symmetry group is
+    /// verified, and its `Holds`, a proof the renaming carries, is shared
+    /// with every member. A witness is not: the members of a violated group
+    /// but its exact duplicates are verified on their own, on the same pool.
     ///
     /// Returns one report per input invariant, in input order.
     pub fn verify_all(
@@ -940,68 +963,65 @@ impl Verifier {
         invariants: &[Invariant],
         threads: usize,
     ) -> Result<Vec<Report>, VerifyError> {
+        let mut out = vec![None; invariants.len()];
         let groups = group_by_symmetry(&self.net, self.policy(), invariants);
-        let reps: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-
-        // Verify representatives (possibly in parallel).
-        let rep_reports: Vec<Result<Report, VerifyError>> = if threads <= 1 || reps.len() <= 1 {
-            reps.iter().map(|&i| self.verify(&invariants[i])).collect()
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let results: Vec<std::sync::Mutex<Option<Result<Report, VerifyError>>>> =
-                reps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(reps.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        if i >= reps.len() {
-                            break;
-                        }
-                        let r = self.verify(&invariants[reps[i]]);
-                        // A sibling worker that panicked while writing its
-                        // slot poisons only that slot; recover rather than
-                        // cascading the panic into every other result (the
-                        // Option is valid either way).
-                        *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .expect("worker filled result")
-                })
-                .collect()
-        };
-
-        // Distribute verdicts to symmetric members; the first group whose
-        // representative failed fails the run with its error.
-        let rep_reports = rep_reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let mut out: Vec<Option<Report>> = (0..invariants.len()).map(|_| None).collect();
-        for (group, rep_report) in groups.iter().zip(&rep_reports) {
-            for (pos, &inv_idx) in group.iter().enumerate() {
-                let mut r = rep_report.clone();
-                r.invariant = invariants[inv_idx].clone();
-                r.inherited = pos > 0;
-                if r.inherited {
-                    // Inherited verdicts cost no solver run of their own:
-                    // zero the cost fields so summing over a run's reports
-                    // counts each wall-clock second (and each conflict)
-                    // exactly once.
-                    r.elapsed = Duration::ZERO;
-                    r.solver = SolverStats::default();
-                    r.bdd = BddStats::default();
-                    // The certificate proves the *representative's* run;
-                    // an inherited verdict has no solver run of its own to
-                    // certify (symmetry is the trusted step here).
-                    r.certificate = None;
-                }
-                out[inv_idx] = Some(r);
-            }
-        }
+        let alone = self.verify_groups(invariants, &groups, threads, &mut out)?;
+        let duplicates = group_by(alone, |i| &invariants[i]);
+        let left = self.verify_groups(invariants, &duplicates, threads, &mut out)?;
+        debug_assert!(left.is_empty(), "a duplicate inherits any verdict");
         Ok(out.into_iter().map(|r| r.expect("all invariants covered")).collect())
+    }
+
+    /// Verifies the first invariant of every group and hands its report to
+    /// the members it covers: all of them when it holds, its exact
+    /// duplicates when it is violated. Returns the members left uncovered.
+    fn verify_groups(
+        &self,
+        invariants: &[Invariant],
+        groups: &[Vec<usize>],
+        threads: usize,
+        out: &mut [Option<Report>],
+    ) -> Result<Vec<usize>, VerifyError> {
+        let reps: Vec<&Invariant> = groups.iter().map(|g| &invariants[g[0]]).collect();
+        let mut left = Vec::new();
+        for (group, report) in groups.iter().zip(self.verify_each(&reps, threads)?) {
+            for &i in &group[1..] {
+                if report.verdict.holds() || invariants[i] == report.invariant {
+                    out[i] = Some(report.inherited_by(&invariants[i]));
+                } else {
+                    left.push(i);
+                }
+            }
+            out[group[0]] = Some(report);
+        }
+        Ok(left)
+    }
+
+    /// [`Verifier::verify`] of each invariant, on up to `threads` workers;
+    /// the first invariant that fails, in input order, fails the call.
+    fn verify_each(&self, invs: &[&Invariant], threads: usize) -> Result<Vec<Report>, VerifyError> {
+        let workers = threads.min(invs.len());
+        if workers <= 1 {
+            return invs.iter().map(|inv| self.verify(inv)).collect();
+        }
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(inv) = invs.get(i) else { return done };
+                done.push((i, self.verify(inv)));
+            }
+        };
+        let mut done: Vec<(usize, Result<Report, VerifyError>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Convenience: is `dst` reachable from `src`? (The dual of simple

@@ -51,6 +51,27 @@ impl Invariant {
         }
     }
 
+    /// The same invariant over renamed nodes: every node it references,
+    /// `through` boxes included, replaced by `f` of it.
+    pub fn map_nodes(&self, mut f: impl FnMut(NodeId) -> NodeId) -> Invariant {
+        match self {
+            Invariant::NodeIsolation { src, dst } => {
+                Invariant::NodeIsolation { src: f(*src), dst: f(*dst) }
+            }
+            Invariant::FlowIsolation { src, dst } => {
+                Invariant::FlowIsolation { src: f(*src), dst: f(*dst) }
+            }
+            Invariant::DataIsolation { origin, dst } => {
+                Invariant::DataIsolation { origin: f(*origin), dst: f(*dst) }
+            }
+            Invariant::Traversal { dst, through, from } => Invariant::Traversal {
+                dst: f(*dst),
+                through: through.iter().map(|&m| f(m)).collect(),
+                from: from.map(&mut f),
+            },
+        }
+    }
+
     /// Short label for reports and benchmarks.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -18,6 +18,11 @@
 //!    in `vmn-smt` plays the role of Z3) and either proves the invariant
 //!    or extracts a [`Trace`] that replays on the concrete simulator.
 //!
+//! [`Verifier::verify_all`] verifies one invariant per symmetry group —
+//! invariants equal up to renaming hosts within their [`PolicyClasses`] —
+//! and shares only its `Holds`: every `Violated` [`Report`] carries its
+//! own invariant's witness.
+//!
 //! ```
 //! use vmn::{Invariant, Network, Verifier, VerifyOptions};
 //! use vmn_mbox::models;

@@ -37,8 +37,7 @@
 //! the fixpoint never propagates into one. The arrivals are the
 //! fixpoint's whole state ([`CrossMap`]); the crossing of any directed
 //! edge, host-bound ones included, is derived from its tail's arrivals
-//! on demand ([`ModularContext::crossing`]) by the same two transfer
-//! functions the fixpoint runs. That equals what a fixpoint storing
+//! on demand by the same two transfer functions the fixpoint runs. That equals what a fixpoint storing
 //! every edge would accumulate, window for window: a transfer is
 //! monotone, so each value it took along the run lies below its value
 //! at the end, and a [`WindowSet`] holds the maximal windows of whatever
@@ -297,7 +296,7 @@ pub fn forward_summary(model: &MboxModel) -> ForwardSummary {
 /// The synthesized arrivals of one scenario: for each live non-host node
 /// that anything reaches, the windows packets arriving at it may occupy.
 /// Hosts are sinks and have no entry. A crossing is derived from its
-/// tail's arrivals on demand ([`ModularContext::crossing`]).
+/// tail's arrivals on demand.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrossMap {
     pub(crate) reach: HashMap<NodeId, WindowSet>,
@@ -605,8 +604,10 @@ impl ModularContext {
 
     /// The windows packets crossing `from -> to` under `scenario` may
     /// occupy (empty unless the edge is live), derived from the memoised
-    /// arrivals at `from`.
-    pub fn crossing(
+    /// arrivals at `from`. The contract fast path reads the crossings it
+    /// needs off one prelude; this one-edge form serves the tests.
+    #[cfg(test)]
+    pub(crate) fn crossing(
         &self,
         net: &Network,
         scenario: &FailureScenario,

@@ -1,23 +1,26 @@
 //! Policy equivalence classes and invariant symmetry (§4.1–§4.2).
 //!
 //! Two hosts belong to the same *policy equivalence class* when all
-//! packets they send and receive traverse the same middlebox types and
-//! are treated according to the same policy. Classes are computed by
-//! partition refinement: start with hosts grouped by their static policy
-//! fingerprint (which of the prefixes and addresses the middlebox models
-//! mention contain them) and repeatedly split
-//! classes whose members see different middlebox-type pipelines towards
-//! the current classes' representatives, until a fixpoint.
+//! packets they send and receive traverse the same middlebox
+//! configurations and are treated according to the same policy. Classes
+//! are computed by partition refinement: start with hosts grouped by
+//! their static policy fingerprint (which of the prefixes and addresses
+//! the middlebox models mention contain them) and repeatedly split
+//! classes whose members see different middlebox pipelines towards the
+//! current classes' representatives, until a fixpoint.
 //!
-//! Symmetric invariants — those obtained from one another by replacing
-//! nodes with same-class nodes — share verdicts, so
-//! [`group_by_symmetry`] lets the engine verify one representative per
-//! group (§4.2).
+//! Symmetric invariants — those obtained from one another by renaming
+//! hosts to same-class hosts — share proofs, so [`group_by_symmetry`] lets
+//! the engine verify one representative per group and hand its `Holds` to
+//! the rest (§4.2). A violation's witness names its own endpoints, so the
+//! members of a violated group are verified on their own.
 
 use crate::invariant::Invariant;
 use crate::network::Network;
 use std::collections::HashMap;
+use std::hash::Hash;
 use vmn_analysis::AddressSet;
+use vmn_mbox::MboxModel;
 use vmn_net::{Address, FailureScenario, HeaderClasses, NodeId, TransferFunction};
 
 /// A partition of the network's hosts into policy equivalence classes.
@@ -164,34 +167,36 @@ fn number_by_key(n: usize, mut key: impl FnMut(usize, &mut Vec<u32>)) -> (Vec<u3
     (class_of, ids.len())
 }
 
-/// Middlebox-type pipelines between hosts, interned: two probes get the
-/// same id iff they traverse the same sequence of middlebox types and
-/// end the same way.
+/// Middlebox pipelines between hosts, interned: two probes get the same
+/// id iff they traverse the same sequence of middlebox configurations —
+/// type name and model — and end the same way. Boxes of one type with
+/// different models (two firewalls with different ACLs) are different
+/// steps, so the hosts reached through them are told apart.
 struct Pipelines {
-    /// Type id of every middlebox, by node index (type names interned
-    /// once here, so probing allocates no strings).
-    type_of: Vec<u32>,
+    /// Configuration id of every middlebox, by node index (interned once
+    /// here, so probing allocates nothing).
+    config_of: Vec<u32>,
     ids: HashMap<Vec<u32>, u32>,
     buf: Vec<u32>,
 }
 
 impl Pipelines {
-    // How a pipeline ends; middlebox type ids start above these. A
-    // static datapath error is its own pipeline, so broken paths never
-    // merge with working ones.
+    // How a pipeline ends; configuration ids start above these. A static
+    // datapath error is its own pipeline, so broken paths never merge
+    // with working ones.
     const DELIVERED: u32 = 0;
     const DROPPED: u32 = 1;
     const ERROR: u32 = 2;
 
     fn new(net: &Network) -> Pipelines {
-        let mut types: HashMap<&str, u32> = HashMap::new();
-        let mut type_of = vec![u32::MAX; net.topo.num_nodes()];
+        let mut configs: HashMap<(&str, &MboxModel), u32> = HashMap::new();
+        let mut config_of = vec![u32::MAX; net.topo.num_nodes()];
         for m in net.topo.middleboxes() {
-            let fresh = Self::ERROR + 1 + types.len() as u32;
+            let fresh = Self::ERROR + 1 + configs.len() as u32;
             let ty = net.topo.mbox_type(m).expect("middleboxes() yields middleboxes");
-            type_of[m.index()] = *types.entry(ty).or_insert(fresh);
+            config_of[m.index()] = *configs.entry((ty, net.model(m))).or_insert(fresh);
         }
-        Pipelines { type_of, ids: HashMap::new(), buf: Vec::new() }
+        Pipelines { config_of, ids: HashMap::new(), buf: Vec::new() }
     }
 
     /// The pipeline a packet from host `from` toward `to` traverses.
@@ -199,7 +204,7 @@ impl Pipelines {
         self.buf.clear();
         match tf.terminal_path(from, to) {
             Ok((mboxes, end)) => {
-                self.buf.extend(mboxes.iter().map(|m| self.type_of[m.index()]));
+                self.buf.extend(mboxes.iter().map(|m| self.config_of[m.index()]));
                 self.buf.push(if end.is_some() { Self::DELIVERED } else { Self::DROPPED });
             }
             Err(_) => self.buf.push(Self::ERROR),
@@ -208,51 +213,39 @@ impl Pipelines {
     }
 }
 
-/// Symmetry signature of an invariant: its kind, the policy classes of
-/// its host endpoints, and the types of referenced middleboxes.
-pub fn symmetry_key(net: &Network, pc: &PolicyClasses, inv: &Invariant) -> String {
-    let class = |n: NodeId| match pc.class_of(n) {
-        Some(c) => format!("c{c}"),
-        None => format!("{:?}", n), // non-host endpoints keep identity
-    };
-    match inv {
-        Invariant::NodeIsolation { src, dst } => {
-            format!("node-iso:{}:{}", class(*src), class(*dst))
-        }
-        Invariant::FlowIsolation { src, dst } => {
-            format!("flow-iso:{}:{}", class(*src), class(*dst))
-        }
-        Invariant::DataIsolation { origin, dst } => {
-            format!("data-iso:{}:{}", class(*origin), class(*dst))
-        }
-        Invariant::Traversal { dst, through, from } => {
-            let mut types: Vec<&str> =
-                through.iter().filter_map(|&m| net.topo.mbox_type(m)).collect();
-            types.sort();
-            format!(
-                "traversal:{}:{}:{}",
-                class(*dst),
-                types.join(","),
-                from.map(class).unwrap_or_else(|| "*".into())
-            )
-        }
-    }
-}
-
-/// Groups invariant indices by symmetry; each group's first element is the
-/// representative to actually verify.
+/// Groups invariant indices by symmetry, in order of first member; each
+/// group's first element is the representative to actually verify. Two
+/// invariants are symmetric when they are equal once every host is renamed
+/// to the first member of its policy class ([`Invariant::map_nodes`]); any
+/// other node, a traversal's `through` boxes included, keeps its identity.
 pub fn group_by_symmetry(
     net: &Network,
     pc: &PolicyClasses,
     invariants: &[Invariant],
 ) -> Vec<Vec<usize>> {
-    let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, inv) in invariants.iter().enumerate() {
-        groups.entry(symmetry_key(net, pc, inv)).or_default().push(i);
+    let rename = |n: NodeId| match pc.class_of(n) {
+        Some(c) if net.topo.node(n).kind.is_host() => pc.classes[c][0],
+        _ => n,
+    };
+    group_by(0..invariants.len(), |i| invariants[i].map_nodes(rename))
+}
+
+/// Groups `items` by `key`, each group in item order and the groups in
+/// order of their first member.
+pub(crate) fn group_by<K: Eq + Hash>(
+    items: impl IntoIterator<Item = usize>,
+    mut key: impl FnMut(usize) -> K,
+) -> Vec<Vec<usize>> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in items {
+        let g = *index.entry(key(i)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
     }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    out.sort();
-    out
+    groups
 }
 
 #[cfg(test)]

@@ -462,23 +462,7 @@ impl SliceKey {
             member.delivery = translated_intervals(&in_slice, mask);
         }
 
-        let at = |n: &NodeId| NodeId(index_of(*n).expect("every endpoint is a member"));
-        let invariant = match inv {
-            Invariant::NodeIsolation { src, dst } => {
-                Invariant::NodeIsolation { src: at(src), dst: at(dst) }
-            }
-            Invariant::FlowIsolation { src, dst } => {
-                Invariant::FlowIsolation { src: at(src), dst: at(dst) }
-            }
-            Invariant::DataIsolation { origin, dst } => {
-                Invariant::DataIsolation { origin: at(origin), dst: at(dst) }
-            }
-            Invariant::Traversal { dst, through, from } => Invariant::Traversal {
-                dst: at(dst),
-                through: through.iter().map(at).collect(),
-                from: from.as_ref().map(at),
-            },
-        };
+        let invariant = inv.map_nodes(|n| NodeId(index_of(n).expect("every endpoint is a member")));
         let (ids, members) = members.into_iter().unzip();
         Ok((SliceKey { invariant, bound: k, members }, Embedding { members: ids, mask }))
     }

@@ -3,9 +3,10 @@
 //! scenario generators with and without a misconfiguration and on estates
 //! with per-host steering — computed alone, by `Verifier::new` on the
 //! verifier's header classes and their next-hop runs, and again after a
-//! model swap; and the symmetry soundness case the static fingerprint used
-//! to miss (prefixes mentioned directly in guards and rewrites, here a
-//! NAT's `internal`).
+//! model swap; and the symmetry soundness cases a coarser rule used to
+//! miss: prefixes mentioned directly in guards and rewrites (here a NAT's
+//! `internal`), boxes of one type with different models, and traversals
+//! through different boxes of one type.
 
 #[path = "support/policy_reference.rs"]
 mod policy_reference;
@@ -195,4 +196,85 @@ fn prefix_in_a_guard_splits_classes() {
     let together: Vec<bool> = swept.iter().map(|r| r.verdict.holds()).collect();
     assert_eq!(together, alone, "the sweep must not inherit across the NAT boundary");
     assert!(!swept[1].inherited);
+}
+
+/// `verify_all` against `verify`, invariant by invariant: whatever the
+/// sweep shares by symmetry must be what each invariant gets alone.
+fn assert_sweep_matches_alone(net: &Network, invs: &[Invariant]) -> Vec<bool> {
+    let v = Verifier::new(net, VerifyOptions::default()).unwrap();
+    let alone: Vec<bool> = invs.iter().map(|i| v.verify(i).unwrap().verdict.holds()).collect();
+    let swept = v.verify_all(invs, 1).unwrap();
+    for ((inv, r), holds) in invs.iter().zip(&swept).zip(&alone) {
+        assert_eq!(r.verdict.holds(), *holds, "{inv}: the sweep differs from a direct check");
+    }
+    alone
+}
+
+/// Two IDPSes of one type, and only `idps1` on `src`'s path to `dst`.
+/// A symmetry key that named `through` boxes by type gave the traversal
+/// via `idps2` the `Holds` of the one via `idps1`.
+#[test]
+fn traversal_through_sets_keep_their_boxes() {
+    let mut topo = Topology::new();
+    let src = topo.add_host("src", "10.0.0.1".parse().unwrap());
+    let dst = topo.add_host("dst", "10.0.0.2".parse().unwrap());
+    let sw = topo.add_switch("sw");
+    let idps1 = topo.add_middlebox("idps1", "idps", vec![]);
+    let idps2 = topo.add_middlebox("idps2", "idps", vec![]);
+    for n in [src, dst, idps1, idps2] {
+        topo.add_link(n, sw);
+    }
+    let mut rc = RoutingConfig::new();
+    rc.host_routes(&topo);
+    let mut tables = rc.build(&topo, &FailureScenario::none());
+    let all10 = "10.0.0.0/8".parse().unwrap();
+    tables.add_rule(sw, Rule::from_neighbor(all10, src, idps1).with_priority(10));
+    let mut net = Network::new(topo, tables);
+    for m in [idps1, idps2] {
+        net.set_model(m, models::idps("idps"));
+    }
+
+    let via = |m| Invariant::Traversal { dst, through: vec![m], from: Some(src) };
+    let alone = assert_sweep_matches_alone(&net, &[via(idps1), via(idps2)]);
+    assert_eq!(alone, [true, false], "only idps1 is on the path");
+}
+
+/// Two firewalls of one type with different ACLs: `a`'s traffic to `b1`
+/// passes `fw1`, which allows it, and to `b2` passes `fw2`, which does
+/// not. Interning pipelines by type name put `b1` and `b2` in one class,
+/// so `a -> b1` inherited the `Holds` of `a -> b2`: a missed violation.
+#[test]
+fn firewalls_with_different_acls_split_classes() {
+    let mut topo = Topology::new();
+    let a = topo.add_host("a", "10.3.0.1".parse().unwrap());
+    let b1 = topo.add_host("b1", "10.1.0.1".parse().unwrap());
+    let b2 = topo.add_host("b2", "10.2.0.1".parse().unwrap());
+    let sw = topo.add_switch("sw");
+    let fw1 = topo.add_middlebox("fw1", "acl-firewall", vec![]);
+    let fw2 = topo.add_middlebox("fw2", "acl-firewall", vec![]);
+    for n in [a, b1, b2, fw1, fw2] {
+        topo.add_link(n, sw);
+    }
+    let mut rc = RoutingConfig::new();
+    rc.host_routes(&topo);
+    let mut tables = rc.build(&topo, &FailureScenario::none());
+    for (to, fw) in [("10.1.0.0/16", fw1), ("10.2.0.0/16", fw2)] {
+        tables.add_rule(sw, Rule::from_neighbor(to.parse().unwrap(), a, fw).with_priority(10));
+    }
+    let mut net = Network::new(topo, tables);
+    let all = Prefix::default_route();
+    net.set_model(fw1, models::acl_firewall("acl-firewall", vec![(all, all)]));
+    let private = "192.168.0.0/16".parse().unwrap();
+    net.set_model(fw2, models::acl_firewall("acl-firewall", vec![(all, private)]));
+
+    let pc = PolicyClasses::compute(&net);
+    assert!(!pc.same_class(b1, b2), "fw1 and fw2 treat them differently");
+    assert_matches_reference(&net, "two acl-firewalls");
+
+    let invs = [
+        Invariant::NodeIsolation { src: a, dst: b2 },
+        Invariant::NodeIsolation { src: a, dst: b1 },
+    ];
+    let alone = assert_sweep_matches_alone(&net, &invs);
+    assert_eq!(alone, [true, false], "fw2 drops what fw1 lets through");
 }

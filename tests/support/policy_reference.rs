@@ -1,13 +1,14 @@
 //! The reference policy-class computation: `PolicyClasses::compute` as it
 //! was before its bookkeeping was made near-linear — per-host signatures
-//! of freshly built type-name strings, cloned into hash-map keys, with an
-//! all-pairs stability test — given the same static fingerprint
-//! (`vmn_analysis::mentioned_addresses`). The refinement rule is the one
+//! of freshly built steps (each box's type name and a clone of its model),
+//! cloned into hash-map keys, with an all-pairs stability test — given the
+//! same static fingerprint (`vmn_analysis::mentioned_addresses`). The refinement rule is the one
 //! `compute` uses, so the two must produce the same partition; the tests
 //! that include this file assert exactly that.
 
 use std::collections::{BTreeSet, HashMap};
 use vmn::{Network, PolicyClasses};
+use vmn_mbox::MboxModel;
 use vmn_net::{FailureScenario, NodeId, TransferFunction};
 
 /// The partition as a set of sets, for comparison regardless of class
@@ -22,24 +23,24 @@ pub fn assert_matches_reference(net: &Network, label: &str) {
     assert_eq!(as_sets(&got.classes), as_sets(&reference_classes(net)), "{label}");
 }
 
-fn pipeline_types(
-    net: &Network,
-    tf: &TransferFunction<'_>,
-    from: NodeId,
-    to: NodeId,
-) -> Vec<String> {
+/// A pipeline step: a box's type name and model, or how the path ends.
+type Step = (String, Option<MboxModel>);
+
+fn pipeline_steps(net: &Network, tf: &TransferFunction<'_>, from: NodeId, to: NodeId) -> Vec<Step> {
     let addr = net.host_address(to);
+    let end = |how: &str| (how.to_string(), None);
     match tf.terminal_path(from, addr) {
-        Ok((mboxes, end)) => {
-            let mut types: Vec<String> =
-                mboxes.iter().filter_map(|&m| net.topo.mbox_type(m).map(str::to_string)).collect();
-            types.push(match end {
-                Some(_) => "delivered".to_string(),
-                None => "dropped".to_string(),
-            });
-            types
+        Ok((mboxes, reached)) => {
+            let mut steps: Vec<Step> = mboxes
+                .iter()
+                .filter_map(|&m| {
+                    Some((net.topo.mbox_type(m)?.to_string(), Some(net.model(m).clone())))
+                })
+                .collect();
+            steps.push(end(if reached.is_some() { "delivered" } else { "dropped" }));
+            steps
         }
-        Err(_) => vec!["error".to_string()],
+        Err(_) => vec![end("error")],
     }
 }
 
@@ -81,7 +82,7 @@ pub fn reference_classes(net: &Network) -> Vec<Vec<NodeId>> {
         let mut class_list: Vec<usize> = members.keys().copied().collect();
         class_list.sort();
 
-        let mut sigs: HashMap<NodeId, Vec<(usize, Vec<String>, Vec<String>)>> = HashMap::new();
+        let mut sigs: HashMap<NodeId, Vec<(usize, Vec<Step>, Vec<Step>)>> = HashMap::new();
         for &h in &hosts {
             let mut sig = Vec::new();
             for &c in &class_list {
@@ -89,14 +90,14 @@ pub fn reference_classes(net: &Network) -> Vec<Vec<NodeId>> {
                 let Some(rep) = rep else {
                     continue;
                 };
-                let fwd = pipeline_types(net, &tf, h, rep);
-                let back = pipeline_types(net, &tf, rep, h);
+                let fwd = pipeline_steps(net, &tf, h, rep);
+                let back = pipeline_steps(net, &tf, rep, h);
                 sig.push((c, fwd, back));
             }
             sigs.insert(h, sig);
         }
 
-        let mut new_class: HashMap<(usize, Vec<(usize, Vec<String>, Vec<String>)>), usize> =
+        let mut new_class: HashMap<(usize, Vec<(usize, Vec<Step>, Vec<Step>)>), usize> =
             HashMap::new();
         let mut next_of: HashMap<NodeId, usize> = HashMap::new();
         for &h in &hosts {
