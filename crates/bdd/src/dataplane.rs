@@ -11,7 +11,7 @@
 //! * a **delivery predicate** per (failure scenario, emitting terminal,
 //!   target terminal) — the destination addresses the static datapath
 //!   carries from the emitter to the target, as the union of the target's
-//!   intervals in [`TransferFunction::delivery_intervals`], the list the
+//!   intervals in [`HeaderClasses::delivery_intervals`], the list the
 //!   SMT encoder compiles too, so both backends see the same network.
 //!   The interval lists are read from the memo of the [`HeaderClasses`]
 //!   the dataplane is built on, which the verifier shares with every other
@@ -23,9 +23,9 @@
 //! A [`Query`] is answered by composing these predicates breadth-first
 //! from each eligible sender up to a hop budget. On violation, a
 //! satisfying header is pulled out of the reaching set and re-walked
-//! concretely through the [`TransferFunction`] to recover the terminal
-//! path, the fired rule, and an oracle valuation per hop — everything a
-//! simulator-replayable trace needs.
+//! concretely through the [`TransferFunction`], on the same classes, to
+//! recover the terminal path, the fired rule, and an oracle valuation per
+//! hop — everything a simulator-replayable trace needs.
 //!
 //! Only stateless models compile: any [`Guard::StateContains`] read or
 //! state-mutating/rewriting action makes the behaviour history- or
@@ -338,8 +338,7 @@ impl Dataplane {
         let missing: Vec<NodeId> =
             visible.iter().copied().filter(|&t| !cache.contains_key(&(f, t))).collect();
         if !missing.is_empty() {
-            let intervals = TransferFunction::new(topo, tables, scenario)
-                .delivery_intervals(f, &self.classes)?;
+            let intervals = self.classes.delivery_intervals(topo, tables, scenario, f)?;
             for &t in &missing {
                 cache.insert((f, t), None);
             }
@@ -516,7 +515,7 @@ impl Dataplane {
             bit(DPORT_BASE, 16) as u16,
         );
 
-        let tf = TransferFunction::new(topo, tables, scenario);
+        let tf = TransferFunction::new(topo, tables, scenario).with_classes(&self.classes);
         let mut path = vec![sender];
         let mut hops = Vec::new();
         let mut cur = sender;

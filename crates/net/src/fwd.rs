@@ -12,7 +12,6 @@
 use crate::addr::{Address, Prefix};
 use crate::topology::{FailureScenario, Link, NodeId, Topology};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// A forwarding rule on a switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,66 +51,23 @@ impl Rule {
     }
 }
 
-/// One switch's rules in table order, plus the lookup index derived from
-/// them on first use.
-#[derive(Clone, Default, Debug)]
-struct Table {
-    rules: Vec<Rule>,
-    index: OnceLock<LpmIndex>,
-}
-
-/// A switch's rules arranged so that a lookup visits only the rules that
-/// can match its destination, best first. It holds positions, not rules:
-/// every rule stays in [`Table::rules`] once.
-#[derive(Clone, Debug)]
-struct LpmIndex {
-    /// Positions in [`Table::rules`] best-first: a stable sort by
-    /// descending [`Rule::rank`], so equal-rank rules keep table order.
-    ordered: Vec<u32>,
-    /// Host routes (/32 — the bulk of every generated table) as (address,
-    /// position in `ordered`), sorted: the host routes for one destination
-    /// are one contiguous run, best first.
-    hosts: Vec<(u32, u32)>,
-    /// Positions in `ordered` of the shorter prefixes, best first.
-    shorter: Vec<u32>,
-}
-
-impl LpmIndex {
-    fn build(rules: &[Rule]) -> LpmIndex {
-        let ordered = ranked(rules);
-        let mut hosts = Vec::new();
-        let mut shorter = Vec::new();
-        for (at, &pos) in ordered.iter().enumerate() {
-            let rule = &rules[pos as usize];
-            if rule.prefix.len() == 32 {
-                hosts.push((rule.prefix.addr().0, at as u32));
-            } else {
-                shorter.push(at as u32);
-            }
-        }
-        hosts.sort_unstable();
-        LpmIndex { ordered, hosts, shorter }
-    }
-}
-
 /// Positions of `rules` best-first: a stable sort by descending
-/// [`Rule::rank`], the order in which a lookup tries them.
+/// [`Rule::rank`], so the first live match in this order is the one
+/// [`ForwardingTables::lookup`] returns.
 pub(crate) fn ranked(rules: &[Rule]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..rules.len() as u32).collect();
     order.sort_by_key(|&at| std::cmp::Reverse(rules[at as usize].rank()));
     order
 }
 
-/// Per-switch forwarding state for one routing configuration.
-///
-/// Each switch's table carries a lookup index that is built lazily by the
-/// first [`lookup`](ForwardingTables::lookup) and dropped by every
-/// mutation of that table, so it can never be stale: the tables are only
-/// reachable through `add_rule` / `remove_rules`.
+/// Per-switch forwarding state for one routing configuration: each
+/// switch's rules in table order, and nothing derived from them. The
+/// compiled next-hop runs every engine walk reads live in
+/// [`HeaderClasses`](crate::transfer::HeaderClasses).
 #[derive(Clone, Default, Debug)]
 pub struct ForwardingTables {
     /// Indexed by `NodeId`; nodes without rules have an empty table.
-    tables: Vec<Table>,
+    tables: Vec<Vec<Rule>>,
 }
 
 impl ForwardingTables {
@@ -121,19 +77,17 @@ impl ForwardingTables {
 
     pub fn add_rule(&mut self, switch: NodeId, rule: Rule) {
         if switch.index() >= self.tables.len() {
-            self.tables.resize_with(switch.index() + 1, Table::default);
+            self.tables.resize_with(switch.index() + 1, Vec::new);
         }
-        let table = &mut self.tables[switch.index()];
-        table.rules.push(rule);
-        table.index.take();
+        self.tables[switch.index()].push(rule);
     }
 
     pub fn rules(&self, switch: NodeId) -> &[Rule] {
-        self.tables.get(switch.index()).map_or(&[], |t| t.rules.as_slice())
+        self.tables.get(switch.index()).map_or(&[], Vec::as_slice)
     }
 
     pub fn num_rules(&self) -> usize {
-        self.tables.iter().map(|t| t.rules.len()).sum()
+        self.tables.iter().map(Vec::len).sum()
     }
 
     /// Removes rules matching a predicate; returns how many were removed.
@@ -145,27 +99,27 @@ impl ForwardingTables {
         let Some(table) = self.tables.get_mut(switch.index()) else {
             return 0;
         };
-        let before = table.rules.len();
-        table.rules.retain(|r| !pred(r));
-        table.index.take();
-        before - table.rules.len()
+        let before = table.len();
+        table.retain(|r| !pred(r));
+        before - table.len()
     }
 
     /// All prefixes referenced anywhere (for header-class computation).
     pub fn prefixes(&self) -> Vec<Prefix> {
-        let mut out: Vec<Prefix> =
-            self.tables.iter().flat_map(|t| &t.rules).map(|r| r.prefix).collect();
+        let mut out: Vec<Prefix> = self.tables.iter().flatten().map(|r| r.prefix).collect();
         out.sort();
         out.dedup();
         out
     }
 
     /// Best live next hop at `switch` for a packet to `dst` arriving from
-    /// `from`, skipping rules whose next hop is dead under `scenario`.
+    /// `from`, skipping rules whose next hop is dead under `scenario` or
+    /// not adjacent at all: the best-ranked such rule, the first in table
+    /// order among equals.
     ///
-    /// Walks the host routes for `dst` and the shorter prefixes merged in
-    /// rank order and stops at the first live, adjacent match; nothing is
-    /// allocated.
+    /// A scan of the whole table per call. It answers the walks that carry
+    /// no header classes — the simulator's and the test references' — so
+    /// that those stay independent of the compiled runs the engine reads.
     pub fn lookup(
         &self,
         topo: &Topology,
@@ -174,39 +128,18 @@ impl ForwardingTables {
         dst: Address,
         from: NodeId,
     ) -> Option<NodeId> {
-        let table = self.tables.get(switch.index())?;
-        let index = table.index.get_or_init(|| LpmIndex::build(&table.rules));
-        // The host routes for `dst` start here and end where the address
-        // changes.
-        let hosts = &index.hosts[index.hosts.partition_point(|&(a, _)| a < dst.0)..];
-        let (mut h, mut s) = (0, 0);
-        loop {
-            let host = hosts.get(h).filter(|&&(a, _)| a == dst.0);
-            let at = match (host, index.shorter.get(s)) {
-                (Some(&(_, host)), Some(&short)) if host < short => {
-                    h += 1;
-                    host
-                }
-                (Some(&(_, host)), None) => {
-                    h += 1;
-                    host
-                }
-                (_, Some(&short)) => {
-                    s += 1;
-                    short
-                }
-                (None, None) => return None,
-            };
-            let rule = &table.rules[index.ordered[at as usize] as usize];
-            // A dead next hop fails its link too; the next hop must also
-            // actually be adjacent.
-            if rule.matches(dst, from)
-                && !scenario.is_link_failed(Link::new(switch, rule.next))
-                && topo.is_adjacent(switch, rule.next)
-            {
-                return Some(rule.next);
+        let live = |r: &&Rule| {
+            r.matches(dst, from)
+                && !scenario.is_link_failed(Link::new(switch, r.next))
+                && topo.is_adjacent(switch, r.next)
+        };
+        let mut best: Option<&Rule> = None;
+        for rule in self.rules(switch).iter().filter(live) {
+            if best.is_none_or(|b| rule.rank() > b.rank()) {
+                best = Some(rule);
             }
         }
+        best.map(|r| r.next)
     }
 }
 

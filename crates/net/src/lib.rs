@@ -12,14 +12,14 @@
 //! * [`topology`] — nodes (hosts, switches, middleboxes), links and
 //!   failure scenarios;
 //! * [`fwd`] — longest-prefix-match forwarding tables with
-//!   ingress-qualified rules, priorities and backup entries, a per-switch
-//!   lookup index that every table mutation drops, plus shortest-path
-//!   route computation;
+//!   ingress-qualified rules, priorities and backup entries, plus
+//!   shortest-path route computation;
 //! * [`transfer`] — the per-failure-scenario transfer function: a walk of
 //!   the static datapath from terminal to terminal with loop detection
 //!   (a static forwarding loop is an error, as in §3.5 of the paper),
 //!   VeriFlow-style header equivalence classes, the per-switch next-hop
-//!   runs compiled over them that walks read, and the per-emitter
+//!   runs compiled over them that walks read (with fallback runs per
+//!   failure scenario where a best next hop is dead), and the per-emitter
 //!   delivery intervals over them that every verification backend reads;
 //! * [`pipeline`] — the static *pipeline invariant* checker (which
 //!   middlebox chain a packet class traverses), the job the paper

@@ -17,22 +17,27 @@
 //!
 //! * a compiled next-hop table per switch, as in Delta-net: for each
 //!   class, the switch's best adjacent rule, stored as maximal runs of
-//!   classes and built once per switch on first use. A walk handed the
-//!   classes ([`TransferFunction::with_classes`]) looks its destination's
-//!   class up once and then costs one short binary search per hop instead
-//!   of a longest-prefix match;
+//!   classes and built once per switch on first use. Where that rule's
+//!   next hop is dead under a failure scenario, the hop reads the switch's
+//!   *fallback runs* instead: the same compilation over the rules whose
+//!   link is live under the scenario, built once per (scenario, switch).
+//!   A walk handed the classes ([`TransferFunction::with_classes`]) looks
+//!   its destination's class up once and then costs one short binary
+//!   search per hop, under every scenario;
 //! * the delivery table: the per-(scenario, emitter) interval lists of
-//!   [`TransferFunction::delivery_intervals`], each swept once and shared
-//!   by every reader of the same classes. A sweep follows the runs, not
-//!   the classes: each walk also reports how far every run it read
-//!   reaches, and the sweep resumes after that, so a list costs about one
-//!   walk per interval (275 per list on the benchmark's 3 539-class
-//!   campus, where a walk per class would take 3 539).
+//!   [`HeaderClasses::delivery_intervals`], each swept once and shared by
+//!   every reader of the same classes. A sweep follows the runs, not the
+//!   classes: each walk also reports how far every run it read reaches,
+//!   and the sweep resumes after that, so a list costs about one walk per
+//!   interval (275 per list on the benchmark's 3 539-class campus, where a
+//!   walk per class would take 3 539).
 //!
-//! Slicing, trace bounds and policy-equivalence refinement walk the
-//! engine's classes; the interval readers (SMT encoder, BDD dataplane,
-//! the daemon's slice key `vmn::slice::SliceKey`) read the delivery
-//! table.
+//! Slicing, trace bounds, pipeline checks and policy-equivalence
+//! refinement walk the engine's classes; the interval readers (SMT
+//! encoder, BDD dataplane, the daemon's slice key `vmn::slice::SliceKey`)
+//! read the delivery table. A walk without classes answers each hop with
+//! [`ForwardingTables::lookup`], a scan of the switch's rules: the
+//! simulator walks so, to replay witnesses independently of the runs.
 
 use crate::addr::{Address, Prefix};
 use crate::error::NetError;
@@ -98,12 +103,13 @@ pub fn translated_intervals<T: Copy + PartialEq>(
 ///
 /// Borrows the topology, tables and scenario, and optionally the header
 /// classes of the same topology and tables, and holds nothing else, so
-/// build one wherever a scenario is at hand. What is cached lives
-/// elsewhere: each switch's LPM index in the tables (built by the first
-/// lookup, dropped by any rule change), and each switch's next-hop runs
-/// and the interval lists of [`TransferFunction::delivery_intervals`] in
-/// the [`HeaderClasses`]. `deliver` and `terminal_path` walk every call;
-/// with classes a hop reads the runs, without them the LPM index.
+/// build one wherever a scenario is at hand. What is cached lives in the
+/// [`HeaderClasses`]: each switch's next-hop runs, its fallback runs per
+/// scenario, and the interval lists of
+/// [`HeaderClasses::delivery_intervals`]. `deliver` and `terminal_path`
+/// walk every call; with classes a hop reads the runs, without them it
+/// scans the switch's rules ([`ForwardingTables::lookup`]), which only
+/// the simulator and the test references do.
 #[derive(Clone, Copy)]
 pub struct TransferFunction<'a> {
     pub topo: &'a Topology,
@@ -123,9 +129,10 @@ impl<'a> TransferFunction<'a> {
 
     /// The same transfer function, walking on `classes`' next-hop runs.
     /// `classes` must be [`HeaderClasses::from_network`] of this transfer
-    /// function's topology and tables; the answers are those of the LPM
-    /// walk, only cheaper.
+    /// function's topology and tables; the answers are those of the walk
+    /// without classes, only cheaper.
     pub fn with_classes(self, classes: &'a HeaderClasses) -> TransferFunction<'a> {
+        debug_assert_eq!(classes.hops.len(), self.topo.num_nodes(), "classes of another network");
         TransferFunction { classes: Some(classes), ..self }
     }
 
@@ -147,7 +154,7 @@ impl<'a> TransferFunction<'a> {
     /// destination's class already looked up, and its *reach*: the last
     /// class for which every hop this walk read gives the same answer, so
     /// that every class from `dst`'s up to it is delivered alike (see
-    /// [`TransferFunction::delivery_intervals`], its one reader). A walk
+    /// [`HeaderClasses::delivery_intervals`], its one reader). A walk
     /// that reads nothing class-dependent reaches `usize::MAX`; without
     /// classes the reach means nothing.
     fn walk(&self, from: NodeId, dst: Dst) -> Result<(Option<NodeId>, usize), NetError> {
@@ -229,9 +236,12 @@ impl<'a> TransferFunction<'a> {
     /// [`TransferFunction::next_hop`] with the class looked up, and the
     /// last class this hop answers alike. With classes, the switch's runs
     /// name its best adjacent rule, alike to the end of the runs read; when
-    /// that rule's next hop is dead under the scenario, or the classes
-    /// hold no runs for the switch, the LPM lookup answers for this class
-    /// alone.
+    /// that rule's next hop is dead under the scenario, the switch's
+    /// fallback runs under the scenario answer instead, alike to the end of
+    /// their runs read. They name the best live rule for every class (where
+    /// the best adjacent rule is live, that rule), so the runs this hop
+    /// skipped bound nothing. Without classes, the switch's rules are
+    /// scanned and the reach means nothing.
     // Inlined into the walk together with the run lookups it makes: out of
     // line, these calls cost `campus-static` about 6 % of its sweeps and 9 %
     // of its set-up (A/B on 2 cores).
@@ -240,16 +250,12 @@ impl<'a> TransferFunction<'a> {
         let (Some(classes), Some(class)) = (self.classes, dst.class) else {
             return (self.tables.lookup(self.topo, self.scenario, switch, dst.addr, from), 0);
         };
-        if let Some((best, last)) = classes.next_hop(self.topo, self.tables, switch, class, from) {
-            match best {
-                None => return (None, last),
-                Some(n) if !self.scenario.is_link_failed(Link::new(switch, n)) => {
-                    return (Some(n), last)
-                }
-                Some(_) => {}
+        match classes.next_hop(self.topo, self.tables, switch, class, from) {
+            (Some(n), _) if self.scenario.is_link_failed(Link::new(switch, n)) => {
+                classes.fallback_hop(self, switch, class, from)
             }
+            hop => hop,
         }
-        (self.tables.lookup(self.topo, self.scenario, switch, dst.addr, from), class)
     }
 
     /// The nodes of a looping walk up to the first repeated (switch,
@@ -268,72 +274,6 @@ impl<'a> TransferFunction<'a> {
             (prev, cur) = (cur, next);
         }
         nodes
-    }
-
-    /// Where this emitter's packets land, header class by header class,
-    /// with adjacent classes of equal outcome merged: [`Interval`]s over
-    /// destination addresses, covering the whole address space in order.
-    ///
-    /// This is the one interval view of the static datapath: the SMT
-    /// encoder, the BDD dataplane and the slice key (`vmn::slice::SliceKey`)
-    /// each project it (to node indices, range predicates, canonical member
-    /// indices), so they agree on every delivery by construction. Merging
-    /// happens on the raw targets; a consumer that maps several targets to
-    /// one outcome and then discards that outcome (the encoder's
-    /// out-of-slice "drop", the targets the slice key leaves out) keeps
-    /// exactly the intervals it would have kept by merging after
-    /// projecting.
-    ///
-    /// The sweep walks on the classes' next-hop runs, one walk per run of
-    /// classes rather than per class. A walk reports its reach: the last
-    /// class for which every hop it read answers alike. Each run a hop
-    /// reads ends one class before the next run starts (under an ingress
-    /// that defers to the unqualified runs, the earlier of the two ends);
-    /// a hop the LPM lookup answers, behind a dead best next hop, holds
-    /// for its own class only; and the entry step holds up to the next
-    /// class a live terminal neighbour of the emitter owns. Every class up
-    /// to the reach lands where the walk did, so the next walk starts
-    /// after it. The lists equal the class-by-class sweep's.
-    ///
-    /// The list is memoised in `classes` under (scenario, emitter): only
-    /// the first call sweeps the classes, and every later call — from any
-    /// reader holding the same classes — gets the same [`Arc`]. `classes`
-    /// must therefore be [`HeaderClasses::from_network`] of this transfer
-    /// function's topology and tables. A forwarding loop is returned, not
-    /// memoised. [`HeaderClasses::delivery_walks`] counts the walks.
-    pub fn delivery_intervals(
-        &self,
-        emitter: NodeId,
-        classes: &HeaderClasses,
-    ) -> Result<Arc<[Interval]>, NetError> {
-        if let Some(hit) = classes.memo().get(self.scenario).and_then(|m| m.get(&emitter)) {
-            return Ok(hit.clone());
-        }
-        // Swept outside the lock, so `verify_all` workers on different
-        // scenarios do not serialise; two that race on one list compute
-        // the same intervals and the first insert is kept.
-        let tf = TransferFunction { classes: Some(classes), ..*self };
-        let n = classes.num_classes();
-        let mut intervals: Vec<Interval> = Vec::new();
-        let mut ci = 0;
-        while ci < n {
-            let rep = classes.representative(ci);
-            let (target, reach) = tf.walk(emitter, Dst { addr: rep, class: Some(ci) })?;
-            classes.walks.fetch_add(1, Ordering::Relaxed);
-            // Every reach covers the walk's own class; the clamp keeps the
-            // sweep moving forward whatever a walk reports.
-            let reach = reach.clamp(ci, n - 1);
-            let last =
-                if reach + 1 < n { classes.representative(reach + 1).0 - 1 } else { u32::MAX };
-            match intervals.last_mut() {
-                Some(prev) if prev.2 == target => prev.1 = last,
-                _ => intervals.push((rep.0, last, target)),
-            }
-            ci = reach + 1;
-        }
-        let mut memo = classes.memo();
-        let per_emitter = memo.entry(self.scenario.clone()).or_default();
-        Ok(per_emitter.entry(emitter).or_insert_with(|| intervals.into()).clone())
     }
 
     /// Follows the full middlebox pipeline from `src` toward `dst`,
@@ -400,34 +340,45 @@ struct Dst {
 /// ingress-qualified rule names, the runs where such a rule wins. Prefix
 /// membership is constant on a class, so each rule covers a contiguous
 /// range of classes, and one sweep over the (nested) ranges finds every
-/// class's best-ranked rule exactly. The table ignores failures: a walk
-/// checks the one next hop it names and falls back to
-/// [`ForwardingTables::lookup`] when that hop is dead.
+/// class's best-ranked rule exactly. These runs ignore failures: a walk
+/// checks the one next hop they name, and when it is dead reads the
+/// switch's fallback runs, the same compilation over the rules whose link
+/// is live under the scenario. Those are compiled on first use per
+/// (scenario, switch) and kept with the scenario's lists, so the hop that
+/// needs them pays a lock and a hash and every other hop pays neither.
 ///
-/// The delivery table memoises [`TransferFunction::delivery_intervals`]
-/// per (scenario, emitter). Its sweeps skip along the same runs: a walk
-/// that reads only runs answers for every class up to the nearest run end
-/// it met, so a list costs a walk per run of alike classes, not per class;
-/// a dead best next hop sends the sweep one class at a time.
+/// The delivery table memoises [`HeaderClasses::delivery_intervals`] per
+/// (scenario, emitter). Its sweeps skip along the same runs, fallback runs
+/// included: a walk answers for every class up to the nearest run end it
+/// met, so a list costs a walk per run of alike classes, not per class.
 ///
-/// Both tables read only the topology, the tables and (delivery) the
-/// scenario, so they are valid exactly as long as the classes are: a
-/// holder that keeps the classes across a change of models keeps them
-/// too, and a change of topology or tables needs new classes. Share one
-/// instance behind an [`Arc`] and every reader compiles each switch and
-/// sweeps each list at most once. Equality compares the class splits
-/// only. Classes built by [`HeaderClasses::from_prefixes`] know no
-/// switches, so walks on them use the LPM index throughout.
+/// Both tables read only the topology, the tables and (delivery and
+/// fallback runs) the scenario, so they are valid exactly as long as the
+/// classes are: a holder that keeps the classes across a change of models
+/// keeps them too, and a change of topology or tables needs new classes.
+/// Share one instance behind an [`Arc`] and every reader compiles each
+/// switch and sweeps each list at most once. Equality compares the class
+/// splits only.
 pub struct HeaderClasses {
     /// Sorted start addresses; class `i` covers `[starts[i], starts[i+1])`.
     starts: Vec<u32>,
     /// Next-hop runs by node index, compiled on demand (switches only;
     /// boxed, so a node that is no switch costs a pointer and a flag).
     hops: Box<[OnceLock<Box<NextHops>>]>,
-    /// scenario → emitter → interval list, filled on demand.
-    delivery: Mutex<HashMap<FailureScenario, HashMap<NodeId, Arc<[Interval]>>>>,
+    /// Per scenario: interval lists and fallback runs, filled on demand.
+    delivery: Mutex<HashMap<FailureScenario, ScenarioTable>>,
     /// Walks the delivery sweeps have taken (diagnostics).
     walks: AtomicUsize,
+}
+
+/// One scenario's part of the delivery table.
+#[derive(Default)]
+struct ScenarioTable {
+    /// emitter → interval list.
+    lists: HashMap<NodeId, Arc<[Interval]>>,
+    /// switch → fallback runs: the switch's rules whose link is live under
+    /// the scenario, compiled for a hop whose best next hop is dead.
+    fallback: HashMap<NodeId, NextHops>,
 }
 
 /// One switch's compiled next hops: sorted, maximal runs `(first class,
@@ -448,11 +399,13 @@ impl NextHops {
     /// No ingress-qualified rule wins: the unqualified runs decide.
     const DEFER: u32 = u32::MAX - 1;
 
-    /// Compiles the switch's adjacent rules into runs over the classes.
+    /// Compiles the switch's adjacent rules whose link is live under
+    /// `scenario` into runs over the classes.
     fn compile(
         classes: &HeaderClasses,
         topo: &Topology,
         tables: &ForwardingTables,
+        scenario: &FailureScenario,
         switch: NodeId,
     ) -> NextHops {
         let rules = tables.rules(switch);
@@ -469,9 +422,14 @@ impl NextHops {
         let outermost_first = |s: &Span| (s.0, std::cmp::Reverse(s.1));
         let mut unqualified: Vec<Span> = Vec::new();
         let mut qualified: Vec<(NodeId, Span)> = Vec::new();
-        // A rule toward a non-neighbour never fires, whatever the scenario.
-        let adjacent = ranked(rules).into_iter().map(|at| &rules[at as usize]);
-        for (pos, r) in adjacent.filter(|r| topo.is_adjacent(switch, r.next)).enumerate() {
+        // A rule toward a non-neighbour never fires, whatever the scenario,
+        // nor one over a link the scenario fails.
+        let neighbors = topo.neighbors(switch).iter().copied();
+        let dead: Vec<NodeId> =
+            neighbors.filter(|&n| scenario.is_link_failed(Link::new(switch, n))).collect();
+        let live = |r: &&Rule| topo.is_adjacent(switch, r.next) && !dead.contains(&r.next);
+        let ranked = ranked(rules).into_iter().map(|at| &rules[at as usize]);
+        for (pos, r) in ranked.filter(live).enumerate() {
             match r.from {
                 None => unqualified.push(span(pos, r)),
                 Some(f) => qualified.push((f, span(pos, r))),
@@ -613,7 +571,9 @@ impl HeaderClasses {
         classes
     }
 
-    /// Classes split at `prefixes`, with no next-hop table.
+    /// Classes split at `prefixes`, for the split alone: they hold no
+    /// next-hop table, so no walk may read them (a walk's first hop on
+    /// them panics). Walks take [`HeaderClasses::from_network`]'s.
     pub fn from_prefixes(prefixes: &[Prefix]) -> HeaderClasses {
         let mut starts: Vec<u32> = vec![0];
         for p in prefixes {
@@ -656,8 +616,7 @@ impl HeaderClasses {
 
     /// The best adjacent rule's next hop at `switch` for class `class`
     /// arriving from `from`, failures ignored, with the last class its runs
-    /// give the same answer: `Some((None, _))` when no adjacent rule
-    /// matches, `None` when these classes hold no table for `switch`.
+    /// give the same answer: `None` when no adjacent rule matches.
     /// Compiles the switch's runs on first use.
     #[inline(always)]
     fn next_hop(
@@ -667,10 +626,102 @@ impl HeaderClasses {
         switch: NodeId,
         class: usize,
         from: NodeId,
-    ) -> Option<(Option<NodeId>, usize)> {
-        let hops = self.hops.get(switch.index())?;
-        let hops = hops.get_or_init(|| Box::new(NextHops::compile(self, topo, tables, switch)));
-        Some(hops.next_hop(class, from))
+    ) -> (Option<NodeId>, usize) {
+        let none = FailureScenario::none();
+        let hops = self.hops[switch.index()]
+            .get_or_init(|| Box::new(NextHops::compile(self, topo, tables, &none, switch)));
+        hops.next_hop(class, from)
+    }
+
+    /// [`HeaderClasses::next_hop`] over `switch`'s fallback runs under
+    /// `tf`'s scenario: the best rule whose link is live. Compiled on first
+    /// use, outside the lock; two walks that race on one switch compile
+    /// the same runs and the first insert is kept.
+    // Kept out of the walk `step` is inlined into: only a hop behind a dead
+    // best next hop comes here.
+    #[cold]
+    fn fallback_hop(
+        &self,
+        tf: &TransferFunction<'_>,
+        switch: NodeId,
+        class: usize,
+        from: NodeId,
+    ) -> (Option<NodeId>, usize) {
+        if let Some(runs) = self.memo().get(tf.scenario).and_then(|t| t.fallback.get(&switch)) {
+            return runs.next_hop(class, from);
+        }
+        let runs = NextHops::compile(self, tf.topo, tf.tables, tf.scenario, switch);
+        let mut memo = self.memo();
+        let table = memo.entry(tf.scenario.clone()).or_default();
+        table.fallback.entry(switch).or_insert(runs).next_hop(class, from)
+    }
+
+    /// Where `emitter`'s packets land under `scenario`, header class by
+    /// header class, with adjacent classes of equal outcome merged:
+    /// [`Interval`]s over destination addresses, covering the whole address
+    /// space in order. `topo` and `tables` must be those these classes were
+    /// built from ([`HeaderClasses::from_network`]).
+    ///
+    /// This is the one interval view of the static datapath: the SMT
+    /// encoder, the BDD dataplane and the slice key (`vmn::slice::SliceKey`)
+    /// each project it (to node indices, range predicates, canonical member
+    /// indices), so they agree on every delivery by construction. Merging
+    /// happens on the raw targets; a consumer that maps several targets to
+    /// one outcome and then discards that outcome (the encoder's
+    /// out-of-slice "drop", the targets the slice key leaves out) keeps
+    /// exactly the intervals it would have kept by merging after
+    /// projecting.
+    ///
+    /// The sweep walks on the next-hop runs, one walk per run of classes
+    /// rather than per class. A walk reports its reach: the last class for
+    /// which every hop it read answers alike. Each run a hop reads ends one
+    /// class before the next run starts (under an ingress that defers to
+    /// the unqualified runs, the earlier of the two ends), a hop behind a
+    /// dead best next hop reading the fallback runs; and the entry step
+    /// holds up to the next class a live terminal neighbour of the emitter
+    /// owns. Every class up to the reach lands where the walk did, so the
+    /// next walk starts after it. The lists equal the class-by-class
+    /// sweep's.
+    ///
+    /// The list is memoised under (scenario, emitter): only the first call
+    /// sweeps the classes, and every later call — from any reader holding
+    /// the same classes — gets the same [`Arc`]. A forwarding loop is
+    /// returned, not memoised. [`HeaderClasses::delivery_walks`] counts the
+    /// walks.
+    pub fn delivery_intervals(
+        &self,
+        topo: &Topology,
+        tables: &ForwardingTables,
+        scenario: &FailureScenario,
+        emitter: NodeId,
+    ) -> Result<Arc<[Interval]>, NetError> {
+        if let Some(hit) = self.memo().get(scenario).and_then(|t| t.lists.get(&emitter)) {
+            return Ok(hit.clone());
+        }
+        // Swept outside the lock, so `verify_all` workers on different
+        // scenarios do not serialise; two that race on one list compute
+        // the same intervals and the first insert is kept.
+        let tf = TransferFunction::new(topo, tables, scenario).with_classes(self);
+        let n = self.num_classes();
+        let mut intervals: Vec<Interval> = Vec::new();
+        let mut ci = 0;
+        while ci < n {
+            let rep = self.representative(ci);
+            let (target, reach) = tf.walk(emitter, Dst { addr: rep, class: Some(ci) })?;
+            self.walks.fetch_add(1, Ordering::Relaxed);
+            // Every reach covers the walk's own class; the clamp keeps the
+            // sweep moving forward whatever a walk reports.
+            let reach = reach.clamp(ci, n - 1);
+            let last = if reach + 1 < n { self.representative(reach + 1).0 - 1 } else { u32::MAX };
+            match intervals.last_mut() {
+                Some(prev) if prev.2 == target => prev.1 = last,
+                _ => intervals.push((rep.0, last, target)),
+            }
+            ci = reach + 1;
+        }
+        let mut memo = self.memo();
+        let lists = &mut memo.entry(scenario.clone()).or_default().lists;
+        Ok(lists.entry(emitter).or_insert_with(|| intervals.into()).clone())
     }
 
     /// The switches whose next-hop runs are compiled, sorted (diagnostics
@@ -691,14 +742,27 @@ impl HeaderClasses {
     /// The emitters whose interval lists under `scenario` are memoised,
     /// sorted (diagnostics and tests).
     pub fn memoised_emitters(&self, scenario: &FailureScenario) -> Vec<NodeId> {
-        let mut emitters: Vec<NodeId> =
-            self.memo().get(scenario).map(|m| m.keys().copied().collect()).unwrap_or_default();
-        emitters.sort_unstable();
-        emitters
+        self.memoised(scenario, |t| t.lists.keys().copied().collect())
+    }
+
+    /// The switches whose fallback runs under `scenario` are compiled,
+    /// sorted (diagnostics and tests).
+    pub fn fallback_switches(&self, scenario: &FailureScenario) -> Vec<NodeId> {
+        self.memoised(scenario, |t| t.fallback.keys().copied().collect())
+    }
+
+    fn memoised(
+        &self,
+        scenario: &FailureScenario,
+        keys: fn(&ScenarioTable) -> Vec<NodeId>,
+    ) -> Vec<NodeId> {
+        let mut nodes = self.memo().get(scenario).map(keys).unwrap_or_default();
+        nodes.sort_unstable();
+        nodes
     }
 
     /// How many walks the delivery sweeps of
-    /// [`TransferFunction::delivery_intervals`] have taken on these
+    /// [`HeaderClasses::delivery_intervals`] have taken on these
     /// classes (diagnostics and tests). A sweep walks once per run of
     /// classes that every hop answers alike, so a list costs at least one
     /// walk per interval and, on a network with any such runs, fewer than
@@ -707,20 +771,21 @@ impl HeaderClasses {
         self.walks.load(Ordering::Relaxed)
     }
 
-    /// How many scenarios the delivery table holds lists for.
+    /// How many scenarios the delivery table holds lists or fallback runs
+    /// for.
     pub fn memoised_scenarios(&self) -> usize {
         self.memo().len()
     }
 
-    /// Drops the lists of every scenario not in `live` (a scenario its
-    /// network no longer declares).
+    /// Drops the lists and fallback runs of every scenario not in `live`
+    /// (a scenario its network no longer declares).
     pub fn retain_scenarios(&self, live: &[FailureScenario]) {
         self.memo().retain(|scenario, _| live.contains(scenario));
     }
 
     /// The delivery table's lock. A holder only probes or inserts a
     /// finished list, so a poisoned lock is recovered, not propagated.
-    fn memo(&self) -> MutexGuard<'_, HashMap<FailureScenario, HashMap<NodeId, Arc<[Interval]>>>> {
+    fn memo(&self) -> MutexGuard<'_, HashMap<FailureScenario, ScenarioTable>> {
         self.delivery.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -837,6 +902,41 @@ mod tests {
         let tf = TransferFunction::new(&t, &ft, &failed);
         let (_, end) = tf.terminal_path(h1, addr("10.0.2.1")).unwrap();
         assert_eq!(end, None);
+    }
+
+    /// Behind the failed firewall every class `h1` sends meets a dead best
+    /// next hop at `s1`. The hop reads `s1`'s fallback runs, which report a
+    /// reach like any other run, so the sweep still skips along runs of
+    /// classes instead of walking each one, and lands every class where the
+    /// walk without classes does.
+    #[test]
+    fn a_dead_best_next_hop_sweeps_by_runs() {
+        let (t, mut ft, h1, h2, fw) = fw_pipeline();
+        let (s1, s2) = (t.by_name("s1").unwrap(), t.by_name("s2").unwrap());
+        ft.add_rule(s1, Rule::new(px("10.0.0.0/8"), s2));
+        for p in ["10.0.3.0/24", "10.0.4.0/24", "10.0.5.0/24", "10.0.6.0/24"] {
+            ft.add_rule(s2, Rule::new(px(p), h2));
+        }
+        let failed = FailureScenario::nodes([fw]);
+        let classes = HeaderClasses::from_network(&t, &ft);
+        let n = classes.num_classes();
+        let list = classes.delivery_intervals(&t, &ft, &failed, h1).unwrap();
+        let walks = classes.delivery_walks();
+        assert!(walks < n, "{walks} walks for {n} classes");
+        assert_eq!(classes.fallback_switches(&failed), vec![s1]);
+
+        let reference = TransferFunction::new(&t, &ft, &failed);
+        let mut by_class: Vec<Interval> = Vec::new();
+        for (ci, rep) in classes.representatives().enumerate() {
+            let target = reference.deliver(h1, rep).unwrap();
+            let last = if ci + 1 < n { classes.representative(ci + 1).0 - 1 } else { u32::MAX };
+            match by_class.last_mut() {
+                Some(prev) if prev.2 == target => prev.1 = last,
+                _ => by_class.push((rep.0, last, target)),
+            }
+        }
+        assert_eq!(&list[..], &by_class[..]);
+        assert!(by_class.iter().any(|iv| iv.2 == Some(h2)), "the fallback route reaches h2");
     }
 
     #[test]

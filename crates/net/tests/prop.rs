@@ -154,15 +154,16 @@ proptest! {
     }
 }
 
-// ---- The indexed tables against the reference walker ---------------------
+// ---- The compiled runs against the reference walker -----------------------
 //
-// `ForwardingTables::lookup` answers from a per-switch index, a walk on
-// header classes answers each hop from the switch's compiled next-hop runs,
-// and `TransferFunction::deliver` bounds its walk with a hop counter. The
-// functions below are the straightforward versions they replaced — filter
+// A walk on header classes answers each hop from the switch's compiled
+// next-hop runs (or, behind a dead best next hop, its fallback runs under
+// the scenario), and `TransferFunction::deliver` bounds its walk with a hop
+// counter. The functions below are the straightforward versions — filter
 // the whole rule list, sort it, scan the neighbour list; record every
-// visited (switch, ingress) pair — kept here as the reference the index and
-// the runs must agree with on every result and every error payload.
+// visited (switch, ingress) pair — kept here as the reference that
+// `ForwardingTables::lookup` and the runs must agree with on every result
+// and every error payload.
 
 fn ref_lookup(
     topo: &Topology,
@@ -367,7 +368,7 @@ fn random_rule(rng: &mut TestRng, topo: &Topology, switch: NodeId) -> Rule {
     rule.with_priority(pick(rng, &[-1, 0, 0, 0, 1, 10]))
 }
 
-/// Every question the index and the runs answer, asked of them and of the
+/// Every question the tables and the runs answer, asked of them and of the
 /// reference.
 fn assert_index_matches_reference(
     topo: &Topology,
@@ -387,7 +388,7 @@ fn assert_index_matches_reference(
                     "lookup at {sw:?} for {dst:?} from {from:?} under {scenario:?}"
                 );
                 // The runs name the best adjacent rule whatever the
-                // scenario; a dead next hop falls back to the LPM walk.
+                // scenario; a dead next hop reads the fallback runs.
                 assert_eq!(
                     on_runs.next_hop(sw, dst, from),
                     reference,
@@ -422,7 +423,7 @@ fn assert_index_matches_reference(
                 "terminal_path on runs {t:?} -> {dst:?} under {scenario:?}"
             );
         }
-        let intervals = tf.delivery_intervals(t, &classes);
+        let intervals = classes.delivery_intervals(topo, tables, scenario, t);
         let reference = ref_intervals(topo, tables, scenario, &classes, t);
         assert_eq!(
             intervals.as_deref(),
@@ -431,7 +432,7 @@ fn assert_index_matches_reference(
         );
         // The second ask is a memo hit: the very same list, still equal
         // to the reference.
-        let again = tf.delivery_intervals(t, &classes);
+        let again = classes.delivery_intervals(topo, tables, scenario, t);
         if let (Ok(first), Ok(second)) = (&intervals, &again) {
             assert!(Arc::ptr_eq(first, second), "delivery_intervals of {t:?} was swept twice");
         }
@@ -457,12 +458,12 @@ fn assert_index_matches_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Indexed `lookup` / `deliver` / `terminal_path` / `delivery_intervals`
-    /// agree with the reference walker — results and `ForwardingLoop`
-    /// payloads — on random fabrics with ties, ingress-qualified rules,
-    /// overlapping prefixes, dead and non-adjacent next hops, failed nodes
-    /// and links and deliberate loops; and a lookup made before a table
-    /// mutation never shadows the mutation (the stale-index case).
+    /// `lookup`, and `deliver` / `terminal_path` / `delivery_intervals` with
+    /// and without classes, agree with the reference walker — results and
+    /// `ForwardingLoop` payloads — on random fabrics with ties,
+    /// ingress-qualified rules, overlapping prefixes, dead and non-adjacent
+    /// next hops, failed nodes and links and deliberate loops; and again after
+    /// a rule is added and after one is removed.
     #[test]
     fn index_matches_reference_walker(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
@@ -501,7 +502,7 @@ proptest! {
             assert_index_matches_reference(&topo, &tables, scenario);
         }
 
-        // Mutate tables whose index the sweep above has built.
+        // Mutate tables the sweep above has compiled runs for.
         let sw = pick(&mut rng, &switches);
         let rule = random_rule(&mut rng, &topo, sw).with_priority(30);
         tables.add_rule(sw, rule);
@@ -518,8 +519,7 @@ proptest! {
     }
 }
 
-/// The stale-index case by hand: a lookup builds the index, a mutation of
-/// the same table must be visible to the next lookup.
+/// A mutation of a table is visible to the next lookup on it.
 #[test]
 fn lookup_sees_rules_added_and_removed_after_it() {
     let mut topo = Topology::new();

@@ -297,7 +297,7 @@ mod tests {
     use vmn::modular::{synthesize, ModularContext};
     use vmn::{PartitionMode, Verifier, VerifyOptions};
     use vmn_analysis::TouchSet;
-    use vmn_net::{HeaderClasses, TransferFunction};
+    use vmn_net::HeaderClasses;
 
     fn small(style: EstateStyle) -> EstateParams {
         EstateParams {
@@ -424,11 +424,11 @@ mod tests {
     /// hop it reads answers alike, not once per class. On a fixed campus,
     /// every list under every scenario and from every terminal takes at
     /// least one walk per interval and fewer walks than there are classes,
-    /// except where a dead best next hop sends each class to the LPM
-    /// lookup alone: with building 0's firewall failed, that is every
-    /// cross-site class a building-0 host sends. The total is pinned: a
-    /// sweep that fell back to one walk per class would still deliver
-    /// correctly, so only the count shows it.
+    /// those of building 0's hosts with building 0's firewall failed
+    /// included: their cross-site classes meet a dead best next hop, whose
+    /// fallback runs report a reach like any other runs. The total is
+    /// pinned: a sweep that fell back to one walk per class would still
+    /// deliver correctly, so only the count shows it.
     #[test]
     fn delivery_sweeps_walk_once_per_run_of_classes() {
         let params = EstateParams {
@@ -441,24 +441,20 @@ mod tests {
         let (topo, tables) = (&e.net.topo, &e.net.tables);
         let classes = HeaderClasses::from_network(topo, tables);
         let n = classes.num_classes();
-        let building0: Vec<NodeId> = e.hosts[0].iter().flatten().copied().collect();
         let (mut lists, mut intervals) = (0, 0);
         for scenario in e.net.all_scenarios() {
-            let tf = TransferFunction::new(topo, tables, &scenario);
             for t in topo.terminals() {
                 let before = classes.delivery_walks();
-                let list = tf.delivery_intervals(t, &classes).unwrap();
+                let list = classes.delivery_intervals(topo, tables, &scenario, t).unwrap();
                 let walks = classes.delivery_walks() - before;
                 let name = &topo.node(t).name;
-                let dead_hop = scenario.is_failed(e.firewalls[0]) && building0.contains(&t);
                 assert!(list.len() <= walks, "{name} under {scenario:?}: {walks} walks");
-                assert!(walks <= n, "{name} under {scenario:?}: {walks} walks for {n} classes");
-                assert_eq!(walks == n, dead_hop, "{name} under {scenario:?}: {walks} walks");
+                assert!(walks < n, "{name} under {scenario:?}: {walks} walks for {n} classes");
                 lists += 1;
                 intervals += list.len();
             }
         }
         assert_eq!((n, lists, intervals), (147, 396, 14_797));
-        assert_eq!(classes.delivery_walks(), 18_626, "one walk per class would be {}", n * lists);
+        assert_eq!(classes.delivery_walks(), 14_833, "one walk per class would be {}", n * lists);
     }
 }

@@ -118,7 +118,7 @@ use crate::network::Network;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vmn_mbox::{Action, Guard, KeyExpr, MboxModel};
-use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
+use vmn_net::{Address, FailureScenario, HeaderClasses, NetError, NodeId};
 use vmn_smt::{Context, SatResult, Sort, TermId};
 
 /// Widths of the symbolic header fields.
@@ -578,13 +578,13 @@ impl Encoded {
         // expression). Identical interval lists across scenarios hash-cons
         // to identical terms, so overlapping scenarios share most of their
         // CNF.
-        let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
         for f in self.terminals.clone() {
             if scenario.is_failed(f) {
                 continue;
             }
-            let intervals: Vec<(u32, u32, u64)> = tf
-                .delivery_intervals(f, &self.classes)?
+            let intervals: Vec<(u32, u32, u64)> = self
+                .classes
+                .delivery_intervals(&net.topo, &net.tables, scenario, f)?
                 .iter()
                 .filter_map(|&(first, last, target)| {
                     Some((first, last, *self.index.get(&target?)?))

@@ -406,9 +406,7 @@ fn witness_to_trace(w: &vmn_bdd::Witness) -> Trace {
 impl Verifier {
     /// Builds a verifier over a copy of `net`. The copy shares `net`'s
     /// topology and forwarding tables (both behind [`Arc`]s) and clones
-    /// only the models and scenarios, so no graph is deep-copied. The
-    /// tables' lookup indexes, built lazily on first use, are shared too
-    /// and outlive the verifier with the caller's network.
+    /// only the models and scenarios, so no graph is deep-copied.
     pub fn new(net: &Network, options: VerifyOptions) -> Result<Verifier, VerifyError> {
         Self::from_arc(Arc::new(net.clone()), options)
     }
@@ -1064,7 +1062,7 @@ pub(crate) mod engine_tests {
     use super::*;
     use std::collections::HashSet;
     use vmn_mbox::models;
-    use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology, TransferFunction};
+    use vmn_net::{PipelineSpec, Prefix, RoutingConfig, Rule, Topology};
 
     fn px(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -1739,12 +1737,12 @@ pub(crate) mod engine_tests {
             let r = v.verify_under(&inv, vec![s.clone()]).unwrap();
             assert_eq!(r.smt_scenarios, 1, "the stateful slice takes the SMT route");
             let swept = classes.memoised_emitters(&s);
-            let tf = TransferFunction::new(&net.topo, &net.tables, &s);
             let plan = planned(&v, &inv, &s);
             for &t in plan.nodes().iter().filter(|&&t| !s.is_failed(t)) {
                 let name = &net.topo.node(t).name;
                 assert!(swept.contains(&t), "{name} under {s:?}: the session swept a private copy");
-                lists.push((s.clone(), t, tf.delivery_intervals(t, &classes).unwrap()));
+                let list = classes.delivery_intervals(&net.topo, &net.tables, &s, t).unwrap();
+                lists.push((s.clone(), t, list));
             }
         }
         assert!(!lists.is_empty());
@@ -1752,8 +1750,8 @@ pub(crate) mod engine_tests {
         v.swap_network(v.network().clone(), &TouchSet::node("fw1")).unwrap();
         assert!(Arc::ptr_eq(v.header_classes(), &classes), "a model swap keeps the classes");
         for (s, t, list) in &lists {
-            let tf = TransferFunction::new(&net.topo, &net.tables, s);
-            let again = tf.delivery_intervals(*t, v.header_classes()).unwrap();
+            let again =
+                v.header_classes().delivery_intervals(&net.topo, &net.tables, s, *t).unwrap();
             assert!(Arc::ptr_eq(&again, list), "a model swap keeps the memoised lists");
         }
 
@@ -2165,7 +2163,9 @@ pub(crate) mod engine_tests {
     /// A scenario a delta removes leaves every per-scenario memo at the
     /// next swap, even one that touches nothing: after 50 add/remove
     /// pairs the contract arrivals, the BDD delivery predicates and the
-    /// interval lists each hold the live scenarios only.
+    /// interval lists each hold the live scenarios only, and the fallback
+    /// runs that a failed firewall's dead next hop compiled are gone with
+    /// its scenario.
     #[test]
     fn removed_scenarios_leave_every_per_scenario_memo() {
         let (net, a1, a2, b1, _b2) = two_buildings();
@@ -2186,9 +2186,11 @@ pub(crate) mod engine_tests {
             let modular = v.modular.as_ref().unwrap().memoised_scenarios();
             (modular, bdd, v.header_classes().memoised_scenarios())
         };
+        let mut fallbacks = 0;
         for round in 0..50 {
+            let extra = &extras[round % extras.len()];
             let mut added = net.clone();
-            added.add_scenario(extras[round % extras.len()].clone());
+            added.add_scenario(extra.clone());
             v.swap_network(Arc::new(added), &TouchSet::Nothing).unwrap();
             for s in v.network().all_scenarios() {
                 for inv in &invs {
@@ -2196,8 +2198,12 @@ pub(crate) mod engine_tests {
                 }
             }
             assert_eq!(memos(&mut v), (3, 3, 3), "round {round}: every memo saw the new scenario");
+            fallbacks += v.header_classes().fallback_switches(extra).len();
             v.swap_network(Arc::new(net.clone()), &TouchSet::Nothing).unwrap();
+            let left = v.header_classes().fallback_switches(extra);
+            assert!(left.is_empty(), "round {round}: fallback runs {left:?} outlived the scenario");
         }
+        assert!(fallbacks > 0, "no removed scenario had compiled fallback runs");
         let live = net.all_scenarios().len();
         assert_eq!(memos(&mut v), (live, live, live), "arrivals, predicates, interval lists");
     }

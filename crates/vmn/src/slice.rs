@@ -280,7 +280,7 @@ pub fn cluster_slices(slices: &[Vec<NodeId>], threshold: f64) -> Vec<Vec<usize>>
 /// * whether the scenario fails it;
 /// * its model IR, translated by `m` ([`MboxModel::translated`]);
 /// * if it is live, its in-slice delivery: the memoised
-///   [`TransferFunction::delivery_intervals`] (the list the encoder and the
+///   [`HeaderClasses::delivery_intervals`] (the list the encoder and the
 ///   BDD check compile), kept where the target is a slice member, with the
 ///   target given as its canonical index, and translated block by block
 ///   ([`translated_intervals`]). Out-of-slice targets and drops are one
@@ -418,12 +418,11 @@ impl SliceKey {
         // after that keep id order: the key is then still exact, only not
         // canonical, so an isomorphic check may miss it but none can match
         // it wrongly.
-        let tf = TransferFunction::new(&net.topo, &net.tables, scenario);
+        let delivery = |e: NodeId| classes.delivery_intervals(&net.topo, &net.tables, scenario, e);
         let inbound = |n: NodeId| -> Result<Vec<Vec<(u32, u32, ())>>, NetError> {
             let mut from = Vec::with_capacity(order.len());
             for &e in order.iter().filter(|&&e| !scenario.is_failed(e)) {
-                let to_n: Vec<(u32, u32, ())> = tf
-                    .delivery_intervals(e, classes)?
+                let to_n: Vec<(u32, u32, ())> = delivery(e)?
                     .iter()
                     .filter(|iv| iv.2 == Some(n))
                     .map(|&(first, last, _)| (first, last, ()))
@@ -454,8 +453,7 @@ impl SliceKey {
         index.sort_unstable();
         let index_of = |n: NodeId| index.binary_search_by_key(&n, |e| e.0).ok().map(|i| index[i].1);
         for (n, member) in members.iter_mut().filter(|(_, m)| !m.failed) {
-            let in_slice: Vec<(u32, u32, u32)> = tf
-                .delivery_intervals(*n, classes)?
+            let in_slice: Vec<(u32, u32, u32)> = delivery(*n)?
                 .iter()
                 .filter_map(|&(first, last, target)| Some((first, last, index_of(target?)?)))
                 .collect();

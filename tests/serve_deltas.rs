@@ -58,7 +58,7 @@ use proptest::test_runner::TestRng;
 use std::collections::{BTreeSet, HashMap};
 use vmn::slice::SliceKey;
 use vmn::{PartitionMode, Verdict, Verifier, VerifyOptions};
-use vmn_net::{FailureScenario, Prefix, TransferFunction};
+use vmn_net::{FailureScenario, Prefix};
 use vmn_serve::{scenario_key, Delta, Materialized, NetSession, NodeSpec, RouteSpec, SteerSpec};
 
 fn fuzz_cases() -> u32 {
@@ -337,11 +337,11 @@ fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
     // `==` compares the class splits only; the memoised interval lists
     // must match a fresh sweep too, or a list outlived its epoch.
     for (skey, scenario) in session.scenario_list() {
-        let tf = TransferFunction::new(&net.topo, &net.tables, &scenario);
-        for t in net.topo.terminals() {
+        let (topo, tables) = (&net.topo, &net.tables);
+        for t in topo.terminals() {
             assert_eq!(
-                tf.delivery_intervals(t, carried.header_classes()),
-                tf.delivery_intervals(t, fresh.header_classes()),
+                carried.header_classes().delivery_intervals(topo, tables, &scenario, t),
+                fresh.header_classes().delivery_intervals(topo, tables, &scenario, t),
                 "{label}: delivery intervals of {} under {skey:?}",
                 net.topo.node(t).name
             );
@@ -367,8 +367,7 @@ fn assert_epoch_matches_fresh(session: &NetSession, label: &str) {
 }
 
 /// The session's network, carried from epoch to epoch, must equal `m`,
-/// the live spec materialised from nothing. Rules are compared, not the
-/// lookup index the tables build lazily from them.
+/// the live spec materialised from nothing, rule for rule.
 fn assert_structure_matches(session: &NetSession, m: &Materialized, label: &str) {
     let net = session.verifier().network();
     let (topo, want) = (&net.topo, &m.net.topo);
