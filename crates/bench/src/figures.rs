@@ -5,11 +5,12 @@
 //! `EXPERIMENTS.md`) consumes as text tables.
 
 use crate::{
-    sliced, time_verify, time_verify_all, whole, Point, Series, FIG3_CLASSES, FIG4_CLASSES,
-    FIG7_SUBNETS, FIG8_TENANTS, FIG9B_SUBNETS, FIG9C_PEERS,
+    time_verify, time_verify_all, Point, Series, FIG3_CLASSES, FIG4_CLASSES, FIG7_SUBNETS,
+    FIG8_TENANTS, FIG9B_SUBNETS, FIG9C_PEERS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vmn::{Verifier, VerifyOptions};
 use vmn_scenarios::data_isolation::{DataIsolation, DataIsolationParams};
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
 use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
@@ -30,12 +31,12 @@ fn dc_params(policy_groups: usize) -> DatacenterParams {
 /// split into violated / holds cases.
 pub fn fig2(samples: usize) -> Vec<Series> {
     let mut rng = StdRng::seed_from_u64(2);
+    let opts = VerifyOptions::default();
     let mut out = Vec::new();
 
     // Rules: incorrect firewall rules on all firewalls.
     let mut dc = Datacenter::build(dc_params(5));
     let pairs = dc.inject_rule_misconfig(&mut rng, 2);
-    let opts = sliced(dc.policy_hint());
     let mut violated = Point::new("Rules/violated");
     let (d, rep) = time_verify(&dc.net, &opts, &dc.pair_isolation(pairs[0].0, pairs[0].1), samples);
     assert!(!rep.verdict.holds());
@@ -54,7 +55,6 @@ pub fn fig2(samples: usize) -> Vec<Series> {
     // Redundancy: misconfigured backup firewall (violation needs failure).
     let mut dc = Datacenter::build(dc_params(5));
     let pairs = dc.inject_redundancy_misconfig(&mut rng, 1);
-    let opts = sliced(dc.policy_hint());
     let mut violated = Point::new("Redundancy/violated");
     let (d, rep) = time_verify(&dc.net, &opts, &dc.pair_isolation(pairs[0].0, pairs[0].1), samples);
     assert!(!rep.verdict.holds());
@@ -72,14 +72,12 @@ pub fn fig2(samples: usize) -> Vec<Series> {
     // Traversal: backup routing skips the IDPS.
     let mut dc_bad = Datacenter::build(dc_params(5));
     dc_bad.inject_traversal_misconfig();
-    let opts = sliced(dc_bad.policy_hint());
     let mut violated = Point::new("Traversal/violated");
     let inv = dc_bad.traversal_invariants().remove(0);
     let (d, rep) = time_verify(&dc_bad.net, &opts, &inv, samples);
     assert!(!rep.verdict.holds());
     violated.samples = d;
     let dc_good = Datacenter::build(dc_params(5));
-    let opts = sliced(dc_good.policy_hint());
     let mut holds = Point::new("Traversal/holds");
     let inv = dc_good.traversal_invariants().remove(0);
     let (d, rep) = time_verify(&dc_good.net, &opts, &inv, samples);
@@ -102,21 +100,21 @@ pub fn fig3(samples: usize) -> Vec<Series> {
         dc.inject_rule_misconfig(&mut rng, classes / 2);
         let invs = dc.isolation_invariants();
         let mut p = Point::new(classes.to_string());
-        p.samples = time_verify_all(&dc.net, &sliced(dc.policy_hint()), &invs, samples);
+        p.samples = time_verify_all(&dc.net, &VerifyOptions::default(), &invs, samples);
         rules.points.push(p);
 
         let mut dc = Datacenter::build(dc_params(classes));
         dc.inject_redundancy_misconfig(&mut rng, classes / 2);
         let invs = dc.isolation_invariants();
         let mut p = Point::new(classes.to_string());
-        p.samples = time_verify_all(&dc.net, &sliced(dc.policy_hint()), &invs, samples);
+        p.samples = time_verify_all(&dc.net, &VerifyOptions::default(), &invs, samples);
         redundancy.points.push(p);
 
         let mut dc = Datacenter::build(dc_params(classes));
         dc.inject_traversal_misconfig();
         let invs = dc.traversal_invariants();
         let mut p = Point::new(classes.to_string());
-        p.samples = time_verify_all(&dc.net, &sliced(dc.policy_hint()), &invs, samples);
+        p.samples = time_verify_all(&dc.net, &VerifyOptions::default(), &invs, samples);
         traversal.points.push(p);
     }
     vec![rules, redundancy, traversal]
@@ -135,7 +133,7 @@ pub fn fig4(samples: usize) -> Vec<Series> {
         let hit = d.inject_cache_misconfig(&mut rng, 1)[0];
         let inv = d.private_isolation(hit, (hit + 1) % classes);
         let mut p = Point::new(classes.to_string());
-        let (durations, rep) = time_verify(&d.net, &sliced(d.policy_hint()), &inv, samples);
+        let (durations, rep) = time_verify(&d.net, &VerifyOptions::default(), &inv, samples);
         assert!(!rep.verdict.holds());
         p.samples = durations;
         violated.points.push(p);
@@ -143,7 +141,7 @@ pub fn fig4(samples: usize) -> Vec<Series> {
         let d = DataIsolation::build(params);
         let inv = d.private_isolation(0, 1);
         let mut p = Point::new(classes.to_string());
-        let (durations, rep) = time_verify(&d.net, &sliced(d.policy_hint()), &inv, samples);
+        let (durations, rep) = time_verify(&d.net, &VerifyOptions::default(), &inv, samples);
         assert!(rep.verdict.holds());
         p.samples = durations;
         holds.points.push(p);
@@ -162,7 +160,7 @@ pub fn fig5(samples: usize) -> Vec<Series> {
         });
         let invs = d.invariants();
         let mut p = Point::new(classes.to_string());
-        p.samples = time_verify_all(&d.net, &sliced(d.policy_hint()), &invs, samples);
+        p.samples = time_verify_all(&d.net, &VerifyOptions::default(), &invs, samples);
         all.points.push(p);
     }
     vec![all]
@@ -180,15 +178,20 @@ pub fn fig7(samples: usize) -> Vec<Series> {
         let e =
             Enterprise::build(EnterpriseParams { subnets: FIG7_SUBNETS[0], hosts_per_subnet: 2 });
         let mut p = Point::new("slice");
-        let (d, _) = time_verify(&e.net, &sliced(e.policy_hint()), &e.invariant_for(kind), samples);
+        let (d, _) =
+            time_verify(&e.net, &VerifyOptions::default(), &e.invariant_for(kind), samples);
         p.samples = d;
         series.points.push(p);
         // Whole-network points.
         for &subnets in FIG7_SUBNETS {
             let e = Enterprise::build(EnterpriseParams { subnets, hosts_per_subnet: 2 });
             let mut p = Point::new(format!("whole/{}", e.size()));
-            let (d, _) =
-                time_verify(&e.net, &whole(e.policy_hint()), &e.invariant_for(kind), samples);
+            let (d, _) = time_verify(
+                &e.net,
+                &VerifyOptions::whole_network(),
+                &e.invariant_for(kind),
+                samples,
+            );
             p.samples = d;
             series.points.push(p);
         }
@@ -212,13 +215,13 @@ pub fn fig8(samples: usize) -> Vec<Series> {
         let m =
             MultiTenant::build(MultiTenantParams { tenants: FIG8_TENANTS[0], vms_per_group: 3 });
         let mut p = Point::new("slice");
-        let (d, _) = time_verify(&m.net, &sliced(m.policy_hint()), &mk(&m), samples);
+        let (d, _) = time_verify(&m.net, &VerifyOptions::default(), &mk(&m), samples);
         p.samples = d;
         series.points.push(p);
         for &tenants in FIG8_TENANTS {
             let m = MultiTenant::build(MultiTenantParams { tenants, vms_per_group: 3 });
             let mut p = Point::new(format!("whole/{tenants}"));
-            let (d, _) = time_verify(&m.net, &whole(m.policy_hint()), &mk(&m), samples);
+            let (d, _) = time_verify(&m.net, &VerifyOptions::whole_network(), &mk(&m), samples);
             p.samples = d;
             series.points.push(p);
         }
@@ -239,7 +242,7 @@ pub fn fig9b(samples: usize) -> Vec<Series> {
     });
     let mut p = Point::new("slice");
     let (d, _) =
-        time_verify(&isp.net, &sliced(isp.policy_hint()), &isp.invariant_for(1, 1), samples);
+        time_verify(&isp.net, &VerifyOptions::default(), &isp.invariant_for(1, 1), samples);
     p.samples = d;
     series.points.push(p);
     for &subnets in FIG9B_SUBNETS {
@@ -250,8 +253,12 @@ pub fn fig9b(samples: usize) -> Vec<Series> {
             attacked_subnet: 1,
         });
         let mut p = Point::new(format!("whole/{subnets}"));
-        let (d, _) =
-            time_verify(&isp.net, &whole(isp.policy_hint()), &isp.invariant_for(1, 1), samples);
+        let (d, _) = time_verify(
+            &isp.net,
+            &VerifyOptions::whole_network(),
+            &isp.invariant_for(1, 1),
+            samples,
+        );
         p.samples = d;
         series.points.push(p);
     }
@@ -270,7 +277,7 @@ pub fn fig9c(samples: usize) -> Vec<Series> {
     });
     let mut p = Point::new("slice");
     let (d, _) =
-        time_verify(&isp.net, &sliced(isp.policy_hint()), &isp.invariant_for(1, 0), samples);
+        time_verify(&isp.net, &VerifyOptions::default(), &isp.invariant_for(1, 0), samples);
     p.samples = d;
     series.points.push(p);
     for &peers in FIG9C_PEERS {
@@ -281,8 +288,12 @@ pub fn fig9c(samples: usize) -> Vec<Series> {
             attacked_subnet: 1,
         });
         let mut p = Point::new(format!("whole/{peers}"));
-        let (d, _) =
-            time_verify(&isp.net, &whole(isp.policy_hint()), &isp.invariant_for(1, 0), samples);
+        let (d, _) = time_verify(
+            &isp.net,
+            &VerifyOptions::whole_network(),
+            &isp.invariant_for(1, 0),
+            samples,
+        );
         p.samples = d;
         series.points.push(p);
     }
@@ -293,12 +304,13 @@ pub fn fig9c(samples: usize) -> Vec<Series> {
 /// §5.1 datacenter. Rows: full engine (slices + symmetry), slices without
 /// symmetry, whole-network with symmetry.
 pub fn ablation(samples: usize) -> Vec<Series> {
-    use vmn::Verifier;
     let classes = 5usize;
     let dc = Datacenter::build(dc_params(classes));
     // Per-host invariants: every host of each group must be isolated from
-    // the next group. Within a group these are symmetric, so the symmetry
-    // machinery collapses them to one solver run per group.
+    // the next group. Within a policy class these are symmetric, so the
+    // symmetry machinery collapses them to one solver run per class: six
+    // runs for 20 invariants, since the load balancer's two backends in
+    // group 0 are a class of their own.
     let invs: Vec<vmn::Invariant> = (0..classes)
         .flat_map(|g| {
             let src = dc.groups[(g + 1) % classes][0];
@@ -314,7 +326,7 @@ pub fn ablation(samples: usize) -> Vec<Series> {
     // Slices + symmetry (the full engine).
     let mut s = Series::new("slices + symmetry");
     let mut p = Point::new(classes.to_string());
-    p.samples = time_verify_all(&dc.net, &sliced(dc.policy_hint()), &invs, samples);
+    p.samples = time_verify_all(&dc.net, &VerifyOptions::default(), &invs, samples);
     s.points.push(p);
     out.push(s);
 
@@ -322,7 +334,7 @@ pub fn ablation(samples: usize) -> Vec<Series> {
     let mut s = Series::new("slices, no symmetry");
     let mut p = Point::new(classes.to_string());
     for _ in 0..samples {
-        let verifier = Verifier::new(&dc.net, sliced(dc.policy_hint())).expect("valid");
+        let verifier = Verifier::new(&dc.net, VerifyOptions::default()).expect("valid");
         let t0 = std::time::Instant::now();
         for inv in &invs {
             verifier.verify(inv).expect("verifies");
@@ -335,7 +347,7 @@ pub fn ablation(samples: usize) -> Vec<Series> {
     // Whole network + symmetry: no slicing.
     let mut s = Series::new("whole network + symmetry");
     let mut p = Point::new(classes.to_string());
-    p.samples = time_verify_all(&dc.net, &whole(dc.policy_hint()), &invs, samples);
+    p.samples = time_verify_all(&dc.net, &VerifyOptions::whole_network(), &invs, samples);
     s.points.push(p);
     out.push(s);
     out

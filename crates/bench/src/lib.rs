@@ -24,7 +24,6 @@
 
 use std::time::{Duration, Instant};
 use vmn::{Invariant, Network, Report, Verifier, VerifyOptions};
-use vmn_net::NodeId;
 
 /// Whole-network x-axes (see module docs for the paper mapping).
 pub const FIG3_CLASSES: &[usize] = &[5, 10, 15, 25];
@@ -152,16 +151,6 @@ pub fn time_verify_all(
         durations.push(t0.elapsed());
     }
     durations
-}
-
-/// Convenience: slice-mode options with a policy hint.
-pub fn sliced(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), ..Default::default() }
-}
-
-/// Convenience: whole-network options with a policy hint.
-pub fn whole(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), ..VerifyOptions::whole_network() }
 }
 
 pub mod figures;

@@ -189,17 +189,6 @@ impl DataIsolation {
         models::content_cache("content-cache", servers, deny)
     }
 
-    /// Policy hint: each group's hosts (servers + clients) form one class.
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        (0..self.params.policy_groups)
-            .map(|g| {
-                let mut v = vec![self.private_servers[g], self.public_servers[g]];
-                v.extend(&self.clients[g]);
-                v
-            })
-            .collect()
-    }
-
     /// The data-isolation invariant: group `g`'s private data must not
     /// reach a client of group `other`.
     pub fn private_isolation(&self, g: usize, other: usize) -> Invariant {
@@ -238,10 +227,6 @@ mod tests {
     use rand::SeedableRng;
     use vmn::{Verifier, VerifyOptions};
 
-    fn opts(d: &DataIsolation) -> VerifyOptions {
-        VerifyOptions { policy_hint: Some(d.policy_hint()), ..Default::default() }
-    }
-
     #[test]
     fn builds_and_validates() {
         let d =
@@ -254,7 +239,7 @@ mod tests {
     fn configured_caches_preserve_privacy() {
         let d =
             DataIsolation::build(DataIsolationParams { policy_groups: 3, clients_per_group: 1 });
-        let v = Verifier::new(&d.net, opts(&d)).unwrap();
+        let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
         let inv = d.private_isolation(0, 1);
         let rep = v.verify(&inv).unwrap();
         if let vmn::Verdict::Violated { trace, .. } = &rep.verdict {
@@ -269,7 +254,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let hit = d.inject_cache_misconfig(&mut rng, 1);
         let g = hit[0];
-        let v = Verifier::new(&d.net, opts(&d)).unwrap();
+        let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
         let inv = d.private_isolation(g, (g + 1) % 3);
         let rep = v.verify(&inv).unwrap();
         match &rep.verdict {
@@ -290,7 +275,7 @@ mod tests {
     fn public_data_flows_everywhere() {
         let d =
             DataIsolation::build(DataIsolationParams { policy_groups: 2, clients_per_group: 1 });
-        let v = Verifier::new(&d.net, opts(&d)).unwrap();
+        let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
         let inv = Invariant::DataIsolation { origin: d.public_servers[0], dst: d.clients[1][0] };
         let rep = v.verify(&inv).unwrap();
         assert!(!rep.verdict.holds(), "public data is world readable");
@@ -306,7 +291,7 @@ mod tests {
                 policy_groups: g,
                 clients_per_group: 1,
             });
-            let v = Verifier::new(&d.net, opts(&d)).unwrap();
+            let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
             let rep = v.verify(&d.private_isolation(0, 1)).unwrap();
             sizes.push(rep.encoded_nodes);
         }

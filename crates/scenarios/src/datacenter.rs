@@ -58,7 +58,8 @@ impl Default for DatacenterParams {
 pub struct Datacenter {
     pub net: Network,
     pub params: DatacenterParams,
-    /// Hosts of each policy group (the policy-class hint).
+    /// Hosts of each policy group, as the generator configures them. The
+    /// verifier refines its own policy classes, which may split a group.
     pub groups: Vec<Vec<NodeId>>,
     pub fw1: NodeId,
     pub fw2: Option<NodeId>,
@@ -178,11 +179,6 @@ impl Datacenter {
         }
 
         Datacenter { net, params, groups, fw1, fw2, idps1, idps2, lb1, tors, aggs: [agg1, agg2] }
-    }
-
-    /// The policy-class hint handed to the verifier.
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        self.groups.clone()
     }
 
     /// One cross-group isolation invariant per policy group: a host of
@@ -311,8 +307,7 @@ mod tests {
     #[test]
     fn correct_config_upholds_isolation() {
         let dc = Datacenter::build(small());
-        let opts = VerifyOptions { policy_hint: Some(dc.policy_hint()), ..Default::default() };
-        let v = Verifier::new(&dc.net, opts).unwrap();
+        let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
         let inv = dc.pair_isolation(1, 0);
         assert!(v.verify(&inv).unwrap().verdict.holds());
         // Intra-group traffic is allowed.
@@ -325,8 +320,7 @@ mod tests {
         let mut dc = Datacenter::build(small());
         let mut rng = StdRng::seed_from_u64(1);
         let pairs = dc.inject_rule_misconfig(&mut rng, 2);
-        let opts = VerifyOptions { policy_hint: Some(dc.policy_hint()), ..Default::default() };
-        let v = Verifier::new(&dc.net, opts).unwrap();
+        let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
         for &(a, b) in &pairs {
             let inv = dc.pair_isolation(a, b);
             assert!(!v.verify(&inv).unwrap().verdict.holds(), "injected pair {a}->{b}");
@@ -340,8 +334,7 @@ mod tests {
         let mut dc = Datacenter::build(params);
         let mut rng = StdRng::seed_from_u64(2);
         let pairs = dc.inject_redundancy_misconfig(&mut rng, 1);
-        let opts = VerifyOptions { policy_hint: Some(dc.policy_hint()), ..Default::default() };
-        let v = Verifier::new(&dc.net, opts).unwrap();
+        let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
         let (a, b) = pairs[0];
         let rep = v.verify(&dc.pair_isolation(a, b)).unwrap();
         match rep.verdict {
@@ -357,15 +350,14 @@ mod tests {
         let mut params = small();
         params.with_failures = true;
         let mut dc = Datacenter::build(params);
-        let opts = VerifyOptions { policy_hint: Some(dc.policy_hint()), ..Default::default() };
         // Correct config: traversal holds even under failures.
         {
-            let v = Verifier::new(&dc.net, opts.clone()).unwrap();
+            let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
             let inv = dc.traversal_invariants().remove(0);
             assert!(v.verify(&inv).unwrap().verdict.holds());
         }
         dc.inject_traversal_misconfig();
-        let v = Verifier::new(&dc.net, opts).unwrap();
+        let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
         let inv = dc.traversal_invariants().remove(0);
         let rep = v.verify(&inv).unwrap();
         match rep.verdict {

@@ -138,28 +138,6 @@ impl Enterprise {
         self.net.topo.terminals().count()
     }
 
-    /// Policy hint: subnets of the same kind are one class; the internet
-    /// host is its own class.
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        let mut public = Vec::new();
-        let mut private = Vec::new();
-        let mut quarantined = Vec::new();
-        for (kind, hosts) in &self.subnets {
-            match kind {
-                SubnetKind::Public => public.extend(hosts),
-                SubnetKind::Private => private.extend(hosts),
-                SubnetKind::Quarantined => quarantined.extend(hosts),
-            }
-        }
-        let mut out = vec![vec![self.internet]];
-        for v in [public, private, quarantined] {
-            if !v.is_empty() {
-                out.push(v);
-            }
-        }
-        out
-    }
-
     /// First subnet of a given kind.
     pub fn subnet_of_kind(&self, kind: SubnetKind) -> Option<&[NodeId]> {
         self.subnets.iter().find(|(k, _)| *k == kind).map(|(_, h)| h.as_slice())
@@ -193,10 +171,6 @@ mod tests {
     use super::*;
     use vmn::{Verifier, VerifyOptions};
 
-    fn opts(e: &Enterprise) -> VerifyOptions {
-        VerifyOptions { policy_hint: Some(e.policy_hint()), ..Default::default() }
-    }
-
     #[test]
     fn builds_with_proportional_kinds() {
         let e = Enterprise::build(EnterpriseParams { subnets: 6, hosts_per_subnet: 2 });
@@ -210,7 +184,7 @@ mod tests {
     #[test]
     fn public_subnets_are_reachable() {
         let e = Enterprise::build(EnterpriseParams { subnets: 3, hosts_per_subnet: 1 });
-        let v = Verifier::new(&e.net, opts(&e)).unwrap();
+        let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&e.invariant_for(SubnetKind::Public)).unwrap();
         assert!(!rep.verdict.holds(), "public subnet accepts inbound connections");
     }
@@ -218,7 +192,7 @@ mod tests {
     #[test]
     fn private_subnets_are_flow_isolated() {
         let e = Enterprise::build(EnterpriseParams { subnets: 3, hosts_per_subnet: 1 });
-        let v = Verifier::new(&e.net, opts(&e)).unwrap();
+        let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&e.invariant_for(SubnetKind::Private)).unwrap();
         if let vmn::Verdict::Violated { trace, .. } = &rep.verdict {
             panic!("private subnet must be flow isolated:\n{}", trace.render(&e.net));
@@ -231,7 +205,7 @@ mod tests {
     #[test]
     fn quarantined_subnets_are_node_isolated() {
         let e = Enterprise::build(EnterpriseParams { subnets: 3, hosts_per_subnet: 1 });
-        let v = Verifier::new(&e.net, opts(&e)).unwrap();
+        let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&e.invariant_for(SubnetKind::Quarantined)).unwrap();
         assert!(rep.verdict.holds(), "quarantined subnet must be unreachable");
         // And cannot reach out either.
@@ -244,7 +218,7 @@ mod tests {
         let mut sizes = Vec::new();
         for subnets in [3usize, 9, 15] {
             let e = Enterprise::build(EnterpriseParams { subnets, hosts_per_subnet: 2 });
-            let v = Verifier::new(&e.net, opts(&e)).unwrap();
+            let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
             let rep = v.verify(&e.invariant_for(SubnetKind::Private)).unwrap();
             sizes.push(rep.encoded_nodes);
         }

@@ -222,11 +222,6 @@ impl Estate {
         Partition { modules }
     }
 
-    /// The policy-class hint: hosts of one subnet are interchangeable.
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        self.hosts.iter().flat_map(|site| site.iter().cloned()).collect()
-    }
-
     /// `n` cross-site node-isolation invariants (all hold; in modular
     /// mode every one is discharged by the boundary contracts).
     pub fn cross_site_isolation(&self, n: usize) -> Vec<Invariant> {
@@ -312,7 +307,6 @@ mod tests {
     fn modular_opts(e: &Estate) -> VerifyOptions {
         VerifyOptions {
             partition: PartitionMode::Explicit { partition: e.partition(), contracts: vec![] },
-            policy_hint: Some(e.policy_hint()),
             ..Default::default()
         }
     }

@@ -162,24 +162,6 @@ impl Isp {
         Isp { net, params, peers, edge_boxes, scrubber, subnets }
     }
 
-    /// Policy hint: subnets by kind, and all peers in one class (peering
-    /// points are symmetric, which is why the paper needs to verify only
-    /// three slices for the whole ISP).
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        let mut by_kind: [Vec<NodeId>; 3] = Default::default();
-        for (kind, host) in &self.subnets {
-            let idx = match kind {
-                SubnetKind::Public => 0,
-                SubnetKind::Private => 1,
-                SubnetKind::Quarantined => 2,
-            };
-            by_kind[idx].push(*host);
-        }
-        let mut out: Vec<Vec<NodeId>> = by_kind.into_iter().filter(|v| !v.is_empty()).collect();
-        out.push(self.peers.clone());
-        out
-    }
-
     /// The §5.3.1-style invariant for subnet `s` against peer `p`.
     pub fn invariant_for(&self, s: usize, p: usize) -> Invariant {
         let (kind, host) = self.subnets[s];
@@ -190,9 +172,11 @@ impl Isp {
         }
     }
 
-    /// One invariant per subnet kind present (against peering point 0) —
-    /// with symmetry these are the only three solver runs the whole
-    /// network needs.
+    /// One invariant per subnet kind present, against peering point 0.
+    /// They do not stand for the other subnets of their kind: refinement
+    /// gives every public and every private subnet a class of its own,
+    /// since the firewalls' ACLs name each one's prefix, and only the
+    /// quarantined subnets and the peers share classes.
     pub fn invariants(&self) -> Vec<Invariant> {
         let mut seen = [false; 3];
         let mut out = Vec::new();
@@ -216,10 +200,6 @@ mod tests {
     use super::*;
     use vmn::{Verifier, VerifyOptions};
 
-    fn opts(i: &Isp) -> VerifyOptions {
-        VerifyOptions { policy_hint: Some(i.policy_hint()), ..Default::default() }
-    }
-
     #[test]
     fn builds_and_validates() {
         let isp = Isp::build(IspParams::default());
@@ -236,7 +216,7 @@ mod tests {
             scrubber_behind_firewall: true,
             attacked_subnet: 1,
         });
-        let v = Verifier::new(&isp.net, opts(&isp)).unwrap();
+        let v = Verifier::new(&isp.net, VerifyOptions::default()).unwrap();
         // Subnet 1 is private and under attack; rerouted traffic passes
         // the scrubber and then a firewall, so flow isolation holds.
         let rep = v.verify(&isp.invariant_for(1, 1)).unwrap();
@@ -253,7 +233,7 @@ mod tests {
             scrubber_behind_firewall: false,
             attacked_subnet: 1,
         });
-        let v = Verifier::new(&isp.net, opts(&isp)).unwrap();
+        let v = Verifier::new(&isp.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&isp.invariant_for(1, 1)).unwrap();
         assert!(!rep.verdict.holds(), "rerouted traffic bypassing the firewalls must be detected");
     }
@@ -266,7 +246,7 @@ mod tests {
             scrubber_behind_firewall: true,
             attacked_subnet: 1,
         });
-        let v = Verifier::new(&isp.net, opts(&isp)).unwrap();
+        let v = Verifier::new(&isp.net, VerifyOptions::default()).unwrap();
         assert!(!v.verify(&isp.invariant_for(0, 0)).unwrap().verdict.holds(), "public reachable");
         assert!(v.verify(&isp.invariant_for(2, 0)).unwrap().verdict.holds(), "quarantined blocked");
     }
@@ -281,7 +261,7 @@ mod tests {
                 scrubber_behind_firewall: true,
                 attacked_subnet: 1,
             });
-            let v = Verifier::new(&isp.net, opts(&isp)).unwrap();
+            let v = Verifier::new(&isp.net, VerifyOptions::default()).unwrap();
             let rep = v.verify(&isp.invariant_for(0, 0)).unwrap();
             sizes.push(rep.encoded_nodes);
         }

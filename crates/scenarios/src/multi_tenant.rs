@@ -131,18 +131,6 @@ impl MultiTenant {
         MultiTenant { net, params, private_vms, public_vms, sg_fw }
     }
 
-    /// Policy hint: all private VMs form one equivalence class and all
-    /// public VMs another — tenants are *symmetric* (each is treated by
-    /// the same security-group policy structure), which is what lets the
-    /// engine verify one representative of each Figure-8 invariant family
-    /// instead of one per tenant pair (§4.2).
-    pub fn policy_hint(&self) -> Vec<Vec<NodeId>> {
-        vec![
-            self.private_vms.iter().flatten().copied().collect(),
-            self.public_vms.iter().flatten().copied().collect(),
-        ]
-    }
-
     /// The three invariants of Figure 8, instantiated for tenants (a, b).
     pub fn priv_priv(&self, a: usize, b: usize) -> Invariant {
         Invariant::FlowIsolation { src: self.private_vms[a][0], dst: self.private_vms[b][0] }
@@ -176,10 +164,6 @@ mod tests {
     use super::*;
     use vmn::{Verifier, VerifyOptions};
 
-    fn opts(m: &MultiTenant) -> VerifyOptions {
-        VerifyOptions { policy_hint: Some(m.policy_hint()), ..Default::default() }
-    }
-
     fn small() -> MultiTenant {
         MultiTenant::build(MultiTenantParams { tenants: 2, vms_per_group: 2 })
     }
@@ -195,7 +179,7 @@ mod tests {
     #[test]
     fn cross_tenant_private_vms_are_isolated() {
         let m = small();
-        let v = Verifier::new(&m.net, opts(&m)).unwrap();
+        let v = Verifier::new(&m.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&m.priv_priv(0, 1)).unwrap();
         if let vmn::Verdict::Violated { trace, .. } = &rep.verdict {
             panic!("priv-priv must hold:\n{}", trace.render(&m.net));
@@ -207,7 +191,7 @@ mod tests {
     #[test]
     fn private_vms_reach_other_tenants_public_vms() {
         let m = small();
-        let v = Verifier::new(&m.net, opts(&m)).unwrap();
+        let v = Verifier::new(&m.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&m.priv_pub(0, 1)).unwrap();
         assert!(!rep.verdict.holds(), "priv VMs may initiate to other tenants' public VMs");
     }
@@ -215,7 +199,7 @@ mod tests {
     #[test]
     fn same_tenant_vms_communicate() {
         let m = small();
-        let v = Verifier::new(&m.net, opts(&m)).unwrap();
+        let v = Verifier::new(&m.net, VerifyOptions::default()).unwrap();
         assert!(v.can_reach(m.private_vms[0][0], m.private_vms[0][1]).unwrap());
         assert!(v.can_reach(m.public_vms[0][0], m.private_vms[0][1]).unwrap());
     }
@@ -225,7 +209,7 @@ mod tests {
         let mut sizes = Vec::new();
         for tenants in [2usize, 4, 6] {
             let m = MultiTenant::build(MultiTenantParams { tenants, vms_per_group: 2 });
-            let v = Verifier::new(&m.net, opts(&m)).unwrap();
+            let v = Verifier::new(&m.net, VerifyOptions::default()).unwrap();
             let rep = v.verify(&m.priv_priv(0, 1)).unwrap();
             sizes.push(rep.encoded_nodes);
         }

@@ -158,8 +158,11 @@ pub enum Backend {
 pub struct VerifyOptions {
     /// Verify on slices (§4) instead of the whole network.
     pub use_slices: bool,
-    /// Policy classes, if the operator knows them; otherwise they are
-    /// computed by partition refinement. Read again whenever a swap
+    /// Policy classes to use instead of partition refinement (`None`, the
+    /// default, refines). The hint is trusted and unchecked: a grouping
+    /// coarser than refinement's hands out unsound symmetry and slices.
+    /// Only the `benchmark/` package's probe sets it, and the field leaves
+    /// with that probe (ROADMAP item 3). Read again whenever a swap
     /// dropped the classes ([`Verifier::swap_network`]), so the hint
     /// holds across every epoch; after a swap that adds or removes hosts
     /// it must still name the new epoch's hosts.
@@ -432,7 +435,7 @@ impl Verifier {
         Ok(verifier)
     }
 
-    /// The operator's policy classes when pinned by
+    /// The policy classes pinned by
     /// [`VerifyOptions::policy_hint`], partition refinement otherwise —
     /// on the epoch's header classes, so the next-hop runs it compiles
     /// serve the plans and sweeps that follow.

@@ -32,9 +32,10 @@ pub struct PolicyClasses {
 }
 
 impl PolicyClasses {
-    /// Builds classes from an explicit grouping (scenario generators know
-    /// their policy groups; the paper's operators configure networks in
-    /// terms of such groups).
+    /// Builds classes from an explicit grouping. Refinement
+    /// ([`PolicyClasses::compute`]) returns its result this way; any other
+    /// grouping is unchecked, and one coarser than refinement's gives
+    /// unsound symmetry.
     pub fn from_groups(groups: Vec<Vec<NodeId>>) -> PolicyClasses {
         let class_of =
             groups.iter().enumerate().flat_map(|(i, g)| g.iter().map(move |&h| (h, i))).collect();

@@ -15,8 +15,7 @@ fn main() {
 
     println!("== Correctly configured caches ==");
     let d = DataIsolation::build(params.clone());
-    let opts = VerifyOptions { policy_hint: Some(d.policy_hint()), ..Default::default() };
-    let v = Verifier::new(&d.net, opts.clone()).unwrap();
+    let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
     let rep = v.verify(&d.private_isolation(0, 1)).unwrap();
     println!(
         "  group 0 private data vs group 1 client: {} [{:?}, slice {} nodes]",
@@ -24,13 +23,14 @@ fn main() {
         rep.elapsed,
         rep.encoded_nodes
     );
+    assert!(rep.verdict.holds(), "the cache's deny ACL protects group 0's private data");
 
     println!("== After deleting a cache ACL ==");
     let mut d = DataIsolation::build(params);
     let mut rng = StdRng::seed_from_u64(42);
     let victims = d.inject_cache_misconfig(&mut rng, 1);
     let g = victims[0];
-    let v = Verifier::new(&d.net, opts).unwrap();
+    let v = Verifier::new(&d.net, VerifyOptions::default()).unwrap();
     let inv = d.private_isolation(g, (g + 1) % 4);
     let rep = v.verify(&inv).unwrap();
     match &rep.verdict {
@@ -38,6 +38,6 @@ fn main() {
             println!("  {inv}: VIOLATED — the cache serves the private data:");
             print!("{}", trace.render(&d.net));
         }
-        Verdict::Holds => println!("  {inv}: unexpectedly holds"),
+        Verdict::Holds => panic!("{inv}: the deleted ACL must leak the private data"),
     }
 }

@@ -10,8 +10,7 @@ use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
 fn main() {
     println!("== Per-kind invariants on a 6-subnet network ==");
     let e = Enterprise::build(EnterpriseParams { subnets: 6, hosts_per_subnet: 2 });
-    let opts = VerifyOptions { policy_hint: Some(e.policy_hint()), ..Default::default() };
-    let v = Verifier::new(&e.net, opts).unwrap();
+    let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
     for (kind, inv) in e.invariants() {
         let rep = v.verify(&inv).unwrap();
         let meaning = match kind {
@@ -25,13 +24,13 @@ fn main() {
             rep.elapsed,
             rep.encoded_nodes,
         );
+        assert_eq!(rep.verdict.holds(), kind != SubnetKind::Public, "{kind:?}");
     }
 
     println!("== Slice size vs network size (Figure 7's point) ==");
     for subnets in [3usize, 15, 30] {
         let e = Enterprise::build(EnterpriseParams { subnets, hosts_per_subnet: 2 });
-        let opts = VerifyOptions { policy_hint: Some(e.policy_hint()), ..Default::default() };
-        let v = Verifier::new(&e.net, opts).unwrap();
+        let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
         let rep = v.verify(&e.invariant_for(SubnetKind::Private)).unwrap();
         println!(
             "  network size {:>3} (hosts+mboxes): slice {} nodes, verified in {:?}",
@@ -39,5 +38,6 @@ fn main() {
             rep.encoded_nodes,
             rep.elapsed
         );
+        assert!(rep.verdict.holds(), "private subnets stay flow isolated");
     }
 }

@@ -15,12 +15,12 @@ fn run(label: &str, scrubber_behind_firewall: bool) {
         scrubber_behind_firewall,
         attacked_subnet: 1, // a private subnet is under attack
     });
-    let opts = VerifyOptions { policy_hint: Some(isp.policy_hint()), ..Default::default() };
-    let v = Verifier::new(&isp.net, opts).unwrap();
+    let v = Verifier::new(&isp.net, VerifyOptions::default()).unwrap();
     println!("== {label} ==");
     // Private subnet 1 is the rerouted (attacked) prefix.
     let inv = isp.invariant_for(1, 1);
     let rep = v.verify(&inv).unwrap();
+    assert_eq!(rep.verdict.holds(), scrubber_behind_firewall, "attacked private subnet");
     match &rep.verdict {
         Verdict::Holds => println!("  attacked private subnet: flow isolation HOLDS"),
         Verdict::Violated { trace, .. } => {
@@ -34,12 +34,14 @@ fn run(label: &str, scrubber_behind_firewall: bool) {
         "  quarantined subnet: {}",
         if rep.verdict.holds() { "isolation HOLDS" } else { "VIOLATED" }
     );
+    assert!(rep.verdict.holds(), "quarantined subnet");
     // Public subnet 0 stays reachable either way.
     let rep = v.verify(&isp.invariant_for(0, 0)).unwrap();
     println!(
         "  public subnet: {}",
         if rep.verdict.holds() { "unreachable (!)" } else { "reachable as intended" }
     );
+    assert!(!rep.verdict.holds(), "public subnet");
 }
 
 fn main() {

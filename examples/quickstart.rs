@@ -48,13 +48,14 @@ fn main() {
         report.steps,
         report.elapsed
     );
+    assert!(report.verdict.holds(), "the firewall admits no outside-initiated flow");
 
     // 2. Node isolation: no packet from outside at all — violated,
     //    because inside can punch a hole and invite a reply.
     let node_iso = Invariant::NodeIsolation { src: outside, dst: inside };
     let report = verifier.verify(&node_iso).expect("verification runs");
     match &report.verdict {
-        Verdict::Holds => println!("{node_iso}: HOLDS"),
+        Verdict::Holds => panic!("{node_iso}: a punched hole must admit the reply"),
         Verdict::Violated { trace, .. } => {
             println!("{node_iso}: VIOLATED — witness schedule:");
             print!("{}", trace.render(&net));

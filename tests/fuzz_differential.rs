@@ -1,7 +1,7 @@
 //! Randomized differential fuzzing of the whole incremental solving
 //! stack: random topologies (hosts, stateful/stateless firewalls, load
-//! balancers), random steering with failover priorities, random policy
-//! groups and random failure scenarios — verified by two engines that
+//! balancers), random steering with failover priorities and random
+//! failure scenarios — verified by two engines that
 //! must agree on every observable:
 //!
 //! * the from-scratch oracle (`Verifier::verify_from_scratch`: fresh
@@ -66,7 +66,6 @@ fn px(s: &str) -> Prefix {
 /// One generated verification problem.
 struct Case {
     net: Network,
-    hint: Option<Vec<Vec<NodeId>>>,
     inv: Invariant,
     label: String,
 }
@@ -75,7 +74,7 @@ struct Case {
 /// constrained to what the bounded encoding supports by construction
 /// (hub topology, host-keyed steering with failover priorities, no
 /// middlebox-to-middlebox chains), but everything else — counts, kinds,
-/// ACLs, backends, steering, scenarios, policy groups, invariant — is
+/// ACLs, backends, steering, scenarios, invariant — is
 /// drawn at random.
 fn generate(rng: &mut TestRng) -> Case {
     let mut topo = Topology::new();
@@ -84,14 +83,12 @@ fn generate(rng: &mut TestRng) -> Case {
     // 2..=3 host pairs: a_i = 10.(i+1).0.1, b_i = 10.(i+1).0.2.
     let pairs = 2 + rng.below(2) as usize;
     let mut hosts: Vec<NodeId> = Vec::new();
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
     for i in 0..pairs {
         let a = topo.add_host(format!("a{i}"), Address(0x0A00_0001 + ((i as u32 + 1) << 16)));
         let b = topo.add_host(format!("b{i}"), Address(0x0A00_0002 + ((i as u32 + 1) << 16)));
         topo.add_link(a, sw);
         topo.add_link(b, sw);
         hosts.extend([a, b]);
-        groups.push(vec![a, b]);
     }
 
     // 0..=2 middleboxes: learning firewall, stateless ACL firewall, or a
@@ -220,15 +217,12 @@ fn generate(rng: &mut TestRng) -> Case {
         _ => Invariant::NodeIsolation { src, dst },
     };
 
-    // Random policy grouping: the natural per-pair hint, or computed by
-    // partition refinement (None) every fourth case.
-    let hint = if rng.below(4) == 0 { None } else { Some(groups) };
+    // Every case runs on refined policy classes. This draw once chose a
+    // hand-written grouping instead; it stays so that each seed still
+    // derives the same network and invariant as before.
+    rng.below(4);
     label.push_str(&format!(" scen={n_scen} inv={inv}"));
-    Case { net, hint, inv, label }
-}
-
-fn opts(case: &Case) -> VerifyOptions {
-    VerifyOptions { policy_hint: case.hint.clone(), emit_proofs: true, ..Default::default() }
+    Case { net, inv, label }
 }
 
 /// Replays a violation witness on the concrete simulator and asserts it
@@ -324,7 +318,8 @@ fn run_case(seed: u64) {
     assert_analysis_consistent(&case.net, label);
     policy_reference::assert_matches_reference(&case.net, label);
 
-    let v = Verifier::new(&case.net, opts(&case)).expect("valid network");
+    let options = VerifyOptions { emit_proofs: true, ..Default::default() };
+    let v = Verifier::new(&case.net, options).expect("valid network");
     let want = v.verify_from_scratch(&case.inv).expect("oracle verifies");
     assert_witness_replays(&case, &want.verdict, "oracle");
 
@@ -376,8 +371,7 @@ fn run_case(seed: u64) {
     for (engine, partition) in
         [("auto-routed", PartitionMode::Off), ("modular", PartitionMode::Auto)]
     {
-        let options =
-            VerifyOptions { policy_hint: case.hint.clone(), partition, ..Default::default() };
+        let options = VerifyOptions { partition, ..Default::default() };
         let v = Verifier::new(&case.net, options).expect("valid network");
         let got = v.verify(&case.inv).expect("routed verify succeeds");
         assert_eq!(
@@ -409,8 +403,7 @@ fn run_case(seed: u64) {
     // cost field — elapsed, solver deltas, BDD deltas, certificate — so
     // summing costs over a run counts each backend run exactly once,
     // while keeping the representative's provenance counts.
-    let options = VerifyOptions { policy_hint: case.hint.clone(), ..Default::default() };
-    let v = Verifier::new(&case.net, options).expect("valid network");
+    let v = Verifier::new(&case.net, VerifyOptions::default()).expect("valid network");
     let reports =
         v.verify_all(&[case.inv.clone(), case.inv.clone()], 1).expect("verify_all succeeds");
     assert!(!reports[0].inherited, "{label}: the representative is verified directly");

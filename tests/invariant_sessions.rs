@@ -16,15 +16,10 @@ mod forbidden;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vmn::policy::group_by_symmetry;
-use vmn::{Invariant, Network, PolicyClasses, Verdict, Verifier, VerifyOptions};
-use vmn_net::NodeId;
+use vmn::{Invariant, Network, Verdict, Verifier, VerifyOptions};
 use vmn_scenarios::datacenter::{Datacenter, DatacenterParams};
 use vmn_scenarios::enterprise::{Enterprise, EnterpriseParams, SubnetKind};
 use vmn_scenarios::estate::{Estate, EstateParams};
-
-fn opts(hint: Vec<Vec<NodeId>>) -> VerifyOptions {
-    VerifyOptions { policy_hint: Some(hint), ..Default::default() }
-}
 
 /// Whether the witness of `verdict`, replayed, shows the reception `inv`
 /// forbids.
@@ -38,13 +33,8 @@ fn witnesses(net: &Network, inv: &Invariant, verdict: &Verdict) -> bool {
 /// its own invariant; violated invariants must replay on the simulator,
 /// the oracle's witness into the invariant's own forbidden reception.
 /// Returns the reports.
-fn assert_fleet_matches(
-    net: &Network,
-    hint: Vec<Vec<NodeId>>,
-    invs: &[Invariant],
-    label: &str,
-) -> Vec<vmn::Report> {
-    let v = Verifier::new(net, opts(hint)).expect("valid network");
+fn assert_fleet_matches(net: &Network, invs: &[Invariant], label: &str) -> Vec<vmn::Report> {
+    let v = Verifier::new(net, VerifyOptions::default()).expect("valid network");
     let got = v.verify_all(invs, 1).expect("verify_all succeeds");
     assert_eq!(got.len(), invs.len());
     for (k, (g, inv)) in got.iter().zip(invs).enumerate() {
@@ -97,9 +87,9 @@ fn dc() -> Datacenter {
 /// same pairs between the groups' second hosts, which inherit their
 /// verdicts by symmetry.
 fn dc_fleet(dc: &Datacenter) -> Vec<Invariant> {
-    let hint = dc.policy_hint();
-    let (a, b) = (hint[0][0], hint[1][0]);
-    let (a2, b2) = (hint[0][1], hint[1][1]);
+    let g = &dc.groups;
+    let (a, b) = (g[0][0], g[1][0]);
+    let (a2, b2) = (g[0][1], g[1][1]);
     let mut invs = vec![
         Invariant::NodeIsolation { src: a, dst: b },
         Invariant::NodeIsolation { src: b, dst: a },
@@ -116,7 +106,7 @@ fn dc_fleet(dc: &Datacenter) -> Vec<Invariant> {
 fn datacenter_clean_fleet_matches_fresh_stacks() {
     let dc = dc();
     assert!(dc.net.all_scenarios().len() > 1, "sweep needs several failure scenarios");
-    assert_fleet_matches(&dc.net, dc.policy_hint(), &dc_fleet(&dc), "dc/clean");
+    assert_fleet_matches(&dc.net, &dc_fleet(&dc), "dc/clean");
 }
 
 #[test]
@@ -130,10 +120,9 @@ fn datacenter_misconfigured_fleet_matches_fresh_stacks() {
     let pairs = dc.inject_rule_misconfig(&mut rng, 1);
     let mut invs = dc_fleet(&dc);
     invs.insert(2, dc.pair_isolation(pairs[0].0, pairs[0].1));
-    let hint = dc.policy_hint();
-    let (src, dst) = (hint[pairs[0].0][1], hint[pairs[0].1][1]);
+    let (src, dst) = (dc.groups[pairs[0].0][1], dc.groups[pairs[0].1][1]);
     invs.push(Invariant::NodeIsolation { src, dst });
-    assert_fleet_matches(&dc.net, dc.policy_hint(), &invs, "dc/misconfig");
+    assert_fleet_matches(&dc.net, &invs, "dc/misconfig");
 }
 
 #[test]
@@ -150,7 +139,7 @@ fn enterprise_families_match_fresh_stacks() {
             invs.push(Invariant::FlowIsolation { src: host, dst: e.internet });
         }
     }
-    assert_fleet_matches(&e.net, e.policy_hint(), &invs, "enterprise");
+    assert_fleet_matches(&e.net, &invs, "enterprise");
 }
 
 #[test]
@@ -161,7 +150,7 @@ fn threaded_session_pool_matches_single_thread() {
     // transitivity with the tests above).
     let dc = dc();
     let invs = dc_fleet(&dc);
-    let v = Verifier::new(&dc.net, opts(dc.policy_hint())).unwrap();
+    let v = Verifier::new(&dc.net, VerifyOptions::default()).unwrap();
     let single = v.verify_all(&invs, 1).unwrap();
     let threaded = v.verify_all(&invs, 4).unwrap();
     assert_eq!(single.len(), threaded.len());
@@ -200,7 +189,7 @@ fn campus_inherited_verdicts_match_direct_checks() {
         .collect();
     invs.extend(e.cross_site_isolation(4));
     invs.extend(e.local_reachability(2));
-    let reports = assert_fleet_matches(&e.net, e.policy_hint(), &invs, "campus");
+    let reports = assert_fleet_matches(&e.net, &invs, "campus");
     let inherited =
         |holds: bool| reports.iter().filter(|r| r.inherited && r.verdict.holds() == holds).count();
     assert!(inherited(true) > 0, "some holding verdict is inherited");
@@ -210,8 +199,8 @@ fn campus_inherited_verdicts_match_direct_checks() {
     assert_eq!(inherited(false), 1, "no violation is inherited but a duplicate's");
     // And a violated group has members that are not duplicates, each of
     // them verified on its own.
-    let pc = PolicyClasses::from_groups(e.policy_hint());
-    let groups = group_by_symmetry(&e.net, &pc, &invs);
+    let v = Verifier::new(&e.net, VerifyOptions::default()).unwrap();
+    let groups = group_by_symmetry(&e.net, v.policy(), &invs);
     assert!(
         groups.iter().any(|g| {
             !reports[g[0]].verdict.holds() && g.iter().any(|&i| invs[i] != invs[g[0]])

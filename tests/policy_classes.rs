@@ -5,8 +5,9 @@
 //! verifier's header classes and their next-hop runs, and again after a
 //! model swap; and the symmetry soundness cases a coarser rule used to
 //! miss: prefixes mentioned directly in guards and rewrites (here a NAT's
-//! `internal`), boxes of one type with different models, and traversals
-//! through different boxes of one type.
+//! `internal`), boxes of one type with different models, traversals
+//! through different boxes of one type, and the ISP whose scrubber bypasses
+//! the firewalls, where grouping subnets by kind was coarser than refinement.
 
 #[path = "support/policy_reference.rs"]
 mod policy_reference;
@@ -198,14 +199,21 @@ fn prefix_in_a_guard_splits_classes() {
     assert!(!swept[1].inherited);
 }
 
-/// `verify_all` against `verify`, invariant by invariant: whatever the
-/// sweep shares by symmetry must be what each invariant gets alone.
+/// `verify_all` against `verify`, invariant by invariant, with the
+/// invariants in the given order and reversed: whatever the sweep shares
+/// by symmetry must be what each invariant gets alone, whichever member of
+/// a group the sweep meets first.
 fn assert_sweep_matches_alone(net: &Network, invs: &[Invariant]) -> Vec<bool> {
     let v = Verifier::new(net, VerifyOptions::default()).unwrap();
     let alone: Vec<bool> = invs.iter().map(|i| v.verify(i).unwrap().verdict.holds()).collect();
-    let swept = v.verify_all(invs, 1).unwrap();
-    for ((inv, r), holds) in invs.iter().zip(&swept).zip(&alone) {
-        assert_eq!(r.verdict.holds(), *holds, "{inv}: the sweep differs from a direct check");
+    let mut order: Vec<(Invariant, bool)> = invs.iter().cloned().zip(alone.clone()).collect();
+    for pass in ["forward", "reversed"] {
+        let invs: Vec<Invariant> = order.iter().map(|(inv, _)| inv.clone()).collect();
+        let swept = v.verify_all(&invs, 1).unwrap();
+        for ((inv, holds), r) in order.iter().zip(&swept) {
+            assert_eq!(r.verdict.holds(), *holds, "{inv} ({pass}): the sweep differs from alone");
+        }
+        order.reverse();
     }
     alone
 }
@@ -277,4 +285,29 @@ fn firewalls_with_different_acls_split_classes() {
     ];
     let alone = assert_sweep_matches_alone(&net, &invs);
     assert_eq!(alone, [true, false], "fw2 drops what fw1 lets through");
+}
+
+/// The ISP with the scrubber bypassing the firewalls: rerouted traffic to
+/// the attacked subnet reaches it unfiltered, so the attacked private
+/// subnet is not interchangeable with the other private one. A
+/// hand-written grouping of subnets by kind (and of all peers in one
+/// class) let the sweep hand the attacked subnet's refuted flow isolation
+/// the `Holds` of the other's when the invariants came in reverse order.
+/// Five subnets are the fewest that hold two private ones. Every
+/// invariant for every (subnet, peer) pair, in both orders, must get the
+/// verdict it gets alone.
+#[test]
+fn isp_scrubber_bypass_sweeps_match_direct_checks() {
+    let isp = Isp::build(IspParams {
+        peering_points: 2,
+        subnets: 5,
+        scrubber_behind_firewall: false,
+        ..Default::default()
+    });
+    let invs: Vec<Invariant> = (0..isp.subnets.len())
+        .flat_map(|s| (0..isp.peers.len()).map(move |p| (s, p)))
+        .map(|(s, p)| isp.invariant_for(s, p))
+        .collect();
+    let alone = assert_sweep_matches_alone(&isp.net, &invs);
+    assert!(alone.contains(&false), "the bypass refutes some flow isolation");
 }
