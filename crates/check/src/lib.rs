@@ -70,16 +70,6 @@ pub enum ProofStep {
     Delete { id: ClauseId },
 }
 
-impl ProofStep {
-    /// The id this step adds, if it adds a clause.
-    pub fn added_id(&self) -> Option<ClauseId> {
-        match self {
-            ProofStep::Input { id, .. } | ProofStep::Derived { id, .. } => Some(*id),
-            ProofStep::Delete { .. } => None,
-        }
-    }
-}
-
 /// Claimed outcome of one solver check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {

@@ -134,6 +134,8 @@ pub struct Topology {
     adjacency: Vec<Vec<NodeId>>,
     /// The same neighbours sorted by id, for `is_adjacent`.
     sorted_adjacency: Vec<Vec<NodeId>>,
+    /// How many nodes are terminals, for `num_terminals`.
+    terminals: usize,
 }
 
 impl Topology {
@@ -164,6 +166,7 @@ impl Topology {
 
     pub fn add_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.terminals += usize::from(node.kind.is_terminal());
         self.nodes.push(node);
         self.adjacency.push(Vec::new());
         self.sorted_adjacency.push(Vec::new());
@@ -191,6 +194,11 @@ impl Topology {
 
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// How many of the nodes are terminals (hosts and middleboxes).
+    pub fn num_terminals(&self) -> usize {
+        self.terminals
     }
 
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
@@ -314,6 +322,7 @@ mod tests {
         assert_eq!(t.middleboxes().collect::<Vec<_>>(), vec![fw]);
         assert_eq!(t.switches().collect::<Vec<_>>(), vec![sw]);
         assert_eq!(t.terminals().count(), 3);
+        assert_eq!(t.num_terminals(), 3);
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   interval (275 per list on the benchmark's 3 539-class campus, where a
 //!   walk per class would take 3 539).
 //!
-//! Slicing, trace bounds, pipeline checks and policy-equivalence
-//! refinement walk the engine's classes; the interval readers (SMT
+//! Slicing (whose closure also measures the trace bound's pipeline
+//! depth), pipeline checks and policy-equivalence refinement walk the
+//! engine's classes; the interval readers (SMT
 //! encoder, BDD dataplane, the daemon's slice key `vmn::slice::SliceKey`)
 //! read the delivery table. A walk without classes answers each hop with
 //! [`ForwardingTables::lookup`], a scan of the switch's rules: the

@@ -160,10 +160,6 @@ impl Context {
         self.pool.bv_ule(a, b)
     }
 
-    pub fn bv_ult(&mut self, a: TermId, b: TermId) -> TermId {
-        self.pool.bv_ult(a, b)
-    }
-
     pub fn bv_extract(&mut self, a: TermId, hi: u32, lo: u32) -> TermId {
         self.pool.bv_extract(a, hi, lo)
     }

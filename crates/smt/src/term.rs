@@ -316,11 +316,6 @@ impl TermPool {
         self.intern(Term::BvUle(a, b), Sort::Bool)
     }
 
-    pub fn bv_ult(&mut self, a: TermId, b: TermId) -> TermId {
-        let le = self.bv_ule(b, a);
-        self.not(le)
-    }
-
     pub fn bv_extract(&mut self, arg: TermId, hi: u32, lo: u32) -> TermId {
         let w = self.sort(arg).bv_width().expect("bv_extract: expected bit-vector");
         assert!(hi >= lo && hi < w, "bv_extract: bad range [{hi}:{lo}] on width {w}");

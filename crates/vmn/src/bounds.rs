@@ -15,68 +15,34 @@
 //!   state only grows via processed packets, and — for flow-parallel
 //!   boxes — only the witness flows' state is ever consulted).
 //!
-//! Hence `K = W · (D + 1) + slack` steps suffice; `slack` ([`DEFAULT_SLACK`])
-//! absorbs model-specific extras such as a load-balancer hop inserted by
-//! rewriting. The bound is per (invariant, scenario, node set) and is
-//! recomputed for whole-network runs, where paths can be longer.
+//! Hence `K = W · (D + 1) + slack` steps suffice; the slack
+//! ([`DEFAULT_SLACK`]) absorbs model-specific extras such as a
+//! load-balancer hop inserted by rewriting. `D` is read off the closure
+//! that plans the check ([`crate::slice::compute_slice`]): the slice's, or
+//! the whole network's, where paths can be longer.
 
 use crate::invariant::Invariant;
-use crate::network::Network;
-use vmn_net::{FailureScenario, HeaderClasses, NetError, NodeId, TransferFunction};
 
 /// The slack steps the engine adds to every bound.
 pub const DEFAULT_SLACK: usize = 2;
 
-/// Longest middlebox pipeline between any pair of the given hosts under
-/// `scenario` (measured on the static datapath, walked on `classes`, the
-/// [`HeaderClasses::from_network`] of `net`). A static forwarding loop on
-/// any of those paths is an error: no bound covers it.
-pub fn max_pipeline_depth(
-    net: &Network,
-    classes: &HeaderClasses,
-    scenario: &FailureScenario,
-    hosts: &[NodeId],
-) -> Result<usize, NetError> {
-    let tf = TransferFunction::new(&net.topo, &net.tables, scenario).with_classes(classes);
-    let mut depth = 0;
-    for &src in hosts {
-        if scenario.is_failed(src) {
-            continue;
-        }
-        for &dst in hosts {
-            if src == dst {
-                continue;
-            }
-            for &addr in &net.topo.node(dst).addresses {
-                depth = depth.max(tf.terminal_path(src, addr)?.0.len());
-            }
-        }
-    }
-    Ok(depth)
-}
-
-/// Computes the trace bound for verifying `inv` over the hosts of a node
-/// set (slice or whole network).
-pub fn trace_bound(
-    net: &Network,
-    classes: &HeaderClasses,
-    scenario: &FailureScenario,
-    inv: &Invariant,
-    nodes: &[NodeId],
-    slack: usize,
-) -> Result<usize, NetError> {
-    let hosts: Vec<NodeId> =
-        nodes.iter().copied().filter(|&n| net.topo.node(n).kind.is_host()).collect();
-    let depth = max_pipeline_depth(net, classes, scenario, &hosts)?;
-    let w = inv.witness_packets();
-    Ok(w * (depth + 1) + slack)
+/// The trace bound for verifying `inv` over a node set whose longest
+/// middlebox pipeline between two of its hosts crosses `depth` boxes.
+pub fn trace_bound(inv: &Invariant, depth: usize) -> usize {
+    inv.witness_packets() * (depth + 1) + DEFAULT_SLACK
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Network;
+    use crate::pipeline_depth::max_pipeline_depth;
+    use crate::policy::PolicyClasses;
+    use crate::slice::compute_slice;
     use vmn_mbox::models;
-    use vmn_net::{Address, Prefix, RoutingConfig, Rule, Topology};
+    use vmn_net::{
+        Address, FailureScenario, HeaderClasses, NodeId, Prefix, RoutingConfig, Rule, Topology,
+    };
 
     fn addr(s: &str) -> Address {
         s.parse().unwrap()
@@ -113,29 +79,36 @@ mod tests {
         (net, h1, h2)
     }
 
-    fn classes(net: &Network) -> HeaderClasses {
-        HeaderClasses::from_network(&net.topo, &net.tables)
+    /// The closure of `{h1, h2}` and its pipeline depth, which must be the
+    /// reference's over the closed set.
+    fn closed_depth(net: &Network, h1: NodeId, h2: NodeId) -> usize {
+        let none = FailureScenario::none();
+        let classes = HeaderClasses::from_network(&net.topo, &net.tables);
+        let policy = PolicyClasses::from_groups(vec![]);
+        let (nodes, depth) =
+            compute_slice(net, &classes, &net.parallelism_classes(), &none, [h1, h2], || &policy)
+                .unwrap();
+        let reference = max_pipeline_depth(&net.topo, &net.tables, &classes, &none, &nodes);
+        assert_eq!(Ok(depth), reference, "closure of {nodes:?}");
+        depth
     }
 
     #[test]
     fn depth_counts_middleboxes() {
         let (net, h1, h2) = two_host_net(true);
-        let none = FailureScenario::none();
-        assert_eq!(max_pipeline_depth(&net, &classes(&net), &none, &[h1, h2]), Ok(1));
+        assert_eq!(closed_depth(&net, h1, h2), 1);
         let (net2, h1b, h2b) = two_host_net(false);
-        assert_eq!(max_pipeline_depth(&net2, &classes(&net2), &none, &[h1b, h2b]), Ok(0));
+        assert_eq!(closed_depth(&net2, h1b, h2b), 0);
     }
 
     #[test]
     fn bound_scales_with_witness_packets() {
         let (net, h1, h2) = two_host_net(true);
-        let none = FailureScenario::none();
-        let nodes = vec![h1, h2];
+        let depth = closed_depth(&net, h1, h2);
         let simple = Invariant::NodeIsolation { src: h1, dst: h2 };
         let flow = Invariant::FlowIsolation { src: h1, dst: h2 };
-        let hc = classes(&net);
-        let b1 = trace_bound(&net, &hc, &none, &simple, &nodes, DEFAULT_SLACK).unwrap();
-        let b2 = trace_bound(&net, &hc, &none, &flow, &nodes, DEFAULT_SLACK).unwrap();
+        let b1 = trace_bound(&simple, depth);
+        let b2 = trace_bound(&flow, depth);
         assert_eq!(b1, 2 + DEFAULT_SLACK);
         assert_eq!(b2, 2 * 2 + DEFAULT_SLACK);
         assert!(b2 > b1);

@@ -467,7 +467,7 @@ impl Encoded {
     /// The assumption set selecting exactly `scenario`: its activation
     /// literal positively, every other registered scenario's negatively
     /// (so no foreign delivery facts leak into the check).
-    pub fn assumptions_for(
+    fn assumptions_for(
         &mut self,
         net: &Network,
         scenario: &FailureScenario,

@@ -156,7 +156,9 @@ pub enum Backend {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct VerifyOptions {
-    /// Verify on slices (§4) instead of the whole network.
+    /// Verify on slices (§4) instead of the whole network: the plan's
+    /// closure ([`Verifier::plan_for`]) is seeded with the invariant's
+    /// endpoints, not with every terminal.
     pub use_slices: bool,
     /// Policy classes to use instead of partition refinement (`None`, the
     /// default, refines). The hint is trusted and unchecked: a grouping
@@ -710,25 +712,26 @@ impl Verifier {
         Ok(Answer { route: Route::Bdd, witness, bdd: dp.stats().delta_since(&before) })
     }
 
-    /// The slice (or whole terminal set) and trace bound one (invariant,
-    /// scenario) pair is decided on; [`Verifier::decide`] puts them in a
-    /// [`Plan`].
+    /// The node set and trace bound one (invariant, scenario) pair is
+    /// decided on; [`Verifier::decide`] puts them in a [`Plan`]. Both come
+    /// from one closure ([`compute_slice`]), seeded with the invariant's
+    /// endpoints, or with every terminal when
+    /// [`VerifyOptions::use_slices`] is off; the bound is
+    /// [`bounds::trace_bound`] of the closure's pipeline depth.
     pub fn plan_for(
         &self,
         inv: &Invariant,
         scenario: &FailureScenario,
     ) -> Result<(Vec<NodeId>, usize), VerifyError> {
-        let classes = self.header_classes();
-        let mut nodes: Vec<NodeId> = if self.options.use_slices {
-            compute_slice(&self.net, classes, &self.parallelism, scenario, inv, || self.policy())?
+        let seed = if self.options.use_slices {
+            inv.endpoints()
         } else {
             self.net.topo.terminals().collect()
         };
-        nodes.sort();
-        nodes.dedup();
-        let bound =
-            bounds::trace_bound(&self.net, classes, scenario, inv, &nodes, bounds::DEFAULT_SLACK)?;
-        Ok((nodes, bound))
+        let classes = self.header_classes();
+        let (nodes, depth) =
+            compute_slice(&self.net, classes, &self.parallelism, scenario, seed, || self.policy())?;
+        Ok((nodes, bounds::trace_bound(inv, depth)))
     }
 
     /// Verifies a single invariant across all configured failure
@@ -958,6 +961,15 @@ impl Verifier {
     /// with every member. A witness is not: the members of a violated group
     /// but its exact duplicates are verified on their own, on the same pool.
     ///
+    /// **Open soundness hole.** Policy classes are refined under the
+    /// no-failure scenario only, but a shared `Holds` covers every
+    /// scenario, so it is not yet sound when the network declares failure
+    /// scenarios: a member whose traffic a failure reroutes past a box its
+    /// representative's traffic still crosses can inherit a `Holds` that
+    /// [`Verifier::verify`] refutes. ROADMAP item 1 tracks the fix; the
+    /// `FOUND` line on `PolicyClasses::compute_over` in CHANGES.md has the
+    /// counterexample.
+    ///
     /// Returns one report per input invariant, in input order.
     pub fn verify_all(
         &self,
@@ -1156,7 +1168,7 @@ pub(crate) mod engine_tests {
     #[test]
     fn whole_network_plans_refuse_a_forwarding_loop() {
         // `s1` and `s2` bounce traffic for `h2` between each other. The
-        // trace bound walks every host pair of the whole network, so the
+        // closure walks every host pair of the whole network, so the
         // loop surfaces from planning instead of a guessed bound.
         let mut topo = Topology::new();
         let h1 = topo.add_host("h1", "10.0.1.1".parse().unwrap());
@@ -1229,15 +1241,15 @@ pub(crate) mod engine_tests {
         let mut max = 0;
         for s in net.all_scenarios() {
             let plan = planned(&v, &inv, &s);
-            let derived = bounds::trace_bound(
-                &net,
+            let depth = crate::pipeline_depth::max_pipeline_depth(
+                &net.topo,
+                &net.tables,
                 v.header_classes(),
                 &s,
-                &inv,
                 plan.nodes(),
-                bounds::DEFAULT_SLACK,
             )
             .unwrap();
+            let derived = inv.witness_packets() * (depth + 1) + bounds::DEFAULT_SLACK;
             assert_eq!(plan.bound(), derived, "{s:?}");
             max = max.max(derived);
         }

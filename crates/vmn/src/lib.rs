@@ -72,6 +72,10 @@ pub mod policy;
 pub mod slice;
 pub mod trace;
 
+#[cfg(test)]
+#[path = "../../../tests/support/pipeline_depth.rs"]
+mod pipeline_depth;
+
 pub use engine::{
     Backend, Decision, PartitionMode, Plan, Report, Verdict, Verifier, VerifyError, VerifyOptions,
 };

@@ -9,11 +9,15 @@
 //! policy equivalence class so that every distinguishable way of
 //! installing shared state is represented.
 //!
-//! Closure is computed as a fixpoint: starting from the invariant's
-//! endpoints, follow the static datapath between every pair of in-slice
-//! terminals (both directions) and admit every middlebox encountered;
-//! middlebox models that rewrite packets toward other addresses (load
-//! balancers, NATs) pull the owners of those addresses in as well.
+//! Closure is computed as a fixpoint: starting from a seed (the
+//! invariant's endpoints), follow the static datapath between every pair
+//! of in-slice terminals (both directions) and admit every middlebox
+//! encountered; middlebox models that rewrite packets toward other
+//! addresses (load balancers, NATs) pull the owners of those addresses in
+//! as well. The
+//! same walks measure the slice's longest middlebox pipeline, which the
+//! trace bound ([`crate::bounds`]) is computed from; whole-network mode
+//! seeds the closure with every terminal instead of the endpoints.
 
 use crate::invariant::Invariant;
 use crate::network::Network;
@@ -28,28 +32,35 @@ use vmn_net::{
     TransferFunction,
 };
 
-/// Computes the slice for verifying `inv` under `scenario`.
+/// Closes `seed` under forwarding and state under `scenario`, and measures
+/// the longest middlebox pipeline in the result.
 ///
-/// Returns the terminal set (hosts and middleboxes), sorted. The result
-/// always contains the invariant's endpoints; with `use_slices == false`
-/// callers should instead pass every terminal to the encoder.
+/// Returns the closed terminal set (hosts and middleboxes), sorted, and
+/// its pipeline depth: the most middleboxes any static walk crosses from a
+/// live member host to another member host's address, the `D` of
+/// [`crate::bounds::trace_bound`]. The engine seeds the closure with an
+/// invariant's endpoints to get its slice, or with every terminal to get
+/// the whole network, which the closure leaves as it is and walks only
+/// between hosts.
 ///
 /// The datapath is walked on `classes`, the [`HeaderClasses::from_network`]
 /// of `net`. `parallelism` holds every middlebox's derived class
 /// ([`Network::parallelism_classes`]). `policy` yields the policy
-/// classes. It is called at most once, and only when the slice holds a
+/// classes. It is called at most once, and only when the set holds a
 /// middlebox that is not flow-parallel, so a caller can build the
-/// classes on demand.
+/// classes on demand. A static forwarding loop on any walk is an error:
+/// no trace bound covers it.
 pub fn compute_slice<'p>(
     net: &Network,
     classes: &HeaderClasses,
     parallelism: &HashMap<NodeId, Parallelism>,
     scenario: &FailureScenario,
-    inv: &Invariant,
+    seed: impl IntoIterator<Item = NodeId>,
     policy: impl FnOnce() -> &'p PolicyClasses,
-) -> Result<Vec<NodeId>, NetError> {
+) -> Result<(Vec<NodeId>, usize), NetError> {
     let tf = TransferFunction::new(&net.topo, &net.tables, scenario).with_classes(classes);
-    let mut set: BTreeSet<NodeId> = inv.endpoints().into_iter().collect();
+    let mut set: BTreeSet<NodeId> = seed.into_iter().collect();
+    let mut depth = 0;
 
     let mut changed = true;
     let mut policy = Some(policy);
@@ -57,24 +68,47 @@ pub fn compute_slice<'p>(
         changed = false;
 
         // Forwarding closure over every in-slice (source, destination
-        // address) pair.
+        // address) pair. The depth keeps its maximum across passes: the
+        // host pairs only grow from one pass to the next, and the last
+        // pass, which adds nothing, walks every pair of the final set. A
+        // set that holds every terminal cannot grow, so then only the host
+        // pairs are walked.
+        let complete = set.len() == net.topo.num_terminals();
         let members: Vec<NodeId> = set.iter().copied().collect();
         let mut dest_addrs: Vec<Address> = Vec::new();
+        let mut host_addrs: Vec<(Address, NodeId)> = Vec::new();
         for &n in &members {
-            dest_addrs.extend(net.topo.node(n).addresses.iter().copied());
-            if net.topo.node(n).kind.is_middlebox() {
+            let node = net.topo.node(n);
+            dest_addrs.extend(node.addresses.iter().copied());
+            if node.kind.is_host() {
+                host_addrs.extend(node.addresses.iter().map(|&a| (a, n)));
+            }
+            if node.kind.is_middlebox() {
                 dest_addrs.extend(net.model_referenced_addresses(n));
             }
         }
         dest_addrs.sort();
         dest_addrs.dedup();
+        host_addrs.sort();
+        let to_another_host = |from: NodeId, a: Address| {
+            let i = host_addrs.partition_point(|&(b, _)| b < a);
+            host_addrs[i..].iter().take_while(|&&(b, _)| b == a).any(|&(_, h)| h != from)
+        };
 
         for &from in &members {
             if scenario.is_failed(from) {
                 continue;
             }
+            let from_host = net.topo.node(from).kind.is_host();
             for &a in &dest_addrs {
+                let host_pair = from_host && to_another_host(from, a);
+                if complete && !host_pair {
+                    continue;
+                }
                 let (mboxes, end) = tf.terminal_path(from, a)?;
+                if host_pair {
+                    depth = depth.max(mboxes.len());
+                }
                 for m in mboxes {
                     changed |= set.insert(m);
                 }
@@ -113,7 +147,7 @@ pub fn compute_slice<'p>(
         }
     }
 
-    Ok(set.into_iter().collect())
+    Ok((set.into_iter().collect(), depth))
 }
 
 /// The first middlebox in `slice` whose behaviour the BDD backend cannot
@@ -538,7 +572,10 @@ mod tests {
         policy: impl FnOnce() -> &'p PolicyClasses,
     ) -> Vec<NodeId> {
         let none = FailureScenario::none();
-        compute_slice(net, &classes(net), &net.parallelism_classes(), &none, inv, policy).unwrap()
+        let seed = inv.endpoints();
+        compute_slice(net, &classes(net), &net.parallelism_classes(), &none, seed, policy)
+            .unwrap()
+            .0
     }
 
     /// Many host pairs, each pair isolated behind a shared firewall; a
